@@ -81,8 +81,7 @@ int main(int Argc, char **Argv) {
     Td += Dl[C];
   }
   printf("\n# stable-iteration speedup (last %ld columns): %.2fx "
-         "(paper: 35x on their testbed; amplitude is compressed here, see "
-         "EXPERIMENTS.md)\n",
+         "(paper: 35x on their testbed; amplitude is compressed here)\n",
          Cnt, Tn / Td);
   printf("# events: normal deopts=%llu recompiles=%llu | deoptless "
          "deopts=%llu continuations=%llu hits=%llu\n",

@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/pipeline.h"
+#include "osr/osrin.h"
 #include "support/fnv.h"
 #include "support/stats.h"
 #include "support/timer.h"
@@ -62,12 +63,7 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
     obs::traceEvent(obs::TraceEv::CompileStart, 0, E->ObsId,
                     obs::CompileKindFn);
 
-  OptOptions O;
-  O.Speculate = Opts.Speculate;
-  O.Inline = Opts.Inline;
-  O.Loop = Opts.Loop;
-  O.VerifyEachPass = Opts.VerifyBetweenPasses;
-  O.Backend = Opts.Backend;
+  const OptOptions &O = Opts.Opt;
   EntryState Entry;
   if (!Want.isGeneric()) {
     // Seed inference with the argument types the dispatch guarantees.
@@ -113,7 +109,7 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
   }
 
   std::unique_ptr<ExecutableCode> Exec =
-      prepareExecutable(Opts.Backend, lowerToLow(*Ir));
+      prepareExecutable(O.Backend, lowerToLow(*Ir));
   uint64_t Dur = nowNanos() - T0;
   obs::metrics().CompileLatency.record(Dur);
   if (obs::traceOn()) {
@@ -150,7 +146,7 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
   // nothing to link (and re-notifying an already-linked version is
   // idempotent).
   if (E->live())
-    backendOr(Opts.Backend).notifyPublish(Fn, E);
+    backendOr(O.Backend).notifyPublish(Fn, E);
   return E;
 }
 
@@ -309,27 +305,14 @@ bool rjit::requestOsrCompile(CompilerPool &Pool, const void *Owner,
   if (Cache->full())
     return false; // no room for another signature: stop requesting
   std::shared_ptr<FeedbackSnapshot> Snap = FeedbackSnapshot::capture(Fn);
-  CompileJob Job{
-      Key, [Fn, Entry, Sig = std::move(Sig), Cache, Opts, Snap]() {
-        SnapshotScope Scope(*Snap);
-        uint64_t T0 = nowNanos();
-        std::unique_ptr<IrCode> Ir =
-            optimizeToIr(Fn, CallConv::OsrIn, Entry, Opts);
-        if (Ir) {
-          ++stats().OsrInCompilations;
-          uint64_t Dur = nowNanos() - T0;
-          obs::metrics().CompileLatency.record(Dur);
-          if (obs::traceOn())
-            obs::traceEvent(obs::TraceEv::CompileFinish, Dur,
-                            static_cast<uint64_t>(Entry.Pc),
-                            obs::CompileKindOsr);
-        }
-        // Null code is published as a failure marker: the executor stops
-        // requesting this signature instead of re-enqueueing forever.
-        Cache->publish(Entry.Pc, std::move(Sig),
-                       Ir ? prepareExecutable(Opts.Backend, lowerToLow(*Ir))
-                          : nullptr);
-      }};
+  CompileJob Job{Key, [Fn, Entry, Sig = std::move(Sig), Cache, Opts, Snap]() {
+                   SnapshotScope Scope(*Snap);
+                   // Null code is published as a failure marker: the
+                   // executor stops requesting this signature instead of
+                   // re-enqueueing forever.
+                   Cache->publish(Entry.Pc, std::move(Sig),
+                                  compileOsrInCode(Fn, Entry, Opts));
+                 }};
   CompileQueue::Push R = Pool.queue().push(std::move(Job));
   return R == CompileQueue::Push::Enqueued ||
          R == CompileQueue::Push::Duplicate;

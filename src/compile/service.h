@@ -50,17 +50,12 @@ namespace rjit {
 /// Knobs a whole-function version compile needs (copied out of Vm::Config
 /// so jobs never touch the Vm).
 struct VersionCompileOpts {
-  bool Speculate = true;
-  InlineOptions Inline;
-  LoopOptOptions Loop;
-  /// Between-pass IR verification (Vm::Config::VerifyBetweenPasses).
-  bool VerifyBetweenPasses = VerifyPassesDefault;
+  /// The optimizer knob set (Vm::Config::optView). Its Backend is the
+  /// execution backend the code is prepared for; backends are thread-safe,
+  /// so jobs call prepare() from compiler threads.
+  OptOptions Opt;
   /// feedbackHash flavor: include call-site contexts (ContextDispatch).
   bool HashWithContexts = false;
-  /// Execution backend the compiled code is prepared for (null =
-  /// interpreter). Backends are thread-safe: jobs call prepare() from
-  /// compiler threads.
-  ExecBackend *Backend = nullptr;
 };
 
 /// Resolves which context to (re)compile (blacklisted / unplaceable

@@ -85,7 +85,7 @@ struct FnVersion {
   }
 
   /// Retires the code, returning ownership. Every retire site — the deopt
-  /// listener, the reopt sampling path, background replacements racing a
+  /// handler, the reopt sampling path, background replacements racing a
   /// blacklist — hands the result to Vm::toGraveyard, which stamps the
   /// retire epoch the dispatch-boundary safepoint reclaims by (activations
   /// may still be on the stack, even across later dispatches under

@@ -29,9 +29,9 @@ uint64_t rjit::obs::nextVersionId() {
 
 namespace {
 
-/// Sharded like TierRegistry: transitions are recorded under writer locks
-/// on executor threads and from compiler threads publishing concurrently;
-/// shard mutexes keep the log out of their way.
+/// Mutex-sharded: transitions are recorded under writer locks on executor
+/// threads and from compiler threads publishing concurrently; shard
+/// mutexes keep the log out of their way.
 class TimelineLog {
 public:
   void record(uint64_t Id, VerEvent E) {

@@ -113,6 +113,7 @@ private:
   struct BlockInfo {
     int32_t Start = 0;
     int PredCount = 0; ///< reachable BC preds (+1 for prologue at entry)
+    int ForwardPreds = 0; ///< the non-backedge subset of PredCount
     BB *Bb = nullptr;
     bool UsesPhis = false;
     bool IsLoopHeader = false; ///< target of a bytecode back-edge
@@ -235,10 +236,13 @@ private:
           ++It->second.PredCount;
           if (S <= P)
             It->second.IsLoopHeader = true; // bytecode back-edge target
+          else
+            ++It->second.ForwardPreds;
         }
     }
     // The prologue feeds the entry block.
     ++Blocks[Entry.Pc].PredCount;
+    ++Blocks[Entry.Pc].ForwardPreds;
     for (auto &[Pc, BI] : Blocks)
       BI.UsesPhis = BI.PredCount != 1;
 
@@ -896,9 +900,18 @@ private:
     Instr *Ctr = St.Stack[St.Stack.size() - 1];
     Instr *Seq = St.Stack[St.Stack.size() - 2];
     // The sequence slot is never reassigned inside the loop, so its
-    // header phi is trivial; peek through it to the invariant definition
-    // (the phi itself is later removed by trivial-phi elimination).
-    while (Seq->Op == IrOp::Phi && !Seq->Ops.empty()) {
+    // header phi is trivial when exactly one value can reach it: the
+    // preheader's, or the entry state's when the entry lies inside the
+    // loop body. An OSR-in or continuation entry nested in an enclosing
+    // loop reaches this header both ways, with different sequences, and
+    // the phi is a real merge. Only a trivial phi is peeked through to
+    // the invariant definition (and later removed by trivial-phi
+    // elimination).
+    auto Header = Blocks.find(Pc);
+    bool EntryInBody = Pc < Entry.Pc && Entry.Pc < I.B;
+    bool OneSource = Header == Blocks.end() ||
+                     Header->second.ForwardPreds + EntryInBody == 1;
+    while (OneSource && Seq->Op == IrOp::Phi && !Seq->Ops.empty()) {
       Instr *First = Seq->Ops[0];
       bool AllSame = true;
       for (Instr *Op : Seq->Ops)
@@ -926,7 +939,8 @@ private:
       // sequence is loop invariant, so the guard can only fail on first
       // entry, where the preheader's state (header-phi incoming values)
       // is the correct deopt state.
-      BB *H = CurBb->Preds.size() == 1 ? CurBb->Preds[0] : nullptr;
+      BB *H = OneSource && CurBb->Preds.size() == 1 ? CurBb->Preds[0]
+                                                     : nullptr;
       if (H && H != CurBb && H->terminated()) {
         auto MapV = [&](Instr *V) {
           return (V->Op == IrOp::Phi && V->Parent == CurBb && !V->Ops.empty())

@@ -75,10 +75,10 @@ struct LoopOptOptions {
   bool ElimRedundantGuards = true;///< drop guards dominated by equivalents
 };
 
-/// The one definition of "debug builds verify between passes": every
-/// config struct that carries the knob (Vm::Config, VersionCompileOpts,
-/// OsrInConfig, DeoptlessConfig) defaults from this constant so the tiers
-/// cannot drift apart.
+/// The one definition of "debug builds verify between passes": both
+/// structs that carry the knob (Vm::Config and OptOptions, which every
+/// compile entry point receives from Vm::Config::optView) default from
+/// this constant so the tiers cannot drift apart.
 #ifndef NDEBUG
 inline constexpr bool VerifyPassesDefault = true;
 #else

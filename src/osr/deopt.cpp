@@ -8,16 +8,12 @@
 #include "bc/interp.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "osr/deoptless.h"
 #include "support/stats.h"
 #include "support/timer.h"
 
 using namespace rjit;
 
 namespace {
-
-// Thread-local: the listener is installed by the executor thread's Vm.
-thread_local DeoptListener TheListener = nullptr;
 
 /// Runs one reconstructed interpreter frame: materializes an environment
 /// (unless \p LiveEnv is provided), pushes \p Stack and resumes \p Fn at
@@ -49,8 +45,6 @@ Value runFrame(Function *Fn, Env *LiveEnv, Env *ParentEnv,
 }
 
 } // namespace
-
-void rjit::setDeoptListener(DeoptListener L) { TheListener = L; }
 
 Value rjit::resumeInlinedCallers(const LowFunction &F,
                                  std::vector<Value> &Slots,
@@ -109,22 +103,3 @@ Value rjit::deoptToBaseline(const LowFunction &F, std::vector<Value> &Slots,
                     static_cast<uint64_t>(Meta.BcPc), Inlined);
   return R;
 }
-
-Value rjit::deoptHandler(const LowFunction &F, std::vector<Value> &Slots,
-                         int32_t MetaIdx, Env *CurEnv, Env *ParentEnv,
-                         bool Injected) {
-  const DeoptMeta &Meta = F.Deopts[MetaIdx];
-
-  // Paper Listing 6: try deoptless first.
-  if (!CurEnv) {
-    Value Result;
-    if (tryDeoptless(F, Slots, Meta, ParentEnv, Injected, Result))
-      return Result;
-  }
-
-  if (TheListener)
-    TheListener(F.Origin, F, Meta, Injected);
-  return deoptToBaseline(F, Slots, Meta, CurEnv, ParentEnv);
-}
-
-void rjit::installOsrRuntime() { lowHooks().Deopt = deoptHandler; }

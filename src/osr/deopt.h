@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The deopt primitive of paper Listing 4/6: invoked (conceptually
-/// tail-called) by optimized code when a guard fails. With deoptless
-/// enabled it first attempts an optimized-to-optimized transfer; otherwise
-/// it extracts the interpreter-level state from the DeoptMeta, materializes
+/// The deopt primitive of paper Listing 4: invoked (conceptually
+/// tail-called) by optimized code when a guard fails, through the Vm's
+/// deopt handler (which tries deoptless first, paper Listing 6). It
+/// extracts the interpreter-level state from the DeoptMeta, materializes
 /// the environment (the deferred MkEnv), pushes the operand stack, and
 /// resumes the baseline interpreter at the deopt pc.
 ///
@@ -21,28 +21,11 @@
 
 namespace rjit {
 
-/// Notification callback invoked on every true deoptimization; the VM
-/// layer installs one to implement per-strategy policies (discarding the
-/// optimized version, re-profiling, blacklisting). \p Code is the compiled
-/// code the failing guard belongs to — with contextual dispatch a function
-/// has several versions, and the listener retires the right one.
-using DeoptListener = void (*)(Function *Fn, const LowFunction &Code,
-                               const DeoptMeta &Meta, bool Injected);
-
-/// Registers the VM's listener (single listener; null to clear).
-void setDeoptListener(DeoptListener L);
-
-/// The handler to install into lowHooks().Deopt.
-Value deoptHandler(const LowFunction &F, std::vector<Value> &Slots,
-                   int32_t MetaIdx, Env *CurEnv, Env *ParentEnv,
-                   bool Injected);
-
 /// Performs a true deoptimization (no deoptless): materializes the state
 /// and resumes the interpreter. With speculative inlining this rebuilds
 /// the *whole* frame chain — the innermost (callee) frame first, then one
 /// synthesized interpreter frame per inlined caller, each resuming just
-/// past its call with the inner frame's result pushed. Exposed for tests
-/// and the OSR-in runtime.
+/// past its call with the inner frame's result pushed.
 Value deoptToBaseline(const LowFunction &F, std::vector<Value> &Slots,
                       const DeoptMeta &Meta, Env *CurEnv, Env *ParentEnv);
 
@@ -57,9 +40,6 @@ Value deoptToBaseline(const LowFunction &F, std::vector<Value> &Slots,
 Value resumeInlinedCallers(const LowFunction &F, std::vector<Value> &Slots,
                            const DeoptMeta &Meta, Env *CurEnv,
                            Env *ParentEnv, Value Inner);
-
-/// Installs the OSR runtime into the LowCode engine hooks.
-void installOsrRuntime();
 
 } // namespace rjit
 

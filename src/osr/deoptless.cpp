@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "osr/deoptless.h"
+#include "compile/service.h"
 #include "compile/snapshot.h"
 #include "lowcode/exec.h"
 #include "lowcode/lower.h"
@@ -16,96 +17,9 @@
 #include "support/stats.h"
 #include "support/timer.h"
 
-#include <array>
-#include <thread>
-#include <unordered_map>
-
 using namespace rjit;
 
 namespace {
-// Thread-local: installed by the executor thread's Vm.
-thread_local DeoptlessConfig ActiveConfig;
-} // namespace
-
-const DeoptlessConfig &rjit::deoptlessConfig() { return ActiveConfig; }
-
-void rjit::configureDeoptless(const DeoptlessConfig &Cfg) {
-  ActiveConfig = Cfg;
-}
-
-namespace {
-
-/// The owner tag new tables are attributed to: the thread's active Vm
-/// (installed alongside its other hooks), or null outside any Vm.
-thread_local const void *TableOwner = nullptr;
-
-/// The process-wide continuation registry, mutex-sharded the way
-/// TierRegistry is: with many executor threads (each driving its own Vm
-/// over its own functions) table creation contends on a shard's mutex,
-/// not on one global lock — the ROADMAP's >8-executor scaling item.
-/// Entries are tagged with both the installed owner token (the creating
-/// Vm) and the creating thread: releaseDeoptlessTables(owner) lets a Vm
-/// teardown reclaim its tables from *any* thread (tables must not
-/// outlive the Vm whose native code arena their executables point into),
-/// while clearDeoptlessTables() keeps the thread-scoped reset for
-/// standalone tests; sibling executors' tables are untouched by either.
-/// Background continuation jobs reach a table through the
-/// DeoptlessTable* captured at enqueue time, never through this
-/// registry; tables are node-stable (unique_ptr values) and
-/// publication-safe internally.
-class DeoptlessRegistry {
-public:
-  DeoptlessTable &tableFor(Function *Fn) {
-    Shard &S = shardOf(Fn);
-    std::lock_guard<std::mutex> L(S.Mu);
-    Entry &E = S.Map[Fn];
-    if (!E.Table) {
-      E.Owner = TableOwner;
-      E.OwnerThread = std::this_thread::get_id();
-      E.Table = std::make_unique<DeoptlessTable>();
-    }
-    return *E.Table;
-  }
-
-  void clearOwnedByCaller() {
-    std::thread::id Self = std::this_thread::get_id();
-    erase([Self](const Entry &E) { return E.OwnerThread == Self; });
-  }
-
-  void release(const void *Owner) {
-    if (!Owner)
-      return;
-    erase([Owner](const Entry &E) { return E.Owner == Owner; });
-  }
-
-private:
-  static constexpr size_t NumShards = 8;
-  struct Entry {
-    const void *Owner = nullptr;
-    std::thread::id OwnerThread;
-    std::unique_ptr<DeoptlessTable> Table;
-  };
-  struct Shard {
-    std::mutex Mu;
-    std::unordered_map<Function *, Entry> Map;
-  };
-  template <typename Pred> void erase(Pred Drop) {
-    for (Shard &S : Shards) {
-      std::lock_guard<std::mutex> L(S.Mu);
-      for (auto It = S.Map.begin(); It != S.Map.end();)
-        It = Drop(It->second) ? S.Map.erase(It) : std::next(It);
-    }
-  }
-  Shard &shardOf(Function *Fn) {
-    return Shards[(reinterpret_cast<uintptr_t>(Fn) >> 4) % NumShards];
-  }
-  std::array<Shard, NumShards> Shards;
-};
-
-DeoptlessRegistry &registry() {
-  static DeoptlessRegistry R;
-  return R;
-}
 
 /// Call depths at which a deoptless continuation is currently running.
 /// A guard failing at the same depth is *recursive* deoptless (paper
@@ -149,14 +63,9 @@ bool computeContext(const LowFunction &F, std::vector<Value> &Slots,
 }
 
 /// The paper's deoptlessCondition.
-bool deoptlessCondition(const LowFunction &F, const DeoptMeta &Meta,
-                        Env *CurEnv, bool Injected) {
-  if (!deoptlessConfig().Enabled)
-    return false;
+bool deoptlessCondition(const DeoptMeta &Meta, bool Injected) {
   if (inRecursiveDeoptless())
     return false; // no recursive deoptless
-  if (CurEnv)
-    return false; // leaked/materialized environment: give up (paper §4.3)
   // A real builtin redefinition is a changed global assumption: the code
   // is permanently invalid and must actually deoptimize. Injected test
   // failures leave the fact intact.
@@ -167,16 +76,17 @@ bool deoptlessCondition(const LowFunction &F, const DeoptMeta &Meta,
 
 /// Compiles a continuation for \p Ctx (with repaired feedback), the
 /// synchronous path: repair and compile inline on the executor thread.
-std::unique_ptr<ExecutableCode> compileContinuation(Function *Fn,
-                                                    const DeoptContext &Ctx) {
+std::unique_ptr<ExecutableCode>
+compileContinuation(Function *Fn, const DeoptContext &Ctx,
+                    const ContinuationCompile &How) {
   // Compile against the repaired profile. The partial snapshot overrides
-  /// only \p Fn — inlined callees read (and repair) their live tables,
+  // only \p Fn — inlined callees read (and repair) their live tables,
   // which is safe here: this thread owns them.
   FeedbackSnapshot Partial;
-  Partial.replace(Fn, repairedContinuationFeedback(
-                          Fn, Ctx, deoptlessConfig().FeedbackCleanup));
+  Partial.replace(Fn,
+                  repairedContinuationFeedback(Fn, Ctx, How.FeedbackCleanup));
   SnapshotScope Scope(Partial);
-  return compileContinuationCode(Fn, Ctx, deoptlessConfig().optView());
+  return compileContinuationCode(Fn, Ctx, How.Opts);
 }
 
 } // namespace
@@ -226,9 +136,6 @@ rjit::compileContinuationCode(Function *Fn, const DeoptContext &Ctx,
   return Code;
 }
 
-DeoptlessTable::DeoptlessTable()
-    : Cap(deoptlessConfig().MaxContinuations) {}
-
 Continuation *DeoptlessTable::dispatch(const DeoptContext &Ctx) {
   // The table is kept sorted most-specialized-first; take the first
   // compatible entry (paper §4.3). The snapshot is immutable, so the scan
@@ -261,24 +168,11 @@ bool DeoptlessTable::insert(DeoptContext Ctx,
   return true;
 }
 
-DeoptlessTable &rjit::deoptlessTableFor(Function *Fn) {
-  return registry().tableFor(Fn);
-}
-
-void rjit::setDeoptlessTableOwner(const void *Owner) {
-  TableOwner = Owner;
-}
-
-void rjit::releaseDeoptlessTables(const void *Owner) {
-  registry().release(Owner);
-}
-
-void rjit::clearDeoptlessTables() { registry().clearOwnedByCaller(); }
-
 bool rjit::tryDeoptless(const LowFunction &F, std::vector<Value> &Slots,
                         const DeoptMeta &Meta, Env *ParentEnv, bool Injected,
+                        DeoptlessTable &Table, const ContinuationCompile &How,
                         Value &Result) {
-  if (!deoptlessCondition(F, Meta, /*CurEnv=*/nullptr, Injected))
+  if (!deoptlessCondition(Meta, Injected))
     return false;
   ++stats().DeoptlessAttempts;
   // Instants carry the deopt pc (A) and, for rejects, a site code (B):
@@ -296,27 +190,22 @@ bool rjit::tryDeoptless(const LowFunction &F, std::vector<Value> &Slots,
     return false;
   }
 
-  // Key the table on the innermost frame: a guard inside an inlined
-  // callee dispatches over the *callee's* continuations (shared by every
-  // caller that inlined it), compiled from the callee's bytecode at the
-  // callee's pc.
-  Function *Fn = Meta.FrameFn ? Meta.FrameFn : F.Origin;
-  DeoptlessTable &Table = deoptlessTableFor(Fn);
+  Function *Fn = continuationOwner(F, Meta);
   Continuation *Cont = Table.dispatch(Ctx);
 
   // Recompile heuristic: a hit that is strictly more generic than the
   // current context is replaced by a fresh specialization while the table
   // has room.
-  bool TooGeneric = Cont && deoptlessConfig().RecompileHeuristic &&
-                    !(Cont->Ctx <= Ctx) && !Table.full();
+  bool TooGeneric = Cont && !(Cont->Ctx <= Ctx) && !Table.full();
   if (!Cont || TooGeneric) {
-    if (auto *Async = deoptlessConfig().AsyncCompile) {
+    if (How.Pool) {
       // Background mode: request the continuation and keep going. A miss
       // falls back to a true deoptimization *this time*; a too-generic
       // hit still serves the current failure while the specialization
       // compiles for the next one. Either way the executor never pauses
       // to compile inside a guard-failure handler.
-      Async(Fn, Ctx);
+      requestContinuationCompile(*How.Pool, How.Owner, Fn, Ctx, &Table,
+                                 How.FeedbackCleanup, How.Opts);
       if (!Cont) {
         ++stats().DeoptlessRejected;
         if (obs::traceOn())
@@ -327,7 +216,8 @@ bool rjit::tryDeoptless(const LowFunction &F, std::vector<Value> &Slots,
       if (obs::traceOn())
         obs::traceEvent(obs::TraceEv::DeoptlessHit, 0, Pc);
     } else {
-      std::unique_ptr<ExecutableCode> Code = compileContinuation(Fn, Ctx);
+      std::unique_ptr<ExecutableCode> Code =
+          compileContinuation(Fn, Ctx, How);
       if (!Code || Table.full()) {
         ++stats().DeoptlessRejected;
         if (obs::traceOn())

@@ -7,8 +7,9 @@
 /// \file
 /// The paper's core contribution: deoptimization points become
 /// assumption-polymorphic dispatch sites over specialized optimized
-/// continuations. Each function owns a bounded dispatch table of
-/// continuations keyed by DeoptContext; on a failing guard the handler
+/// continuations. Each function has a bounded dispatch table of
+/// continuations keyed by DeoptContext, owned by the Vm's per-function
+/// TierState next to its version table; on a failing guard the handler
 /// computes the current context, dispatches (first entry whose context is
 /// >= the current one in the partial order), possibly compiles a new
 /// continuation (with repaired feedback, see opt/cleanup), and invokes it
@@ -30,6 +31,8 @@
 
 namespace rjit {
 
+class CompilerPool;
+
 /// One compiled continuation with its compilation context. Immutable after
 /// publication except Hits, which only the owning executor touches.
 struct Continuation {
@@ -46,14 +49,12 @@ struct Continuation {
 /// copy-on-write (release store / acquire load), so the executor's guard
 /// failure path dispatches lock-free while a background continuation job
 /// publishes. insert() serializes writers internally. The capacity is
-/// fixed at construction (from the active DeoptlessConfig) so a compiler
-/// thread never consults the executor's thread-local config.
+/// fixed at construction (Vm::Config::MaxContinuations).
 class DeoptlessTable {
 public:
-  DeoptlessTable();
+  explicit DeoptlessTable(uint32_t Cap) : Cap(Cap) {}
   DeoptlessTable(const DeoptlessTable &) = delete;
   DeoptlessTable &operator=(const DeoptlessTable &) = delete;
-  DeoptlessTable(DeoptlessTable &&) = delete;
 
   /// First continuation callable from \p Ctx, or null. Lock-free.
   Continuation *dispatch(const DeoptContext &Ctx);
@@ -75,92 +76,40 @@ private:
   }
 
   CowList<Continuation> List;
-  /// Fixed at construction from the active DeoptlessConfig, so a
-  /// compiler thread never consults the executor's thread-local config.
   const uint32_t Cap;
   std::mutex WriterMu;
 };
 
-/// Deoptless tuning knobs (paper defaults). This is a *derived view*:
-/// Vm::Config is the single source of truth, and the Vm installs the
-/// values via configureDeoptless (see Vm::Config::deoptlessView).
-/// Standalone unit tests may call configureDeoptless directly.
-struct DeoptlessConfig {
-  bool Enabled = false;
+/// How a continuation miss is compiled: inline on the executor, or — with
+/// a pool — by a background request, in which case a miss falls back to a
+/// true deoptimization *this time* and later failures dispatch to the
+/// published continuation without ever pausing.
+struct ContinuationCompile {
+  OptOptions Opts;
   bool FeedbackCleanup = true; ///< the §4.3 cleanup pass (ablation toggle)
-  uint32_t MaxContinuations = 5;
-  bool RecompileHeuristic = true; ///< recompile when a match is too generic
-  /// Speculative inlining inside continuation compiles (mirrors the Vm's
-  /// Inlining knobs so continuations keep the tier's code quality).
-  InlineOptions Inline;
-  /// Loop optimization layer inside continuation compiles (mirrors
-  /// Vm::Config::LoopOpts): a continuation entered at a preheader-pc
-  /// frame state re-optimizes the loop it resumes into.
-  LoopOptOptions Loop;
-  /// Between-pass IR verification (Vm::Config::VerifyBetweenPasses).
-  bool VerifyBetweenPasses = VerifyPassesDefault;
-  /// Execution backend continuations are prepared for (null =
-  /// interpreter); installed by the Vm alongside the other knobs.
-  ExecBackend *Backend = nullptr;
-
-  /// The optimizer knob set a continuation compile runs under.
-  OptOptions optView() const {
-    OptOptions O;
-    O.Inline = Inline;
-    O.Loop = Loop;
-    O.VerifyEachPass = VerifyBetweenPasses;
-    O.Backend = Backend;
-    return O;
-  }
-  /// Background compilation: when set, a continuation miss *requests* an
-  /// async compile through this hook and falls back to a true
-  /// deoptimization for the current failure; once the continuation is
-  /// published, later failures dispatch to it without ever pausing.
-  /// Null (the default) keeps today's synchronous inline compile.
-  bool (*AsyncCompile)(Function *Fn, const DeoptContext &Ctx) = nullptr;
+  CompilerPool *Pool = nullptr; ///< background mode when set
+  const void *Owner = nullptr;  ///< the requesting Vm (compile-queue key)
 };
 
-/// The active configuration (read-only; see configureDeoptless).
-const DeoptlessConfig &deoptlessConfig();
+/// The function whose continuation table a failing guard dispatches over:
+/// the innermost frame's. A guard inside an inlined callee dispatches over
+/// the *callee's* continuations (shared by every caller that inlined it),
+/// compiled from the callee's bytecode at the callee's pc.
+inline Function *continuationOwner(const LowFunction &F,
+                                   const DeoptMeta &Meta) {
+  return Meta.FrameFn ? Meta.FrameFn : F.Origin;
+}
 
-/// Installs the configuration derived from the active Vm's Config (or
-/// defaults on teardown).
-void configureDeoptless(const DeoptlessConfig &Cfg);
-
-/// Side table: per-function dispatch tables (owned here so lower layers
-/// need no knowledge of the VM's tier bookkeeping). The registry is
-/// mutex-sharded like TierRegistry — >8-executor workloads each creating
-/// tables for their own functions contend on a shard, never on one global
-/// lock — and tables are node-stable: pointers handed to background
-/// continuation jobs stay valid until the owning executor clears them.
-DeoptlessTable &deoptlessTableFor(Function *Fn);
-
-/// Installs the opaque owner tag (the active Vm) new tables created on
-/// this thread are attributed to; null reverts to plain thread-identity
-/// tagging (standalone tests). Installed by the Vm alongside its hooks.
-void setDeoptlessTableOwner(const void *Owner);
-
-/// Drops the dispatch tables attributed to \p Owner. Callable from any
-/// thread — Vm teardown reclaims its tables even when the Vm object is
-/// destroyed off its executor thread — and never touches tables of
-/// concurrently running executors.
-void releaseDeoptlessTables(const void *Owner);
-
-/// Drops the dispatch tables created by *this thread* (standalone-test
-/// resets). Other executors' tables are untouched — with the sharded
-/// registry a reset must not free tables whose functions belong to a
-/// concurrently running executor.
-void clearDeoptlessTables();
-
-/// Attempts the deoptless path for a failing guard. Returns true and sets
-/// \p Result when a continuation handled the rest of the activation;
-/// returns false when the caller must perform a true deoptimization.
-/// For a guard inside an inlined callee the context lattice and the
-/// continuation table are keyed on the *innermost* frame (the callee's
-/// function and pc); the synthesized caller frames are then resumed in the
-/// baseline interpreter so the activation still yields the caller's value.
+/// Attempts the deoptless path for a failing guard, dispatching over
+/// \p Table (the continuation table of continuationOwner(F, Meta)).
+/// Returns true and sets \p Result when a continuation handled the rest of
+/// the activation; returns false when the caller must perform a true
+/// deoptimization. For a guard inside an inlined callee the synthesized
+/// caller frames are resumed in the baseline interpreter after the
+/// continuation, so the activation still yields the caller's value.
 bool tryDeoptless(const LowFunction &F, std::vector<Value> &Slots,
                   const DeoptMeta &Meta, Env *ParentEnv, bool Injected,
+                  DeoptlessTable &Table, const ContinuationCompile &How,
                   Value &Result);
 
 /// The repaired profile a continuation for \p Ctx must be compiled

@@ -12,30 +12,7 @@
 #include "support/stats.h"
 #include "support/timer.h"
 
-#include <set>
-
 using namespace rjit;
-
-OsrInConfig &rjit::osrInConfig() {
-  // Thread-local: installed by the executor thread's Vm.
-  static thread_local OsrInConfig Cfg;
-  return Cfg;
-}
-
-namespace {
-
-/// Functions where OSR-in compilation failed; don't retry every backedge.
-/// Thread-local like the config: functions belong to one executor's Vm.
-std::set<Function *> &blacklist() {
-  static thread_local std::set<Function *> B;
-  return B;
-}
-
-} // namespace
-
-bool rjit::osrInBlacklisted(Function *Fn) { return blacklist().count(Fn); }
-
-void rjit::osrInBlacklist(Function *Fn) { blacklist().insert(Fn); }
 
 EntryState rjit::buildOsrEntryState(Function *Fn, Env *E,
                                     const std::vector<Value> &Stack,
@@ -76,20 +53,13 @@ Value rjit::enterOsrContinuation(ExecutableCode &Code,
                   E->parent());
 }
 
-bool rjit::osrInHook(Function *Fn, Env *E, std::vector<Value> &Stack,
-                     int32_t Pc, Value &Result) {
-  if (!osrInConfig().Enabled || blacklist().count(Fn))
-    return false;
-
-  EntryState Entry = buildOsrEntryState(Fn, E, Stack, Pc);
-
-  OptOptions Opts = osrInConfig().optView();
+std::unique_ptr<ExecutableCode>
+rjit::compileOsrInCode(Function *Fn, const EntryState &Entry,
+                       const OptOptions &Opts) {
   uint64_t T0 = nowNanos();
   std::unique_ptr<IrCode> Ir = optimizeToIr(Fn, CallConv::OsrIn, Entry, Opts);
-  if (!Ir) {
-    blacklist().insert(Fn);
-    return false;
-  }
+  if (!Ir)
+    return nullptr;
   std::unique_ptr<ExecutableCode> Code =
       prepareExecutable(Opts.Backend, lowerToLow(*Ir));
   ++stats().OsrInCompilations;
@@ -97,8 +67,6 @@ bool rjit::osrInHook(Function *Fn, Env *E, std::vector<Value> &Stack,
   obs::metrics().CompileLatency.record(Dur);
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::CompileFinish, Dur,
-                    static_cast<uint64_t>(Pc), obs::CompileKindOsr);
-
-  Result = enterOsrContinuation(*Code, Entry, E, Stack);
-  return true;
+                    static_cast<uint64_t>(Entry.Pc), obs::CompileKindOsr);
+  return Code;
 }

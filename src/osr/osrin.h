@@ -6,56 +6,24 @@
 ///
 /// \file
 /// OSR-in (paper §4.2): when a loop in the baseline interpreter becomes
-/// hot, compile a one-shot continuation from the current bytecode pc — the
+/// hot, compile a continuation from the current bytecode pc — the
 /// interpreter's operand stack values become call arguments — run it to
 /// completion, and return its result as the activation's result. The next
-/// invocation of the function is compiled from the beginning by the VM.
+/// invocation of the function is compiled from the beginning by the VM,
+/// which installs the hot-backedge hook (synchronous or background).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RJIT_OSR_OSRIN_H
 #define RJIT_OSR_OSRIN_H
 
-#include "bc/interp.h"
 #include "exec/backend.h"
-#include "lowcode/lowcode.h"
 #include "opt/translate.h"
 #include "runtime/env.h"
 
+#include <memory>
+
 namespace rjit {
-
-/// OSR-in knobs.
-struct OsrInConfig {
-  bool Enabled = false;
-  /// Speculative inlining inside OSR-in continuation compiles (mirrors
-  /// the Vm's Inlining knobs).
-  InlineOptions Inline;
-  /// Loop optimization layer inside OSR-in compiles (mirrors
-  /// Vm::Config::LoopOpts). OSR-in entry blocks *are* loop headers, so
-  /// preheader synthesis and guard re-anchoring must hold here too.
-  LoopOptOptions Loop;
-  /// Between-pass IR verification (Vm::Config::VerifyBetweenPasses).
-  bool VerifyBetweenPasses = VerifyPassesDefault;
-  /// Execution backend OSR-in continuations are prepared for (null =
-  /// interpreter); installed by the Vm alongside the other knobs.
-  ExecBackend *Backend = nullptr;
-
-  /// The optimizer knob set an OSR-in compile runs under.
-  OptOptions optView() const {
-    OptOptions O;
-    O.Inline = Inline;
-    O.Loop = Loop;
-    O.VerifyEachPass = VerifyBetweenPasses;
-    O.Backend = Backend;
-    return O;
-  }
-};
-
-OsrInConfig &osrInConfig();
-
-/// The hook to install into interpHooks().OsrIn.
-bool osrInHook(Function *Fn, Env *E, std::vector<Value> &Stack, int32_t Pc,
-               Value &Result);
 
 /// The exact entry state of a hot backedge: the interpreter's operand
 /// stack and (for elidable environments) the current binding types.
@@ -63,16 +31,19 @@ bool osrInHook(Function *Fn, Env *E, std::vector<Value> &Stack, int32_t Pc,
 EntryState buildOsrEntryState(Function *Fn, Env *E,
                               const std::vector<Value> &Stack, int32_t Pc);
 
+/// Compiles the OSR-in continuation for \p Entry (prepared for
+/// Opts.Backend), or returns null when \p Fn cannot be compiled from that
+/// state. The one compile both the synchronous hook and background jobs
+/// run.
+std::unique_ptr<ExecutableCode>
+compileOsrInCode(Function *Fn, const EntryState &Entry,
+                 const OptOptions &Opts);
+
 /// Enters compiled OSR-in code with the interpreter's live values (stack
 /// first, then — for elided code — the environment bindings in the entry
 /// order) and returns the activation's result.
 Value enterOsrContinuation(ExecutableCode &Code, const EntryState &Entry,
                            Env *E, std::vector<Value> &Stack);
-
-/// Per-thread OSR-in compile blacklist (functions whose continuation
-/// compile failed; don't retry every backedge).
-bool osrInBlacklisted(Function *Fn);
-void osrInBlacklist(Function *Fn);
 
 } // namespace rjit
 

@@ -51,18 +51,6 @@ struct DepthGuard {
 
 } // namespace
 
-DeoptlessConfig Vm::Config::deoptlessView() const {
-  DeoptlessConfig D;
-  D.Enabled = Strategy == TierStrategy::Deoptless;
-  D.FeedbackCleanup = FeedbackCleanup;
-  D.MaxContinuations = MaxContinuations;
-  D.Inline = inlineView();
-  D.Loop = LoopOpts;
-  D.VerifyBetweenPasses = VerifyBetweenPasses;
-  D.Backend = Backend;
-  return D;
-}
-
 InlineOptions Vm::Config::inlineView() const {
   InlineOptions I;
   I.Enabled = Inlining;
@@ -71,33 +59,18 @@ InlineOptions Vm::Config::inlineView() const {
   return I;
 }
 
+OptOptions Vm::Config::optView() const {
+  OptOptions O;
+  O.Speculate = Speculate;
+  O.Inline = inlineView();
+  O.Loop = LoopOpts;
+  O.VerifyEachPass = VerifyBetweenPasses;
+  O.Backend = Backend;
+  return O;
+}
+
 VersionCompileOpts Vm::Config::versionView() const {
-  VersionCompileOpts V;
-  V.Speculate = Speculate;
-  V.Inline = inlineView();
-  V.Loop = LoopOpts;
-  V.VerifyBetweenPasses = VerifyBetweenPasses;
-  V.HashWithContexts = ContextDispatch;
-  V.Backend = Backend;
-  return V;
-}
-
-TierState &TierRegistry::stateFor(Function *Fn, uint32_t MaxVersions) {
-  Shard &S = Shards[(reinterpret_cast<uintptr_t>(Fn) >> 4) % NumShards];
-  std::lock_guard<std::mutex> L(S.Mu);
-  std::unique_ptr<TierState> &P = S.Map[Fn];
-  if (!P) {
-    P = std::make_unique<TierState>();
-    P->Versions.setCapacity(MaxVersions);
-  }
-  return *P;
-}
-
-void TierRegistry::clear() {
-  for (Shard &S : Shards) {
-    std::lock_guard<std::mutex> L(S.Mu);
-    S.Map.clear();
-  }
+  return {optView(), ContextDispatch};
 }
 
 namespace rjit {
@@ -237,60 +210,57 @@ Value vmLinkedCall(ClosObj *Clos, FnVersion *Ver, ExecutableCode *Code,
   return Result;
 }
 
-void vmDeoptListener(Function *Fn, const LowFunction &Code,
-                     const DeoptMeta &Meta, bool Injected) {
+/// The Vm's guard-failure handler (lowHooks().Deopt), paper Listing 6:
+/// try deoptless first, then apply the strategy's retire policy, then
+/// resume the baseline interpreter.
+Value vmDeoptHandler(const LowFunction &F, std::vector<Value> &Slots,
+                     int32_t MetaIdx, Env *CurEnv, Env *ParentEnv,
+                     bool Injected) {
   Vm *V = Vm::current();
-  if (!V)
-    return;
+  assert(V && "deopt without an active Vm");
+  const DeoptMeta &Meta = F.Deopts[MetaIdx];
+  const bool Deoptless = V->Cfg.Strategy == TierStrategy::Deoptless;
+  if (Deoptless && !CurEnv) {
+    // A leaked/materialized environment (CurEnv) is never handled
+    // deoptless (paper §4.3).
+    TierState &Owner = V->stateFor(continuationOwner(F, Meta));
+    Value Result;
+    if (tryDeoptless(F, Slots, Meta, ParentEnv, Injected,
+                     Owner.Continuations,
+                     {V->Cfg.optView(), V->Cfg.FeedbackCleanup,
+                      V->ActivePool, V},
+                     Result))
+      return Result;
+  }
   // A true deoptimization normally retires the optimized code: under
   // Normal this is the Fig. 1 cycle, under Deoptless it is the
   // "deoptimized for good" case of §4.3. The exception is an *injected*
   // failure (§5.1 test mode) under Deoptless that could not be handled
   // (e.g. it struck inside a running continuation): the guarded fact
   // still holds, so the code stays valid and is kept.
-  if (V->Cfg.Strategy == TierStrategy::Deoptless && Injected)
-    return;
+  if (!(Deoptless && Injected))
+    V->retireDeopted(F);
+  return deoptToBaseline(F, Slots, Meta, CurEnv, ParentEnv);
+}
+
+/// Synchronous OSR-in: compile a one-shot continuation from the hot
+/// backedge's live state and run the rest of the activation in it.
+bool vmOsrInHook(Function *Fn, Env *E, std::vector<Value> &Stack, int32_t Pc,
+                 Value &Result) {
+  Vm *V = Vm::current();
+  assert(V && "OSR hook without an active Vm");
   TierState &TS = V->stateFor(Fn);
-  // A failing guard inside a *cached* background OSR continuation means
-  // the cached speculation is stale: drop it so the next hot backedge
-  // recompiles from fresh feedback — the synchronous hook's behavior —
-  // instead of re-entering the same stale code every OsrThreshold
-  // backedges. The rest of the listener then applies the usual OSR-deopt
-  // bookkeeping (retire the most generic live version, re-warm).
-  TS.Osr.invalidate(&Code);
-  // Retire the version the failing guard belongs to. Deopts out of OSR-in
-  // or continuation code (not in the table) retire the most generic live
-  // version — the seed's single-`Optimized` behavior — and when nothing is
-  // live the deopt still counts against the generic root's bookkeeping
-  // entry so blacklisting accumulates across the recompile cycle.
-  // Retirement and blacklisting race with a compiler thread publishing
-  // into the same table; the writer lock serializes them (a publish that
-  // loses the race to a blacklist discards its code).
-  VersionWriteGuard G(TS.Versions);
-  FnVersion *Ver = TS.Versions.owner(&Code);
-  if (!Ver)
-    Ver = TS.Versions.mostGenericLive();
-  if (!Ver) {
-    CallContext Root = genericContext(Fn->Params.size());
-    Ver = TS.Versions.exact(Root);
-    if (!Ver)
-      Ver = TS.Versions.insert(Root);
+  if (TS.OsrInFailed)
+    return false;
+  EntryState Entry = buildOsrEntryState(Fn, E, Stack, Pc);
+  std::unique_ptr<ExecutableCode> Code =
+      compileOsrInCode(Fn, Entry, V->config().optView());
+  if (!Code) {
+    TS.OsrInFailed = true;
+    return false;
   }
-  // The version cannot be freed yet — its frames (and the DeoptMeta being
-  // processed) are still live — so it moves to the graveyard.
-  if (Ver->live())
-    V->toGraveyard(Ver->retire());
-  ++Ver->DeoptCount;
-  if (obs::traceOn())
-    obs::recordVersionEvent(Ver->ObsId, obs::VerEvent::Deopted);
-  if (Ver->DeoptCount >= V->Cfg.DeoptBlacklist) {
-    Ver->Blacklisted = true;
-    if (obs::traceOn())
-      obs::recordVersionEvent(Ver->ObsId, obs::VerEvent::Blacklisted);
-  }
-  // Re-warm before recompiling so the baseline can collect fresh feedback
-  // (Fig. 1: deopt -> profile -> recompile).
-  Fn->CallCount = 0;
+  Result = enterOsrContinuation(*Code, Entry, E, Stack);
+  return true;
 }
 
 /// Background-mode OSR-in: consult the published continuation cache for
@@ -301,9 +271,6 @@ bool vmBackgroundOsrInHook(Function *Fn, Env *E, std::vector<Value> &Stack,
                            int32_t Pc, Value &Result) {
   Vm *V = Vm::current();
   assert(V && "OSR hook without an active Vm");
-  if (!osrInConfig().Enabled || osrInBlacklisted(Fn))
-    return false;
-
   EntryState Entry = buildOsrEntryState(Fn, E, Stack, Pc);
   TierState &TS = V->stateFor(Fn);
   OsrCache::Hit Hit = TS.Osr.lookup(Pc, osrSignature(Entry));
@@ -313,28 +280,15 @@ bool vmBackgroundOsrInHook(Function *Fn, Env *E, std::vector<Value> &Stack,
     Result = enterOsrContinuation(*Hit.Code, Entry, E, Stack);
     return true;
   }
-  if (requestOsrCompile(*V->ActivePool, V, Fn, Entry, &TS.Osr,
-                        osrInConfig().optView()))
+  if (requestOsrCompile(*V->pool(), V, Fn, Entry, &TS.Osr,
+                        V->config().optView()))
     ++stats().WarmupPausesAvoided;
   return false;
 }
 
-/// Background-mode deoptless-continuation requests (installed as
-/// DeoptlessConfig::AsyncCompile; runs on the executor inside the guard
-/// failure handler).
-bool vmAsyncContinuationCompile(Function *Fn, const DeoptContext &Ctx) {
-  Vm *V = Vm::current();
-  if (!V || !V->ActivePool)
-    return false;
-  return requestContinuationCompile(*V->ActivePool, V, Fn, Ctx,
-                                    &deoptlessTableFor(Fn),
-                                    V->Cfg.FeedbackCleanup,
-                                    deoptlessConfig().optView());
-}
-
 } // namespace rjit
 
-Vm::Vm(Config C) : Cfg(C) {
+Vm::Vm(Config C) : Cfg(C), Executor(std::this_thread::get_id()) {
   assert(!CurrentVm && "only one Vm may be active at a time");
   CurrentVm = this;
   // This executor thread's retire-epoch tracker: every ExecutableCode
@@ -380,43 +334,25 @@ Vm::Vm(Config C) : Cfg(C) {
   obs::resetMetrics();
   interpHooks().CallClosure = vmDispatchCall;
   interpHooks().OsrIn =
-      Cfg.OsrIn ? (Cfg.BackgroundCompile ? vmBackgroundOsrInHook : osrInHook)
+      Cfg.OsrIn ? (Cfg.BackgroundCompile ? vmBackgroundOsrInHook : vmOsrInHook)
                 : nullptr;
   interpHooks().OsrThreshold = Cfg.OsrThreshold;
 
-  installOsrRuntime();
-  setDeoptListener(vmDeoptListener);
-  setDeoptlessTableOwner(this);
+  lowHooks().Deopt = vmDeoptHandler;
   lowHooks().InvalidationRate = Cfg.InvalidationRate;
   lowHooks().TestRng.reseed(Cfg.InvalidationSeed);
   lowHooks().rearmInvalidation();
   lowHooks().CallDepth = 0;
-
-  osrInConfig().Enabled = Cfg.OsrIn;
-  osrInConfig().Inline = Cfg.inlineView();
-  osrInConfig().Loop = Cfg.LoopOpts;
-  osrInConfig().VerifyBetweenPasses = Cfg.VerifyBetweenPasses;
-  osrInConfig().Backend = ActiveBackend;
-  DeoptlessConfig D = Cfg.deoptlessView();
-  if (Cfg.BackgroundCompile)
-    D.AsyncCompile = vmAsyncContinuationCompile;
-  configureDeoptless(D);
 }
 
 Vm::~Vm() {
   // In-flight compile jobs hold pointers into this Vm's tier states,
   // continuation tables and functions: the barrier must come first.
   drainCompiles();
-  // Reclaim by owner identity, not by thread: the registry must drop
-  // this Vm's tables (their executables point into its code arena) even
-  // when the Vm object is destroyed off its executor thread.
-  releaseDeoptlessTables(this);
-  setDeoptlessTableOwner(nullptr);
   interpHooks() = InterpHooks();
   lowHooks() = LowHooks();
-  setDeoptListener(nullptr);
-  configureDeoptless(DeoptlessConfig());
-  osrInConfig() = OsrInConfig();
+  // Tier states hold executables that point into the native code arena:
+  // drop them (versions, continuations, OSR caches) while it still exists.
   States.clear();
   // Teardown is the fallback safepoint: no activation of retired code can
   // still be on the stack (epochs are ignored — the executor is gone), so
@@ -470,7 +406,7 @@ void Vm::toGraveyard(std::unique_ptr<ExecutableCode> Code) {
   ActiveBackend->notifyRetire(Code.get());
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::Retire, 0, Code->obsId());
-  // Retires only happen on the executor thread (deopt listener, reopt
+  // Retires only happen on the executor thread (deopt handler, reopt
   // sampling — both run inside dispatch), so stamping and the later
   // epoch comparison are unsynchronized by design.
   Graveyard.push_back({std::move(Code), Epochs.stampRetire()});
@@ -535,7 +471,57 @@ void Vm::dispatchBoundary() {
 }
 
 TierState &Vm::stateFor(Function *Fn) {
-  return States.stateFor(Fn, Cfg.MaxVersions);
+  assert(std::this_thread::get_id() == Executor &&
+         "tier state is looked up only by the executor that built the Vm");
+  std::unique_ptr<TierState> &S = States[Fn];
+  if (!S)
+    S = std::make_unique<TierState>(Cfg.MaxVersions, Cfg.MaxContinuations);
+  return *S;
+}
+
+void Vm::retireDeopted(const LowFunction &Code) {
+  Function *Fn = Code.Origin;
+  TierState &TS = stateFor(Fn);
+  // A failing guard inside a *cached* background OSR continuation means
+  // the cached speculation is stale: drop it so the next hot backedge
+  // recompiles from fresh feedback — the synchronous hook's behavior —
+  // instead of re-entering the same stale code every OsrThreshold
+  // backedges. The usual OSR-deopt bookkeeping follows (retire the most
+  // generic live version, re-warm).
+  TS.Osr.invalidate(&Code);
+  // Retire the version the failing guard belongs to. Deopts out of OSR-in
+  // or continuation code (not in the table) retire the most generic live
+  // version — the seed's single-`Optimized` behavior — and when nothing is
+  // live the deopt still counts against the generic root's bookkeeping
+  // entry so blacklisting accumulates across the recompile cycle.
+  // Retirement and blacklisting race with a compiler thread publishing
+  // into the same table; the writer lock serializes them (a publish that
+  // loses the race to a blacklist discards its code).
+  VersionWriteGuard G(TS.Versions);
+  FnVersion *Ver = TS.Versions.owner(&Code);
+  if (!Ver)
+    Ver = TS.Versions.mostGenericLive();
+  if (!Ver) {
+    CallContext Root = genericContext(Fn->Params.size());
+    Ver = TS.Versions.exact(Root);
+    if (!Ver)
+      Ver = TS.Versions.insert(Root);
+  }
+  // The version cannot be freed yet — its frames (and the DeoptMeta being
+  // processed) are still live — so it moves to the graveyard.
+  if (Ver->live())
+    toGraveyard(Ver->retire());
+  ++Ver->DeoptCount;
+  if (obs::traceOn())
+    obs::recordVersionEvent(Ver->ObsId, obs::VerEvent::Deopted);
+  if (Ver->DeoptCount >= Cfg.DeoptBlacklist) {
+    Ver->Blacklisted = true;
+    if (obs::traceOn())
+      obs::recordVersionEvent(Ver->ObsId, obs::VerEvent::Blacklisted);
+  }
+  // Re-warm before recompiling so the baseline can collect fresh feedback
+  // (Fig. 1: deopt -> profile -> recompile).
+  Fn->CallCount = 0;
 }
 
 ExecutableCode *Vm::compileFunction(Function *Fn) {

@@ -44,10 +44,9 @@
 #include "runtime/env.h"
 #include "runtime/gcheap.h"
 
-#include <array>
 #include <memory>
-#include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 
 namespace rjit {
@@ -65,36 +64,24 @@ enum class TierStrategy : uint8_t {
   ProfileDrivenReopt ///< sampling reoptimization comparator (Fig. 11)
 };
 
-/// Per-function tier bookkeeping: the context-keyed version table and the
-/// published OSR-in continuations. All per-version state (code, deopt
-/// counts, blacklist, reopt sampling) lives in the table's FnVersion
-/// entries; without contextual dispatch the table holds exactly the
-/// generic root version and reproduces the seed's
+/// Per-function tier bookkeeping: the context-keyed version table, the
+/// deoptless continuation table (its exit-side twin), the published
+/// OSR-in continuations and the OSR-in failure flag. All per-version
+/// state (code, deopt counts, blacklist, reopt sampling) lives in the
+/// table's FnVersion entries; without contextual dispatch the table holds
+/// exactly the generic root version and reproduces the seed's
 /// single-`Optimized`-pointer behavior.
 struct TierState {
+  TierState(uint32_t MaxVersions, uint32_t MaxContinuations)
+      : Continuations(MaxContinuations) {
+    Versions.setCapacity(MaxVersions);
+  }
   VersionTable Versions;
+  DeoptlessTable Continuations; ///< deoptless continuations (paper §4.3)
   OsrCache Osr; ///< background OSR-in continuations (BackgroundCompile)
-};
-
-/// The Function* -> TierState registry. Mutex-sharded: executors create
-/// states while compiler threads publish into existing ones, and a bare
-/// map would race. TierStates are node-stable — pointers handed to compile
-/// jobs stay valid until clear().
-class TierRegistry {
-public:
-  /// The state of \p Fn, creating it (with \p MaxVersions capacity) on
-  /// first use.
-  TierState &stateFor(Function *Fn, uint32_t MaxVersions);
-
-  void clear();
-
-private:
-  static constexpr size_t NumShards = 8;
-  struct Shard {
-    std::mutex Mu;
-    std::unordered_map<Function *, std::unique_ptr<TierState>> Map;
-  };
-  std::array<Shard, NumShards> Shards;
+  /// A synchronous OSR-in compile of this function failed: don't retry on
+  /// every hot backedge.
+  bool OsrInFailed = false;
 };
 
 class CompilerPool;
@@ -229,9 +216,9 @@ public:
       uint32_t BufferCapacity = 0;
     } Trace;
 
-    /// The deoptless view of this configuration (single source of truth
-    /// for the knobs DeoptlessConfig shares with the Vm).
-    DeoptlessConfig deoptlessView() const;
+    /// The optimizer view: the OptOptions every compile entry point
+    /// (versions, OSR-in, deoptless continuations) runs under.
+    OptOptions optView() const;
 
     /// The inlining view: the InlineOptions every compile entry point
     /// (versions, OSR-in, deoptless continuations) receives.
@@ -260,7 +247,8 @@ public:
   Env *global() { return Global; }
   const Config &config() const { return Cfg; }
 
-  /// Tier state of a function (creating it on first use).
+  /// Tier state of a function (creating it on first use). Executor-only:
+  /// call it on the thread that built the Vm.
   TierState &stateFor(Function *Fn);
 
   /// Compiles the generic root version of \p Fn now (ignoring thresholds);
@@ -319,27 +307,30 @@ public:
 
 private:
   friend Value vmDispatchCall(ClosObj *, std::vector<Value> &&);
-  friend void vmDeoptListener(Function *, const LowFunction &,
-                              const DeoptMeta &, bool);
-  friend bool vmBackgroundOsrInHook(Function *, Env *, std::vector<Value> &,
-                                    int32_t, Value &);
-  friend bool vmAsyncContinuationCompile(Function *, const DeoptContext &);
+  friend Value vmDeoptHandler(const LowFunction &, std::vector<Value> &,
+                              int32_t, Env *, Env *, bool);
 
   Config Cfg;
   Env *Global;
   std::vector<std::unique_ptr<Module>> Modules;
   /// The native backend when NativeTier is on and supported (owns the
   /// per-Vm executable-code arena). Declared before every container that
-  /// can hold native executables — TierRegistry, the graveyard — so the
-  /// arena outlives the code pointing into it even if ~Vm's explicit
-  /// teardown order ever changes.
+  /// can hold native executables — States, the graveyard — so the arena
+  /// outlives the code pointing into it even if ~Vm's explicit teardown
+  /// order ever changes.
   std::unique_ptr<ExecBackend> OwnBackend;
   ExecBackend *ActiveBackend = nullptr;
-  TierRegistry States;
+  /// Per-function tier state. Only the executor looks states up (dispatch,
+  /// the deopt handler, the OSR hooks, native link registration); compile
+  /// jobs hold pointers to TierState members captured at enqueue, which
+  /// stay valid because each state is heap-allocated and lives until
+  /// teardown.
+  std::unordered_map<Function *, std::unique_ptr<TierState>> States;
+  std::thread::id Executor; ///< the thread that built the Vm
   std::unique_ptr<CompilerPool> OwnPool;
   CompilerPool *ActivePool = nullptr;
   /// Retired optimized code awaiting reclamation: activations of a
-  /// version being retired are still on the stack when the deopt listener
+  /// version being retired are still on the stack when the deopt handler
   /// runs (and under recursion an *outer* activation of the retired
   /// version can survive arbitrarily many further dispatches), so each
   /// entry is stamped with its retire epoch and freed by the dispatch-
@@ -372,6 +363,12 @@ private:
   /// executor-local (the native tier's emitted countdown check is a
   /// plain load and must never be written from another thread).
   RelaxedCounter PendingInjected;
+
+  /// The retire policy of a true deoptimization out of \p Code: retires
+  /// the version the failing guard belongs to (or the most generic live
+  /// one), counts the deopt towards blacklisting and re-warms the
+  /// function.
+  void retireDeopted(const LowFunction &Code);
 
   /// Moves retired code to the graveyard, stamping the current retire
   /// epoch, and re-syncs the gauge.

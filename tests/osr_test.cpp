@@ -176,19 +176,10 @@ std::unique_ptr<ExecutableCode> dummyCode() {
   return interpBackend().prepare(std::move(F));
 }
 
-/// Installs a configuration with the given table bound (the knob is owned
-/// by Vm::Config; standalone tests derive a view the same way the Vm does).
-void configureMaxContinuations(uint32_t N) {
-  DeoptlessConfig C;
-  C.MaxContinuations = N;
-  configureDeoptless(C);
-}
-
 } // namespace
 
 TEST(DispatchTable, FirstCompatibleWins) {
-  configureMaxContinuations(5);
-  DeoptlessTable T;
+  DeoptlessTable T(5);
   DeoptContext VecCtx = ctx(5, DeoptReasonKind::Typecheck, Tag::RealVec,
                             {Tag::RealVec}, {});
   ASSERT_TRUE(T.insert(VecCtx, dummyCode()));
@@ -203,8 +194,7 @@ TEST(DispatchTable, FirstCompatibleWins) {
 }
 
 TEST(DispatchTable, MoreSpecializedSortsFirst) {
-  configureMaxContinuations(5);
-  DeoptlessTable T;
+  DeoptlessTable T(5);
   DeoptContext VecCtx = ctx(5, DeoptReasonKind::Typecheck, Tag::RealVec,
                             {Tag::RealVec}, {});
   DeoptContext SclCtx =
@@ -219,8 +209,7 @@ TEST(DispatchTable, MoreSpecializedSortsFirst) {
 }
 
 TEST(DispatchTable, BoundEnforced) {
-  configureMaxContinuations(2);
-  DeoptlessTable T;
+  DeoptlessTable T(2);
   for (int K = 0; K < 2; ++K)
     ASSERT_TRUE(T.insert(
         ctx(K, DeoptReasonKind::Typecheck, Tag::RealVec, {}, {}),
@@ -229,14 +218,12 @@ TEST(DispatchTable, BoundEnforced) {
   EXPECT_FALSE(T.insert(
       ctx(99, DeoptReasonKind::Typecheck, Tag::RealVec, {}, {}),
       dummyCode()));
-  configureMaxContinuations(5);
 }
 
 TEST(DispatchTable, FullTableRejectsEvenMoreSpecialized) {
   // Table-full behavior: insert never evicts — a more specialized
   // newcomer is rejected too, and dispatch keeps serving the old entries.
-  configureMaxContinuations(1);
-  DeoptlessTable T;
+  DeoptlessTable T(1);
   DeoptContext Vec = ctx(5, DeoptReasonKind::Typecheck, Tag::RealVec,
                          {Tag::RealVec}, {});
   ASSERT_TRUE(T.insert(Vec, dummyCode()));
@@ -245,16 +232,4 @@ TEST(DispatchTable, FullTableRejectsEvenMoreSpecialized) {
   EXPECT_FALSE(T.insert(Scl, dummyCode()));
   EXPECT_EQ(T.size(), 1u);
   EXPECT_NE(T.dispatch(Scl), nullptr) << "old entry still serves";
-  configureMaxContinuations(5);
-}
-
-TEST(DispatchTable, PerFunctionRegistryIsolates) {
-  Function A(symbol("a"), {}), B(symbol("b"), {});
-  deoptlessTableFor(&A).insert(
-      ctx(1, DeoptReasonKind::Typecheck, Tag::RealVec, {}, {}), dummyCode());
-  EXPECT_EQ(deoptlessTableFor(&A).size(), 1u);
-  EXPECT_EQ(deoptlessTableFor(&B).size(), 0u);
-  clearDeoptlessTables();
-  EXPECT_EQ(deoptlessTableFor(&A).size(), 0u);
-  clearDeoptlessTables();
 }

@@ -162,6 +162,86 @@ TEST(VmOsrIn, DisabledMeansNoEntries) {
   EXPECT_EQ(stats().OsrInEntries, 0u);
 }
 
+namespace {
+
+/// OSR-in code only: functions never reach the call threshold.
+Vm::Config osrOnly(TierStrategy S, uint32_t OsrThreshold) {
+  Vm::Config C = cfg(S);
+  C.CompileThreshold = 1000000;
+  C.OsrThreshold = OsrThreshold;
+  return C;
+}
+
+} // namespace
+
+TEST(VmOsrIn, InnerLoopEntryFollowsTheOuterLoopsSequences) {
+  // OSR-in at the inner loop's header, in the middle of the outer loop:
+  // every later outer iteration re-enters the inner loop with a new, longer
+  // sequence. The OSR code must iterate those, not the entry state's.
+  const char *Prog = R"(
+nested <- function(n) {
+  total <- 0L
+  for (p in 1:n) {
+    for (j in 1:p) total <- total + j
+  }
+  total
+}
+)";
+  int32_t Want;
+  {
+    Vm Base(cfg(TierStrategy::BaselineOnly));
+    Base.eval(Prog);
+    Want = Base.eval("nested(10L)").toInt();
+  }
+  for (uint32_t Threshold : {2u, 5u, 20u}) {
+    Vm V(osrOnly(TierStrategy::Normal, Threshold));
+    V.eval(Prog);
+    resetStats();
+    EXPECT_EQ(V.eval("nested(10L)").toInt(), Want)
+        << "OsrThreshold " << Threshold;
+    EXPECT_GT(stats().OsrInEntries, 0u);
+  }
+}
+
+TEST(VmOsrIn, SpeculateOffInsertsNoAssumes) {
+  // The Speculate ablation covers every compile entry point, OSR-in
+  // continuations included.
+  Vm::Config C = osrOnly(TierStrategy::Normal, 50);
+  C.Speculate = false;
+  Vm V(C);
+  V.eval(R"(
+g <- function(x) x * 2
+f <- function(v) { s <- 0; for (i in 1:length(v)) s <- s + g(v[[i]]); s }
+)");
+  resetStats();
+  EXPECT_DOUBLE_EQ(V.eval("f(as.numeric(1:2000))").toReal(), 4002000.0);
+  EXPECT_GT(stats().OsrInEntries, 0u);
+  EXPECT_EQ(stats().AssumeChecks, 0u);
+}
+
+TEST(VmOsrIn, FailureFlagDiesWithItsVm) {
+  // A failed OSR-in compile stops retries for that function in that Vm
+  // only: a later Vm on the same thread starts clean, even when its
+  // Function reuses the freed address.
+  const char *Prog = "g <- function(n) { s <- 0L\nfor (i in 1:n) s <- s + i\ns }";
+  {
+    Vm A(cfg(TierStrategy::Normal));
+    A.eval(Prog);
+    Function *G = A.eval("g").closObj()->Fn;
+    A.stateFor(G).OsrInFailed = true; // as if its OSR-in compile failed
+    resetStats();
+    A.eval("g(5000L)");
+    EXPECT_EQ(stats().OsrInEntries, 0u) << "a failed function is not retried";
+  }
+  Vm B(cfg(TierStrategy::Normal));
+  B.eval(Prog);
+  Function *G = B.eval("g").closObj()->Fn;
+  EXPECT_FALSE(B.stateFor(G).OsrInFailed);
+  resetStats();
+  B.eval("g(5000L)");
+  EXPECT_GT(stats().OsrInEntries, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Deoptimization (Normal strategy, Fig. 1 cycle)
 
@@ -301,7 +381,7 @@ TEST(VmDeoptless, TableBoundFallsBackToDeopt) {
   for (int K = 0; K < 10; ++K)
     V.eval("sum_data(ints)");
   V.eval("sum_data(c(1.5, 2.5))"); // fills the single slot
-  // Re-warm the function after the listener retired it (it should not
+  // Re-warm the function after the deopt handler retired it (it should not
   // have); a different phase cannot get a continuation anymore.
   resetStats();
   V.eval("sum_data(c(1i, 2i))");
@@ -333,6 +413,85 @@ TEST(VmDeoptless, ResultsAlwaysMatchBaseline) {
     DL = V.eval(Drive).toReal();
   }
   EXPECT_DOUBLE_EQ(Base, DL);
+}
+
+TEST(VmDeoptless, ContinuationInsideNestedLoopsFollowsOuterSequences) {
+  // The guard fails at p = 5, j = 5: the continuation is entered inside
+  // the inner loop, and every later outer iteration re-enters that loop
+  // with a longer sequence, which the continuation must iterate.
+  const char *Prog = R"(
+f <- function(v, n) {
+  total <- 0L
+  for (p in 1:n) {
+    for (j in 1:p) total <- total + v[[j]]
+  }
+  total
+}
+ints <- list(1L, 2L, 3L, 4L, 5L, 6L, 7L, 8L, 9L, 10L)
+mixed <- list(1L, 2L, 3L, 4L, 5.5, 6L, 7L, 8L, 9L, 10L)
+)";
+  double Want;
+  {
+    Vm Base(cfg(TierStrategy::BaselineOnly));
+    Base.eval(Prog);
+    Want = Base.eval("f(mixed, 10L)").toReal();
+  }
+  Vm V(cfg(TierStrategy::Deoptless));
+  V.eval(Prog);
+  for (int K = 0; K < 5; ++K)
+    V.eval("f(ints, 10L)");
+  resetStats();
+  EXPECT_DOUBLE_EQ(V.eval("f(mixed, 10L)").toReal(), Want);
+  EXPECT_GT(stats().DeoptlessCompiles, 0u);
+}
+
+TEST(VmDeoptless, ContinuationTablesArePerVm) {
+  // Two executors run the same phase change, each in its own Vm: each
+  // Vm's tier state holds its own continuation, and destroying one Vm
+  // mid-run leaves the other dispatching to its own (this runs in the
+  // TSan job).
+  auto Warm = [](Vm &V) {
+    V.eval(SumProgram);
+    V.eval("ints <- c(1L, 2L, 3L, 4L)");
+    V.eval("reals <- c(1.5, 2.5, 3.5, 4.5)");
+    for (int K = 0; K < 10; ++K)
+      V.eval("sum_data(ints)");
+    V.eval("sum_data(reals)"); // compiles the continuation
+    return &V.stateFor(V.eval("sum_data").closObj()->Fn).Continuations;
+  };
+  std::atomic<int> Warmed{0};
+  std::atomic<bool> FirstGone{false};
+  auto AwaitBoth = [&] {
+    ++Warmed;
+    while (Warmed.load() < 2)
+      std::this_thread::yield();
+  };
+  std::thread First([&] {
+    {
+      Vm V(cfg(TierStrategy::Deoptless));
+      EXPECT_EQ(Warm(V)->size(), 1u);
+      AwaitBoth();
+    }
+    FirstGone = true;
+  });
+  std::thread Second([&] {
+    Vm V(cfg(TierStrategy::Deoptless));
+    DeoptlessTable *T = Warm(V);
+    EXPECT_EQ(T->size(), 1u);
+    AwaitBoth();
+    if (T->size() != 1)
+      return;
+    uint32_t HitsBefore = T->entries()[0]->Hits;
+    int Runs = 0;
+    while (!FirstGone.load() || Runs < 20) {
+      EXPECT_DOUBLE_EQ(V.eval("sum_data(reals)").toReal(), 12.0);
+      ++Runs;
+    }
+    EXPECT_EQ(T->size(), 1u);
+    EXPECT_GE(T->entries()[0]->Hits, HitsBefore + 20);
+  });
+  First.join();
+  Second.join();
 }
 
 //===----------------------------------------------------------------------===//
@@ -441,7 +600,7 @@ TEST(VmReopt, SamplingRecompilesOnProfileChange) {
 //===----------------------------------------------------------------------===//
 // Graveyard lifecycle: a retired executable — LowCode- or native-backed —
 // must land in the graveyard first (its frames may still be live when the
-// deopt listener runs), then be reclaimed by the dispatch-boundary
+// deopt handler runs), then be reclaimed by the dispatch-boundary
 // safepoint once its retire epoch drains; teardown reclaims whatever the
 // safepoints didn't. Observable through the GraveyardSize gauge.
 

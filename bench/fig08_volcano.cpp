@@ -6,10 +6,11 @@
 // app. The paper records a user clicking through the shiny GUI — changing
 // the sun's position and the numerical interpolation function — and
 // measures each interaction's ray-tracing (cast_rays) and rendering
-// (ggplot) step. We script the same session shape (see DESIGN.md for the
-// substitution): a fixed sequence of interactions where the interpolation
-// function changes at fixed points, which is exactly what triggers the
-// deoptimizations in the paper.
+// (ggplot) step. There is no GUI or ggplot here, so the session is
+// scripted instead: a fixed sequence of interactions in which the
+// interpolation function changes at fixed points, which is exactly what
+// triggers the deoptimizations in the paper, and an R-level render_image
+// stands in for the ggplot step.
 //
 // Usage: fig08_volcano [--n <heightmap-size>] [--interactions K]
 //

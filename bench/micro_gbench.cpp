@@ -10,10 +10,14 @@
 //  * the cost of a true deoptimization vs a deoptless dispatch hit;
 //  * OSR-in compilation + entry cost;
 //  * guard overhead with speculation disabled (§4.1: explicit exits cost
-//    code size, not peak performance).
+//    code size, not peak performance);
+//  * the cost of lowering optimized IR to LowCode, over every closure of
+//    the main suite (BM_LowerSuite).
 //
 //===----------------------------------------------------------------------===//
 
+#include "lowcode/lower.h"
+#include "opt/pipeline.h"
 #include "suite/harness.h"
 #include "support/stats.h"
 
@@ -202,6 +206,47 @@ void BM_CleanupAblation(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_CleanupAblation)->Arg(1)->Arg(0)->Iterations(30);
+
+void BM_LowerSuite(benchmark::State &State) {
+  // Lowering alone: the optimized IR of every closure the main suite
+  // defines, built once from the feedback of three driver runs; each
+  // iteration lowers all of it.
+  size_t N;
+  const Program *Suite = mainSuite(N);
+  std::vector<std::unique_ptr<Vm>> Vms; // own the IR's functions
+  std::vector<std::unique_ptr<IrCode>> Irs;
+  for (size_t P = 0; P < N; ++P) {
+    Vms.push_back(std::make_unique<Vm>(benchConfig(TierStrategy::Normal)));
+    Vm &V = *Vms.back();
+    V.eval(Suite[P].Setup);
+    for (int K = 0; K < 3; ++K)
+      V.eval(Suite[P].Driver);
+    const OptOptions O = V.config().optView();
+    for (const auto &Binding : V.global()->bindings()) {
+      if (Binding.second.tag() != Tag::Clos)
+        continue;
+      Function *Fn = Binding.second.closObj()->Fn;
+      std::unique_ptr<IrCode> Ir =
+          optimizeToIr(Fn, CallConv::FullElided, EntryState(), O);
+      if (!Ir)
+        Ir = optimizeToIr(Fn, CallConv::FullEnv, EntryState(), O);
+      if (Ir)
+        Irs.push_back(std::move(Ir));
+    }
+  }
+  size_t LowInstrs = 0;
+  for (auto _ : State) {
+    LowInstrs = 0;
+    for (const auto &Ir : Irs) {
+      std::unique_ptr<LowFunction> Low = lowerToLow(*Ir);
+      benchmark::DoNotOptimize(Low.get());
+      LowInstrs += Low->Code.size();
+    }
+  }
+  State.counters["closures"] = static_cast<double>(Irs.size());
+  State.counters["low_instrs"] = static_cast<double>(LowInstrs);
+}
+BENCHMARK(BM_LowerSuite)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -79,9 +79,11 @@ template <typename ObjT, typename ElemT>
 Value setTypedElem(Value Obj, Tag VecTag, int64_t Idx, ElemT Elem) {
   if (Idx < 1)
     rerror("invalid subscript in assignment");
-  if (!Obj.unshared())
+  if (!Obj.unshared()) {
+    ++stats().CowCopies;
     Obj = Value::adopt(VecTag,
                        new ObjT(static_cast<ObjT *>(Obj.object())->D));
+  }
   ObjT *O = static_cast<ObjT *>(Obj.object());
   if (static_cast<size_t>(Idx) > O->D.size()) {
     O->D.resize(Idx, ElemT{});
@@ -637,8 +639,9 @@ Value rjit::runLow(const LowFunction &F, std::vector<Value> &&Args,
       bool Injected = false;
       // Builtin-stability guards (C == 2) model what Ř implements as a
       // watchpoint-invalidated global assumption, not a per-execution
-      // check; the random-invalidation test mode therefore only targets
-      // the genuinely dynamic guards (see EXPERIMENTS.md).
+      // check: Ř never executes them, so a random failure there has no
+      // counterpart in the paper's experiment. The random-invalidation
+      // test mode therefore only targets the genuinely dynamic guards.
       if (Ok && I.C != 2 && H.InvalidationCountdown &&
           --H.InvalidationCountdown == 0) {
         H.rearmInvalidation();

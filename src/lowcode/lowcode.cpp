@@ -14,6 +14,10 @@ const char *rjit::lowOpName(LowOp Op) {
     return "ldc";
   case LowOp::Move:
     return "mov";
+  case LowOp::Box:
+    return "box";
+  case LowOp::Unbox:
+    return "unbox";
   case LowOp::Coerce:
     return "coerce";
   case LowOp::LdEnv:

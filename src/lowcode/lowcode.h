@@ -40,7 +40,9 @@ enum class SlotClass : uint8_t { Boxed, RawReal, RawInt };
 
 enum class LowOp : uint8_t {
   LoadConst,   ///< Dst <- Consts[Imm]; B = SlotClass of Dst
-  Move,        ///< Dst <- A; B = SlotClass; C=1 steals (boxed only)
+  Move,        ///< Dst <- A; B = SlotClass; C=1 (boxed only) moves the
+               ///< value out of A, set on a phi edge move that is A's
+               ///< last use (A is dead past the edge)
   Box,         ///< S[Dst] <- raw A; C = SlotClass of A
   Unbox,       ///< raw Dst <- S[A]; C = SlotClass of Dst
   Coerce,      ///< Dst <- A coerced to scalar kind (C & 0xFF as Tag);
@@ -59,9 +61,12 @@ enum class LowOp : uint8_t {
   AsCondLow,   ///< Dst <- scalar logical of A
   Extract2Low, ///< Dst <- A[[B]] (generic)
   Extract1Low, ///< Dst <- A[B] (generic)
-  Extract2Typed, ///< Dst <- raw element A[[B]]; C = vector kind rank
-  SetElem2Low,   ///< Dst <- A with [[B]] <- slot C2 (generic; Imm = val slot)
-  SetElem2Typed, ///< same, typed; C = kind rank, Imm = val slot
+  Extract2Typed, ///< Dst <- raw element A[[B]]; C = element kind (Tag)
+  SetElem2Low,   ///< Dst <- A with [[B]] <- slot Imm (generic); C bit
+                 ///< 0x100 steals A (the store is A's last use), so an
+                 ///< unshared vector is written in place
+  SetElem2Typed, ///< same, typed; C & 0xFF = element kind (Tag), C bit
+                 ///< 0x100 steals A as above, Imm = value slot
   SetIdx2EnvLow, ///< env var sym(Imm2): [[A]] <- B; Dst <- B
   SetIdx1EnvLow,
   LengthLow,   ///< Dst <- length(A) as Int

@@ -13,12 +13,30 @@
 // get a Box. Guards always guard boxed values (a guard exists precisely
 // because the type is not statically known).
 //
+// Last-use rule: a boxed value is *moved* out of its slot, not copied,
+// at its last use, so a vector that is updated in a loop reaches its
+// element store with a refcount of one and is written in place. One
+// backward liveness pass over the boxed slots answers "is this value
+// still needed after here?" for the two moving uses: the container of an
+// element store (SetElem2*, steal bit 0x100) and a phi edge move (Move,
+// C=1). What counts as a read:
+//  * a phi operand is read at the end of its incoming block, on that
+//    edge only;
+//  * FrameState, Checkpoint and the guard predicates emit no code: their
+//    operands are read where the Assume that references them runs,
+//    through the whole parent-framestate chain (deopt, deoptless
+//    dispatch and inlined-caller materialization read those slots);
+//  * an aliasing CastType shares its root's slot and defines nothing;
+//  * Const and Undef slots are loaded once in the prologue and never
+//    moved; Param slots may be.
+// An edge move steals only when its source is not live into the target
+// block and no other phi on the same edge reads it.
+//
 //===----------------------------------------------------------------------===//
 
 #include "lowcode/lower.h"
 
-#include <map>
-#include <unordered_map>
+#include <cstring>
 
 using namespace rjit;
 
@@ -65,6 +83,7 @@ public:
     resolveAliases();
     countUses();
     assignSlots();
+    computeLiveness();
     emitBlocks();
     emitTrampolines();
     applyFixups();
@@ -79,14 +98,22 @@ private:
   IrCode &C;
   std::unique_ptr<LowFunction> F;
 
-  std::unordered_map<const Instr *, const Instr *> Alias;
-  std::unordered_map<const Instr *, uint16_t> Slot;
-  std::unordered_map<const Instr *, SlotClass> Class;
-  std::unordered_map<const Instr *, uint32_t> NonFsUses;
-  std::unordered_map<const Instr *, uint32_t> AllUses;
+  // Side tables, indexed by Instr::Id.
+  static constexpr uint16_t NoSlot = 0xFFFF;
+  std::vector<const Instr *> Alias; ///< CastType -> root; null = itself
+  std::vector<uint16_t> Slot;
+  std::vector<SlotClass> Class;
+  std::vector<uint32_t> AllUses;
   uint16_t NextB = 0, NextD = 0, NextI = 0;
 
-  std::map<const BB *, int32_t> BlockStart;
+  // Liveness of the movable boxed values (see the file comment).
+  std::vector<int32_t> LiveIdx;     ///< by Id: bit index, -1 = never moved
+  size_t LiveWords = 0;             ///< 64-bit words per live set
+  std::vector<uint64_t> LiveIn;     ///< by block id, LiveWords each
+  std::vector<bool> ContainerDies;  ///< by Id: SetElem2* may steal op 0
+
+  std::vector<int32_t> BlockStart;  ///< by block id: first LowCode pc
+  std::vector<int32_t> RpoPos;      ///< by block id: layout position
   struct Fixup {
     size_t LowPc;
     const BB *Target;
@@ -106,13 +133,14 @@ private:
   //===-- Setup --------------------------------------------------------------//
 
   const Instr *canon(const Instr *I) const {
-    auto It = Alias.find(I);
-    return It == Alias.end() ? I : It->second;
+    const Instr *R = Alias[I->Id];
+    return R ? R : I;
   }
 
   void resolveAliases() {
     // A CastType aliases its operand only when both have the same home;
     // raw-typed casts of boxed values materialize as Unbox instead.
+    Alias.assign(C.NextInstrId, nullptr);
     C.eachInstr([&](Instr *I) {
       if (I->Op != IrOp::CastType)
         return;
@@ -121,17 +149,15 @@ private:
              classOfType(Root->Type) == classOfType(Root->op(0)->Type))
         Root = Root->op(0);
       if (classOfType(I->Type) == classOfType(Root->Type))
-        Alias[I] = Root;
+        Alias[I->Id] = Root;
     });
   }
 
   void countUses() {
+    AllUses.assign(C.NextInstrId, 0);
     C.eachInstr([&](Instr *I) {
-      for (Instr *Op : I->Ops) {
-        ++AllUses[canon(Op)];
-        if (I->Op != IrOp::FrameStateIr)
-          ++NonFsUses[canon(Op)];
-      }
+      for (Instr *Op : I->Ops)
+        ++AllUses[canon(Op)->Id];
     });
   }
 
@@ -163,31 +189,33 @@ private:
   }
 
   void assignSlots() {
+    Slot.assign(C.NextInstrId, NoSlot);
+    Class.assign(C.NextInstrId, SlotClass::Boxed);
     for (Instr *P : C.Params) {
       SlotClass K = classOfType(P->Type);
-      Class[P] = K;
-      Slot[P] = allocSlot(K);
+      Class[P->Id] = K;
+      Slot[P->Id] = allocSlot(K);
       F->ParamClasses.push_back(K);
-      F->ParamSlots.push_back(Slot[P]);
+      F->ParamSlots.push_back(Slot[P->Id]);
     }
     C.eachInstr([&](Instr *I) {
-      if (!producesValue(*I) || Slot.count(I) || Alias.count(I))
+      if (!producesValue(*I) || Slot[I->Id] != NoSlot || Alias[I->Id])
         return;
       SlotClass K = classOfType(I->Type);
-      Class[I] = K;
-      Slot[I] = allocSlot(K);
+      Class[I->Id] = K;
+      Slot[I->Id] = allocSlot(K);
     });
   }
 
   SlotClass classOf(const Instr *I) const {
-    auto It = Class.find(canon(I));
-    assert(It != Class.end() && "value without class");
-    return It->second;
+    const Instr *R = canon(I);
+    assert(Slot[R->Id] != NoSlot && "value without class");
+    return Class[R->Id];
   }
   uint16_t slotOf(const Instr *I) const {
-    auto It = Slot.find(canon(I));
-    assert(It != Slot.end() && "value without slot");
-    return It->second;
+    const Instr *R = canon(I);
+    assert(Slot[R->Id] != NoSlot && "value without slot");
+    return Slot[R->Id];
   }
   uint16_t boxedSlotOf(const Instr *I) const {
     assert(classOf(I) == SlotClass::Boxed && "expected boxed home");
@@ -240,83 +268,159 @@ private:
     emit(U);
   }
 
-  /// True when moving (rather than copying) out of a boxed slot is safe.
-  bool stealSafe(const Instr *Src, const BB *UseBlock) const {
-    const Instr *R = canon(Src);
-    if (R->Op == IrOp::Const || R->Op == IrOp::Undef ||
-        R->Op == IrOp::Param || R->Op == IrOp::Phi)
+  //===-- Liveness of boxed slots --------------------------------------------//
+
+  /// Ops that emit no code of their own: their operands are read by the
+  /// Assume that references them.
+  static bool readByGuard(IrOp Op) {
+    switch (Op) {
+    case IrOp::FrameStateIr:
+    case IrOp::CheckpointIr:
+    case IrOp::IsTagIr:
+    case IrOp::IsFunIr:
+    case IrOp::IsBuiltinIr:
+      return true;
+    default:
       return false;
-    return R->Parent == UseBlock;
+    }
   }
-  /// Container steal for SetElem: the container is typically the loop phi
-  /// of the variable. Stealing empties the phi's slot, which is refilled
-  /// by the edge moves of every edge into the phi's block — so the steal
-  /// is safe iff every *other* use of the phi is only reachable from the
-  /// SetElem by passing through the phi's block again. This is what keeps
-  /// `v[[i]] <- x` loops O(n) even when v is read after the loop.
-  bool stealSafeContainer(const Instr *Phi, const Instr *SetElem) const {
-    const Instr *R = canon(Phi);
-    if (R->Op != IrOp::Phi)
-      return NonFsUses.count(R) && NonFsUses.at(R) <= 1 &&
-             stealSafe(Phi, SetElem->Parent);
 
-    // Collect the other non-framestate uses.
-    std::vector<const Instr *> Others;
-    const_cast<IrCode &>(C).eachInstr([&](Instr *U) {
-      if (U == SetElem || U->Op == IrOp::FrameStateIr)
-        return;
-      for (Instr *Op : U->Ops)
-        if (canon(Op) == R) {
-          Others.push_back(U);
-          return;
-        }
-    });
-    if (Others.empty())
-      return true;
+  /// Calls \p Read with the live index of every movable value operand
+  /// \p V stands for, looking through guard-only ops.
+  template <typename Fn>
+  void readsThrough(const Instr *V, const Fn &Read) const {
+    if (readByGuard(V->Op)) {
+      for (const Instr *Op : V->Ops)
+        readsThrough(Op, Read);
+      return;
+    }
+    if (int32_t X = LiveIdx[canon(V)->Id]; X >= 0)
+      Read(X);
+  }
 
-    const BB *From = SetElem->Parent;
-    auto PosIn = [](const BB *B, const Instr *I) {
-      for (size_t K = 0; K < B->Instrs.size(); ++K)
-        if (B->Instrs[K].get() == I)
-          return K;
-      return B->Instrs.size();
-    };
-    std::vector<const BB *> Targets;
-    for (const Instr *U : Others) {
-      if (U->Parent == From) {
-        if (PosIn(From, U) > PosIn(From, SetElem))
-          return false; // later read in the same block sees the theft
+  /// Calls \p Read for every movable value \p I reads where it runs.
+  template <typename Fn> void readsOf(const Instr &I, Fn Read) const {
+    if (I.Op == IrOp::Phi || readByGuard(I.Op) || Alias[I.Id])
+      return;
+    for (const Instr *Op : I.Ops)
+      readsThrough(Op, Read);
+  }
+
+  static bool test(const uint64_t *Set, int32_t X) {
+    return Set[X >> 6] >> (X & 63) & 1;
+  }
+  static void set(uint64_t *Set, int32_t X) {
+    Set[X >> 6] |= uint64_t(1) << (X & 63);
+  }
+  static void clear(uint64_t *Set, int32_t X) {
+    Set[X >> 6] &= ~(uint64_t(1) << (X & 63));
+  }
+  uint64_t *liveIn(const BB *B) { return &LiveIn[B->Id * LiveWords]; }
+
+  /// Live-out of \p B: the live-in of each successor plus the operands
+  /// its phis read on the edge from \p B.
+  void liveOut(const BB *B, uint64_t *Out) {
+    std::memset(Out, 0, LiveWords * sizeof(uint64_t));
+    for (const BB *S : {B->Succs[0], B->Succs[1]}) {
+      if (!S)
         continue;
-      }
-      Targets.push_back(U->Parent);
-    }
-    if (Targets.empty())
-      return true;
-
-    // DFS from the SetElem's successors; edges *into* the phi's block
-    // refill the slot, so that block is a barrier.
-    std::vector<const BB *> Work{From};
-    std::vector<bool> Seen(C.NextBlockId, false);
-    Seen[From->Id] = true;
-    while (!Work.empty()) {
-      const BB *B = Work.back();
-      Work.pop_back();
-      for (BB *S : {B->Succs[0], B->Succs[1]}) {
-        if (!S || Seen[S->Id] || S == R->Parent)
+      const uint64_t *In = liveIn(S);
+      for (size_t W = 0; W < LiveWords; ++W)
+        Out[W] |= In[W];
+      for (size_t K = 0; K < S->Preds.size(); ++K) {
+        if (S->Preds[K] != B)
           continue;
-        for (const BB *T : Targets)
-          if (S == T)
-            return false;
-        Seen[S->Id] = true;
-        Work.push_back(S);
+        for (auto &IP : S->Instrs)
+          if (IP->Op == IrOp::Phi && K < IP->Ops.size())
+            readsThrough(IP->Ops[K], [&](int32_t X) { set(Out, X); });
       }
     }
-    return true;
+  }
+
+  /// Backward scan of \p B from its live-out set \p Live (updated in
+  /// place to the live-in set). With \p Final, records which element
+  /// stores see their container die.
+  void scanBlock(const BB *B, uint64_t *Live, bool Final) {
+    for (size_t K = B->Instrs.size(); K-- > 0;) {
+      const Instr &I = *B->Instrs[K];
+      if (Final && (I.Op == IrOp::SetElem2Gen ||
+                    I.Op == IrOp::SetElem2Typed)) {
+        // The store's own index and value reads happen after the move.
+        const Instr *Obj = canon(I.op(0));
+        int32_t X = LiveIdx[Obj->Id];
+        ContainerDies[I.Id] = X >= 0 && !test(Live, X) &&
+                              canon(I.op(1)) != Obj && canon(I.op(2)) != Obj;
+      }
+      if (int32_t D = LiveIdx[I.Id]; D >= 0)
+        clear(Live, D);
+      readsOf(I, [&](int32_t X) { set(Live, X); });
+    }
+  }
+
+  void computeLiveness() {
+    std::vector<BB *> Order = C.rpo();
+    Rpo.assign(Order.begin(), Order.end());
+    RpoPos.assign(C.NextBlockId, -1);
+    for (size_t K = 0; K < Rpo.size(); ++K)
+      RpoPos[Rpo[K]->Id] = static_cast<int32_t>(K);
+
+    // Movable: every value with a boxed slot of its own (aliasing casts
+    // have none) except the prologue-loaded constants and the guard
+    // predicates, whose slots are never written.
+    LiveIdx.assign(C.NextInstrId, -1);
+    int32_t N = 0;
+    C.eachInstr([&](Instr *I) {
+      if (Slot[I->Id] != NoSlot && Class[I->Id] == SlotClass::Boxed &&
+          I->Op != IrOp::Const && I->Op != IrOp::Undef &&
+          !readByGuard(I->Op))
+        LiveIdx[I->Id] = N++;
+    });
+    ContainerDies.assign(C.NextInstrId, false);
+    LiveWords = (static_cast<size_t>(N) + 63) / 64;
+    LiveIn.assign(C.NextBlockId * LiveWords, 0);
+    if (!N)
+      return;
+
+    // Iterate to a fixpoint in post-order (live sets only grow).
+    std::vector<uint64_t> Live(LiveWords);
+    for (bool Changed = true; Changed;) {
+      Changed = false;
+      for (size_t K = Rpo.size(); K-- > 0;) {
+        const BB *B = Rpo[K];
+        liveOut(B, Live.data());
+        scanBlock(B, Live.data(), false);
+        uint64_t *In = liveIn(B);
+        if (std::memcmp(In, Live.data(), LiveWords * sizeof(uint64_t))) {
+          std::memcpy(In, Live.data(), LiveWords * sizeof(uint64_t));
+          Changed = true;
+        }
+      }
+    }
+    for (const BB *B : Rpo) {
+      liveOut(B, Live.data());
+      scanBlock(B, Live.data(), true);
+    }
+  }
+
+  /// The (phi, source) pairs of one CFG edge.
+  using EdgeMoves = std::vector<std::pair<const Instr *, const Instr *>>;
+
+  /// True when the edge move of \p Src into \p To may steal: the value
+  /// is not live into \p To and no other phi on the edge reads it.
+  bool edgeMoveSteals(const Instr *Src, const BB *To, const EdgeMoves &Moves) {
+    const Instr *R = canon(Src);
+    int32_t X = LiveIdx[R->Id];
+    if (X < 0 || test(liveIn(To), X))
+      return false;
+    int Readers = 0;
+    for (auto &M : Moves)
+      Readers += canon(M.second) == R;
+    return Readers == 1;
   }
 
   /// Emits the phi copies for the edge From -> To.
   void emitEdgeMoves(const BB *From, const BB *To) {
-    std::vector<std::pair<const Instr *, const Instr *>> Moves;
+    EdgeMoves Moves;
     size_t PredIdx = static_cast<size_t>(-1);
     for (size_t K = 0; K < To->Preds.size(); ++K)
       if (To->Preds[K] == From) {
@@ -371,10 +475,7 @@ private:
       M.Dst = Dst;
       M.A = slotOf(Src);
       M.B = static_cast<uint16_t>(DstK);
-      M.C = (DstK == SlotClass::Boxed && NonFsUses[canon(Src)] <= 1 &&
-             stealSafe(Src, From))
-                ? 1
-                : 0;
+      M.C = DstK == SlotClass::Boxed && edgeMoveSteals(Src, To, Moves) ? 1 : 0;
       emit(M);
     };
 
@@ -419,15 +520,13 @@ private:
   }
 
   const BB *nextInLayout(const BB *B) const {
-    for (size_t K = 0; K + 1 < Rpo.size(); ++K)
-      if (Rpo[K] == B)
-        return Rpo[K + 1];
-    return nullptr;
+    size_t K = static_cast<size_t>(RpoPos[B->Id]) + 1;
+    return K < Rpo.size() ? Rpo[K] : nullptr;
   }
 
   bool fuseCompare(const Instr *Cond, LowInstr &Br, bool SenseTrue) {
     const Instr *R = canon(Cond);
-    if (R->Op != IrOp::BinTyped || AllUses[R] != 1)
+    if (R->Op != IrOp::BinTyped || AllUses[R->Id] != 1)
       return false;
     switch (R->Bop) {
     case BinOp::Eq:
@@ -456,8 +555,7 @@ private:
   //===-- Block emission --------------------------------------------------------//
 
   void emitBlocks() {
-    for (BB *B : C.rpo())
-      Rpo.push_back(B);
+    BlockStart.assign(C.NextBlockId, -1);
     // Materialize constants and undefs once up front.
     for (const BB *B : Rpo)
       for (auto &IP : B->Instrs)
@@ -469,7 +567,7 @@ private:
           emit(L);
         }
     for (const BB *B : Rpo) {
-      BlockStart[B] = static_cast<int32_t>(F->Code.size());
+      BlockStart[B->Id] = static_cast<int32_t>(F->Code.size());
       for (auto &IP : B->Instrs)
         emitInstr(*IP, B);
     }
@@ -488,7 +586,7 @@ private:
       if (Fx.Tramp >= 0)
         F->Code[Fx.LowPc].Imm = Trampolines[Fx.Tramp].StartPc;
       else
-        F->Code[Fx.LowPc].Imm = BlockStart.at(Fx.Target);
+        F->Code[Fx.LowPc].Imm = BlockStart[Fx.Target->Id];
     }
   }
 
@@ -523,7 +621,7 @@ private:
     }
 
     case IrOp::CastType: {
-      if (Alias.count(&I))
+      if (Alias[I.Id])
         return;
       // Materialized cast: boxed -> raw (the value is now known precise).
       LowInstr U{LowOp::Unbox};
@@ -656,7 +754,7 @@ private:
                                            : LowOp::SetElem2Typed};
       L.Dst = boxedSlotOf(&I);
       L.A = boxedSlotOf(I.op(0));
-      bool Steal = stealSafeContainer(I.op(0), &I);
+      bool Steal = ContainerDies[I.Id];
       if (I.Op == IrOp::SetElem2Typed) {
         L.B = slotOf(I.op(1)); // raw int index
         assert(classOf(I.op(1)) == SlotClass::RawInt);

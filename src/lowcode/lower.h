@@ -8,8 +8,9 @@
 /// Lowers optimizer IR to LowCode: slot allocation (one slot per SSA
 /// value; CastType aliases its operand), phi elimination via parallel
 /// copies on edges (with trampoline blocks for critical edges), call
-/// argument windows, and DeoptMeta construction from Assume/Checkpoint/
-/// FrameState triples.
+/// argument windows, DeoptMeta construction from Assume/Checkpoint/
+/// FrameState triples, and last-use moves of boxed values (element-store
+/// containers and phi edge moves) from a liveness pass over boxed slots.
 ///
 //===----------------------------------------------------------------------===//
 

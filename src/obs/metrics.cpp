@@ -81,6 +81,7 @@ constexpr CounterDesc Counters[] = {
     {"native_linked_transfers", &VmStats::NativeLinkedTransfers},
     {"native_fused_ops", &VmStats::NativeFusedOps},
     {"native_reg_spills", &VmStats::NativeRegSpills},
+    {"cow_copies", &VmStats::CowCopies},
     {"gc_collections", &VmStats::GcCollections},
     {"gc_freed_bytes", &VmStats::GcFreedBytes},
 };

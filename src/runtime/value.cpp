@@ -978,6 +978,7 @@ Value widenFor(Value X, Tag ElemTag) {
 /// Ensures the container payload is unshared, cloning when needed (COW).
 template <typename ObjT>
 Value cowClone(const Value &X, Tag T) {
+  ++stats().CowCopies;
   auto *Obj = static_cast<ObjT *>(X.object());
   return Value::adopt(T, new ObjT(Obj->D));
 }

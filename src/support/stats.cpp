@@ -45,6 +45,7 @@ VmStats VmStats::operator-(const VmStats &O) const {
   R.NativeLinkedTransfers = NativeLinkedTransfers - O.NativeLinkedTransfers;
   R.NativeFusedOps = NativeFusedOps - O.NativeFusedOps;
   R.NativeRegSpills = NativeRegSpills - O.NativeRegSpills;
+  R.CowCopies = CowCopies - O.CowCopies;
   // Like CompileQueueDepth: a gauge — the difference carries the later
   // snapshot's population and high-water, not a meaningless subtraction.
   R.GraveyardSize = GraveyardSize;

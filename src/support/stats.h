@@ -80,6 +80,9 @@ struct VmStats {
   RelaxedCounter NativeRegSpills;     ///< raw-slot live ranges with uses
                                       ///< that were denied a register
                                       ///< home (pool exhausted)
+  RelaxedCounter CowCopies;           ///< shared vectors copied for an
+                                      ///< element write (copy-on-write);
+                                      ///< in-place writes do not count
   RelaxedGauge GraveyardSize;         ///< retired executables awaiting
                                       ///< safepoint reclamation; the
                                       ///< owning Vm re-syncs the level

@@ -3,6 +3,7 @@
 #include "lowcode/exec.h"
 #include "lowcode/lower.h"
 #include "opt/pipeline.h"
+#include "support/stats.h"
 #include "support/timer.h"
 #include "testutil.h"
 
@@ -35,6 +36,40 @@ protected:
     for (const LowInstr &I : F.Code)
       N += I.Op == Op;
     return N;
+  }
+
+  /// The function's only element store.
+  static const LowInstr &onlyStore(const LowFunction &F) {
+    const LowInstr *Store = nullptr;
+    for (const LowInstr &I : F.Code)
+      if (I.Op == LowOp::SetElem2Typed || I.Op == LowOp::SetElem2Low) {
+        EXPECT_EQ(Store, nullptr) << "expected one element store";
+        Store = &I;
+      }
+    EXPECT_NE(Store, nullptr) << printLow(F);
+    static const LowInstr None{LowOp::RetLow};
+    return Store ? *Store : None;
+  }
+
+  /// The boxed Moves reading slot \p A.
+  static std::vector<LowInstr> boxedMovesFrom(const LowFunction &F,
+                                              uint16_t A) {
+    std::vector<LowInstr> Out;
+    for (const LowInstr &I : F.Code)
+      if (I.Op == LowOp::Move && I.A == A &&
+          static_cast<SlotClass>(I.B) == SlotClass::Boxed)
+        Out.push_back(I);
+    return Out;
+  }
+
+  /// Runs \p F on the one argument \p Arg, whose only reference it
+  /// takes, and returns the copy-on-write copies the run made.
+  uint64_t cowCopiesOf(const LowFunction &F, Value Arg, Value &Result) {
+    std::vector<Value> Args;
+    Args.push_back(std::move(Arg));
+    uint64_t Before = stats().CowCopies;
+    Result = runLow(F, std::move(Args), nullptr, S.global());
+    return stats().CowCopies - Before;
   }
 };
 
@@ -190,4 +225,163 @@ TEST_F(LowFixture, GuardFailureWithoutHandlerRaises) {
   std::vector<Value> Args;
   Args.push_back(Value::realVec({1.5}));
   EXPECT_THROW(runLow(*F, std::move(Args), nullptr, S.global()), RError);
+}
+
+//===----------------------------------------------------------------------===//
+// Last-use moves: an element store and a phi edge move steal the boxed
+// value out of its slot exactly when nothing reads that slot afterwards.
+
+TEST_F(LowFixture, StoreWhoseBackEdgeLeavesAnotherBlockMovesTheVector) {
+  // The branch after the store puts the back edge in a different block
+  // from the store: the loop-carried vector must still be moved into the
+  // loop phi, or every iteration copies it.
+  auto F = compile(R"(
+    f <- function(n) {
+      v <- integer(n)
+      for (i in 1:n) {
+        v[[i]] <- i
+        if (i > 5L) n <- n + 0L
+      }
+      v
+    }
+    f(10L); f(10L); f(10L)
+  )");
+  ASSERT_TRUE(F);
+  const LowInstr &Store = onlyStore(*F);
+  EXPECT_TRUE(Store.C & 0x100) << printLow(*F);
+  std::vector<LowInstr> Moves = boxedMovesFrom(*F, Store.Dst);
+  ASSERT_FALSE(Moves.empty()) << printLow(*F);
+  for (const LowInstr &M : Moves)
+    EXPECT_EQ(M.C, 1) << printLow(*F);
+
+  Value R;
+  EXPECT_EQ(cowCopiesOf(*F, Value::integer(2000), R), 0u);
+  EXPECT_EQ(R.length(), 2000);
+  EXPECT_EQ(extract2(R, 2000).toInt(), 2000);
+}
+
+TEST_F(LowFixture, StoreUnderIfMovesThroughTheJoin) {
+  // The loop carries counts through a join phi whose other input is the
+  // unchanged vector: neither input is read after its edge.
+  auto F = compile(R"(
+    f <- function(keys) {
+      counts <- integer(16L)
+      for (i in 1:length(keys)) {
+        k <- keys[[i]]
+        if (k > 0L) counts[[k]] <- counts[[k]] + 1L
+      }
+      counts
+    }
+    x <- c(1L, 0L, 3L); f(x); f(x); f(x)
+  )");
+  ASSERT_TRUE(F);
+  const LowInstr &Store = onlyStore(*F);
+  EXPECT_TRUE(Store.C & 0x100) << printLow(*F);
+  for (uint16_t Src : {Store.Dst, Store.A}) {
+    std::vector<LowInstr> Moves = boxedMovesFrom(*F, Src);
+    ASSERT_FALSE(Moves.empty()) << "slot " << Src << "\n" << printLow(*F);
+    for (const LowInstr &M : Moves)
+      EXPECT_EQ(M.C, 1) << printLow(*F);
+  }
+
+  std::vector<int32_t> Keys(3000);
+  for (size_t K = 0; K < Keys.size(); ++K)
+    Keys[K] = static_cast<int32_t>(K % 4);
+  Value R;
+  EXPECT_EQ(cowCopiesOf(*F, Value::intVec(std::move(Keys)), R), 0u);
+  EXPECT_EQ(extract2(R, 1).toInt(), 750);
+  EXPECT_EQ(extract2(R, 3).toInt(), 750);
+}
+
+TEST_F(LowFixture, StoreIntoAVectorReadLaterCopies) {
+  // w and v are one value: the store must leave the old vector intact.
+  auto F = compile(R"(
+    f <- function(v) {
+      w <- v
+      v[[1]] <- 0L
+      c(w, v)
+    }
+    x <- c(1L, 2L); f(x); f(x); f(x)
+  )");
+  ASSERT_TRUE(F);
+  EXPECT_FALSE(onlyStore(*F).C & 0x100) << printLow(*F);
+  Value R;
+  EXPECT_EQ(cowCopiesOf(*F, Value::intVec({1, 2}), R), 1u);
+  EXPECT_TRUE(R.equals(Value::intVec({1, 2, 0, 2}))) << R.show();
+}
+
+TEST_F(LowFixture, ConstantContainerInALoopIsNeverMoved) {
+  // The constant is loaded once, before the loop: moving it out of its
+  // slot would leave the second iteration an empty slot.
+  auto F = compile(R"(
+    f <- function(n) {
+      s <- 0L
+      for (i in 1:n) {
+        w <- "a"
+        w[[2]] <- "b"
+        s <- s + length(w)
+      }
+      s
+    }
+    f(10L); f(10L); f(10L)
+  )");
+  ASSERT_TRUE(F);
+  EXPECT_FALSE(onlyStore(*F).C & 0x100) << printLow(*F);
+  Value R;
+  cowCopiesOf(*F, Value::integer(5), R);
+  EXPECT_EQ(R.toInt(), 10);
+}
+
+TEST_F(LowFixture, GuardAfterAStoreKeepsTheOldContainer) {
+  // ret (setelem2 c 1 0) where c is the parameter or a fresh vector, with
+  // an optional guard between store and ret whose framestate holds c: a
+  // deopt there rebuilds the pre-store vector, so c is live past the
+  // store and must not be moved. Without the guard the store is c's last
+  // use and moves it.
+  for (bool FromParam : {true, false})
+    for (bool WithGuard : {false, true}) {
+      SCOPED_TRACE(std::string(FromParam ? "param" : "call result") +
+                   (WithGuard ? ", guarded" : ""));
+      IrCode C;
+      BB *B = C.newBlock();
+      C.Entry = B;
+      auto Add = [&](IrOp Op, RType T, std::vector<Instr *> Ops) {
+        auto I = C.make(Op, T);
+        I->Ops = std::move(Ops);
+        return B->append(std::move(I));
+      };
+      auto Const = [&](int32_t V) {
+        auto I = C.make(IrOp::Const, RType::of(Tag::Int));
+        I->Cst = Value::integer(V);
+        return B->append(std::move(I));
+      };
+      Instr *P = Add(IrOp::Param, RType::any(), {});
+      C.Params.push_back(P);
+      Instr *Vec = P;
+      if (!FromParam) {
+        Vec = Add(IrOp::CallBuiltinKnown, RType::of(Tag::IntVec), {Const(2)});
+        Vec->Bid = BuiltinId::IntegerCtor;
+      }
+      Instr *Store =
+          Add(IrOp::SetElem2Gen, RType::any(), {Vec, Const(1), Const(7)});
+      if (WithGuard) {
+        Instr *Fs = Add(IrOp::FrameStateIr, RType::none(), {Vec});
+        Fs->BcPc = 0;
+        Fs->StackCount = 1;
+        Instr *Cp = Add(IrOp::CheckpointIr, RType::none(), {Fs});
+        Instr *Is = Add(IrOp::IsTagIr, RType::of(Tag::Lgl), {Store});
+        Is->TagArg = Tag::IntVec;
+        Add(IrOp::AssumeIr, RType::none(), {Is, Cp});
+      }
+      Add(IrOp::Ret, RType::none(), {Store});
+
+      auto F = lowerToLow(C);
+      EXPECT_EQ(static_cast<bool>(onlyStore(*F).C & 0x100), !WithGuard)
+          << printLow(*F);
+      Value R;
+      uint64_t Copies = cowCopiesOf(*F, Value::intVec({5, 8}), R);
+      EXPECT_EQ(Copies, WithGuard ? 1u : 0u);
+      EXPECT_TRUE(R.equals(Value::intVec({7, FromParam ? 8 : 0})))
+          << R.show();
+    }
 }

@@ -102,6 +102,35 @@ TEST(VmTiering, OptimizedResultsMatchBaseline) {
   EXPECT_DOUBLE_EQ(Base, Opt);
 }
 
+TEST(VmTiering, StoreUnderIfUpdatesInPlace) {
+  // The store sits under an if: the loop carries counts through a join
+  // phi whose other input is the unchanged vector. Once optimized, the
+  // store must still find counts unshared and write it in place.
+  const char *Prog = R"(
+count <- function(keys) {
+  counts <- integer(16L)
+  for (i in 1:length(keys)) {
+    k <- keys[[i]]
+    if (k > 0L) counts[[k]] <- counts[[k]] + 1L
+  }
+  counts
+}
+keys <- integer(2000L)
+for (i in 1:2000L) keys[[i]] <- i %% 17L
+)";
+  Vm V(cfg(TierStrategy::Normal));
+  V.eval(Prog);
+  for (int K = 0; K < 5; ++K)
+    V.eval("count(keys)");
+  resetStats();
+  Value R = V.eval("count(keys)");
+  EXPECT_EQ(stats().Deopts, 0u);
+  EXPECT_LE(stats().CowCopies, 1u);
+  ASSERT_EQ(R.length(), 16);
+  for (int64_t K = 1; K <= 16; ++K)
+    EXPECT_EQ(extract2(R, K).toInt(), K <= 11 ? 118 : 117) << K;
+}
+
 TEST(VmTiering, RecursionCompiles) {
   Vm V(cfg(TierStrategy::Normal));
   V.eval("fib <- function(n) if (n < 2L) n else fib(n-1L) + fib(n-2L)");
@@ -443,6 +472,44 @@ mixed <- list(1L, 2L, 3L, 4L, 5.5, 6L, 7L, 8L, 9L, 10L)
   resetStats();
   EXPECT_DOUBLE_EQ(V.eval("f(mixed, 10L)").toReal(), Want);
   EXPECT_GT(stats().DeoptlessCompiles, 0u);
+}
+
+TEST(VmDeoptless, ContinuationUpdatesItsVectorInPlace) {
+  // x's elements turn from int to double half way through the store
+  // loop, failing the guard on x[[i]]: the continuation is entered
+  // mid-body and finishes the loop. It must move v from iteration to
+  // iteration, not copy all of it on each one (n/2 copies of an n-long
+  // vector made the continuation quadratic).
+  const char *Prog = R"(
+fill <- function(x, n) {
+  v <- integer(n)
+  for (i in 1:n) v[[i]] <- x[[i]] * 2L
+  v
+}
+n <- 1000L
+ints <- vector("list", n)
+mixed <- vector("list", n)
+for (i in 1:n) {
+  ints[[i]] <- i
+  mixed[[i]] <- if (i > 500L) i + 0.5 else i
+}
+)";
+  Value Want;
+  {
+    Vm Base(cfg(TierStrategy::BaselineOnly));
+    Base.eval(Prog);
+    Want = Base.eval("fill(mixed, n)");
+  }
+  Vm V(cfg(TierStrategy::Deoptless));
+  V.eval(Prog);
+  for (int K = 0; K < 5; ++K)
+    V.eval("fill(ints, n)");
+  resetStats();
+  Value Got = V.eval("fill(mixed, n)");
+  EXPECT_TRUE(Got.equals(Want)) << Got.show() << " vs " << Want.show();
+  EXPECT_GT(stats().DeoptlessCompiles + stats().DeoptlessHits, 0u);
+  EXPECT_EQ(stats().Deopts, 0u);
+  EXPECT_LE(stats().CowCopies, 2u);
 }
 
 TEST(VmDeoptless, ContinuationTablesArePerVm) {

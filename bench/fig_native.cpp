@@ -147,7 +147,10 @@ void printSeries(const char *Title, const char *A, const char *B,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool Tracing = benchObsInit(Argc, Argv);
+  // A 2^20-event ring holds the whole traced run (the default 2^16 fills
+  // with native-enter events long before the side exits and deopts the
+  // trace exists to show).
+  bool Tracing = benchObsInit(Argc, Argv, 1u << 20);
   long Rows = argLong(Argc, Argv, "--rows", 1000);
   long Cols = argLong(Argc, Argv, "--cols", 40);
   int Iters = static_cast<int>(argLong(Argc, Argv, "--iters", 30));

@@ -59,9 +59,7 @@ void warm(Vm &V, int N = 6) {
 }
 
 void BM_BaselineInterpreter(benchmark::State &State) {
-  Vm::Config C = benchConfig(TierStrategy::BaselineOnly);
-  C.OsrIn = false;
-  Vm V(C);
+  Vm V(benchConfig(TierStrategy::BaselineOnly));
   V.eval(sumSetup());
   V.eval("data <- as.numeric(1:" + std::to_string(SumN) + ")");
   for (auto _ : State)
@@ -148,7 +146,7 @@ void BM_ContinuationCompile(benchmark::State &State) {
   for (auto _ : State) {
     State.PauseTiming();
     Vm::Config C = benchConfig(TierStrategy::Deoptless);
-    C.OsrIn = false;
+    C.OsrThreshold = 0;
     Vm V(C);
     V.eval(sumSetup());
     V.eval("ints <- 1:200");
@@ -184,7 +182,7 @@ void BM_CleanupAblation(benchmark::State &State) {
   for (auto _ : State) {
     State.PauseTiming();
     Vm::Config C = benchConfig(TierStrategy::Deoptless);
-    C.OsrIn = false;
+    C.OsrThreshold = 0;
     C.FeedbackCleanup = Cleanup;
     Vm V(C);
     V.eval(sumSetup());
@@ -221,7 +219,7 @@ void BM_LowerSuite(benchmark::State &State) {
     V.eval(Suite[P].Setup);
     for (int K = 0; K < 3; ++K)
       V.eval(Suite[P].Driver);
-    const OptOptions O = V.config().optView();
+    const OptOptions O = V.optView();
     for (const auto &Binding : V.global()->bindings()) {
       if (Binding.second.tag() != Tag::Clos)
         continue;

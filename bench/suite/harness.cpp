@@ -81,7 +81,7 @@ const char *rjit::suite::argStr(int Argc, char **Argv,
 
 void rjit::suite::printStats(const char *Label, const VmStats &S) {
   // Registry-driven: the schema (names, membership) lives in
-  // obs/metrics.cpp, shared with the JSON emission below — per-bench
+  // support/stats.def, shared with the JSON emission below — per-bench
   // printf lists cannot drift from the serialized counters.
   printf("# stats[%s]:", Label);
   bool Any = false;
@@ -133,12 +133,12 @@ void BenchReport::headline(const std::string &Key, double Value) {
   Headlines.push_back({Key, Value});
 }
 
-bool rjit::suite::benchObsInit(int Argc, char **Argv) {
+bool rjit::suite::benchObsInit(int Argc, char **Argv, size_t RingCapacity) {
   if (!argStr(Argc, Argv, "--trace", nullptr))
     return false;
   // A process-lifetime ref: every Vm the bench creates (whatever its own
   // Trace config) records into the rings emitBenchArtifacts exports.
-  obs::traceBegin();
+  obs::traceBegin(RingCapacity);
   return true;
 }
 

@@ -105,8 +105,11 @@ struct BenchReport {
 /// Handles the shared obs flags once at the top of main():
 /// `--trace <path>` holds a process-lifetime tracing ref (every Vm the
 /// bench creates records into it) — emitBenchArtifacts() writes the
-/// Chrome trace there. Returns true when tracing was requested.
-bool benchObsInit(int Argc, char **Argv);
+/// Chrome trace there. \p RingCapacity sizes the per-thread event rings
+/// (0 keeps the tracer's default); a bench whose trace must hold every
+/// event passes enough for its run. Returns true when tracing was
+/// requested.
+bool benchObsInit(int Argc, char **Argv, size_t RingCapacity = 0);
 
 /// Writes BENCH_<Name>.json (path overridable with `--json <path>`) with
 /// the per-series timings, exact time percentiles, nonzero stats counters

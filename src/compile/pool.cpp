@@ -14,8 +14,7 @@
 
 using namespace rjit;
 
-CompilerPool::CompilerPool(unsigned Threads, size_t QueueCapacity)
-    : Q(QueueCapacity) {
+CompilerPool::CompilerPool(unsigned Threads) {
   Ws.reserve(Threads);
   for (unsigned K = 0; K < Threads; ++K)
     Ws.emplace_back([this] { workerLoop(); });

@@ -33,7 +33,7 @@ namespace rjit {
 
 class CompilerPool {
 public:
-  explicit CompilerPool(unsigned Threads = 2, size_t QueueCapacity = 256);
+  explicit CompilerPool(unsigned Threads = 2);
   ~CompilerPool();
   CompilerPool(const CompilerPool &) = delete;
   CompilerPool &operator=(const CompilerPool &) = delete;

@@ -90,7 +90,7 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
         E->Blacklisted = true;
       }
       if (obs::traceOn())
-        obs::recordVersionEvent(E->ObsId, obs::VerEvent::Blacklisted);
+        obs::traceEvent(obs::TraceEv::VersionBlacklist, 0, E->ObsId);
       return compileAndPublishVersion(
           Fn, genericContext(Fn->Params.size()), Table, Opts);
     }
@@ -104,7 +104,7 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
       E->Blacklisted = true;
     }
     if (obs::traceOn())
-      obs::recordVersionEvent(E->ObsId, obs::VerEvent::Blacklisted);
+      obs::traceEvent(obs::TraceEv::VersionBlacklist, 0, E->ObsId);
     return nullptr;
   }
 
@@ -112,11 +112,9 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
       prepareExecutable(O.Backend, lowerToLow(*Ir));
   uint64_t Dur = nowNanos() - T0;
   obs::metrics().CompileLatency.record(Dur);
-  if (obs::traceOn()) {
-    obs::recordVersionEvent(E->ObsId, obs::VerEvent::Compiled);
+  if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::CompileFinish, Dur, E->ObsId,
                     obs::CompileKindFn);
-  }
   {
     VersionWriteGuard G(Table);
     // Guard-failure blacklisting may have raced ahead of this

@@ -50,7 +50,7 @@ namespace rjit {
 /// Knobs a whole-function version compile needs (copied out of Vm::Config
 /// so jobs never touch the Vm).
 struct VersionCompileOpts {
-  /// The optimizer knob set (Vm::Config::optView). Its Backend is the
+  /// The optimizer knob set (Vm::optView). Its Backend is the
   /// execution backend the code is prepared for; backends are thread-safe,
   /// so jobs call prepare() from compiler threads.
   OptOptions Opt;

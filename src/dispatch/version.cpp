@@ -54,7 +54,7 @@ FnVersion *VersionTable::insert(const CallContext &Ctx) {
   auto E = std::make_unique<FnVersion>();
   E->Ctx = Ctx;
   if (obs::traceOn())
-    obs::recordVersionEvent(E->ObsId, obs::VerEvent::Created);
+    obs::traceEvent(obs::TraceEv::VersionCreate, 0, E->ObsId);
 
   // Linearize the partial order: more specialized entries first (insert
   // before the first entry the new context is not below); the CowList

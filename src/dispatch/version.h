@@ -36,7 +36,7 @@
 #include "dispatch/context.h"
 #include "exec/backend.h"
 #include "lowcode/lowcode.h"
-#include "obs/lifecycle.h"
+#include "obs/trace.h"
 #include "support/cowlist.h"
 
 #include <atomic>
@@ -60,9 +60,10 @@ struct FnVersion {
   std::atomic<bool> Blacklisted{false}; ///< too many deopts (or uncompilable)
   uint64_t CallsSinceSample = 0; ///< ProfileDrivenReopt period counter
   uint64_t FeedbackHash = 0;     ///< profile snapshot at compile time
-  /// Stable observability identity (obs/lifecycle.h timelines key on it).
-  /// Minted at insert and kept across the retire/recompile cycle, so one
-  /// timeline shows the whole Fig. 1 story of this entry.
+  /// Stable observability identity: the A payload of every lifecycle
+  /// trace event of this entry (obs/trace.h). Minted at insert and kept
+  /// across the retire/recompile cycle, so one id shows the whole Fig. 1
+  /// story of this entry.
   const uint64_t ObsId = obs::nextVersionId();
 
   /// The published executable (acquire), or null when retired / not yet
@@ -77,11 +78,8 @@ struct FnVersion {
     Owner = std::move(C);
     Owner->setObsId(ObsId);
     Code.store(Owner.get(), std::memory_order_release);
-    if (obs::traceOn()) {
-      obs::recordVersionEvent(ObsId, obs::VerEvent::Published);
-      obs::traceEvent(obs::TraceEv::Publish, 0, ObsId,
-                      obs::CompileKindFn);
-    }
+    if (obs::traceOn())
+      obs::traceEvent(obs::TraceEv::Publish, 0, ObsId, obs::CompileKindFn);
   }
 
   /// Retires the code, returning ownership. Every retire site — the deopt
@@ -92,8 +90,6 @@ struct FnVersion {
   /// recursion). Writer lock required.
   std::unique_ptr<ExecutableCode> retire() {
     Code.store(nullptr, std::memory_order_release);
-    if (obs::traceOn())
-      obs::recordVersionEvent(ObsId, obs::VerEvent::Retired);
     return std::move(Owner);
   }
 

@@ -135,9 +135,9 @@ public:
   virtual const char *backendName() const = 0;
 
   /// Observability identity: the FnVersion ObsId this code was published
-  /// into (0 for OSR/continuation code). Set at publication, read when the
-  /// graveyard reclaims the executable so the lifecycle timeline can
-  /// attribute the reclaim to its version.
+  /// into (0 for OSR/continuation code). Set at publication; the retire
+  /// and reclaim trace events carry it, so they attribute the executable
+  /// to its version after the version has let go of it.
   uint64_t obsId() const { return ObsId; }
   void setObsId(uint64_t Id) { ObsId = Id; }
 

@@ -10,7 +10,8 @@
 /// compile-queue wait, deopt pause, per-iteration time) with p50/p90/p99
 /// extraction, and a MetricsRegistry that enumerates every counter, gauge
 /// and histogram by name — the single source the bench harness prints and
-/// serializes from, so per-bench stats boilerplate lives in one place.
+/// serializes from. Each metric is declared once, in support/stats.def
+/// (counters, gauges) or obs/metrics.def (histograms).
 ///
 /// Histograms are always on (recording is a couple of relaxed increments
 /// at sites that already pay a compile or a deopt); only the *event
@@ -118,16 +119,11 @@ private:
   RelaxedCounter MaxV;
 };
 
-/// The process-wide duration metrics, reset alongside VmStats.
+/// The process-wide duration metrics, reset alongside VmStats: one
+/// histogram per obs/metrics.def entry.
 struct VmMetrics {
-  LatencyHistogram CompileLatency; ///< optimize+lower+prepare, per compile
-  LatencyHistogram QueueWait;      ///< enqueue -> job start (background)
-  LatencyHistogram DeoptPause;     ///< guard failure -> baseline resume
-                                   ///< (frame materialization; the part of
-                                   ///< a deopt that is pure pause)
-  LatencyHistogram Iteration;      ///< bench-harness per-iteration time
-  LatencyHistogram GcPause;        ///< stop-the-world heap cycle-collection
-                                   ///< pause (mark + sweep, per pass)
+#define VM_HISTOGRAM(Member, Name) LatencyHistogram Member;
+#include "obs/metrics.def"
 };
 
 VmMetrics &metrics();
@@ -154,10 +150,6 @@ public:
       const VmMetrics &M,
       const std::function<void(const char *, const LatencyHistogram &)>
           &Fn);
-
-  /// One-line-per-metric human dump of the nonzero counters/gauges and
-  /// populated histograms (the bench harness's stats printer).
-  static void print(const char *Label, const VmStats &S, const VmMetrics &M);
 
   /// Drains the process-wide histograms (metrics()) into the returned
   /// snapshot and leaves them zeroed, losslessly: each histogram is

@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "obs/trace.h"
-#include "obs/lifecycle.h"
 #include "support/timer.h"
 
 #include <algorithm>
@@ -71,26 +70,12 @@ struct EvDesc {
 };
 
 const EvDesc &descOf(TraceEv K) {
-  static const EvDesc Desc[static_cast<size_t>(TraceEv::kCount)] = {
-      {"compile-start", "compile"},    // CompileStart
-      {"compile", "compile"},          // CompileFinish
-      {"compile-job", "compile"},      // CompileJob
-      {"publish", "lifecycle"},        // Publish
-      {"retire", "lifecycle"},         // Retire
-      {"reclaim", "lifecycle"},        // Reclaim
-      {"deopt", "deopt"},              // Deopt
-      {"deoptless-attempt", "deopt"},  // DeoptlessAttempt
-      {"deoptless-hit", "deopt"},      // DeoptlessHit
-      {"deoptless-compile", "deopt"},  // DeoptlessCompile
-      {"deoptless-reject", "deopt"},   // DeoptlessReject
-      {"osr-in", "osr"},               // OsrIn
-      {"guard-fail", "deopt"},         // GuardFail
-      {"native-enter", "native"},      // NativeEnter
-      {"native-side-exit", "native"},  // NativeSideExit
-      {"invalidate", "deopt"},         // Invalidate
-      {"gc-collect", "gc"},            // GcCollect
-      {"native-link-patch", "native"}, // NativeLinkPatch
+  static const EvDesc Desc[] = {
+#define TRACE_EV(Kind, Name, Cat) {Name, Cat},
+#include "obs/trace.def"
   };
+  static_assert(sizeof(Desc) / sizeof(Desc[0]) ==
+                static_cast<size_t>(TraceEv::kCount));
   return Desc[static_cast<size_t>(K)];
 }
 
@@ -128,6 +113,11 @@ void rjit::obs::traceEvent(TraceEv Kind, uint64_t DurNanos, uint64_t A,
   threadBuffer().record(E);
 }
 
+uint64_t rjit::obs::nextVersionId() {
+  static std::atomic<uint64_t> Next{1};
+  return Next.fetch_add(1, std::memory_order_relaxed);
+}
+
 uint64_t rjit::obs::traceEventCount() {
   uint64_t N = 0;
   for (const auto &B : bufferSnapshot())
@@ -144,13 +134,19 @@ uint64_t rjit::obs::traceDropped() {
 
 uint64_t rjit::obs::traceCountOf(TraceEv Kind) {
   uint64_t N = 0;
+  for (const TraceEvent &E : traceEvents())
+    N += E.Kind == Kind;
+  return N;
+}
+
+std::vector<TraceEvent> rjit::obs::traceEvents() {
+  std::vector<TraceEvent> All;
   for (const auto &B : bufferSnapshot()) {
     uint64_t C = B->count();
     for (uint64_t K = 0; K < C; ++K)
-      if (B->at(K).Kind == Kind)
-        ++N;
+      All.push_back(B->at(K));
   }
-  return N;
+  return All;
 }
 
 void rjit::obs::exportChromeTrace(std::ostream &Os) {
@@ -215,11 +211,8 @@ bool rjit::obs::writeChromeTrace(const std::string &Path) {
 
 void rjit::obs::traceSummary(std::ostream &Os) {
   uint64_t Counts[static_cast<size_t>(TraceEv::kCount)] = {};
-  for (const auto &B : bufferSnapshot()) {
-    uint64_t C = B->count();
-    for (uint64_t K = 0; K < C; ++K)
-      ++Counts[static_cast<size_t>(B->at(K).Kind)];
-  }
+  for (const TraceEvent &E : traceEvents())
+    ++Counts[static_cast<size_t>(E.Kind)];
   Os << "# trace summary (" << traceEventCount() << " events, "
      << traceDropped() << " dropped)\n";
   for (size_t K = 0; K < static_cast<size_t>(TraceEv::kCount); ++K)
@@ -231,5 +224,4 @@ void rjit::obs::traceSummary(std::ostream &Os) {
 void rjit::obs::traceReset() {
   for (const auto &B : bufferSnapshot())
     B->reset();
-  clearVersionTimelines();
 }

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// A lock-free, per-thread ring-buffer event tracer for the runtime events
-/// the paper's evaluation reasons about: compile start/finish (with queue
-/// wait), publication/retire/reclaim, true deoptimizations, deoptless
-/// attempt/hit/compile/reject, OSR-in, guard failures, native enter and
-/// side exits, and injected invalidation.
+/// the paper's evaluation reasons about: version creation, compile
+/// start/finish (with queue wait), publication/retire/reclaim, true
+/// deoptimizations and the version they are charged to, blacklisting,
+/// deoptless attempt/hit/compile/reject, OSR-in, guard failures, native
+/// enter and side exits, and injected invalidation.
 ///
 /// Design constraints, in order:
 ///
@@ -32,6 +33,17 @@
 ///    JSON format (load in Perfetto / chrome://tracing); traceSummary()
 ///    prints per-kind counts for humans.
 ///
+/// The rings are also the VM's only record of each version's history.
+/// Every FnVersion carries an id (nextVersionId(), minted when its table
+/// entry is created and kept across the Fig. 1 retire/recompile cycle),
+/// and each transition of that version is one event with the id in A:
+/// version-create, compile (B = CompileKindFn), publish (B =
+/// CompileKindFn), version-deopt (a true deopt charged to the version),
+/// version-blacklist, retire (code moved to the graveyard) and reclaim
+/// (graveyarded code freed). Those seven kinds filtered by one id replay
+/// that version's timeline; all but compile are in the export's
+/// `lifecycle` category.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RJIT_OBS_TRACE_H
@@ -46,39 +58,11 @@
 namespace rjit {
 namespace obs {
 
-/// The typed runtime events. Keep in sync with the name/category tables in
-/// trace.cpp and the schema documented in README "Observability".
+/// The typed runtime events, one per obs/trace.def entry (which documents
+/// each kind's payloads).
 enum class TraceEv : uint8_t {
-  CompileStart,    ///< a compile begins; A = version id, B = kind
-                   ///< (CompileKindFn/Osr/Cont)
-  CompileFinish,   ///< duration event; A = version id (bc pc for OSR /
-                   ///< continuation compiles), B = kind
-  CompileJob,      ///< background job run; Dur = run time, A = queue-wait ns
-  Publish,         ///< code published; A = version id, B = kind
-  Retire,          ///< executable moved to the graveyard; A = version id
-  Reclaim,         ///< graveyarded executable freed (dispatch-boundary
-                   ///< safepoint once its retire epoch drains, or the
-                   ///< teardown fallback); A = version id
-  Deopt,           ///< a true deoptimization (OSR-out); Dur covers frame
-                   ///< materialization + baseline resume, A = bc pc
-  DeoptlessAttempt,///< a deopt event offered to deoptless; A = bc pc
-  DeoptlessHit,    ///< dispatched to an existing continuation; A = bc pc
-  DeoptlessCompile,///< a fresh continuation was compiled; A = bc pc
-  DeoptlessReject, ///< fell through to a true deopt; A = bc pc
-  OsrIn,           ///< interpreter -> optimized transfer; A = bc pc
-  GuardFail,       ///< a dynamic guard failed (interpreter); A = low pc,
-                   ///< B = 1 when injected
-  NativeEnter,     ///< an activation entered template-JIT code; A =
-                   ///< version id (0 for OSR/continuation code)
-  NativeSideExit,  ///< a native guard took its side-exit stub; A = low pc,
-                   ///< B = 1 when injected
-  Invalidate,      ///< the random-invalidation countdown fired (§5.1)
-  GcCollect,       ///< heap cycle collection at the safepoint (or the
-                   ///< teardown fallback); Dur = stop-the-world pause,
-                   ///< A = bytes freed, B = objects collected
-  NativeLinkPatch, ///< a native call site was direct-linked to (B = 1)
-                   ///< or unlinked from (B = 0) a version's code; A =
-                   ///< the target version's ObsId
+#define TRACE_EV(Kind, Name, Cat) Kind,
+#include "obs/trace.def"
   kCount
 };
 
@@ -171,12 +155,21 @@ void traceEnd();
 void traceEvent(TraceEv Kind, uint64_t DurNanos = 0, uint64_t A = 0,
                 uint64_t B = 0);
 
+/// Mints a fresh version id (process-wide, never 0). Ids are minted
+/// whether or not tracing is on, so versions created before tracing was
+/// switched on still key their later events correctly.
+uint64_t nextVersionId();
+
 /// Total events recorded / dropped across every thread's ring.
 uint64_t traceEventCount();
 uint64_t traceDropped();
 
 /// Count of recorded events of \p Kind across all rings (tests).
 uint64_t traceCountOf(TraceEv Kind);
+
+/// Every recorded event, ring by ring, each ring in recording order
+/// (tests and post-run reporting).
+std::vector<TraceEvent> traceEvents();
 
 /// Writes the Chrome trace-event JSON ({"traceEvents":[...]}; open in
 /// Perfetto or chrome://tracing). Concurrent recording into *other*
@@ -190,7 +183,7 @@ bool writeChromeTrace(const std::string &Path);
 /// Human-readable per-kind event counts (plus drops), one line each.
 void traceSummary(std::ostream &Os);
 
-/// Zeroes every ring, the drop counters and the version lifecycle log.
+/// Zeroes every ring and the drop counters.
 /// Quiescent-point only: no thread may be recording concurrently.
 void traceReset();
 

@@ -180,7 +180,6 @@ struct LoopHoister {
   IrCode &C;
   const DomTree &DT;
   NaturalLoop &L;
-  const LoopOptOptions &Opts;
   LoopOptStats &Stats;
   std::vector<BB *> BodyRpo;  ///< loop blocks in reverse post-order
   std::vector<BB *> Exiting;  ///< loop blocks with a successor outside
@@ -378,44 +377,40 @@ LoopOptStats rjit::runLoopOpts(IrCode &C, const LoopOptOptions &Opts) {
   if (Opts.ElimRedundantGuards)
     Stats.EliminatedGuards += elimRedundantGuards(C);
 
-  if (Opts.HoistInstrs || Opts.HoistGuards) {
-    DomTree DT(C);
-    std::vector<NaturalLoop> Loops = findLoops(C, DT);
-    if (!Loops.empty()) {
-      // Preheader synthesis first; any CFG change invalidates the
-      // dominator tree and the loop body sets (an inner preheader belongs
-      // to the enclosing loop), so recompute and re-locate before
-      // hoisting.
-      for (NaturalLoop &L : Loops)
-        ensurePreheader(C, L);
-      DomTree DTF(C);
-      Loops = findLoops(C, DTF);
-      for (NaturalLoop &L : Loops) {
-        bool Again = ensurePreheader(C, L);
-        assert(!Again && "preheader synthesis must be idempotent");
-        (void)Again;
-      }
+  DomTree DT(C);
+  std::vector<NaturalLoop> Loops = findLoops(C, DT);
+  if (!Loops.empty()) {
+    // Preheader synthesis first; any CFG change invalidates the
+    // dominator tree and the loop body sets (an inner preheader belongs
+    // to the enclosing loop), so recompute and re-locate before
+    // hoisting.
+    for (NaturalLoop &L : Loops)
+      ensurePreheader(C, L);
+    DomTree DTF(C);
+    Loops = findLoops(C, DTF);
+    for (NaturalLoop &L : Loops) {
+      bool Again = ensurePreheader(C, L);
+      assert(!Again && "preheader synthesis must be idempotent");
+      (void)Again;
+    }
 
-      // Innermost-first: what lands in an inner preheader is inside the
-      // enclosing loop and gets hoisted again when that loop is invariant
-      // in it too.
-      std::vector<BB *> Rpo = C.rpo();
-      for (NaturalLoop &L : Loops) {
-        LoopHoister H{C, DTF, L, Opts, Stats, {}, {}};
-        for (BB *B : Rpo)
-          if (L.contains(B)) {
-            H.BodyRpo.push_back(B);
-            for (BB *S : {B->Succs[0], B->Succs[1]})
-              if (S && !L.contains(S)) {
-                H.Exiting.push_back(B);
-                break;
-              }
-          }
-        if (Opts.HoistInstrs)
-          H.hoistInstrs();
-        if (Opts.HoistGuards)
-          H.hoistGuards();
-      }
+    // Innermost-first: what lands in an inner preheader is inside the
+    // enclosing loop and gets hoisted again when that loop is invariant
+    // in it too.
+    std::vector<BB *> Rpo = C.rpo();
+    for (NaturalLoop &L : Loops) {
+      LoopHoister H{C, DTF, L, Stats, {}, {}};
+      for (BB *B : Rpo)
+        if (L.contains(B)) {
+          H.BodyRpo.push_back(B);
+          for (BB *S : {B->Succs[0], B->Succs[1]})
+            if (S && !L.contains(S)) {
+              H.Exiting.push_back(B);
+              break;
+            }
+        }
+      H.hoistInstrs();
+      H.hoistGuards();
     }
   }
 

@@ -129,16 +129,12 @@ std::unique_ptr<IrCode> rjit::optimizeToIr(Function *Fn, CallConv Conv,
         Changed |= inferTypes(*C);
         if (!Gate("inference"))
           return false;
-        if (Opts.TypedOps) {
-          Changed |= lowerTypedOps(*C);
-          if (!Gate("lowertyped"))
-            return false;
-        }
-        if (Opts.FoldConstants) {
-          Changed |= foldConstants(*C);
-          if (!Gate("constfold"))
-            return false;
-        }
+        Changed |= lowerTypedOps(*C);
+        if (!Gate("lowertyped"))
+          return false;
+        Changed |= foldConstants(*C);
+        if (!Gate("constfold"))
+          return false;
         Changed |= deadCodeElim(*C);
         if (!Gate("dce"))
           return false;

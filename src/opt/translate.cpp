@@ -8,6 +8,7 @@
 
 #include "compile/snapshot.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -63,7 +64,7 @@ public:
       : Fn(Fn), Conv(Conv), Entry(Entry), Opts(Opts) {}
 
   std::unique_ptr<IrCode> run() {
-    bool Elidable = Opts.ElideEnv && envIsElidable(*Fn);
+    bool Elidable = envIsElidable(*Fn);
     switch (Conv) {
     case CallConv::FullEnv:
       RealEnv = true;
@@ -485,7 +486,7 @@ private:
     // test, so a zero-trip loop stays correct. Anchored checkpoints are
     // DCE roots until opt/licm consumes and clears them.
     if (BI.IsLoopHeader && BI.UsesPhis && Opts.Speculate &&
-        Opts.Loop.Enabled && Opts.Loop.HoistGuards) {
+        Opts.Loop.Enabled) {
       CurPc = BI.Start;
       checkpoint()->Anchor = true;
     }
@@ -511,9 +512,12 @@ private:
   void finalizeFallthroughs() {
     // All blocks must be terminated; translateBlock handles every case
     // (Return/Branch/fallthrough), so nothing to do — kept as an assert.
-    for (auto &[Pc, BI] : Blocks)
-      assert((!BI.Translated || BI.Bb->terminated()) &&
-             "untranslated or unterminated block");
+    assert(std::all_of(Blocks.begin(), Blocks.end(),
+                       [](const auto &KV) {
+                         return !KV.second.Translated ||
+                                KV.second.Bb->terminated();
+                       }) &&
+           "untranslated or unterminated block");
   }
 
   //===-- Speculation helpers -----------------------------------------------//

@@ -70,14 +70,12 @@ struct InlineOptions {
 /// cannot drift apart; Vm::Config::LoopOpts is the single source of truth.
 struct LoopOptOptions {
   bool Enabled = true;            ///< master switch for the loop layer
-  bool HoistInstrs = true;        ///< LICM of safe pure instructions
-  bool HoistGuards = true;        ///< hoist loop-invariant guards
   bool ElimRedundantGuards = true;///< drop guards dominated by equivalents
 };
 
 /// The one definition of "debug builds verify between passes": both
 /// structs that carry the knob (Vm::Config and OptOptions, which every
-/// compile entry point receives from Vm::Config::optView) default from
+/// compile entry point receives from Vm::optView) default from
 /// this constant so the tiers cannot drift apart.
 #ifndef NDEBUG
 inline constexpr bool VerifyPassesDefault = true;
@@ -90,9 +88,6 @@ class ExecBackend;
 /// Translation/optimization knobs.
 struct OptOptions {
   bool Speculate = true;       ///< insert Assume guards from feedback
-  bool ElideEnv = true;        ///< allow environment elision
-  bool TypedOps = true;        ///< strength-reduce generic ops
-  bool FoldConstants = true;
   InlineOptions Inline;
   LoopOptOptions Loop;
   /// Run the IR verifier between every optimization pass (the invariant

@@ -27,83 +27,22 @@
 
 namespace rjit {
 
-/// Counters for the events the paper's evaluation reports on. Copyable so
-/// harness code can snapshot/diff it by value.
+/// Counters for the events the paper's evaluation reports on, one member
+/// per support/stats.def entry. Copyable so harness code can snapshot/diff
+/// it by value.
 struct VmStats {
-  RelaxedCounter Compilations;        ///< whole-function optimizing compiles
-  RelaxedCounter OsrInCompilations;   ///< OSR-in continuation compiles
-  RelaxedCounter OsrInEntries;        ///< transfers interpreter -> native
-  RelaxedCounter Deopts;              ///< true deoptimizations (OSR-out)
-  RelaxedCounter DeoptlessAttempts;   ///< deopt events offered to deoptless
-  RelaxedCounter DeoptlessHits;       ///< dispatched to an existing continuation
-  RelaxedCounter DeoptlessCompiles;   ///< newly compiled continuations
-  RelaxedCounter DeoptlessRejected;   ///< fell through to a true deopt
-  RelaxedCounter AssumeChecks;        ///< dynamic Assume guard executions
-  RelaxedCounter AssumeFailures;      ///< failed guards (incl. injected ones)
-  RelaxedCounter InjectedFailures;    ///< random invalidation-mode triggers
-  RelaxedCounter Reoptimizations;     ///< profile-driven recompiles (Fig. 11)
-  RelaxedCounter CtxVersions;         ///< context-specialized versions compiled
-  RelaxedCounter CtxDispatchHits;     ///< calls run by a specialized version
-  RelaxedCounter CtxDispatchMisses;   ///< context-dispatch calls that fell back
-                                      ///< to the generic version or baseline
-  RelaxedCounter InlinedCalls;        ///< call sites spliced by opt/inline
-  RelaxedCounter HoistedInstrs;       ///< pure instructions LICM moved into
-                                      ///< a loop preheader
-  RelaxedCounter HoistedGuards;       ///< loop-invariant guards re-anchored
-                                      ///< to a preheader frame state
-  RelaxedCounter EliminatedGuards;    ///< guards removed as dominated by an
-                                      ///< equivalent guard
-  RelaxedCounter MultiFrameDeopts;    ///< OSR-outs that rebuilt >1 frame
-  RelaxedCounter InlineFramesMaterialized; ///< interpreter frames synthesized
-                                      ///< for inlined callers on OSR-out /
-                                      ///< after a deoptless continuation
-  RelaxedCounter DeoptlessInlineDispatches; ///< deoptless dispatches keyed on
-                                      ///< an inlined (innermost) frame
-  RelaxedCounter AsyncCompiles;       ///< jobs executed by the compiler pool
-  RelaxedGauge CompileQueueDepth;     ///< queued (not yet popped) requests;
-                                      ///< highWater() is the depth peak
-  RelaxedCounter WarmupPausesAvoided; ///< dispatches that kept running the
-                                      ///< baseline while a background
-                                      ///< compile was pending instead of
-                                      ///< pausing to compile synchronously
-  RelaxedCounter NativeCompiles;      ///< executables emitted by the x86-64
-                                      ///< template-JIT backend
-  RelaxedCounter NativeEnters;        ///< activations entered through
-                                      ///< native (template-JIT) code
-  RelaxedCounter NativeLinkedTransfers; ///< calls transferred native-to-
-                                      ///< native through a direct-linked
-                                      ///< call site (bypassing full VM
-                                      ///< dispatch)
-  RelaxedCounter NativeFusedOps;      ///< LowCode instruction pairs the
-                                      ///< v2 tier emitted as one fused
-                                      ///< superinstruction (compile time)
-  RelaxedCounter NativeRegSpills;     ///< raw-slot live ranges with uses
-                                      ///< that were denied a register
-                                      ///< home (pool exhausted)
-  RelaxedCounter CowCopies;           ///< shared vectors copied for an
-                                      ///< element write (copy-on-write);
-                                      ///< in-place writes do not count
-  RelaxedGauge GraveyardSize;         ///< retired executables awaiting
-                                      ///< safepoint reclamation; the
-                                      ///< owning Vm re-syncs the level
-                                      ///< (setLevel) on every retire and
-                                      ///< reclaim, so a mid-run
-                                      ///< resetStats() self-heals;
-                                      ///< highWater() is the peak
-                                      ///< population since the reset
-  RelaxedCounter GcCollections;       ///< heap cycle-collector passes run
-                                      ///< (safepoint-triggered + teardown)
-  RelaxedCounter GcFreedBytes;        ///< bytes reclaimed by cycle
-                                      ///< collection (refcount-unreachable
-                                      ///< Env/closure/list cycles)
-  RelaxedGauge HeapLiveBytes;         ///< live value-heap bytes; re-synced
-                                      ///< (setLevel) on every tracked
-                                      ///< alloc/free, so it self-heals
-                                      ///< after resetStats; highWater() is
-                                      ///< the heap peak since the reset
+#define VM_COUNTER(Member, Name) RelaxedCounter Member;
+#define VM_GAUGE(Member, Name) RelaxedGauge Member;
+#include "support/stats.def"
 
-  /// Difference of two snapshots, counter by counter.
+  /// Difference of two snapshots: counters subtract; a gauge carries this
+  /// (the later) snapshot's level and high-water, since a per-phase
+  /// difference of levels would be meaningless.
   VmStats operator-(const VmStats &O) const;
+
+  /// Adds \p O's counters; gauges take \p O's level and high-water (\p O
+  /// is the later snapshot).
+  VmStats &operator+=(const VmStats &O);
 };
 
 /// Process-wide statistics instance.

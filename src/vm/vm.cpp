@@ -59,18 +59,18 @@ InlineOptions Vm::Config::inlineView() const {
   return I;
 }
 
-OptOptions Vm::Config::optView() const {
+OptOptions Vm::optView() const {
   OptOptions O;
-  O.Speculate = Speculate;
-  O.Inline = inlineView();
-  O.Loop = LoopOpts;
-  O.VerifyEachPass = VerifyBetweenPasses;
-  O.Backend = Backend;
+  O.Speculate = Cfg.Speculate;
+  O.Inline = Cfg.inlineView();
+  O.Loop = Cfg.LoopOpts;
+  O.VerifyEachPass = Cfg.VerifyBetweenPasses;
+  O.Backend = ActiveBackend;
   return O;
 }
 
-VersionCompileOpts Vm::Config::versionView() const {
-  return {optView(), ContextDispatch};
+VersionCompileOpts Vm::versionView() const {
+  return {optView(), Cfg.ContextDispatch};
 }
 
 namespace rjit {
@@ -99,6 +99,7 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
   // (condensed form of the DLS'20 sampling strategy). Sampling state is
   // per version: each specialization re-validates its own profile.
   if (Ver && V->Cfg.Strategy == TierStrategy::ProfileDrivenReopt &&
+      V->Cfg.ReoptSampleEvery &&
       ++Ver->CallsSinceSample % V->Cfg.ReoptSampleEvery == 0) {
     Value R = callClosureBaseline(Clos, std::move(Args));
     if (feedbackHash(*Fn, CtxDispatch) != Ver->FeedbackHash) {
@@ -108,7 +109,7 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
       }
       if (V->Cfg.BackgroundCompile)
         requestVersionCompile(*V->ActivePool, V, Fn, Ver->Ctx,
-                              &TS.Versions, V->Cfg.versionView());
+                              &TS.Versions, V->versionView());
       else
         V->compileVersion(Fn, Ver->Ctx);
       ++stats().Reoptimizations;
@@ -122,7 +123,7 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
       // synchronous compile becomes one more profiled baseline execution.
       // The version appears to a later call via atomic publication.
       if (requestVersionCompile(*V->ActivePool, V, Fn, Ctx, &TS.Versions,
-                                V->Cfg.versionView()))
+                                V->versionView()))
         ++stats().WarmupPausesAvoided;
       Ver = TS.Versions.dispatch(Ctx); // racing publication may be done
     } else {
@@ -227,7 +228,7 @@ Value vmDeoptHandler(const LowFunction &F, std::vector<Value> &Slots,
     Value Result;
     if (tryDeoptless(F, Slots, Meta, ParentEnv, Injected,
                      Owner.Continuations,
-                     {V->Cfg.optView(), V->Cfg.FeedbackCleanup,
+                     {V->optView(), V->Cfg.FeedbackCleanup,
                       V->ActivePool, V},
                      Result))
       return Result;
@@ -254,7 +255,7 @@ bool vmOsrInHook(Function *Fn, Env *E, std::vector<Value> &Stack, int32_t Pc,
     return false;
   EntryState Entry = buildOsrEntryState(Fn, E, Stack, Pc);
   std::unique_ptr<ExecutableCode> Code =
-      compileOsrInCode(Fn, Entry, V->config().optView());
+      compileOsrInCode(Fn, Entry, V->optView());
   if (!Code) {
     TS.OsrInFailed = true;
     return false;
@@ -281,7 +282,7 @@ bool vmBackgroundOsrInHook(Function *Fn, Env *E, std::vector<Value> &Stack,
     return true;
   }
   if (requestOsrCompile(*V->pool(), V, Fn, Entry, &TS.Osr,
-                        V->config().optView()))
+                        V->optView()))
     ++stats().WarmupPausesAvoided;
   return false;
 }
@@ -308,24 +309,18 @@ Vm::Vm(Config C) : Cfg(C), Executor(std::this_thread::get_id()) {
   Global->retain();
   installBuiltins(*Global);
 
-  // Resolve the execution backend: an injected one wins; otherwise the
-  // native tier when requested *and* constructible on this host (runtime
-  // architecture detection — non-x86-64 hosts keep the interpreter); the
-  // threaded interpreter as the portable fallback.
-  ActiveBackend = Cfg.Backend;
-  if (!ActiveBackend && Cfg.NativeTier) {
+  // Resolve the execution backend: the native tier when requested *and*
+  // constructible on this host (runtime architecture detection — non-x86-64
+  // hosts keep the interpreter); the threaded interpreter as the portable
+  // fallback.
+  if (Cfg.NativeTier)
     OwnBackend = makeNativeBackend(Cfg.NativeV2);
-    ActiveBackend = OwnBackend.get();
-  }
-  if (!ActiveBackend)
-    ActiveBackend = &interpBackend();
-  Cfg.Backend = ActiveBackend; // views (versionView etc.) carry it to jobs
+  ActiveBackend = OwnBackend ? OwnBackend.get() : &interpBackend();
 
   if (Cfg.BackgroundCompile) {
     ActivePool = Cfg.Pool;
     if (!ActivePool) {
-      OwnPool = std::make_unique<CompilerPool>(Cfg.CompilerThreads,
-                                               Cfg.CompileQueueCap);
+      OwnPool = std::make_unique<CompilerPool>(Cfg.CompilerThreads);
       ActivePool = OwnPool.get();
     }
   }
@@ -333,9 +328,14 @@ Vm::Vm(Config C) : Cfg(C), Executor(std::this_thread::get_id()) {
   resetStats();
   obs::resetMetrics();
   interpHooks().CallClosure = vmDispatchCall;
-  interpHooks().OsrIn =
-      Cfg.OsrIn ? (Cfg.BackgroundCompile ? vmBackgroundOsrInHook : vmOsrInHook)
-                : nullptr;
+  // BaselineOnly is the reference semantics: no optimized code, OSR-in
+  // included. A zero threshold turns OSR-in off; without a hook the
+  // interpreter's backedge never divides by it.
+  if (Cfg.Strategy != TierStrategy::BaselineOnly && Cfg.OsrThreshold)
+    interpHooks().OsrIn =
+        Cfg.BackgroundCompile ? vmBackgroundOsrInHook : vmOsrInHook;
+  else
+    interpHooks().OsrIn = nullptr;
   interpHooks().OsrThreshold = Cfg.OsrThreshold;
 
   lowHooks().Deopt = vmDeoptHandler;
@@ -432,12 +432,8 @@ void Vm::reclaimGraveyard(bool IgnoreEpochs) {
   if (!N)
     return;
   if (obs::traceOn())
-    for (size_t I = 0; I < N; ++I) {
-      const std::unique_ptr<ExecutableCode> &Code = Graveyard[I].Code;
-      obs::traceEvent(obs::TraceEv::Reclaim, 0, Code->obsId());
-      if (Code->obsId())
-        obs::recordVersionEvent(Code->obsId(), obs::VerEvent::Reclaimed);
-    }
+    for (size_t I = 0; I < N; ++I)
+      obs::traceEvent(obs::TraceEv::Reclaim, 0, Graveyard[I].Code->obsId());
   // Destroying the executables frees their backing code too: the native
   // tier's destructor returns the per-function W^X mapping to the OS.
   Graveyard.erase(Graveyard.begin(),
@@ -513,11 +509,11 @@ void Vm::retireDeopted(const LowFunction &Code) {
     toGraveyard(Ver->retire());
   ++Ver->DeoptCount;
   if (obs::traceOn())
-    obs::recordVersionEvent(Ver->ObsId, obs::VerEvent::Deopted);
-  if (Ver->DeoptCount >= Cfg.DeoptBlacklist) {
+    obs::traceEvent(obs::TraceEv::VersionDeopt, 0, Ver->ObsId);
+  if (Ver->DeoptCount >= Cfg.DeoptBlacklist && !Ver->Blacklisted) {
     Ver->Blacklisted = true;
     if (obs::traceOn())
-      obs::recordVersionEvent(Ver->ObsId, obs::VerEvent::Blacklisted);
+      obs::traceEvent(obs::TraceEv::VersionBlacklist, 0, Ver->ObsId);
   }
   // Re-warm before recompiling so the baseline can collect fresh feedback
   // (Fig. 1: deopt -> profile -> recompile).
@@ -533,7 +529,7 @@ FnVersion *Vm::compileVersion(Function *Fn, const CallContext &Ctx) {
   // The shared synchronous/background entry point (compile/service):
   // background jobs run exactly this, under a feedback-snapshot scope.
   return compileAndPublishVersion(Fn, Ctx, stateFor(Fn).Versions,
-                                  Cfg.versionView());
+                                  versionView());
 }
 
 Value Vm::eval(const std::string &Source) {

@@ -93,13 +93,14 @@ public:
     TierStrategy Strategy = TierStrategy::Normal;
     uint32_t CompileThreshold = 3; ///< closure calls before optimizing
     uint32_t OsrThreshold = 200;   ///< interpreter backedges before OSR-in
-    bool OsrIn = true;
+                                   ///< (0 = never OSR-in)
     uint64_t InvalidationRate = 0; ///< 1-in-N random guard failures (§5.1)
     uint64_t InvalidationSeed = 12345;
     bool FeedbackCleanup = true;   ///< §4.3 cleanup pass (ablation)
     uint32_t MaxContinuations = 5; ///< dispatch table bound
     uint32_t DeoptBlacklist = 50;  ///< deopts before giving up on a fn
     uint64_t ReoptSampleEvery = 20;///< ProfileDrivenReopt sampling period
+                                   ///< (0 = never sample)
     bool Speculate = true;         ///< insert Assumes at all (ablation)
 
     /// Contextual dispatch (ablation toggle, orthogonal to Strategy):
@@ -122,9 +123,9 @@ public:
     /// Loop optimization layer (orthogonal to Strategy, on by default):
     /// dominator/loop analysis drives LICM, loop-invariant guard hoisting
     /// (guards re-anchored to a preheader frame state, so a failure
-    /// deopts *before* the loop) and redundant-guard elimination. The
-    /// struct carries per-pass off switches; LoopOpts.Enabled = false
-    /// reproduces the previous per-iteration-guard behavior exactly.
+    /// deopts *before* the loop) and redundant-guard elimination.
+    /// LoopOpts.Enabled = false reproduces the previous per-iteration-guard
+    /// behavior exactly; ElimRedundantGuards switches off that pass alone.
     LoopOptOptions LoopOpts;
     /// Run the IR verifier between every optimization pass (structural
     /// breakage fails the compile at the offending pass). Defaults on in
@@ -190,15 +191,9 @@ public:
     /// deterministic test mode: jobs run only inside drainCompiles(), in
     /// FIFO order, on the draining thread.
     unsigned CompilerThreads = 2;
-    size_t CompileQueueCap = 256; ///< queue bound (backpressure)
     /// A pool shared with other Vms (e.g. one pool, N executor threads).
     /// Not owned; must outlive the Vm. Null: the Vm creates its own.
     CompilerPool *Pool = nullptr;
-
-    /// An injected execution backend (advanced embedding / tests). Not
-    /// owned; must outlive the Vm. Null: the Vm resolves one from
-    /// NativeTier (its own native backend, or the interpreter).
-    ExecBackend *Backend = nullptr;
 
     /// Runtime event tracing (src/obs/): while enabled, every tier event
     /// (compiles, publications, deopts, deoptless dispatches, OSR
@@ -216,16 +211,9 @@ public:
       uint32_t BufferCapacity = 0;
     } Trace;
 
-    /// The optimizer view: the OptOptions every compile entry point
-    /// (versions, OSR-in, deoptless continuations) runs under.
-    OptOptions optView() const;
-
     /// The inlining view: the InlineOptions every compile entry point
     /// (versions, OSR-in, deoptless continuations) receives.
     InlineOptions inlineView() const;
-
-    /// The version-compile view (knob copies compile jobs carry).
-    VersionCompileOpts versionView() const;
   };
 
   explicit Vm(Config Cfg);
@@ -266,6 +254,14 @@ public:
   /// The execution backend optimized code is prepared for (never null:
   /// the interpreter backend when no native tier is active).
   ExecBackend *backend() { return ActiveBackend; }
+
+  /// The optimizer view: the OptOptions every compile entry point
+  /// (versions, OSR-in, deoptless continuations) runs under, preparing
+  /// code for backend().
+  OptOptions optView() const;
+
+  /// The version-compile view (knob copies compile jobs carry).
+  VersionCompileOpts versionView() const;
 
   /// Barrier: waits until every compile request this Vm enqueued has been
   /// compiled and published (with a 0-thread pool, runs them inline).

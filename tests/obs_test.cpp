@@ -3,10 +3,10 @@
 // Part of the deoptless reproduction. MIT license.
 //
 // Covers the obs/ layer: TraceBuffer's write-once overflow discipline,
-// LatencyHistogram bucket/percentile math, the per-version lifecycle
-// timeline across the full Fig. 1 cycle (compile -> publish -> deopt ->
-// reopt -> retire -> reclaim), and the Chrome trace export's JSON
-// well-formedness.
+// LatencyHistogram bucket/percentile math, one version's lifecycle events
+// across the full Fig. 1 cycle (create -> compile -> publish -> deopt ->
+// reopt -> retire -> reclaim), the Chrome trace export's JSON
+// well-formedness, and the README glossary against the .def lists.
 //
 // Tests that touch the process-wide tracer run in declaration order and
 // clean up with traceReset(); the ring-capacity drop test records from a
@@ -14,7 +14,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "obs/lifecycle.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "vm/vm.h"
@@ -23,6 +22,8 @@
 
 #include <atomic>
 #include <cctype>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -219,8 +220,8 @@ TEST(MetricsRegistry, SnapshotAndResetConservesRegistryHistograms) {
 }
 
 //===----------------------------------------------------------------------===//
-// Process tracer + lifecycle timelines (declaration order matters below:
-// these tests share the process-wide rings)
+// Process tracer + version lifecycle events (declaration order matters
+// below: these tests share the process-wide rings)
 
 namespace {
 
@@ -248,12 +249,47 @@ void runDeoptCycle() {
     V.eval("r <- f(d, 100L)");
 }
 
-int indexOf(const std::vector<obs::VerTransition> &T, obs::VerEvent E,
+/// True for the seven kinds that record a version's transitions with its
+/// id in A (compile and publish only for whole-function code, B = kind).
+bool isLifecycleEvent(const obs::TraceEvent &E) {
+  switch (E.Kind) {
+  case obs::TraceEv::CompileFinish:
+  case obs::TraceEv::Publish:
+    return E.B == obs::CompileKindFn;
+  case obs::TraceEv::VersionCreate:
+  case obs::TraceEv::VersionDeopt:
+  case obs::TraceEv::VersionBlacklist:
+  case obs::TraceEv::Retire:
+  case obs::TraceEv::Reclaim:
+    return true;
+  default:
+    return false;
+  }
+}
+
+/// The lifecycle events of every version id, in recording order.
+std::map<uint64_t, std::vector<obs::TraceEvent>> versionTimelines() {
+  std::map<uint64_t, std::vector<obs::TraceEvent>> T;
+  for (const obs::TraceEvent &E : obs::traceEvents())
+    if (isLifecycleEvent(E))
+      T[E.A].push_back(E);
+  return T;
+}
+
+int indexOf(const std::vector<obs::TraceEvent> &T, obs::TraceEv K,
             size_t From) {
-  for (size_t K = From; K < T.size(); ++K)
-    if (T[K].Event == E)
-      return static_cast<int>(K);
+  for (size_t I = From; I < T.size(); ++I)
+    if (T[I].Kind == K)
+      return static_cast<int>(I);
   return -1;
+}
+
+std::string kindName(obs::TraceEv K) {
+  static const char *Names[] = {
+#define TRACE_EV(Kind, Name, Cat) Name,
+#include "obs/trace.def"
+  };
+  return Names[static_cast<size_t>(K)];
 }
 
 /// Minimal JSON syntax checker: enough to reject unbalanced structure,
@@ -391,46 +427,48 @@ TEST(Lifecycle, FullDeoptCycleOnOneVersionId) {
   // dispatch-boundary safepoint once the retire epoch drains (teardown
   // is only the fallback; ReclaimFiresMidRunBeforeTeardown below pins
   // which of the two it is).
+  std::map<uint64_t, std::vector<obs::TraceEvent>> Timelines =
+      versionTimelines();
   bool FoundCycle = false;
-  for (uint64_t Id : obs::versionIds()) {
-    std::vector<obs::VerTransition> T = obs::versionTimeline(Id);
-    int Created = indexOf(T, obs::VerEvent::Created, 0);
+  for (const auto &[Id, T] : Timelines) {
+    int Created = indexOf(T, obs::TraceEv::VersionCreate, 0);
     if (Created < 0)
       continue;
-    int Compiled = indexOf(T, obs::VerEvent::Compiled, Created + 1);
+    int Compiled = indexOf(T, obs::TraceEv::CompileFinish, Created + 1);
     if (Compiled < 0)
       continue;
-    int Published = indexOf(T, obs::VerEvent::Published, Compiled + 1);
+    int Published = indexOf(T, obs::TraceEv::Publish, Compiled + 1);
     if (Published < 0)
       continue;
-    int Deopted = indexOf(T, obs::VerEvent::Deopted, Published + 1);
+    int Deopted = indexOf(T, obs::TraceEv::VersionDeopt, Published + 1);
     if (Deopted < 0)
       continue;
-    int Reopt = indexOf(T, obs::VerEvent::Published, Deopted + 1);
+    int Reopt = indexOf(T, obs::TraceEv::Publish, Deopted + 1);
     // The stale code is withdrawn *before* the deopt is charged (the
     // guard failure retires the version, then the deopt materializes
-    // frames), so Retired sits between the first publication and the
+    // frames), so the retire sits between the first publication and the
     // re-publication.
-    int Retired = indexOf(T, obs::VerEvent::Retired, Published + 1);
-    int Reclaimed = indexOf(T, obs::VerEvent::Reclaimed, Deopted + 1);
+    int Retired = indexOf(T, obs::TraceEv::Retire, Published + 1);
+    int Reclaimed = indexOf(T, obs::TraceEv::Reclaim, Deopted + 1);
     if (Reopt >= 0 && Retired >= 0 && Reclaimed >= 0) {
       FoundCycle = true;
-      // Timestamps are monotone along the timeline.
+      // Created once; timestamps are monotone along the timeline.
+      EXPECT_EQ(indexOf(T, obs::TraceEv::VersionCreate, Created + 1), -1);
       for (size_t K = 1; K < T.size(); ++K)
-        EXPECT_GE(T[K].TsNanos, T[K - 1].TsNanos);
+        EXPECT_GE(T[K].Ts, T[K - 1].Ts);
       break;
     }
   }
   if (!FoundCycle) {
     std::ostringstream Dump;
-    for (uint64_t Id : obs::versionIds()) {
+    for (const auto &[Id, T] : Timelines) {
       Dump << "id " << Id << ":";
-      for (const obs::VerTransition &T : obs::versionTimeline(Id))
-        Dump << " " << obs::verEventName(T.Event);
+      for (const obs::TraceEvent &E : T)
+        Dump << " " << kindName(E.Kind);
       Dump << "\n";
     }
-    ADD_FAILURE() << "no version timeline shows compile -> publish -> "
-                     "deopt -> republish -> retire -> reclaim\n"
+    ADD_FAILURE() << "no version timeline shows create -> compile -> "
+                     "publish -> deopt -> republish -> retire -> reclaim\n"
                   << Dump.str();
   }
 
@@ -453,11 +491,11 @@ TEST(Lifecycle, ReclaimFiresMidRunBeforeTeardown) {
 
   // A mid-run reopt cycle: warm on ints, deopt on the double phase
   // (retire), then keep dispatching. The dispatch-boundary safepoint must
-  // reclaim the retired executable while the Vm is still running — both
-  // the Reclaim trace event and the Reclaimed lifecycle transition have
-  // to be observable *before* teardown.
+  // reclaim the retired executable while the Vm is still running: a
+  // Reclaim event carrying the version's id has to be observable *before*
+  // teardown.
   uint64_t ReclaimsWhileAlive = 0;
-  bool TimelineReclaimedWhileAlive = false;
+  bool VersionReclaimedWhileAlive = false;
   {
     Vm V(tracedConfig());
     V.eval("f <- function(v, n) { s <- 0\n"
@@ -470,16 +508,51 @@ TEST(Lifecycle, ReclaimFiresMidRunBeforeTeardown) {
     for (int K = 0; K < 6; ++K)
       V.eval("r <- f(d, 100L)");
     ReclaimsWhileAlive = obs::traceCountOf(obs::TraceEv::Reclaim);
-    for (uint64_t Id : obs::versionIds())
-      for (const obs::VerTransition &T : obs::versionTimeline(Id))
-        if (T.Event == obs::VerEvent::Reclaimed)
-          TimelineReclaimedWhileAlive = true;
+    for (const auto &[Id, T] : versionTimelines())
+      if (Id && indexOf(T, obs::TraceEv::Reclaim, 0) >= 0)
+        VersionReclaimedWhileAlive = true;
   }
   EXPECT_GT(ReclaimsWhileAlive, 0u)
       << "the safepoint must reclaim drained graveyard entries mid-run, "
          "not leave them all for teardown";
-  EXPECT_TRUE(TimelineReclaimedWhileAlive)
-      << "a version timeline must record Reclaimed while the Vm is alive";
+  EXPECT_TRUE(VersionReclaimedWhileAlive)
+      << "a version's reclaim must be recorded while the Vm is alive";
+}
+
+TEST(Lifecycle, BlacklistIsOneEventAfterTheDeoptBudget) {
+  obs::traceBegin();
+  obs::traceReset();
+  obs::traceEnd();
+
+  // An injected guard failure deopts the version, which exhausts a deopt
+  // budget of one: the version is blacklisted once, after its deopt, and
+  // later calls run the baseline.
+  Vm::Config C = tracedConfig();
+  C.InvalidationRate = 50;
+  C.DeoptBlacklist = 1;
+  {
+    Vm V(C);
+    V.eval("f <- function(v, n) { s <- 0L\n"
+           "  for (i in 1:n) s <- s + v[[i]]\n"
+           "  s }");
+    V.eval("d <- 1:100");
+    for (int K = 0; K < 20; ++K)
+      EXPECT_EQ(V.eval("f(d, 100L)").toInt(), 5050);
+  }
+  size_t Blacklisted = 0;
+  for (const auto &[Id, T] : versionTimelines()) {
+    int At = indexOf(T, obs::TraceEv::VersionBlacklist, 0);
+    if (At < 0)
+      continue;
+    ++Blacklisted;
+    EXPECT_EQ(indexOf(T, obs::TraceEv::VersionBlacklist, At + 1), -1)
+        << "id " << Id;
+    int Deopts = 0;
+    for (int K = 0; K < At; ++K)
+      Deopts += T[K].Kind == obs::TraceEv::VersionDeopt;
+    EXPECT_EQ(Deopts, 1) << "id " << Id;
+  }
+  EXPECT_EQ(Blacklisted, 1u);
 }
 
 // Suite name ordering matters: gtest runs suites in first-registration
@@ -504,7 +577,7 @@ TEST(TraceExport, ChromeExportIsValidJson) {
   obs::traceReset();
   obs::traceEnd();
   EXPECT_EQ(obs::traceEventCount(), 0u);
-  EXPECT_TRUE(obs::versionIds().empty());
+  EXPECT_TRUE(obs::traceEvents().empty());
 }
 
 TEST(TraceRing, RingOverflowCountsDropsEndToEnd) {
@@ -524,4 +597,29 @@ TEST(TraceRing, RingOverflowCountsDropsEndToEnd) {
   obs::traceBegin(1 << 16);
   obs::traceReset();
   obs::traceEnd();
+}
+
+//===----------------------------------------------------------------------===//
+// README glossary: every counter, gauge, histogram and trace event the .def
+// lists declare has a row
+
+TEST(Glossary, ReadmeHasARowForEveryObservable) {
+  std::ifstream In(RJIT_README_PATH);
+  ASSERT_TRUE(In) << "cannot read " << RJIT_README_PATH;
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  const std::string Readme = Buf.str();
+  const char *Names[] = {
+#define VM_COUNTER(Member, Name) Name,
+#define VM_GAUGE(Member, Name) Name,
+#include "support/stats.def"
+#define VM_HISTOGRAM(Member, Name) Name,
+#include "obs/metrics.def"
+#define TRACE_EV(Kind, Name, Cat) Name,
+#include "obs/trace.def"
+  };
+  for (const char *Name : Names)
+    EXPECT_NE(Readme.find("| `" + std::string(Name) + "` |"),
+              std::string::npos)
+        << "README.md has no glossary row for `" << Name << "`";
 }

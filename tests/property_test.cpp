@@ -496,23 +496,7 @@ constexpr unsigned TotalFuzzPrograms = FuzzShards * ProgramsPerShard;
 // see runProgramPlain), but a future test touching them off-thread must
 // not become a silent data race.
 struct FuzzCoverage {
-  RelaxedCounter InlinedCalls;
-  RelaxedCounter MultiFrameDeopts;
-  RelaxedCounter InlineFramesMaterialized;
-  RelaxedCounter DeoptlessInlineDispatches;
-  RelaxedCounter DeoptlessCompiles;
-  RelaxedCounter Deopts;
-  RelaxedCounter Reoptimizations;
-  RelaxedCounter CtxDispatchHits;
-  RelaxedCounter HoistedGuards;
-  RelaxedCounter HoistedInstrs;
-  RelaxedCounter EliminatedGuards;
-  RelaxedCounter NativeEnters;
-  RelaxedCounter NativeCompiles;
-  RelaxedCounter NativeFusedOps;
-  RelaxedCounter NativeLinkedTransfers;
-  RelaxedCounter GcCollections;
-  RelaxedCounter GcFreedBytes;
+  VmStats Sum; ///< stats() summed over every run
   RelaxedCounter Programs;
 };
 
@@ -521,27 +505,7 @@ FuzzCoverage &fuzzCoverage() {
   return C;
 }
 
-void absorbStats() {
-  FuzzCoverage &C = fuzzCoverage();
-  const VmStats &S = stats();
-  C.InlinedCalls += S.InlinedCalls;
-  C.MultiFrameDeopts += S.MultiFrameDeopts;
-  C.InlineFramesMaterialized += S.InlineFramesMaterialized;
-  C.DeoptlessInlineDispatches += S.DeoptlessInlineDispatches;
-  C.DeoptlessCompiles += S.DeoptlessCompiles;
-  C.Deopts += S.Deopts;
-  C.Reoptimizations += S.Reoptimizations;
-  C.CtxDispatchHits += S.CtxDispatchHits;
-  C.HoistedGuards += S.HoistedGuards;
-  C.HoistedInstrs += S.HoistedInstrs;
-  C.EliminatedGuards += S.EliminatedGuards;
-  C.NativeEnters += S.NativeEnters;
-  C.NativeCompiles += S.NativeCompiles;
-  C.NativeFusedOps += S.NativeFusedOps;
-  C.NativeLinkedTransfers += S.NativeLinkedTransfers;
-  C.GcCollections += S.GcCollections;
-  C.GcFreedBytes += S.GcFreedBytes;
-}
+void absorbStats() { fuzzCoverage().Sum += stats(); }
 
 std::string driversOf(const GenProg &P) {
   std::string S;
@@ -813,9 +777,9 @@ namespace {
 class FuzzCoverageCheck : public ::testing::Environment {
 public:
   void TearDown() override {
-    const FuzzCoverage &C = fuzzCoverage();
-    if (C.Programs < TotalFuzzPrograms)
+    if (fuzzCoverage().Programs < TotalFuzzPrograms)
       return; // filtered run: coverage is only meaningful for the sweep
+    const VmStats &C = fuzzCoverage().Sum;
     EXPECT_GT(C.InlinedCalls, 0u) << "no program inlined anything";
     EXPECT_GT(C.MultiFrameDeopts, 0u)
         << "no OSR-out ever crossed an inlined frame";

@@ -183,12 +183,33 @@ TEST(VmOsrIn, TopLevelLoopTriggersOsrIn) {
 }
 
 TEST(VmOsrIn, DisabledMeansNoEntries) {
+  // A zero threshold turns OSR-in off; no backedge may divide by it.
   Vm::Config C = cfg(TierStrategy::Normal);
-  C.OsrIn = false;
+  C.OsrThreshold = 0;
   Vm V(C);
   resetStats();
-  V.eval("s <- 0L\nfor (i in 1:5000) s <- s + i\ns");
+  EXPECT_EQ(V.eval("s <- 0L\nfor (i in 1:5000) s <- s + i\ns").toInt(),
+            12502500);
   EXPECT_EQ(stats().OsrInEntries, 0u);
+}
+
+TEST(VmOsrIn, BaselineOnlyNeverOptimizes) {
+  // BaselineOnly is the reference the differential checks compare
+  // against: a hot loop stays in the interpreter, synchronously and with
+  // a compiler pool.
+  for (bool Background : {false, true}) {
+    Vm::Config C = cfg(TierStrategy::BaselineOnly);
+    C.BackgroundCompile = Background;
+    C.CompilerThreads = 0;
+    Vm V(C);
+    resetStats();
+    EXPECT_EQ(V.eval("s <- 0L\nfor (i in 1:5000) s <- s + i\ns").toInt(),
+              12502500);
+    V.drainCompiles();
+    EXPECT_EQ(stats().OsrInCompilations, 0u) << "background " << Background;
+    EXPECT_EQ(stats().OsrInEntries, 0u) << "background " << Background;
+    EXPECT_EQ(stats().AsyncCompiles, 0u) << "background " << Background;
+  }
 }
 
 namespace {
@@ -662,6 +683,19 @@ TEST(VmReopt, SamplingRecompilesOnProfileChange) {
   for (int K = 0; K < 40; ++K)
     V.eval("mix(b)");
   EXPECT_GE(stats().Reoptimizations + stats().Deopts, 1u);
+}
+
+TEST(VmReopt, ZeroSamplePeriodNeverSamples) {
+  // A zero period turns sampling off; no dispatch may divide by it.
+  Vm::Config C = cfg(TierStrategy::ProfileDrivenReopt);
+  C.ReoptSampleEvery = 0;
+  Vm V(C);
+  V.eval("g <- function(x) x + 1L");
+  resetStats();
+  for (int K = 0; K < 20; ++K)
+    EXPECT_EQ(V.eval("g(1L)").toInt(), 2);
+  EXPECT_GT(stats().Compilations, 0u);
+  EXPECT_EQ(stats().Reoptimizations, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -662,7 +662,8 @@ Value rjit::runLow(const LowFunction &F, std::vector<Value> &&Args,
                  "installed");
         // The paper's Listing 3: the deopt primitive is (tail-)called and
         // its result is the result of this activation.
-        return H.Deopt(F, S, I.Imm, CurEnv, ParentEnv, Injected);
+        return H.Deopt(F, {S.data(), D.data(), Iv.data()}, I.Imm, CurEnv,
+                       ParentEnv, Injected);
       }
       ++Pc;
       VMSTEP();

@@ -27,12 +27,45 @@
 
 namespace rjit {
 
+/// The slot arrays of an activation whose guard failed, as the deopt
+/// runtime reads them through DeoptMeta's LiveRefs. get() is where a raw
+/// frame-state value is boxed — on the failure path only; tag() answers
+/// without boxing. Both backends keep every raw slot a LiveRef names
+/// current in its array at the guard (the native side exit flushes its
+/// register homes first).
+struct SlotView {
+  const Value *S;
+  const double *D;
+  const int32_t *Iv;
+
+  Value get(LiveRef R) const {
+    switch (R.K) {
+    case SlotClass::RawReal:
+      return Value::real(D[R.Slot]);
+    case SlotClass::RawInt:
+      return Value::integer(Iv[R.Slot]);
+    default:
+      return S[R.Slot];
+    }
+  }
+  Tag tag(LiveRef R) const {
+    switch (R.K) {
+    case SlotClass::RawReal:
+      return Tag::Real;
+    case SlotClass::RawInt:
+      return Tag::Int;
+    default:
+      return S[R.Slot].tag();
+    }
+  }
+};
+
 /// Hooks the OSR/VM layers install into the engine.
 struct LowHooks {
   /// Deoptimization handler: consumes the live slots and the guard's
   /// DeoptMeta; returns the result of the rest of the activation.
   /// \p Injected marks test-mode failures whose guarded fact still holds.
-  Value (*Deopt)(const LowFunction &F, std::vector<Value> &Slots,
+  Value (*Deopt)(const LowFunction &F, const SlotView &Slots,
                  int32_t MetaIdx, Env *CurEnv, Env *ParentEnv,
                  bool Injected) = nullptr;
 

@@ -16,7 +16,8 @@
 ///  * every speculation compiles to an explicit guard instruction carrying
 ///    a DeoptMeta index, the moral equivalent of Ř's explicit call to the
 ///    deopt primitive (paper Listing 3): the metadata maps live slots back
-///    to the bytecode-level FrameState;
+///    to the bytecode-level FrameState, naming raw values in place so a
+///    passing guard costs only its test;
 ///  * guard failures invoke an installed hook — the deopt runtime decides
 ///    between true deoptimization and deoptless dispatch.
 ///
@@ -81,6 +82,16 @@ enum class LowOp : uint8_t {
 
 const char *lowOpName(LowOp Op);
 
+/// A frame-state value named by deopt metadata: the slot that holds it and
+/// the class of that slot (slot numbers are per-class namespaces). Raw
+/// values are referenced where they live and boxed by the deopt runtime
+/// only once a guard has failed (see SlotView in lowcode/exec.h), so
+/// optimized code does no work for a frame state on the passing path.
+struct LiveRef {
+  uint16_t Slot;
+  SlotClass K;
+};
+
 /// One LowCode instruction. C carries small payloads (packed op/kind,
 /// builtin id, tag); Imm carries jump targets / counts / meta indices;
 /// Imm2 is the second immediate for env-indexed stores.
@@ -101,8 +112,8 @@ struct LowInstr {
 struct DeoptFrame {
   Function *Fn = nullptr; ///< the frame's function (null = code's Origin)
   int32_t BcPc = -1;      ///< resume pc (the instruction after the call)
-  std::vector<uint16_t> StackSlots;
-  std::vector<std::pair<Symbol, uint16_t>> EnvSlots;
+  std::vector<LiveRef> StackSlots;
+  std::vector<std::pair<Symbol, LiveRef>> EnvSlots;
 };
 
 /// Deopt metadata: how to reconstruct the interpreter state at a guard
@@ -110,10 +121,15 @@ struct DeoptFrame {
 /// inlining a guard may sit inside an inlined callee; the innermost frame
 /// is described by the direct fields and the synthesized caller frames by
 /// \c Callers (innermost caller first, outermost last).
+///
+/// Every frame-state value (operand stack and captured locals, in every
+/// frame) is a LiveRef into whichever slot array holds it; only the
+/// guarded value (ValueSlot) is always boxed — a guard exists precisely
+/// because its operand's type is not statically known.
 struct DeoptMeta {
   int32_t BcPc = -1; ///< resume pc (innermost frame)
-  std::vector<uint16_t> StackSlots;
-  std::vector<std::pair<Symbol, uint16_t>> EnvSlots;
+  std::vector<LiveRef> StackSlots;
+  std::vector<std::pair<Symbol, LiveRef>> EnvSlots;
   /// Innermost frame's function when the guard is inside an inlined
   /// callee; null means the code's Origin (no inlining at this guard).
   Function *FrameFn = nullptr;

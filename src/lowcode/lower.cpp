@@ -9,9 +9,11 @@
 // in a raw double array, everything else in boxed Value slots. Producers
 // that can only deliver boxed results (calls, environment reads, generic
 // ops) are followed by an Unbox when their result type is raw; consumers
-// that need boxed inputs (calls, environment stores, framestates, returns)
-// get a Box. Guards always guard boxed values (a guard exists precisely
-// because the type is not statically known).
+// that need boxed inputs (calls, environment stores, returns) get a Box.
+// Guards always guard boxed values (a guard exists precisely because the
+// type is not statically known). Framestates box nothing: deopt metadata
+// names each value by slot and class (LiveRef), and the deopt runtime
+// boxes raw values itself once a guard has failed.
 //
 // Last-use rule: a boxed value is *moved* out of its slot, not copied,
 // at its last use, so a vector that is updated in a loop reaches its
@@ -221,6 +223,7 @@ private:
     assert(classOf(I) == SlotClass::Boxed && "expected boxed home");
     return slotOf(I);
   }
+  LiveRef liveRef(const Instr *I) const { return {slotOf(I), classOf(I)}; }
 
   //===-- Emission helpers ----------------------------------------------------//
 
@@ -893,9 +896,9 @@ private:
     M.BcPc = Fs->BcPc;
     M.FrameFn = Fs->Target;
     for (uint32_t K = 0; K < Fs->StackCount; ++K)
-      M.StackSlots.push_back(ensureBoxed(Fs->stackOp(K)));
+      M.StackSlots.push_back(liveRef(Fs->stackOp(K)));
     for (size_t K = 0; K < Fs->EnvSyms.size(); ++K)
-      M.EnvSlots.push_back({Fs->EnvSyms[K], ensureBoxed(Fs->envOp(K))});
+      M.EnvSlots.push_back({Fs->EnvSyms[K], liveRef(Fs->envOp(K))});
 
     // Inlined guards: encode the chain of caller return-framestates so the
     // runtime can materialize every synthesized frame on OSR-out.
@@ -904,9 +907,9 @@ private:
       Fr.Fn = P->Target;
       Fr.BcPc = P->BcPc;
       for (uint32_t K = 0; K < P->StackCount; ++K)
-        Fr.StackSlots.push_back(ensureBoxed(P->stackOp(K)));
+        Fr.StackSlots.push_back(liveRef(P->stackOp(K)));
       for (size_t K = 0; K < P->EnvSyms.size(); ++K)
-        Fr.EnvSlots.push_back({P->EnvSyms[K], ensureBoxed(P->envOp(K))});
+        Fr.EnvSlots.push_back({P->EnvSyms[K], liveRef(P->envOp(K))});
       M.Callers.push_back(std::move(Fr));
     }
 

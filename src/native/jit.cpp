@@ -11,8 +11,9 @@
 //    homed slot's current value is in its register at every instruction
 //    boundary" — so arbitrary LowCode jumps need no per-edge fixup code.
 //    Helper calls flush caller-saved homes and reload after; helpers that
-//    read the raw arrays get a full flush; side exits need none at all
-//    (deopt's DeoptMeta maps boxed slots only — raw state is invisible).
+//    read the raw arrays get a full flush — side exits included, since
+//    deopt metadata names raw frame-state values in their slots and the
+//    deopt runtime boxes them from the arrays.
 //
 //  * Superinstruction fusion: recurring template pairs collapse into one
 //    template. arith+move computes once and stores both destinations;
@@ -96,9 +97,6 @@ struct NativeFrame {
   Value *S = nullptr;
   double *D = nullptr;
   int32_t *Iv = nullptr;
-  /// The boxed-slot vector itself: guard side exits hand it to the deopt
-  /// hook (whose contract is the interpreter's slot vector).
-  std::vector<Value> *SlotVec = nullptr;
   Env *CurEnv = nullptr;
   Env *ParentEnv = nullptr;
   Env *ReadEnv = nullptr;
@@ -318,8 +316,8 @@ void guardDeopt(NativeFrame *Fr, int32_t Pc, bool Injected) {
     if (!H.Deopt)
       rerror("speculation failed and no deoptimization handler is "
              "installed");
-    Fr->Result = H.Deopt(*Fr->F, *Fr->SlotVec, I.Imm, Fr->CurEnv,
-                         Fr->ParentEnv, Injected);
+    Fr->Result = H.Deopt(*Fr->F, {Fr->S, Fr->D, Fr->Iv}, I.Imm,
+                         Fr->CurEnv, Fr->ParentEnv, Injected);
   } catch (...) {
     Fr->Exc = std::current_exception();
   }
@@ -691,13 +689,17 @@ private:
         A.patchRel32(Site, Here);
       switch (St.K) {
       case Stub::GuardFail:
-        // Deopt reads only the boxed slot vector (DeoptMeta maps boxed
-        // slots exclusively), and the activation ends here — no flush.
+        // Deopt boxes the raw frame-state values from the arrays, so every
+        // home is flushed; the activation ends here — no reload.
+        flushHomes(true);
         helperCall(rjit_nat_guard_fail, St.Pc);
         EpiFix.push_back(A.jmp32());
         break;
       case Stub::GuardTick:
-        flushHomes(false);
+        // An injected failure deopts from inside the helper: flush every
+        // home as GuardFail does. It writes no raw slot, so only the
+        // caller-saved homes need reloading when the guard passes on.
+        flushHomes(true);
         helperCall(rjit_nat_guard_tick, St.Pc);
         A.testRegReg64(RAX, RAX);
         EpiFix.push_back(A.jcc32(CcNe)); // 1 = activation ended
@@ -898,7 +900,8 @@ private:
 
   /// True when no instruction other than the fused pair (and no deopt
   /// metadata) reads boxed slot \p Slot. Class-aware: slot numbers are
-  /// per-class namespaces, so only *boxed* operand positions count.
+  /// per-class namespaces, so only *boxed* operand positions and Boxed
+  /// frame-state references count.
   /// Writes are not observers — a skipped store merely leaves a stale
   /// value whose lifetime is not transcript-observable.
   bool boxedSlotDead(uint16_t Slot, int32_t SkipA, int32_t SkipB) const {
@@ -925,13 +928,16 @@ private:
   }
 
   static bool deoptFrameUses(
-      const std::vector<uint16_t> &Stack,
-      const std::vector<std::pair<Symbol, uint16_t>> &Env, uint16_t Slot) {
-    for (uint16_t S : Stack)
-      if (S == Slot)
+      const std::vector<LiveRef> &Stack,
+      const std::vector<std::pair<Symbol, LiveRef>> &Env, uint16_t Slot) {
+    auto Reads = [Slot](LiveRef R) {
+      return R.K == SlotClass::Boxed && R.Slot == Slot;
+    };
+    for (LiveRef R : Stack)
+      if (Reads(R))
         return true;
     for (const auto &P : Env)
-      if (P.second == Slot)
+      if (Reads(P.second))
         return true;
     return false;
   }
@@ -1588,7 +1594,6 @@ protected:
     Fr.S = S.data();
     Fr.D = D.data();
     Fr.Iv = Iv.data();
-    Fr.SlotVec = &S;
     Fr.CurEnv = CurEnv;
     Fr.ParentEnv = ParentEnv;
     Fr.ReadEnv = CurEnv ? CurEnv : ParentEnv;

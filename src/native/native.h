@@ -14,9 +14,10 @@
 ///    compare-and-branch, Move/Unbox/Coerce between raw classes) become
 ///    straight-line loads/stores/ALU ops — no dispatch, no operand decode;
 ///  * guard instructions become an inline test plus an out-of-line
-///    side-exit stub that calls the existing DeoptMeta-indexed deopt hook
-///    with the live boxed-slot array, so true deoptimization, deoptless
-///    dispatch and multi-frame OSR-out work unchanged from native frames;
+///    side-exit stub that flushes the register homes and calls the
+///    existing DeoptMeta-indexed deopt hook with the live slot arrays, so
+///    true deoptimization, deoptless dispatch and multi-frame OSR-out work
+///    unchanged from native frames;
 ///  * every other op (environment access, calls, generic fallbacks)
 ///    compiles to a direct call into the interpreter's own op handler
 ///    (lowcode/step.h) — one semantics, two drivers.

@@ -20,8 +20,11 @@
 /// in its register at every instruction boundary" — which is exactly what
 /// makes side exits and helper calls easy to keep sound: flush homes to
 /// the arrays before any code that reads them, reload after any code that
-/// may write them. Deopt never sees raw slots at all (DeoptMeta maps
-/// boxed slots only), so side-exit stubs need no flushing whatsoever.
+/// may write them. Deopt reads raw frame-state values from the arrays
+/// (DeoptMeta names them by slot and class), so a side-exit stub flushes
+/// every home before it calls the deopt hook; because a home is never
+/// shared, the flushed slot holds exactly the value the guard's frame
+/// state names.
 ///
 /// The linear-scan part is the *assignment order*: candidates are sorted
 /// by descending use weight (uses × loop depth, backedge-interval

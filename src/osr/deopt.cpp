@@ -19,8 +19,8 @@ namespace {
 /// (unless \p LiveEnv is provided), pushes \p Stack and resumes \p Fn at
 /// \p Pc.
 Value runFrame(Function *Fn, Env *LiveEnv, Env *ParentEnv,
-               const std::vector<std::pair<Symbol, uint16_t>> &EnvSlots,
-               const std::vector<Value> &Slots, std::vector<Value> &&Stack,
+               const std::vector<std::pair<Symbol, LiveRef>> &EnvSlots,
+               const SlotView &Slots, std::vector<Value> &&Stack,
                int32_t Pc) {
   Env *E = LiveEnv;
   bool Fresh = false;
@@ -28,8 +28,8 @@ Value runFrame(Function *Fn, Env *LiveEnv, Env *ParentEnv,
     E = new Env(ParentEnv);
     E->retain();
     Fresh = true;
-    for (const auto &[Sym, SlotIdx] : EnvSlots)
-      E->set(Sym, Slots[SlotIdx]);
+    for (const auto &[Sym, Ref] : EnvSlots)
+      E->set(Sym, Slots.get(Ref));
   }
   Value Result;
   try {
@@ -47,7 +47,7 @@ Value runFrame(Function *Fn, Env *LiveEnv, Env *ParentEnv,
 } // namespace
 
 Value rjit::resumeInlinedCallers(const LowFunction &F,
-                                 std::vector<Value> &Slots,
+                                 const SlotView &Slots,
                                  const DeoptMeta &Meta, Env *CurEnv,
                                  Env *ParentEnv, Value Inner) {
   Value R = std::move(Inner);
@@ -59,8 +59,8 @@ Value rjit::resumeInlinedCallers(const LowFunction &F,
     bool Outermost = K + 1 == Meta.Callers.size();
     std::vector<Value> Stack;
     Stack.reserve(Fr.StackSlots.size() + 1);
-    for (uint16_t SlotIdx : Fr.StackSlots)
-      Stack.push_back(Slots[SlotIdx]);
+    for (LiveRef Ref : Fr.StackSlots)
+      Stack.push_back(Slots.get(Ref));
     Stack.push_back(std::move(R));
     R = runFrame(Fr.Fn ? Fr.Fn : F.Origin, Outermost ? CurEnv : nullptr,
                  ParentEnv, Fr.EnvSlots, Slots, std::move(Stack), Fr.BcPc);
@@ -68,7 +68,7 @@ Value rjit::resumeInlinedCallers(const LowFunction &F,
   return R;
 }
 
-Value rjit::deoptToBaseline(const LowFunction &F, std::vector<Value> &Slots,
+Value rjit::deoptToBaseline(const LowFunction &F, const SlotView &Slots,
                             const DeoptMeta &Meta, Env *CurEnv,
                             Env *ParentEnv) {
   uint64_t T0 = nowNanos();
@@ -86,8 +86,8 @@ Value rjit::deoptToBaseline(const LowFunction &F, std::vector<Value> &Slots,
   // Listing 2.
   std::vector<Value> Stack;
   Stack.reserve(Meta.StackSlots.size());
-  for (uint16_t SlotIdx : Meta.StackSlots)
-    Stack.push_back(Slots[SlotIdx]);
+  for (LiveRef Ref : Meta.StackSlots)
+    Stack.push_back(Slots.get(Ref));
   // The pause histogram covers only the transfer cost (frame
   // materialization up to the resume); the trace span below also covers
   // the baseline execution the deopt fell back into.

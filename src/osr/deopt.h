@@ -10,7 +10,8 @@
 /// deopt handler (which tries deoptless first, paper Listing 6). It
 /// extracts the interpreter-level state from the DeoptMeta, materializes
 /// the environment (the deferred MkEnv), pushes the operand stack, and
-/// resumes the baseline interpreter at the deopt pc.
+/// resumes the baseline interpreter at the deopt pc. Raw frame-state
+/// values are boxed here, as they are read (SlotView::get).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +27,7 @@ namespace rjit {
 /// the *whole* frame chain — the innermost (callee) frame first, then one
 /// synthesized interpreter frame per inlined caller, each resuming just
 /// past its call with the inner frame's result pushed.
-Value deoptToBaseline(const LowFunction &F, std::vector<Value> &Slots,
+Value deoptToBaseline(const LowFunction &F, const SlotView &Slots,
                       const DeoptMeta &Meta, Env *CurEnv, Env *ParentEnv);
 
 /// Unwinds the synthesized caller frames of an inlined guard: for each
@@ -37,7 +38,7 @@ Value deoptToBaseline(const LowFunction &F, std::vector<Value> &Slots,
 /// outermost frame. Returns the outermost frame's result (or \p Inner
 /// when there are no caller frames). Shared by OSR-out and the deoptless
 /// runtime (which handles the innermost frame with a continuation).
-Value resumeInlinedCallers(const LowFunction &F, std::vector<Value> &Slots,
+Value resumeInlinedCallers(const LowFunction &F, const SlotView &Slots,
                            const DeoptMeta &Meta, Env *CurEnv,
                            Env *ParentEnv, Value Inner);
 

@@ -36,8 +36,8 @@ bool inRecursiveDeoptless() {
 }
 
 /// Computes the current optimization context from the live guard state.
-bool computeContext(const LowFunction &F, std::vector<Value> &Slots,
-                    const DeoptMeta &Meta, bool Injected, DeoptContext &Ctx) {
+bool computeContext(const SlotView &Slots, const DeoptMeta &Meta,
+                    bool Injected, DeoptContext &Ctx) {
   if (Meta.StackSlots.size() > MaxCtxStack ||
       Meta.EnvSlots.size() > MaxCtxEnv)
     return false; // states with bigger contexts are skipped (paper §4.3)
@@ -47,18 +47,18 @@ bool computeContext(const LowFunction &F, std::vector<Value> &Slots,
   Ctx.Reason.ReasonPc = Meta.ReasonPc;
   Ctx.Reason.FailedSlot = Meta.FailedFeedbackSlot;
   if (Meta.HasValueSlot) {
-    const Value &V = Slots[Meta.ValueSlot];
+    const Value &V = Slots.S[Meta.ValueSlot];
     Ctx.Reason.ActualTag = V.tag();
     if (V.tag() == Tag::Clos)
       Ctx.Reason.ActualFn = V.closObj()->Fn;
   }
   Ctx.StackSize = static_cast<uint16_t>(Meta.StackSlots.size());
   for (size_t K = 0; K < Meta.StackSlots.size(); ++K)
-    Ctx.StackTags[K] = Slots[Meta.StackSlots[K]].tag();
+    Ctx.StackTags[K] = Slots.tag(Meta.StackSlots[K]);
   Ctx.EnvSize = static_cast<uint16_t>(Meta.EnvSlots.size());
   for (size_t K = 0; K < Meta.EnvSlots.size(); ++K)
     Ctx.EnvEntries[K] = {Meta.EnvSlots[K].first,
-                         Slots[Meta.EnvSlots[K].second].tag()};
+                         Slots.tag(Meta.EnvSlots[K].second)};
   return true;
 }
 
@@ -168,7 +168,7 @@ bool DeoptlessTable::insert(DeoptContext Ctx,
   return true;
 }
 
-bool rjit::tryDeoptless(const LowFunction &F, std::vector<Value> &Slots,
+bool rjit::tryDeoptless(const LowFunction &F, const SlotView &Slots,
                         const DeoptMeta &Meta, Env *ParentEnv, bool Injected,
                         DeoptlessTable &Table, const ContinuationCompile &How,
                         Value &Result) {
@@ -183,7 +183,7 @@ bool rjit::tryDeoptless(const LowFunction &F, std::vector<Value> &Slots,
     obs::traceEvent(obs::TraceEv::DeoptlessAttempt, 0, Pc);
 
   DeoptContext Ctx;
-  if (!computeContext(F, Slots, Meta, Injected, Ctx)) {
+  if (!computeContext(Slots, Meta, Injected, Ctx)) {
     ++stats().DeoptlessRejected;
     if (obs::traceOn())
       obs::traceEvent(obs::TraceEv::DeoptlessReject, 0, Pc, 0);
@@ -247,10 +247,10 @@ bool rjit::tryDeoptless(const LowFunction &F, std::vector<Value> &Slots,
   // first, then the captured locals (the continuation's parameter order).
   std::vector<Value> Args;
   Args.reserve(Meta.StackSlots.size() + Meta.EnvSlots.size());
-  for (uint16_t SlotIdx : Meta.StackSlots)
-    Args.push_back(Slots[SlotIdx]);
-  for (auto &[Sym, SlotIdx] : Meta.EnvSlots)
-    Args.push_back(Slots[SlotIdx]);
+  for (LiveRef Ref : Meta.StackSlots)
+    Args.push_back(Slots.get(Ref));
+  for (auto &[Sym, Ref] : Meta.EnvSlots)
+    Args.push_back(Slots.get(Ref));
 
   continuationDepths().push_back(lowHooks().CallDepth);
   try {

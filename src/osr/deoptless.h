@@ -32,6 +32,7 @@
 namespace rjit {
 
 class CompilerPool;
+struct SlotView;
 
 /// One compiled continuation with its compilation context. Immutable after
 /// publication except Hits, which only the owning executor touches.
@@ -107,7 +108,7 @@ inline Function *continuationOwner(const LowFunction &F,
 /// deoptimization. For a guard inside an inlined callee the synthesized
 /// caller frames are resumed in the baseline interpreter after the
 /// continuation, so the activation still yields the caller's value.
-bool tryDeoptless(const LowFunction &F, std::vector<Value> &Slots,
+bool tryDeoptless(const LowFunction &F, const SlotView &Slots,
                   const DeoptMeta &Meta, Env *ParentEnv, bool Injected,
                   DeoptlessTable &Table, const ContinuationCompile &How,
                   Value &Result);

@@ -214,7 +214,7 @@ Value vmLinkedCall(ClosObj *Clos, FnVersion *Ver, ExecutableCode *Code,
 /// The Vm's guard-failure handler (lowHooks().Deopt), paper Listing 6:
 /// try deoptless first, then apply the strategy's retire policy, then
 /// resume the baseline interpreter.
-Value vmDeoptHandler(const LowFunction &F, std::vector<Value> &Slots,
+Value vmDeoptHandler(const LowFunction &F, const SlotView &Slots,
                      int32_t MetaIdx, Env *CurEnv, Env *ParentEnv,
                      bool Injected) {
   Vm *V = Vm::current();

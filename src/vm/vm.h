@@ -303,7 +303,7 @@ public:
 
 private:
   friend Value vmDispatchCall(ClosObj *, std::vector<Value> &&);
-  friend Value vmDeoptHandler(const LowFunction &, std::vector<Value> &,
+  friend Value vmDeoptHandler(const LowFunction &, const SlotView &,
                               int32_t, Env *, Env *, bool);
 
   Config Cfg;

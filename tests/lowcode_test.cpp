@@ -213,6 +213,61 @@ TEST_F(LowFixture, PrintLowIsReadable) {
   EXPECT_NE(P.find("ret"), std::string::npos);
 }
 
+TEST_F(LowFixture, FrameStatesNameRawValuesWithoutBoxing) {
+  // The element guard inside the loop has the raw int accumulator n and
+  // the raw real accumulator s in its frame state. Its metadata must name
+  // them in their raw slots, and the guard must not be preceded by a Box
+  // of them: a passing guard costs only its test.
+  auto F = compile(R"(
+    f <- function(l) {
+      n <- 0L
+      s <- 0.5
+      for (i in 1:length(l)) {
+        n <- n + i
+        s <- s + 0.25
+        n <- n + l[[i]]
+      }
+      n + s
+    }
+    x <- list(1L, 2L, 3L); f(x); f(x); f(x)
+  )");
+  ASSERT_TRUE(F);
+  int RawGuards = 0;
+  for (size_t Pc = 0; Pc < F->Code.size(); ++Pc) {
+    const LowInstr &I = F->Code[Pc];
+    if (I.Op != LowOp::GuardCond)
+      continue;
+    const DeoptMeta &M = F->Deopts[I.Imm];
+    bool Int = false, Real = false;
+    auto See = [&](LiveRef R) {
+      Int |= R.K == SlotClass::RawInt;
+      Real |= R.K == SlotClass::RawReal;
+      EXPECT_LT(R.Slot, R.K == SlotClass::RawInt    ? F->NumSlotsI
+                        : R.K == SlotClass::RawReal ? F->NumSlotsD
+                                                    : F->NumSlots);
+    };
+    for (LiveRef R : M.StackSlots)
+      See(R);
+    for (const auto &[Sym, R] : M.EnvSlots)
+      See(R);
+    if (!Int && !Real)
+      continue;
+    ++RawGuards;
+    EXPECT_TRUE(Int && Real) << "n and s are both live at pc " << Pc << "\n"
+                             << printLow(*F);
+    ASSERT_GT(Pc, 0u);
+    EXPECT_NE(F->Code[Pc - 1].Op, LowOp::Box)
+        << "frame-state values are boxed only once the guard fails\n"
+        << printLow(*F);
+  }
+  EXPECT_GT(RawGuards, 0) << printLow(*F);
+  // printLow shows what each guard's deopt captures, class by class.
+  std::string P = printLow(*F);
+  EXPECT_NE(P.find(" fs=["), std::string::npos) << P;
+  EXPECT_NE(P.find("n=i"), std::string::npos) << P;
+  EXPECT_NE(P.find("s=d"), std::string::npos) << P;
+}
+
 TEST_F(LowFixture, GuardFailureWithoutHandlerRaises) {
   auto F = compile(R"(
     f <- function(v) v[[1]]

@@ -365,6 +365,78 @@ TEST(NativeV2, FusionFiresAndPreservesResults) {
       << "the extract+arith / arith+move pairs must have fused";
 }
 
+TEST(NativeV2, RawFrameStateValuesLeaveRegisterHomes) {
+  // The element guard of `s + x` fails mid-loop while the raw int
+  // accumulator n and the raw real accumulator s are in its frame state,
+  // both updated since the list extract's helper call last flushed the
+  // register homes. Deopt and deoptless box them from the slot arrays, so
+  // the native side exit must flush every home first (removing that
+  // flush fails this case under native v2). The injected failures take
+  // the countdown stub's exit instead, which flushes the same way.
+  const char *Setup = R"(
+    mix <- function(l) {
+      n <- 0L
+      s <- 0.5
+      for (i in 1:length(l)) {
+        x <- l[[i]]
+        n <- n + i
+        s <- s * 0.5
+        s <- s + x
+      }
+      n + s
+    }
+    ints <- list()
+    for (k in 1:60) ints[[k]] <- k
+    halves <- ints
+    for (k in 30:60) halves[[k]] <- k + 0.5
+  )";
+  const std::string BaseInts =
+      runUnder(cfg(TierStrategy::BaselineOnly, false), Setup, "mix(ints)", 1);
+  const std::string BaseHalves = runUnder(
+      cfg(TierStrategy::BaselineOnly, false), Setup, "mix(halves)", 1);
+  ASSERT_NE(BaseInts, BaseHalves);
+
+  struct Backend {
+    const char *Name;
+    bool Native;
+    bool V2;
+  };
+  std::vector<Backend> Backends = {{"interp", false, false}};
+  if (nativeBackendSupported()) {
+    Backends.push_back({"native v2 on", true, true});
+    Backends.push_back({"native v2 off", true, false});
+  }
+  for (TierStrategy S : {TierStrategy::Normal, TierStrategy::Deoptless}) {
+    for (const Backend &B : Backends) {
+      SCOPED_TRACE(std::string(B.Name) + (S == TierStrategy::Normal
+                                              ? ", Normal"
+                                              : ", Deoptless"));
+      Vm::Config C = cfg(S, B.Native);
+      C.NativeV2.Regalloc = C.NativeV2.Fusion = C.NativeV2.Linking = B.V2;
+      {
+        Vm V(C);
+        V.eval(Setup);
+        for (int K = 0; K < 6; ++K)
+          ASSERT_EQ(V.eval("mix(ints)").show(), BaseInts);
+        if (B.Native)
+          ASSERT_GT(stats().NativeEnters, 0u);
+        EXPECT_EQ(V.eval("mix(halves)").show(), BaseHalves);
+        EXPECT_EQ(V.eval("mix(halves)").show(), BaseHalves);
+        if (S == TierStrategy::Deoptless) {
+          EXPECT_GT(stats().DeoptlessHits + stats().DeoptlessCompiles, 0u);
+          EXPECT_EQ(stats().Deopts, 0u);
+        } else {
+          EXPECT_GT(stats().Deopts, 0u);
+        }
+      }
+      C.InvalidationRate = 7;
+      C.InvalidationSeed = 5;
+      EXPECT_EQ(runUnder(C, Setup, "mix(ints)", 12), BaseInts);
+      EXPECT_GT(stats().InjectedFailures, 0u);
+    }
+  }
+}
+
 TEST(NativeV2, RetireWhileLinkedPatchesBackBeforeReclaim) {
   if (!nativeBackendSupported())
     GTEST_SKIP() << "no native backend on this host";

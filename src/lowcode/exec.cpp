@@ -113,20 +113,6 @@ Value cplxArith(BinOp Op, Complex X, Complex Y) {
   }
 }
 
-bool isCmpOp(BinOp Op) {
-  switch (Op) {
-  case BinOp::Eq:
-  case BinOp::Ne:
-  case BinOp::Lt:
-  case BinOp::Le:
-  case BinOp::Gt:
-  case BinOp::Ge:
-    return true;
-  default:
-    return false;
-  }
-}
-
 template <typename T> bool cmpApply(BinOp Op, T X, T Y) {
   switch (Op) {
   case BinOp::Eq:
@@ -208,15 +194,28 @@ double realArithApply(BinOp Op, double X, double Y) {
 }
 
 //===--------------------------------------------------------------------===//
-// Op bodies shared by the threaded dispatch loop and stepLowInstr (the
-// native backend's per-op fallback): one implementation per nontrivial
-// operation, so the two backends cannot drift apart. All take raw slot
-// pointers — the interpreter passes its vectors' data, the native frame
-// its arrays.
+// One body per non-control-flow op, shared by the threaded dispatch loop
+// and stepLowInstr (the native backend's per-op fallback), so the two
+// drivers cannot drift apart. Bodies take raw slot pointers: the
+// interpreter passes its vectors' data, the native frame its arrays.
+// Control-flow ops (jumps, branches, GuardCond, RetLow) have no body; each
+// driver runs them itself.
 //===--------------------------------------------------------------------===//
 
-inline void loadConstOp(const LowFunction &F, const LowInstr &I, Value *S,
-                        double *D, int32_t *Iv) {
+template <LowOp Op>
+void body(const LowFunction &, const LowInstr &, Value *, double *,
+          int32_t *, Env *, Env *, Env *) {
+  assert(false && "control-flow op reached the fallback stepper");
+  rerror("internal: control-flow op in stepLowInstr");
+}
+
+#define LOW_BODY(Op)                                                         \
+  template <>                                                                \
+  inline void body<LowOp::Op>(const LowFunction &F, const LowInstr &I,       \
+                              Value *S, double *D, int32_t *Iv, Env *CurEnv, \
+                              Env *ParentEnv, Env *ReadEnv)
+
+LOW_BODY(LoadConst) {
   const Value &V = F.Consts[I.Imm];
   switch (static_cast<SlotClass>(I.B)) {
   case SlotClass::Boxed:
@@ -231,7 +230,7 @@ inline void loadConstOp(const LowFunction &F, const LowInstr &I, Value *S,
   }
 }
 
-inline void moveOp(const LowInstr &I, Value *S, double *D, int32_t *Iv) {
+LOW_BODY(Move) {
   switch (static_cast<SlotClass>(I.B)) {
   case SlotClass::Boxed:
     if (I.C)
@@ -248,63 +247,21 @@ inline void moveOp(const LowInstr &I, Value *S, double *D, int32_t *Iv) {
   }
 }
 
-inline void boxOp(const LowInstr &I, Value *S, const double *D,
-                  const int32_t *Iv) {
+LOW_BODY(Box) {
   S[I.Dst] = static_cast<SlotClass>(I.C) == SlotClass::RawReal
                  ? Value::real(D[I.A])
                  : Value::integer(Iv[I.A]);
 }
 
-inline void unboxOp(const LowInstr &I, const Value *S, double *D,
-                    int32_t *Iv) {
+LOW_BODY(Unbox) {
   if (static_cast<SlotClass>(I.C) == SlotClass::RawReal)
     D[I.Dst] = S[I.A].asRealUnchecked();
   else
     Iv[I.Dst] = S[I.A].asIntUnchecked();
 }
 
-inline void ldEnvOp(const LowInstr &I, Value *S, Env *ReadEnv) {
-  if (!ReadEnv)
-    rerror("unbound variable (no environment)");
-  S[I.Dst] = ReadEnv->get(static_cast<Symbol>(I.Imm));
-}
-
-inline void stEnvSuperOp(const LowInstr &I, Value *S, Env *CurEnv,
-                         Env *ParentEnv) {
-  if (CurEnv)
-    CurEnv->setSuper(static_cast<Symbol>(I.Imm), S[I.A]);
-  else
-    superAssignFrom(ParentEnv, static_cast<Symbol>(I.Imm), S[I.A]);
-}
-
-inline void callValOp(const LowInstr &I, Value *S) {
-  std::vector<Value> CallArgs(I.Imm);
-  for (int32_t K = 0; K < I.Imm; ++K)
-    CallArgs[K] = std::move(S[I.B + K]);
-  S[I.Dst] = callValue(S[I.A], std::move(CallArgs));
-}
-
-inline void setElem2Op(const LowInstr &I, Value *S) {
-  bool Steal = I.C & 0x100;
-  Value Obj = Steal ? std::move(S[I.A]) : S[I.A];
-  S[I.Dst] = assign2(std::move(Obj), S[I.B].toInt(), S[I.Imm]);
-}
-
-inline void setIdxEnvOp(const LowInstr &I, Value *S, Env *CurEnv) {
-  assert(CurEnv && "env-indexed store requires an environment");
-  Symbol Sym = static_cast<Symbol>(I.Imm2);
-  Value *Slot = CurEnv->findLocal(Sym);
-  if (!Slot) {
-    CurEnv->set(Sym, CurEnv->get(Sym));
-    Slot = CurEnv->findLocal(Sym);
-  }
-  *Slot = assign2(std::move(*Slot), S[I.A].toInt(), S[I.B]);
-  S[I.Dst] = S[I.B];
-}
-
-inline void coerceOp(const LowInstr &I, Value *S, double *D, int32_t *Iv) {
-  Tag Target = static_cast<Tag>(I.C & 0xFF);
-  SlotClass SrcK = static_cast<SlotClass>(I.C >> 8);
+LOW_BODY(Coerce) {
+  SlotClass SrcK = coerceSrcClass(I);
   SlotClass DstK = static_cast<SlotClass>(I.B);
   if (DstK == SlotClass::RawReal) {
     D[I.Dst] = SrcK == SlotClass::RawReal  ? D[I.A]
@@ -319,21 +276,55 @@ inline void coerceOp(const LowInstr &I, Value *S, double *D, int32_t *Iv) {
     Value Src = SrcK == SlotClass::RawReal  ? Value::real(D[I.A])
                 : SrcK == SlotClass::RawInt ? Value::integer(Iv[I.A])
                                             : S[I.A];
-    S[I.Dst] = coerceValue(Src, Target);
+    S[I.Dst] = coerceValue(Src, coerceTarget(I));
   }
 }
 
-inline void arithTypedOp(const LowInstr &I, Value *S, double *D,
-                         int32_t *Iv) {
-  BinOp Op = static_cast<BinOp>(I.C >> 2);
-  int Rank = I.C & 3;
+LOW_BODY(LdEnv) {
+  if (!ReadEnv)
+    rerror("unbound variable (no environment)");
+  S[I.Dst] = ReadEnv->get(static_cast<Symbol>(I.Imm));
+}
+
+LOW_BODY(StEnv) {
+  assert(CurEnv && "store requires a real environment");
+  CurEnv->set(static_cast<Symbol>(I.Imm), S[I.A]);
+}
+
+LOW_BODY(StEnvSuper) {
+  if (CurEnv)
+    CurEnv->setSuper(static_cast<Symbol>(I.Imm), S[I.A]);
+  else
+    superAssignFrom(ParentEnv, static_cast<Symbol>(I.Imm), S[I.A]);
+}
+
+LOW_BODY(MkClosLow) {
+  assert(CurEnv && "closures capture a real environment");
+  S[I.Dst] = Value::closure(F.Origin->InnerFns[I.Imm], CurEnv);
+}
+
+LOW_BODY(CallValLow) {
+  std::vector<Value> CallArgs(I.Imm);
+  for (int32_t K = 0; K < I.Imm; ++K)
+    CallArgs[K] = std::move(S[I.B + K]);
+  S[I.Dst] = callValue(S[I.A], std::move(CallArgs));
+}
+
+LOW_BODY(CallBiLow) {
+  S[I.Dst] = callBuiltin(static_cast<BuiltinId>(I.C), &S[I.B],
+                         static_cast<size_t>(I.Imm));
+}
+
+LOW_BODY(ArithTyped) {
+  BinOp Op = arithOp(I);
+  int Rank = arithRank(I);
   if (Rank == 2) {
-    if (isCmpOp(Op))
+    if (isComparison(Op))
       S[I.Dst] = Value::lgl(cmpApply(Op, D[I.A], D[I.B]));
     else
       D[I.Dst] = realArithApply(Op, D[I.A], D[I.B]);
   } else if (Rank == 1) {
-    if (isCmpOp(Op))
+    if (isComparison(Op))
       S[I.Dst] = Value::lgl(cmpApply(Op, Iv[I.A], Iv[I.B]));
     else
       Iv[I.Dst] = intArithApply(Op, Iv[I.A], Iv[I.B]);
@@ -343,15 +334,28 @@ inline void arithTypedOp(const LowInstr &I, Value *S, double *D,
   }
 }
 
-inline void extract2TypedOp(const LowInstr &I, Value *S, double *D,
-                            int32_t *Iv) {
+LOW_BODY(BinGenLow) {
+  S[I.Dst] = genericBinary(static_cast<BinOp>(I.C), S[I.A], S[I.B]);
+}
+
+LOW_BODY(NegLow) { S[I.Dst] = genericNeg(S[I.A]); }
+
+LOW_BODY(NotLow) { S[I.Dst] = genericNot(S[I.A]); }
+
+LOW_BODY(AsCondLow) { S[I.Dst] = Value::lgl(S[I.A].asCondition()); }
+
+LOW_BODY(Extract2Low) { S[I.Dst] = extract2(S[I.A], S[I.B].toInt()); }
+
+LOW_BODY(Extract1Low) { S[I.Dst] = extract1(S[I.A], S[I.B]); }
+
+LOW_BODY(Extract2Typed) {
   // A vector-typed operand may hold the corresponding *scalar* at run
   // time (RType's widened semantics: R scalars are length-one vectors);
   // contexts dispatch scalar calls to vector versions, so the typed path
   // must honor that.
   const Value &Obj = S[I.A];
   int64_t Idx = Iv[I.B];
-  switch (static_cast<Tag>(I.C)) {
+  switch (elemKind(I)) {
   case Tag::Real: {
     if (Obj.tag() == Tag::Real) {
       if (Idx != 1)
@@ -407,13 +411,15 @@ inline void extract2TypedOp(const LowInstr &I, Value *S, double *D,
   }
 }
 
-inline void setElem2TypedOp(const LowInstr &I, Value *S, double *D,
-                            int32_t *Iv) {
-  bool Steal = I.C & 0x100;
-  Tag Kind = static_cast<Tag>(I.C & 0xFF);
-  Value Obj = Steal ? std::move(S[I.A]) : S[I.A];
+LOW_BODY(SetElem2Low) {
+  Value Obj = stealsContainer(I) ? std::move(S[I.A]) : S[I.A];
+  S[I.Dst] = assign2(std::move(Obj), S[I.B].toInt(), S[I.Imm]);
+}
+
+LOW_BODY(SetElem2Typed) {
+  Value Obj = stealsContainer(I) ? std::move(S[I.A]) : S[I.A];
   int64_t Idx = Iv[I.B];
-  // Widened semantics (see extract2TypedOp): promote a scalar operand to
+  // Widened semantics (see Extract2Typed): promote a scalar operand to
   // its length-one vector before the raw element store.
   switch (Obj.tag()) {
   case Tag::Real:
@@ -431,7 +437,7 @@ inline void setElem2TypedOp(const LowInstr &I, Value *S, double *D,
   default:
     break;
   }
-  switch (Kind) {
+  switch (elemKind(I)) {
   case Tag::Real:
     S[I.Dst] = setTypedElem<RealVecObj, double>(std::move(Obj),
                                                 Tag::RealVec, Idx, D[I.Imm]);
@@ -451,6 +457,22 @@ inline void setElem2TypedOp(const LowInstr &I, Value *S, double *D,
     break;
   }
 }
+
+LOW_BODY(SetIdx2EnvLow) {
+  assert(CurEnv && "env-indexed store requires an environment");
+  Symbol Sym = static_cast<Symbol>(I.Imm2);
+  Value *Slot = CurEnv->findLocal(Sym);
+  if (!Slot) {
+    CurEnv->set(Sym, CurEnv->get(Sym));
+    Slot = CurEnv->findLocal(Sym);
+  }
+  *Slot = assign2(std::move(*Slot), S[I.A].toInt(), S[I.B]);
+  S[I.Dst] = S[I.B];
+}
+
+LOW_BODY(LengthLow) { Iv[I.Dst] = static_cast<int32_t>(S[I.A].length()); }
+
+#undef LOW_BODY
 
 } // namespace
 
@@ -476,10 +498,13 @@ void rjit::spillLowArgs(const LowFunction &F, std::vector<Value> &&Args,
 
 Value rjit::runLow(const LowFunction &F, std::vector<Value> &&Args,
                    Env *CurEnv, Env *ParentEnv) {
-  std::vector<Value> S(F.NumSlots);
-  std::vector<double> D(F.NumSlotsD);
-  std::vector<int32_t> Iv(F.NumSlotsI);
-  spillLowArgs(F, std::move(Args), S.data(), D.data(), Iv.data());
+  std::vector<Value> SlotsS(F.NumSlots);
+  std::vector<double> SlotsD(F.NumSlotsD);
+  std::vector<int32_t> SlotsI(F.NumSlotsI);
+  Value *S = SlotsS.data();
+  double *D = SlotsD.data();
+  int32_t *Iv = SlotsI.data();
+  spillLowArgs(F, std::move(Args), S, D, Iv);
 
   LowHooks &H = lowHooks();
   Env *ReadEnv = CurEnv ? CurEnv : ParentEnv;
@@ -487,18 +512,11 @@ Value rjit::runLow(const LowFunction &F, std::vector<Value> &&Args,
 
 #if RJIT_CGOTO
   static const void *Table[] = {
-      &&L_LoadConst,     &&L_Move,          &&L_Box,
-      &&L_Unbox,         &&L_Coerce,        &&L_LdEnv,
-      &&L_StEnv,         &&L_StEnvSuper,    &&L_MkClosLow,
-      &&L_CallValLow,    &&L_CallBiLow,     &&L_CallStaticLow,
-      &&L_ArithTyped,    &&L_BinGenLow,     &&L_NegLow,
-      &&L_NotLow,        &&L_AsCondLow,     &&L_Extract2Low,
-      &&L_Extract1Low,   &&L_Extract2Typed, &&L_SetElem2Low,
-      &&L_SetElem2Typed, &&L_SetIdx2EnvLow, &&L_SetIdx1EnvLow,
-      &&L_LengthLow,     &&L_GuardCond,     &&L_JumpLow,
-      &&L_BranchFalseLow, &&L_BranchTrueLow, &&L_CmpBranch,
-      &&L_RetLow,
+#define LOW_OP(Name, ...) &&L_##Name,
+#include "lowcode/ops.def"
   };
+  static_assert(sizeof(Table) / sizeof(Table[0]) == NumLowOps,
+                "one handler per LowOp");
   const LowInstr *IP = &F.Code[0];
 #define I (*IP)
   goto *Table[static_cast<uint8_t>(IP->Op)];
@@ -512,129 +530,39 @@ Value rjit::runLow(const LowFunction &F, std::vector<Value> &&Args,
     const LowInstr &I = F.Code[Pc];
     switch (I.Op) {
 #endif
-    VMCASE(LoadConst) {
-      loadConstOp(F, I, S.data(), D.data(), Iv.data());
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(Move) {
-      moveOp(I, S.data(), D.data(), Iv.data());
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(Box) {
-      boxOp(I, S.data(), D.data(), Iv.data());
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(Unbox) {
-      unboxOp(I, S.data(), D.data(), Iv.data());
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(Coerce) {
-      coerceOp(I, S.data(), D.data(), Iv.data());
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(LdEnv) {
-      ldEnvOp(I, S.data(), ReadEnv);
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(StEnv) {
-      assert(CurEnv && "store requires a real environment");
-      CurEnv->set(static_cast<Symbol>(I.Imm), S[I.A]);
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(StEnvSuper) {
-      stEnvSuperOp(I, S.data(), CurEnv, ParentEnv);
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(MkClosLow) {
-      assert(CurEnv && "closures capture a real environment");
-      S[I.Dst] = Value::closure(F.Origin->InnerFns[I.Imm], CurEnv);
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(CallValLow)
-    VMCASE(CallStaticLow) {
-      callValOp(I, S.data());
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(CallBiLow) {
-      S[I.Dst] = callBuiltin(static_cast<BuiltinId>(I.C), &S[I.B],
-                             static_cast<size_t>(I.Imm));
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(ArithTyped) {
-      arithTypedOp(I, S.data(), D.data(), Iv.data());
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(BinGenLow) {
-      S[I.Dst] = genericBinary(static_cast<BinOp>(I.C), S[I.A], S[I.B]);
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(NegLow) {
-      S[I.Dst] = genericNeg(S[I.A]);
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(NotLow) {
-      S[I.Dst] = genericNot(S[I.A]);
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(AsCondLow) {
-      S[I.Dst] = Value::lgl(S[I.A].asCondition());
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(Extract2Low) {
-      S[I.Dst] = extract2(S[I.A], S[I.B].toInt());
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(Extract1Low) {
-      S[I.Dst] = extract1(S[I.A], S[I.B]);
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(Extract2Typed) {
-      extract2TypedOp(I, S.data(), D.data(), Iv.data());
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(SetElem2Low) {
-      setElem2Op(I, S.data());
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(SetElem2Typed) {
-      setElem2TypedOp(I, S.data(), D.data(), Iv.data());
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(SetIdx2EnvLow)
-    VMCASE(SetIdx1EnvLow) {
-      setIdxEnvOp(I, S.data(), CurEnv);
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(LengthLow) {
-      Iv[I.Dst] = static_cast<int32_t>(S[I.A].length());
-      ++Pc;
-      VMSTEP();
-    }
+#define VMOP(op)                                                             \
+  VMCASE(op) {                                                               \
+    body<LowOp::op>(F, I, S, D, Iv, CurEnv, ParentEnv, ReadEnv);             \
+    ++Pc;                                                                    \
+    VMSTEP();                                                                \
+  }
+    VMOP(LoadConst)
+    VMOP(Move)
+    VMOP(Box)
+    VMOP(Unbox)
+    VMOP(Coerce)
+    VMOP(LdEnv)
+    VMOP(StEnv)
+    VMOP(StEnvSuper)
+    VMOP(MkClosLow)
+    VMOP(CallValLow)
+    VMOP(CallBiLow)
+    VMOP(ArithTyped)
+    VMOP(BinGenLow)
+    VMOP(NegLow)
+    VMOP(NotLow)
+    VMOP(AsCondLow)
+    VMOP(Extract2Low)
+    VMOP(Extract1Low)
+    VMOP(Extract2Typed)
+    VMOP(SetElem2Low)
+    VMOP(SetElem2Typed)
+    VMOP(SetIdx2EnvLow)
+    VMOP(LengthLow)
+#undef VMOP
     VMCASE(GuardCond) {
       const DeoptMeta &M = F.Deopts[I.Imm];
-      bool Ok = lowGuardHolds(I, M, S.data());
+      bool Ok = lowGuardHolds(I, M, S);
       ++stats().AssumeChecks;
       bool Injected = false;
       // Builtin-stability guards (C == 2) model what Ř implements as a
@@ -662,8 +590,7 @@ Value rjit::runLow(const LowFunction &F, std::vector<Value> &&Args,
                  "installed");
         // The paper's Listing 3: the deopt primitive is (tail-)called and
         // its result is the result of this activation.
-        return H.Deopt(F, {S.data(), D.data(), Iv.data()}, I.Imm, CurEnv,
-                       ParentEnv, Injected);
+        return H.Deopt(F, {S, D, Iv}, I.Imm, CurEnv, ParentEnv, Injected);
       }
       ++Pc;
       VMSTEP();
@@ -681,8 +608,7 @@ Value rjit::runLow(const LowFunction &F, std::vector<Value> &&Args,
       VMSTEP();
     }
     VMCASE(CmpBranch) {
-      Pc = stepCmpBranchTaken(I, S.data(), D.data(), Iv.data()) ? I.Imm
-                                                                : Pc + 1;
+      Pc = stepCmpBranchTaken(I, S, D, Iv) ? I.Imm : Pc + 1;
       VMSTEP();
     }
     VMCASE(RetLow)
@@ -700,8 +626,8 @@ Value rjit::runLow(const LowFunction &F, std::vector<Value> &&Args,
 
 //===----------------------------------------------------------------------===//
 // Single-instruction execution (lowcode/step.h): the native backend's
-// per-op fallback path. Shares every op body/helper with the dispatch
-// loop above — this is a second *driver*, not a second implementation.
+// per-op fallback path. It runs the same op bodies as the dispatch loop
+// above — a second *driver*, not a second implementation.
 //===----------------------------------------------------------------------===//
 
 bool rjit::lowGuardHolds(const LowInstr &I, const DeoptMeta &M,
@@ -722,10 +648,8 @@ bool rjit::lowGuardHolds(const LowInstr &I, const DeoptMeta &M,
 
 bool rjit::stepCmpBranchTaken(const LowInstr &I, const Value *S,
                               const double *D, const int32_t *Iv) {
-  bool SenseTrue = I.C & 0x8000;
-  uint16_t Packed = I.C & 0x7FFF;
-  BinOp Op = static_cast<BinOp>(Packed >> 2);
-  int Rank = Packed & 3;
+  BinOp Op = arithOp(I);
+  int Rank = arithRank(I);
   bool Cond;
   if (Rank == 2)
     Cond = cmpApply(Op, D[I.A], D[I.B]);
@@ -734,94 +658,16 @@ bool rjit::stepCmpBranchTaken(const LowInstr &I, const Value *S,
   else
     Cond = cplxArith(Op, S[I.A].asCplxUnchecked(), S[I.B].asCplxUnchecked())
                .asLglUnchecked();
-  return Cond == SenseTrue;
+  return Cond == cmpBranchSense(I);
 }
 
 void rjit::stepLowInstr(const LowFunction &F, const LowInstr &I, Value *S,
                         double *D, int32_t *Iv, Env *CurEnv, Env *ParentEnv,
                         Env *ReadEnv) {
   switch (I.Op) {
-  case LowOp::LoadConst:
-    loadConstOp(F, I, S, D, Iv);
-    break;
-  case LowOp::Move:
-    moveOp(I, S, D, Iv);
-    break;
-  case LowOp::Box:
-    boxOp(I, S, D, Iv);
-    break;
-  case LowOp::Unbox:
-    unboxOp(I, S, D, Iv);
-    break;
-  case LowOp::Coerce:
-    coerceOp(I, S, D, Iv);
-    break;
-  case LowOp::LdEnv:
-    ldEnvOp(I, S, ReadEnv);
-    break;
-  case LowOp::StEnv:
-    assert(CurEnv && "store requires a real environment");
-    CurEnv->set(static_cast<Symbol>(I.Imm), S[I.A]);
-    break;
-  case LowOp::StEnvSuper:
-    stEnvSuperOp(I, S, CurEnv, ParentEnv);
-    break;
-  case LowOp::MkClosLow:
-    assert(CurEnv && "closures capture a real environment");
-    S[I.Dst] = Value::closure(F.Origin->InnerFns[I.Imm], CurEnv);
-    break;
-  case LowOp::CallValLow:
-  case LowOp::CallStaticLow:
-    callValOp(I, S);
-    break;
-  case LowOp::CallBiLow:
-    S[I.Dst] = callBuiltin(static_cast<BuiltinId>(I.C), &S[I.B],
-                           static_cast<size_t>(I.Imm));
-    break;
-  case LowOp::ArithTyped:
-    arithTypedOp(I, S, D, Iv);
-    break;
-  case LowOp::BinGenLow:
-    S[I.Dst] = genericBinary(static_cast<BinOp>(I.C), S[I.A], S[I.B]);
-    break;
-  case LowOp::NegLow:
-    S[I.Dst] = genericNeg(S[I.A]);
-    break;
-  case LowOp::NotLow:
-    S[I.Dst] = genericNot(S[I.A]);
-    break;
-  case LowOp::AsCondLow:
-    S[I.Dst] = Value::lgl(S[I.A].asCondition());
-    break;
-  case LowOp::Extract2Low:
-    S[I.Dst] = extract2(S[I.A], S[I.B].toInt());
-    break;
-  case LowOp::Extract1Low:
-    S[I.Dst] = extract1(S[I.A], S[I.B]);
-    break;
-  case LowOp::Extract2Typed:
-    extract2TypedOp(I, S, D, Iv);
-    break;
-  case LowOp::SetElem2Low:
-    setElem2Op(I, S);
-    break;
-  case LowOp::SetElem2Typed:
-    setElem2TypedOp(I, S, D, Iv);
-    break;
-  case LowOp::SetIdx2EnvLow:
-  case LowOp::SetIdx1EnvLow:
-    setIdxEnvOp(I, S, CurEnv);
-    break;
-  case LowOp::LengthLow:
-    Iv[I.Dst] = static_cast<int32_t>(S[I.A].length());
-    break;
-  case LowOp::GuardCond:
-  case LowOp::JumpLow:
-  case LowOp::BranchFalseLow:
-  case LowOp::BranchTrueLow:
-  case LowOp::CmpBranch:
-  case LowOp::RetLow:
-    assert(false && "control-flow op reached the fallback stepper");
-    rerror("internal: control-flow op in stepLowInstr");
+#define LOW_OP(Name, ...)                                                    \
+  case LowOp::Name:                                                          \
+    return body<LowOp::Name>(F, I, S, D, Iv, CurEnv, ParentEnv, ReadEnv);
+#include "lowcode/ops.def"
   }
 }

@@ -8,74 +8,6 @@
 
 using namespace rjit;
 
-const char *rjit::lowOpName(LowOp Op) {
-  switch (Op) {
-  case LowOp::LoadConst:
-    return "ldc";
-  case LowOp::Move:
-    return "mov";
-  case LowOp::Box:
-    return "box";
-  case LowOp::Unbox:
-    return "unbox";
-  case LowOp::Coerce:
-    return "coerce";
-  case LowOp::LdEnv:
-    return "ldenv";
-  case LowOp::StEnv:
-    return "stenv";
-  case LowOp::StEnvSuper:
-    return "stenv<<";
-  case LowOp::MkClosLow:
-    return "mkclos";
-  case LowOp::CallValLow:
-    return "call";
-  case LowOp::CallBiLow:
-    return "callbi";
-  case LowOp::CallStaticLow:
-    return "callstatic";
-  case LowOp::ArithTyped:
-    return "arith.t";
-  case LowOp::BinGenLow:
-    return "bin";
-  case LowOp::NegLow:
-    return "neg";
-  case LowOp::NotLow:
-    return "not";
-  case LowOp::AsCondLow:
-    return "ascond";
-  case LowOp::Extract2Low:
-    return "idx2";
-  case LowOp::Extract1Low:
-    return "idx1";
-  case LowOp::Extract2Typed:
-    return "idx2.t";
-  case LowOp::SetElem2Low:
-    return "setelem2";
-  case LowOp::SetElem2Typed:
-    return "setelem2.t";
-  case LowOp::SetIdx2EnvLow:
-    return "setidx2env";
-  case LowOp::SetIdx1EnvLow:
-    return "setidx1env";
-  case LowOp::LengthLow:
-    return "length";
-  case LowOp::GuardCond:
-    return "guard";
-  case LowOp::JumpLow:
-    return "jump";
-  case LowOp::BranchFalseLow:
-    return "brfalse";
-  case LowOp::BranchTrueLow:
-    return "brtrue";
-  case LowOp::CmpBranch:
-    return "cmpbr";
-  case LowOp::RetLow:
-    return "ret";
-  }
-  return "?";
-}
-
 namespace {
 
 /// One frame's frame-state references: stack values, then named locals,
@@ -111,8 +43,7 @@ std::string rjit::printLow(const LowFunction &F) {
     S += std::to_string(Pc) + ": " + lowOpName(I.Op);
     S += " d" + std::to_string(I.Dst) + " a" + std::to_string(I.A) + " b" +
          std::to_string(I.B) + " c" + std::to_string(I.C);
-    if (I.Op == LowOp::JumpLow || I.Op == LowOp::BranchFalseLow ||
-        I.Op == LowOp::BranchTrueLow || I.Op == LowOp::CmpBranch)
+    if (isBranch(I.Op))
       S += " -> " + std::to_string(I.Imm);
     else if (I.Imm)
       S += " imm=" + std::to_string(I.Imm);

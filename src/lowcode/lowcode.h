@@ -21,6 +21,13 @@
 ///  * guard failures invoke an installed hook — the deopt runtime decides
 ///    between true deoptimization and deoptless dispatch.
 ///
+/// The instruction set is declared once, in lowcode/ops.def: each op's
+/// mnemonic and, for each operand field, whether it is a slot the op reads
+/// or writes and where that slot's class comes from. The enum, the names,
+/// isBranch and forEachUse/forEachDef derive from it, so the interpreter,
+/// the native stitcher and its register allocator share one statement of
+/// what every op reads and writes.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RJIT_LOWCODE_LOWCODE_H
@@ -39,62 +46,27 @@ namespace rjit {
 /// after an over-generalizing recompile the paper's figures measure.
 enum class SlotClass : uint8_t { Boxed, RawReal, RawInt };
 
+/// The instruction set, declared once in lowcode/ops.def.
 enum class LowOp : uint8_t {
-  LoadConst,   ///< Dst <- Consts[Imm]; B = SlotClass of Dst
-  Move,        ///< Dst <- A; B = SlotClass; C=1 (boxed only) moves the
-               ///< value out of A, set on a phi edge move that is A's
-               ///< last use (A is dead past the edge)
-  Box,         ///< S[Dst] <- raw A; C = SlotClass of A
-  Unbox,       ///< raw Dst <- S[A]; C = SlotClass of Dst
-  Coerce,      ///< Dst <- A coerced to scalar kind (C & 0xFF as Tag);
-               ///< C >> 8 = SlotClass of the source
-  LdEnv,       ///< Dst <- lookup(sym Imm) through the read env chain
-  StEnv,       ///< env[sym Imm] <- A (needs a real environment)
-  StEnvSuper,  ///< <<- semantics starting at the parent environment
-  MkClosLow,   ///< Dst <- closure(InnerFns[Imm], current env)
-  CallValLow,  ///< Dst <- call A with args in slots [B, B+Imm)
-  CallBiLow,   ///< Dst <- builtin C with args in slots [B, B+Imm)
-  CallStaticLow, ///< Dst <- call closure in A (guarded identity), args [B, B+Imm)
-  ArithTyped,  ///< Dst <- A op B; C packs (BinOp << 4 | kind rank)
-  BinGenLow,   ///< Dst <- generic binary; C = BinOp
-  NegLow,      ///< Dst <- -A (generic)
-  NotLow,      ///< Dst <- !A (generic)
-  AsCondLow,   ///< Dst <- scalar logical of A
-  Extract2Low, ///< Dst <- A[[B]] (generic)
-  Extract1Low, ///< Dst <- A[B] (generic)
-  Extract2Typed, ///< Dst <- raw element A[[B]]; C = element kind (Tag)
-  SetElem2Low,   ///< Dst <- A with [[B]] <- slot Imm (generic); C bit
-                 ///< 0x100 steals A (the store is A's last use), so an
-                 ///< unshared vector is written in place
-  SetElem2Typed, ///< same, typed; C & 0xFF = element kind (Tag), C bit
-                 ///< 0x100 steals A as above, Imm = value slot
-  SetIdx2EnvLow, ///< env var sym(Imm2): [[A]] <- B; Dst <- B
-  SetIdx1EnvLow,
-  LengthLow,   ///< Dst <- length(A) as Int
-  GuardCond,   ///< deopt via Deopts[Imm] when slot A is FALSE
-  JumpLow,     ///< pc <- Imm
-  BranchFalseLow, ///< pc <- Imm when slot A is falsy
-  BranchTrueLow,  ///< pc <- Imm when slot A is truthy
-  CmpBranch,   ///< fused typed compare + branch; C packs (BinOp<<2|kind),
-               ///< bit 15 = branch on true; Imm = target
-  RetLow,      ///< return A
+#define LOW_OP(Name, ...) Name,
+#include "lowcode/ops.def"
 };
 
-const char *lowOpName(LowOp Op);
-
-/// A frame-state value named by deopt metadata: the slot that holds it and
-/// the class of that slot (slot numbers are per-class namespaces). Raw
-/// values are referenced where they live and boxed by the deopt runtime
-/// only once a guard has failed (see SlotView in lowcode/exec.h), so
-/// optimized code does no work for a frame state on the passing path.
+/// A slot named by an instruction operand or by deopt metadata: the slot
+/// and the class of that slot (slot numbers are per-class namespaces).
+/// Deopt metadata references raw frame-state values where they live; the
+/// deopt runtime boxes them only once a guard has failed (see SlotView in
+/// lowcode/exec.h), so optimized code does no work for a frame state on
+/// the passing path.
 struct LiveRef {
   uint16_t Slot;
   SlotClass K;
 };
 
-/// One LowCode instruction. C carries small payloads (packed op/kind,
-/// builtin id, tag); Imm carries jump targets / counts / meta indices;
-/// Imm2 is the second immediate for env-indexed stores.
+/// One LowCode instruction. C carries small payloads (a slot class, a
+/// builtin id, or one of the packed fields below); Imm carries jump
+/// targets, counts, slots and meta indices; Imm2 is the symbol of an
+/// env-indexed store.
 struct LowInstr {
   LowOp Op;
   uint16_t Dst = 0;
@@ -104,6 +76,153 @@ struct LowInstr {
   int32_t Imm = 0;
   int32_t Imm2 = 0;
 };
+
+//===-- Packed C fields: one encoder and one decoder each -----------------===//
+
+/// ArithTyped: C = BinOp << 2 | kind rank (0 Lgl, 1 Int, 2 Real, 3 Cplx).
+constexpr uint16_t packArith(BinOp Op, int Rank) {
+  return static_cast<uint16_t>(static_cast<unsigned>(Op) << 2 | Rank);
+}
+/// CmpBranch: ArithTyped's field plus the branch sense in bit 15.
+constexpr uint16_t packCmpBranch(uint16_t Arith, bool SenseTrue) {
+  return static_cast<uint16_t>(Arith | (SenseTrue ? 0x8000u : 0u));
+}
+inline BinOp arithOp(const LowInstr &I) {
+  return static_cast<BinOp>((I.C & 0x7FFF) >> 2);
+}
+inline int arithRank(const LowInstr &I) { return I.C & 3; }
+inline bool cmpBranchSense(const LowInstr &I) { return I.C & 0x8000; }
+
+/// Coerce: C = target kind | source SlotClass << 8.
+constexpr uint16_t packCoerce(Tag Target, SlotClass Src) {
+  return static_cast<uint16_t>(static_cast<unsigned>(Target) |
+                               static_cast<unsigned>(Src) << 8);
+}
+inline Tag coerceTarget(const LowInstr &I) {
+  return static_cast<Tag>(I.C & 0xFF);
+}
+inline SlotClass coerceSrcClass(const LowInstr &I) {
+  return static_cast<SlotClass>(I.C >> 8);
+}
+
+/// Extract2Typed and SetElem2*: C = element kind | steal bit 0x100 (an
+/// element store that moves its container out of A).
+constexpr uint16_t packElem(Tag Kind, bool Steal = false) {
+  return static_cast<uint16_t>(static_cast<unsigned>(Kind) |
+                               (Steal ? 0x100u : 0u));
+}
+inline Tag elemKind(const LowInstr &I) { return static_cast<Tag>(I.C & 0xFF); }
+inline bool stealsContainer(const LowInstr &I) { return I.C & 0x100; }
+
+/// The slot class of a rank's raw operands: Int and Real ranks are raw.
+inline SlotClass rankClass(int Rank) {
+  return Rank == 1   ? SlotClass::RawInt
+         : Rank == 2 ? SlotClass::RawReal
+                     : SlotClass::Boxed;
+}
+/// The slot class of an element kind: Int and Real elements are raw.
+inline SlotClass kindClass(Tag Kind) {
+  return Kind == Tag::Int    ? SlotClass::RawInt
+         : Kind == Tag::Real ? SlotClass::RawReal
+                             : SlotClass::Boxed;
+}
+
+//===-- The ops.def table and what derives from it ------------------------===//
+
+/// The vocabulary of ops.def's operand columns (see its header).
+namespace lowop {
+enum ClassFrom : uint8_t {
+  Boxed,
+  RawInt,
+  InB,
+  InC,
+  CoerceSrc,
+  ElemKind,
+  Rank,
+  ArgWindow
+};
+enum Role : uint8_t { NotSlot, Use, Def, Target };
+struct Operand {
+  Role R;
+  ClassFrom K;
+};
+constexpr Operand No{NotSlot, Boxed};
+constexpr Operand Pc{Target, Boxed};
+constexpr Operand use(ClassFrom K) { return {Use, K}; }
+constexpr Operand def(ClassFrom K) { return {Def, K}; }
+
+struct Info {
+  const char *Mnemonic;
+  Operand Dst, A, B, Imm;
+};
+inline constexpr Info Table[] = {
+#define LOW_OP(Name, Mnemonic, Dst, A, B, Imm) {Mnemonic, Dst, A, B, Imm},
+#include "lowcode/ops.def"
+};
+
+inline const Info &info(LowOp Op) { return Table[static_cast<uint8_t>(Op)]; }
+
+/// The class of the slot that operand \p O of \p I names.
+inline SlotClass classOf(const LowInstr &I, Operand O) {
+  switch (O.K) {
+  case Boxed:
+  case ArgWindow:
+    return SlotClass::Boxed;
+  case RawInt:
+    return SlotClass::RawInt;
+  case InB:
+    return static_cast<SlotClass>(I.B);
+  case InC:
+    return static_cast<SlotClass>(I.C);
+  case CoerceSrc:
+    return coerceSrcClass(I);
+  case ElemKind:
+    return kindClass(elemKind(I));
+  case Rank:
+    return O.R == Def && isComparison(arithOp(I)) ? SlotClass::Boxed
+                                                  : rankClass(arithRank(I));
+  }
+  return SlotClass::Boxed;
+}
+
+template <typename Fn> void forEachSlot(const LowInstr &I, Role R, Fn &&Visit) {
+  const Info &In = info(I.Op);
+  auto One = [&](Operand O, int32_t Slot) {
+    if (O.R != R)
+      return;
+    if (O.K == ArgWindow) {
+      for (int32_t K = 0; K < I.Imm; ++K)
+        Visit(LiveRef{static_cast<uint16_t>(Slot + K), SlotClass::Boxed});
+      return;
+    }
+    Visit(LiveRef{static_cast<uint16_t>(Slot), classOf(I, O)});
+  };
+  One(In.Dst, I.Dst);
+  One(In.A, I.A);
+  One(In.B, I.B);
+  One(In.Imm, I.Imm);
+}
+} // namespace lowop
+
+constexpr size_t NumLowOps = sizeof(lowop::Table) / sizeof(lowop::Table[0]);
+
+/// The op's mnemonic, as printLow prints it.
+inline const char *lowOpName(LowOp Op) { return lowop::info(Op).Mnemonic; }
+
+/// True for ops whose Imm is a branch target (jumps and branches).
+inline bool isBranch(LowOp Op) {
+  return lowop::info(Op).Imm.R == lowop::Target;
+}
+
+/// Calls \p Visit with a LiveRef for every slot \p I reads.
+template <typename Fn> void forEachUse(const LowInstr &I, Fn &&Visit) {
+  lowop::forEachSlot(I, lowop::Use, Visit);
+}
+
+/// Calls \p Visit with a LiveRef for every slot \p I writes.
+template <typename Fn> void forEachDef(const LowInstr &I, Fn &&Visit) {
+  lowop::forEachSlot(I, lowop::Def, Visit);
+}
 
 /// One synthesized interpreter frame of a caller whose call was inlined:
 /// the compiled form of a return-framestate in the frame-state chain. On

@@ -20,8 +20,8 @@
 // element store with a refcount of one and is written in place. One
 // backward liveness pass over the boxed slots answers "is this value
 // still needed after here?" for the two moving uses: the container of an
-// element store (SetElem2*, steal bit 0x100) and a phi edge move (Move,
-// C=1). What counts as a read:
+// element store (SetElem2*, packElem's steal bit) and a phi edge move
+// (Move, C=1). What counts as a read:
 //  * a phi operand is read at the end of its incoming block, on that
 //    edge only;
 //  * FrameState, Checkpoint and the guard predicates emit no code: their
@@ -468,8 +468,7 @@ private:
         LowInstr Co{LowOp::Coerce};
         Co.Dst = Dst;
         Co.A = slotOf(Src);
-        Co.C = static_cast<uint16_t>(static_cast<uint16_t>(Target) |
-                                     (static_cast<uint16_t>(SrcK) << 8));
+        Co.C = packCoerce(Target, SrcK);
         Co.B = static_cast<uint16_t>(DstK);
         emit(Co);
         return;
@@ -529,20 +528,8 @@ private:
 
   bool fuseCompare(const Instr *Cond, LowInstr &Br, bool SenseTrue) {
     const Instr *R = canon(Cond);
-    if (R->Op != IrOp::BinTyped || AllUses[R->Id] != 1)
-      return false;
-    switch (R->Bop) {
-    case BinOp::Eq:
-    case BinOp::Ne:
-    case BinOp::Lt:
-    case BinOp::Le:
-    case BinOp::Gt:
-    case BinOp::Ge:
-      break;
-    default:
-      return false;
-    }
-    if (F->Code.empty())
+    if (R->Op != IrOp::BinTyped || !isComparison(R->Bop) ||
+        AllUses[R->Id] != 1 || F->Code.empty())
       return false;
     const LowInstr &Last = F->Code.back();
     if (Last.Op != LowOp::ArithTyped || Last.Dst != slotOf(R))
@@ -550,7 +537,7 @@ private:
     Br.Op = LowOp::CmpBranch;
     Br.A = Last.A;
     Br.B = Last.B;
-    Br.C = static_cast<uint16_t>(Last.C | (SenseTrue ? 0x8000u : 0u));
+    Br.C = packCmpBranch(Last.C, SenseTrue);
     F->Code.pop_back();
     return true;
   }
@@ -616,9 +603,7 @@ private:
       L.Dst = slotOf(&I);
       L.A = slotOf(I.op(0));
       L.B = static_cast<uint16_t>(classOf(&I));
-      L.C = static_cast<uint16_t>(
-          static_cast<uint16_t>(I.Knd) |
-          (static_cast<uint16_t>(classOf(I.op(0))) << 8));
+      L.C = packCoerce(I.Knd, classOf(I.op(0)));
       emit(L);
       return;
     }
@@ -670,8 +655,7 @@ private:
       NextB = static_cast<uint16_t>(NextB + NArgs);
       for (size_t K = 0; K < NArgs; ++K)
         emitArgMove(static_cast<uint16_t>(Base + K), I.op(K + 1));
-      LowInstr L{I.Op == IrOp::CallVal ? LowOp::CallValLow
-                                       : LowOp::CallStaticLow};
+      LowInstr L{LowOp::CallValLow};
       L.A = ensureBoxed(I.op(0));
       L.B = Base;
       L.Imm = static_cast<int32_t>(NArgs);
@@ -707,8 +691,7 @@ private:
       L.Dst = slotOf(&I);
       L.A = slotOf(I.op(0));
       L.B = slotOf(I.op(1));
-      L.C = static_cast<uint16_t>((static_cast<unsigned>(I.Bop) << 2) |
-                                  kindRank(I.Knd));
+      L.C = packArith(I.Bop, kindRank(I.Knd));
       emit(L);
       return;
     }
@@ -747,7 +730,7 @@ private:
       L.A = boxedSlotOf(I.op(0));
       L.B = slotOf(I.op(1));
       assert(classOf(I.op(1)) == SlotClass::RawInt && "index must be raw");
-      L.C = static_cast<uint16_t>(I.Knd);
+      L.C = packElem(I.Knd);
       emit(L);
       return;
     }
@@ -762,20 +745,18 @@ private:
         L.B = slotOf(I.op(1)); // raw int index
         assert(classOf(I.op(1)) == SlotClass::RawInt);
         L.Imm = slotOf(I.op(2)); // value in its (kind-implied) home
-        L.C = static_cast<uint16_t>(static_cast<uint16_t>(I.Knd) |
-                                    (Steal ? 0x100u : 0u));
+        L.C = packElem(I.Knd, Steal);
       } else {
         L.B = ensureBoxed(I.op(1));
         L.Imm = ensureBoxed(I.op(2));
-        L.C = static_cast<uint16_t>(Steal ? 0x100u : 0u);
+        L.C = packElem(Tag::Null, Steal);
       }
       emit(L);
       return;
     }
     case IrOp::SetIdx2Env:
     case IrOp::SetIdx1Env: {
-      LowInstr L{I.Op == IrOp::SetIdx2Env ? LowOp::SetIdx2EnvLow
-                                          : LowOp::SetIdx1EnvLow};
+      LowInstr L{LowOp::SetIdx2EnvLow};
       L.A = ensureBoxed(I.op(0));
       L.B = ensureBoxed(I.op(1));
       L.Imm2 = static_cast<int32_t>(I.Sym);

@@ -22,12 +22,12 @@
 //    emits for single-use compares, when the boxed compare result is
 //    provably dead.
 //
-//  * Direct call linking (native/linker.*): monomorphic CallValLow /
-//    CallStaticLow sites carry a LinkSite data cell. Once the callee's
-//    generic version is published, the call helper transfers straight to
-//    its code via vmLinkedCall — skipping dispatch's version-table walk —
-//    and the retire path unlinks every predecessor before the graveyard
-//    can reclaim the target block.
+//  * Direct call linking (native/linker.*): monomorphic CallValLow sites
+//    carry a LinkSite data cell. Once the callee's generic version is
+//    published, the call helper transfers straight to its code via
+//    vmLinkedCall — skipping dispatch's version-table walk — and the
+//    retire path unlinks every predecessor before the graveyard can
+//    reclaim the target block.
 //
 // Register plan: rbx = NativeFrame*, r12 = boxed slots (Value*), r13 = raw
 // double slots, r14 = raw int32 slots; rax/rcx/rdx/rsi/rdi/xmm0/xmm1 are
@@ -262,14 +262,14 @@ void maybeRegisterSite(NativeFrame *Fr, LinkSite &Site, const LowInstr &I) {
 
 extern "C" {
 
-/// Direct-linked CallValLow/CallStaticLow: when the site's cached callee
-/// matches and its version is linked, transfer via vmLinkedCall (which
-/// performs exactly full dispatch's per-call bookkeeping); otherwise fall
-/// back to the interpreter handler — the same instruction, re-executed
-/// from scratch. The argument-range aliasing check (callee slot inside
-/// [B, B+Imm)) matters because the handler moves the arguments out
-/// *before* reading the callee slot; falling back reproduces that exact
-/// moved-from behavior instead of duplicating it here.
+/// Direct-linked CallValLow: when the site's cached callee matches and its
+/// version is linked, transfer via vmLinkedCall (which performs exactly
+/// full dispatch's per-call bookkeeping); otherwise fall back to the
+/// interpreter handler — the same instruction, re-executed from scratch.
+/// The argument-range aliasing check (callee slot inside [B, B+Imm))
+/// matters because the handler moves the arguments out *before* reading
+/// the callee slot; falling back reproduces that exact moved-from
+/// behavior instead of duplicating it here.
 static int64_t rjit_nat_call_linked(NativeFrame *Fr, int32_t SiteIdx) {
   LinkSite &Site = Fr->Sites[SiteIdx];
   const LowInstr &I = Fr->F->Code[Site.Pc];
@@ -356,20 +356,6 @@ static int64_t rjit_nat_guard_tick(NativeFrame *Fr, int32_t Pc) {
 
 namespace {
 
-/// True for the arithmetic operators the real/int templates inline (the
-/// rest — compares that box, %%, %/%, ^, complex — take the handler).
-bool inlineableRealArith(BinOp Op) {
-  return Op == BinOp::Add || Op == BinOp::Sub || Op == BinOp::Mul ||
-         Op == BinOp::Div;
-}
-bool inlineableIntArith(BinOp Op) {
-  return Op == BinOp::Add || Op == BinOp::Sub || Op == BinOp::Mul;
-}
-bool isCompareOp(BinOp Op) {
-  return Op == BinOp::Eq || Op == BinOp::Ne || Op == BinOp::Lt ||
-         Op == BinOp::Le || Op == BinOp::Gt || Op == BinOp::Ge;
-}
-
 class Stitcher {
 public:
   Stitcher(const LowFunction &F, const NativeTierOptions &Opts)
@@ -398,10 +384,9 @@ public:
     // Fusion must not swallow an instruction some branch jumps to.
     JumpTarget.assign(F.Code.size(), false);
     for (const LowInstr &I : F.Code)
-      if (I.Op == LowOp::JumpLow || I.Op == LowOp::BranchFalseLow ||
-          I.Op == LowOp::BranchTrueLow || I.Op == LowOp::CmpBranch)
-        if (I.Imm >= 0 && I.Imm < static_cast<int32_t>(F.Code.size()))
-          JumpTarget[I.Imm] = true;
+      if (isBranch(I.Op) && I.Imm >= 0 &&
+          I.Imm < static_cast<int32_t>(F.Code.size()))
+        JumpTarget[I.Imm] = true;
 
     emitPrologue();
     for (int32_t Pc = 0; Pc < static_cast<int32_t>(F.Code.size()); ++Pc) {
@@ -942,70 +927,13 @@ private:
     return false;
   }
 
-  /// Does \p I read boxed slot \p Slot? Per-op boxed operand positions;
-  /// unknown ops conservatively read everything.
+  /// Does \p I read boxed slot \p Slot?
   static bool boxedReads(const LowInstr &I, uint16_t Slot) {
-    auto InArgRange = [&I, Slot] {
-      return Slot >= I.B &&
-             static_cast<int32_t>(Slot) < static_cast<int32_t>(I.B) + I.Imm;
-    };
-    switch (I.Op) {
-    case LowOp::Move:
-      return static_cast<SlotClass>(I.B) == SlotClass::Boxed && I.A == Slot;
-    case LowOp::Unbox:
-      return I.A == Slot;
-    case LowOp::Coerce:
-      return static_cast<SlotClass>(I.C >> 8) == SlotClass::Boxed &&
-             I.A == Slot;
-    case LowOp::StEnv:
-    case LowOp::StEnvSuper:
-      return I.A == Slot;
-    case LowOp::CallValLow:
-    case LowOp::CallStaticLow:
-      return I.A == Slot || InArgRange();
-    case LowOp::CallBiLow:
-      return InArgRange();
-    case LowOp::ArithTyped:
-      return (I.C & 3) == 0 && (I.A == Slot || I.B == Slot);
-    case LowOp::BinGenLow:
-      return I.A == Slot || I.B == Slot;
-    case LowOp::NegLow:
-    case LowOp::NotLow:
-    case LowOp::AsCondLow:
-    case LowOp::LengthLow:
-    case LowOp::Extract2Typed:
-      return I.A == Slot;
-    case LowOp::Extract2Low:
-    case LowOp::Extract1Low:
-      return I.A == Slot || I.B == Slot;
-    case LowOp::SetElem2Low:
-      return I.A == Slot || I.B == Slot ||
-             (I.Imm >= 0 && static_cast<uint16_t>(I.Imm) == Slot);
-    case LowOp::SetElem2Typed: {
-      // The stored element (Imm) is boxed for non-real/int kinds;
-      // conservatively treat it as boxed for any kind.
-      return I.A == Slot ||
-             (I.Imm >= 0 && static_cast<uint16_t>(I.Imm) == Slot);
-    }
-    case LowOp::SetIdx2EnvLow:
-    case LowOp::SetIdx1EnvLow:
-      return I.A == Slot || I.B == Slot;
-    case LowOp::GuardCond:
-    case LowOp::BranchFalseLow:
-    case LowOp::BranchTrueLow:
-    case LowOp::RetLow:
-      return I.A == Slot;
-    case LowOp::CmpBranch:
-      return ((I.C & 0x7FFF) & 3) == 0 && (I.A == Slot || I.B == Slot);
-    case LowOp::LoadConst:
-    case LowOp::Box:
-    case LowOp::LdEnv:
-    case LowOp::MkClosLow:
-    case LowOp::JumpLow:
-      return false;
-    default:
-      return true;
-    }
+    bool Reads = false;
+    forEachUse(I, [&](LiveRef R) {
+      Reads |= R.K == SlotClass::Boxed && R.Slot == Slot;
+    });
+    return Reads;
   }
 
   /// Attempts to emit the pair at (\p Pc, Pc+1) as one superinstruction.
@@ -1018,24 +946,22 @@ private:
     const LowInstr &J = F.Code[Next];
 
     if (I.Op == LowOp::ArithTyped) {
-      BinOp Op = static_cast<BinOp>(I.C >> 2);
-      int Rank = I.C & 3;
+      BinOp Op = arithOp(I);
+      int Rank = arithRank(I);
 
       // (A) arith + raw move of its result: compute once into scratch,
       // store both destinations — the intermediate store/reload dies.
       // Correct under any aliasing: both stores happen, in order.
       if (J.Op == LowOp::Move && J.A == I.Dst) {
         SlotClass MK = static_cast<SlotClass>(J.B);
-        if (Rank == 2 && MK == SlotClass::RawReal &&
-            inlineableRealArith(Op)) {
+        if (Rank == 2 && MK == SlotClass::RawReal && inlinedArith(Op, Rank)) {
           realArithToScratch(Op, I.A, I.B);
           realStore(I.Dst, 0);
           realStore(J.Dst, 0);
           ++Fused;
           return true;
         }
-        if (Rank == 1 && MK == SlotClass::RawInt &&
-            inlineableIntArith(Op)) {
+        if (Rank == 1 && MK == SlotClass::RawInt && inlinedArith(Op, Rank)) {
           intArithToScratch(Op, I.A, I.B);
           intStore(I.Dst, RAX);
           intStore(J.Dst, RAX);
@@ -1050,14 +976,13 @@ private:
       // the helper, which would re-decode F.Code[Pc] as the *original*
       // ArithTyped.
       if ((J.Op == LowOp::BranchTrueLow || J.Op == LowOp::BranchFalseLow) &&
-          (Rank == 1 || Rank == 2) && isCompareOp(Op) && J.A == I.Dst &&
+          (Rank == 1 || Rank == 2) && isComparison(Op) && J.A == I.Dst &&
           boxedSlotDead(I.Dst, Pc, Next)) {
         LowInstr CB;
         CB.Op = LowOp::CmpBranch;
         CB.A = I.A;
         CB.B = I.B;
-        CB.C = static_cast<uint16_t>(
-            I.C | (J.Op == LowOp::BranchTrueLow ? 0x8000u : 0u));
+        CB.C = packCmpBranch(I.C, J.Op == LowOp::BranchTrueLow);
         CB.Imm = J.Imm;
         emitCmpBranch(Pc, CB);
         ++Fused;
@@ -1071,11 +996,11 @@ private:
     // the slot array. The extract still stores its destination (another
     // op — or the slow path — may read it); only the *reload* dies.
     if (I.Op == LowOp::Extract2Typed && J.Op == LowOp::ArithTyped) {
-      Tag K = static_cast<Tag>(I.C);
-      BinOp Op = static_cast<BinOp>(J.C >> 2);
-      int Rank = J.C & 3;
+      Tag K = elemKind(I);
+      BinOp Op = arithOp(J);
+      int Rank = arithRank(J);
       bool UseA = J.A == I.Dst, UseB = J.B == I.Dst;
-      if (K == Tag::Real && Rank == 2 && inlineableRealArith(Op) &&
+      if (K == Tag::Real && Rank == 2 && inlinedArith(Op, Rank) &&
           (UseA || UseB)) {
         if (!emitExtract2Typed(Pc, I, /*KeepScratch=*/true))
           return false; // no inline fast path; emit both separately
@@ -1096,7 +1021,7 @@ private:
         ++Fused;
         return true;
       }
-      if (K == Tag::Int && Rank == 1 && inlineableIntArith(Op) &&
+      if (K == Tag::Int && Rank == 1 && inlinedArith(Op, Rank) &&
           (UseA || UseB)) {
         if (!emitExtract2Typed(Pc, I, /*KeepScratch=*/true))
           return false;
@@ -1185,7 +1110,7 @@ private:
       }
       return;
     case LowOp::Coerce: {
-      SlotClass SrcK = static_cast<SlotClass>(I.C >> 8);
+      SlotClass SrcK = coerceSrcClass(I);
       SlotClass DstK = static_cast<SlotClass>(I.B);
       if (DstK == SlotClass::RawReal && SrcK == SlotClass::RawReal) {
         realStore(I.Dst, realSrc(I.A, 0));
@@ -1219,14 +1144,14 @@ private:
       return;
     }
     case LowOp::ArithTyped: {
-      BinOp Op = static_cast<BinOp>(I.C >> 2);
-      int Rank = I.C & 3;
-      if (Rank == 2 && inlineableRealArith(Op)) {
+      BinOp Op = arithOp(I);
+      int Rank = arithRank(I);
+      if (Rank == 2 && inlinedArith(Op, Rank)) {
         if (!realArithInPlace(Op, I.Dst, I.A, I.B)) {
           realArithToScratch(Op, I.A, I.B);
           realStore(I.Dst, 0);
         }
-      } else if (Rank == 1 && inlineableIntArith(Op)) {
+      } else if (Rank == 1 && inlinedArith(Op, Rank)) {
         if (!intArithInPlace(Op, I.Dst, I.A, I.B)) {
           intArithToScratch(Op, I.A, I.B);
           intStore(I.Dst, RAX);
@@ -1262,7 +1187,6 @@ private:
       emitCmpBranch(Pc, I);
       return;
     case LowOp::CallValLow:
-    case LowOp::CallStaticLow:
       if (Opts.Linking) {
         emitLinkedCall(Pc);
         return;
@@ -1281,9 +1205,9 @@ private:
     }
   }
 
-  /// A CallValLow/CallStaticLow under direct linking: allocate a LinkSite
-  /// and route through the link helper (fast path: vmLinkedCall; miss:
-  /// the interpreter handler + site bookkeeping). The callee runs
+  /// A CallValLow under direct linking: allocate a LinkSite and route
+  /// through the link helper (fast path: vmLinkedCall; miss: the
+  /// interpreter handler + site bookkeeping). The callee runs
   /// arbitrary code, so caller-saved homes round-trip memory; raw arrays
   /// are untouched by any call machinery (arguments and results are
   /// boxed), so callee-saved homes stay valid.
@@ -1324,10 +1248,9 @@ private:
   }
 
   void emitCmpBranch(int32_t Pc, const LowInstr &I) {
-    bool Sense = I.C & 0x8000;
-    uint16_t Packed = I.C & 0x7FFF;
-    BinOp Op = static_cast<BinOp>(Packed >> 2);
-    int Rank = Packed & 3;
+    bool Sense = cmpBranchSense(I);
+    BinOp Op = arithOp(I);
+    int Rank = arithRank(I);
 
     if (Rank == 1) {
       uint8_t Ar = intSrc(I.A, RAX);
@@ -1395,7 +1318,7 @@ private:
   /// consumer, and the slow-path stub re-materializes that scratch from
   /// the destination slot.
   bool emitExtract2Typed(int32_t Pc, const LowInstr &I, bool KeepScratch) {
-    Tag K = static_cast<Tag>(I.C);
+    Tag K = elemKind(I);
     const VecInternals &VI = K == Tag::Real ? vecInternals<double>()
                                             : vecInternals<int32_t>();
     if ((K != Tag::Real && K != Tag::Int) || !VI.Valid)

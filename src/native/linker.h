@@ -7,10 +7,10 @@
 /// \file
 /// Direct call linking for the native tier: hot monomorphic call sites in
 /// native code transfer version-to-version without re-running the VM's
-/// full dispatch. Each emitted CallValLow/CallStaticLow gets a LinkSite —
-/// a data cell the generated code's call helper reads — holding the
-/// cached callee Function and an atomic pointer to its currently
-/// published generic version. The publication path patches sites forward
+/// full dispatch. Each emitted CallValLow gets a LinkSite — a data cell
+/// the generated code's call helper reads — holding the cached callee
+/// Function and an atomic pointer to its currently published generic
+/// version. The publication path patches sites forward
 /// (NativeBackend::notifyPublish -> onPublish) and the retire path
 /// patches them back to the dispatch fallback (Vm::toGraveyard ->
 /// notifyRetire -> onRetire) *before* the graveyard ever reclaims the

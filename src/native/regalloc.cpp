@@ -6,7 +6,6 @@
 
 #include "native/regalloc.h"
 #include "lowcode/lowcode.h"
-#include "runtime/value.h"
 
 #include <algorithm>
 
@@ -30,62 +29,38 @@ void count(SlotUse &U, int32_t Pc, uint64_t W) {
   U.Weight += W;
 }
 
-/// True for the ArithTyped forms the stitcher inlines (and the fusion
-/// peephole builds on): rank-2 +,-,*,/ and rank-1 +,-,*.
-bool inlinedArith(BinOp Op, int Rank) {
-  if (Rank == 2)
-    return Op == BinOp::Add || Op == BinOp::Sub || Op == BinOp::Mul ||
-           Op == BinOp::Div;
-  if (Rank == 1)
-    return Op == BinOp::Add || Op == BinOp::Sub || Op == BinOp::Mul;
-  return false;
-}
-
-bool isCompare(BinOp Op) {
-  return Op == BinOp::Eq || Op == BinOp::Ne || Op == BinOp::Lt ||
-         Op == BinOp::Le || Op == BinOp::Gt || Op == BinOp::Ge;
-}
-
 /// True when the stitcher compiles \p I inline with no main-path helper
-/// call and no boxed-slot write — the soundness condition for vector
-/// pins. A pinned interval must consist solely of such ops: helpers
-/// clobber caller-saved pin registers, and a boxed write could replace
-/// the pinned vector. Stub slow paths (guard ticks, extract misses) are
-/// fine — the stitcher re-hoists every covering pin after them.
+/// call and no boxed-slot write: the one statement of which ops those are.
+/// It gates vector pins: a pinned interval must consist solely of such
+/// ops, because helpers clobber caller-saved pin registers and a boxed
+/// write could replace the pinned vector. Stub slow paths (guard ticks,
+/// extract misses) are fine: the stitcher re-hoists every covering pin
+/// after them. It also gates use weights: only inline ops gain from a
+/// register home.
 bool pinSafeOp(const LowInstr &I) {
   switch (I.Op) {
   case LowOp::LoadConst:
   case LowOp::Move:
-    return static_cast<SlotClass>(I.B) == SlotClass::RawReal ||
-           static_cast<SlotClass>(I.B) == SlotClass::RawInt;
+    return static_cast<SlotClass>(I.B) != SlotClass::Boxed;
   case LowOp::Unbox:
     return true;
   case LowOp::Coerce:
-    return static_cast<SlotClass>(I.C >> 8) != SlotClass::Boxed &&
+    return coerceSrcClass(I) != SlotClass::Boxed &&
            static_cast<SlotClass>(I.B) != SlotClass::Boxed;
   case LowOp::ArithTyped:
     // Compares excluded: standalone (unfused) compares box their result
     // through the helper.
-    return inlinedArith(static_cast<BinOp>(I.C >> 2), I.C & 3);
-  case LowOp::Extract2Typed: {
-    Tag K = static_cast<Tag>(I.C);
-    return K == Tag::Real || K == Tag::Int;
-  }
-  case LowOp::CmpBranch: {
-    int Rank = (I.C & 0x7FFF) & 3;
-    return Rank == 1 || Rank == 2;
-  }
+    return inlinedArith(arithOp(I), arithRank(I));
+  case LowOp::Extract2Typed:
+    return kindClass(elemKind(I)) != SlotClass::Boxed;
+  case LowOp::CmpBranch:
+    return rankClass(arithRank(I)) != SlotClass::Boxed;
   case LowOp::GuardCond:
   case LowOp::JumpLow:
     return true;
   default:
     return false;
   }
-}
-
-bool isBranchOp(LowOp Op) {
-  return Op == LowOp::JumpLow || Op == LowOp::BranchFalseLow ||
-         Op == LowOp::BranchTrueLow || Op == LowOp::CmpBranch;
 }
 
 /// One pinnable (vector slot, loop interval) pair before assignment.
@@ -96,48 +71,6 @@ struct PinCand {
   int32_t H = 0, B = 0;
   bool Bad = false; ///< same slot extracted at conflicting element tags
 };
-
-/// True unless \p I provably does not define a RawInt slot. Slot numbers
-/// are per-class namespaces, so a def only conflicts when it writes the
-/// *int* array — ops whose destination class the instruction encodes
-/// (LoadConst/Move/Coerce in B, Unbox in C, typed arith/extract by
-/// rank/tag) are classified precisely; every op without an encoded class
-/// is conservatively treated as an int def. Over-approximating defs only
-/// loses folding opportunities, never soundness.
-bool mayDefIntSlot(const LowInstr &I) {
-  switch (I.Op) {
-  case LowOp::StEnv:
-  case LowOp::StEnvSuper:
-  case LowOp::GuardCond:
-  case LowOp::JumpLow:
-  case LowOp::BranchFalseLow:
-  case LowOp::BranchTrueLow:
-  case LowOp::CmpBranch:
-  case LowOp::RetLow:
-    return false; // no destination at all
-  case LowOp::LoadConst:
-  case LowOp::Move:
-  case LowOp::Coerce:
-    return static_cast<SlotClass>(I.B) == SlotClass::RawInt;
-  case LowOp::Unbox:
-    return static_cast<SlotClass>(I.C) == SlotClass::RawInt;
-  case LowOp::Box:
-    return false; // boxed destination by definition
-  case LowOp::ArithTyped: {
-    BinOp Op = static_cast<BinOp>(I.C >> 2);
-    int Rank = I.C & 3;
-    if (inlinedArith(Op, Rank))
-      return Rank == 1;
-    if (isCompare(Op) && (Rank == 1 || Rank == 2))
-      return false; // compare results are boxed logicals
-    return true;    // other forms: assume the worst
-  }
-  case LowOp::Extract2Typed:
-    return static_cast<Tag>(I.C) != Tag::Real;
-  default:
-    return true;
-  }
-}
 
 } // namespace
 
@@ -153,7 +86,7 @@ IntConstMap rjit::intConstSlots(const LowFunction &F) {
   // later pc can be reached without crossing it.
   int32_t FirstBranch = static_cast<int32_t>(F.Code.size());
   for (int32_t Pc = 0; Pc < FirstBranch; ++Pc)
-    if (isBranchOp(F.Code[Pc].Op)) {
+    if (isBranch(F.Code[Pc].Op)) {
       FirstBranch = Pc;
       break;
     }
@@ -161,16 +94,16 @@ IntConstMap rjit::intConstSlots(const LowFunction &F) {
   std::vector<uint8_t> Defs(F.NumSlotsI, 0);
   for (int32_t Pc = 0; Pc < static_cast<int32_t>(F.Code.size()); ++Pc) {
     const LowInstr &I = F.Code[Pc];
-    if (!mayDefIntSlot(I) || I.Dst >= F.NumSlotsI)
-      continue;
-    if (Defs[I.Dst] < 2)
-      ++Defs[I.Dst];
-    if (I.Op == LowOp::LoadConst &&
-        static_cast<SlotClass>(I.B) == SlotClass::RawInt &&
-        Pc < FirstBranch) {
-      M.Known[I.Dst] = 1;
-      M.Val[I.Dst] = F.Consts[static_cast<size_t>(I.Imm)].asIntUnchecked();
-    }
+    forEachDef(I, [&](LiveRef R) {
+      if (R.K != SlotClass::RawInt || R.Slot >= F.NumSlotsI)
+        return;
+      if (Defs[R.Slot] < 2)
+        ++Defs[R.Slot];
+      if (I.Op == LowOp::LoadConst && Pc < FirstBranch) {
+        M.Known[R.Slot] = 1;
+        M.Val[R.Slot] = F.Consts[static_cast<size_t>(I.Imm)].asIntUnchecked();
+      }
+    });
   }
   // Parameter stores at entry are defs too.
   for (size_t K = 0; K < F.ParamSlots.size(); ++K)
@@ -197,10 +130,7 @@ RegAllocation rjit::allocateRegisters(const LowFunction &F,
   std::vector<uint32_t> Depth(static_cast<size_t>(N), 0);
   for (int32_t Pc = 0; Pc < N; ++Pc) {
     const LowInstr &I = F.Code[Pc];
-    if (I.Op != LowOp::JumpLow && I.Op != LowOp::BranchFalseLow &&
-        I.Op != LowOp::BranchTrueLow && I.Op != LowOp::CmpBranch)
-      continue;
-    if (I.Imm < 0 || I.Imm > Pc)
+    if (!isBranch(I.Op) || I.Imm < 0 || I.Imm > Pc)
       continue;
     for (int32_t P = I.Imm; P <= Pc; ++P)
       ++Depth[static_cast<size_t>(P)];
@@ -217,7 +147,7 @@ RegAllocation rjit::allocateRegisters(const LowFunction &F,
     std::vector<std::pair<int32_t, int32_t>> Intervals;
     for (int32_t Pc = 0; Pc < N; ++Pc) {
       const LowInstr &I = F.Code[Pc];
-      if (!isBranchOp(I.Op) || I.Imm < 0 || I.Imm > Pc)
+      if (!isBranch(I.Op) || I.Imm < 0 || I.Imm > Pc)
         continue;
       std::pair<int32_t, int32_t> Iv{I.Imm, Pc};
       if (std::find(Intervals.begin(), Intervals.end(), Iv) ==
@@ -235,18 +165,17 @@ RegAllocation rjit::allocateRegisters(const LowFunction &F,
         const LowInstr &I = F.Code[P];
         if (P >= H && P <= B)
           continue;
-        if (isBranchOp(I.Op) && I.Imm >= H && I.Imm <= B)
+        if (isBranch(I.Op) && I.Imm >= H && I.Imm <= B)
           Ok = false;
       }
       if (!Ok)
         continue;
       for (int32_t P = H; P <= B; ++P) {
         const LowInstr &I = F.Code[P];
-        if (I.Op != LowOp::Extract2Typed)
+        if (I.Op != LowOp::Extract2Typed ||
+            kindClass(elemKind(I)) == SlotClass::Boxed)
           continue;
-        Tag K = static_cast<Tag>(I.C);
-        if (K != Tag::Real && K != Tag::Int)
-          continue;
+        Tag K = elemKind(I);
         uint64_t W = 6; // a pin saves several instructions per extract
         for (uint32_t D = Depth[static_cast<size_t>(P)];
              D > 0 && W < 6000000; --D)
@@ -301,104 +230,28 @@ RegAllocation rjit::allocateRegisters(const LowFunction &F,
       count(RealUse[Slot], Pc, W);
   };
 
-  // Count only accesses the stitcher compiles inline: those are where a
-  // register home saves a load/store. Helper-executed ops read and write
-  // the arrays directly (homes are flushed around them), so their slots
-  // gain nothing from a register.
+  // Count every raw operand of an op the stitcher compiles inline: that
+  // is where a register home saves a load/store. Raw compares count too:
+  // their operands reach registers through cmp+branch fusion. Helper-
+  // executed ops read and write the arrays directly (homes are flushed
+  // around them), so their slots gain nothing from a register.
   for (int32_t Pc = 0; Pc < N; ++Pc) {
     const LowInstr &I = F.Code[Pc];
+    if (!pinSafeOp(I) &&
+        !(I.Op == LowOp::ArithTyped && isComparison(arithOp(I))))
+      continue;
     uint64_t W = 1;
     for (uint32_t D = Depth[static_cast<size_t>(Pc)];
          D > 0 && W < 1000000; --D)
       W *= 10;
-    switch (I.Op) {
-    case LowOp::LoadConst:
-      if (static_cast<SlotClass>(I.B) == SlotClass::RawReal)
-        useReal(I.Dst, Pc, W);
-      else if (static_cast<SlotClass>(I.B) == SlotClass::RawInt)
-        useInt(I.Dst, Pc, W);
-      break;
-    case LowOp::Move:
-      if (static_cast<SlotClass>(I.B) == SlotClass::RawReal) {
-        useReal(I.A, Pc, W);
-        useReal(I.Dst, Pc, W);
-      } else if (static_cast<SlotClass>(I.B) == SlotClass::RawInt) {
-        useInt(I.A, Pc, W);
-        useInt(I.Dst, Pc, W);
-      }
-      break;
-    case LowOp::Unbox:
-      if (static_cast<SlotClass>(I.C) == SlotClass::RawReal)
-        useReal(I.Dst, Pc, W);
-      else
-        useInt(I.Dst, Pc, W);
-      break;
-    case LowOp::Coerce: {
-      SlotClass SrcK = static_cast<SlotClass>(I.C >> 8);
-      SlotClass DstK = static_cast<SlotClass>(I.B);
-      if (SrcK == SlotClass::Boxed || DstK == SlotClass::Boxed)
-        break; // helper path
-      if (SrcK == SlotClass::RawReal)
-        useReal(I.A, Pc, W);
-      else
-        useInt(I.A, Pc, W);
-      if (DstK == SlotClass::RawReal)
-        useReal(I.Dst, Pc, W);
-      else
-        useInt(I.Dst, Pc, W);
-      break;
-    }
-    case LowOp::ArithTyped: {
-      BinOp Op = static_cast<BinOp>(I.C >> 2);
-      int Rank = I.C & 3;
-      if (inlinedArith(Op, Rank)) {
-        if (Rank == 2) {
-          useReal(I.A, Pc, W);
-          useReal(I.B, Pc, W);
-          useReal(I.Dst, Pc, W);
-        } else {
-          useInt(I.A, Pc, W);
-          useInt(I.B, Pc, W);
-          useInt(I.Dst, Pc, W);
-        }
-      } else if (isCompare(Op) && (Rank == 1 || Rank == 2)) {
-        // Operand reads reach registers via the cmp+branch fusion; the
-        // result is boxed — no raw Dst here.
-        if (Rank == 2) {
-          useReal(I.A, Pc, W);
-          useReal(I.B, Pc, W);
-        } else {
-          useInt(I.A, Pc, W);
-          useInt(I.B, Pc, W);
-        }
-      }
-      break;
-    }
-    case LowOp::Extract2Typed: {
-      Tag K = static_cast<Tag>(I.C);
-      if (K != Tag::Real && K != Tag::Int)
-        break; // helper path
-      useInt(I.B, Pc, W); // the index
-      if (K == Tag::Real)
-        useReal(I.Dst, Pc, W);
-      else
-        useInt(I.Dst, Pc, W);
-      break;
-    }
-    case LowOp::CmpBranch: {
-      int Rank = I.C & 3;
-      if (Rank == 1) {
-        useInt(I.A, Pc, W);
-        useInt(I.B, Pc, W);
-      } else if (Rank == 2) {
-        useReal(I.A, Pc, W);
-        useReal(I.B, Pc, W);
-      }
-      break;
-    }
-    default:
-      break;
-    }
+    auto Count = [&](LiveRef R) {
+      if (R.K == SlotClass::RawInt)
+        useInt(R.Slot, Pc, W);
+      else if (R.K == SlotClass::RawReal)
+        useReal(R.Slot, Pc, W);
+    };
+    forEachUse(I, Count);
+    forEachDef(I, Count);
   }
 
   // Linear-scan assignment: rank candidates by weight (descending), tie-

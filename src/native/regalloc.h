@@ -38,6 +38,7 @@
 #define RJIT_NATIVE_REGALLOC_H
 
 #include "native/emitter.h"
+#include "runtime/value.h"
 
 #include <cstdint>
 #include <vector>
@@ -65,6 +66,18 @@ constexpr size_t NatXmmPoolSize = NatXmmLast - NatXmmFirst + 1;
 
 /// True when a GPR home survives a C call (SysV callee-saved).
 inline bool natGprCalleeSaved(uint8_t R) { return R == RBP || R == R15; }
+
+/// True for the ArithTyped forms the stitcher compiles inline (and the
+/// fusion peephole builds on): rank-2 +,-,*,/ and rank-1 +,-,*. Compares
+/// box their result; %%, %/%, ^ and complex arithmetic take the helper.
+inline bool inlinedArith(BinOp Op, int Rank) {
+  if (Rank == 2)
+    return Op == BinOp::Add || Op == BinOp::Sub || Op == BinOp::Mul ||
+           Op == BinOp::Div;
+  if (Rank == 1)
+    return Op == BinOp::Add || Op == BinOp::Sub || Op == BinOp::Mul;
+  return false;
+}
 
 /// A loop-invariant vector pin: inside one backedge interval whose body
 /// the stitcher compiles entirely inline, the typed-extract source in
@@ -115,8 +128,11 @@ struct RegAllocation {
 /// Compile-time-known raw-int slots. A slot qualifies when its only
 /// definition in the whole function is one RawInt LoadConst that executes
 /// before any branch (so it dominates every use), and the slot is not a
-/// parameter. The stitcher folds reads of such slots into immediates;
-/// the allocator skips them as candidates — an immediate needs no home.
+/// parameter. Definitions are the RawInt defs lowcode/ops.def declares
+/// (forEachDef), so a def missing there would fold a slot that is written
+/// again; lowcode_test's LowOpTable cases check the table. The stitcher
+/// folds reads of such slots into immediates; the allocator skips them as
+/// candidates — an immediate needs no home.
 struct IntConstMap {
   std::vector<uint8_t> Known; ///< per RawInt slot: 1 = constant
   std::vector<int32_t> Val;   ///< the constant, valid where Known

@@ -10,20 +10,6 @@ using namespace rjit;
 
 namespace {
 
-bool isComparisonOp(BinOp Op) {
-  switch (Op) {
-  case BinOp::Eq:
-  case BinOp::Ne:
-  case BinOp::Lt:
-  case BinOp::Le:
-  case BinOp::Gt:
-  case BinOp::Ge:
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// Element type of extracting one element from a container of type \p T.
 RType elementType(RType T) {
   if (T.isNone())
@@ -103,7 +89,7 @@ RType binResult(BinOp Op, RType A, RType B) {
     return !T.isNone() && (T.rawMask() & ~ScalarMask) == 0;
   };
   bool Scalars = ScalarMaskOnly(A) && ScalarMaskOnly(B);
-  if (isComparisonOp(Op))
+  if (isComparison(Op))
     return Scalars ? RType::of(Tag::Lgl)
                    : RType::of(Tag::Lgl).join(RType::of(Tag::LglVec));
   if (!A.numericOnly() || !B.numericOnly())
@@ -351,7 +337,7 @@ bool rjit::inferTypes(IrCode &C) {
       }
       return binResult(I->Bop, OpT(0), OpT(1));
     case IrOp::BinTyped:
-      if (isComparisonOp(I->Bop))
+      if (isComparison(I->Bop))
         return RType::of(Tag::Lgl);
       if (I->Bop == BinOp::Div || I->Bop == BinOp::Pow)
         return RType::of(Tag::Real);

@@ -35,20 +35,6 @@ Tag rankTag(int R) {
   }
 }
 
-bool isCmp(BinOp Op) {
-  switch (Op) {
-  case BinOp::Eq:
-  case BinOp::Ne:
-  case BinOp::Lt:
-  case BinOp::Le:
-  case BinOp::Gt:
-  case BinOp::Ge:
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// Inserts a fresh instruction immediately before \p Before in its block.
 Instr *insertBefore(IrCode &C, Instr *Before, IrOp Op, RType T,
                     std::initializer_list<Instr *> Ops) {
@@ -101,7 +87,7 @@ bool rjit::lowerTypedOps(IrCode &C) {
         break; // complex supports ring ops and (in)equality only
       if (K == 0)
         K = 1; // logical operands behave as integers
-      if (!isCmp(I->Bop) && K == 1 &&
+      if (!isComparison(I->Bop) && K == 1 &&
           (I->Bop == BinOp::Div || I->Bop == BinOp::Pow))
         K = 2; // int / and ^ produce doubles: compute in Real
       I->Ops[0] = coerceTo(C, I, I->op(0), K);

@@ -600,20 +600,6 @@ Complex cplxArith(BinOp Op, Complex A, Complex B) {
   }
 }
 
-bool isComparison(BinOp Op) {
-  switch (Op) {
-  case BinOp::Eq:
-  case BinOp::Ne:
-  case BinOp::Lt:
-  case BinOp::Le:
-  case BinOp::Gt:
-  case BinOp::Ge:
-    return true;
-  default:
-    return false;
-  }
-}
-
 bool realCompare(BinOp Op, double A, double B) {
   switch (Op) {
   case BinOp::Eq:

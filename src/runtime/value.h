@@ -540,6 +540,12 @@ enum class BinOp : uint8_t {
   Colon, ///< a:b sequence
 };
 
+/// True for the six comparison operators, Eq..Ge above, whose result is a
+/// logical.
+inline bool isComparison(BinOp Op) {
+  return Op >= BinOp::Eq && Op <= BinOp::Ge;
+}
+
 const char *binOpName(BinOp Op);
 
 /// Evaluates \p Op with full R coercion/recycling semantics. This is the

@@ -2,10 +2,15 @@
 
 #include "lowcode/exec.h"
 #include "lowcode/lower.h"
+#include "lowcode/step.h"
 #include "opt/pipeline.h"
+#include "suite/harness.h"
 #include "support/stats.h"
 #include "support/timer.h"
 #include "testutil.h"
+
+#include <cstring>
+#include <functional>
 
 #include <gtest/gtest.h>
 
@@ -129,9 +134,7 @@ TEST_F(LowFixture, GuardsAreEntryHoistedForParams) {
   int32_t FirstBackTarget = -1;
   for (size_t Pc = 0; Pc < F->Code.size(); ++Pc) {
     const LowInstr &I = F->Code[Pc];
-    if ((I.Op == LowOp::JumpLow || I.Op == LowOp::CmpBranch ||
-         I.Op == LowOp::BranchFalseLow || I.Op == LowOp::BranchTrueLow) &&
-        I.Imm <= static_cast<int32_t>(Pc))
+    if (isBranch(I.Op) && I.Imm <= static_cast<int32_t>(Pc))
       FirstBackTarget = std::max(FirstBackTarget, I.Imm);
   }
   ASSERT_GE(FirstBackTarget, 0) << "expected a loop";
@@ -303,7 +306,7 @@ TEST_F(LowFixture, StoreWhoseBackEdgeLeavesAnotherBlockMovesTheVector) {
   )");
   ASSERT_TRUE(F);
   const LowInstr &Store = onlyStore(*F);
-  EXPECT_TRUE(Store.C & 0x100) << printLow(*F);
+  EXPECT_TRUE(stealsContainer(Store)) << printLow(*F);
   std::vector<LowInstr> Moves = boxedMovesFrom(*F, Store.Dst);
   ASSERT_FALSE(Moves.empty()) << printLow(*F);
   for (const LowInstr &M : Moves)
@@ -331,7 +334,7 @@ TEST_F(LowFixture, StoreUnderIfMovesThroughTheJoin) {
   )");
   ASSERT_TRUE(F);
   const LowInstr &Store = onlyStore(*F);
-  EXPECT_TRUE(Store.C & 0x100) << printLow(*F);
+  EXPECT_TRUE(stealsContainer(Store)) << printLow(*F);
   for (uint16_t Src : {Store.Dst, Store.A}) {
     std::vector<LowInstr> Moves = boxedMovesFrom(*F, Src);
     ASSERT_FALSE(Moves.empty()) << "slot " << Src << "\n" << printLow(*F);
@@ -359,7 +362,7 @@ TEST_F(LowFixture, StoreIntoAVectorReadLaterCopies) {
     x <- c(1L, 2L); f(x); f(x); f(x)
   )");
   ASSERT_TRUE(F);
-  EXPECT_FALSE(onlyStore(*F).C & 0x100) << printLow(*F);
+  EXPECT_FALSE(stealsContainer(onlyStore(*F))) << printLow(*F);
   Value R;
   EXPECT_EQ(cowCopiesOf(*F, Value::intVec({1, 2}), R), 1u);
   EXPECT_TRUE(R.equals(Value::intVec({1, 2, 0, 2}))) << R.show();
@@ -381,7 +384,7 @@ TEST_F(LowFixture, ConstantContainerInALoopIsNeverMoved) {
     f(10L); f(10L); f(10L)
   )");
   ASSERT_TRUE(F);
-  EXPECT_FALSE(onlyStore(*F).C & 0x100) << printLow(*F);
+  EXPECT_FALSE(stealsContainer(onlyStore(*F))) << printLow(*F);
   Value R;
   cowCopiesOf(*F, Value::integer(5), R);
   EXPECT_EQ(R.toInt(), 10);
@@ -431,7 +434,7 @@ TEST_F(LowFixture, GuardAfterAStoreKeepsTheOldContainer) {
       Add(IrOp::Ret, RType::none(), {Store});
 
       auto F = lowerToLow(C);
-      EXPECT_EQ(static_cast<bool>(onlyStore(*F).C & 0x100), !WithGuard)
+      EXPECT_EQ(stealsContainer(onlyStore(*F)), !WithGuard)
           << printLow(*F);
       Value R;
       uint64_t Copies = cowCopiesOf(*F, Value::intVec({5, 8}), R);
@@ -439,4 +442,320 @@ TEST_F(LowFixture, GuardAfterAStoreKeepsTheOldContainer) {
       EXPECT_TRUE(R.equals(Value::intVec({7, FromParam ? 8 : 0})))
           << R.show();
     }
+}
+
+//===----------------------------------------------------------------------===//
+// The ops.def table: its def sets are the real ones, and the suite's
+// LowCode is well formed under it.
+
+namespace {
+
+constexpr uint16_t NumTestSlots = 8;
+
+/// Slot arrays filled with values no op under test produces.
+struct SentinelFrame {
+  std::vector<Value> S;
+  std::vector<double> D;
+  std::vector<int32_t> Iv;
+  SentinelFrame() : S(NumTestSlots), D(NumTestSlots), Iv(NumTestSlots) {
+    for (uint16_t K = 0; K < NumTestSlots; ++K) {
+      S[K] = Value::str("sentinel" + std::to_string(K));
+      D[K] = -1000.25 - K;
+      Iv[K] = -1000 - K;
+    }
+  }
+};
+
+LowInstr instr(LowOp Op, uint16_t Dst, uint16_t A, uint16_t B, uint16_t C,
+               int32_t Imm = 0) {
+  LowInstr I{Op};
+  I.Dst = Dst;
+  I.A = A;
+  I.B = B;
+  I.C = C;
+  I.Imm = Imm;
+  return I;
+}
+
+} // namespace
+
+TEST(LowOpTable, DeclaredDefsAreTheRealDefs) {
+  // Every non-control-flow op, in each class or kind variant the lowerer
+  // emits, runs once against sentinel-filled slots. Every slot it changes
+  // must be a def ops.def declares, with that class, or a boxed operand
+  // the op moves out of; every declared def must be written. Regalloc's
+  // intConstSlots folds a raw int slot with one declared def, so a
+  // missing def here would be a miscompile there.
+  Vm V;
+  V.eval(R"(
+    x <- 11L
+    v <- c(1L, 2L)
+    g <- function(a, b) a + b
+    mk <- function() function(y) y
+  )");
+  Env *G = V.global();
+  LowFunction F;
+  F.Origin = V.eval("mk").closObj()->Fn;
+  F.Consts = {Value::real(2.5), Value::integer(42), Value::str("k")};
+  std::vector<bool> Seen(NumLowOps, false);
+  const SlotClass Classes[] = {SlotClass::Boxed, SlotClass::RawReal,
+                               SlotClass::RawInt};
+
+  using Inputs = std::function<void(SentinelFrame &)>;
+  auto Check = [&](const std::string &What, const LowInstr &I,
+                   const Inputs &SetInputs) {
+    SCOPED_TRACE(What);
+    Seen[static_cast<uint8_t>(I.Op)] = true;
+    SentinelFrame Fr;
+    if (SetInputs)
+      SetInputs(Fr);
+    SentinelFrame Before = Fr;
+    stepLowInstr(F, I, Fr.S.data(), Fr.D.data(), Fr.Iv.data(), G, G, G);
+
+    std::vector<LiveRef> Defs, MovedOut;
+    forEachDef(I, [&](LiveRef R) { Defs.push_back(R); });
+    if (I.Op == LowOp::CallValLow || I.Op == LowOp::CallBiLow)
+      for (int32_t K = 0; K < I.Imm; ++K)
+        MovedOut.push_back({static_cast<uint16_t>(I.B + K), SlotClass::Boxed});
+    if ((I.Op == LowOp::Move && I.C) ||
+        ((I.Op == LowOp::SetElem2Low || I.Op == LowOp::SetElem2Typed) &&
+         stealsContainer(I)))
+      MovedOut.push_back({I.A, SlotClass::Boxed});
+    auto Has = [](const std::vector<LiveRef> &Refs, LiveRef R) {
+      for (LiveRef X : Refs)
+        if (X.Slot == R.Slot && X.K == R.K)
+          return true;
+      return false;
+    };
+    for (uint16_t K = 0; K < NumTestSlots; ++K) {
+      const Value &Old = Before.S[K], &New = Fr.S[K];
+      bool Changed[] = {Old.tag() != New.tag() || !Old.equals(New),
+                        std::memcmp(&Before.D[K], &Fr.D[K], 8) != 0,
+                        Before.Iv[K] != Fr.Iv[K]};
+      for (int C = 0; C < 3; ++C) {
+        LiveRef R{K, Classes[C]};
+        char Letter = "sdi"[C]; // printLow's class letters
+        if (Changed[C]) {
+          EXPECT_TRUE(Has(Defs, R) || Has(MovedOut, R))
+              << "undeclared write to " << Letter << K;
+        } else {
+          EXPECT_FALSE(Has(Defs, R))
+              << "declared def " << Letter << K << " was not written";
+        }
+      }
+    }
+  };
+
+  const char *ClassNames[] = {"boxed", "real", "int"};
+  auto Scalars = [](SentinelFrame &Fr) {
+    Fr.S[2] = Value::integer(5);
+    Fr.D[2] = 3.5;
+    Fr.Iv[2] = 8;
+  };
+  for (int K = 0; K < 3; ++K) {
+    uint16_t Cls = static_cast<uint16_t>(Classes[K]);
+    std::string Name = ClassNames[K];
+    int32_t Const = Classes[K] == SlotClass::Boxed     ? 2
+                    : Classes[K] == SlotClass::RawReal ? 0
+                                                       : 1;
+    Check("ldc " + Name, instr(LowOp::LoadConst, 1, 0, Cls, 0, Const), {});
+    Check("mov " + Name, instr(LowOp::Move, 1, 2, Cls, 0), Scalars);
+    if (Classes[K] == SlotClass::Boxed) {
+      Check("mov moving", instr(LowOp::Move, 1, 2, Cls, 1), Scalars);
+      continue;
+    }
+    Check("box " + Name, instr(LowOp::Box, 1, 2, 0, Cls), Scalars);
+    Check("unbox " + Name, instr(LowOp::Unbox, 1, 2, 0, Cls),
+          [&](SentinelFrame &Fr) {
+            Fr.S[2] = Classes[K] == SlotClass::RawReal ? Value::real(3.5)
+                                                       : Value::integer(8);
+          });
+  }
+  for (int Src = 0; Src < 3; ++Src)
+    for (int Dst = 0; Dst < 3; ++Dst) {
+      Tag Target = Classes[Dst] == SlotClass::RawInt ? Tag::Int : Tag::Real;
+      Check(std::string("coerce ") + ClassNames[Src] + " -> " +
+                ClassNames[Dst],
+            instr(LowOp::Coerce, 1, 2, static_cast<uint16_t>(Classes[Dst]),
+                  packCoerce(Target, Classes[Src])),
+            Scalars);
+    }
+
+  auto Operands = [](SentinelFrame &Fr) {
+    Fr.Iv[2] = 17;
+    Fr.Iv[3] = 5;
+    Fr.D[2] = 7.5;
+    Fr.D[3] = 2.0;
+    Fr.S[2] = Value::cplx(1, 2);
+    Fr.S[3] = Value::cplx(3, 4);
+  };
+  for (BinOp Op : {BinOp::Add, BinOp::Mod, BinOp::IDiv, BinOp::Lt})
+    Check(std::string("arith.t int ") + binOpName(Op),
+          instr(LowOp::ArithTyped, 1, 2, 3, packArith(Op, 1)), Operands);
+  for (BinOp Op : {BinOp::Add, BinOp::Div, BinOp::Pow, BinOp::Mod,
+                   BinOp::IDiv, BinOp::Lt})
+    Check(std::string("arith.t real ") + binOpName(Op),
+          instr(LowOp::ArithTyped, 1, 2, 3, packArith(Op, 2)), Operands);
+  Check("arith.t complex", instr(LowOp::ArithTyped, 1, 2, 3,
+                                 packArith(BinOp::Add, 3)),
+        Operands);
+
+  auto Generic = [](SentinelFrame &Fr) {
+    Fr.S[2] = Value::intVec({4, 5});
+    Fr.S[3] = Value::integer(2);
+  };
+  Check("bin", instr(LowOp::BinGenLow, 1, 3, 3, uint16_t(BinOp::Add)),
+        Generic);
+  Check("neg", instr(LowOp::NegLow, 1, 3, 0, 0), Generic);
+  Check("not", instr(LowOp::NotLow, 1, 3, 0, 0), Generic);
+  Check("ascond", instr(LowOp::AsCondLow, 1, 3, 0, 0), Generic);
+  Check("idx2", instr(LowOp::Extract2Low, 1, 2, 3, 0), Generic);
+  Check("idx1", instr(LowOp::Extract1Low, 1, 2, 3, 0), Generic);
+  Check("length", instr(LowOp::LengthLow, 1, 2, 0, 0), Generic);
+  for (bool Steal : {false, true})
+    Check(std::string("setelem2") + (Steal ? " stealing" : ""),
+          instr(LowOp::SetElem2Low, 1, 2, 3, packElem(Tag::Null, Steal), 3),
+          Generic);
+
+  const Tag Kinds[] = {Tag::Real, Tag::Int, Tag::Cplx, Tag::Lgl};
+  auto Vectors = [](Tag Kind) {
+    return [Kind](SentinelFrame &Fr) {
+      Fr.S[2] = Kind == Tag::Real  ? Value::realVec({1.5, 2.5})
+                : Kind == Tag::Int ? Value::intVec({4, 5})
+                : Kind == Tag::Cplx
+                    ? Value::cplxVec({Complex{1, 2}, Complex{3, 4}})
+                    : Value::lglVec({0, 1});
+      Fr.Iv[3] = 2;
+      Fr.D[4] = 9.5;
+      Fr.Iv[4] = 9;
+      Fr.S[4] = Kind == Tag::Cplx ? Value::cplx(5, 6) : Value::lgl(true);
+    };
+  };
+  for (Tag Kind : Kinds) {
+    std::string Name = tagName(Kind);
+    Check("idx2.t " + Name,
+          instr(LowOp::Extract2Typed, 1, 2, 3, packElem(Kind)),
+          Vectors(Kind));
+    for (bool Steal : {false, true})
+      Check("setelem2.t " + Name + (Steal ? " stealing" : ""),
+            instr(LowOp::SetElem2Typed, 1, 2, 3, packElem(Kind, Steal), 4),
+            Vectors(Kind));
+  }
+
+  auto Sym = [](const char *Name) {
+    return static_cast<int32_t>(symbol(Name));
+  };
+  Check("ldenv", instr(LowOp::LdEnv, 1, 0, 0, 0, Sym("x")), {});
+  Check("stenv", instr(LowOp::StEnv, 0, 2, 0, 0, Sym("y")), Scalars);
+  Check("stenv<<", instr(LowOp::StEnvSuper, 0, 2, 0, 0, Sym("z")), Scalars);
+  Check("mkclos", instr(LowOp::MkClosLow, 1, 0, 0, 0, 0), {});
+  Value Callee = V.eval("g");
+  Check("call", instr(LowOp::CallValLow, 1, 2, 5, 0, 2),
+        [&](SentinelFrame &Fr) {
+          Fr.S[2] = Callee;
+          Fr.S[5] = Value::integer(2);
+          Fr.S[6] = Value::integer(3);
+        });
+  Check("callbi",
+        instr(LowOp::CallBiLow, 1, 0, 5, uint16_t(BuiltinId::Length), 1),
+        [](SentinelFrame &Fr) { Fr.S[5] = Value::intVec({1, 2, 3}); });
+  LowInstr SetIdx = instr(LowOp::SetIdx2EnvLow, 1, 2, 3, 0);
+  SetIdx.Imm2 = Sym("v");
+  Check("setidx2env", SetIdx, [](SentinelFrame &Fr) {
+    Fr.S[2] = Value::integer(1);
+    Fr.S[3] = Value::integer(7);
+  });
+
+  // Every op the stepper runs is covered above.
+  for (size_t Op = 0; Op < NumLowOps; ++Op) {
+    LowOp O = static_cast<LowOp>(Op);
+    if (!isBranch(O) && O != LowOp::GuardCond && O != LowOp::RetLow) {
+      EXPECT_TRUE(Seen[Op]) << lowOpName(O) << " has no def-set case";
+    }
+  }
+}
+
+namespace {
+
+/// Checks that every slot, branch target, guard and frame-state reference
+/// in \p F is in range and that its code does not fall off its end.
+void expectWellFormed(const LowFunction &F) {
+  SCOPED_TRACE(printLow(F));
+  auto InRange = [&](LiveRef R) {
+    return R.Slot < (R.K == SlotClass::RawInt    ? F.NumSlotsI
+                     : R.K == SlotClass::RawReal ? F.NumSlotsD
+                                                 : F.NumSlots);
+  };
+  auto FrameInRange = [&](const std::vector<LiveRef> &Stack,
+                          const std::vector<std::pair<Symbol, LiveRef>> &Env) {
+    for (LiveRef R : Stack)
+      EXPECT_TRUE(InRange(R)) << "frame-state stack slot " << R.Slot;
+    for (const auto &[Sym, R] : Env)
+      EXPECT_TRUE(InRange(R)) << "frame-state local " << symbolName(Sym);
+  };
+
+  const int32_t N = static_cast<int32_t>(F.Code.size());
+  ASSERT_GT(N, 0);
+  for (int32_t Pc = 0; Pc < N; ++Pc) {
+    const LowInstr &I = F.Code[Pc];
+    auto Operand = [&](LiveRef R) {
+      EXPECT_TRUE(InRange(R)) << "pc " << Pc << ": slot " << R.Slot;
+    };
+    forEachUse(I, Operand);
+    forEachDef(I, Operand);
+    if (isBranch(I.Op)) {
+      EXPECT_TRUE(I.Imm >= 0 && I.Imm < N) << "pc " << Pc << ": target";
+    }
+    if (I.Op == LowOp::GuardCond) {
+      EXPECT_TRUE(I.Imm >= 0 && static_cast<size_t>(I.Imm) < F.Deopts.size())
+          << "pc " << Pc << ": deopt index";
+    }
+  }
+  for (const DeoptMeta &M : F.Deopts) {
+    FrameInRange(M.StackSlots, M.EnvSlots);
+    for (const DeoptFrame &C : M.Callers)
+      FrameInRange(C.StackSlots, C.EnvSlots);
+    if (M.HasValueSlot) {
+      EXPECT_LT(M.ValueSlot, F.NumSlots);
+    }
+  }
+  for (size_t K = 0; K < F.ParamSlots.size(); ++K)
+    EXPECT_TRUE(InRange({F.ParamSlots[K], F.ParamClasses[K]}));
+  LowOp Last = F.Code.back().Op;
+  EXPECT_TRUE(Last == LowOp::RetLow || Last == LowOp::JumpLow)
+      << "the last instruction falls off the end";
+}
+
+} // namespace
+
+TEST(LowOpTable, SuiteLowCodeIsWellFormed) {
+  // The first half of a LowCode verifier, over every closure the main
+  // suite defines, optimized from the feedback of three driver runs as
+  // micro_gbench's BM_LowerSuite does. Only one Vm may be active on a
+  // thread, so each program's closures are checked before the next Vm.
+  size_t NumPrograms;
+  const suite::Program *Suite = suite::mainSuite(NumPrograms);
+  size_t Closures = 0;
+  for (size_t P = 0; P < NumPrograms; ++P) {
+    SCOPED_TRACE(Suite[P].Name);
+    Vm V(suite::benchConfig(TierStrategy::Normal));
+    V.eval(Suite[P].Setup);
+    for (int K = 0; K < 3; ++K)
+      V.eval(Suite[P].Driver);
+    const OptOptions O = V.optView();
+    for (const auto &Binding : V.global()->bindings()) {
+      if (Binding.second.tag() != Tag::Clos)
+        continue;
+      Function *Fn = Binding.second.closObj()->Fn;
+      std::unique_ptr<IrCode> Ir =
+          optimizeToIr(Fn, CallConv::FullElided, EntryState(), O);
+      if (!Ir)
+        Ir = optimizeToIr(Fn, CallConv::FullEnv, EntryState(), O);
+      if (!Ir)
+        continue;
+      expectWellFormed(*lowerToLow(*Ir));
+      ++Closures;
+    }
+  }
+  EXPECT_GT(Closures, 0u);
 }

@@ -18,6 +18,7 @@
 #include "dispatch/context.h"
 #include "dispatch/version.h"
 #include "native/native.h"
+#include "native/regalloc.h"
 #include "support/stats.h"
 #include "vm/vm.h"
 
@@ -276,14 +277,15 @@ Vm::Config v2cfg(TierStrategy S) {
 TEST(NativeV2, RegisterAllocationSpillsDeterministically) {
   if (!nativeBackendSupported())
     GTEST_SKIP() << "no native backend on this host";
-  // Hand-built LowCode with more live raw-int slots (10) than the GPR
-  // pool holds (6): the allocator must home the pool's worth, spill the
-  // rest, and the generated code must still sum all ten correctly —
-  // homed and spilled slots mixing in one arithmetic chain.
+  // Hand-built LowCode with two more live raw-int slots than the GPR pool
+  // holds: the allocator must home the pool's worth, spill the rest, and
+  // the generated code must still sum them all correctly — homed and
+  // spilled slots mixing in one arithmetic chain.
+  constexpr int NumInts = static_cast<int>(NatGprPoolSize) + 2;
   auto F = std::make_unique<LowFunction>();
   F->NumSlots = 1;
-  F->NumSlotsI = 10;
-  for (int K = 0; K < 10; ++K) {
+  F->NumSlotsI = NumInts;
+  for (int K = 0; K < NumInts; ++K) {
     F->Consts.push_back(Value::integer(K + 1));
     LowInstr Ld;
     Ld.Op = LowOp::LoadConst;
@@ -295,7 +297,7 @@ TEST(NativeV2, RegisterAllocationSpillsDeterministically) {
   // A second definition per slot (a self-move) keeps the slots out of
   // the constant-folding analysis — the point here is live registers
   // competing for the pool, not immediates.
-  for (int K = 0; K < 10; ++K) {
+  for (int K = 0; K < NumInts; ++K) {
     LowInstr Mv;
     Mv.Op = LowOp::Move;
     Mv.Dst = static_cast<uint16_t>(K);
@@ -303,14 +305,13 @@ TEST(NativeV2, RegisterAllocationSpillsDeterministically) {
     Mv.B = static_cast<uint16_t>(SlotClass::RawInt);
     F->Code.push_back(Mv);
   }
-  for (int K = 1; K < 10; ++K) {
+  for (int K = 1; K < NumInts; ++K) {
     LowInstr Add;
     Add.Op = LowOp::ArithTyped;
     Add.Dst = 0;
     Add.A = 0;
     Add.B = static_cast<uint16_t>(K);
-    Add.C = static_cast<uint16_t>(
-        (static_cast<uint16_t>(BinOp::Add) << 2) | 1);
+    Add.C = packArith(BinOp::Add, 1);
     F->Code.push_back(Add);
   }
   LowInstr Box;
@@ -334,8 +335,10 @@ TEST(NativeV2, RegisterAllocationSpillsDeterministically) {
   std::unique_ptr<ExecutableCode> X = B->prepare(std::move(F));
   ASSERT_NE(X, nullptr);
   EXPECT_GT(stats().NativeRegSpills, 0u)
-      << "10 live int slots must overflow the 6-register GPR pool";
-  EXPECT_EQ(X->run({}, nullptr, nullptr).asIntUnchecked(), 55);
+      << NumInts << " live int slots must overflow the " << NatGprPoolSize
+      << "-register GPR pool";
+  EXPECT_EQ(X->run({}, nullptr, nullptr).asIntUnchecked(),
+            NumInts * (NumInts + 1) / 2);
 }
 
 TEST(NativeV2, FusionFiresAndPreservesResults) {

@@ -13,8 +13,8 @@
 //    round-trips saturate the load ports) rather than add-latency-bound.
 //    interp vs v2 measures the whole native tier (headline:
 //    speedup_native); template-only vs v2 isolates exactly the v2
-//    features — register homes instead of per-op slot-array round-trips,
-//    extract+arith fusion, direct linking — on identical LowCode
+//    features — register homes (and vector pins) instead of per-op
+//    slot-array round-trips, direct linking — on identical LowCode
 //    (headline: speedup_native_v2, gated at >= --v2bound, default 2.0x).
 //
 //  * axpy (template-only vs v2, untimed headline-wise): a register-
@@ -29,7 +29,7 @@
 //
 // The exit code asserts all acceptance bounds: >= --bound (default 2.0x)
 // native-over-interp on colsum, >= --v2bound (default 2.0x) v2-over-
-// template on colsum, NativeEnters/NativeCompiles > 0, NativeFusedOps > 0,
+// template on colsum, NativeEnters/NativeCompiles > 0,
 // NativeLinkedTransfers > 0, and result parity on every kernel. On hosts
 // without the native backend the bench prints a skip marker and exits 0 —
 // the binary must build and run everywhere.
@@ -122,7 +122,6 @@ Vm::Config modeConfig(bool Native, bool V2) {
   Cfg.LoopOpts.Enabled = true;
   Cfg.NativeTier = Native;
   Cfg.NativeV2.Regalloc = V2;
-  Cfg.NativeV2.Fusion = V2;
   Cfg.NativeV2.Linking = V2;
   return Cfg;
 }
@@ -234,7 +233,7 @@ int main(int Argc, char **Argv) {
   printf("\n# steady-state (best-tail) speedup of the native backend: %.2fx\n\n",
          Speed);
 
-  printSeries("# colsum: v2 (regalloc+fusion+linking) vs template-only "
+  printSeries("# colsum: v2 (regalloc+linking) vs template-only "
               "native tier, identical LowCode",
               "template[s]", "v2[s]", TemplT, NativeT);
   double SpeedV2 = steady(TemplT) / steady(NativeT);
@@ -254,14 +253,12 @@ int main(int Argc, char **Argv) {
   double CallsSpeedV2 = steady(CallsTemplT) / steady(CallsT);
   printf("\n# callsum v2-over-template: %.2fx\n\n", CallsSpeedV2);
 
-  printf("# native events: compiles %llu, enters %llu; v2 fused ops %llu, "
-         "reg spills %llu; linked transfers %llu\n",
+  printf("# native events: compiles %llu, enters %llu; v2 reg spills "
+         "%llu; linked transfers %llu\n",
          static_cast<unsigned long long>(NativeStats.NativeCompiles +
                                          AxpyV2Stats.NativeCompiles),
          static_cast<unsigned long long>(NativeStats.NativeEnters +
                                          AxpyV2Stats.NativeEnters),
-         static_cast<unsigned long long>(NativeStats.NativeFusedOps +
-                                         AxpyV2Stats.NativeFusedOps),
          static_cast<unsigned long long>(AxpyV2Stats.NativeRegSpills),
          static_cast<unsigned long long>(CallsStats.NativeLinkedTransfers));
 
@@ -293,16 +290,9 @@ int main(int Argc, char **Argv) {
            InterpR.c_str(), TemplR.c_str(), NativeR.c_str(),
            AxpyTemplR.c_str(), AxpyV2R.c_str(), CallsInterpR.c_str(),
            CallsR.c_str());
-  unsigned long long FusedOps =
-      NativeStats.NativeFusedOps + AxpyV2Stats.NativeFusedOps;
-  bool FeaturesEngaged =
-      FusedOps > 0 && CallsStats.NativeLinkedTransfers > 0;
+  bool FeaturesEngaged = CallsStats.NativeLinkedTransfers > 0;
   if (!FeaturesEngaged)
-    printf("# FAIL: v2 features never engaged (fused ops %llu, linked "
-           "transfers %llu)\n",
-           FusedOps,
-           static_cast<unsigned long long>(
-               CallsStats.NativeLinkedTransfers));
+    printf("# FAIL: direct linking never engaged (0 linked transfers)\n");
   bool Ok = SameResult && FeaturesEngaged && Speed >= Bound &&
             SpeedV2 >= V2Bound && NativeStats.NativeEnters > 0 &&
             NativeStats.NativeCompiles > 0;

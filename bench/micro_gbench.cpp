@@ -243,18 +243,22 @@ void BM_LowerSuite(benchmark::State &State) {
     }
   }
   // What the native tier makes of that code, outside the timed loop:
-  // compile-time-known int slots the stitcher folds to immediates, and
-  // raw-slot candidates the register allocator could not home.
-  size_t IntConsts = 0, RegSpills = 0;
+  // compile-time-known int slots the stitcher folds to immediates,
+  // loop-invariant vector pins, and raw-slot candidates the register
+  // allocator could not home.
+  size_t IntConsts = 0, Pins = 0, RegSpills = 0;
   for (const auto &Ir : Irs) {
     std::unique_ptr<LowFunction> Low = lowerToLow(*Ir);
     for (uint8_t Known : intConstSlots(*Low).Known)
       IntConsts += Known;
-    RegSpills += allocateRegisters(*Low, true).Spills;
+    RegAllocation RA = allocateRegisters(*Low, true);
+    Pins += RA.Pins.size();
+    RegSpills += RA.Spills;
   }
   State.counters["closures"] = static_cast<double>(Irs.size());
   State.counters["low_instrs"] = static_cast<double>(LowInstrs);
   State.counters["int_consts"] = static_cast<double>(IntConsts);
+  State.counters["pins"] = static_cast<double>(Pins);
   State.counters["reg_spills"] = static_cast<double>(RegSpills);
 }
 BENCHMARK(BM_LowerSuite)->Unit(benchmark::kMicrosecond);

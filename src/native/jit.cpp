@@ -2,9 +2,8 @@
 //
 // Part of the deoptless reproduction. MIT license.
 //
-// Template stitching with three v2 layers on top (each independently
-// switchable via NativeTierOptions; all-off reproduces the template-only
-// tier):
+// Template stitching with two v2 layers on top (each independently
+// switchable via NativeTierOptions; both off is the template-only tier):
 //
 //  * Register allocation (native/regalloc.*): hot raw int/double slots get
 //    whole-function register homes. The invariant is pc-independent — "a
@@ -14,13 +13,6 @@
 //    read the raw arrays get a full flush — side exits included, since
 //    deopt metadata names raw frame-state values in their slots and the
 //    deopt runtime boxes them from the arrays.
-//
-//  * Superinstruction fusion: recurring template pairs collapse into one
-//    template. arith+move computes once and stores both destinations;
-//    extract+arith keeps the loaded element in the scratch register across
-//    the pair; compare+branch re-synthesizes the CmpBranch the lowerer
-//    emits for single-use compares, when the boxed compare result is
-//    provably dead.
 //
 //  * Direct call linking (native/linker.*): monomorphic CallValLow sites
 //    carry a LinkSite data cell. Once the callee's generic version is
@@ -381,13 +373,6 @@ public:
     if (F.Code.empty())
       return false;
 
-    // Fusion must not swallow an instruction some branch jumps to.
-    JumpTarget.assign(F.Code.size(), false);
-    for (const LowInstr &I : F.Code)
-      if (isBranch(I.Op) && I.Imm >= 0 &&
-          I.Imm < static_cast<int32_t>(F.Code.size()))
-        JumpTarget[I.Imm] = true;
-
     emitPrologue();
     for (int32_t Pc = 0; Pc < static_cast<int32_t>(F.Code.size()); ++Pc) {
       // Pin hoists precede the header's own offset: the backedge (which
@@ -397,13 +382,6 @@ public:
         if (P.HeaderPc == Pc)
           emitPinHoist(P);
       InstrOff.push_back(A.size());
-      if (Opts.Fusion && tryFuse(Pc)) {
-        // Keep InstrOff pc-indexed; the swallowed slot is never a jump
-        // target (tryFuse checked), so the offset is never consulted.
-        InstrOff.push_back(A.size());
-        ++Pc;
-        continue;
-      }
       emitInstr(Pc, F.Code[Pc]);
     }
     A.ud2(); // falling off the end is malformed LowCode
@@ -421,7 +399,6 @@ public:
     return true;
   }
 
-  uint32_t fusedOps() const { return Fused; }
   uint32_t regSpills() const { return RA.Spills; }
 
 private:
@@ -433,9 +410,7 @@ private:
   std::vector<size_t> InstrOff;
   std::vector<std::pair<size_t, int32_t>> PcFix; ///< rel32 -> LowCode pc
   std::vector<size_t> EpiFix;                    ///< rel32 -> epilogue
-  std::vector<bool> JumpTarget;
   std::vector<int32_t> LinkSitePcs;
-  uint32_t Fused = 0;
 
   struct Stub {
     enum Kind {
@@ -447,12 +422,6 @@ private:
     Kind K;
     std::vector<size_t> Sites; ///< rel32 fields jumping to this stub
     size_t Resume = 0;         ///< body offset to resume at (tick/slow)
-    /// Fused extract+arith resumption: the arith half consumes the
-    /// element from the scratch register, so after the slow-path helper
-    /// re-executes the extract the stub re-materializes the scratch from
-    /// the extract's destination slot before resuming.
-    int32_t ScratchRealSlot = -1;
-    int32_t ScratchIntSlot = -1;
   };
   std::vector<Stub> Stubs;
 
@@ -694,26 +663,7 @@ private:
         break;
       case Stub::StepSlow:
         emitStep(St.Pc);
-        // Pins first (the hoist uses rax), then the fused-pair scratch.
         emitPinReloads(St.Pc);
-        if (St.ScratchRealSlot >= 0) {
-          int16_t H =
-              RA.realHome(static_cast<uint16_t>(St.ScratchRealSlot));
-          if (H >= 0)
-            A.movapsXmmXmm(0, static_cast<uint8_t>(H));
-          else
-            A.movsdXmmMem(
-                0, R13, dOff(static_cast<uint16_t>(St.ScratchRealSlot)));
-        }
-        if (St.ScratchIntSlot >= 0) {
-          int16_t H =
-              RA.intHome(static_cast<uint16_t>(St.ScratchIntSlot));
-          if (H >= 0)
-            A.movRegReg32(RAX, static_cast<uint8_t>(H));
-          else
-            A.movRegMem32(
-                RAX, R14, iOff(static_cast<uint16_t>(St.ScratchIntSlot)));
-        }
         A.patchRel32(A.jmp32(), St.Resume);
         break;
       }
@@ -881,170 +831,6 @@ private:
     return true;
   }
 
-  //===-- Superinstruction fusion -----------------------------------------//
-
-  /// True when no instruction other than the fused pair (and no deopt
-  /// metadata) reads boxed slot \p Slot. Class-aware: slot numbers are
-  /// per-class namespaces, so only *boxed* operand positions and Boxed
-  /// frame-state references count.
-  /// Writes are not observers — a skipped store merely leaves a stale
-  /// value whose lifetime is not transcript-observable.
-  bool boxedSlotDead(uint16_t Slot, int32_t SkipA, int32_t SkipB) const {
-    for (size_t K = 0; K < F.ParamClasses.size(); ++K)
-      if (F.ParamClasses[K] == SlotClass::Boxed &&
-          K < F.ParamSlots.size() && F.ParamSlots[K] == Slot)
-        return false;
-    for (const DeoptMeta &M : F.Deopts) {
-      if (deoptFrameUses(M.StackSlots, M.EnvSlots, Slot))
-        return false;
-      if (M.HasValueSlot && M.ValueSlot == Slot)
-        return false;
-      for (const DeoptFrame &C : M.Callers)
-        if (deoptFrameUses(C.StackSlots, C.EnvSlots, Slot))
-          return false;
-    }
-    for (int32_t Pc = 0; Pc < static_cast<int32_t>(F.Code.size()); ++Pc) {
-      if (Pc == SkipA || Pc == SkipB)
-        continue;
-      if (boxedReads(F.Code[Pc], Slot))
-        return false;
-    }
-    return true;
-  }
-
-  static bool deoptFrameUses(
-      const std::vector<LiveRef> &Stack,
-      const std::vector<std::pair<Symbol, LiveRef>> &Env, uint16_t Slot) {
-    auto Reads = [Slot](LiveRef R) {
-      return R.K == SlotClass::Boxed && R.Slot == Slot;
-    };
-    for (LiveRef R : Stack)
-      if (Reads(R))
-        return true;
-    for (const auto &P : Env)
-      if (Reads(P.second))
-        return true;
-    return false;
-  }
-
-  /// Does \p I read boxed slot \p Slot?
-  static bool boxedReads(const LowInstr &I, uint16_t Slot) {
-    bool Reads = false;
-    forEachUse(I, [&](LiveRef R) {
-      Reads |= R.K == SlotClass::Boxed && R.Slot == Slot;
-    });
-    return Reads;
-  }
-
-  /// Attempts to emit the pair at (\p Pc, Pc+1) as one superinstruction.
-  /// Returns true when both were consumed.
-  bool tryFuse(int32_t Pc) {
-    int32_t Next = Pc + 1;
-    if (Next >= static_cast<int32_t>(F.Code.size()) || JumpTarget[Next])
-      return false;
-    const LowInstr &I = F.Code[Pc];
-    const LowInstr &J = F.Code[Next];
-
-    if (I.Op == LowOp::ArithTyped) {
-      BinOp Op = arithOp(I);
-      int Rank = arithRank(I);
-
-      // (A) arith + raw move of its result: compute once into scratch,
-      // store both destinations — the intermediate store/reload dies.
-      // Correct under any aliasing: both stores happen, in order.
-      if (J.Op == LowOp::Move && J.A == I.Dst) {
-        SlotClass MK = static_cast<SlotClass>(J.B);
-        if (Rank == 2 && MK == SlotClass::RawReal && inlinedArith(Op, Rank)) {
-          realArithToScratch(Op, I.A, I.B);
-          realStore(I.Dst, 0);
-          realStore(J.Dst, 0);
-          ++Fused;
-          return true;
-        }
-        if (Rank == 1 && MK == SlotClass::RawInt && inlinedArith(Op, Rank)) {
-          intArithToScratch(Op, I.A, I.B);
-          intStore(I.Dst, RAX);
-          intStore(J.Dst, RAX);
-          ++Fused;
-          return true;
-        }
-      }
-
-      // (C) raw compare + branch on its (otherwise dead) boxed result:
-      // re-synthesize the CmpBranch the lowerer emits for single-use
-      // compares. Rank 1/2 only — emitCmpBranch's complex-rank path calls
-      // the helper, which would re-decode F.Code[Pc] as the *original*
-      // ArithTyped.
-      if ((J.Op == LowOp::BranchTrueLow || J.Op == LowOp::BranchFalseLow) &&
-          (Rank == 1 || Rank == 2) && isComparison(Op) && J.A == I.Dst &&
-          boxedSlotDead(I.Dst, Pc, Next)) {
-        LowInstr CB;
-        CB.Op = LowOp::CmpBranch;
-        CB.A = I.A;
-        CB.B = I.B;
-        CB.C = packCmpBranch(I.C, J.Op == LowOp::BranchTrueLow);
-        CB.Imm = J.Imm;
-        emitCmpBranch(Pc, CB);
-        ++Fused;
-        return true;
-      }
-      return false;
-    }
-
-    // (B) typed extract + arith consuming the element: the element stays
-    // in the scratch register across the pair instead of round-tripping
-    // the slot array. The extract still stores its destination (another
-    // op — or the slow path — may read it); only the *reload* dies.
-    if (I.Op == LowOp::Extract2Typed && J.Op == LowOp::ArithTyped) {
-      Tag K = elemKind(I);
-      BinOp Op = arithOp(J);
-      int Rank = arithRank(J);
-      bool UseA = J.A == I.Dst, UseB = J.B == I.Dst;
-      if (K == Tag::Real && Rank == 2 && inlinedArith(Op, Rank) &&
-          (UseA || UseB)) {
-        if (!emitExtract2Typed(Pc, I, /*KeepScratch=*/true))
-          return false; // no inline fast path; emit both separately
-        if (UseA) {
-          if (!UseB)
-            realRhs(Op, 0, J.B);
-          else
-            realOpXmm(Op, 0, 0); // elem op elem
-          realStore(J.Dst, 0);
-        } else {
-          // A op elem: operand order matters for Sub/Div — build in xmm1.
-          uint8_t Ax = realSrc(J.A, 1);
-          if (Ax != 1)
-            A.movapsXmmXmm(1, Ax);
-          realOpXmm(Op, 1, 0);
-          realStore(J.Dst, 1);
-        }
-        ++Fused;
-        return true;
-      }
-      if (K == Tag::Int && Rank == 1 && inlinedArith(Op, Rank) &&
-          (UseA || UseB)) {
-        if (!emitExtract2Typed(Pc, I, /*KeepScratch=*/true))
-          return false;
-        if (UseA) {
-          if (!UseB)
-            intRhs(Op, RAX, J.B);
-          else
-            intOpReg(Op, RAX, RAX);
-          intStore(J.Dst, RAX);
-        } else {
-          uint8_t Ar = intSrc(J.A, RDX);
-          if (Ar != RDX)
-            A.movRegReg32(RDX, Ar);
-          intOpReg(Op, RDX, RAX);
-          intStore(J.Dst, RDX);
-        }
-        ++Fused;
-        return true;
-      }
-    }
-    return false;
-  }
-
   //===-- Per-op templates ------------------------------------------------//
 
   void emitInstr(int32_t Pc, const LowInstr &I) {
@@ -1164,7 +950,7 @@ private:
       return;
     }
     case LowOp::Extract2Typed:
-      if (!emitExtract2Typed(Pc, I, /*KeepScratch=*/false))
+      if (!emitExtract2Typed(Pc, I))
         emitStep(Pc);
       return;
     case LowOp::GuardCond:
@@ -1313,11 +1099,8 @@ private:
   /// everything else — the widened length-one-scalar case, out-of-bounds
   /// errors, complex/logical kinds — takes the out-of-line interpreter
   /// handler, which re-executes the op from scratch. Returns false when
-  /// no inline path exists (caller emits the plain fallback). With
-  /// \p KeepScratch the loaded element is left in xmm0/eax for a fused
-  /// consumer, and the slow-path stub re-materializes that scratch from
-  /// the destination slot.
-  bool emitExtract2Typed(int32_t Pc, const LowInstr &I, bool KeepScratch) {
+  /// no inline path exists (caller emits the plain fallback).
+  bool emitExtract2Typed(int32_t Pc, const LowInstr &I) {
     Tag K = elemKind(I);
     const VecInternals &VI = K == Tag::Real ? vecInternals<double>()
                                             : vecInternals<int32_t>();
@@ -1330,80 +1113,61 @@ private:
     Tag VecTag = K == Tag::Real ? Tag::RealVec : Tag::IntVec;
     uint8_t ScaleLog = K == Tag::Real ? 3 : 2;
 
-    Stub Slow{Pc, Stub::StepSlow, {}, 0, -1, -1};
-    if (const PinInfo *P = pinFor(Pc, I.A, K)) {
+    Stub Slow{Pc, Stub::StepSlow, {}, 0};
+    const PinInfo *P = pinFor(Pc, I.A, K);
+    if (P) {
       // Pinned: the loop header already verified the tag and hoisted the
       // element pointer; what remains is the bounds check against the
       // PinLen cell and the load itself. A disabled pin (cell = 0) sends
       // every execution to the stub, which re-runs the op generically.
-      int16_t BH = RA.intHome(I.B);
-      if (BH >= 0)
-        A.movsxdRegReg32(RSI, static_cast<uint8_t>(BH));
-      else
-        A.movsxdRegMem32(RSI, R14, iOff(I.B));
-      A.subRegImm8(RSI, 1); // 1-based -> 0-based
+      emitZeroBasedIndex(I.B);
       A.cmpMemReg64(RBX, pinLenOff(P->Cell), RSI); // flags: count - idx
       Slow.Sites.push_back(A.jcc32(CcBe)); // count <= idx (unsigned)
-      if (K == Tag::Real) {
-        int16_t DH = KeepScratch ? -1 : RA.realHome(I.Dst);
-        uint8_t X = DH >= 0 ? static_cast<uint8_t>(DH) : 0;
-        A.movsdXmmMemIndex(X, P->Gpr, RSI, ScaleLog);
-        if (DH < 0)
-          realStore(I.Dst, 0);
-        if (KeepScratch)
-          Slow.ScratchRealSlot = I.Dst;
-      } else {
-        int16_t DH = KeepScratch ? -1 : RA.intHome(I.Dst);
-        uint8_t R = DH >= 0 ? static_cast<uint8_t>(DH)
-                            : static_cast<uint8_t>(RAX);
-        A.movRegMemIndex32(R, P->Gpr, RSI, ScaleLog);
-        if (DH < 0)
-          intStore(I.Dst, RAX);
-        if (KeepScratch)
-          Slow.ScratchIntSlot = I.Dst;
-      }
-      Slow.Resume = A.size();
-      Stubs.push_back(std::move(Slow));
-      return true;
+    } else {
+      A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
+                    static_cast<uint8_t>(VecTag));
+      Slow.Sites.push_back(A.jcc32(CcNe));
+      // rax: object pointer, then (its last use spent) the data pointer.
+      A.movRegMem64(RAX, R12, sOff(I.A, ValueLayout::Payload));
+      A.movRegMem64(RDX, RAX, DMember + VI.EndOff);
+      A.movRegMem64(RAX, RAX, DMember + VI.BeginOff);
+      A.subRegReg64(RDX, RAX);
+      A.shrRegImm8(RDX, ScaleLog); // element count
+      emitZeroBasedIndex(I.B);
+      A.cmpRegReg64(RSI, RDX);
+      Slow.Sites.push_back(A.jcc32(CcAe)); // unsigned: catches idx < 1 too
     }
-    A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
-                  static_cast<uint8_t>(VecTag));
-    Slow.Sites.push_back(A.jcc32(CcNe));
-    // rax: object pointer, then (its last use spent) the data pointer.
-    A.movRegMem64(RAX, R12, sOff(I.A, ValueLayout::Payload));
-    A.movRegMem64(RDX, RAX, DMember + VI.EndOff);
-    A.movRegMem64(RAX, RAX, DMember + VI.BeginOff);
-    A.subRegReg64(RDX, RAX);
-    A.shrRegImm8(RDX, ScaleLog); // element count
-    int16_t BH = RA.intHome(I.B);
-    if (BH >= 0)
-      A.movsxdRegReg32(RSI, static_cast<uint8_t>(BH));
-    else
-      A.movsxdRegMem32(RSI, R14, iOff(I.B));
-    A.subRegImm8(RSI, 1); // 1-based -> 0-based
-    A.cmpRegReg64(RSI, RDX);
-    Slow.Sites.push_back(A.jcc32(CcAe)); // unsigned: catches idx < 1 too
+    // The element goes straight to Dst's home, or through the scratch
+    // register to its slot.
+    uint8_t Base = P ? P->Gpr : static_cast<uint8_t>(RAX);
     if (K == Tag::Real) {
-      int16_t DH = KeepScratch ? -1 : RA.realHome(I.Dst);
+      int16_t DH = RA.realHome(I.Dst);
       uint8_t X = DH >= 0 ? static_cast<uint8_t>(DH) : 0;
-      A.movsdXmmMemIndex(X, RAX, RSI, ScaleLog);
+      A.movsdXmmMemIndex(X, Base, RSI, ScaleLog);
       if (DH < 0)
         realStore(I.Dst, 0);
-      if (KeepScratch)
-        Slow.ScratchRealSlot = I.Dst;
     } else {
-      int16_t DH = KeepScratch ? -1 : RA.intHome(I.Dst);
+      int16_t DH = RA.intHome(I.Dst);
       uint8_t R = DH >= 0 ? static_cast<uint8_t>(DH)
                           : static_cast<uint8_t>(RAX);
-      A.movRegMemIndex32(R, RAX, RSI, ScaleLog);
+      A.movRegMemIndex32(R, Base, RSI, ScaleLog);
       if (DH < 0)
         intStore(I.Dst, RAX);
-      if (KeepScratch)
-        Slow.ScratchIntSlot = I.Dst;
     }
     Slow.Resume = A.size();
     Stubs.push_back(std::move(Slow));
     return true;
+  }
+
+  /// rsi <- the 1-based index in raw-int slot \p Slot, sign-extended and
+  /// made 0-based.
+  void emitZeroBasedIndex(uint16_t Slot) {
+    int16_t H = RA.intHome(Slot);
+    if (H >= 0)
+      A.movsxdRegReg32(RSI, static_cast<uint8_t>(H));
+    else
+      A.movsxdRegMem32(RSI, R14, iOff(Slot));
+    A.subRegImm8(RSI, 1);
   }
 
   void emitGuard(int32_t Pc, const LowInstr &I) {
@@ -1415,7 +1179,7 @@ private:
                   reinterpret_cast<uint64_t>(&stats().AssumeChecks));
     A.lockIncMem64(RAX, 0);
 
-    Stub Fail{Pc, Stub::GuardFail, {}, 0, -1, -1};
+    Stub Fail{Pc, Stub::GuardFail, {}, 0};
     switch (I.C) {
     case 0: // tag speculation
       A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
@@ -1454,7 +1218,7 @@ private:
     // model watchpoint-invalidated global assumptions, see exec.cpp).
     // The fast path is one load + one compare when the mode is off.
     if (I.C != 2) {
-      Stub Tick{Pc, Stub::GuardTick, {}, 0, -1, -1};
+      Stub Tick{Pc, Stub::GuardTick, {}, 0};
       A.movRegMem64(RAX, RBX, offsetof(NativeFrame, Hooks));
       A.cmpMem64Imm32(
           RAX, static_cast<int32_t>(offsetof(LowHooks,
@@ -1558,7 +1322,6 @@ public:
     if (!Entry) // mapping denied (hardened host): portable fallback
       return interpBackend().prepare(std::move(Low));
     ++stats().NativeCompiles;
-    stats().NativeFusedOps += St.fusedOps();
     stats().NativeRegSpills += St.regSpills();
     return std::make_unique<NativeExecutable>(
         std::move(Low), Arena, Entry, std::move(SitePcs),

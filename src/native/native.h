@@ -58,19 +58,14 @@ inline bool nativeTierV2Default() {
 }
 
 /// Per-feature switches for the v2 native tier (Vm::Config::NativeV2 and
-/// the differential fuzzer's feature axis). All default from
-/// RJIT_NATIVE_V2; all-off reproduces the PR-5 template-only stitcher
-/// byte-for-byte in behavior (transcripts are gate-identical across every
-/// combination — the fuzzer asserts it).
+/// the differential fuzzer's feature axis). Both default from
+/// RJIT_NATIVE_V2; both off is the template-only stitcher. Transcripts are
+/// byte-identical across every combination (the fuzzer asserts it).
 struct NativeTierOptions {
   /// Linear-scan register allocation over the raw slot classes
   /// (native/regalloc.*): hot unboxed slots live in GPRs/XMMs instead of
   /// the slot arrays.
   bool Regalloc = nativeTierV2Default();
-  /// Superinstruction fusion: recurring template pairs (arith+move,
-  /// extract+arith, cmp+branch) emit as one fused template, killing the
-  /// intermediate store/reload.
-  bool Fusion = nativeTierV2Default();
   /// Direct call linking (native/linker.*): hot monomorphic
   /// version->version transfers bypass full VM dispatch via LinkSites
   /// patched at publication and unlinked at retire.

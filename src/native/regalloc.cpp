@@ -48,8 +48,7 @@ bool pinSafeOp(const LowInstr &I) {
     return coerceSrcClass(I) != SlotClass::Boxed &&
            static_cast<SlotClass>(I.B) != SlotClass::Boxed;
   case LowOp::ArithTyped:
-    // Compares excluded: standalone (unfused) compares box their result
-    // through the helper.
+    // Compares excluded: they box their result through the helper.
     return inlinedArith(arithOp(I), arithRank(I));
   case LowOp::Extract2Typed:
     return kindClass(elemKind(I)) != SlotClass::Boxed;
@@ -231,14 +230,12 @@ RegAllocation rjit::allocateRegisters(const LowFunction &F,
   };
 
   // Count every raw operand of an op the stitcher compiles inline: that
-  // is where a register home saves a load/store. Raw compares count too:
-  // their operands reach registers through cmp+branch fusion. Helper-
-  // executed ops read and write the arrays directly (homes are flushed
-  // around them), so their slots gain nothing from a register.
+  // is where a register home saves a load/store. Helper-executed ops read
+  // and write the arrays directly (homes are flushed around them), so
+  // their slots gain nothing from a register.
   for (int32_t Pc = 0; Pc < N; ++Pc) {
     const LowInstr &I = F.Code[Pc];
-    if (!pinSafeOp(I) &&
-        !(I.Op == LowOp::ArithTyped && isComparison(arithOp(I))))
+    if (!pinSafeOp(I))
       continue;
     uint64_t W = 1;
     for (uint32_t D = Depth[static_cast<size_t>(Pc)];

@@ -67,9 +67,9 @@ constexpr size_t NatXmmPoolSize = NatXmmLast - NatXmmFirst + 1;
 /// True when a GPR home survives a C call (SysV callee-saved).
 inline bool natGprCalleeSaved(uint8_t R) { return R == RBP || R == R15; }
 
-/// True for the ArithTyped forms the stitcher compiles inline (and the
-/// fusion peephole builds on): rank-2 +,-,*,/ and rank-1 +,-,*. Compares
-/// box their result; %%, %/%, ^ and complex arithmetic take the helper.
+/// True for the ArithTyped forms the stitcher compiles inline: rank-2
+/// +,-,*,/ and rank-1 +,-,*. Compares box their result; %%, %/%, ^ and
+/// complex arithmetic take the helper.
 inline bool inlinedArith(BinOp Op, int Rank) {
   if (Rank == 2)
     return Op == BinOp::Add || Op == BinOp::Sub || Op == BinOp::Mul ||

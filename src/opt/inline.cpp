@@ -44,7 +44,7 @@ public:
     while (!Work.empty()) {
       auto [Call, Depth] = Work.back();
       Work.pop_back();
-      if (Depth >= Opts.Inline.MaxDepth)
+      if (Depth >= MaxInlineDepth)
         continue;
       if (tryInline(Call, Depth, Work))
         ++Count;
@@ -88,7 +88,7 @@ private:
     size_t NArgs = Call->Ops.size() - 1;
     if (!Callee || Callee->Params.size() != NArgs)
       return false;
-    if (Callee->BC.Instrs.size() > Opts.Inline.MaxSize)
+    if (Callee->BC.Instrs.size() > MaxInlineSize)
       return false;
 
     Instr *As = guardOf(Call);

@@ -31,9 +31,15 @@
 
 namespace rjit {
 
+/// Nesting bound: calls inside a body spliced this many levels deep stay
+/// calls.
+constexpr uint32_t MaxInlineDepth = 2;
+/// Callee size bound, in bytecode instructions.
+constexpr uint32_t MaxInlineSize = 48;
+
 /// Inlines eligible CallStatic sites in \p C (recursively, up to
-/// Opts.MaxInlineDepth / MaxInlineSize). Returns the number of calls
-/// inlined. No-op unless Opts.Inline is set.
+/// MaxInlineDepth / MaxInlineSize). Returns the number of calls inlined.
+/// No-op unless Opts.Inline is set.
 uint32_t inlineCalls(IrCode &C, const OptOptions &Opts);
 
 } // namespace rjit

@@ -374,8 +374,7 @@ LoopOptStats rjit::runLoopOpts(IrCode &C, const LoopOptOptions &Opts) {
   // Pass 1: prune guards an equivalent dominating guard already covers —
   // fewer guards to hoist, and inlined callees re-checking what the call
   // site established disappear here.
-  if (Opts.ElimRedundantGuards)
-    Stats.EliminatedGuards += elimRedundantGuards(C);
+  Stats.EliminatedGuards += elimRedundantGuards(C);
 
   DomTree DT(C);
   std::vector<NaturalLoop> Loops = findLoops(C, DT);
@@ -416,7 +415,7 @@ LoopOptStats rjit::runLoopOpts(IrCode &C, const LoopOptOptions &Opts) {
 
   // Pass 2: guards hoisted out of sibling positions can meet as duplicates
   // in one preheader; dedupe them.
-  if (Opts.ElimRedundantGuards && Stats.HoistedGuards > 0)
+  if (Stats.HoistedGuards > 0)
     Stats.EliminatedGuards += elimRedundantGuards(C);
 
   // Consume the translator anchors: from here on unused header

@@ -51,26 +51,23 @@ struct EntryState {
   std::vector<RType> ParamTypes;
 };
 
-/// Speculative inlining knobs (opt/inline): splice monomorphic hot
+/// Speculative inlining switch (opt/inline): splice monomorphic hot
 /// callees into the caller under the callee-identity guard. One struct
 /// shared verbatim by every compile entry point — whole-function
 /// versions, OSR-in continuations and deoptless continuations — so the
 /// tiers cannot drift apart (Vm::Config::inlineView is the single
-/// source of truth).
+/// source of truth). The splice bounds are constants in opt/inline.h.
 struct InlineOptions {
   bool Enabled = false;
-  uint32_t MaxDepth = 2; ///< nesting bound for inlined calls
-  uint32_t MaxSize = 48; ///< callee bytecode-length bound
 };
 
-/// Loop optimization knobs (opt/licm): dominator/loop analysis feeding
+/// Loop optimization switch (opt/licm): dominator/loop analysis feeding
 /// LICM, loop-invariant guard hoisting and redundant-guard elimination.
 /// One struct shared verbatim by every compile entry point (whole-function
 /// versions, OSR-in continuations, deoptless continuations) so the tiers
 /// cannot drift apart; Vm::Config::LoopOpts is the single source of truth.
 struct LoopOptOptions {
-  bool Enabled = true;            ///< master switch for the loop layer
-  bool ElimRedundantGuards = true;///< drop guards dominated by equivalents
+  bool Enabled = true; ///< runs the whole loop layer
 };
 
 /// The one definition of "debug builds verify between passes": both

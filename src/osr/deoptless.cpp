@@ -62,15 +62,20 @@ bool computeContext(const SlotView &Slots, const DeoptMeta &Meta,
   return true;
 }
 
-/// The paper's deoptlessCondition.
+/// The paper's deoptlessCondition. Each refusal is counted by cause: the
+/// guard failure becomes a true deopt.
 bool deoptlessCondition(const DeoptMeta &Meta, bool Injected) {
-  if (inRecursiveDeoptless())
-    return false; // no recursive deoptless
+  if (inRecursiveDeoptless()) {
+    ++stats().DeoptlessSkipRecursive; // no recursive deoptless
+    return false;
+  }
   // A real builtin redefinition is a changed global assumption: the code
   // is permanently invalid and must actually deoptimize. Injected test
   // failures leave the fact intact.
-  if (Meta.RKind == DeoptReasonKind::BuiltinGuard && !Injected)
+  if (Meta.RKind == DeoptReasonKind::BuiltinGuard && !Injected) {
+    ++stats().DeoptlessSkipBuiltin;
     return false;
+  }
   return true;
 }
 

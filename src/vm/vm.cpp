@@ -54,8 +54,6 @@ struct DepthGuard {
 InlineOptions Vm::Config::inlineView() const {
   InlineOptions I;
   I.Enabled = Inlining;
-  I.MaxDepth = MaxInlineDepth;
-  I.MaxSize = MaxInlineSize;
   return I;
 }
 
@@ -94,13 +92,14 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
 
   FnVersion *Ver = TS.Versions.dispatch(Ctx);
 
-  // ProfileDrivenReopt: periodically run the baseline to sample fresh type
-  // feedback from a supposedly-stable function; recompile on change
-  // (condensed form of the DLS'20 sampling strategy). Sampling state is
-  // per version: each specialization re-validates its own profile.
+  // ProfileDrivenReopt: every ReoptSampleEvery-th call runs the baseline
+  // to sample fresh type feedback from a supposedly-stable function;
+  // recompile on change (condensed form of the DLS'20 sampling strategy).
+  // Sampling state is per version: each specialization re-validates its
+  // own profile.
+  constexpr uint64_t ReoptSampleEvery = 20;
   if (Ver && V->Cfg.Strategy == TierStrategy::ProfileDrivenReopt &&
-      V->Cfg.ReoptSampleEvery &&
-      ++Ver->CallsSinceSample % V->Cfg.ReoptSampleEvery == 0) {
+      ++Ver->CallsSinceSample % ReoptSampleEvery == 0) {
     Value R = callClosureBaseline(Clos, std::move(Args));
     if (feedbackHash(*Fn, CtxDispatch) != Ver->FeedbackHash) {
       {
@@ -221,9 +220,11 @@ Value vmDeoptHandler(const LowFunction &F, const SlotView &Slots,
   assert(V && "deopt without an active Vm");
   const DeoptMeta &Meta = F.Deopts[MetaIdx];
   const bool Deoptless = V->Cfg.Strategy == TierStrategy::Deoptless;
-  if (Deoptless && !CurEnv) {
+  if (Deoptless && CurEnv) {
     // A leaked/materialized environment (CurEnv) is never handled
     // deoptless (paper §4.3).
+    ++stats().DeoptlessSkipEnv;
+  } else if (Deoptless) {
     TierState &Owner = V->stateFor(continuationOwner(F, Meta));
     Value Result;
     if (tryDeoptless(F, Slots, Meta, ParentEnv, Injected,
@@ -357,7 +358,7 @@ Vm::~Vm() {
   // Teardown is the fallback safepoint: no activation of retired code can
   // still be on the stack (epochs are ignored — the executor is gone), so
   // whatever the dispatch-boundary safepoints did not yet reclaim — e.g.
-  // under SafepointInterval = 0 — is reclaimed here, before the native
+  // with ReclaimAtSafepoints off — is reclaimed here, before the native
   // backend's code arena goes away with the Vm.
   reclaimGraveyard(/*IgnoreEpochs=*/true);
   Modules.clear();

@@ -89,110 +89,113 @@ class CompilerPool;
 /// The embedding API.
 class Vm {
 public:
+  /// Every settable value, with the reason it stays (README
+  /// "Configuration" has the same list as a table): a paper ablation, a
+  /// §5.1 protocol parameter, a fuzzer oracle, a measured effect, a
+  /// deployment choice, or a resource bound.
   struct Config {
+    /// Paper ablation: the experiment mode (Figs. 1, 2 and 11).
     TierStrategy Strategy = TierStrategy::Normal;
-    uint32_t CompileThreshold = 3; ///< closure calls before optimizing
-    uint32_t OsrThreshold = 200;   ///< interpreter backedges before OSR-in
-                                   ///< (0 = never OSR-in)
-    uint64_t InvalidationRate = 0; ///< 1-in-N random guard failures (§5.1)
+    /// §5.1 protocol parameters: closure calls before optimizing, and
+    /// interpreter backedges before OSR-in (0 = never OSR-in).
+    uint32_t CompileThreshold = 3;
+    uint32_t OsrThreshold = 200;
+    /// §5.1 protocol parameters: 1-in-N random guard failures and their
+    /// seed (Fig. 6's misspeculation).
+    uint64_t InvalidationRate = 0;
     uint64_t InvalidationSeed = 12345;
-    bool FeedbackCleanup = true;   ///< §4.3 cleanup pass (ablation)
-    uint32_t MaxContinuations = 5; ///< dispatch table bound
-    uint32_t DeoptBlacklist = 50;  ///< deopts before giving up on a fn
-    uint64_t ReoptSampleEvery = 20;///< ProfileDrivenReopt sampling period
-                                   ///< (0 = never sample)
-    bool Speculate = true;         ///< insert Assumes at all (ablation)
+    /// Paper ablation: the §4.3 feedback cleanup pass.
+    bool FeedbackCleanup = true;
+    /// Resource bounds: continuations per function (the dispatch table of
+    /// §4.3) and true deopts before a function stays in the baseline.
+    uint32_t MaxContinuations = 5;
+    uint32_t DeoptBlacklist = 50;
+    /// Paper ablation: insert Assume guards at all.
+    bool Speculate = true;
 
-    /// Contextual dispatch (ablation toggle, orthogonal to Strategy):
-    /// calls dispatch over a table of call-context-specialized versions
-    /// instead of one generic optimized version.
+    /// Paper ablation, orthogonal to Strategy: calls dispatch over a
+    /// table of call-context-specialized versions instead of one generic
+    /// optimized version. The fuzzer sweeps it.
     bool ContextDispatch = false;
-    /// Bound on specialized versions per function (the generic root is
-    /// exempt, so a full table degrades to seed behavior).
+    /// Resource bound: specialized versions per function. The generic
+    /// root is exempt, so a full table falls back to one generic version.
     uint32_t MaxVersions = 4;
 
-    /// Speculative inlining (ablation toggle, orthogonal to Strategy):
-    /// monomorphic hot callees recorded in CallFeedback are spliced into
-    /// the caller under the callee-identity guard; guards inside the
-    /// spliced body carry frame-state chains so OSR-out materializes
-    /// every synthesized frame. Off reproduces PR 1 behavior exactly.
+    /// Paper ablation, orthogonal to Strategy: monomorphic hot callees
+    /// recorded in CallFeedback are spliced into the caller under the
+    /// callee-identity guard; guards inside the spliced body carry
+    /// frame-state chains so OSR-out materializes every synthesized
+    /// frame. The depth and size bounds are constants in opt/inline.h.
+    /// Off by default: flipping the default moves every workload.
     bool Inlining = false;
-    uint32_t MaxInlineDepth = 2; ///< nesting bound for inlined calls
-    uint32_t MaxInlineSize = 48; ///< callee bytecode-length bound
 
-    /// Loop optimization layer (orthogonal to Strategy, on by default):
-    /// dominator/loop analysis drives LICM, loop-invariant guard hoisting
-    /// (guards re-anchored to a preheader frame state, so a failure
-    /// deopts *before* the loop) and redundant-guard elimination.
-    /// LoopOpts.Enabled = false reproduces the previous per-iteration-guard
-    /// behavior exactly; ElimRedundantGuards switches off that pass alone.
+    /// Measured effect (fig_licm) and fuzzer axis, orthogonal to
+    /// Strategy: dominator/loop analysis drives LICM, loop-invariant guard
+    /// hoisting (guards re-anchored to a preheader frame state, so a
+    /// failure deopts *before* the loop) and redundant-guard elimination.
     LoopOptOptions LoopOpts;
-    /// Run the IR verifier between every optimization pass (structural
-    /// breakage fails the compile at the offending pass). Defaults on in
-    /// debug builds — the invariant gate CI's sanitizer jobs rely on —
-    /// and off in release builds.
+    /// Correctness gate: run the IR verifier between every optimization
+    /// pass, so structural breakage fails the compile at the offending
+    /// pass. On in debug builds, which CI's sanitizer jobs run; off in
+    /// release builds.
     bool VerifyBetweenPasses = VerifyPassesDefault;
 
-    /// Native execution tier (orthogonal to everything above): optimized
-    /// code is prepared by the x86-64 template JIT (src/native/) instead
-    /// of the threaded LowCode interpreter. Requires an x86-64 host with
-    /// a GNU-compatible toolchain — on any other platform (or when the
-    /// backend cannot be constructed) the Vm silently keeps the
-    /// interpreter backend, so this knob is always safe to set. Defaults
-    /// from the RJIT_NATIVE_TIER environment variable (CI runs the full
-    /// suite both ways); unset means off.
+    /// Measured effect (fig_native) and fuzzer axis: optimized code is
+    /// prepared by the x86-64 template JIT (src/native/) instead of the
+    /// threaded LowCode interpreter. On any other host, or when the
+    /// backend cannot be constructed, the Vm keeps the interpreter
+    /// backend, so this is always safe to set. Defaults from the
+    /// RJIT_NATIVE_TIER environment variable (CI runs the full suite both
+    /// ways); unset means off.
     bool NativeTier = nativeTierDefault();
 
-    /// Per-feature switches for the v2 native tier (register allocation,
-    /// superinstruction fusion, direct call linking). Only consulted when
-    /// NativeTier is on and the Vm constructs its own native backend; all
-    /// default from the RJIT_NATIVE_V2 environment variable (unset = on),
-    /// so CI's off-switch job exercises the template-only tier without
-    /// touching construction sites. All-off reproduces the template-only
-    /// stitcher's behavior exactly — the differential fuzzer asserts
-    /// transcripts are byte-identical across every combination.
+    /// The v2 native tier's two layers, register allocation and direct
+    /// call linking, each a measured effect (fig_native's v2 ratio; the
+    /// linked transfers of deoptbench steady). Only consulted when
+    /// NativeTier is on and the Vm constructs its own native backend.
+    /// Both default from RJIT_NATIVE_V2 (unset = on), which CI's rollback
+    /// job sets to 0. The fuzzer asserts byte-identical transcripts over
+    /// all four combinations.
     NativeTierOptions NativeV2;
 
-    /// Graveyard safepoint interval (orthogonal to Strategy): retired
-    /// ExecutableCode is reclaimed at the executor's dispatch boundary
-    /// once its retire epoch is provably drained — the safepoint polls on
-    /// every Nth closure dispatch. 1 (the default) reclaims as eagerly as
-    /// the epoch protocol allows; larger values amortize the poll; 0
-    /// disables mid-run reclamation entirely (teardown-only, the pre-
-    /// safepoint behavior, and the fuzzer's no-reclamation baseline).
-    /// Transcripts are interval-invariant: reclamation frees memory but
-    /// never changes dispatch.
-    uint32_t SafepointInterval = 1;
+    /// Fuzzer oracle, orthogonal to Strategy: retired ExecutableCode is
+    /// reclaimed at the executor's dispatch boundary once its retire epoch
+    /// is provably drained. Off keeps every retired executable until
+    /// teardown. Transcripts must not depend on it: reclamation frees
+    /// memory but never changes dispatch.
+    bool ReclaimAtSafepoints = true;
 
-    /// Heap cycle collector (orthogonal to Strategy): runtime values are
-    /// refcounted, and refcounting cannot reclaim cycles — any closure
+    /// Fuzzer oracle, orthogonal to Strategy. Runtime values are
+    /// refcounted, and refcounting cannot reclaim cycles: any closure
     /// defined inside a function is bound in the very Env it captures, so
-    /// long-running traffic leaks an Env↔ClosObj pair per defining call.
+    /// long-running traffic leaks an Env<->ClosObj pair per defining call.
     /// The dispatch-boundary safepoint runs a stop-the-world trial-deletion
     /// mark-sweep over the per-Vm registry of cycle-capable objects (Env,
-    /// ClosObj, ListObj — see runtime/gcheap.h) once ThresholdBytes of
+    /// ClosObj, ListObj; see runtime/gcheap.h) once ThresholdBytes of
     /// value-heap allocation have accumulated since the last collection.
-    /// Collection is observably inert: it frees only unreachable objects,
-    /// so transcripts are byte-identical with it on or off (the fuzzer
-    /// gates this). Enabled = false disables mid-run collection; teardown
-    /// always runs a final pass either way, so no cycle outlives the Vm.
+    /// Collection frees only unreachable objects, so transcripts are
+    /// byte-identical with it on or off, or at a hair-trigger threshold
+    /// (the fuzzer gates this). Enabled = false disables mid-run
+    /// collection; teardown always runs a final pass, so no cycle outlives
+    /// the Vm.
     struct HeapGcOptions {
       bool Enabled = true;
       uint64_t ThresholdBytes = 256 * 1024;
     } HeapGc;
 
-    /// Background compilation (orthogonal to everything above): compile
-    /// requests go to a compiler pool; each job compiles from a feedback
-    /// snapshot taken at enqueue time and publishes atomically, while the
-    /// executor keeps running baseline code. Off (the default) preserves
-    /// today's deterministic synchronous tier-up exactly.
+    /// Measured effect (fig_asynccompile) and the concurrent fuzzer's
+    /// mode: compile requests go to a compiler pool; each job compiles
+    /// from a feedback snapshot taken at enqueue time and publishes
+    /// atomically, while the executor keeps running baseline code. Off
+    /// means synchronous, deterministic tier-up.
     bool BackgroundCompile = false;
-    /// Pool size when the Vm owns its pool (Pool == nullptr). Zero is the
-    /// deterministic test mode: jobs run only inside drainCompiles(), in
-    /// FIFO order, on the draining thread.
+    /// Deployment: pool size when the Vm owns its pool (Pool == nullptr).
+    /// Zero is the deterministic test mode: jobs run only inside
+    /// drainCompiles(), in FIFO order, on the draining thread.
     unsigned CompilerThreads = 2;
-    /// A pool shared with other Vms (e.g. one pool, N executor threads).
-    /// Not owned; must outlive the Vm. Null: the Vm creates its own.
+    /// Deployment: a pool shared with other Vms (e.g. one pool, N
+    /// executor threads). Not owned; must outlive the Vm. Null: the Vm
+    /// creates its own.
     CompilerPool *Pool = nullptr;
 
     /// Runtime event tracing (src/obs/): while enabled, every tier event
@@ -201,13 +204,15 @@ public:
     /// buffers exportable as Chrome trace-event JSON. Enablement is
     /// refcounted process-wide, so concurrent Vms (and the bench harness
     /// holding its own ref) compose; with no enabled Vm the recording
-    /// sites reduce to one relaxed load. Defaults from the RJIT_TRACE
-    /// environment variable.
+    /// sites reduce to one relaxed load.
     struct TraceOptions {
+      /// Deployment, read by deoptbench. Defaults from the RJIT_TRACE
+      /// environment variable.
       bool Enabled = obs::traceEnabledDefault();
-      /// Per-thread ring capacity (events), applied to buffers created
-      /// after this Vm enables tracing; 0 keeps the current setting.
-      /// Fuzzers that spin up many short-lived threads want this small.
+      /// Fuzzer oracle setting: per-thread ring capacity (events),
+      /// applied to buffers created after this Vm enables tracing; 0
+      /// keeps the current setting. Fuzzers that spin up many short-lived
+      /// threads want this small.
       uint32_t BufferCapacity = 0;
     } Trace;
 
@@ -352,7 +357,6 @@ private:
   /// never install a heap, which is exactly the pinning rule for
   /// compiler-held code constants.
   GcHeap Heap;
-  uint32_t SafepointTick = 0; ///< dispatches since the last poll
   /// Cross-thread injected-invalidation requests (injectInvalidation):
   /// any thread adds, only the owning executor consumes — one per
   /// dispatch, by arming lowHooks().InvalidationCountdown, which stays
@@ -372,7 +376,7 @@ private:
 
   /// The graveyard safepoint: frees every entry whose retire epoch is
   /// drained (no live activation entered before the retire). Called from
-  /// the dispatch boundary per Config::SafepointInterval and, with
+  /// the dispatch boundary under Config::ReclaimAtSafepoints and, with
   /// IgnoreEpochs, from teardown where no activation exists at all.
   void reclaimGraveyard(bool IgnoreEpochs);
 
@@ -381,11 +385,8 @@ private:
   /// state at the dispatch boundary, so retired code (graveyard) and
   /// unreachable value cycles (heap) can both be freed safely.
   void safepoint() {
-    if (!Graveyard.empty() && Cfg.SafepointInterval &&
-        ++SafepointTick >= Cfg.SafepointInterval) {
-      SafepointTick = 0;
+    if (!Graveyard.empty() && Cfg.ReclaimAtSafepoints)
       reclaimGraveyard(false);
-    }
     if (Cfg.HeapGc.Enabled && Heap.shouldCollect(Cfg.HeapGc.ThresholdBytes))
       collectHeap();
   }

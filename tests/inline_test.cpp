@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "opt/inline.h"
 #include "support/stats.h"
 #include "vm/vm.h"
 
@@ -103,45 +104,67 @@ TEST(Inline, DeoptlessKeysOnInnermostInlinedFrame) {
 }
 
 TEST(Inline, HigherOrderChainsRespectDepthLimit) {
+  // A call chain one level deeper than MaxInlineDepth: compiling top
+  // splices apply1 and apply2 (MaxInlineDepth levels), while the third
+  // level, apply2's call of g = inc, stays a real call. Each level
+  // receives the next one as an argument: a callee that reads a global
+  // function is not inlinable at all.
   const char *Setup = "inc <- function(x) x + 1L\n"
-                      "apply1 <- function(g, x) g(x)\n"
-                      "top <- function(x) apply1(inc, x) + 100L";
-  auto Run = [&](uint32_t Depth, uint64_t &Inlines) {
-    Vm::Config C = cfg(TierStrategy::Normal, true);
-    C.MaxInlineDepth = Depth;
-    Vm V(C);
-    V.eval(Setup);
-    std::string Last;
-    for (int K = 0; K < 6; ++K)
-      Last = V.eval("top(5L)").show();
-    Inlines = stats().InlinedCalls;
-    return Last;
-  };
-  uint64_t Shallow = 0, Deep = 0, Off = 0;
-  EXPECT_EQ(Run(1, Shallow), "106L");
-  EXPECT_EQ(Run(3, Deep), "106L");
-  EXPECT_EQ(Run(0, Off), "106L");
-  EXPECT_EQ(Off, 0u) << "depth 0 disables inlining";
-  EXPECT_GT(Shallow, 0u);
-  EXPECT_GT(Deep, Shallow)
-      << "a deeper budget should also splice the nested call";
+                      "apply2 <- function(g, x) g(x) + 10L\n"
+                      "apply1 <- function(f, g, x) f(g, x) + 100L\n"
+                      "top <- function(x) apply1(apply2, inc, x) + 1000L";
+  Vm::Config C = cfg(TierStrategy::Normal, true);
+  C.CompileThreshold = 1000; // warm feedback in the baseline only
+  Vm V(C);
+  V.eval(Setup);
+  for (int K = 0; K < 4; ++K)
+    ASSERT_EQ(V.eval("top(5L)").show(), "1116L");
+  resetStats();
+  ASSERT_NE(V.compileFunction(V.eval("top").closObj()->Fn), nullptr);
+  EXPECT_EQ(stats().InlinedCalls, MaxInlineDepth)
+      << "exactly MaxInlineDepth levels of the chain must splice";
+
+  // A spliced level is never entered; only the chain's last level, one
+  // deeper than the bound, still runs as a call.
+  const char *Levels[] = {"apply1", "apply2", "inc"};
+  uint64_t Before[3];
+  for (int L = 0; L < 3; ++L)
+    Before[L] = V.eval(Levels[L]).closObj()->Fn->CallCount;
+  EXPECT_EQ(V.eval("top(5L)").show(), "1116L");
+  for (int L = 0; L < 3; ++L) {
+    bool Last = L == 2;
+    uint64_t Calls = V.eval(Levels[L]).closObj()->Fn->CallCount - Before[L];
+    EXPECT_EQ(Calls, Last ? 1u : 0u)
+        << Levels[L] << " (level " << L + 1 << ") must "
+        << (Last ? "stay a call" : "be spliced");
+  }
 }
 
 TEST(Inline, SizeLimitBailsOut) {
-  const char *Setup =
-      "big <- function(x) {\n"
-      "  a <- x + 1L; b <- a + 2L; c <- b + 3L; d <- c + 4L\n"
-      "  e <- d + 5L; f <- e + 6L; g <- f + 7L; h <- g + 8L\n"
-      "  h\n"
-      "}\n"
-      "drv <- function(x) big(x) + 1L";
-  Vm::Config C = cfg(TierStrategy::Normal, true);
-  C.MaxInlineSize = 4;
-  Vm V(C);
-  V.eval(Setup);
+  // Two straight-line callees on either side of MaxInlineSize: fits (11
+  // statements) is within the bound and splices, big (12 statements) is
+  // longer and must stay a call.
+  auto Chain = [](const char *Name, int Stmts) {
+    std::string F = std::string(Name) + " <- function(x) {\n";
+    for (int K = 1; K <= Stmts; ++K)
+      F += "  x <- x + " + std::to_string(K) + "L\n";
+    return F + "  x\n}\n";
+  };
+  Vm V(cfg(TierStrategy::Normal, true));
+  V.eval(Chain("fits", 11) + Chain("big", 12) +
+         "drv <- function(x) big(x) + fits(x)");
   for (int K = 0; K < 5; ++K)
-    EXPECT_EQ(V.eval("drv(1L)").show(), "38L");
-  EXPECT_EQ(stats().InlinedCalls, 0u) << "oversized callee must not inline";
+    ASSERT_EQ(V.eval("drv(1L)").show(), "146L");
+  for (const char *Name : {"fits", "big"}) {
+    bool Big = std::string(Name) == "big";
+    Function *Fn = V.eval(Name).closObj()->Fn;
+    uint64_t Before = Fn->CallCount;
+    EXPECT_EQ(V.eval("drv(1L)").show(), "146L");
+    EXPECT_EQ(Fn->CallCount - Before, Big ? 1u : 0u)
+        << Name << " (" << Fn->BC.Instrs.size() << " bytecodes, bound "
+        << MaxInlineSize << ") must " << (Big ? "stay a call" : "inline");
+  }
+  EXPECT_GT(stats().InlinedCalls, 0u);
 }
 
 TEST(Inline, PolymorphicCalleeBailsOut) {

@@ -295,18 +295,6 @@ TEST_F(LicmFixture, RedundantGuardEliminationKeepsDominatingGuard) {
       ++IdentityGuards;
   });
   EXPECT_EQ(IdentityGuards, 1) << print(*C);
-
-  // Ablation: with the pass off both call sites keep their guard.
-  OptOptions Off;
-  Off.Loop.ElimRedundantGuards = false;
-  auto C2 = optimizeToIr(Pair, CallConv::FullElided, EntryState(), Off);
-  ASSERT_TRUE(C2);
-  IdentityGuards = 0;
-  C2->eachInstr([&](Instr *I) {
-    if (I->Op == IrOp::AssumeIr && I->op(0)->Op == IrOp::IsFunIr)
-      ++IdentityGuards;
-  });
-  EXPECT_EQ(IdentityGuards, 2) << print(*C2);
 }
 
 //===----------------------------------------------------------------------===//

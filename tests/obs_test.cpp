@@ -24,6 +24,7 @@
 #include <cctype>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -622,4 +623,30 @@ TEST(Glossary, ReadmeHasARowForEveryObservable) {
     EXPECT_NE(Readme.find("| `" + std::string(Name) + "` |"),
               std::string::npos)
         << "README.md has no glossary row for `" << Name << "`";
+
+  // And back: every row of the table under **Glossary.** names a declared
+  // observable, so a row cannot outlive its declaration.
+  const std::set<std::string> Declared(std::begin(Names), std::end(Names));
+  size_t At = Readme.find("**Glossary.**");
+  ASSERT_NE(At, std::string::npos) << "README.md has no **Glossary.**";
+  std::istringstream Lines(Readme.substr(At));
+  std::string Line;
+  bool InTable = false;
+  unsigned Rows = 0;
+  while (std::getline(Lines, Line)) {
+    if (Line.rfind('|', 0) != 0) {
+      if (InTable)
+        break; // the table ended
+      continue;
+    }
+    InTable = true;
+    if (Line.rfind("| `", 0) != 0)
+      continue; // header and separator
+    std::string Name = Line.substr(3, Line.find('`', 3) - 3);
+    ++Rows;
+    EXPECT_TRUE(Declared.count(Name))
+        << "README.md glossary row `" << Name
+        << "` names no declared counter, gauge, histogram or trace event";
+  }
+  EXPECT_GT(Rows, 0u) << "no glossary rows found under **Glossary.**";
 }

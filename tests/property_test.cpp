@@ -68,6 +68,18 @@ const std::vector<bool> &nativeAxis() {
   return Axis;
 }
 
+/// Under Deoptless every true deopt has exactly one counted cause: a
+/// refusal (recursive, materialized environment, builtin redefinition) or
+/// a reject. Checked after synchronous single-Vm runs only, because the
+/// counters are process-global.
+void expectDeoptCausesAddUp(const Vm::Config &C) {
+  if (C.Strategy != TierStrategy::Deoptless)
+    return;
+  const VmStats &S = stats();
+  EXPECT_EQ(S.Deopts, S.DeoptlessSkipRecursive + S.DeoptlessSkipEnv +
+                          S.DeoptlessSkipBuiltin + S.DeoptlessRejected);
+}
+
 /// Runs a program (setup + 8x driver) under one configuration; returns the
 /// final driver value rendered to text (covers non-numeric results too).
 std::string runOne(const std::string &Setup, const std::string &Driver,
@@ -77,6 +89,7 @@ std::string runOne(const std::string &Setup, const std::string &Driver,
   Value R;
   for (int K = 0; K < 8; ++K)
     R = V.eval(Driver);
+  expectDeoptCausesAddUp(C);
   return R.show();
 }
 
@@ -220,6 +233,7 @@ TEST_P(RateFuzz, InjectionNeverChangesResults) {
       for (int K = 0; K < 8; ++K)
         Last = V.eval("work(500L)");
       EXPECT_EQ(Last.show(), Base) << "rate " << GetParam();
+      expectDeoptCausesAddUp(C);
     }
 }
 
@@ -521,6 +535,7 @@ std::string runProgram(const GenProg &P, Vm::Config C) {
   std::string Out;
   for (const std::string &D : P.Drivers)
     Out += V.eval(D).show() + "\n";
+  expectDeoptCausesAddUp(C);
   absorbStats();
   return Out;
 }
@@ -555,26 +570,24 @@ TEST_P(DiffFuzz, AllConfigurationsAgree) {
                   << P.Setup << "drivers:\n" << driversOf(P);
             }
 
-    // The native-v2 feature lattice: every {regalloc, fusion, linking}
-    // on/off combination must produce the byte-identical transcript —
-    // the features are pure strength reductions with no observable
-    // semantics of their own. Strategy alternates with (program, mask)
-    // so each feature value runs under both Normal and Deoptless across
-    // the corpus; dispatch stays contextual-free and inlining off so
-    // call sites remain out-of-line and the linking axis actually has
-    // sites to link.
+    // The native-v2 feature lattice: every {regalloc, linking} on/off
+    // combination must produce the byte-identical transcript — the
+    // features are pure strength reductions with no observable semantics
+    // of their own. Strategy alternates with (program, mask) so each
+    // feature value runs under both Normal and Deoptless across the
+    // corpus; dispatch stays contextual-free and inlining off so call
+    // sites remain out-of-line and the linking axis actually has sites to
+    // link.
     if (nativeBackendSupported())
-      for (unsigned Mask = 0; Mask < 8; ++Mask) {
+      for (unsigned Mask = 0; Mask < 4; ++Mask) {
         Vm::Config C = cfg((K + Mask) % 2 ? TierStrategy::Deoptless
                                           : TierStrategy::Normal);
         C.NativeTier = true;
         C.NativeV2.Regalloc = (Mask & 1) != 0;
-        C.NativeV2.Fusion = (Mask & 2) != 0;
-        C.NativeV2.Linking = (Mask & 4) != 0;
+        C.NativeV2.Linking = (Mask & 2) != 0;
         ASSERT_EQ(Base, runProgram(P, C))
             << "seed " << Seed << " native-v2 mask " << Mask
             << " (regalloc=" << C.NativeV2.Regalloc
-            << " fusion=" << C.NativeV2.Fusion
             << " linking=" << C.NativeV2.Linking << ")\nprogram:\n"
             << P.Setup << "drivers:\n" << driversOf(P);
       }
@@ -584,31 +597,30 @@ TEST_P(DiffFuzz, AllConfigurationsAgree) {
     // and deoptless-continuation paths without changing any result. The
     // native axis drives them through the template JIT's side-exit
     // stubs and countdown slow path. The safepoint axis runs the same
-    // retire-heavy workload with the most aggressive graveyard
-    // reclamation (every dispatch) and with reclamation off entirely
-    // (interval 0, the pre-safepoint baseline): transcripts must be
+    // retire-heavy workload with graveyard reclamation at every dispatch
+    // and with reclamation off entirely: transcripts must be
     // byte-identical — reclaiming retired code frees memory but may
     // never change dispatch or results. The HeapGc axis rides the
     // safepoint one (rather than doubling the sanitizer-heavy sweep):
-    // safepoint=1 pairs the most aggressive graveyard reclamation with
-    // a hair-trigger cycle collector (4 KiB threshold, firing constantly
-    // over the kG corpus), safepoint=0 with no mid-run collection at
-    // all — and the main sweep above runs the default-threshold
-    // collector — so all three GC cadences must agree byte for byte.
+    // reclamation on pairs with a hair-trigger cycle collector (4 KiB
+    // threshold, firing constantly over the kG corpus), reclamation off
+    // with no mid-run collection at all — and the main sweep above runs
+    // the default-threshold collector — so all three GC cadences must
+    // agree byte for byte.
     for (TierStrategy S : {TierStrategy::Normal, TierStrategy::Deoptless})
       for (bool Native : nativeAxis())
-        for (uint32_t Safepoint : {1u, 0u}) {
+        for (bool Reclaim : {true, false}) {
           Vm::Config C = cfg(S, /*CtxDispatch=*/true, /*Inlining=*/true);
           C.InvalidationRate = 60 + (Seed % 90);
           C.InvalidationSeed = Seed | 1;
           C.NativeTier = Native;
-          C.SafepointInterval = Safepoint;
-          C.HeapGc.Enabled = Safepoint == 1;
+          C.ReclaimAtSafepoints = Reclaim;
+          C.HeapGc.Enabled = Reclaim;
           C.HeapGc.ThresholdBytes = 4 * 1024;
           ASSERT_EQ(Base, runProgram(P, C))
               << "seed " << Seed << " injected strategy "
               << static_cast<int>(S) << " native=" << Native
-              << " safepoint=" << Safepoint
+              << " reclaim=" << Reclaim
               << " gc=" << C.HeapGc.Enabled << "\nprogram:\n"
               << P.Setup << "drivers:\n" << driversOf(P);
         }
@@ -616,8 +628,8 @@ TEST_P(DiffFuzz, AllConfigurationsAgree) {
 }
 
 // 10 shards x 50 programs = 500 random programs, each checked under 29
-// configurations (65 when the native axis is available, including the
-// eight-point native-v2 feature lattice; shards parallelize under
+// configurations (61 when the native axis is available, including the
+// four-point native-v2 feature lattice; shards parallelize under
 // `ctest -j`).
 INSTANTIATE_TEST_SUITE_P(Shards, DiffFuzz,
                          ::testing::Range(0, static_cast<int>(FuzzShards)));
@@ -709,14 +721,13 @@ TEST_P(ConcurrentDiffFuzz, BackgroundTranscriptsMatchSyncBaseline) {
             nativeBackendSupported() &&
             (((K >> 1) + (S == TierStrategy::Deoptless ? 1 : 0)) % 2) ==
                 0;
-        // Native-v2 feature mask from the program index: over K mod 8
-        // every {regalloc, fusion, linking} combination races the shared
-        // pool — including link patching (publication from a compiler
-        // thread writing a LinkSite an executor is reading) and unlink
-        // on retire under concurrent reclamation.
+        // Native-v2 feature mask from the program index: over K mod 4
+        // every {regalloc, linking} combination races the shared pool —
+        // including link patching (publication from a compiler thread
+        // writing a LinkSite an executor is reading) and unlink on retire
+        // under concurrent reclamation.
         C.NativeV2.Regalloc = (K & 1) != 0;
-        C.NativeV2.Fusion = (K & 2) != 0;
-        C.NativeV2.Linking = (K & 4) != 0;
+        C.NativeV2.Linking = (K & 2) != 0;
         // Event tracing on half the corpus: executor threads record into
         // per-thread rings while compiler threads trace job/publish
         // events — the tracer itself races the sweep under TSan. Small
@@ -809,9 +820,6 @@ public:
       EXPECT_GT(C.NativeEnters, 0u)
           << "the NativeTier axis never entered native code — the "
              "sweep's transcripts did not actually cover the JIT";
-      EXPECT_GT(C.NativeFusedOps, 0u)
-          << "the native-v2 lattice never fused a superinstruction — "
-             "the corpus's typed loops must produce fusible pairs";
       EXPECT_GT(C.NativeLinkedTransfers, 0u)
           << "the native-v2 lattice never took a direct-linked call — "
              "the kD/kE/kH call shapes must link under the linking axis";
@@ -865,6 +873,7 @@ TEST(DiffFuzzHeap, CycleCorpusLiveBytesPlateau) {
       V.collectHeap();
       EXPECT_LE(heapStats().LiveBytes.load(), Plateau + 4 * 1024)
           << "live bytes grew with churn (seed " << Seed << ")";
+      expectDeoptCausesAddUp(C);
     }
     EXPECT_EQ(heapStats().LiveBytes.load(), Outside)
         << "Vm teardown leaked (seed " << Seed << ")";

@@ -75,7 +75,7 @@ TEST(ServerDeterminism, ChecksumsInvariantAcrossConfigurations) {
   ServerResult Ref = runServer(smallConfig(TierStrategy::Normal));
   ASSERT_EQ(Ref.ClientChecksums.size(), 8u);
 
-  // {strategy} x {backend} x {safepoint interval}: none of these axes may
+  // {strategy} x {backend} x {safepoint reclamation}: none of these axes may
   // change a single request's result. NativeTier silently keeps the
   // interpreter on non-x86-64 hosts, which only strengthens the check.
   // The HeapGc axis rides the safepoint one (hair-trigger collection with
@@ -86,16 +86,16 @@ TEST(ServerDeterminism, ChecksumsInvariantAcrossConfigurations) {
   for (TierStrategy S :
        {TierStrategy::Normal, TierStrategy::Deoptless}) {
     for (bool Native : {false, true}) {
-      for (uint32_t Interval : {1u, 0u}) {
+      for (bool Reclaim : {true, false}) {
         ServerConfig C = smallConfig(S);
         C.Base.NativeTier = Native;
-        C.Base.SafepointInterval = Interval;
-        C.Base.HeapGc.Enabled = Interval == 1;
+        C.Base.ReclaimAtSafepoints = Reclaim;
+        C.Base.HeapGc.Enabled = Reclaim;
         C.Base.HeapGc.ThresholdBytes = 16 * 1024;
         ServerResult R = runServer(C);
         EXPECT_EQ(R.ClientChecksums, Ref.ClientChecksums)
             << "strategy=" << static_cast<int>(S)
-            << " native=" << Native << " safepoint=" << Interval
+            << " native=" << Native << " reclaim=" << Reclaim
             << " gc=" << C.Base.HeapGc.Enabled;
       }
     }

@@ -583,6 +583,85 @@ TEST(VmDeoptless, ContinuationTablesArePerVm) {
 }
 
 //===----------------------------------------------------------------------===//
+// Why Deoptless still deopts: every true deopt under Deoptless has one
+// counted cause — a refusal (recursive, materialized environment, builtin
+// redefinition) or a reject.
+
+void expectDeoptCausesAddUp() {
+  EXPECT_EQ(stats().Deopts,
+            stats().DeoptlessSkipRecursive + stats().DeoptlessSkipEnv +
+                stats().DeoptlessSkipBuiltin + stats().DeoptlessRejected);
+}
+
+TEST(VmDeoptlessCause, FailureInsideItsOwnContinuationIsRecursive) {
+  // Both loops speculate on int list elements. A real first list fails
+  // the first loop's guard: deoptless compiles a continuation with that
+  // slot repaired, but the second loop's guard in the continuation still
+  // expects ints and fails at the continuation's own call depth.
+  Vm V(cfg(TierStrategy::Deoptless));
+  V.eval(R"(
+    two <- function(a, b) {
+      s <- 0L
+      for (i in 1:length(a)) s <- s + a[[i]]
+      t <- 0L
+      for (i in 1:length(b)) t <- t + b[[i]]
+      s + t
+    }
+    li <- list(1L, 2L, 3L)
+    lr <- list(1.5, 2.5, 3.5)
+  )");
+  for (int K = 0; K < 10; ++K)
+    ASSERT_EQ(V.eval("two(li, li)").toInt(), 12);
+  resetStats();
+  EXPECT_DOUBLE_EQ(V.eval("two(lr, lr)").toReal(), 15.0);
+  EXPECT_GT(stats().DeoptlessCompiles, 0u);
+  EXPECT_GT(stats().DeoptlessSkipRecursive, 0u);
+  EXPECT_GT(stats().Deopts, 0u);
+  EXPECT_EQ(stats().DeoptlessSkipEnv, 0u);
+  EXPECT_EQ(stats().DeoptlessSkipBuiltin, 0u);
+  expectDeoptCausesAddUp();
+}
+
+TEST(VmDeoptlessCause, MaterializedEnvironmentSkipsDeoptless) {
+  // Defining a closure keeps the function's environment materialized, so
+  // its optimized code runs with a real Env and deoptless never applies.
+  Vm V(cfg(TierStrategy::Deoptless));
+  V.eval(R"(
+    keep <- function(l) {
+      k <- function() 1L
+      s <- 0L
+      for (i in 1:length(l)) s <- s + l[[i]]
+      s
+    }
+    li <- list(1L, 2L, 3L)
+    lr <- list(1.5, 2.5, 3.5)
+  )");
+  for (int K = 0; K < 10; ++K)
+    ASSERT_EQ(V.eval("keep(li)").toInt(), 6);
+  resetStats();
+  EXPECT_DOUBLE_EQ(V.eval("keep(lr)").toReal(), 7.5);
+  EXPECT_GT(stats().DeoptlessSkipEnv, 0u);
+  EXPECT_GT(stats().Deopts, 0u);
+  EXPECT_EQ(stats().DeoptlessAttempts, 0u);
+  expectDeoptCausesAddUp();
+}
+
+TEST(VmDeoptlessCause, BuiltinRedefinitionSkipsDeoptless) {
+  // A really redefined builtin invalidates the code for good.
+  Vm V(cfg(TierStrategy::Deoptless));
+  V.eval("len1 <- function(v) length(v) + 1L");
+  for (int K = 0; K < 10; ++K)
+    ASSERT_EQ(V.eval("len1(1:4)").toInt(), 5);
+  resetStats();
+  V.eval("length <- function(v) 10L");
+  EXPECT_EQ(V.eval("len1(1:4)").toInt(), 11);
+  EXPECT_GT(stats().DeoptlessSkipBuiltin, 0u);
+  EXPECT_GT(stats().Deopts, 0u);
+  EXPECT_EQ(stats().DeoptlessAttempts, 0u);
+  expectDeoptCausesAddUp();
+}
+
+//===----------------------------------------------------------------------===//
 // Random invalidation mode (§5.1 methodology)
 
 TEST(VmInvalidation, InjectedFailuresDeoptNormally) {
@@ -663,12 +742,11 @@ TEST(VmInvalidation, CrossThreadInjectionDuringHotDispatch) {
 // Profile-driven reoptimization comparator (Fig. 11)
 
 TEST(VmReopt, SamplingRecompilesOnProfileChange) {
-  Vm::Config C = cfg(TierStrategy::ProfileDrivenReopt);
-  C.ReoptSampleEvery = 5;
-  Vm V(C);
-  // A function whose profile changes without any deopt: the generic `+`
-  // sees ints first, then reals through a list container (no typecheck
-  // guard on the container contents once generic).
+  Vm V(cfg(TierStrategy::ProfileDrivenReopt));
+  // A function whose profile changes without any deopt: warmed on a list
+  // of ints and reals, `+` compiles generic (no typecheck guard on the
+  // container contents), so complex elements run the optimized code
+  // unguarded and only a sampled baseline run sees the new type.
   V.eval(R"(
     mix <- function(l) {
       s <- 0
@@ -676,26 +754,15 @@ TEST(VmReopt, SamplingRecompilesOnProfileChange) {
       s
     }
   )");
-  V.eval("a <- list(1L, 2L, 3L)");
-  V.eval("b <- list(1.5, 2.5, 3.5)");
+  V.eval("a <- list(1L, 2.5, 3L)");
+  V.eval("b <- list(1i, 2i, 3i)");
   for (int K = 0; K < 10; ++K)
     V.eval("mix(a)");
+  // Two sampling periods: every 20th call of a version samples.
   for (int K = 0; K < 40; ++K)
-    V.eval("mix(b)");
-  EXPECT_GE(stats().Reoptimizations + stats().Deopts, 1u);
-}
-
-TEST(VmReopt, ZeroSamplePeriodNeverSamples) {
-  // A zero period turns sampling off; no dispatch may divide by it.
-  Vm::Config C = cfg(TierStrategy::ProfileDrivenReopt);
-  C.ReoptSampleEvery = 0;
-  Vm V(C);
-  V.eval("g <- function(x) x + 1L");
-  resetStats();
-  for (int K = 0; K < 20; ++K)
-    EXPECT_EQ(V.eval("g(1L)").toInt(), 2);
-  EXPECT_GT(stats().Compilations, 0u);
-  EXPECT_EQ(stats().Reoptimizations, 0u);
+    EXPECT_EQ(V.eval("mix(b)").show(), "0+6i");
+  EXPECT_GE(stats().Reoptimizations, 1u);
+  EXPECT_EQ(stats().Deopts, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -747,10 +814,10 @@ TEST(VmGraveyard, RetiredExecutablesAreGraveyardedThenReclaimed) {
 }
 
 TEST(VmGraveyard, TeardownReclaimsWhenSafepointsAreOff) {
-  // SafepointInterval = 0 is the pre-safepoint (and fuzzer-baseline)
-  // behavior: nothing is reclaimed mid-run, teardown drains everything.
+  // With safepoint reclamation off (the fuzzer's no-reclamation oracle)
+  // nothing is reclaimed mid-run; teardown drains everything.
   Vm::Config C = cfg(TierStrategy::Normal);
-  C.SafepointInterval = 0;
+  C.ReclaimAtSafepoints = false;
   {
     Vm V(C);
     V.eval(SumProgram);
@@ -774,7 +841,7 @@ TEST(VmGraveyard, MidRunStatsResetDoesNotCorruptTheGauge) {
   // the graveyard is populated self-heals at the next retire/reclaim
   // instead of saturating the later drain and under-reporting forever.
   Vm::Config C = cfg(TierStrategy::Normal);
-  C.SafepointInterval = 0; // keep the population visible across evals
+  C.ReclaimAtSafepoints = false; // keep the population visible across evals
   {
     Vm V(C);
     V.eval(SumProgram);

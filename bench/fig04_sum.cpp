@@ -30,7 +30,7 @@ struct Phase {
 };
 
 std::vector<double> runMode(TierStrategy S, long N, int PerPhase,
-                            VmStats &Out) {
+                            RunStats &Out) {
   const Program *Sum = byName("sum");
   Vm V(benchConfig(S));
   V.eval(Sum->Setup);
@@ -42,14 +42,14 @@ std::vector<double> runMode(TierStrategy S, long N, int PerPhase,
       {"float2", "data <- as.numeric(1:" + std::to_string(N) + ")"},
   };
 
-  resetStats();
+  VmStats Start = openWindow();
   std::vector<double> Times;
   for (const Phase &P : Phases) {
     V.eval(P.Data);
     for (int K = 0; K < PerPhase; ++K)
       Times.push_back(timeOnce(V, "sum_data(data)"));
   }
-  Out = stats();
+  Out = runStats(Start);
   return Times;
 }
 
@@ -65,7 +65,7 @@ int main(int Argc, char **Argv) {
   R.Config = "n=" + std::to_string(N) +
              " iters=" + std::to_string(PerPhase);
 
-  VmStats NormalStats, DlStats;
+  RunStats NormalStats, DlStats;
   std::vector<double> Normal =
       runMode(TierStrategy::Normal, N, PerPhase, NormalStats);
   R.add("normal", Normal, NormalStats);

@@ -44,7 +44,7 @@ struct RunResult {
   uint64_t PeakHeap = 0;
   uint64_t Deopts = 0;
   uint64_t Injected = 0;
-  VmStats Stats; ///< last execution's counters
+  RunStats Stats; ///< last execution's counters
 };
 
 /// Evaluations whose result differed from the BaselineOnly reference.
@@ -95,17 +95,17 @@ RunResult runOne(const Program &P, TierStrategy S, const char *Strategy,
     for (int K = 0; K < Warmup; ++K)
       check(P, Strategy, E, "warmup", K, V.eval(P.Driver), Ref);
     resetHeapPeak();
-    resetStats();
+    VmStats Start = openWindow();
     Value Got;
     for (int K = 0; K < Iters; ++K) {
       R.IterTimes[K] += timeEval(V, P.Driver, Got) / Execs;
       check(P, Strategy, E, "timed", K, Got, Ref);
     }
     R.PeakHeap += heapStats().PeakBytes / Execs;
-    R.Deopts += stats().Deopts;
-    R.Injected += stats().InjectedFailures;
+    R.Stats = runStats(Start);
+    R.Deopts += R.Stats.Deopts;
+    R.Injected += R.Stats.InjectedFailures;
   }
-  R.Stats = stats();
   return R;
 }
 

@@ -52,13 +52,13 @@ struct Times {
   std::vector<double> Cast, Render;
 };
 
-Times runMode(TierStrategy S, long N, int K, VmStats &Out) {
+Times runMode(TierStrategy S, long N, int K, RunStats &Out) {
   const Program *P = byName("raytrace");
   Vm V(benchConfig(S));
   V.eval(P->Setup);
   V.eval("hm <- make_heightmap(" + std::to_string(N) + "L)");
   V.eval("interp <- interp_bilinear");
-  resetStats();
+  VmStats Start = openWindow();
   Times T;
   for (const Interaction &A : session(K)) {
     if (!A.PreEval.empty())
@@ -70,7 +70,7 @@ Times runMode(TierStrategy S, long N, int K, VmStats &Out) {
     T.Render.push_back(
         timeOnce(V, "render_image(hm, " + std::to_string(N) + "L)"));
   }
-  Out = stats();
+  Out = runStats(Start);
   return T;
 }
 
@@ -86,7 +86,7 @@ int main(int Argc, char **Argv) {
   R.Config =
       "n=" + std::to_string(N) + " interactions=" + std::to_string(K);
 
-  VmStats NormalStats, DlStats;
+  RunStats NormalStats, DlStats;
   Times Normal = runMode(TierStrategy::Normal, N, K, NormalStats);
   R.add("normal/cast", Normal.Cast, NormalStats);
   R.add("normal/render", Normal.Render, NormalStats);

@@ -80,7 +80,7 @@ std::vector<Variant> variants(long N) {
 }
 
 std::vector<double> runMode(const Variant &Var, TierStrategy S,
-                            VmStats &Out) {
+                            RunStats &Out) {
   const Program *P = byName("raytrace");
   Vm V(benchConfig(S));
   V.eval(P->Setup);
@@ -88,13 +88,13 @@ std::vector<double> runMode(const Variant &Var, TierStrategy S,
     V.eval(Var.Extra);
   std::vector<double> Times;
   V.eval(Var.InitPhase);
-  resetStats();
+  VmStats Start = openWindow();
   for (int K = 0; K < 10; ++K) {
     if (K == 5)
       V.eval(Var.SwitchPhase);
     Times.push_back(timeOnce(V, Var.Driver));
   }
-  Out = stats();
+  Out = runStats(Start);
   return Times;
 }
 
@@ -117,7 +117,7 @@ int main(int Argc, char **Argv) {
     printf("%-12s", Var.Name);
     std::vector<double> Acc(10, 0.0);
     for (int R = 0; R < Runs; ++R) {
-      VmStats Sn, Sd;
+      RunStats Sn, Sd;
       std::vector<double> Tn = runMode(Var, TierStrategy::Normal, Sn);
       if (R == 0)
         Report.add(std::string(Var.Name) + "/normal", Tn, Sn);

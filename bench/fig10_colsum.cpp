@@ -24,7 +24,7 @@ using namespace rjit::suite;
 namespace {
 
 std::vector<double> runMode(TierStrategy S, long Rows, long Cols, int Execs,
-                            VmStats &Out) {
+                            RunStats &Out) {
   const Program *P = byName("colsum");
   std::vector<double> Times(Cols, 0.0);
   for (int E = 0; E < Execs; ++E) {
@@ -32,13 +32,13 @@ std::vector<double> runMode(TierStrategy S, long Rows, long Cols, int Execs,
     V.eval(P->Setup);
     V.eval("t <- make_table(" + std::to_string(Cols) + "L, " +
            std::to_string(Rows) + "L)");
-    resetStats();
+    VmStats Start = openWindow();
     // Iterations = individual column sums, exactly the paper's "run times
     // of f": columns alternate double (odd) and integer (even).
     for (long C = 1; C <= Cols; ++C)
       Times[C - 1] +=
           timeOnce(V, "col_f(" + std::to_string(C) + "L, t)") / Execs;
-    Out = stats();
+    Out = runStats(Start);
   }
   return Times;
 }
@@ -56,7 +56,7 @@ int main(int Argc, char **Argv) {
   R.Config = "rows=" + std::to_string(Rows) + " cols=" +
              std::to_string(Cols) + " execs=" + std::to_string(Execs);
 
-  VmStats NStats, DStats;
+  RunStats NStats, DStats;
   std::vector<double> Normal =
       runMode(TierStrategy::Normal, Rows, Cols, Execs, NStats);
   R.add("normal", Normal, NStats);

@@ -44,7 +44,7 @@ std::vector<Bench> benches() {
 }
 
 std::vector<double> runMode(const Bench &B, TierStrategy S, int Iters,
-                            VmStats &Out) {
+                            RunStats &Out) {
   const Program *P = byName(B.Name);
   Vm V(benchConfig(S));
   V.eval(P->Setup);
@@ -52,14 +52,14 @@ std::vector<double> runMode(const Bench &B, TierStrategy S, int Iters,
     V.eval("micro_data <- as.numeric(1:3000)");
   if (!B.WarmPre.empty())
     V.eval(B.WarmPre);
-  resetStats();
+  VmStats Start = openWindow();
   std::vector<double> Times;
   for (int K = 0; K < Iters; ++K) {
     if (K == Iters / 3 && !B.ChangedPre.empty())
       V.eval(B.ChangedPre);
     Times.push_back(timeOnce(V, B.Driver));
   }
-  Out = stats();
+  Out = runStats(Start);
   return Times;
 }
 
@@ -84,7 +84,7 @@ int main(int Argc, char **Argv) {
     std::vector<double> AccDl(Iters, 0.0);
     double SpDl = 0, SpRe = 0;
     for (int E = 0; E < Execs; ++E) {
-      VmStats Sn, Sd, Sr;
+      RunStats Sn, Sd, Sr;
       std::vector<double> Tn = runMode(B, TierStrategy::Normal, Iters, Sn);
       if (E == 0)
         R.add(std::string(B.Name) + "/normal", Tn, Sn);

@@ -65,7 +65,7 @@ std::string heavyProgram(int Stmts) {
 struct WarmupProfile {
   std::vector<double> CallSeconds; ///< per-call latency, in call order
   double SteadySeconds = 0;        ///< per-call geomean after the barrier
-  VmStats Stats;
+  RunStats Stats;
 };
 
 WarmupProfile measure(Vm::Config Cfg, const std::string &Setup, int Calls) {
@@ -81,7 +81,7 @@ WarmupProfile measure(Vm::Config Cfg, const std::string &Setup, int Calls) {
   for (int K = 0; K < Calls; ++K)
     Steady.push_back(timeOnce(V, "heavy(3L, 4L)"));
   P.SteadySeconds = geomean(Steady);
-  P.Stats = stats();
+  P.Stats = runStats();
   return P;
 }
 

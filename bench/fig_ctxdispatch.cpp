@@ -35,7 +35,7 @@ poly_dot <- function(a, b, n) {
 )";
 
 std::vector<double> runMode(bool ContextDispatch, long N, int Iters,
-                            VmStats &Out) {
+                            RunStats &Out) {
   Vm::Config Cfg = benchConfig(TierStrategy::Normal);
   Cfg.ContextDispatch = ContextDispatch;
   Vm V(Cfg);
@@ -57,7 +57,7 @@ std::vector<double> runMode(bool ContextDispatch, long N, int Iters,
     V.eval("rs <- poly_dot(2L, 3L, 1L)");
     Times.push_back(T.elapsedSeconds());
   }
-  Out = stats();
+  Out = runStats();
   return Times;
 }
 
@@ -72,7 +72,7 @@ int main(int Argc, char **Argv) {
   R.Name = "fig_ctxdispatch";
   R.Config = "n=" + std::to_string(N) + " iters=" + std::to_string(Iters);
 
-  VmStats Single, Ctx;
+  RunStats Single, Ctx;
   std::vector<double> TSingle = runMode(false, N, Iters, Single);
   R.add("single-version", TSingle, Single);
   std::vector<double> TCtx = runMode(true, N, Iters, Ctx);

@@ -37,7 +37,7 @@ dot <- function(v, w, n) {
 )";
 
 std::vector<double> runMode(TierStrategy S, bool Inlining, long N, int Iters,
-                            VmStats &Out) {
+                            RunStats &Out) {
   Vm::Config Cfg = benchConfig(S);
   Cfg.Inlining = Inlining;
   Vm V(Cfg);
@@ -53,7 +53,7 @@ std::vector<double> runMode(TierStrategy S, bool Inlining, long N, int Iters,
     V.eval(Call);
     Times.push_back(T.elapsedSeconds());
   }
-  Out = stats();
+  Out = runStats();
   return Times;
 }
 
@@ -77,7 +77,7 @@ int main(int Argc, char **Argv) {
     const char *Label;
     TierStrategy S;
     bool Inline;
-    VmStats Stats;
+    RunStats Stats;
     std::vector<double> Times;
   } Modes[] = {
       {"normal", TierStrategy::Normal, false, {}, {}},

@@ -52,7 +52,7 @@ colsum <- function(m, nr, nc, f) {
 )";
 
 std::vector<double> runMode(TierStrategy S, bool LoopOpts, bool Trace,
-                            long Rows, long Cols, int Iters, VmStats &Out) {
+                            long Rows, long Cols, int Iters, RunStats &Out) {
   Vm::Config Cfg = benchConfig(S);
   Cfg.Inlining = true;
   Cfg.LoopOpts.Enabled = LoopOpts;
@@ -67,7 +67,7 @@ std::vector<double> runMode(TierStrategy S, bool LoopOpts, bool Trace,
   Times.reserve(Iters);
   for (int K = 0; K < Iters; ++K)
     Times.push_back(timeOnce(V, Call));
-  Out = stats();
+  Out = runStats();
   return Times;
 }
 
@@ -107,7 +107,7 @@ int main(int Argc, char **Argv) {
     TierStrategy S;
     bool LoopOpts;
     bool Trace;
-    VmStats Stats;
+    RunStats Stats;
     std::vector<double> Times;
   } Modes[] = {
       {"normal", TierStrategy::Normal, false, false, {}, {}},
@@ -152,7 +152,7 @@ int main(int Argc, char **Argv) {
   double UntracedMin = steadyMin(Modes[1].Times);
   double TraceRatio = TracedMin / UntracedMin;
   for (int Attempt = 0; Attempt < 3 && TraceRatio > TraceBound; ++Attempt) {
-    VmStats Scratch;
+    RunStats Scratch;
     TracedMin = std::min(
         TracedMin, steadyMin(runMode(TierStrategy::Normal, true, true, Rows,
                                      Cols, Iters, Scratch)));

@@ -102,7 +102,7 @@ callsum <- function(n) {
 /// and the run's stats come back through the out-parameters.
 std::vector<double> runMode(Vm::Config Cfg, const std::string &Setup,
                             const std::string &Data, const std::string &Call,
-                            int Iters, VmStats &Out, std::string &Result) {
+                            int Iters, RunStats &Out, std::string &Result) {
   Vm V(Cfg);
   V.eval(Setup);
   if (!Data.empty())
@@ -112,7 +112,7 @@ std::vector<double> runMode(Vm::Config Cfg, const std::string &Setup,
   for (int K = 0; K < Iters; ++K)
     Times.push_back(timeOnce(V, Call));
   Result = V.eval("r").show();
-  Out = stats();
+  Out = runStats();
   return Times;
 }
 
@@ -173,7 +173,7 @@ int main(int Argc, char **Argv) {
                      ")\nwv <- as.numeric(1:" + std::to_string(Rows) + ")";
   std::string ColsumCall = "r <- colsum(d, wv, " + std::to_string(Rows) +
                            "L, " + std::to_string(Cols) + "L, get)";
-  VmStats InterpStats, TemplStats, NativeStats;
+  RunStats InterpStats, TemplStats, NativeStats;
   std::string InterpR, TemplR, NativeR;
   std::vector<double> InterpT =
       runMode(modeConfig(false, false), ColsumSetup, Data, ColsumCall,
@@ -191,7 +191,7 @@ int main(int Argc, char **Argv) {
   // --- axpy: register-pressure chain, template vs v2 (series only) ------
   std::string AxpyCall =
       "r <- axpy(d, " + std::to_string(N) + "L, 1.0000001)";
-  VmStats AxpyTemplStats, AxpyV2Stats;
+  RunStats AxpyTemplStats, AxpyV2Stats;
   std::string AxpyTemplR, AxpyV2R;
   std::vector<double> AxpyTemplT =
       runMode(modeConfig(true, false), AxpySetup, Data, AxpyCall, Iters,
@@ -211,7 +211,7 @@ int main(int Argc, char **Argv) {
   CallsInterpCfg.Inlining = false; // keep the call out of line
   CallsTemplCfg.Inlining = false;
   CallsV2Cfg.Inlining = false;
-  VmStats CallsInterpStats, CallsTemplStats, CallsStats;
+  RunStats CallsInterpStats, CallsTemplStats, CallsStats;
   std::string CallsInterpR, CallsTemplR, CallsR;
   int CallIters = Iters / 2 > 4 ? Iters / 2 : 4;
   std::vector<double> CallsInterpT =

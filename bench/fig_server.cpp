@@ -73,6 +73,7 @@ void addPhases(BenchReport &R, const char *Mode, const ServerResult &SR) {
     const ServerPhaseReport &Ph = SR.Phases[P];
     BenchSeries &S = R.add(std::string(Mode) + "/" + serverPhaseName(P),
                            {}, Ph.Stats, Ph.Metrics);
+    S.Clients = Ph.ClientStats;
     S.Extras.push_back(
         {"requests", static_cast<double>(Ph.Latency.count())});
     S.Extras.push_back({"p50_ns", static_cast<double>(Ph.Latency.p50())});
@@ -104,8 +105,12 @@ void printMode(const char *Mode, const ServerResult &SR) {
            static_cast<double>(H.p99()) * 1e-3,
            static_cast<double>(H.p999()) * 1e-3,
            static_cast<double>(H.max()) * 1e-3);
-    printStats((std::string(Mode) + "/" + serverPhaseName(P)).c_str(),
-               SR.Phases[P].Stats);
+    std::string Label = std::string(Mode) + "/" + serverPhaseName(P);
+    printStats(Label.c_str(), SR.Phases[P].Stats);
+    const std::vector<VmStats> &Clients = SR.Phases[P].ClientStats;
+    for (size_t C = 0; C < Clients.size(); ++C)
+      printStats((Label + "/client" + std::to_string(C)).c_str(),
+                 Clients[C]);
   }
 }
 

@@ -102,7 +102,6 @@ void BM_TrueDeoptimization(benchmark::State &State) {
     // Re-train on ints so the next real triggers a deopt.
     for (int K = 0; K < 6; ++K)
       V->eval("sum_data(ints)");
-    resetStats();
     State.ResumeTiming();
     benchmark::DoNotOptimize(V->eval("sum_data(reals)"));
   }
@@ -192,7 +191,7 @@ void BM_CleanupAblation(benchmark::State &State) {
     for (int K = 0; K < 6; ++K)
       V.eval("sum_data(ints)");
     V.eval("sum_data(reals)"); // first continuation
-    resetStats();
+    uint64_t DeoptsBefore = stats().Deopts;
     State.ResumeTiming();
     // Steady-state float calls: with cleanup these are dispatch hits;
     // without it they degrade.
@@ -200,7 +199,8 @@ void BM_CleanupAblation(benchmark::State &State) {
       benchmark::DoNotOptimize(V.eval("sum_data(reals)"));
     State.PauseTiming();
     State.counters["true_deopts"] = benchmark::Counter(
-        static_cast<double>(stats().Deopts), benchmark::Counter::kAvgIterations);
+        static_cast<double>(stats().Deopts - DeoptsBefore),
+        benchmark::Counter::kAvgIterations);
     State.ResumeTiming();
   }
 }

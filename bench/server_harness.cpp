@@ -35,7 +35,8 @@ namespace {
 
 /// Reusable all-or-nothing rendezvous for Clients + 1 (the orchestrator)
 /// participants. Clients park here between phases, which is what makes
-/// the orchestrator's phase-boundary stats/metrics draining quiescent.
+/// the orchestrator's phase-boundary reads of their Vms' counters and
+/// histograms quiescent.
 class PhaseBarrier {
 public:
   explicit PhaseBarrier(unsigned N) : Count(N) {}
@@ -195,6 +196,7 @@ ServerResult rjit::suite::runServer(const ServerConfig &SC) {
       Sync.arriveAndWait(); // phase end
     }
     R.ClientChecksums[Id] = Sum.H;
+    Sync.arriveAndWait(); // the orchestrator has read this Vm's counters
   };
 
   std::vector<std::thread> Threads;
@@ -204,10 +206,13 @@ ServerResult rjit::suite::runServer(const ServerConfig &SC) {
 
   Sync.arriveAndWait(); // ready
   // Attribution baseline: clients are parked at the first phase-start
-  // barrier, so everything recorded before this point (setup compiles) is
-  // discarded rather than charged to warmup.
-  VmStats Prev = stats();
-  (void)obs::MetricsRegistry::snapshotAndReset();
+  // barrier, so everything their Vms recorded before this point (setup
+  // compiles) is discarded rather than charged to warmup.
+  std::vector<VmStats> Prev(SC.Clients);
+  for (unsigned Id = 0; Id < SC.Clients; ++Id) {
+    Prev[Id] = Vms[Id]->context().Stats;
+    (void)Vms[Id]->context().Metrics.drain();
+  }
 
   std::thread Chaos;
   std::atomic<bool> ChaosStop{false};
@@ -237,13 +242,19 @@ ServerResult rjit::suite::runServer(const ServerConfig &SC) {
       ChaosStop.store(true, std::memory_order_relaxed);
       Chaos.join();
     }
-    VmStats Now = stats();
-    R.Phases[P].Stats = Now - Prev;
-    Prev = Now;
-    R.Phases[P].Metrics = obs::MetricsRegistry::snapshotAndReset();
-    R.Phases[P].HeapPeakBytes = heapStats().PeakBytes.load();
-    R.Phases[P].HeapLiveBytes = heapStats().LiveBytes.load();
+    ServerPhaseReport &Ph = R.Phases[P];
+    for (unsigned Id = 0; Id < SC.Clients; ++Id) {
+      ExecContext &C = Vms[Id]->context();
+      VmStats Now = C.Stats;
+      Ph.ClientStats.push_back(Now - Prev[Id]);
+      Ph.Stats += Ph.ClientStats.back();
+      Prev[Id] = Now;
+      Ph.Metrics += C.Metrics.drain();
+    }
+    Ph.HeapPeakBytes = heapStats().PeakBytes.load();
+    Ph.HeapLiveBytes = heapStats().LiveBytes.load();
   }
+  Sync.arriveAndWait(); // release the clients to tear their Vms down
 
   for (std::thread &T : Threads)
     T.join();

@@ -11,9 +11,10 @@
 /// the fig04/fig10 kernel family), all sharing one CompilerPool. The run
 /// is phased — cold-start warmup, steady state, a *deopt storm* (injected
 /// invalidation of hot versions mid-traffic), recovery — and every
-/// request's latency lands in a per-phase log-bucketed histogram, with the
-/// VM's own duration metrics (deopt_pause_ns, queue_wait_ns, ...) drained
-/// losslessly at each phase boundary via MetricsRegistry::snapshotAndReset.
+/// request's latency lands in a per-phase log-bucketed histogram. At each
+/// phase boundary, with every client parked, the harness takes each
+/// client Vm's counters and drains its duration metrics (deopt_pause_ns,
+/// queue_wait_ns, ...) losslessly (VmMetrics::drain).
 ///
 /// Deoptless's headline claim is *tail latency*: recompilation pauses and
 /// deopt storms are what it removes, and single-threaded steady-state
@@ -89,8 +90,10 @@ struct ServerConfig {
 /// One phase's measurements, aggregated across all clients.
 struct ServerPhaseReport {
   obs::LatencyHistogram Latency; ///< per-request wall time, nanoseconds
-  VmStats Stats;                 ///< counter deltas over the phase
-  obs::VmMetrics Metrics;        ///< VM histograms drained at the boundary
+  VmStats Stats;                 ///< counter deltas over the phase, summed
+  /// Each client Vm's counter deltas over the phase, in client-id order.
+  std::vector<VmStats> ClientStats;
+  obs::VmMetrics Metrics; ///< every client's histograms, drained and merged
   std::vector<double> Times;     ///< raw seconds (CollectTimes only)
   /// Process heap high-water over the phase and the live bytes left when
   /// it ended, read at the quiescent phase boundaries (the peak gauge is

@@ -79,6 +79,18 @@ const char *rjit::suite::argStr(int Argc, char **Argv,
   return Def;
 }
 
+VmStats rjit::suite::openWindow() {
+  (void)obs::metrics().drain();
+  return stats();
+}
+
+RunStats rjit::suite::runStats(const VmStats &Start) {
+  RunStats R;
+  static_cast<VmStats &>(R) = stats() - Start;
+  R.Metrics = obs::metrics();
+  return R;
+}
+
 void rjit::suite::printStats(const char *Label, const VmStats &S) {
   // Registry-driven: the schema (names, membership) lives in
   // support/stats.def, shared with the JSON emission below — per-bench
@@ -108,13 +120,6 @@ void rjit::suite::printStats(const char *Label, const VmStats &S) {
 //===----------------------------------------------------------------------===//
 // Machine-readable bench reports
 //===----------------------------------------------------------------------===//
-
-BenchSeries &BenchReport::add(const std::string &Label,
-                              const std::vector<double> &Times,
-                              const VmStats &Stats) {
-  // Snapshot the live registry now: the next mode's Vm resets it.
-  return add(Label, Times, Stats, obs::metrics());
-}
 
 BenchSeries &BenchReport::add(const std::string &Label,
                               const std::vector<double> &Times,
@@ -175,6 +180,20 @@ void jsonEscape(FILE *F, const std::string &S) {
       fputc(C, F);
 }
 
+/// The nonzero counters of \p S as one JSON object.
+void emitCounters(FILE *F, const VmStats &S) {
+  fprintf(F, "{");
+  bool Any = false;
+  obs::MetricsRegistry::forEachCounter(S, [&](const char *Name, uint64_t V) {
+    if (!V)
+      return;
+    fprintf(F, "%s\"%s\": %llu", Any ? ", " : "", Name,
+            static_cast<unsigned long long>(V));
+    Any = true;
+  });
+  fprintf(F, "}");
+}
+
 void emitSeries(FILE *F, const BenchSeries &S) {
   fprintf(F, "    {\n      \"label\": \"");
   jsonEscape(F, S.Label);
@@ -194,18 +213,18 @@ void emitSeries(FILE *F, const BenchSeries &S) {
           steadyState(S.Times), exactQuantile(S.Times, 0.50),
           exactQuantile(S.Times, 0.90), exactQuantile(S.Times, 0.99));
 
-  fprintf(F, "      \"counters\": {");
+  fprintf(F, "      \"counters\": ");
+  emitCounters(F, S.Stats);
+  if (!S.Clients.empty()) {
+    fprintf(F, ",\n      \"clients\": [");
+    for (size_t K = 0; K < S.Clients.size(); ++K) {
+      fprintf(F, "%s", K ? ", " : "");
+      emitCounters(F, S.Clients[K]);
+    }
+    fprintf(F, "]");
+  }
+  fprintf(F, ",\n      \"gauges\": {");
   bool Any = false;
-  obs::MetricsRegistry::forEachCounter(
-      S.Stats, [&](const char *Name, uint64_t V) {
-        if (!V)
-          return;
-        fprintf(F, "%s\"%s\": %llu", Any ? ", " : "", Name,
-                static_cast<unsigned long long>(V));
-        Any = true;
-      });
-  fprintf(F, "},\n      \"gauges\": {");
-  Any = false;
   obs::MetricsRegistry::forEachGauge(
       S.Stats, [&](const char *Name, uint64_t V, uint64_t High) {
         if (!V && !High)

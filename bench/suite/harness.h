@@ -49,6 +49,21 @@ bool argFlag(int Argc, char **Argv, const std::string &Name);
 const char *argStr(int Argc, char **Argv, const std::string &Name,
                    const char *Def);
 
+/// A mode's counters plus its histograms: what a bench series records.
+struct RunStats : VmStats {
+  obs::VmMetrics Metrics;
+};
+
+/// Opens a measurement window on the calling thread's Vm: drains its
+/// histograms and returns its counters, for runStats() to subtract at the
+/// window's end.
+VmStats openWindow();
+
+/// The calling thread's Vm's counters since \p Start (openWindow) and its
+/// histograms. Counters and histograms are per Vm: take this while the
+/// mode's Vm lives.
+RunStats runStats(const VmStats &Start = VmStats());
+
 /// Prints the tiering effectiveness counters of one run: compilations,
 /// context-dispatch version/hit/miss counters and the deoptless
 /// continuation dispatch counters (skipping zero groups).
@@ -59,12 +74,15 @@ void printStats(const char *Label, const VmStats &S);
 //===----------------------------------------------------------------------===//
 
 /// One measured series of a bench: a mode label, its per-iteration times,
-/// and the stats/metrics snapshots captured after the mode's run.
+/// and the stats/metrics snapshots captured while the mode's Vm lived.
 struct BenchSeries {
   std::string Label;
   std::vector<double> Times; ///< seconds per iteration, in order
   VmStats Stats;
   obs::VmMetrics Metrics;
+  /// Per-Vm counters of a many-Vm series (the server bench's clients),
+  /// serialized as a "clients" array next to the total in Stats.
+  std::vector<VmStats> Clients;
   /// Extra named scalars serialized into the series object (an "extras"
   /// JSON block). Benches whose per-sample data is too large to inline as
   /// Times — the server bench records hundreds of thousands of request
@@ -83,16 +101,16 @@ struct BenchReport {
   std::vector<BenchSeries> Series;
   std::vector<std::pair<std::string, double>> Headlines;
 
-  /// Records a completed mode. Call immediately after the mode ran: the
-  /// process-wide histograms (obs::metrics()) are snapshotted here, and
-  /// the next mode's Vm resets them.
+  /// Records a completed mode with the counters and histograms its Vm
+  /// recorded (runStats).
   BenchSeries &add(const std::string &Label,
-                   const std::vector<double> &Times, const VmStats &Stats);
+                   const std::vector<double> &Times, const RunStats &S) {
+    return add(Label, Times, S, S.Metrics);
+  }
 
-  /// Like add(), but with an explicit histogram snapshot instead of the
-  /// live process-wide metrics() — for benches that drain per-phase
-  /// snapshots themselves (MetricsRegistry::snapshotAndReset) and must
-  /// not re-read the registry after the phase ended.
+  /// Like add(), with the counters and histograms given apart — for
+  /// benches that sum and drain per-phase snapshots of several Vms
+  /// themselves.
   BenchSeries &add(const std::string &Label,
                    const std::vector<double> &Times, const VmStats &Stats,
                    const obs::VmMetrics &Metrics);
@@ -113,8 +131,9 @@ bool benchObsInit(int Argc, char **Argv, size_t RingCapacity = 0);
 
 /// Writes BENCH_<Name>.json (path overridable with `--json <path>`) with
 /// the per-series timings, exact time percentiles, nonzero stats counters
-/// and latency histograms, plus the headlines; also writes the Chrome
-/// trace when benchObsInit() saw `--trace`.
+/// (per client too, for many-Vm series) and latency histograms, plus the
+/// headlines; also writes the Chrome trace when benchObsInit() saw
+/// `--trace`.
 void emitBenchArtifacts(const BenchReport &R, int Argc, char **Argv);
 
 } // namespace rjit::suite

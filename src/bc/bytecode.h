@@ -78,8 +78,8 @@ struct Code {
 };
 
 /// A function: parameters, bytecode and profiling state. Optimized
-/// versions are managed by the VM layer through the opaque \c TierState
-/// pointer (keeps the bytecode library independent of the JIT).
+/// versions live in the VM layer's per-function tier state (keeps the
+/// bytecode library independent of the JIT).
 class Function {
 public:
   Function(Symbol Name, std::vector<Symbol> Params)
@@ -94,10 +94,6 @@ public:
   /// Functions referenced by this function's MkClosure instructions
   /// (A operand indexes into this vector). Owned by the Module.
   std::vector<Function *> InnerFns;
-
-  /// Owned by the VM layer (vm::TierState); null until the VM sees the
-  /// function.
-  void *TierState = nullptr;
 };
 
 /// A compilation unit: all functions of a program; Top is the entry.

@@ -9,32 +9,26 @@
 
 using namespace rjit;
 
-InterpHooks &rjit::interpHooks() {
-  // Thread-local: every executor thread drives its own Vm, and a Vm's hook
-  // installation must not be visible to (or race with) other executors.
-  static thread_local InterpHooks Hooks;
-  return Hooks;
+void rjit::checkArity(const Function *Fn, size_t NumArgs) {
+  if (NumArgs != Fn->Params.size())
+    rerror("call to '" + symbolName(Fn->Name) + "': expected " +
+           std::to_string(Fn->Params.size()) + " arguments, got " +
+           std::to_string(NumArgs));
+}
+
+Env *rjit::bindCallEnv(ClosObj *Clos, std::vector<Value> &&Args,
+                       Value &Hold) {
+  Env *E = new Env(Clos->Enclosing);
+  Hold = Value::environment(E);
+  for (size_t I = 0; I < Args.size(); ++I)
+    E->set(Clos->Fn->Params[I], std::move(Args[I]));
+  return E;
 }
 
 Value rjit::callClosureBaseline(ClosObj *Clos, std::vector<Value> &&Args) {
-  Function *Fn = Clos->Fn;
-  if (Args.size() != Fn->Params.size())
-    rerror("call to '" + symbolName(Fn->Name) + "': expected " +
-           std::to_string(Fn->Params.size()) + " arguments, got " +
-           std::to_string(Args.size()));
-  Env *E = new Env(Clos->Enclosing);
-  E->retain();
-  for (size_t I = 0; I < Args.size(); ++I)
-    E->set(Fn->Params[I], std::move(Args[I]));
-  Value Result;
-  try {
-    Result = interpret(Fn, E);
-  } catch (...) {
-    E->release();
-    throw;
-  }
-  E->release();
-  return Result;
+  checkArity(Clos->Fn, Args.size());
+  Value Hold;
+  return interpret(Clos->Fn, bindCallEnv(Clos, std::move(Args), Hold));
 }
 
 Value rjit::callValue(const Value &Callee, std::vector<Value> &&Args) {
@@ -42,7 +36,7 @@ Value rjit::callValue(const Value &Callee, std::vector<Value> &&Args) {
     return callBuiltin(Callee.builtinId(), Args.data(), Args.size());
   if (Callee.tag() == Tag::Clos) {
     ClosObj *Clos = Callee.closObj();
-    if (InterpHooks &H = interpHooks(); H.CallClosure)
+    if (InterpHooks &H = currentContext().Interp; H.CallClosure)
       return H.CallClosure(Clos, std::move(Args));
     return callClosureBaseline(Clos, std::move(Args));
   }
@@ -57,7 +51,7 @@ Value run(Function *Fn, Env *E, std::vector<Value> &&Stack, int32_t Pc) {
   Code &C = Fn->BC;
   FeedbackTable &FB = Fn->Feedback;
   std::vector<Value> S = std::move(Stack);
-  InterpHooks &Hooks = interpHooks();
+  InterpHooks &Hooks = currentContext().Interp;
 
   auto Pop = [&]() {
     assert(!S.empty() && "operand stack underflow");

@@ -12,7 +12,8 @@
 /// OSR-out (deoptimization, paper Listing 4).
 ///
 /// Tier-up decisions live in the VM layer and reach the interpreter through
-/// InterpHooks, keeping this library independent of the JIT.
+/// the InterpHooks of the thread's execution context (runtime/context.h),
+/// keeping this library independent of the JIT.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,31 +21,12 @@
 #define RJIT_BC_INTERP_H
 
 #include "bc/bytecode.h"
+#include "runtime/context.h"
 #include "runtime/env.h"
 
 #include <vector>
 
 namespace rjit {
-
-/// Callbacks the VM layer installs to drive tiering from the interpreter.
-struct InterpHooks {
-  /// Invoked for every closure call; the VM dispatches to an optimized
-  /// version or back into the interpreter. Null means: always baseline.
-  Value (*CallClosure)(ClosObj *Clos, std::vector<Value> &&Args) = nullptr;
-
-  /// Invoked when a loop backedge becomes hot (paper Listing 5). If it
-  /// returns true, \p Result is the value of the rest of the activation
-  /// (the OSR-in continuation ran to completion) and the interpreter
-  /// returns it immediately.
-  bool (*OsrIn)(Function *Fn, Env *E, std::vector<Value> &Stack, int32_t Pc,
-                Value &Result) = nullptr;
-
-  /// Backedge count after which OsrIn fires.
-  uint32_t OsrThreshold = 200;
-};
-
-/// The process-wide hook registry.
-InterpHooks &interpHooks();
 
 /// Executes \p Fn from the beginning in environment \p E.
 Value interpret(Function *Fn, Env *E);
@@ -53,6 +35,15 @@ Value interpret(Function *Fn, Env *E);
 /// deoptimization entry point.
 Value interpretResume(Function *Fn, Env *E, std::vector<Value> &&Stack,
                       int32_t Pc);
+
+/// Raises the RError of a call of \p Fn with \p NumArgs arguments when
+/// the counts differ.
+void checkArity(const Function *Fn, size_t NumArgs);
+
+/// The environment a call of \p Clos runs in: a fresh child of its
+/// enclosing environment binding \p Args to the parameters. \p Hold
+/// keeps it alive for the call, however the call exits.
+Env *bindCallEnv(ClosObj *Clos, std::vector<Value> &&Args, Value &Hold);
 
 /// Default closure invocation: bind parameters, interpret the body.
 /// Raises RError on arity mismatch.

@@ -5,9 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "compile/pool.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "support/stats.h"
+#include "runtime/context.h"
 #include "support/timer.h"
 
 #include <cassert>
@@ -29,10 +28,11 @@ CompilerPool::~CompilerPool() {
 }
 
 void CompilerPool::runJob(CompileJob &J) {
-  ++stats().AsyncCompiles;
+  ExecContext &Owner = contextOr(J.Key.Owner);
+  ++Owner.Stats.AsyncCompiles;
   uint64_t T0 = nowNanos();
   uint64_t Wait = J.EnqueueNs ? T0 - J.EnqueueNs : 0;
-  obs::metrics().QueueWait.record(Wait);
+  Owner.Metrics.QueueWait.record(Wait);
   // A compile failure surfaces as "no version published" (the executor
   // keeps running baseline); a throwing job must not take the worker
   // down with it.
@@ -55,7 +55,7 @@ void CompilerPool::workerLoop() {
   }
 }
 
-void CompilerPool::drain(const void *Owner) {
+void CompilerPool::drain(const ExecContext *Owner) {
   if (Ws.empty()) {
     CompileJob J;
     while (Q.tryPop(J)) {

@@ -39,13 +39,12 @@ public:
   CompilerPool &operator=(const CompilerPool &) = delete;
 
   CompileQueue &queue() { return Q; }
-  unsigned threadCount() const { return static_cast<unsigned>(Ws.size()); }
 
   /// Barrier: returns once no request of \p Owner (or none at all, when
   /// null) is queued or running. With zero worker threads, queued jobs
   /// (all of them — jobs are self-contained, so running another owner's
   /// job here is safe) execute inline first.
-  void drain(const void *Owner = nullptr);
+  void drain(const ExecContext *Owner = nullptr);
 
 private:
   void workerLoop();

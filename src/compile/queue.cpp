@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "compile/queue.h"
-#include "support/stats.h"
+#include "runtime/context.h"
 #include "support/timer.h"
 
 using namespace rjit;
@@ -20,8 +20,8 @@ CompileQueue::Push CompileQueue::push(CompileJob J) {
     return Push::Full;
   Pending.insert(J.Key);
   J.EnqueueNs = nowNanos();
+  contextOr(J.Key.Owner).Stats.CompileQueueDepth.add();
   Q.push_back(std::move(J));
-  stats().CompileQueueDepth.add();
   Work.notify_one();
   return Push::Enqueued;
 }
@@ -33,7 +33,7 @@ bool CompileQueue::pop(CompileJob &J) {
     return false;
   J = std::move(Q.front());
   Q.pop_front();
-  stats().CompileQueueDepth.sub();
+  contextOr(J.Key.Owner).Stats.CompileQueueDepth.sub();
   // The key stays in Pending: the request is running, not done.
   return true;
 }
@@ -44,7 +44,7 @@ bool CompileQueue::tryPop(CompileJob &J) {
     return false;
   J = std::move(Q.front());
   Q.pop_front();
-  stats().CompileQueueDepth.sub();
+  contextOr(J.Key.Owner).Stats.CompileQueueDepth.sub();
   return true;
 }
 
@@ -64,7 +64,7 @@ size_t CompileQueue::depth() const {
   return Q.size();
 }
 
-bool CompileQueue::anyFor(const void *Owner) const {
+bool CompileQueue::anyFor(const ExecContext *Owner) const {
   if (!Owner)
     return !Pending.empty();
   for (const CompileKey &K : Pending)
@@ -73,7 +73,7 @@ bool CompileQueue::anyFor(const void *Owner) const {
   return false;
 }
 
-void CompileQueue::waitIdle(const void *Owner) const {
+void CompileQueue::waitIdle(const ExecContext *Owner) const {
   std::unique_lock<std::mutex> L(Mu);
   Idle.wait(L, [this, Owner] { return !anyFor(Owner); });
 }

@@ -33,6 +33,8 @@
 
 namespace rjit {
 
+class ExecContext;
+
 /// What a compile request produces.
 enum class CompileKind : uint8_t {
   Function,     ///< a whole-function version for a CallContext
@@ -40,10 +42,11 @@ enum class CompileKind : uint8_t {
   Continuation, ///< a deoptless continuation for a DeoptContext
 };
 
-/// Identity of a request, the dedup unit. Owner scopes drain barriers to
-/// one Vm when a pool is shared.
+/// Identity of a request, the dedup unit. Owner, the requesting Vm's
+/// context, scopes drain barriers to one Vm of a shared pool and is
+/// charged the request's queue depth, wait and run (null: the caller's).
 struct CompileKey {
-  const void *Owner = nullptr;
+  ExecContext *Owner = nullptr;
   const void *Fn = nullptr;
   CompileKind Kind = CompileKind::Function;
   uint64_t Detail = 0; ///< context / entry-state hash
@@ -105,13 +108,13 @@ public:
   /// Blocks until no request whose Owner is \p Owner (or any request,
   /// when null) is queued or running. Callers that own a 0-thread pool
   /// must drain via tryPop first — this only waits.
-  void waitIdle(const void *Owner = nullptr) const;
+  void waitIdle(const ExecContext *Owner = nullptr) const;
 
   /// Wakes workers; subsequent pushes are rejected, pops drain the rest.
   void shutdown();
 
 private:
-  bool anyFor(const void *Owner) const; ///< Mu held
+  bool anyFor(const ExecContext *Owner) const; ///< Mu held
 
   mutable std::mutex Mu;
   std::condition_variable Work;

@@ -7,12 +7,11 @@
 #include "compile/service.h"
 #include "compile/snapshot.h"
 #include "lowcode/lower.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/pipeline.h"
 #include "osr/osrin.h"
+#include "runtime/context.h"
 #include "support/fnv.h"
-#include "support/stats.h"
 #include "support/timer.h"
 
 #include <cassert>
@@ -111,7 +110,8 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
   std::unique_ptr<ExecutableCode> Exec =
       prepareExecutable(O.Backend, lowerToLow(*Ir));
   uint64_t Dur = nowNanos() - T0;
-  obs::metrics().CompileLatency.record(Dur);
+  ExecContext &Requester = contextOr(O.Ctx);
+  Requester.Metrics.CompileLatency.record(Dur);
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::CompileFinish, Dur, E->ObsId,
                     obs::CompileKindFn);
@@ -132,9 +132,9 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
       E->FeedbackHash = feedbackHash(*Fn, Opts.HashWithContexts);
       E->CallsSinceSample = 0;
       E->publish(std::move(Exec));
-      ++stats().Compilations;
+      ++Requester.Stats.Compilations;
       if (!Want.isGeneric())
-        ++stats().CtxVersions;
+        ++Requester.Stats.CtxVersions;
     }
   }
   // Direct call linking (native tier v2): patch registered native call
@@ -254,9 +254,8 @@ uint64_t rjit::hashOsrSignature(int32_t Pc,
 // Request (enqueue) side — runs on the executor thread
 //===----------------------------------------------------------------------===//
 
-bool rjit::requestVersionCompile(CompilerPool &Pool, const void *Owner,
-                                 Function *Fn, const CallContext &Ctx,
-                                 VersionTable *Table,
+bool rjit::requestVersionCompile(CompilerPool &Pool, Function *Fn,
+                                 const CallContext &Ctx, VersionTable *Table,
                                  const VersionCompileOpts &Opts) {
   // Cheap pre-resolution (lock-free reads), mirroring the job's own
   // resolution: a context whose resolved version is blacklisted or
@@ -279,7 +278,8 @@ bool rjit::requestVersionCompile(CompilerPool &Pool, const void *Owner,
   if (E && (E->Blacklisted || E->live()))
     return false; // nothing a compile could add
 
-  CompileKey Key{Owner, Fn, CompileKind::Function, hashCallContext(Want)};
+  CompileKey Key{Opts.Opt.Ctx, Fn, CompileKind::Function,
+                 hashCallContext(Want)};
   if (Pool.queue().pending(Key))
     return true; // in flight: skip the snapshot capture
   std::shared_ptr<FeedbackSnapshot> Snap = FeedbackSnapshot::capture(Fn);
@@ -292,11 +292,11 @@ bool rjit::requestVersionCompile(CompilerPool &Pool, const void *Owner,
          R == CompileQueue::Push::Duplicate;
 }
 
-bool rjit::requestOsrCompile(CompilerPool &Pool, const void *Owner,
-                             Function *Fn, const EntryState &Entry,
-                             OsrCache *Cache, const OptOptions &Opts) {
+bool rjit::requestOsrCompile(CompilerPool &Pool, Function *Fn,
+                             const EntryState &Entry, OsrCache *Cache,
+                             const OptOptions &Opts) {
   std::vector<uint32_t> Sig = osrSignature(Entry);
-  CompileKey Key{Owner, Fn, CompileKind::OsrIn,
+  CompileKey Key{Opts.Ctx, Fn, CompileKind::OsrIn,
                  hashOsrSignature(Entry.Pc, Sig)};
   if (Pool.queue().pending(Key))
     return true;
@@ -316,12 +316,12 @@ bool rjit::requestOsrCompile(CompilerPool &Pool, const void *Owner,
          R == CompileQueue::Push::Duplicate;
 }
 
-bool rjit::requestContinuationCompile(CompilerPool &Pool, const void *Owner,
-                                      Function *Fn, const DeoptContext &Ctx,
+bool rjit::requestContinuationCompile(CompilerPool &Pool, Function *Fn,
+                                      const DeoptContext &Ctx,
                                       DeoptlessTable *Table,
                                       bool FeedbackCleanup,
                                       const OptOptions &Opts) {
-  CompileKey Key{Owner, Fn, CompileKind::Continuation,
+  CompileKey Key{Opts.Ctx, Fn, CompileKind::Continuation,
                  hashDeoptContext(Ctx)};
   if (Pool.queue().pending(Key))
     return true;
@@ -337,7 +337,7 @@ bool rjit::requestContinuationCompile(CompilerPool &Pool, const void *Owner,
                    std::unique_ptr<ExecutableCode> Code =
                        compileContinuationCode(Fn, Ctx, Opts);
                    if (Code && Table->insert(Ctx, std::move(Code))) {
-                     ++stats().DeoptlessCompiles;
+                     ++contextOr(Opts.Ctx).Stats.DeoptlessCompiles;
                      if (obs::traceOn())
                        obs::traceEvent(obs::TraceEv::DeoptlessCompile, 0,
                                        static_cast<uint64_t>(Ctx.Pc));

@@ -27,7 +27,8 @@
 ///
 /// This layer deliberately knows nothing about the Vm: jobs capture plain
 /// pointers (function, target table) and knob copies, never thread-local
-/// VM state.
+/// VM state. The requester is only its context, OptOptions::Ctx: the
+/// request's key owner and what the compile's counters are charged to.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -122,23 +123,22 @@ uint64_t hashOsrSignature(int32_t Pc, const std::vector<uint32_t> &Sig);
 /// \p Table. Captures the feedback snapshot now; returns true when a
 /// compile is pending (enqueued or already in flight), false on
 /// queue-full backpressure.
-bool requestVersionCompile(CompilerPool &Pool, const void *Owner,
-                           Function *Fn, const CallContext &Ctx,
-                           VersionTable *Table,
+bool requestVersionCompile(CompilerPool &Pool, Function *Fn,
+                           const CallContext &Ctx, VersionTable *Table,
                            const VersionCompileOpts &Opts);
 
 /// Requests a background OSR-in compile for \p Entry into \p Cache.
 /// \p Opts carries the full optimizer knob set (inlining, loop opts,
 /// verification) the job compiles under.
-bool requestOsrCompile(CompilerPool &Pool, const void *Owner, Function *Fn,
+bool requestOsrCompile(CompilerPool &Pool, Function *Fn,
                        const EntryState &Entry, OsrCache *Cache,
                        const OptOptions &Opts);
 
 /// Requests a background deoptless-continuation compile for \p Ctx into
 /// \p Table. The profile repair (paper §4.3) runs now, on the executor —
 /// it reads live feedback — and ships with the snapshot.
-bool requestContinuationCompile(CompilerPool &Pool, const void *Owner,
-                                Function *Fn, const DeoptContext &Ctx,
+bool requestContinuationCompile(CompilerPool &Pool, Function *Fn,
+                                const DeoptContext &Ctx,
                                 DeoptlessTable *Table, bool FeedbackCleanup,
                                 const OptOptions &Opts);
 

@@ -41,11 +41,6 @@ public:
 
 } // namespace
 
-RetireEpochs *&rjit::activeRetireEpochs() {
-  thread_local RetireEpochs *Active = nullptr;
-  return Active;
-}
-
 ExecBackend &rjit::interpBackend() {
   static InterpBackend B;
   return B;

@@ -30,6 +30,7 @@
 #define RJIT_EXEC_BACKEND_H
 
 #include "lowcode/lowcode.h"
+#include "runtime/context.h"
 
 #include <cstdint>
 #include <memory>
@@ -41,56 +42,18 @@ class Env;
 class Function;
 struct FnVersion;
 
-/// Per-executor retire-epoch bookkeeping for safepoint-based reclamation
-/// of retired code (the deferred-reclamation discipline FliT formalizes:
-/// defer frees until no reader can hold the object, then reclaim in
-/// batches). The owning Vm advances the epoch at every retire and the
-/// graveyard stamps each entry with it; every ExecutableCode activation
-/// pins the epoch current at its entry (CodeActivation below). An entry
-/// whose retire epoch precedes the entry epoch of every live activation
-/// was unlinked before any of them started — no frame on this executor's
-/// stack can be running it or hold its DeoptMetas — so the safepoint may
-/// free it.
-///
-/// Activations are strictly nested on the one executor thread (optimized
-/// calls re-enter vmDispatchCall, continuations run inside the failing
-/// guard's frame), so the minimum live entry epoch is always the
-/// *outermost* activation's: a depth counter plus one saved epoch suffice.
-/// All accesses happen on the executor thread; compiler threads never run
-/// code.
-class RetireEpochs {
-public:
-  /// Stamps a retire: the epoch charged to the graveyard entry, then the
-  /// clock advances so later activations provably postdate the retire.
-  uint64_t stampRetire() { return Epoch++; }
-
-  /// Smallest entry epoch among live code activations, or UINT64_MAX when
-  /// none is live (everything retired so far is reclaimable).
-  uint64_t minLiveEntry() const {
-    return Depth ? OuterEpoch : UINT64_MAX;
-  }
-
-private:
-  friend class CodeActivation;
-  uint64_t Epoch = 1;
-  uint32_t Depth = 0;      ///< live ExecutableCode activations (nested)
-  uint64_t OuterEpoch = 0; ///< entry epoch of the outermost live one
-};
-
-/// The calling thread's retire-epoch tracker. Installed by the executor
-/// thread's Vm (like the interp/low hooks); null outside a Vm — e.g.
-/// backend unit tests running executables directly — where activation
-/// pins degrade to no-ops because nothing is ever graveyarded.
-RetireEpochs *&activeRetireEpochs();
-
-/// RAII pin for one ExecutableCode activation: ExecutableCode::run takes
-/// it so every publication point's code — function versions, OSR-in
+/// RAII pin for one ExecutableCode activation in the executor's retire
+/// epochs (RetireEpochs, runtime/context.h): ExecutableCode::run takes it
+/// so every publication point's code — function versions, OSR-in
 /// continuations, deoptless continuations — participates in the epoch
 /// protocol without per-call-site cooperation. Unwinds correctly when an
 /// RError or a parked JIT exception propagates out of the activation.
+/// In the process default context (backend unit tests running
+/// executables directly) there are no epochs and the pin is a no-op:
+/// nothing is ever graveyarded there.
 class CodeActivation {
 public:
-  CodeActivation() : T(activeRetireEpochs()) {
+  CodeActivation() : T(currentContext().epochs()) {
     if (T && T->Depth++ == 0)
       T->OuterEpoch = T->Epoch;
   }

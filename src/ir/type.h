@@ -81,10 +81,6 @@ public:
     return static_cast<Tag>(B);
   }
 
-  /// True if every possible value is an immediate numeric scalar of one
-  /// kind — the property that lets the backend use typed arithmetic.
-  bool isScalarOf(Tag ScalarT) const { return isExactly(ScalarT); }
-
   /// True if every value is numeric (scalar or vector, any kind).
   bool numericOnly() const {
     const uint16_t NumMask =
@@ -95,7 +91,6 @@ public:
   }
 
   uint16_t rawMask() const { return Mask; }
-  static RType fromRaw(uint16_t M) { return RType(M); }
 
   std::string str() const;
 

@@ -15,13 +15,6 @@
 
 using namespace rjit;
 
-LowHooks &rjit::lowHooks() {
-  // Thread-local for the same reason as interpHooks(): one Vm per executor
-  // thread, each with its own deopt handler, invalidation RNG and depth.
-  static thread_local LowHooks Hooks;
-  return Hooks;
-}
-
 // Threaded (computed-goto) dispatch on GNU-compatible compilers; plain
 // switch dispatch otherwise. Define RJIT_NO_CGOTO to force the fallback.
 #if defined(__GNUC__) && !defined(RJIT_NO_CGOTO)
@@ -506,7 +499,7 @@ Value rjit::runLow(const LowFunction &F, std::vector<Value> &&Args,
   int32_t *Iv = SlotsI.data();
   spillLowArgs(F, std::move(Args), S, D, Iv);
 
-  LowHooks &H = lowHooks();
+  ExecContext &Cx = currentContext();
   Env *ReadEnv = CurEnv ? CurEnv : ParentEnv;
   int32_t Pc = 0;
 
@@ -561,37 +554,14 @@ Value rjit::runLow(const LowFunction &F, std::vector<Value> &&Args,
     VMOP(LengthLow)
 #undef VMOP
     VMCASE(GuardCond) {
-      const DeoptMeta &M = F.Deopts[I.Imm];
-      bool Ok = lowGuardHolds(I, M, S);
-      ++stats().AssumeChecks;
-      bool Injected = false;
-      // Builtin-stability guards (C == 2) model what Ř implements as a
-      // watchpoint-invalidated global assumption, not a per-execution
-      // check: Ř never executes them, so a random failure there has no
-      // counterpart in the paper's experiment. The random-invalidation
-      // test mode therefore only targets the genuinely dynamic guards.
-      if (Ok && I.C != 2 && H.InvalidationCountdown &&
-          --H.InvalidationCountdown == 0) {
-        H.rearmInvalidation();
-        Ok = false;
-        Injected = true;
-        ++stats().InjectedFailures;
-        if (obs::traceOn())
-          obs::traceEvent(obs::TraceEv::Invalidate, 0,
-                          static_cast<uint64_t>(Pc));
-      }
-      if (!Ok) {
-        ++stats().AssumeFailures;
-        if (obs::traceOn())
-          obs::traceEvent(obs::TraceEv::GuardFail, 0,
-                          static_cast<uint64_t>(Pc), Injected);
-        if (!H.Deopt)
-          rerror("speculation failed and no deoptimization handler is "
-                 "installed");
-        // The paper's Listing 3: the deopt primitive is (tail-)called and
-        // its result is the result of this activation.
-        return H.Deopt(F, {S, D, Iv}, I.Imm, CurEnv, ParentEnv, Injected);
-      }
+      bool Holds = lowGuardHolds(I, F.Deopts[I.Imm], S);
+      ++Cx.Stats.AssumeChecks;
+      bool Injected = Holds && guardInjectable(I) &&
+                      Cx.Low.InvalidationCountdown &&
+                      --Cx.Low.InvalidationCountdown == 0;
+      if (!Holds || Injected)
+        return failGuard(Cx, obs::TraceEv::GuardFail, F, Pc, {S, D, Iv},
+                         CurEnv, ParentEnv, Injected);
       ++Pc;
       VMSTEP();
     }
@@ -644,6 +614,28 @@ bool rjit::lowGuardHolds(const LowInstr &I, const DeoptMeta &M,
   default:
     return S[I.A].tag() == Tag::Lgl && S[I.A].asLglUnchecked();
   }
+}
+
+Value rjit::failGuard(ExecContext &C, obs::TraceEv Kind, const LowFunction &F,
+                      int32_t Pc, const SlotView &Slots, Env *CurEnv,
+                      Env *ParentEnv, bool Injected) {
+  LowHooks &H = C.Low;
+  if (Injected) {
+    H.rearmInvalidation();
+    ++C.Stats.InjectedFailures;
+    if (obs::traceOn())
+      obs::traceEvent(obs::TraceEv::Invalidate, 0,
+                      static_cast<uint64_t>(Pc));
+  }
+  ++C.Stats.AssumeFailures;
+  if (obs::traceOn())
+    obs::traceEvent(Kind, 0, static_cast<uint64_t>(Pc), Injected);
+  if (!H.Deopt)
+    rerror("speculation failed and no deoptimization handler is "
+           "installed");
+  // The paper's Listing 3: the deopt primitive is (tail-)called and its
+  // result is the result of this activation.
+  return H.Deopt(F, Slots, F.Code[Pc].Imm, CurEnv, ParentEnv, Injected);
 }
 
 bool rjit::stepCmpBranchTaken(const LowInstr &I, const Value *S,

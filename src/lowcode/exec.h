@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes LowCode. Guard failures tail-call the installed deopt handler
-/// (the OSR runtime), which returns the result of the remainder of the
-/// activation — exactly the paper's Listing 3/4 shape where the compiled
-/// code ends in `return deopt(framestate, reason)`.
+/// Executes LowCode. Guard failures tail-call the deopt handler installed
+/// in the thread's execution context (LowHooks, runtime/context.h), which
+/// returns the result of the remainder of the activation — exactly the
+/// paper's Listing 3/4 shape where the compiled code ends in
+/// `return deopt(framestate, reason)`.
 ///
 /// The engine also implements the random assumption-invalidation test mode
 /// of §5.1: with a non-zero rate, one in N passing guards is treated as a
@@ -20,8 +21,8 @@
 #define RJIT_LOWCODE_EXEC_H
 
 #include "lowcode/lowcode.h"
+#include "runtime/context.h"
 #include "runtime/env.h"
-#include "support/rng.h"
 
 #include <vector>
 
@@ -59,38 +60,6 @@ struct SlotView {
     }
   }
 };
-
-/// Hooks the OSR/VM layers install into the engine.
-struct LowHooks {
-  /// Deoptimization handler: consumes the live slots and the guard's
-  /// DeoptMeta; returns the result of the rest of the activation.
-  /// \p Injected marks test-mode failures whose guarded fact still holds.
-  Value (*Deopt)(const LowFunction &F, const SlotView &Slots,
-                 int32_t MetaIdx, Env *CurEnv, Env *ParentEnv,
-                 bool Injected) = nullptr;
-
-  /// Random invalidation: one in N guard checks fails spuriously (0=off).
-  /// Implemented as a pre-drawn countdown so the per-check cost is a
-  /// decrement (a per-check RNG draw would tax exactly the guard-carrying
-  /// code whose behaviour the experiment measures).
-  uint64_t InvalidationRate = 0;
-  uint64_t InvalidationCountdown = 0;
-  Rng TestRng{12345};
-
-  /// Draws the next inter-failure distance (mean = InvalidationRate).
-  void rearmInvalidation() {
-    InvalidationCountdown =
-        InvalidationRate ? 1 + TestRng.below(2 * InvalidationRate) : 0;
-  }
-
-  /// Closure-call nesting depth, maintained by the VM's dispatch hook.
-  /// The deoptless runtime uses it to detect *recursive* deoptless (a
-  /// guard failing in the same activation as a running continuation)
-  /// while still allowing callees to use deoptless.
-  int64_t CallDepth = 0;
-};
-
-LowHooks &lowHooks();
 
 /// Runs \p F. \p Args fill slots [0, NumParams). \p CurEnv is the live
 /// environment for real-env code (null for elided conventions); \p

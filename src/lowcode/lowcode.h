@@ -114,6 +114,14 @@ constexpr uint16_t packElem(Tag Kind, bool Steal = false) {
 inline Tag elemKind(const LowInstr &I) { return static_cast<Tag>(I.C & 0xFF); }
 inline bool stealsContainer(const LowInstr &I) { return I.C & 0x100; }
 
+/// GuardCond: C is the guard kind (0 tag, 1 closure identity, 2 builtin
+/// identity, 3 logical truth). Builtin-stability guards model what Ř
+/// implements as a watchpoint-invalidated global assumption, not a
+/// per-execution check: Ř never executes them, so a random failure there
+/// has no counterpart in the paper's experiment. The random-invalidation
+/// test mode (§5.1) therefore targets only the dynamic kinds.
+inline bool guardInjectable(const LowInstr &I) { return I.C != 2; }
+
 /// The slot class of a rank's raw operands: Int and Real ranks are raw.
 inline SlotClass rankClass(int Rank) {
   return Rank == 1   ? SlotClass::RawInt

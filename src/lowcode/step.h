@@ -21,10 +21,13 @@
 #define RJIT_LOWCODE_STEP_H
 
 #include "lowcode/lowcode.h"
+#include "obs/trace.h"
 
 namespace rjit {
 
 class Env;
+class ExecContext;
+struct SlotView;
 
 /// Executes the single non-control-flow instruction \p I against the raw
 /// slot arrays. Control-flow ops (jumps, branches, CmpBranch, GuardCond,
@@ -44,6 +47,17 @@ bool stepCmpBranchTaken(const LowInstr &I, const Value *S, const double *D,
 /// when the guarded fact holds. Shared by the interpreter's GuardCond
 /// case and the native backend's slow-path re-check.
 bool lowGuardHolds(const LowInstr &I, const DeoptMeta &M, const Value *S);
+
+/// The failure of GuardCond at \p Pc, one protocol for both tiers. An
+/// \p Injected failure (the §5.1 countdown reached zero on a holding
+/// guard) rearms the countdown, counts InjectedFailures and traces
+/// Invalidate first. Every failure counts AssumeFailures, is traced as
+/// \p Kind (the interpreter's guard-fail, the native tier's
+/// native-side-exit) and tail-calls \p C's deopt hook, whose result is the
+/// activation's.
+Value failGuard(ExecContext &C, obs::TraceEv Kind, const LowFunction &F,
+                int32_t Pc, const SlotView &Slots, Env *CurEnv,
+                Env *ParentEnv, bool Injected);
 
 /// Spills incoming arguments into their class homes (boxed / raw-double
 /// / raw-int slots, per F.ParamClasses). The activation-entry convention

@@ -44,8 +44,7 @@ const void *CodeArena::install(const std::vector<uint8_t> &Code) {
     return nullptr;
   }
   std::lock_guard<std::mutex> L(Mu);
-  Blocks.push_back({Mem, Size, Code.size()});
-  Installed += Code.size();
+  Blocks.push_back({Mem, Size});
   return Mem;
 #else
   (void)Code;
@@ -60,7 +59,6 @@ bool CodeArena::release(const void *Entry) {
     if (Blocks[I].Mem != Entry)
       continue;
     munmap(Blocks[I].Mem, Blocks[I].Size);
-    Installed -= Blocks[I].Used;
     Blocks.erase(Blocks.begin() + static_cast<ptrdiff_t>(I));
     return true;
   }
@@ -69,11 +67,6 @@ bool CodeArena::release(const void *Entry) {
   (void)Entry;
   return false;
 #endif
-}
-
-size_t CodeArena::codeBytes() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Installed;
 }
 
 size_t CodeArena::blockCount() const {

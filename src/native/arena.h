@@ -47,9 +47,6 @@ public:
   /// Returns false for an address this arena never installed.
   bool release(const void *Entry);
 
-  /// Total bytes of sealed machine code (diagnostics).
-  size_t codeBytes() const;
-
   /// Number of currently live mappings (diagnostics; the soak test's
   /// proof that reclaim returns pages, not just wrapper objects).
   size_t blockCount() const;
@@ -58,11 +55,9 @@ private:
   struct Block {
     void *Mem;
     size_t Size;
-    size_t Used; ///< unpadded code bytes, so release() can rebate Installed
   };
   mutable std::mutex Mu;
   std::vector<Block> Blocks;
-  size_t Installed = 0;
 };
 
 } // namespace rjit

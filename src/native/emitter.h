@@ -152,12 +152,6 @@ public:
     mem(0, Base, Disp);
     u32(Imm);
   }
-  void movzxRegMem8(uint8_t Dst, uint8_t Base, int32_t Disp) {
-    rexOpt(0, Dst, Base);
-    u8(0x0F);
-    u8(0xB6);
-    mem(Dst, Base, Disp);
-  }
   /// movsxd dst64, dword [base + disp32]
   void movsxdRegMem32(uint8_t Dst, uint8_t Base, int32_t Disp) {
     rex(1, Dst, Base);
@@ -323,7 +317,6 @@ public:
   }
   //===-- SSE2 register-register forms (the regalloc'd templates) --------//
 
-  void movsdXmmXmm(uint8_t Dst, uint8_t Src) { sseRR(0xF2, 0x10, Dst, Src); }
   /// movaps: the full-register xmm copy. Unlike movsd's merging reg-reg
   /// form it carries no dependency on the destination's old value, so
   /// it is the right instruction for copying scalar doubles between

@@ -53,7 +53,7 @@
 #include "native/linker.h"
 #include "native/regalloc.h"
 #include "obs/trace.h"
-#include "support/stats.h"
+#include "runtime/context.h"
 #include "vm/vm.h"
 
 #include <cstddef>
@@ -92,7 +92,7 @@ struct NativeFrame {
   Env *CurEnv = nullptr;
   Env *ParentEnv = nullptr;
   Env *ReadEnv = nullptr;
-  LowHooks *Hooks = nullptr;
+  ExecContext *Ctx = nullptr; ///< injection countdown, deopt hook
   /// The executable's LinkSite cells (index = the call helper's site
   /// argument) and the backend's link registry; null when linking is off.
   LinkSite *Sites = nullptr;
@@ -294,22 +294,13 @@ static int64_t rjit_nat_call_linked(NativeFrame *Fr, int32_t SiteIdx) {
 
 namespace {
 
-/// The guard-failure protocol of the interpreter's GuardCond case: count
-/// the failure and (tail-)call the installed deopt hook — its result is
-/// the result of this activation. Always ends the activation.
+/// failGuard (lowcode/step.h) from a native frame: its result becomes
+/// this activation's, and an exception is parked for the rethrow.
 void guardDeopt(NativeFrame *Fr, int32_t Pc, bool Injected) {
-  const LowInstr &I = Fr->F->Code[Pc];
   try {
-    ++stats().AssumeFailures;
-    if (obs::traceOn())
-      obs::traceEvent(obs::TraceEv::NativeSideExit, 0,
-                      static_cast<uint64_t>(Pc), Injected);
-    LowHooks &H = *Fr->Hooks;
-    if (!H.Deopt)
-      rerror("speculation failed and no deoptimization handler is "
-             "installed");
-    Fr->Result = H.Deopt(*Fr->F, {Fr->S, Fr->D, Fr->Iv}, I.Imm,
-                         Fr->CurEnv, Fr->ParentEnv, Injected);
+    Fr->Result = failGuard(*Fr->Ctx, obs::TraceEv::NativeSideExit, *Fr->F,
+                           Pc, {Fr->S, Fr->D, Fr->Iv}, Fr->CurEnv,
+                           Fr->ParentEnv, Injected);
   } catch (...) {
     Fr->Exc = std::current_exception();
   }
@@ -328,14 +319,8 @@ static void rjit_nat_guard_fail(NativeFrame *Fr, int32_t Pc) {
 /// countdown is armed (§5.1 test mode): decrement, and on zero inject a
 /// spurious failure. 0 = continue, 1 = activation ended.
 static int64_t rjit_nat_guard_tick(NativeFrame *Fr, int32_t Pc) {
-  LowHooks &H = *Fr->Hooks;
-  if (--H.InvalidationCountdown != 0)
+  if (--Fr->Ctx->Low.InvalidationCountdown != 0)
     return 0;
-  H.rearmInvalidation();
-  ++stats().InjectedFailures;
-  if (obs::traceOn())
-    obs::traceEvent(obs::TraceEv::Invalidate, 0,
-                    static_cast<uint64_t>(Pc));
   guardDeopt(Fr, Pc, /*Injected=*/true);
   return 1;
 }
@@ -350,8 +335,10 @@ namespace {
 
 class Stitcher {
 public:
-  Stitcher(const LowFunction &F, const NativeTierOptions &Opts)
-      : F(F), Opts(Opts) {
+  /// \p Stats: the counters the emitted guards bump (the backend's Vm's).
+  Stitcher(const LowFunction &F, const NativeTierOptions &Opts,
+           VmStats &Stats)
+      : F(F), Opts(Opts), Stats(Stats) {
     if (Opts.Regalloc) {
       // Pins require the inline typed-extract fast path: without the
       // probed vector layout every extract is a main-path helper call,
@@ -404,6 +391,7 @@ public:
 private:
   const LowFunction &F;
   NativeTierOptions Opts;
+  VmStats &Stats;
   RegAllocation RA;
   IntConstMap IC;
   X64Emitter A;
@@ -1175,8 +1163,7 @@ private:
     // AssumeChecks counts every execution, passing or failing — bump it
     // first, exactly like the interpreter. lock inc: the counter is a
     // relaxed atomic shared with instrumented C++ readers.
-    A.movRegImm64(RAX,
-                  reinterpret_cast<uint64_t>(&stats().AssumeChecks));
+    A.movRegImm64(RAX, reinterpret_cast<uint64_t>(&Stats.AssumeChecks));
     A.lockIncMem64(RAX, 0);
 
     Stub Fail{Pc, Stub::GuardFail, {}, 0};
@@ -1214,15 +1201,15 @@ private:
     }
     Stubs.push_back(std::move(Fail));
 
-    // Random-invalidation countdown (builtin guards are exempt — they
-    // model watchpoint-invalidated global assumptions, see exec.cpp).
-    // The fast path is one load + one compare when the mode is off.
-    if (I.C != 2) {
+    // Random-invalidation countdown (guardInjectable, lowcode.h). The
+    // fast path is one load + one compare when the mode is off.
+    if (guardInjectable(I)) {
       Stub Tick{Pc, Stub::GuardTick, {}, 0};
-      A.movRegMem64(RAX, RBX, offsetof(NativeFrame, Hooks));
+      A.movRegMem64(RAX, RBX, offsetof(NativeFrame, Ctx));
       A.cmpMem64Imm32(
-          RAX, static_cast<int32_t>(offsetof(LowHooks,
-                                             InvalidationCountdown)),
+          RAX,
+          static_cast<int32_t>(offsetof(ExecContext, Low) +
+                               offsetof(LowHooks, InvalidationCountdown)),
           0);
       Tick.Sites.push_back(A.jcc32(CcNe));
       Tick.Resume = A.size();
@@ -1284,11 +1271,11 @@ protected:
     Fr.CurEnv = CurEnv;
     Fr.ParentEnv = ParentEnv;
     Fr.ReadEnv = CurEnv ? CurEnv : ParentEnv;
-    Fr.Hooks = &lowHooks();
+    Fr.Ctx = &currentContext();
     Fr.Sites = Sites.get();
     Fr.Linker = Linker;
 
-    ++stats().NativeEnters;
+    ++Fr.Ctx->Stats.NativeEnters;
     if (obs::traceOn())
       obs::traceEvent(obs::TraceEv::NativeEnter, 0, obsId());
     Entry(&Fr);
@@ -1307,7 +1294,8 @@ private:
 
 class NativeBackend final : public ExecBackend {
 public:
-  explicit NativeBackend(const NativeTierOptions &O) : Opts(O) {}
+  NativeBackend(const NativeTierOptions &O, ExecContext &Ctx)
+      : Opts(O), Ctx(Ctx) {}
 
   const char *name() const override { return "native-x64"; }
 
@@ -1315,14 +1303,14 @@ public:
   prepare(std::unique_ptr<LowFunction> Low) override {
     std::vector<uint8_t> Code;
     std::vector<int32_t> SitePcs;
-    Stitcher St(*Low, Opts);
+    Stitcher St(*Low, Opts, Ctx.Stats);
     if (!St.compile(Code, SitePcs))
       return interpBackend().prepare(std::move(Low));
     const void *Entry = Arena.install(Code);
     if (!Entry) // mapping denied (hardened host): portable fallback
       return interpBackend().prepare(std::move(Low));
-    ++stats().NativeCompiles;
-    stats().NativeRegSpills += St.regSpills();
+    ++Ctx.Stats.NativeCompiles;
+    Ctx.Stats.NativeRegSpills += St.regSpills();
     return std::make_unique<NativeExecutable>(
         std::move(Low), Arena, Entry, std::move(SitePcs),
         Opts.Linking ? &Linker : nullptr);
@@ -1350,6 +1338,8 @@ public:
 
 private:
   NativeTierOptions Opts;
+  /// The context compiles are charged to and guards count into.
+  ExecContext &Ctx;
   NativeLinker Linker;
   CodeArena Arena;
 };
@@ -1374,27 +1364,19 @@ bool rjit::nativeBackendSupported() {
   return Ok;
 }
 
-std::unique_ptr<ExecBackend> rjit::makeNativeBackend() {
-  return makeNativeBackend(NativeTierOptions());
-}
-
 std::unique_ptr<ExecBackend>
-rjit::makeNativeBackend(const NativeTierOptions &O) {
+rjit::makeNativeBackend(const NativeTierOptions &O, ExecContext *Ctx) {
   if (!nativeBackendSupported())
     return nullptr;
-  return std::make_unique<NativeBackend>(O);
+  return std::make_unique<NativeBackend>(O, contextOr(Ctx));
 }
 
 #else // !RJIT_NATIVE_X64
 
 bool rjit::nativeBackendSupported() { return false; }
 
-std::unique_ptr<rjit::ExecBackend> rjit::makeNativeBackend() {
-  return nullptr;
-}
-
 std::unique_ptr<rjit::ExecBackend>
-rjit::makeNativeBackend(const rjit::NativeTierOptions &) {
+rjit::makeNativeBackend(const rjit::NativeTierOptions &, rjit::ExecContext *) {
   return nullptr;
 }
 

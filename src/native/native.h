@@ -72,12 +72,14 @@ struct NativeTierOptions {
   bool Linking = nativeTierV2Default();
 };
 
-/// Creates a native backend instance (owning its code arena), or null on
-/// unsupported hosts — callers fall back to the interpreter backend.
-std::unique_ptr<ExecBackend> makeNativeBackend();
-
-/// As above with explicit v2 feature switches.
-std::unique_ptr<ExecBackend> makeNativeBackend(const NativeTierOptions &O);
+/// Creates a native backend instance (owning its code arena) with the v2
+/// feature switches \p O, or null on unsupported hosts — callers fall back
+/// to the interpreter backend. Its compiles are charged to \p Ctx, and the
+/// code it emits counts guard checks into \p Ctx's AssumeChecks; null
+/// means the calling thread's context. The Vm hands it its own.
+std::unique_ptr<ExecBackend>
+makeNativeBackend(const NativeTierOptions &O = NativeTierOptions(),
+                  ExecContext *Ctx = nullptr);
 
 } // namespace rjit
 

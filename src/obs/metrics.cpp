@@ -27,12 +27,6 @@ uint64_t LatencyHistogram::quantile(double Q) const {
   return max(); // counts raced past N; saturate at the recorded maximum
 }
 
-static VmMetrics GlobalMetrics;
-
-VmMetrics &rjit::obs::metrics() { return GlobalMetrics; }
-
-void rjit::obs::resetMetrics() { GlobalMetrics = VmMetrics(); }
-
 void MetricsRegistry::forEachCounter(
     const VmStats &S,
     const std::function<void(const char *, uint64_t)> &Fn) {
@@ -56,9 +50,15 @@ void MetricsRegistry::forEachHistogram(
 #include "obs/metrics.def"
 }
 
-VmMetrics MetricsRegistry::snapshotAndReset() {
+VmMetrics VmMetrics::drain() {
   VmMetrics Out;
-#define VM_HISTOGRAM(Member, Name) Out.Member = GlobalMetrics.Member.drain();
+#define VM_HISTOGRAM(Member, Name) Out.Member = Member.drain();
 #include "obs/metrics.def"
   return Out;
+}
+
+VmMetrics &VmMetrics::operator+=(const VmMetrics &O) {
+#define VM_HISTOGRAM(Member, Name) Member += O.Member;
+#include "obs/metrics.def"
+  return *this;
 }

@@ -90,20 +90,32 @@ public:
 
   void reset() { *this = LatencyHistogram(); }
 
+  /// Adds \p O's samples: merges another Vm's histogram into this one.
+  /// An empty drain snapshot adds nothing (drain() took no bucket).
+  LatencyHistogram &operator+=(const LatencyHistogram &O) {
+    if (!O.N)
+      return *this;
+    for (unsigned K = 0; K < NumBuckets; ++K)
+      Buckets[K] += O.Buckets[K];
+    N += O.N;
+    Sum += O.Sum;
+    MaxV.recordMax(O.MaxV);
+    return *this;
+  }
+
   /// Drains this histogram into the returned snapshot: every bucket, the
-  /// count, the sum and the max are atomically exchanged with zero.
-  /// Unlike a copy-then-reset (which loses any sample recorded between
-  /// the copy and the reset), each recorded sample lands in *exactly one*
-  /// drain even while recorder threads are concurrently incrementing —
-  /// summing a series of drains (plus the final state) conserves the
-  /// total count and sum exactly. A record() racing the drain may split
-  /// across two snapshots (its bucket in one, its N in the next), so a
-  /// single snapshot's bucket total can transiently differ from its N by
-  /// the number of in-flight recorders; quantiles clamp at the recorded
-  /// max in that window (see quantile()). The per-phase reporting
-  /// primitive behind MetricsRegistry::snapshotAndReset().
+  /// count, the sum and the max are atomically exchanged with zero, so
+  /// each recorded sample lands in *exactly one* drain even while
+  /// recorders run (a copy-then-reset loses the samples recorded between
+  /// its two steps), and a series of drains conserves count and sum. A
+  /// record() racing the drain may split across two snapshots (its bucket
+  /// in one, its N in the next); quantiles clamp at the recorded max then
+  /// (see quantile()). With no record completed since the last drain it
+  /// takes nothing. The primitive behind VmMetrics::drain().
   LatencyHistogram drain() {
     LatencyHistogram Out;
+    if (!N)
+      return Out;
     for (unsigned K = 0; K < NumBuckets; ++K)
       Out.Buckets[K] = Buckets[K].exchange(0);
     Out.N = N.exchange(0);
@@ -119,15 +131,23 @@ private:
   RelaxedCounter MaxV;
 };
 
-/// The process-wide duration metrics, reset alongside VmStats: one
-/// histogram per obs/metrics.def entry.
+/// A Vm's duration metrics, kept in its execution context next to its
+/// VmStats: one histogram per obs/metrics.def entry.
 struct VmMetrics {
 #define VM_HISTOGRAM(Member, Name) LatencyHistogram Member;
 #include "obs/metrics.def"
+
+  /// Drains every histogram into the returned snapshot, losslessly
+  /// (LatencyHistogram::drain): how a phase or a timed window starts.
+  VmMetrics drain();
+
+  /// Merges \p O's histograms into these (summing several Vms).
+  VmMetrics &operator+=(const VmMetrics &O);
 };
 
+/// The histograms of the calling thread's Vm (its execution context's);
+/// the process default context's on a thread without one.
 VmMetrics &metrics();
-void resetMetrics();
 
 /// Enumeration facade over every metric the VM exposes: the VmStats event
 /// counters and gauges (by stable snake_case name) and the VmMetrics
@@ -150,17 +170,6 @@ public:
       const VmMetrics &M,
       const std::function<void(const char *, const LatencyHistogram &)>
           &Fn);
-
-  /// Drains the process-wide histograms (metrics()) into the returned
-  /// snapshot and leaves them zeroed, losslessly: each histogram is
-  /// drained bucket-by-bucket with atomic exchanges, so samples recorded
-  /// concurrently with the call land either in the returned snapshot or
-  /// in the (zeroed) registry for the next drain — never in both, never
-  /// dropped. Phase-boundary reporting (the server bench's per-phase
-  /// percentiles) uses this instead of the snapshot-then-resetMetrics()
-  /// pair, whose window between the copy and the reset loses every
-  /// sample recorded inside it.
-  static VmMetrics snapshotAndReset();
 };
 
 } // namespace obs

@@ -12,7 +12,7 @@
 #include "opt/inline.h"
 #include "opt/licm.h"
 #include "opt/lowertyped.h"
-#include "support/stats.h"
+#include "runtime/context.h"
 
 #include <cstdio>
 
@@ -170,9 +170,10 @@ std::unique_ptr<IrCode> rjit::optimizeToIr(Function *Fn, CallConv Conv,
     assert(false && "IR verification failed");
     return nullptr;
   }
-  stats().InlinedCalls += Inlined;
-  stats().HoistedInstrs += Loop.HoistedInstrs;
-  stats().HoistedGuards += Loop.HoistedGuards;
-  stats().EliminatedGuards += Loop.EliminatedGuards;
+  VmStats &S = contextOr(Opts.Ctx).Stats;
+  S.InlinedCalls += Inlined;
+  S.HoistedInstrs += Loop.HoistedInstrs;
+  S.HoistedGuards += Loop.HoistedGuards;
+  S.EliminatedGuards += Loop.EliminatedGuards;
   return C;
 }

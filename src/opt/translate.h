@@ -81,6 +81,7 @@ inline constexpr bool VerifyPassesDefault = false;
 #endif
 
 class ExecBackend;
+class ExecContext;
 
 /// Translation/optimization knobs.
 struct OptOptions {
@@ -96,6 +97,10 @@ struct OptOptions {
   /// thread-local — so background compile jobs prepare code for the Vm
   /// that enqueued them.
   ExecBackend *Backend = nullptr;
+  /// The execution context (runtime/context.h) the compile's counters and
+  /// latency are charged to: the requesting Vm's, set next to Backend for
+  /// the same reason. Null means the calling thread's.
+  ExecContext *Ctx = nullptr;
 };
 
 /// Result of checking whether a function's environment can be elided.

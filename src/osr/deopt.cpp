@@ -23,25 +23,14 @@ Value runFrame(Function *Fn, Env *LiveEnv, Env *ParentEnv,
                const SlotView &Slots, std::vector<Value> &&Stack,
                int32_t Pc) {
   Env *E = LiveEnv;
-  bool Fresh = false;
+  Value Hold; // keeps a materialized environment alive for the run
   if (!E) {
     E = new Env(ParentEnv);
-    E->retain();
-    Fresh = true;
+    Hold = Value::environment(E);
     for (const auto &[Sym, Ref] : EnvSlots)
       E->set(Sym, Slots.get(Ref));
   }
-  Value Result;
-  try {
-    Result = interpretResume(Fn, E, std::move(Stack), Pc);
-  } catch (...) {
-    if (Fresh)
-      E->release();
-    throw;
-  }
-  if (Fresh)
-    E->release();
-  return Result;
+  return interpretResume(Fn, E, std::move(Stack), Pc);
 }
 
 } // namespace

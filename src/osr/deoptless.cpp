@@ -9,30 +9,21 @@
 #include "compile/snapshot.h"
 #include "lowcode/exec.h"
 #include "lowcode/lower.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/cleanup.h"
 #include "opt/pipeline.h"
 #include "osr/deopt.h"
-#include "support/stats.h"
 #include "support/timer.h"
 
 using namespace rjit;
 
 namespace {
 
-/// Call depths at which a deoptless continuation is currently running.
-/// A guard failing at the same depth is *recursive* deoptless (paper
-/// §4.3) and must fall back to a true deoptimization; callees (deeper
-/// depths) may still use deoptless.
-std::vector<int64_t> &continuationDepths() {
-  static thread_local std::vector<int64_t> Depths;
-  return Depths;
-}
-
-bool inRecursiveDeoptless() {
-  return !continuationDepths().empty() &&
-         continuationDepths().back() == lowHooks().CallDepth;
+/// A guard failing at the call depth of the innermost running
+/// continuation is *recursive* deoptless (ExecContext::ContinuationDepths).
+bool inRecursiveDeoptless(const ExecContext &C) {
+  return !C.ContinuationDepths.empty() &&
+         C.ContinuationDepths.back() == C.CallDepth;
 }
 
 /// Computes the current optimization context from the live guard state.
@@ -64,16 +55,17 @@ bool computeContext(const SlotView &Slots, const DeoptMeta &Meta,
 
 /// The paper's deoptlessCondition. Each refusal is counted by cause: the
 /// guard failure becomes a true deopt.
-bool deoptlessCondition(const DeoptMeta &Meta, bool Injected) {
-  if (inRecursiveDeoptless()) {
-    ++stats().DeoptlessSkipRecursive; // no recursive deoptless
+bool deoptlessCondition(ExecContext &C, const DeoptMeta &Meta,
+                        bool Injected) {
+  if (inRecursiveDeoptless(C)) {
+    ++C.Stats.DeoptlessSkipRecursive; // no recursive deoptless
     return false;
   }
   // A real builtin redefinition is a changed global assumption: the code
   // is permanently invalid and must actually deoptimize. Injected test
   // failures leave the fact intact.
   if (Meta.RKind == DeoptReasonKind::BuiltinGuard && !Injected) {
-    ++stats().DeoptlessSkipBuiltin;
+    ++C.Stats.DeoptlessSkipBuiltin;
     return false;
   }
   return true;
@@ -134,7 +126,7 @@ rjit::compileContinuationCode(Function *Fn, const DeoptContext &Ctx,
   std::unique_ptr<ExecutableCode> Code =
       prepareExecutable(Opts.Backend, lowerToLow(*Ir));
   uint64_t Dur = nowNanos() - T0;
-  obs::metrics().CompileLatency.record(Dur);
+  contextOr(Opts.Ctx).Metrics.CompileLatency.record(Dur);
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::CompileFinish, Dur,
                     static_cast<uint64_t>(Ctx.Pc), obs::CompileKindCont);
@@ -177,23 +169,27 @@ bool rjit::tryDeoptless(const LowFunction &F, const SlotView &Slots,
                         const DeoptMeta &Meta, Env *ParentEnv, bool Injected,
                         DeoptlessTable &Table, const ContinuationCompile &How,
                         Value &Result) {
-  if (!deoptlessCondition(Meta, Injected))
+  ExecContext &C = currentContext();
+  if (!deoptlessCondition(C, Meta, Injected))
     return false;
-  ++stats().DeoptlessAttempts;
+  VmStats &S = C.Stats;
+  ++S.DeoptlessAttempts;
   // Instants carry the deopt pc (A) and, for rejects, a site code (B):
   // 0 = context too large, 1 = async miss, 2 = uncompilable/table full,
   // 3 = post-insert dispatch miss.
   uint64_t Pc = static_cast<uint64_t>(Meta.BcPc);
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::DeoptlessAttempt, 0, Pc);
+  auto Reject = [&](uint64_t Site) {
+    ++S.DeoptlessRejected;
+    if (obs::traceOn())
+      obs::traceEvent(obs::TraceEv::DeoptlessReject, 0, Pc, Site);
+    return false;
+  };
 
   DeoptContext Ctx;
-  if (!computeContext(Slots, Meta, Injected, Ctx)) {
-    ++stats().DeoptlessRejected;
-    if (obs::traceOn())
-      obs::traceEvent(obs::TraceEv::DeoptlessReject, 0, Pc, 0);
-    return false;
-  }
+  if (!computeContext(Slots, Meta, Injected, Ctx))
+    return Reject(0);
 
   Function *Fn = continuationOwner(F, Meta);
   Continuation *Cont = Table.dispatch(Ctx);
@@ -202,47 +198,32 @@ bool rjit::tryDeoptless(const LowFunction &F, const SlotView &Slots,
   // current context is replaced by a fresh specialization while the table
   // has room.
   bool TooGeneric = Cont && !(Cont->Ctx <= Ctx) && !Table.full();
-  if (!Cont || TooGeneric) {
-    if (How.Pool) {
-      // Background mode: request the continuation and keep going. A miss
-      // falls back to a true deoptimization *this time*; a too-generic
-      // hit still serves the current failure while the specialization
-      // compiles for the next one. Either way the executor never pauses
-      // to compile inside a guard-failure handler.
-      requestContinuationCompile(*How.Pool, How.Owner, Fn, Ctx, &Table,
-                                 How.FeedbackCleanup, How.Opts);
-      if (!Cont) {
-        ++stats().DeoptlessRejected;
-        if (obs::traceOn())
-          obs::traceEvent(obs::TraceEv::DeoptlessReject, 0, Pc, 1);
-        return false;
-      }
-      ++stats().DeoptlessHits;
-      if (obs::traceOn())
-        obs::traceEvent(obs::TraceEv::DeoptlessHit, 0, Pc);
-    } else {
-      std::unique_ptr<ExecutableCode> Code =
-          compileContinuation(Fn, Ctx, How);
-      if (!Code || Table.full()) {
-        ++stats().DeoptlessRejected;
-        if (obs::traceOn())
-          obs::traceEvent(obs::TraceEv::DeoptlessReject, 0, Pc, 2);
-        return false;
-      }
-      ++stats().DeoptlessCompiles;
-      if (obs::traceOn())
-        obs::traceEvent(obs::TraceEv::DeoptlessCompile, 0, Pc);
-      Table.insert(Ctx, std::move(Code));
-      Cont = Table.dispatch(Ctx);
-      if (!Cont) {
-        ++stats().DeoptlessRejected;
-        if (obs::traceOn())
-          obs::traceEvent(obs::TraceEv::DeoptlessReject, 0, Pc, 3);
-        return false;
-      }
-    }
-  } else {
-    ++stats().DeoptlessHits;
+  bool Compiled = false;
+  if ((!Cont || TooGeneric) && How.Pool) {
+    // Background mode: request the continuation and keep going. A miss
+    // falls back to a true deoptimization *this time*; a too-generic hit
+    // still serves the current failure while the specialization compiles
+    // for the next one. Either way the executor never pauses to compile
+    // inside a guard-failure handler.
+    requestContinuationCompile(*How.Pool, Fn, Ctx, &Table,
+                               How.FeedbackCleanup, How.Opts);
+    if (!Cont)
+      return Reject(1);
+  } else if (!Cont || TooGeneric) {
+    std::unique_ptr<ExecutableCode> Code = compileContinuation(Fn, Ctx, How);
+    if (!Code || Table.full())
+      return Reject(2);
+    ++S.DeoptlessCompiles;
+    if (obs::traceOn())
+      obs::traceEvent(obs::TraceEv::DeoptlessCompile, 0, Pc);
+    Table.insert(Ctx, std::move(Code));
+    Cont = Table.dispatch(Ctx);
+    if (!Cont)
+      return Reject(3);
+    Compiled = true;
+  }
+  if (!Compiled) {
+    ++S.DeoptlessHits;
     if (obs::traceOn())
       obs::traceEvent(obs::TraceEv::DeoptlessHit, 0, Pc);
   }
@@ -257,21 +238,21 @@ bool rjit::tryDeoptless(const LowFunction &F, const SlotView &Slots,
   for (auto &[Sym, Ref] : Meta.EnvSlots)
     Args.push_back(Slots.get(Ref));
 
-  continuationDepths().push_back(lowHooks().CallDepth);
+  C.ContinuationDepths.push_back(C.CallDepth);
   try {
     Result = Cont->Code->run(std::move(Args), /*CurEnv=*/nullptr,
                              ParentEnv);
   } catch (...) {
-    continuationDepths().pop_back();
+    C.ContinuationDepths.pop_back();
     throw;
   }
-  continuationDepths().pop_back();
+  C.ContinuationDepths.pop_back();
 
   // The continuation completed the innermost frame only; resume the
   // synthesized frames of the inlined callers in the baseline so the
   // activation yields the outermost caller's value.
   if (!Meta.Callers.empty()) {
-    ++stats().DeoptlessInlineDispatches;
+    ++S.DeoptlessInlineDispatches;
     Result = resumeInlinedCallers(F, Slots, Meta, /*CurEnv=*/nullptr,
                                   ParentEnv, std::move(Result));
   }

@@ -89,7 +89,6 @@ struct ContinuationCompile {
   OptOptions Opts;
   bool FeedbackCleanup = true; ///< the §4.3 cleanup pass (ablation toggle)
   CompilerPool *Pool = nullptr; ///< background mode when set
-  const void *Owner = nullptr;  ///< the requesting Vm (compile-queue key)
 };
 
 /// The function whose continuation table a failing guard dispatches over:

@@ -6,10 +6,9 @@
 
 #include "osr/osrin.h"
 #include "lowcode/lower.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/pipeline.h"
-#include "support/stats.h"
+#include "runtime/context.h"
 #include "support/timer.h"
 
 using namespace rjit;
@@ -62,9 +61,10 @@ rjit::compileOsrInCode(Function *Fn, const EntryState &Entry,
     return nullptr;
   std::unique_ptr<ExecutableCode> Code =
       prepareExecutable(Opts.Backend, lowerToLow(*Ir));
-  ++stats().OsrInCompilations;
+  ExecContext &Requester = contextOr(Opts.Ctx);
+  ++Requester.Stats.OsrInCompilations;
   uint64_t Dur = nowNanos() - T0;
-  obs::metrics().CompileLatency.record(Dur);
+  Requester.Metrics.CompileLatency.record(Dur);
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::CompileFinish, Dur,
                     static_cast<uint64_t>(Entry.Pc), obs::CompileKindOsr);

@@ -57,13 +57,6 @@ const Value *Env::findLocal(Symbol S) const {
   return nullptr;
 }
 
-Value *Env::findRecursive(Symbol S) {
-  for (Env *E = this; E; E = E->Parent)
-    if (Value *V = E->findLocal(S))
-      return V;
-  return nullptr;
-}
-
 void Env::set(Symbol S, Value V) {
   if (Value *Slot = findLocal(S)) {
     *Slot = std::move(V);

@@ -41,9 +41,6 @@ public:
   Value *findLocal(Symbol S);
   const Value *findLocal(Symbol S) const;
 
-  /// Returns the nearest binding slot through the parent chain, or null.
-  Value *findRecursive(Symbol S);
-
   /// Defines or overwrites the local binding (R's <-).
   void set(Symbol S, Value V);
 

@@ -1,23 +1,19 @@
 //===- gcheap.cpp - Cycle collector over refcounted runtime values --------===//
 
 #include "runtime/gcheap.h"
+#include "runtime/context.h"
 #include "runtime/value.h"
 
 #include <cassert>
 
 using namespace rjit;
 
-GcHeap *&rjit::activeGcHeap() {
-  static thread_local GcHeap *Active = nullptr;
-  return Active;
-}
-
 //===----------------------------------------------------------------------===//
 // GcObject registry hooks (declared in value.h)
 //===----------------------------------------------------------------------===//
 
 void GcObject::enrollGc() {
-  if (GcHeap *H = activeGcHeap())
+  if (GcHeap *H = currentContext().heap())
     H->add(this);
 }
 

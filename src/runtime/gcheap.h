@@ -11,11 +11,12 @@
 //  - Only the types that can hold counted references to other GcObjects
 //    (Env, ClosObj, ListObj) register themselves; scalar vectors and strings
 //    cannot participate in a cycle and stay pure-refcount.
-//  - Registration is keyed off a thread-local active heap (installed by the
-//    owning Vm's constructor, mirroring activeRetireEpochs). Compiler threads
-//    never install a heap, so anything they allocate is unregistered — the
-//    pinning rule for compiler-held code constants falls out for free: a
-//    reference from an unregistered holder is by definition external.
+//  - Registration goes to the heap of the thread's execution context
+//    (runtime/context.h; the owning Vm installs its context). Compiler
+//    threads run in the process default context, which has no heap, so
+//    anything they allocate is unregistered — the pinning rule for
+//    compiler-held code constants falls out for free: a reference from an
+//    unregistered holder is by definition external.
 //  - collect() derives the root set instead of enumerating VM structures:
 //    for each registered object, ExternalRefs = RefCount minus the number of
 //    references to it from *other registered objects* (counted via gcTrace).
@@ -90,12 +91,6 @@ private:
   std::vector<GcObject *> Objects;
   uint64_t BytesSinceCollect = 0;
 };
-
-/// The calling thread's active heap (nullptr when no Vm owns this thread —
-/// compiler threads, tests that build values directly). Installed by the Vm
-/// constructor, cleared by its destructor; same pattern as
-/// activeRetireEpochs().
-GcHeap *&activeGcHeap();
 
 } // namespace rjit
 

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/value.h"
+#include "runtime/context.h"
 #include "runtime/env.h"
-#include "runtime/gcheap.h"
 #include "support/stats.h"
 
 #include <cmath>
@@ -113,10 +113,9 @@ void GcObject::trackAlloc(uint64_t Bytes) {
   ++TheHeapStats.Allocations;
   TheHeapStats.PeakBytes.recordMax(TheHeapStats.LiveBytes);
   // Allocation-pressure trigger for the owning Vm's cycle collector (no-op
-  // on threads without an active heap, i.e. compiler threads).
-  if (GcHeap *H = activeGcHeap())
+  // on threads without a heap, i.e. compiler threads).
+  if (GcHeap *H = currentContext().heap())
     H->noteAllocated(Bytes);
-  stats().HeapLiveBytes.setLevel(TheHeapStats.LiveBytes.load());
 }
 
 void GcObject::retrackAlloc(uint64_t Bytes) {
@@ -127,20 +126,18 @@ void GcObject::retrackAlloc(uint64_t Bytes) {
     TheHeapStats.LiveBytes += Delta;
     TheHeapStats.TotalAllocated += Delta;
     TheHeapStats.PeakBytes.recordMax(TheHeapStats.LiveBytes);
-    if (GcHeap *H = activeGcHeap())
+    if (GcHeap *H = currentContext().heap())
       H->noteAllocated(Delta);
   } else {
     TheHeapStats.LiveBytes -= TrackedBytes - Bytes;
   }
   TrackedBytes = Bytes;
-  stats().HeapLiveBytes.setLevel(TheHeapStats.LiveBytes.load());
 }
 
 void GcObject::trackFree() {
   assert(TheHeapStats.LiveBytes >= TrackedBytes && "heap accounting skew");
   TheHeapStats.LiveBytes -= TrackedBytes;
   TrackedBytes = 0;
-  stats().HeapLiveBytes.setLevel(TheHeapStats.LiveBytes.load());
 }
 
 //===----------------------------------------------------------------------===//

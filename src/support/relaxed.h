@@ -85,14 +85,10 @@ private:
 /// A level gauge with typed add/sub semantics and a high-water mark —
 /// what GraveyardSize and CompileQueueDepth actually are, as opposed to
 /// the monotone event counters above. sub() clamps at zero instead of
-/// wrapping: phase resets (resetStats) can zero a gauge while the
-/// underlying population still drains, and a diagnostic must saturate,
-/// not report ~2^64. Owners that know the true population (the Vm owns
-/// its graveyard) should prefer setLevel() over add/sub deltas: a delta
-/// applied to a gauge a phase reset zeroed under-reports both the level
-/// and the high-water forever after, while a re-synced level self-heals
-/// at the next touch. Copyable like RelaxedCounter so stats structs keep
-/// value semantics; all accesses are relaxed atomics.
+/// wrapping: a diagnostic must saturate, not report ~2^64. Owners that
+/// know the true population (the Vm owns its graveyard) set it with
+/// setLevel() instead of applying deltas. Copyable like RelaxedCounter so
+/// stats structs keep value semantics; all accesses are relaxed atomics.
 class RelaxedGauge {
 public:
   RelaxedGauge() = default;

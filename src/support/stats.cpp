@@ -17,13 +17,9 @@ VmStats VmStats::operator-(const VmStats &O) const {
 
 VmStats &VmStats::operator+=(const VmStats &O) {
 #define VM_COUNTER(Member, Name) Member += O.Member;
-#define VM_GAUGE(Member, Name) Member = O.Member;
+#define VM_GAUGE(Member, Name)                                                 \
+  Member.setLevel(O.Member.highWater());                                       \
+  Member.setLevel(O.Member.value());
 #include "support/stats.def"
   return *this;
 }
-
-static VmStats GlobalStats;
-
-VmStats &rjit::stats() { return GlobalStats; }
-
-void rjit::resetStats() { GlobalStats = VmStats(); }

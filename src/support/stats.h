@@ -5,16 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Global event counters mirroring the instrumentation the paper relies on:
+/// Event counters mirroring the instrumentation the paper relies on:
 /// deoptimization events, deoptless dispatches and compiles, OSR-ins,
-/// optimizing compilations, and heap high-water marks. The benchmark
-/// harnesses read and reset these between phases.
+/// optimizing compilations. Each Vm has its own set in its execution
+/// context (runtime/context.h); the benchmark harnesses diff snapshots of
+/// it to measure a window.
 ///
-/// All counters are relaxed atomics (support/relaxed.h): the moment a
-/// compiler thread or a second executor exists, the bench harness reading
-/// a plain uint64_t while another thread increments it is a data race.
-/// The counters carry no synchronization duty, so relaxed ordering is all
-/// they need.
+/// All counters are relaxed atomics (support/relaxed.h): compiler threads
+/// charge their compiles to the requesting Vm's counters while its
+/// executor increments others and a harness reads them. The counters
+/// carry no synchronization duty, so relaxed ordering is all they need.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,16 +40,15 @@ struct VmStats {
   /// difference of levels would be meaningless.
   VmStats operator-(const VmStats &O) const;
 
-  /// Adds \p O's counters; gauges take \p O's level and high-water (\p O
-  /// is the later snapshot).
+  /// Adds \p O's counters; gauges take \p O's level (\p O is the later
+  /// snapshot, or another Vm's) and the higher of the two high-waters.
   VmStats &operator+=(const VmStats &O);
 };
 
-/// Process-wide statistics instance.
+/// The counters of the calling thread's Vm (its execution context's);
+/// the process default context's on a thread without one. Read them while
+/// the Vm lives.
 VmStats &stats();
-
-/// Resets all counters to zero.
-void resetStats();
 
 } // namespace rjit
 

@@ -13,12 +13,10 @@
 #include "lowcode/exec.h"
 #include "lowcode/lower.h"
 #include "native/native.h"
-#include "obs/metrics.h"
 #include "opt/pipeline.h"
 #include "osr/deopt.h"
 #include "osr/osrin.h"
 #include "runtime/builtins.h"
-#include "support/stats.h"
 
 #include <algorithm>
 #include <chrono>
@@ -39,15 +37,24 @@ bool rjit::nativeTierDefault() {
 
 namespace {
 
-// Thread-local: one Vm is active per *executor thread* (hooks are
-// per-thread); independent executors may each drive their own Vm.
-thread_local Vm *CurrentVm = nullptr;
-
 /// RAII for the closure-call depth the deoptless recursion check uses.
 struct DepthGuard {
-  DepthGuard() { ++lowHooks().CallDepth; }
-  ~DepthGuard() { --lowHooks().CallDepth; }
+  explicit DepthGuard(ExecContext &C) : C(C) { ++C.CallDepth; }
+  ~DepthGuard() { --C.CallDepth; }
+  ExecContext &C;
 };
+
+/// Runs the dispatched version \p Code of \p Clos: elided code takes the
+/// arguments in its slots; FullEnv code gets the environment the baseline
+/// would build.
+Value runVersion(ClosObj *Clos, ExecutableCode &Code,
+                 std::vector<Value> &&Args) {
+  if (Code.low().Conv == CallConv::FullElided)
+    return Code.run(std::move(Args), /*CurEnv=*/nullptr, Clos->Enclosing);
+  Value Hold;
+  return Code.run({}, bindCallEnv(Clos, std::move(Args), Hold),
+                  Clos->Enclosing);
+}
 
 } // namespace
 
@@ -57,17 +64,18 @@ InlineOptions Vm::Config::inlineView() const {
   return I;
 }
 
-OptOptions Vm::optView() const {
+OptOptions Vm::optView() {
   OptOptions O;
   O.Speculate = Cfg.Speculate;
   O.Inline = Cfg.inlineView();
   O.Loop = Cfg.LoopOpts;
   O.VerifyEachPass = Cfg.VerifyBetweenPasses;
   O.Backend = ActiveBackend;
+  O.Ctx = &Ctx;
   return O;
 }
 
-VersionCompileOpts Vm::versionView() const {
+VersionCompileOpts Vm::versionView() {
   return {optView(), Cfg.ContextDispatch};
 }
 
@@ -79,7 +87,8 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
   V->dispatchBoundary();
   Function *Fn = Clos->Fn;
   ++Fn->CallCount;
-  DepthGuard Depth;
+  DepthGuard Depth(V->context());
+  VmStats &S = V->context().Stats;
 
   if (V->Cfg.Strategy == TierStrategy::BaselineOnly)
     return callClosureBaseline(Clos, std::move(Args));
@@ -107,11 +116,11 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
         V->toGraveyard(Ver->retire());
       }
       if (V->Cfg.BackgroundCompile)
-        requestVersionCompile(*V->ActivePool, V, Fn, Ver->Ctx,
-                              &TS.Versions, V->versionView());
+        requestVersionCompile(*V->ActivePool, Fn, Ver->Ctx, &TS.Versions,
+                              V->versionView());
       else
         V->compileVersion(Fn, Ver->Ctx);
-      ++stats().Reoptimizations;
+      ++S.Reoptimizations;
     }
     return R;
   }
@@ -121,9 +130,9 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
       // Request and keep going in the baseline: the warmup pause of a
       // synchronous compile becomes one more profiled baseline execution.
       // The version appears to a later call via atomic publication.
-      if (requestVersionCompile(*V->ActivePool, V, Fn, Ctx, &TS.Versions,
+      if (requestVersionCompile(*V->ActivePool, Fn, Ctx, &TS.Versions,
                                 V->versionView()))
-        ++stats().WarmupPausesAvoided;
+        ++S.WarmupPausesAvoided;
       Ver = TS.Versions.dispatch(Ctx); // racing publication may be done
     } else {
       Ver = V->compileVersion(Fn, Ctx);
@@ -138,41 +147,20 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
   ExecutableCode *Code = Ver ? Ver->code() : nullptr;
   if (!Code) {
     if (CtxDispatch && !Ctx.isGeneric() && TS.Versions.size() > 0)
-      ++stats().CtxDispatchMisses;
+      ++S.CtxDispatchMisses;
     return callClosureBaseline(Clos, std::move(Args));
   }
 
   ++Ver->Hits;
   if (CtxDispatch) {
     if (!Ver->Ctx.isGeneric())
-      ++stats().CtxDispatchHits;
+      ++S.CtxDispatchHits;
     else if (!Ctx.isGeneric())
-      ++stats().CtxDispatchMisses;
+      ++S.CtxDispatchMisses;
   }
 
-  const LowFunction &Low = Code->low();
-  if (Args.size() != Fn->Params.size())
-    rerror("call to '" + symbolName(Fn->Name) + "': expected " +
-           std::to_string(Fn->Params.size()) + " arguments, got " +
-           std::to_string(Args.size()));
-
-  if (Low.Conv == CallConv::FullElided)
-    return Code->run(std::move(Args), /*CurEnv=*/nullptr, Clos->Enclosing);
-
-  // FullEnv: build the environment like the baseline would.
-  Env *E = new Env(Clos->Enclosing);
-  E->retain();
-  for (size_t K = 0; K < Args.size(); ++K)
-    E->set(Fn->Params[K], std::move(Args[K]));
-  Value Result;
-  try {
-    Result = Code->run({}, E, Clos->Enclosing);
-  } catch (...) {
-    E->release();
-    throw;
-  }
-  E->release();
-  return Result;
+  checkArity(Fn, Args.size());
+  return runVersion(Clos, *Code, std::move(Args));
 }
 
 Value vmLinkedCall(ClosObj *Clos, FnVersion *Ver, ExecutableCode *Code,
@@ -186,33 +174,16 @@ Value vmLinkedCall(ClosObj *Clos, FnVersion *Ver, ExecutableCode *Code,
   // table lookup, context computation, threshold logic — would have been
   // inert and selected exactly Ver/Code, so transcripts are identical.
   V->dispatchBoundary();
-  Function *Fn = Clos->Fn;
-  ++Fn->CallCount;
-  DepthGuard Depth;
+  ++Clos->Fn->CallCount;
+  DepthGuard Depth(V->context());
   ++Ver->Hits;
-  ++stats().NativeLinkedTransfers;
-
-  if (Code->low().Conv == CallConv::FullElided)
-    return Code->run(std::move(Args), /*CurEnv=*/nullptr, Clos->Enclosing);
-
-  Env *E = new Env(Clos->Enclosing);
-  E->retain();
-  for (size_t K = 0; K < Args.size(); ++K)
-    E->set(Fn->Params[K], std::move(Args[K]));
-  Value Result;
-  try {
-    Result = Code->run({}, E, Clos->Enclosing);
-  } catch (...) {
-    E->release();
-    throw;
-  }
-  E->release();
-  return Result;
+  ++V->context().Stats.NativeLinkedTransfers;
+  return runVersion(Clos, *Code, std::move(Args));
 }
 
-/// The Vm's guard-failure handler (lowHooks().Deopt), paper Listing 6:
-/// try deoptless first, then apply the strategy's retire policy, then
-/// resume the baseline interpreter.
+/// The Vm's guard-failure handler (its context's LowHooks::Deopt), paper
+/// Listing 6: try deoptless first, then apply the strategy's retire
+/// policy, then resume the baseline interpreter.
 Value vmDeoptHandler(const LowFunction &F, const SlotView &Slots,
                      int32_t MetaIdx, Env *CurEnv, Env *ParentEnv,
                      bool Injected) {
@@ -223,14 +194,13 @@ Value vmDeoptHandler(const LowFunction &F, const SlotView &Slots,
   if (Deoptless && CurEnv) {
     // A leaked/materialized environment (CurEnv) is never handled
     // deoptless (paper §4.3).
-    ++stats().DeoptlessSkipEnv;
+    ++V->context().Stats.DeoptlessSkipEnv;
   } else if (Deoptless) {
     TierState &Owner = V->stateFor(continuationOwner(F, Meta));
     Value Result;
     if (tryDeoptless(F, Slots, Meta, ParentEnv, Injected,
                      Owner.Continuations,
-                     {V->optView(), V->Cfg.FeedbackCleanup,
-                      V->ActivePool, V},
+                     {V->optView(), V->Cfg.FeedbackCleanup, V->ActivePool},
                      Result))
       return Result;
   }
@@ -282,27 +252,17 @@ bool vmBackgroundOsrInHook(Function *Fn, Env *E, std::vector<Value> &Stack,
     Result = enterOsrContinuation(*Hit.Code, Entry, E, Stack);
     return true;
   }
-  if (requestOsrCompile(*V->pool(), V, Fn, Entry, &TS.Osr,
-                        V->optView()))
-    ++stats().WarmupPausesAvoided;
+  if (requestOsrCompile(*V->pool(), Fn, Entry, &TS.Osr, V->optView()))
+    ++V->context().Stats.WarmupPausesAvoided;
   return false;
 }
 
 } // namespace rjit
 
-Vm::Vm(Config C) : Cfg(C), Executor(std::this_thread::get_id()) {
-  assert(!CurrentVm && "only one Vm may be active at a time");
-  CurrentVm = this;
-  // This executor thread's retire-epoch tracker: every ExecutableCode
-  // activation pins it (CodeActivation), and the graveyard safepoint
-  // consults it to decide which retired code is drained.
-  activeRetireEpochs() = &Epochs;
-  // And its cycle-collector registry: from here on, every Env/ClosObj/
-  // ListObj built on this thread enrolls (the global env included).
-  // Compiler threads never install one — their allocations stay
-  // unregistered, so references from code constants they hold pin the
-  // referents as roots automatically.
-  activeGcHeap() = &Heap;
+Vm::Vm(Config C) : Cfg(C), Ctx(this), Installed(Ctx) {
+  // The context is installed: from here on every Env/ClosObj/ListObj
+  // built on this thread enrolls in its heap (the global env included),
+  // and every code activation pins its retire epochs.
   if (Cfg.Trace.Enabled)
     obs::traceBegin(Cfg.Trace.BufferCapacity);
 
@@ -315,7 +275,7 @@ Vm::Vm(Config C) : Cfg(C), Executor(std::this_thread::get_id()) {
   // hosts keep the interpreter); the threaded interpreter as the portable
   // fallback.
   if (Cfg.NativeTier)
-    OwnBackend = makeNativeBackend(Cfg.NativeV2);
+    OwnBackend = makeNativeBackend(Cfg.NativeV2, &Ctx);
   ActiveBackend = OwnBackend ? OwnBackend.get() : &interpBackend();
 
   if (Cfg.BackgroundCompile) {
@@ -326,32 +286,26 @@ Vm::Vm(Config C) : Cfg(C), Executor(std::this_thread::get_id()) {
     }
   }
 
-  resetStats();
-  obs::resetMetrics();
-  interpHooks().CallClosure = vmDispatchCall;
+  Ctx.Interp.CallClosure = vmDispatchCall;
   // BaselineOnly is the reference semantics: no optimized code, OSR-in
   // included. A zero threshold turns OSR-in off; without a hook the
   // interpreter's backedge never divides by it.
   if (Cfg.Strategy != TierStrategy::BaselineOnly && Cfg.OsrThreshold)
-    interpHooks().OsrIn =
+    Ctx.Interp.OsrIn =
         Cfg.BackgroundCompile ? vmBackgroundOsrInHook : vmOsrInHook;
-  else
-    interpHooks().OsrIn = nullptr;
-  interpHooks().OsrThreshold = Cfg.OsrThreshold;
+  Ctx.Interp.OsrThreshold = Cfg.OsrThreshold;
 
-  lowHooks().Deopt = vmDeoptHandler;
-  lowHooks().InvalidationRate = Cfg.InvalidationRate;
-  lowHooks().TestRng.reseed(Cfg.InvalidationSeed);
-  lowHooks().rearmInvalidation();
-  lowHooks().CallDepth = 0;
+  Ctx.Low.Deopt = vmDeoptHandler;
+  Ctx.Low.InvalidationRate = Cfg.InvalidationRate;
+  Ctx.Low.TestRng.reseed(Cfg.InvalidationSeed);
+  Ctx.Low.rearmInvalidation();
 }
 
 Vm::~Vm() {
   // In-flight compile jobs hold pointers into this Vm's tier states,
-  // continuation tables and functions: the barrier must come first.
+  // continuation tables, functions and context: the barrier must come
+  // first.
   drainCompiles();
-  interpHooks() = InterpHooks();
-  lowHooks() = LowHooks();
   // Tier states hold executables that point into the native code arena:
   // drop them (versions, continuations, OSR caches) while it still exists.
   States.clear();
@@ -371,26 +325,21 @@ Vm::~Vm() {
   // holds); orphan them so plain refcounting carries them safely past the
   // registry's lifetime.
   collectHeap();
-  Heap.orphanAll();
-  if (activeGcHeap() == &Heap)
-    activeGcHeap() = nullptr;
-  if (activeRetireEpochs() == &Epochs)
-    activeRetireEpochs() = nullptr;
-  CurrentVm = nullptr;
+  Ctx.heap()->orphanAll();
   if (Cfg.Trace.Enabled)
     obs::traceEnd();
 }
 
 uint64_t Vm::collectHeap() {
   auto Start = std::chrono::steady_clock::now();
-  GcHeap::CollectStats R = Heap.collect();
+  GcHeap::CollectStats R = Ctx.heap()->collect();
   uint64_t PauseNs = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - Start)
           .count());
-  ++stats().GcCollections;
-  stats().GcFreedBytes += R.FreedBytes;
-  obs::metrics().GcPause.record(PauseNs);
+  ++Ctx.Stats.GcCollections;
+  Ctx.Stats.GcFreedBytes += R.FreedBytes;
+  Ctx.Metrics.GcPause.record(PauseNs);
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::GcCollect, PauseNs, R.FreedBytes,
                     R.Collected);
@@ -410,11 +359,8 @@ void Vm::toGraveyard(std::unique_ptr<ExecutableCode> Code) {
   // Retires only happen on the executor thread (deopt handler, reopt
   // sampling — both run inside dispatch), so stamping and the later
   // epoch comparison are unsynchronized by design.
-  Graveyard.push_back({std::move(Code), Epochs.stampRetire()});
-  // Re-sync the gauge to the owner-tracked level (not add()): a mid-run
-  // resetStats() zeroed it while the graveyard was populated, and a delta
-  // would under-report level and high-water from then on.
-  stats().GraveyardSize.setLevel(Graveyard.size());
+  Graveyard.push_back({std::move(Code), Ctx.epochs()->stampRetire()});
+  Ctx.Stats.GraveyardSize.setLevel(Graveyard.size());
 }
 
 void Vm::reclaimGraveyard(bool IgnoreEpochs) {
@@ -426,7 +372,8 @@ void Vm::reclaimGraveyard(bool IgnoreEpochs) {
   // activation is still executing, and that entry must survive until the
   // outer frame unwinds.) Epochs are monotone, so the graveyard is sorted
   // and reclaim is a prefix erase.
-  const uint64_t MinLive = IgnoreEpochs ? UINT64_MAX : Epochs.minLiveEntry();
+  const uint64_t MinLive =
+      IgnoreEpochs ? UINT64_MAX : Ctx.epochs()->minLiveEntry();
   size_t N = 0;
   while (N < Graveyard.size() && Graveyard[N].RetireEpoch < MinLive)
     ++N;
@@ -439,15 +386,15 @@ void Vm::reclaimGraveyard(bool IgnoreEpochs) {
   // tier's destructor returns the per-function W^X mapping to the OS.
   Graveyard.erase(Graveyard.begin(),
                   Graveyard.begin() + static_cast<ptrdiff_t>(N));
-  stats().GraveyardSize.setLevel(Graveyard.size());
+  Ctx.Stats.GraveyardSize.setLevel(Graveyard.size());
 }
 
 void Vm::drainCompiles() {
   if (ActivePool)
-    ActivePool->drain(this);
+    ActivePool->drain(&Ctx);
 }
 
-Vm *Vm::current() { return CurrentVm; }
+Vm *Vm::current() { return currentContext().Owner; }
 
 void Vm::dispatchBoundary() {
   // Graveyard/heap safepoint: the dispatch boundary, *before* this call
@@ -463,12 +410,12 @@ void Vm::dispatchBoundary() {
   // executor, never cross-thread.
   if (PendingInjected.load() > 0) {
     PendingInjected -= 1;
-    lowHooks().InvalidationCountdown = 1;
+    Ctx.Low.InvalidationCountdown = 1;
   }
 }
 
 TierState &Vm::stateFor(Function *Fn) {
-  assert(std::this_thread::get_id() == Executor &&
+  assert(current() == this &&
          "tier state is looked up only by the executor that built the Vm");
   std::unique_ptr<TierState> &S = States[Fn];
   if (!S)

@@ -19,9 +19,10 @@
 ///    functions are periodically sampled in the baseline to refresh type
 ///    feedback, and recompiled when the profile changed.
 ///
-/// One Vm is active per *executor thread* at a time (hooks are
-/// thread-local); independent threads may each drive their own Vm, and a
-/// CompilerPool may be shared between them. With
+/// One Vm is active per *executor thread* at a time: the Vm installs its
+/// execution context (runtime/context.h) on the thread that builds it;
+/// independent threads may each drive their own Vm, and a CompilerPool
+/// may be shared between them. With
 /// Config::BackgroundCompile, compile requests (whole-function, OSR-in,
 /// deoptless continuations) are enqueued to the pool instead of pausing
 /// the executor; versions appear via atomic publication and the executor
@@ -41,12 +42,11 @@
 #include "native/native.h"
 #include "obs/trace.h"
 #include "osr/deoptless.h"
+#include "runtime/context.h"
 #include "runtime/env.h"
-#include "runtime/gcheap.h"
 
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 namespace rjit {
@@ -263,10 +263,10 @@ public:
   /// The optimizer view: the OptOptions every compile entry point
   /// (versions, OSR-in, deoptless continuations) runs under, preparing
   /// code for backend().
-  OptOptions optView() const;
+  OptOptions optView();
 
   /// The version-compile view (knob copies compile jobs carry).
-  VersionCompileOpts versionView() const;
+  VersionCompileOpts versionView();
 
   /// Barrier: waits until every compile request this Vm enqueued has been
   /// compiled and published (with a 0-thread pool, runs them inline).
@@ -294,8 +294,12 @@ public:
   /// Returns the number of unreachable cycle members freed.
   uint64_t collectHeap();
 
-  /// The active Vm of the calling thread (hooks are thread-local).
+  /// The active Vm of the calling thread: its installed context's owner.
   static Vm *current();
+
+  /// This Vm's execution context. Other threads may read its relaxed
+  /// Stats and Metrics while the Vm lives (the server harness does).
+  ExecContext &context() { return Ctx; }
 
   /// The per-dispatch boundary work every closure call performs exactly
   /// once, whether it arrives through full VM dispatch or a direct-linked
@@ -312,6 +316,10 @@ private:
                               int32_t, Env *, Env *, bool);
 
   Config Cfg;
+  /// Installed on the building thread for the Vm's lifetime: every later
+  /// member is built and destroyed with it installed.
+  ExecContext Ctx;
+  ContextScope Installed;
   Env *Global;
   std::vector<std::unique_ptr<Module>> Modules;
   /// The native backend when NativeTier is on and supported (owns the
@@ -327,7 +335,6 @@ private:
   /// stay valid because each state is heap-allocated and lives until
   /// teardown.
   std::unordered_map<Function *, std::unique_ptr<TierState>> States;
-  std::thread::id Executor; ///< the thread that built the Vm
   std::unique_ptr<CompilerPool> OwnPool;
   CompilerPool *ActivePool = nullptr;
   /// Retired optimized code awaiting reclamation: activations of a
@@ -336,30 +343,20 @@ private:
   /// version can survive arbitrarily many further dispatches), so each
   /// entry is stamped with its retire epoch and freed by the dispatch-
   /// boundary safepoint once every activation that could reference it has
-  /// unwound — see RetireEpochs in exec/backend.h. Teardown reclaims
+  /// unwound — see RetireEpochs in runtime/context.h. Teardown reclaims
   /// whatever remains. Touched only by the owning executor thread; epochs
   /// are monotone, so the vector stays sorted and reclaim is a prefix
-  /// erase. Population is mirrored in the GraveyardSize stats gauge
-  /// (level re-synced on every retire/reclaim) so tests can observe the
+  /// erase. Population is mirrored in the GraveyardSize stats gauge (its
+  /// level set on every retire/reclaim) so tests can observe the
   /// retire/reclaim lifecycle.
   struct GraveEntry {
     std::unique_ptr<ExecutableCode> Code;
     uint64_t RetireEpoch;
   };
   std::vector<GraveEntry> Graveyard;
-  /// This executor's retire-epoch clock/activation tracker; installed
-  /// thread-locally (activeRetireEpochs) for the Vm's lifetime.
-  RetireEpochs Epochs;
-  /// The cycle-capable value registry (Env/ClosObj/ListObj allocated on
-  /// this executor thread); installed thread-locally (activeGcHeap) for
-  /// the Vm's lifetime, swept by the dispatch-boundary safepoint. Only
-  /// ever touched from the owning executor thread — compiler threads
-  /// never install a heap, which is exactly the pinning rule for
-  /// compiler-held code constants.
-  GcHeap Heap;
   /// Cross-thread injected-invalidation requests (injectInvalidation):
   /// any thread adds, only the owning executor consumes — one per
-  /// dispatch, by arming lowHooks().InvalidationCountdown, which stays
+  /// dispatch, by arming its context's InvalidationCountdown, which stays
   /// executor-local (the native tier's emitted countdown check is a
   /// plain load and must never be written from another thread).
   RelaxedCounter PendingInjected;
@@ -387,7 +384,8 @@ private:
   void safepoint() {
     if (!Graveyard.empty() && Cfg.ReclaimAtSafepoints)
       reclaimGraveyard(false);
-    if (Cfg.HeapGc.Enabled && Heap.shouldCollect(Cfg.HeapGc.ThresholdBytes))
+    if (Cfg.HeapGc.Enabled &&
+        Ctx.heap()->shouldCollect(Cfg.HeapGc.ThresholdBytes))
       collectHeap();
   }
 };

@@ -23,11 +23,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+
 using namespace rjit;
 
 namespace {
 
-CompileJob noopJob(const void *Owner, const void *Fn, uint64_t Detail) {
+CompileJob noopJob(ExecContext *Owner, const void *Fn, uint64_t Detail) {
   return CompileJob{CompileKey{Owner, Fn, CompileKind::Function, Detail},
                     [] {}};
 }
@@ -54,7 +58,8 @@ Vm::Config backgroundCfg(unsigned Threads = 0) {
 
 TEST(CompileQueue, DedupsIdenticalPendingRequests) {
   CompileQueue Q(8);
-  int Owner, Fn;
+  ExecContext Owner;
+  int Fn;
   EXPECT_EQ(Q.push(noopJob(&Owner, &Fn, 7)), CompileQueue::Push::Enqueued);
   EXPECT_EQ(Q.push(noopJob(&Owner, &Fn, 7)), CompileQueue::Push::Duplicate);
   // A different detail (context) is a different request.
@@ -64,7 +69,8 @@ TEST(CompileQueue, DedupsIdenticalPendingRequests) {
 
 TEST(CompileQueue, DedupWindowSpansRunningJobs) {
   CompileQueue Q(8);
-  int Owner, Fn;
+  ExecContext Owner;
+  int Fn;
   ASSERT_EQ(Q.push(noopJob(&Owner, &Fn, 1)), CompileQueue::Push::Enqueued);
   CompileJob J;
   ASSERT_TRUE(Q.tryPop(J));
@@ -80,7 +86,8 @@ TEST(CompileQueue, DedupWindowSpansRunningJobs) {
 
 TEST(CompileQueue, FullQueueExertsBackpressure) {
   CompileQueue Q(2);
-  int Owner, Fn;
+  ExecContext Owner;
+  int Fn;
   EXPECT_EQ(Q.push(noopJob(&Owner, &Fn, 1)), CompileQueue::Push::Enqueued);
   EXPECT_EQ(Q.push(noopJob(&Owner, &Fn, 2)), CompileQueue::Push::Enqueued);
   EXPECT_EQ(Q.push(noopJob(&Owner, &Fn, 3)), CompileQueue::Push::Full)
@@ -94,7 +101,8 @@ TEST(CompileQueue, FullQueueExertsBackpressure) {
 
 TEST(CompileQueue, OwnerScopedIdleBarrier) {
   CompileQueue Q(8);
-  int OwnerA, OwnerB, Fn;
+  ExecContext OwnerA, OwnerB;
+  int Fn;
   ASSERT_EQ(Q.push(noopJob(&OwnerA, &Fn, 1)), CompileQueue::Push::Enqueued);
   // B has nothing in flight: its barrier returns immediately even though
   // A's request is queued.
@@ -185,6 +193,57 @@ TEST(BackgroundCompile, PublicationLosingBlacklistRaceDiscardsCode) {
   EXPECT_EQ(stats().Compilations, CompilesBefore)
       << "a discarded publication is not a compilation";
   EXPECT_EQ(V.eval("f(5L)").show(), "6L") << "baseline keeps serving";
+}
+
+TEST(SharedPool, CompilesAreChargedToTheRequestingVm) {
+  // Two executors share one pool and warm different numbers of
+  // functions. The compiler threads charge each compile to the Vm that
+  // asked for it, so each Vm's counters match what its own tables
+  // published. Both Vms exist before either compiles, and both finish
+  // before either reads.
+  CompilerPool Pool(/*Threads=*/2);
+  std::atomic<int> Built{0}, Done{0};
+  auto AwaitAll = [](std::atomic<int> &N) {
+    ++N;
+    while (N.load() < 2)
+      std::this_thread::yield();
+  };
+  struct Counts {
+    uint64_t Compilations = 0, AsyncCompiles = 0, Published = 0;
+  } R[2];
+  auto Client = [&](int Id) {
+    Vm::Config C = backgroundCfg();
+    C.Pool = &Pool;
+    Vm V(C);
+    V.eval("f1 <- function(a) a + 1L\nf2 <- function(a) a + 2L\n"
+           "f3 <- function(a) a + 3L");
+    AwaitAll(Built);
+    const int Fns = Id == 0 ? 1 : 3;
+    for (int F = 1; F <= Fns; ++F)
+      for (int K = 0; K < 4; ++K)
+        V.eval("f" + std::to_string(F) + "(1L)");
+    V.drainCompiles();
+    AwaitAll(Done);
+    R[Id].Compilations = stats().Compilations;
+    R[Id].AsyncCompiles = stats().AsyncCompiles;
+    for (int F = 1; F <= 3; ++F)
+      R[Id].Published +=
+          V.stateFor(functionNamed(V, "f" + std::to_string(F)))
+              .Versions.liveCount();
+  };
+  std::thread A(Client, 0), B(Client, 1);
+  A.join();
+  B.join();
+  EXPECT_EQ(R[0].Published, 1u);
+  EXPECT_EQ(R[1].Published, 3u);
+  for (const Counts &C : R) {
+    EXPECT_EQ(C.Compilations, C.Published);
+    // A request racing a job that is publishing can add one more job,
+    // which finds the version live and publishes nothing.
+    EXPECT_GE(C.AsyncCompiles, C.Published);
+  }
+  EXPECT_LE(R[0].AsyncCompiles, 3u)
+      << "client 0 requests at most once per call past the threshold";
 }
 
 //===----------------------------------------------------------------------===//

@@ -10,8 +10,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "runtime/context.h"
 #include "runtime/env.h"
-#include "runtime/gcheap.h"
 #include "support/interner.h"
 #include "support/stats.h"
 #include "vm/vm.h"
@@ -24,20 +24,17 @@ using namespace rjit;
 
 namespace {
 
-/// Installs a registry for the test's scope (tests run without a Vm, so no
-/// heap is active unless we say so).
+/// Installs an execution context, and so a registry, for the test's scope
+/// (tests run without a Vm, so no heap is active unless we say so).
 class ScopedHeap {
 public:
-  ScopedHeap() : Saved(activeGcHeap()) { activeGcHeap() = &H; }
-  ~ScopedHeap() {
-    H.orphanAll();
-    activeGcHeap() = Saved;
-  }
-  GcHeap &heap() { return H; }
+  ScopedHeap() : Scope(Ctx) {}
+  ~ScopedHeap() { Ctx.heap()->orphanAll(); }
+  GcHeap &heap() { return *Ctx.heap(); }
 
 private:
-  GcHeap H;
-  GcHeap *Saved;
+  ExecContext Ctx;
+  ContextScope Scope;
 };
 
 //===----------------------------------------------------------------------===//
@@ -103,11 +100,6 @@ TEST(GcHeap, ExternallyHeldObjectsSurvive) {
   EXPECT_EQ(S.heap().size(), 2u);
   EXPECT_EQ(S.heap().collect().Collected, 2u);
   EXPECT_EQ(S.heap().size(), 0u);
-}
-
-TEST(GcHeap, LiveBytesGaugeTracksHeapStats) {
-  Value V = Value::realVec(std::vector<double>(64, 1.0));
-  EXPECT_EQ(stats().HeapLiveBytes.value(), heapStats().LiveBytes.load());
 }
 
 //===----------------------------------------------------------------------===//

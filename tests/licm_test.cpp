@@ -339,20 +339,21 @@ TEST(LicmE2E, HoistedInlinedTypeGuardDeoptsBeforeTheLoop) {
   for (bool Inl : {false, true}) {
     Vm V(e2eConfig(TierStrategy::Normal, Inl));
     V.eval(Setup);
-    resetStats();
+    VmStats Start = stats();
     Value R;
     for (int K = 0; K < 4; ++K)
       R = V.eval("use(li, 1L, 10L)"); // warm + compile on Int
     EXPECT_EQ(R.show(), Base);
-    uint64_t Hoisted = stats().HoistedGuards;
+    uint64_t Hoisted = (stats() - Start).HoistedGuards;
     if (Inl)
       EXPECT_GT(Hoisted, 0u)
           << "inlined entry guard on invariant x must hoist";
     // Phase change: the hoisted guard fails at the preheader.
     Value R2 = V.eval("use(lr, 1L, 10L)");
     EXPECT_EQ(R2.show(), BaseR) << "inl=" << Inl;
+    VmStats D = stats() - Start;
     if (Inl && Hoisted > 0)
-      EXPECT_GT(stats().Deopts + stats().DeoptlessAttempts, 0u);
+      EXPECT_GT(D.Deopts + D.DeoptlessAttempts, 0u);
   }
 }
 
@@ -379,20 +380,22 @@ TEST(LicmE2E, HoistedGuardInsideInlinedLoopMaterializesCallerFrames) {
 
   Vm V(e2eConfig(TierStrategy::Normal, /*Inlining=*/true));
   V.eval(Setup);
-  resetStats();
+  VmStats Start = stats();
   Value R;
   for (int K = 0; K < 4; ++K)
     R = V.eval("wrap(inc, 1L, 6L)");
   EXPECT_EQ(R.show(), BaseInc);
-  ASSERT_GT(stats().InlinedCalls, 0u) << "kern must inline into wrap";
-  ASSERT_GT(stats().HoistedGuards, 0u)
+  VmStats D = stats() - Start;
+  ASSERT_GT(D.InlinedCalls, 0u) << "kern must inline into wrap";
+  ASSERT_GT(D.HoistedGuards, 0u)
       << "identity guard in the inlined loop must hoist";
 
   Value R2 = V.eval("wrap(dec, 1L, 6L)");
   EXPECT_EQ(R2.show(), BaseDec);
-  EXPECT_GT(stats().MultiFrameDeopts, 0u)
+  D = stats() - Start;
+  EXPECT_GT(D.MultiFrameDeopts, 0u)
       << "hoisted-guard failure must rebuild the inlined frame chain";
-  EXPECT_GE(stats().InlineFramesMaterialized, 2u);
+  EXPECT_GE(D.InlineFramesMaterialized, 2u);
 }
 
 TEST(LicmE2E, OsrInEntryBlockIsALoopHeader) {
@@ -413,10 +416,11 @@ TEST(LicmE2E, OsrInEntryBlockIsALoopHeader) {
   for (bool Loop : {false, true}) {
     Vm V(e2eConfig(TierStrategy::Normal, /*Inlining=*/true, Loop));
     V.eval(Setup);
-    resetStats();
+    VmStats Start = stats();
     Value R = V.eval("osr(inc, 1L, 3000L)");
     EXPECT_EQ(R.show(), Base) << "loopopts=" << Loop;
-    EXPECT_GT(stats().OsrInEntries, 0u)
+    VmStats D = stats() - Start;
+    EXPECT_GT(D.OsrInEntries, 0u)
         << "the long call must enter via OSR-in (loopopts=" << Loop << ")";
   }
 }

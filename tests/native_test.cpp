@@ -56,14 +56,18 @@ Vm::Config cfg(TierStrategy S, bool Native) {
 }
 
 /// Runs Setup once and Driver \p Reps times under \p C; returns the last
-/// value rendered.
+/// value rendered and, when \p Stats is set, the Vm's counters (read
+/// before the Vm, and its counters, go away).
 std::string runUnder(Vm::Config C, const std::string &Setup,
-                     const std::string &Driver, int Reps = 8) {
+                     const std::string &Driver, int Reps = 8,
+                     VmStats *Stats = nullptr) {
   Vm V(C);
   V.eval(Setup);
   Value R;
   for (int K = 0; K < Reps; ++K)
     R = V.eval(Driver);
+  if (Stats)
+    *Stats = stats();
   return R.show();
 }
 
@@ -122,12 +126,12 @@ TEST(NativeJit, TypedLoopMatchesInterpreter) {
   )";
   std::string Interp =
       runUnder(cfg(TierStrategy::Normal, false), Setup, "f(5000L)");
-  resetStats();
+  VmStats S;
   std::string Native =
-      runUnder(cfg(TierStrategy::Normal, true), Setup, "f(5000L)");
+      runUnder(cfg(TierStrategy::Normal, true), Setup, "f(5000L)", 8, &S);
   EXPECT_EQ(Interp, Native);
-  EXPECT_GT(stats().NativeCompiles, 0u);
-  EXPECT_GT(stats().NativeEnters, 0u) << "the JIT must actually run";
+  EXPECT_GT(S.NativeCompiles, 0u);
+  EXPECT_GT(S.NativeEnters, 0u) << "the JIT must actually run";
 }
 
 TEST(NativeJit, RealCompareBranchesMatchInterpreter) {
@@ -252,10 +256,10 @@ TEST(NativeJit, InjectedInvalidationKeepsResults) {
     // countdown needs density to provably fire.
     C.InvalidationRate = 20;
     C.InvalidationSeed = 99;
-    resetStats();
-    EXPECT_EQ(runUnder(C, Setup, "work(400L)", 20), Base)
+    VmStats Run;
+    EXPECT_EQ(runUnder(C, Setup, "work(400L)", 20, &Run), Base)
         << "strategy " << static_cast<int>(S);
-    EXPECT_GT(stats().InjectedFailures, 0u)
+    EXPECT_GT(Run.InjectedFailures, 0u)
         << "the countdown slow path must have fired in native guards";
   }
 }
@@ -329,10 +333,10 @@ TEST(NativeV2, RegisterAllocationSpillsDeterministically) {
   O.Linking = false;
   std::unique_ptr<ExecBackend> B = makeNativeBackend(O);
   ASSERT_NE(B, nullptr);
-  resetStats();
+  uint64_t SpillsBefore = stats().NativeRegSpills;
   std::unique_ptr<ExecutableCode> X = B->prepare(std::move(F));
   ASSERT_NE(X, nullptr);
-  EXPECT_GT(stats().NativeRegSpills, 0u)
+  EXPECT_GT(stats().NativeRegSpills, SpillsBefore)
       << NumInts << " live int slots must overflow the " << NatGprPoolSize
       << "-register GPR pool";
   EXPECT_EQ(X->run({}, nullptr, nullptr).asIntUnchecked(),
@@ -355,12 +359,12 @@ TEST(NativeV2, TypedReductionMatchesInterpreter) {
   std::string Interp = runUnder(cfg(TierStrategy::Normal, false),
                                 Setup + std::string("v <- as.numeric(1:64)"),
                                 "dot(v, 64L)");
-  resetStats();
+  VmStats S;
   std::string Native = runUnder(v2cfg(TierStrategy::Normal),
                                 Setup + std::string("v <- as.numeric(1:64)"),
-                                "dot(v, 64L)");
+                                "dot(v, 64L)", 8, &S);
   EXPECT_EQ(Interp, Native);
-  EXPECT_GT(stats().NativeCompiles, 0u);
+  EXPECT_GT(S.NativeCompiles, 0u);
 }
 
 TEST(NativeV2, RawFrameStateValuesLeaveRegisterHomes) {
@@ -429,8 +433,9 @@ TEST(NativeV2, RawFrameStateValuesLeaveRegisterHomes) {
       }
       C.InvalidationRate = 7;
       C.InvalidationSeed = 5;
-      EXPECT_EQ(runUnder(C, Setup, "mix(ints)", 12), BaseInts);
-      EXPECT_GT(stats().InjectedFailures, 0u);
+      VmStats Run;
+      EXPECT_EQ(runUnder(C, Setup, "mix(ints)", 12, &Run), BaseInts);
+      EXPECT_GT(Run.InjectedFailures, 0u);
     }
   }
 }

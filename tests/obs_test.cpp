@@ -159,16 +159,24 @@ TEST(LatencyHistogram, DrainUnderConcurrentRecordingLosesNothing) {
   // The per-phase reporting primitive: while 4 threads record a known
   // total, a drainer repeatedly empties the histogram. Every sample must
   // land in exactly one drain (or the final sweep) — the copy-then-reset
-  // alternative loses the samples recorded between its two steps.
+  // alternative loses the samples recorded between its two steps. The
+  // recorders pause halfway until the drainer has taken a non-empty
+  // drain, so at least one drain overlaps recording however the threads
+  // are scheduled.
   obs::LatencyHistogram H;
   constexpr unsigned Threads = 4;
   constexpr uint64_t PerThread = 20000;
   std::atomic<unsigned> Live{Threads};
+  std::atomic<bool> Drained1{false};
   std::vector<std::thread> Ts;
   for (unsigned T = 0; T < Threads; ++T)
     Ts.emplace_back([&] {
-      for (uint64_t V = 1; V <= PerThread; ++V)
+      for (uint64_t V = 1; V <= PerThread; ++V) {
+        if (V == PerThread / 2)
+          while (!Drained1.load())
+            std::this_thread::yield();
         H.record(V % 997 + 1);
+      }
       --Live;
     });
   uint64_t Drained = 0, DrainedSum = 0;
@@ -176,6 +184,8 @@ TEST(LatencyHistogram, DrainUnderConcurrentRecordingLosesNothing) {
     obs::LatencyHistogram D = H.drain();
     Drained += D.count();
     DrainedSum += static_cast<uint64_t>(D.mean() * double(D.count()) + 0.5);
+    if (D.count())
+      Drained1.store(true);
   }
   for (std::thread &T : Ts)
     T.join();
@@ -187,11 +197,12 @@ TEST(LatencyHistogram, DrainUnderConcurrentRecordingLosesNothing) {
   EXPECT_GT(DrainedSum, 0u);
 }
 
-TEST(MetricsRegistry, SnapshotAndResetConservesRegistryHistograms) {
-  // Same conservation property end-to-end through the registry: drains of
-  // the process-wide metrics during concurrent recording plus one final
-  // drain see exactly the recorded total, for every registered histogram.
-  (void)obs::MetricsRegistry::snapshotAndReset(); // discard leftovers
+TEST(VmMetrics, DrainConservesEveryHistogram) {
+  // Same conservation property for a whole VmMetrics: drains during
+  // concurrent recording plus one final drain see exactly the recorded
+  // total, for every histogram. No thread here has a Vm, so all of them
+  // record into the process default context's metrics().
+  (void)obs::metrics().drain(); // discard leftovers
   constexpr unsigned Threads = 4;
   constexpr uint64_t PerThread = 5000;
   std::atomic<unsigned> Live{Threads};
@@ -206,13 +217,13 @@ TEST(MetricsRegistry, SnapshotAndResetConservesRegistryHistograms) {
     });
   uint64_t Iter = 0, Pause = 0;
   while (Live.load() > 0) {
-    obs::VmMetrics M = obs::MetricsRegistry::snapshotAndReset();
+    obs::VmMetrics M = obs::metrics().drain();
     Iter += M.Iteration.count();
     Pause += M.DeoptPause.count();
   }
   for (std::thread &T : Ts)
     T.join();
-  obs::VmMetrics M = obs::MetricsRegistry::snapshotAndReset();
+  obs::VmMetrics M = obs::metrics().drain();
   Iter += M.Iteration.count();
   Pause += M.DeoptPause.count();
   EXPECT_EQ(Iter, Threads * PerThread);
@@ -237,7 +248,8 @@ Vm::Config tracedConfig() {
 /// Warm a vector kernel on ints (compile + publish), switch the element
 /// type to double (deopt), re-warm (reopt), then tear the Vm down
 /// (retire + reclaim).
-void runDeoptCycle() {
+/// Runs a Fig. 1 deopt cycle in a traced Vm; returns the Vm's histograms.
+obs::VmMetrics runDeoptCycle() {
   Vm V(tracedConfig());
   V.eval("f <- function(v, n) { s <- 0\n"
          "  for (i in 1:n) s <- s + v[[i]]\n"
@@ -248,6 +260,7 @@ void runDeoptCycle() {
   V.eval("d <- as.numeric(1:100)");
   for (int K = 0; K < 6; ++K)
     V.eval("r <- f(d, 100L)");
+  return obs::metrics();
 }
 
 /// True for the seven kinds that record a version's transitions with its
@@ -420,7 +433,7 @@ TEST(Lifecycle, FullDeoptCycleOnOneVersionId) {
   obs::traceReset();
   obs::traceEnd();
 
-  runDeoptCycle();
+  obs::VmMetrics M = runDeoptCycle();
 
   // One version id must carry the whole Fig. 1 story: created, compiled,
   // published, deopted, then a *re*-publication after the deopt, and
@@ -481,8 +494,8 @@ TEST(Lifecycle, FullDeoptCycleOnOneVersionId) {
   EXPECT_GT(obs::traceCountOf(obs::TraceEv::Reclaim), 0u);
 
   // And the always-on histograms measured the pauses.
-  EXPECT_GT(obs::metrics().CompileLatency.count(), 0u);
-  EXPECT_GT(obs::metrics().DeoptPause.count(), 0u);
+  EXPECT_GT(M.CompileLatency.count(), 0u);
+  EXPECT_GT(M.DeoptPause.count(), 0u);
 }
 
 TEST(Lifecycle, ReclaimFiresMidRunBeforeTeardown) {

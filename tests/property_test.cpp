@@ -70,8 +70,8 @@ const std::vector<bool> &nativeAxis() {
 
 /// Under Deoptless every true deopt has exactly one counted cause: a
 /// refusal (recursive, materialized environment, builtin redefinition) or
-/// a reject. Checked after synchronous single-Vm runs only, because the
-/// counters are process-global.
+/// a reject. Checked after every run, the concurrent sweep's included:
+/// the counters are the run's own Vm's.
 void expectDeoptCausesAddUp(const Vm::Config &C) {
   if (C.Strategy != TierStrategy::Deoptless)
     return;
@@ -644,10 +644,9 @@ namespace {
 /// concurrent sweep; every shard runs this many).
 constexpr unsigned ConcurrentExecutors = 4;
 
-/// Like runProgram, but without absorbStats(): the process-global stats
-/// are meaningless while sibling executor threads reset and bump them
-/// concurrently, and absorbing that noise into fuzzCoverage could mask a
-/// coverage regression in the synchronous sweep.
+/// Like runProgram, but without absorbStats(): fuzzCoverage measures the
+/// synchronous sweep alone, so the coverage test cannot be satisfied by
+/// the concurrent sweep's runs.
 std::string runProgramPlain(const GenProg &P, Vm::Config C) {
   Vm V(C);
   V.eval(P.Setup);
@@ -674,6 +673,7 @@ std::string runProgramBackground(const GenProg &P, Vm::Config C) {
     Out += V.eval(P.Drivers[K]).show() + "\n";
   }
   V.drainCompiles();
+  expectDeoptCausesAddUp(C);
   return Out;
 }
 

@@ -1,5 +1,6 @@
 //===-- tests/support_test.cpp - Support library unit tests ----------------===//
 
+#include "runtime/context.h"
 #include "support/interner.h"
 #include "support/relaxed.h"
 #include "support/rng.h"
@@ -86,11 +87,32 @@ TEST(Stats, DiffSubtracts) {
   EXPECT_EQ(D.Compilations, 3u);
 }
 
-TEST(Stats, GlobalResets) {
-  stats().Deopts += 5;
-  EXPECT_GE(stats().Deopts, 5u);
-  resetStats();
-  EXPECT_EQ(stats().Deopts, 0u);
+TEST(Stats, SumAddsCountersAndKeepsThePeakGauge) {
+  // Summing two Vms' counters (the server harness's per-phase total):
+  // counters add, a gauge takes the later level and the higher peak.
+  VmStats A, B;
+  A.Deopts = 10;
+  A.GraveyardSize.setLevel(5);
+  A.GraveyardSize.setLevel(1);
+  B.Deopts = 3;
+  B.GraveyardSize.setLevel(2);
+  A += B;
+  EXPECT_EQ(A.Deopts, 13u);
+  EXPECT_EQ(A.GraveyardSize.value(), 2u);
+  EXPECT_EQ(A.GraveyardSize.highWater(), 5u);
+}
+
+TEST(Stats, NameTheCallingThreadsContext) {
+  ExecContext C;
+  {
+    ContextScope Installed(C);
+    EXPECT_EQ(&stats(), &C.Stats);
+    stats().Deopts += 5;
+  }
+  EXPECT_EQ(C.Stats.Deopts, 5u);
+  EXPECT_NE(&stats(), &C.Stats) << "outside the scope: the process default";
+  ExecContext Fresh;
+  EXPECT_EQ(Fresh.Stats.Deopts, 0u) << "a context's counters start at zero";
 }
 
 TEST(Timer, MeasuresSomething) {

@@ -7,8 +7,8 @@
 #include "bc/interp.h"
 #include "lang/parser.h"
 #include "runtime/builtins.h"
+#include "runtime/context.h"
 #include "runtime/env.h"
-#include "runtime/gcheap.h"
 
 #include <gtest/gtest.h>
 
@@ -19,14 +19,14 @@ namespace rjit {
 
 /// A baseline-only evaluation fixture: parses, compiles to bytecode and
 /// interprets in a fresh global environment with builtins installed.
-/// Carries its own cycle-collector registry, exactly like a Vm: programs
-/// that define functions strand Global<->closure reference cycles that
-/// refcounting alone cannot free, and the leak-checked CI jobs run with
-/// no suppressions.
+/// Installs its own execution context, exactly like a Vm: programs that
+/// define functions strand Global<->closure reference cycles that
+/// refcounting alone cannot free, so the context's heap collects them (the
+/// leak-checked CI jobs run with no suppressions), and compiles and runs
+/// count into the context's stats().
 class BaselineSession {
 public:
-  BaselineSession() : Saved(activeGcHeap()) {
-    activeGcHeap() = &Heap;
+  BaselineSession() : Scope(Ctx) {
     Global = new Env(nullptr);
     Global->retain();
     installBuiltins(*Global);
@@ -34,10 +34,8 @@ public:
   ~BaselineSession() {
     Mods.clear();
     Global->release();
-    Heap.collect(); // Global<->closure cycles from evaluated definitions
-    Heap.orphanAll();
-    if (activeGcHeap() == &Heap)
-      activeGcHeap() = Saved;
+    Ctx.heap()->collect(); // Global<->closure cycles from definitions
+    Ctx.heap()->orphanAll();
   }
 
   /// Evaluates \p Source; gtest-fails and returns NULL on front-end errors.
@@ -58,8 +56,8 @@ public:
   Module *lastModule() { return Mods.back().get(); }
 
 private:
-  GcHeap Heap;
-  GcHeap *Saved;
+  ExecContext Ctx;
+  ContextScope Scope;
   Env *Global;
   std::vector<std::unique_ptr<Module>> Mods;
 };

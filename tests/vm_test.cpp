@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <thread>
+#include <vector>
 
 using namespace rjit;
 
@@ -66,15 +67,45 @@ TEST(VmBasic, StateIsolatedBetweenVms) {
   EXPECT_THROW(W.eval("x"), RError);
 }
 
+TEST(VmCounters, AnotherThreadsVmLeavesThisVmsCountersAlone) {
+  // Counters are per Vm: a Vm built and run on another thread in the
+  // middle of this one's run neither zeroes nor adds to this Vm's.
+  Vm V(cfg(TierStrategy::Normal));
+  V.eval(SumProgram);
+  V.eval("ints <- c(1L, 2L, 3L, 4L)");
+  for (int K = 0; K < 10; ++K)
+    V.eval("sum_data(ints)");
+  auto Counts = [](const VmStats &S) {
+    std::vector<uint64_t> Out;
+    obs::MetricsRegistry::forEachCounter(
+        S, [&](const char *, uint64_t X) { Out.push_back(X); });
+    return Out;
+  };
+  const std::vector<uint64_t> Before = Counts(stats());
+  ASSERT_GT(stats().Compilations, 0u);
+  std::thread Other([] {
+    Vm W(cfg(TierStrategy::BaselineOnly));
+    W.eval(SumProgram);
+    EXPECT_EQ(W.eval("sum_data(c(1.5, 2.5))").toReal(), 4.0);
+    EXPECT_EQ(stats().Compilations, 0u) << "the other Vm's own counters";
+  });
+  Other.join();
+  EXPECT_EQ(Counts(stats()), Before);
+  uint64_t Checks = stats().AssumeChecks;
+  V.eval("sum_data(ints)");
+  EXPECT_GT(stats().AssumeChecks, Checks) << "and this Vm keeps counting";
+}
+
 //===----------------------------------------------------------------------===//
 // Tiering up
 
 TEST(VmTiering, HotFunctionGetsCompiled) {
   Vm V(cfg(TierStrategy::Normal));
   V.eval("f <- function(x) x * 2L");
-  resetStats();
+  VmStats Start = stats();
   V.eval("r <- 0L\nfor (i in 1:20) r <- f(i)\nr");
-  EXPECT_GT(stats().Compilations, 0u);
+  VmStats D = stats() - Start;
+  EXPECT_GT(D.Compilations, 0u);
 }
 
 TEST(VmTiering, OptimizedResultsMatchBaseline) {
@@ -122,10 +153,11 @@ for (i in 1:2000L) keys[[i]] <- i %% 17L
   V.eval(Prog);
   for (int K = 0; K < 5; ++K)
     V.eval("count(keys)");
-  resetStats();
+  VmStats Start = stats();
   Value R = V.eval("count(keys)");
-  EXPECT_EQ(stats().Deopts, 0u);
-  EXPECT_LE(stats().CowCopies, 1u);
+  VmStats D = stats() - Start;
+  EXPECT_EQ(D.Deopts, 0u);
+  EXPECT_LE(D.CowCopies, 1u);
   ASSERT_EQ(R.length(), 16);
   for (int64_t K = 1; K <= 16; ++K)
     EXPECT_EQ(extract2(R, K).toInt(), K <= 11 ? 118 : 117) << K;
@@ -167,19 +199,21 @@ TEST(VmTiering, SuperAssignmentWorksOptimized) {
 TEST(VmOsrIn, LongLoopTriggersOsrIn) {
   Vm V(cfg(TierStrategy::Normal));
   V.eval("g <- function(n) { s <- 0L\nfor (i in 1:n) s <- s + i\ns }");
-  resetStats();
+  VmStats Start = stats();
   // Single call with a long loop: tier-up must happen mid-activation.
   Value R = V.eval("g(100000L)");
   EXPECT_EQ(R.asIntUnchecked(), 705082704); // wrapped 32-bit sum
-  EXPECT_GT(stats().OsrInEntries, 0u);
+  VmStats D = stats() - Start;
+  EXPECT_GT(D.OsrInEntries, 0u);
 }
 
 TEST(VmOsrIn, TopLevelLoopTriggersOsrIn) {
   Vm V(cfg(TierStrategy::Normal));
-  resetStats();
+  VmStats Start = stats();
   Value R = V.eval("s <- 0\nfor (i in 1:50000) s <- s + 1.5\ns");
   EXPECT_DOUBLE_EQ(R.asRealUnchecked(), 75000.0);
-  EXPECT_GT(stats().OsrInEntries, 0u);
+  VmStats D = stats() - Start;
+  EXPECT_GT(D.OsrInEntries, 0u);
 }
 
 TEST(VmOsrIn, DisabledMeansNoEntries) {
@@ -187,10 +221,11 @@ TEST(VmOsrIn, DisabledMeansNoEntries) {
   Vm::Config C = cfg(TierStrategy::Normal);
   C.OsrThreshold = 0;
   Vm V(C);
-  resetStats();
+  VmStats Start = stats();
   EXPECT_EQ(V.eval("s <- 0L\nfor (i in 1:5000) s <- s + i\ns").toInt(),
             12502500);
-  EXPECT_EQ(stats().OsrInEntries, 0u);
+  VmStats D = stats() - Start;
+  EXPECT_EQ(D.OsrInEntries, 0u);
 }
 
 TEST(VmOsrIn, BaselineOnlyNeverOptimizes) {
@@ -202,13 +237,14 @@ TEST(VmOsrIn, BaselineOnlyNeverOptimizes) {
     C.BackgroundCompile = Background;
     C.CompilerThreads = 0;
     Vm V(C);
-    resetStats();
+    VmStats Start = stats();
     EXPECT_EQ(V.eval("s <- 0L\nfor (i in 1:5000) s <- s + i\ns").toInt(),
               12502500);
     V.drainCompiles();
-    EXPECT_EQ(stats().OsrInCompilations, 0u) << "background " << Background;
-    EXPECT_EQ(stats().OsrInEntries, 0u) << "background " << Background;
-    EXPECT_EQ(stats().AsyncCompiles, 0u) << "background " << Background;
+    VmStats D = stats() - Start;
+    EXPECT_EQ(D.OsrInCompilations, 0u) << "background " << Background;
+    EXPECT_EQ(D.OsrInEntries, 0u) << "background " << Background;
+    EXPECT_EQ(D.AsyncCompiles, 0u) << "background " << Background;
   }
 }
 
@@ -246,10 +282,11 @@ nested <- function(n) {
   for (uint32_t Threshold : {2u, 5u, 20u}) {
     Vm V(osrOnly(TierStrategy::Normal, Threshold));
     V.eval(Prog);
-    resetStats();
+    VmStats Start = stats();
     EXPECT_EQ(V.eval("nested(10L)").toInt(), Want)
         << "OsrThreshold " << Threshold;
-    EXPECT_GT(stats().OsrInEntries, 0u);
+    VmStats D = stats() - Start;
+    EXPECT_GT(D.OsrInEntries, 0u);
   }
 }
 
@@ -263,10 +300,11 @@ TEST(VmOsrIn, SpeculateOffInsertsNoAssumes) {
 g <- function(x) x * 2
 f <- function(v) { s <- 0; for (i in 1:length(v)) s <- s + g(v[[i]]); s }
 )");
-  resetStats();
+  VmStats Start = stats();
   EXPECT_DOUBLE_EQ(V.eval("f(as.numeric(1:2000))").toReal(), 4002000.0);
-  EXPECT_GT(stats().OsrInEntries, 0u);
-  EXPECT_EQ(stats().AssumeChecks, 0u);
+  VmStats D = stats() - Start;
+  EXPECT_GT(D.OsrInEntries, 0u);
+  EXPECT_EQ(D.AssumeChecks, 0u);
 }
 
 TEST(VmOsrIn, FailureFlagDiesWithItsVm) {
@@ -279,17 +317,19 @@ TEST(VmOsrIn, FailureFlagDiesWithItsVm) {
     A.eval(Prog);
     Function *G = A.eval("g").closObj()->Fn;
     A.stateFor(G).OsrInFailed = true; // as if its OSR-in compile failed
-    resetStats();
+    VmStats Start = stats();
     A.eval("g(5000L)");
-    EXPECT_EQ(stats().OsrInEntries, 0u) << "a failed function is not retried";
+    VmStats D = stats() - Start;
+    EXPECT_EQ(D.OsrInEntries, 0u) << "a failed function is not retried";
   }
   Vm B(cfg(TierStrategy::Normal));
   B.eval(Prog);
   Function *G = B.eval("g").closObj()->Fn;
   EXPECT_FALSE(B.stateFor(G).OsrInFailed);
-  resetStats();
+  VmStats Start = stats();
   B.eval("g(5000L)");
-  EXPECT_GT(stats().OsrInEntries, 0u);
+  VmStats D = stats() - Start;
+  EXPECT_GT(D.OsrInEntries, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -302,11 +342,12 @@ TEST(VmDeopt, TypePhaseChangeDeopts) {
   V.eval("reals <- c(1.5, 2.5, 3.5, 4.5)");
   for (int K = 0; K < 10; ++K)
     EXPECT_EQ(V.eval("sum_data(ints)").toInt(), 10);
-  resetStats();
+  VmStats Start = stats();
   // Phase change: the speculative int-typed code must deopt, and the
   // result must still be correct.
   EXPECT_DOUBLE_EQ(V.eval("sum_data(reals)").toReal(), 12.0);
-  EXPECT_GT(stats().Deopts, 0u);
+  VmStats D = stats() - Start;
+  EXPECT_GT(D.Deopts, 0u);
 }
 
 TEST(VmDeopt, RecompiledGenericCodeHandlesBoth) {
@@ -320,10 +361,11 @@ TEST(VmDeopt, RecompiledGenericCodeHandlesBoth) {
   // Re-warm: recompiles with merged feedback; no further deopts.
   for (int K = 0; K < 10; ++K)
     V.eval("sum_data(reals)");
-  resetStats();
+  VmStats Start = stats();
   V.eval("sum_data(ints)");
   V.eval("sum_data(reals)");
-  EXPECT_EQ(stats().Deopts, 0u)
+  VmStats D = stats() - Start;
+  EXPECT_EQ(D.Deopts, 0u)
       << "converged generic code must not deopt again";
 }
 
@@ -337,7 +379,6 @@ TEST(VmDeopt, CallTargetChangeDeopts) {
   )");
   for (int K = 0; K < 10; ++K)
     EXPECT_EQ(V.eval("caller(1L)").toInt(), 2);
-  resetStats();
   V.eval("target <- callee2");
   EXPECT_EQ(V.eval("caller(1L)").toInt(), 101)
       << "deopt must preserve call semantics";
@@ -365,10 +406,11 @@ TEST(VmDeoptless, PhaseChangeAvoidsTrueDeopt) {
   V.eval("reals <- c(1.5, 2.5, 3.5, 4.5)");
   for (int K = 0; K < 10; ++K)
     V.eval("sum_data(ints)");
-  resetStats();
+  VmStats Start = stats();
   EXPECT_DOUBLE_EQ(V.eval("sum_data(reals)").toReal(), 12.0);
-  EXPECT_EQ(stats().Deopts, 0u) << "deoptless must not tier down";
-  EXPECT_GT(stats().DeoptlessCompiles, 0u);
+  VmStats D = stats() - Start;
+  EXPECT_EQ(D.Deopts, 0u) << "deoptless must not tier down";
+  EXPECT_GT(D.DeoptlessCompiles, 0u);
 }
 
 TEST(VmDeoptless, ContinuationIsReused) {
@@ -379,13 +421,14 @@ TEST(VmDeoptless, ContinuationIsReused) {
   for (int K = 0; K < 10; ++K)
     V.eval("sum_data(ints)");
   V.eval("sum_data(reals)"); // compiles the continuation
-  resetStats();
+  VmStats Start = stats();
   for (int K = 0; K < 5; ++K)
     EXPECT_DOUBLE_EQ(V.eval("sum_data(reals)").toReal(), 12.0);
-  EXPECT_GT(stats().DeoptlessHits, 0u)
+  VmStats D = stats() - Start;
+  EXPECT_GT(D.DeoptlessHits, 0u)
       << "subsequent deopts must dispatch to the cached continuation";
-  EXPECT_EQ(stats().DeoptlessCompiles, 0u);
-  EXPECT_EQ(stats().Deopts, 0u);
+  EXPECT_EQ(D.DeoptlessCompiles, 0u);
+  EXPECT_EQ(D.Deopts, 0u);
 }
 
 TEST(VmDeoptless, OriginalCodeRetained) {
@@ -399,10 +442,11 @@ TEST(VmDeoptless, OriginalCodeRetained) {
   for (int K = 0; K < 10; ++K)
     V.eval("sum_data(ints)");
   V.eval("sum_data(reals)");
-  resetStats();
+  VmStats Start = stats();
   EXPECT_EQ(V.eval("sum_data(ints)").toInt(), 10);
-  EXPECT_EQ(stats().Deopts, 0u);
-  EXPECT_EQ(stats().DeoptlessAttempts, 0u)
+  VmStats D = stats() - Start;
+  EXPECT_EQ(D.Deopts, 0u);
+  EXPECT_EQ(D.DeoptlessAttempts, 0u)
       << "the int path must not even reach the deopt runtime";
 }
 
@@ -433,9 +477,10 @@ TEST(VmDeoptless, TableBoundFallsBackToDeopt) {
   V.eval("sum_data(c(1.5, 2.5))"); // fills the single slot
   // Re-warm the function after the deopt handler retired it (it should not
   // have); a different phase cannot get a continuation anymore.
-  resetStats();
+  VmStats Start = stats();
   V.eval("sum_data(c(1i, 2i))");
-  EXPECT_GT(stats().Deopts + stats().DeoptlessRejected, 0u);
+  VmStats D = stats() - Start;
+  EXPECT_GT(D.Deopts + D.DeoptlessRejected, 0u);
 }
 
 TEST(VmDeoptless, ResultsAlwaysMatchBaseline) {
@@ -490,9 +535,10 @@ mixed <- list(1L, 2L, 3L, 4L, 5.5, 6L, 7L, 8L, 9L, 10L)
   V.eval(Prog);
   for (int K = 0; K < 5; ++K)
     V.eval("f(ints, 10L)");
-  resetStats();
+  VmStats Start = stats();
   EXPECT_DOUBLE_EQ(V.eval("f(mixed, 10L)").toReal(), Want);
-  EXPECT_GT(stats().DeoptlessCompiles, 0u);
+  VmStats D = stats() - Start;
+  EXPECT_GT(D.DeoptlessCompiles, 0u);
 }
 
 TEST(VmDeoptless, ContinuationUpdatesItsVectorInPlace) {
@@ -525,12 +571,13 @@ for (i in 1:n) {
   V.eval(Prog);
   for (int K = 0; K < 5; ++K)
     V.eval("fill(ints, n)");
-  resetStats();
+  VmStats Start = stats();
   Value Got = V.eval("fill(mixed, n)");
   EXPECT_TRUE(Got.equals(Want)) << Got.show() << " vs " << Want.show();
-  EXPECT_GT(stats().DeoptlessCompiles + stats().DeoptlessHits, 0u);
-  EXPECT_EQ(stats().Deopts, 0u);
-  EXPECT_LE(stats().CowCopies, 2u);
+  VmStats D = stats() - Start;
+  EXPECT_GT(D.DeoptlessCompiles + D.DeoptlessHits, 0u);
+  EXPECT_EQ(D.Deopts, 0u);
+  EXPECT_LE(D.CowCopies, 2u);
 }
 
 TEST(VmDeoptless, ContinuationTablesArePerVm) {
@@ -612,13 +659,14 @@ TEST(VmDeoptlessCause, FailureInsideItsOwnContinuationIsRecursive) {
   )");
   for (int K = 0; K < 10; ++K)
     ASSERT_EQ(V.eval("two(li, li)").toInt(), 12);
-  resetStats();
+  VmStats Start = stats();
   EXPECT_DOUBLE_EQ(V.eval("two(lr, lr)").toReal(), 15.0);
-  EXPECT_GT(stats().DeoptlessCompiles, 0u);
-  EXPECT_GT(stats().DeoptlessSkipRecursive, 0u);
-  EXPECT_GT(stats().Deopts, 0u);
-  EXPECT_EQ(stats().DeoptlessSkipEnv, 0u);
-  EXPECT_EQ(stats().DeoptlessSkipBuiltin, 0u);
+  VmStats D = stats() - Start;
+  EXPECT_GT(D.DeoptlessCompiles, 0u);
+  EXPECT_GT(D.DeoptlessSkipRecursive, 0u);
+  EXPECT_GT(D.Deopts, 0u);
+  EXPECT_EQ(D.DeoptlessSkipEnv, 0u);
+  EXPECT_EQ(D.DeoptlessSkipBuiltin, 0u);
   expectDeoptCausesAddUp();
 }
 
@@ -638,11 +686,12 @@ TEST(VmDeoptlessCause, MaterializedEnvironmentSkipsDeoptless) {
   )");
   for (int K = 0; K < 10; ++K)
     ASSERT_EQ(V.eval("keep(li)").toInt(), 6);
-  resetStats();
+  VmStats Start = stats();
   EXPECT_DOUBLE_EQ(V.eval("keep(lr)").toReal(), 7.5);
-  EXPECT_GT(stats().DeoptlessSkipEnv, 0u);
-  EXPECT_GT(stats().Deopts, 0u);
-  EXPECT_EQ(stats().DeoptlessAttempts, 0u);
+  VmStats D = stats() - Start;
+  EXPECT_GT(D.DeoptlessSkipEnv, 0u);
+  EXPECT_GT(D.Deopts, 0u);
+  EXPECT_EQ(D.DeoptlessAttempts, 0u);
   expectDeoptCausesAddUp();
 }
 
@@ -652,12 +701,13 @@ TEST(VmDeoptlessCause, BuiltinRedefinitionSkipsDeoptless) {
   V.eval("len1 <- function(v) length(v) + 1L");
   for (int K = 0; K < 10; ++K)
     ASSERT_EQ(V.eval("len1(1:4)").toInt(), 5);
-  resetStats();
+  VmStats Start = stats();
   V.eval("length <- function(v) 10L");
   EXPECT_EQ(V.eval("len1(1:4)").toInt(), 11);
-  EXPECT_GT(stats().DeoptlessSkipBuiltin, 0u);
-  EXPECT_GT(stats().Deopts, 0u);
-  EXPECT_EQ(stats().DeoptlessAttempts, 0u);
+  VmStats D = stats() - Start;
+  EXPECT_GT(D.DeoptlessSkipBuiltin, 0u);
+  EXPECT_GT(D.Deopts, 0u);
+  EXPECT_EQ(D.DeoptlessAttempts, 0u);
   expectDeoptCausesAddUp();
 }
 
@@ -706,7 +756,7 @@ TEST(VmInvalidation, CrossThreadInjectionDuringHotDispatch) {
     V.eval("ints <- c(1L, 2L, 3L, 4L)");
     for (int K = 0; K < 10; ++K) // get the optimized version hot first
       V.eval("sum_data(ints)");
-    resetStats();
+    VmStats Start = stats();
     std::atomic<bool> Stop{false};
     std::thread Injector([&] {
       while (!Stop.load(std::memory_order_relaxed)) {
@@ -721,7 +771,7 @@ TEST(VmInvalidation, CrossThreadInjectionDuringHotDispatch) {
     int Evals = 0;
     const int MinEvals = 400, MaxEvals = 400000;
     while (Evals < MaxEvals &&
-           (Evals < MinEvals || stats().InjectedFailures < 3)) {
+           (Evals < MinEvals || (stats() - Start).InjectedFailures < 3)) {
       Sum += V.eval("sum_data(ints)").toInt();
       ++Evals;
     }
@@ -730,11 +780,12 @@ TEST(VmInvalidation, CrossThreadInjectionDuringHotDispatch) {
     EXPECT_EQ(Sum, static_cast<int64_t>(Evals) * 10)
         << "cross-thread injection must never change results (strategy "
         << static_cast<int>(S) << ")";
-    EXPECT_GT(stats().InjectedFailures, 0u)
+    VmStats D = stats() - Start;
+    EXPECT_GT(D.InjectedFailures, 0u)
         << "injections must actually reach a guard (strategy "
         << static_cast<int>(S) << ")";
     if (S == TierStrategy::Deoptless)
-      EXPECT_GT(stats().DeoptlessHits + stats().DeoptlessCompiles, 0u);
+      EXPECT_GT(D.DeoptlessHits + D.DeoptlessCompiles, 0u);
   }
 }
 
@@ -809,15 +860,18 @@ TEST(VmGraveyard, RetiredExecutablesAreGraveyardedThenReclaimed) {
              "entries mid-run (native="
           << Native << ")";
     }
-    EXPECT_EQ(stats().GraveyardSize, 0u);
   }
 }
 
 TEST(VmGraveyard, TeardownReclaimsWhenSafepointsAreOff) {
   // With safepoint reclamation off (the fuzzer's no-reclamation oracle)
-  // nothing is reclaimed mid-run; teardown drains everything.
+  // nothing is reclaimed mid-run; teardown drains everything. The Vm's
+  // counters go with it, so the trace's retire/reclaim events witness the
+  // teardown.
   Vm::Config C = cfg(TierStrategy::Normal);
   C.ReclaimAtSafepoints = false;
+  C.Trace.Enabled = true;
+  obs::traceReset();
   {
     Vm V(C);
     V.eval(SumProgram);
@@ -832,42 +886,10 @@ TEST(VmGraveyard, TeardownReclaimsWhenSafepointsAreOff) {
         << "with safepoints off the graveyard must survive further "
            "dispatches until teardown";
   }
-  EXPECT_EQ(stats().GraveyardSize, 0u)
+  EXPECT_GT(obs::traceCountOf(obs::TraceEv::Retire), 0u);
+  EXPECT_EQ(obs::traceCountOf(obs::TraceEv::Reclaim),
+            obs::traceCountOf(obs::TraceEv::Retire))
       << "teardown must reclaim retired executables";
-}
-
-TEST(VmGraveyard, MidRunStatsResetDoesNotCorruptTheGauge) {
-  // The gauge level is owner-tracked (setLevel), so a resetStats() while
-  // the graveyard is populated self-heals at the next retire/reclaim
-  // instead of saturating the later drain and under-reporting forever.
-  Vm::Config C = cfg(TierStrategy::Normal);
-  C.ReclaimAtSafepoints = false; // keep the population visible across evals
-  {
-    Vm V(C);
-    V.eval(SumProgram);
-    for (int K = 0; K < 5; ++K)
-      V.eval("sum_data(1:50)");
-    V.eval("sum_data(as.numeric(1:50))");
-    ASSERT_GT(stats().GraveyardSize, 0u);
-    resetStats(); // bench harnesses do this between phases
-    ASSERT_EQ(stats().GraveyardSize, 0u);
-    // Retire a *second* executable (a fresh function: sum_data's
-    // re-profiled feedback now covers doubles, so it won't deopt again):
-    // the graveyard touch must re-sync the gauge to the true population
-    // (the pre-reset entry included), not report a delta of 1.
-    V.eval("sum2 <- function(data) {\n"
-           "  total <- 0L\n"
-           "  for (i in 1:length(data)) total <- total + data[[i]]\n"
-           "  total\n"
-           "}");
-    for (int K = 0; K < 5; ++K)
-      V.eval("sum2(1:60)");
-    V.eval("sum2(as.numeric(1:60))");
-    EXPECT_GE(stats().GraveyardSize, 2u)
-        << "the gauge must re-sync to the owner-tracked level after a "
-           "mid-run reset";
-  }
-  EXPECT_EQ(stats().GraveyardSize, 0u);
 }
 
 TEST(VmGraveyard, ReoptStormKeepsMemoryBounded) {
@@ -890,7 +912,7 @@ TEST(VmGraveyard, ReoptStormKeepsMemoryBounded) {
     C.InvalidationSeed = 7;
     Vm V(C);
     V.eval(SumProgram);
-    resetStats();
+    VmStats Start = stats();
     // A reopt cycle (rewarm to the threshold, optimized run, injected
     // failure, retire) empirically takes ~5-6 evals with this rate and
     // seed, so 800 evals drive well over the 100 cycles the bound is
@@ -900,16 +922,17 @@ TEST(VmGraveyard, ReoptStormKeepsMemoryBounded) {
     int Cycles = 800 * ((Soak && *Soak && *Soak != '0') ? 5 : 1);
     for (int Cycle = 0; Cycle < Cycles; ++Cycle)
       V.eval("sum_data(1:40)");
-    EXPECT_GE(stats().Deopts, 100u)
+    VmStats D = stats() - Start;
+    EXPECT_GE(D.Deopts, 100u)
         << "the storm must actually drive reopt cycles (native=" << Native
         << ")";
-    EXPECT_GE(stats().Compilations, 100u);
-    EXPECT_LT(stats().GraveyardSize.highWater(), 8u)
+    EXPECT_GE(D.Compilations, 100u);
+    EXPECT_LT(D.GraveyardSize.highWater(), 8u)
         << "retired code must be reclaimed between cycles, not "
            "accumulated (native="
         << Native << ")";
     if (Native) {
-      EXPECT_GE(stats().NativeCompiles, 100u);
+      EXPECT_GE(D.NativeCompiles, 100u);
       EXPECT_LE(V.backend()->liveCodeBlocks(), 16u)
           << "reclaim must unmap native code, not just delete wrappers: "
              "live W^X mappings can't track the compile count";

@@ -15,45 +15,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "suite/harness.h"
-#include "support/stats.h"
 
 #include <cstdio>
 
 using namespace rjit;
 using namespace rjit::suite;
-
-namespace {
-
-struct Phase {
-  const char *Name;
-  std::string Data;
-};
-
-std::vector<double> runMode(TierStrategy S, long N, int PerPhase,
-                            RunStats &Out) {
-  const Program *Sum = byName("sum");
-  Vm V(benchConfig(S));
-  V.eval(Sum->Setup);
-
-  Phase Phases[] = {
-      {"warmup-int", "data <- 1:" + std::to_string(N)},
-      {"float", "data <- as.numeric(1:" + std::to_string(N) + ")"},
-      {"complex", "data <- as.complex(1:" + std::to_string(N) + ")"},
-      {"float2", "data <- as.numeric(1:" + std::to_string(N) + ")"},
-  };
-
-  VmStats Start = openWindow();
-  std::vector<double> Times;
-  for (const Phase &P : Phases) {
-    V.eval(P.Data);
-    for (int K = 0; K < PerPhase; ++K)
-      Times.push_back(timeOnce(V, "sum_data(data)"));
-  }
-  Out = runStats(Start);
-  return Times;
-}
-
-} // namespace
 
 int main(int Argc, char **Argv) {
   benchObsInit(Argc, Argv);
@@ -65,13 +31,15 @@ int main(int Argc, char **Argv) {
   R.Config = "n=" + std::to_string(N) +
              " iters=" + std::to_string(PerPhase);
 
-  RunStats NormalStats, DlStats;
-  std::vector<double> Normal =
-      runMode(TierStrategy::Normal, N, PerPhase, NormalStats);
-  R.add("normal", Normal, NormalStats);
-  std::vector<double> Dl =
-      runMode(TierStrategy::Deoptless, N, PerPhase, DlStats);
-  R.add("deoptless", Dl, DlStats);
+  const char *PhaseNames[] = {"int", "float", "complex", "float2"};
+  const std::string Ns = std::to_string(N);
+  Session S{"", byName("sum")->Setup, {}};
+  for (const std::string &Data :
+       {"1:" + Ns, "as.numeric(1:" + Ns + ")", "as.complex(1:" + Ns + ")",
+        "as.numeric(1:" + Ns + ")"})
+    S.repeat(PerPhase, "sum_data(data)", "data <- " + Data);
+  SessionRun Run = runArms(R, S, paperArms(), 2);
+  const ArmRun &Normal = Run[0], &Dl = Run[1];
 
   printf("# Fig. 4 — sum over %ld elements; phases: int, float, complex, "
          "float (%d iterations each)\n",
@@ -79,34 +47,25 @@ int main(int Argc, char **Argv) {
   printf("# seconds per iteration (the paper plots this on a log scale)\n");
   printf("%-10s %-10s %12s %12s\n", "phase", "iteration", "normal",
          "deoptless");
-  const char *PhaseNames[] = {"int", "float", "complex", "float2"};
-  for (size_t K = 0; K < Normal.size(); ++K)
+  for (size_t K = 0; K < Normal.Times.size(); ++K)
     printf("%-10s %-10zu %12.6f %12.6f\n", PhaseNames[K / PerPhase],
-           K % PerPhase + 1, Normal[K], Dl[K]);
+           K % PerPhase + 1, Normal.Times[K], Dl.Times[K]);
 
   // The headline observations of the figure.
-  auto PhaseAvgTail = [&](const std::vector<double> &T, int Phase) {
-    // average of the last iterations of a phase (steady state)
-    double S = 0;
-    int From = Phase * PerPhase + PerPhase / 2, Cnt = 0;
-    for (int K = From; K < (Phase + 1) * PerPhase; ++K, ++Cnt)
-      S += T[K];
-    return S / Cnt;
-  };
   printf("\n# steady-state seconds per phase\n");
   printf("%-10s %12s %12s %8s\n", "phase", "normal", "deoptless", "speedup");
-  for (int P = 0; P < 4; ++P) {
-    double Tn = PhaseAvgTail(Normal, P), Td = PhaseAvgTail(Dl, P);
+  for (size_t P = 0; P < 4; ++P) {
+    double Tn = steadyMean(Normal.Times, P * PerPhase, (P + 1) * PerPhase);
+    double Td = steadyMean(Dl.Times, P * PerPhase, (P + 1) * PerPhase);
     printf("%-10s %12.6f %12.6f %7.2fx\n", PhaseNames[P], Tn, Td, Tn / Td);
     R.headline(std::string("speedup_") + PhaseNames[P], Tn / Td);
   }
   printf("\n# events: normal deopts=%llu recompiles=%llu | deoptless "
          "deopts=%llu continuations=%llu dispatch-hits=%llu\n",
-         static_cast<unsigned long long>(NormalStats.Deopts),
-         static_cast<unsigned long long>(NormalStats.Compilations),
-         static_cast<unsigned long long>(DlStats.Deopts),
-         static_cast<unsigned long long>(DlStats.DeoptlessCompiles),
-         static_cast<unsigned long long>(DlStats.DeoptlessHits));
-  emitBenchArtifacts(R, Argc, Argv);
-  return 0;
+         static_cast<unsigned long long>(Normal.Stats.Deopts),
+         static_cast<unsigned long long>(Normal.Stats.Compilations),
+         static_cast<unsigned long long>(Dl.Stats.Deopts),
+         static_cast<unsigned long long>(Dl.Stats.DeoptlessCompiles),
+         static_cast<unsigned long long>(Dl.Stats.DeoptlessHits));
+  return emitBenchArtifacts(R, Argc, Argv);
 }

@@ -13,14 +13,15 @@
 //
 // Every evaluation, warmup and timed, is checked against the program's
 // BaselineOnly result; any mismatch is reported and the exit code is 1.
+// Executions alternate the arms' order (suite::runArms).
 //
 // Besides the geomean over all programs, speedup_geomean_deopting takes
 // the geomean over only the programs where Normal deopted at least once:
 // at this rate about half the programs see no deopt at all and
 // contribute ~1x noise. Per program, cow/hit is each arm's copy-on-write
-// vector copies (timed iterations of the last execution) per deoptless
-// hit of the deoptless arm: a continuation that copies its vectors on
-// every iteration shows up there without a profiler.
+// vector copies (timed iterations of every execution) per deoptless hit
+// of the deoptless arm: a continuation that copies its vectors on every
+// iteration shows up there without a profiler.
 //
 // Usage: fig06_misspeculation [--iters N] [--execs M] [--rate R]
 //                             [--warmup W] [--memory]
@@ -28,88 +29,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "suite/harness.h"
-#include "runtime/value.h"
-#include "support/stats.h"
-#include "support/timer.h"
 
 #include <cstdio>
 
 using namespace rjit;
 using namespace rjit::suite;
-
-namespace {
-
-struct RunResult {
-  std::vector<double> IterTimes; ///< averaged over executions
-  uint64_t PeakHeap = 0;
-  uint64_t Deopts = 0;
-  uint64_t Injected = 0;
-  RunStats Stats; ///< last execution's counters
-};
-
-/// Evaluations whose result differed from the BaselineOnly reference.
-int WrongResults = 0;
-
-/// The reference result of one driver evaluation: BaselineOnly, no
-/// invalidation.
-Value baselineResult(const Program &P) {
-  Vm V(benchConfig(TierStrategy::BaselineOnly));
-  V.eval(P.Setup);
-  return V.eval(P.Driver);
-}
-
-/// Reports (outside any timed region) an evaluation whose result is not
-/// the reference.
-void check(const Program &P, const char *Strategy, int Exec,
-           const char *Phase, int Iter, const Value &Got, const Value &Ref) {
-  if (Got.equals(Ref))
-    return;
-  ++WrongResults;
-  fprintf(stderr,
-          "WRONG RESULT: %s/%s execution %d %s iteration %d: got %s, "
-          "BaselineOnly gives %s\n",
-          P.Name, Strategy, Exec, Phase, Iter, Got.show().c_str(),
-          Ref.show().c_str());
-}
-
-/// timeOnce, keeping the evaluation's value for the result check.
-double timeEval(Vm &V, const std::string &Source, Value &Result) {
-  Timer T;
-  Result = V.eval(Source);
-  uint64_t Ns = T.elapsedNanos();
-  obs::metrics().Iteration.record(Ns);
-  return static_cast<double>(Ns) * 1e-9;
-}
-
-RunResult runOne(const Program &P, TierStrategy S, const char *Strategy,
-                 const Value &Ref, uint64_t Rate, int Iters, int Execs,
-                 int Warmup) {
-  RunResult R;
-  R.IterTimes.assign(Iters, 0.0);
-  for (int E = 0; E < Execs; ++E) {
-    Vm::Config Cfg = benchConfig(S);
-    Cfg.InvalidationRate = Rate;
-    Cfg.InvalidationSeed = 1000003 * (E + 1); // same seeds across modes
-    Vm V(Cfg);
-    V.eval(P.Setup);
-    for (int K = 0; K < Warmup; ++K)
-      check(P, Strategy, E, "warmup", K, V.eval(P.Driver), Ref);
-    resetHeapPeak();
-    VmStats Start = openWindow();
-    Value Got;
-    for (int K = 0; K < Iters; ++K) {
-      R.IterTimes[K] += timeEval(V, P.Driver, Got) / Execs;
-      check(P, Strategy, E, "timed", K, Got, Ref);
-    }
-    R.PeakHeap += heapStats().PeakBytes / Execs;
-    R.Stats = runStats(Start);
-    R.Deopts += R.Stats.Deopts;
-    R.Injected += R.Stats.InjectedFailures;
-  }
-  return R;
-}
-
-} // namespace
 
 int main(int Argc, char **Argv) {
   benchObsInit(Argc, Argv);
@@ -142,6 +66,11 @@ int main(int Argc, char **Argv) {
              " rate=" + std::to_string(Rate) +
              (Memory ? " memory" : "");
 
+  std::vector<Arm> Arms = paperArms();
+  for (Arm &A : Arms) {
+    A.Cfg.InvalidationRate = Rate;
+    A.Cfg.InvalidationSeed = 1000003;
+  }
   size_t N;
   const Program *Suite = mainSuite(N);
   std::vector<double> Speedups;
@@ -149,25 +78,20 @@ int main(int Argc, char **Argv) {
   std::vector<double> MemChanges;
   for (size_t B = 0; B < N; ++B) {
     const Program &P = Suite[B];
-    Value Ref = baselineResult(P);
-    RunResult Normal = runOne(P, TierStrategy::Normal, "normal", Ref, Rate,
-                              Iters, Execs, Warmup);
-    R.add(std::string(P.Name) + "/normal", Normal.IterTimes, Normal.Stats);
-    RunResult Dl = runOne(P, TierStrategy::Deoptless, "deoptless", Ref, Rate,
-                          Iters, Execs, Warmup);
-    R.add(std::string(P.Name) + "/deoptless", Dl.IterTimes, Dl.Stats);
+    Session S{P.Name, P.Setup, {}};
+    for (int K = 0; K < Warmup; ++K)
+      S.Steps.push_back({"", P.Driver, /*Warmup=*/true});
+    S.repeat(Iters, P.Driver);
+    SessionRun Run = runArms(R, S, Arms, Execs);
+    const ArmRun &Normal = Run[0], &Dl = Run[1];
 
     if (Memory) {
-      double Change = Normal.PeakHeap
-                          ? (static_cast<double>(Dl.PeakHeap) /
-                                 static_cast<double>(Normal.PeakHeap) -
-                             1.0) *
-                                100.0
+      double Change =
+          Normal.PeakHeap ? (Dl.PeakHeap / Normal.PeakHeap - 1.0) * 100.0
                           : 0.0;
       MemChanges.push_back(Change);
-      printf("%-26s %14llu %14llu %+8.1f%%\n", P.Name,
-             static_cast<unsigned long long>(Normal.PeakHeap),
-             static_cast<unsigned long long>(Dl.PeakHeap), Change);
+      printf("%-26s %14.0f %14.0f %+8.1f%%\n", P.Name, Normal.PeakHeap,
+             Dl.PeakHeap, Change);
       continue;
     }
 
@@ -175,10 +99,10 @@ int main(int Argc, char **Argv) {
     // paper's small dots); the large dot is the geometric mean.
     std::vector<double> PerIter(Iters);
     for (int K = 0; K < Iters; ++K)
-      PerIter[K] = Normal.IterTimes[K] / Dl.IterTimes[K];
+      PerIter[K] = Normal.Times[K] / Dl.Times[K];
     double Mean = geomean(PerIter);
     Speedups.push_back(Mean);
-    if (Normal.Deopts)
+    if (Normal.Stats.Deopts)
       DeoptingSpeedups.push_back(Mean);
     R.headline(std::string("speedup_") + P.Name, Mean);
     uint64_t Hits = Dl.Stats.DeoptlessHits;
@@ -188,7 +112,7 @@ int main(int Argc, char **Argv) {
                static_cast<double>(Normal.Stats.CowCopies) / Hits,
                static_cast<double>(Dl.Stats.CowCopies) / Hits);
     printf("%-26s %8.2fx %9llu %9llu %19s |", P.Name, Mean,
-           static_cast<unsigned long long>(Normal.Deopts),
+           static_cast<unsigned long long>(Normal.Stats.Deopts),
            static_cast<unsigned long long>(Hits), CowPerHit);
     for (int K = 0; K < Iters; ++K)
       printf(" %.2f", PerIter[K]);
@@ -212,11 +136,5 @@ int main(int Argc, char **Argv) {
            MeanChange);
     R.headline("heap_change_pct_mean", MeanChange);
   }
-  emitBenchArtifacts(R, Argc, Argv);
-  if (WrongResults) {
-    fprintf(stderr, "# %d evaluations differ from BaselineOnly\n",
-            WrongResults);
-    return 1;
-  }
-  return 0;
+  return emitBenchArtifacts(R, Argc, Argv);
 }

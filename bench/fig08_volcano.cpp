@@ -12,69 +12,19 @@
 // triggers the deoptimizations in the paper, and an R-level render_image
 // stands in for the ggplot step.
 //
+// Each interaction is two steps, cast_rays then render_image, so each
+// arm's series alternates the two.
+//
 // Usage: fig08_volcano [--n <heightmap-size>] [--interactions K]
 //
 //===----------------------------------------------------------------------===//
 
 #include "suite/harness.h"
-#include "support/stats.h"
 
 #include <cstdio>
 
 using namespace rjit;
 using namespace rjit::suite;
-
-namespace {
-
-struct Interaction {
-  std::string PreEval; ///< user action (e.g. switching the interpolation)
-  double SunX, SunY;
-};
-
-std::vector<Interaction> session(int K) {
-  std::vector<Interaction> S;
-  for (int I = 0; I < K; ++I) {
-    Interaction A;
-    A.SunX = 0.3 + 0.02 * (I % 7);
-    A.SunY = 0.5 - 0.015 * (I % 5);
-    // The user flips the interpolation selector a third and two thirds
-    // into the session (the deopt-triggering events of the paper).
-    if (I == K / 3)
-      A.PreEval = "interp <- interp_nearest";
-    else if (I == 2 * K / 3)
-      A.PreEval = "interp <- interp_bilinear";
-    S.push_back(A);
-  }
-  return S;
-}
-
-struct Times {
-  std::vector<double> Cast, Render;
-};
-
-Times runMode(TierStrategy S, long N, int K, RunStats &Out) {
-  const Program *P = byName("raytrace");
-  Vm V(benchConfig(S));
-  V.eval(P->Setup);
-  V.eval("hm <- make_heightmap(" + std::to_string(N) + "L)");
-  V.eval("interp <- interp_bilinear");
-  VmStats Start = openWindow();
-  Times T;
-  for (const Interaction &A : session(K)) {
-    if (!A.PreEval.empty())
-      V.eval(A.PreEval);
-    T.Cast.push_back(timeOnce(
-        V, "cast_rays(hm, " + std::to_string(N) + "L, interp, " +
-               std::to_string(A.SunX) + ", " + std::to_string(A.SunY) +
-               ")"));
-    T.Render.push_back(
-        timeOnce(V, "render_image(hm, " + std::to_string(N) + "L)"));
-  }
-  Out = runStats(Start);
-  return T;
-}
-
-} // namespace
 
 int main(int Argc, char **Argv) {
   benchObsInit(Argc, Argv);
@@ -86,13 +36,25 @@ int main(int Argc, char **Argv) {
   R.Config =
       "n=" + std::to_string(N) + " interactions=" + std::to_string(K);
 
-  RunStats NormalStats, DlStats;
-  Times Normal = runMode(TierStrategy::Normal, N, K, NormalStats);
-  R.add("normal/cast", Normal.Cast, NormalStats);
-  R.add("normal/render", Normal.Render, NormalStats);
-  Times Dl = runMode(TierStrategy::Deoptless, N, K, DlStats);
-  R.add("deoptless/cast", Dl.Cast, DlStats);
-  R.add("deoptless/render", Dl.Render, DlStats);
+  const std::string Ns = std::to_string(N) + "L";
+  Session S{"",
+            std::string(byName("raytrace")->Setup) +
+                "\nhm <- make_heightmap(" + Ns +
+                ")\ninterp <- interp_bilinear",
+            {}};
+  for (int I = 0; I < K; ++I) {
+    // The user flips the interpolation selector a third and two thirds
+    // into the session (the deopt-triggering events of the paper) and
+    // moves the sun on every interaction.
+    std::string Pre = I == K / 3       ? "interp <- interp_nearest"
+                      : I == 2 * K / 3 ? "interp <- interp_bilinear"
+                                       : "";
+    S.Steps.push_back({Pre, "cast_rays(hm, " + Ns + ", interp, " +
+                                std::to_string(0.3 + 0.02 * (I % 7)) + ", " +
+                                std::to_string(0.5 - 0.015 * (I % 5)) + ")"});
+    S.Steps.push_back({"", "render_image(hm, " + Ns + ")"});
+  }
+  SessionRun Run = runArms(R, S, paperArms(), 2);
 
   printf("# Fig. 8 — volcano app interactive session (%d interactions, "
          "%ldx%ld height map)\n",
@@ -101,20 +63,16 @@ int main(int Argc, char **Argv) {
          "interactions %d and %d)\n",
          K / 3 + 1, 2 * K / 3 + 1);
   printf("%-12s %12s %12s\n", "interaction", "cast_rays", "ggplot");
-  for (int I = 0; I < K; ++I)
-    printf("%-12d %11.2fx %11.2fx\n", I + 1,
-           Normal.Cast[I] / Dl.Cast[I], Normal.Render[I] / Dl.Render[I]);
-
   std::vector<double> CastSp, RenderSp;
   for (int I = 0; I < K; ++I) {
-    CastSp.push_back(Normal.Cast[I] / Dl.Cast[I]);
-    RenderSp.push_back(Normal.Render[I] / Dl.Render[I]);
+    CastSp.push_back(Run[0].Times[2 * I] / Run[1].Times[2 * I]);
+    RenderSp.push_back(Run[0].Times[2 * I + 1] / Run[1].Times[2 * I + 1]);
+    printf("%-12d %11.2fx %11.2fx\n", I + 1, CastSp.back(), RenderSp.back());
   }
   printf("\n# geomean speedups: cast_rays %.2fx, ggplot %.2fx (paper: up "
          "to 2x on interpolation switches, ~2.5x steady on rendering)\n",
          geomean(CastSp), geomean(RenderSp));
   R.headline("speedup_cast", geomean(CastSp));
   R.headline("speedup_render", geomean(RenderSp));
-  emitBenchArtifacts(R, Argc, Argv);
-  return 0;
+  return emitBenchArtifacts(R, Argc, Argv);
 }

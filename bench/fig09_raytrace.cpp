@@ -55,47 +55,26 @@ cast_simple <- function(h, n, sunx, suny) {
 
 struct Variant {
   const char *Name;
-  std::string Extra;       ///< appended to the raytrace setup
-  std::string InitPhase;   ///< iterations 1..4
-  std::string SwitchPhase; ///< from iteration 5
+  std::string Setup;       ///< after the raytrace setup; iterations 1..5
+  std::string SwitchPhase; ///< from iteration 6
   std::string Driver;
 };
 
 std::vector<Variant> variants(long N) {
   std::string Ns = std::to_string(N) + "L";
   return {
-      {"simplified", SimplifiedSetup,
-       "hm <- make_heightmap_int(" + Ns + ")",
+      {"simplified",
+       SimplifiedSetup + std::string("\nhm <- make_heightmap_int(") + Ns +
+           ")",
        "hm <- make_heightmap(" + Ns + ")",
        "cast_simple(hm, " + Ns + ", 0.7, 0.4)"},
-      {"type", "",
-       "hm <- make_heightmap_int(" + Ns + ")",
+      {"type", "hm <- make_heightmap_int(" + Ns + ")",
        "hm <- make_heightmap(" + Ns + ")",
        "cast_rays(hm, " + Ns + ", interp_bilinear, 0.7, 0.4)"},
-      {"fun", "",
-       "hm <- make_heightmap(" + Ns + ")\ninterp <- interp_bilinear",
+      {"fun", "hm <- make_heightmap(" + Ns + ")\ninterp <- interp_bilinear",
        "interp <- interp_nearest",
        "cast_rays(hm, " + Ns + ", interp, 0.7, 0.4)"},
   };
-}
-
-std::vector<double> runMode(const Variant &Var, TierStrategy S,
-                            RunStats &Out) {
-  const Program *P = byName("raytrace");
-  Vm V(benchConfig(S));
-  V.eval(P->Setup);
-  if (!Var.Extra.empty())
-    V.eval(Var.Extra);
-  std::vector<double> Times;
-  V.eval(Var.InitPhase);
-  VmStats Start = openWindow();
-  for (int K = 0; K < 10; ++K) {
-    if (K == 5)
-      V.eval(Var.SwitchPhase);
-    Times.push_back(timeOnce(V, Var.Driver));
-  }
-  Out = runStats(Start);
-  return Times;
 }
 
 } // namespace
@@ -114,26 +93,21 @@ int main(int Argc, char **Argv) {
          Runs);
   printf("# deoptless speedup over normal, per iteration\n");
   for (const Variant &Var : variants(N)) {
+    Session S{Var.Name,
+              std::string(byName("raytrace")->Setup) + "\n" + Var.Setup,
+              {}};
+    S.repeat(5, Var.Driver).repeat(5, Var.Driver, Var.SwitchPhase);
+    SessionRun Run = runArms(Report, S, paperArms(), Runs);
+    std::vector<double> PerIter(10);
     printf("%-12s", Var.Name);
-    std::vector<double> Acc(10, 0.0);
-    for (int R = 0; R < Runs; ++R) {
-      RunStats Sn, Sd;
-      std::vector<double> Tn = runMode(Var, TierStrategy::Normal, Sn);
-      if (R == 0)
-        Report.add(std::string(Var.Name) + "/normal", Tn, Sn);
-      std::vector<double> Td = runMode(Var, TierStrategy::Deoptless, Sd);
-      if (R == 0)
-        Report.add(std::string(Var.Name) + "/deoptless", Td, Sd);
-      for (int K = 0; K < 10; ++K)
-        Acc[K] += (Tn[K] / Td[K]) / Runs;
+    for (int K = 0; K < 10; ++K) {
+      PerIter[K] = Run[0].Times[K] / Run[1].Times[K];
+      printf(" %5.2f", PerIter[K]);
     }
-    for (int K = 0; K < 10; ++K)
-      printf(" %5.2f", Acc[K]);
     printf("\n");
-    Report.headline(std::string("speedup_") + Var.Name, geomean(Acc));
+    Report.headline(std::string("speedup_") + Var.Name, geomean(PerIter));
   }
   printf("\n# (paper: deoptless consistently alleviates the slowdown at "
          "the phase change, ~1.0-1.2x)\n");
-  emitBenchArtifacts(Report, Argc, Argv);
-  return 0;
+  return emitBenchArtifacts(Report, Argc, Argv);
 }

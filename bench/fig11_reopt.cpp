@@ -25,42 +25,23 @@ namespace {
 
 struct Bench {
   const char *Name;
-  /// Phase scripts: [0] warm phase pre-eval, [1] changed phase pre-eval.
-  std::string WarmPre, ChangedPre;
+  std::string Setup;      ///< after the program's setup: the warm phase
+  std::string ChangedPre; ///< starts the changed phase, a third in
   std::string Driver;
 };
 
 std::vector<Bench> benches() {
   return {
       // Stale type feedback: the branchy profile stabilizes, no deopt.
-      {"microbenchmark", "micro_flag <- TRUE", "micro_flag <- TRUE",
-       "micro_f(micro_data, micro_flag)"},
+      {"microbenchmark",
+       "micro_data <- as.numeric(1:3000)\nmicro_flag <- TRUE",
+       "micro_flag <- TRUE", "micro_f(micro_data, micro_flag)"},
       // The key parameter changes its type (int -> double): deopt.
       {"rsa", "key <- 65L", "key <- 65", "rsa_run(key, 300L)"},
       // A helper shared by differently-typed callers: merged feedback.
       {"shared", "", "", "shared_caller_int(1500L) + "
                          "shared_caller_real(1500L)"},
   };
-}
-
-std::vector<double> runMode(const Bench &B, TierStrategy S, int Iters,
-                            RunStats &Out) {
-  const Program *P = byName(B.Name);
-  Vm V(benchConfig(S));
-  V.eval(P->Setup);
-  if (B.Name == std::string("microbenchmark"))
-    V.eval("micro_data <- as.numeric(1:3000)");
-  if (!B.WarmPre.empty())
-    V.eval(B.WarmPre);
-  VmStats Start = openWindow();
-  std::vector<double> Times;
-  for (int K = 0; K < Iters; ++K) {
-    if (K == Iters / 3 && !B.ChangedPre.empty())
-      V.eval(B.ChangedPre);
-    Times.push_back(timeOnce(V, B.Driver));
-  }
-  Out = runStats(Start);
-  return Times;
 }
 
 } // namespace
@@ -80,40 +61,28 @@ int main(int Argc, char **Argv) {
          "expects rsa to improve, the others to stay at 1x)\n");
   printf("%-16s %10s %10s | per-iteration deoptless speedups\n",
          "benchmark", "deoptless", "reopt");
+  std::vector<Arm> Arms = paperArms();
+  Arms.push_back({"reopt", benchConfig(TierStrategy::ProfileDrivenReopt)});
   for (const Bench &B : benches()) {
-    std::vector<double> AccDl(Iters, 0.0);
-    double SpDl = 0, SpRe = 0;
-    for (int E = 0; E < Execs; ++E) {
-      RunStats Sn, Sd, Sr;
-      std::vector<double> Tn = runMode(B, TierStrategy::Normal, Iters, Sn);
-      if (E == 0)
-        R.add(std::string(B.Name) + "/normal", Tn, Sn);
-      std::vector<double> Td =
-          runMode(B, TierStrategy::Deoptless, Iters, Sd);
-      if (E == 0)
-        R.add(std::string(B.Name) + "/deoptless", Td, Sd);
-      std::vector<double> Tr =
-          runMode(B, TierStrategy::ProfileDrivenReopt, Iters, Sr);
-      if (E == 0)
-        R.add(std::string(B.Name) + "/reopt", Tr, Sr);
-      std::vector<double> RatioD(Iters), RatioR(Iters);
-      for (int K = 0; K < Iters; ++K) {
-        RatioD[K] = Tn[K] / Td[K];
-        RatioR[K] = Tn[K] / Tr[K];
-        AccDl[K] += RatioD[K] / Execs;
-      }
-      SpDl += geomean(RatioD) / Execs;
-      SpRe += geomean(RatioR) / Execs;
+    Session S{B.Name, std::string(byName(B.Name)->Setup) + "\n" + B.Setup,
+              {}};
+    S.repeat(Iters / 3, B.Driver)
+        .repeat(Iters - Iters / 3, B.Driver, B.ChangedPre);
+    SessionRun Run = runArms(R, S, Arms, Execs);
+    std::vector<double> RatioD(Iters), RatioR(Iters);
+    for (int K = 0; K < Iters; ++K) {
+      RatioD[K] = Run[0].Times[K] / Run[1].Times[K];
+      RatioR[K] = Run[0].Times[K] / Run[2].Times[K];
     }
-    printf("%-16s %9.2fx %9.2fx |", B.Name, SpDl, SpRe);
+    printf("%-16s %9.2fx %9.2fx |", B.Name, geomean(RatioD),
+           geomean(RatioR));
     for (int K = 0; K < Iters; ++K)
-      printf(" %.2f", AccDl[K]);
+      printf(" %.2f", RatioD[K]);
     printf("\n");
-    R.headline(std::string("speedup_dl_") + B.Name, SpDl);
-    R.headline(std::string("speedup_reopt_") + B.Name, SpRe);
+    R.headline(std::string("speedup_dl_") + B.Name, geomean(RatioD));
+    R.headline(std::string("speedup_reopt_") + B.Name, geomean(RatioR));
   }
   printf("\n# (paper: deoptless matches profile-driven reopt's best case "
          "on rsa (~1.4x) and does not help the other two)\n");
-  emitBenchArtifacts(R, Argc, Argv);
-  return 0;
+  return emitBenchArtifacts(R, Argc, Argv);
 }

@@ -24,8 +24,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "suite/harness.h"
-#include "support/timer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -62,36 +62,6 @@ std::string heavyProgram(int Stmts) {
   return S;
 }
 
-struct WarmupProfile {
-  std::vector<double> CallSeconds; ///< per-call latency, in call order
-  double SteadySeconds = 0;        ///< per-call geomean after the barrier
-  RunStats Stats;
-};
-
-WarmupProfile measure(Vm::Config Cfg, const std::string &Setup, int Calls) {
-  WarmupProfile P;
-  Vm V(Cfg);
-  V.eval(Setup);
-  for (int K = 0; K < Calls; ++K)
-    P.CallSeconds.push_back(timeOnce(V, "heavy(3L, 4L)"));
-  // Barrier: every requested compile has been published. Synchronous mode
-  // has nothing in flight — the drain is a no-op there by construction.
-  V.drainCompiles();
-  std::vector<double> Steady;
-  for (int K = 0; K < Calls; ++K)
-    Steady.push_back(timeOnce(V, "heavy(3L, 4L)"));
-  P.SteadySeconds = geomean(Steady);
-  P.Stats = runStats();
-  return P;
-}
-
-double worstOf(const std::vector<double> &Xs) {
-  double W = 0;
-  for (double X : Xs)
-    W = X > W ? X : W;
-  return W;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -100,7 +70,6 @@ int main(int Argc, char **Argv) {
   int Stmts = static_cast<int>(argLong(Argc, Argv, "--stmts", 150));
   unsigned Threads =
       static_cast<unsigned>(argLong(Argc, Argv, "--threads", 2));
-  std::string Setup = heavyProgram(Stmts);
 
   BenchReport R;
   R.Name = "fig_asynccompile";
@@ -112,52 +81,60 @@ int main(int Argc, char **Argv) {
   // The warmup phase must at least reach the threshold-crossing call.
   if (Calls < static_cast<int>(Sync.CompileThreshold))
     Calls = static_cast<int>(Sync.CompileThreshold);
-  WarmupProfile S = measure(Sync, Setup, Calls);
-  printStats("sync", S.Stats);
-  R.add("sync", S.CallSeconds, S.Stats);
-
-  Vm::Config Bg = benchConfig(TierStrategy::Normal);
+  Vm::Config Bg = Sync;
   Bg.BackgroundCompile = true;
   Bg.CompilerThreads = Threads;
-  WarmupProfile B = measure(Bg, Setup, Calls);
-  printStats("background", B.Stats);
-  R.add("background", B.CallSeconds, B.Stats);
 
-  // The threshold-crossing call: benchConfig's CompileThreshold is 3, so
-  // call index 2 is the one synchronous mode compiles in.
-  size_t PauseIdx = Sync.CompileThreshold - 1;
-  double SyncPause = S.CallSeconds[PauseIdx];
-  double BgSameCall = B.CallSeconds[PauseIdx];
+  // Warmup calls, then a barrier (every requested compile has been
+  // published; synchronous mode has nothing in flight, so the drain is a
+  // no-op there by construction), then as many steady-state calls.
+  Session S{"", heavyProgram(Stmts), {}};
+  S.repeat(Calls, "heavy(3L, 4L)");
+  S.Steps.push_back({"", "heavy(3L, 4L)", false, /*Drain=*/true});
+  S.repeat(Calls - 1, "heavy(3L, 4L)");
+  SessionRun Run = runArms(R, S, {{"sync", Sync}, {"background", Bg}}, 2);
+  printStats("sync", Run[0].Stats);
+  printStats("background", Run[1].Stats);
+
+  struct Profile {
+    double FirstResult, WorstWarmup, Steady;
+  };
+  auto profile = [&](const ArmRun &A) {
+    // The threshold-crossing call: the one synchronous mode compiles in.
+    auto Barrier = A.Times.begin() + Calls;
+    return Profile{A.Times[Sync.CompileThreshold - 1],
+                   *std::max_element(A.Times.begin(), Barrier),
+                   geomean(std::vector<double>(Barrier, A.Times.end()))};
+  };
+  const Profile P[] = {profile(Run[0]), profile(Run[1])};
 
   printf("# fig_asynccompile: warmup-pause elimination (%d-stmt body, "
          "%d calls, %u compiler threads)\n",
          Stmts, Calls, Threads);
   printf("mode        first_result_us   worst_warmup_us   steady_us\n");
-  printf("sync        %15.2f   %15.2f   %9.3f\n", SyncPause * 1e6,
-         worstOf(S.CallSeconds) * 1e6, S.SteadySeconds * 1e6);
-  printf("background  %15.2f   %15.2f   %9.3f\n", BgSameCall * 1e6,
-         worstOf(B.CallSeconds) * 1e6, B.SteadySeconds * 1e6);
+  for (int M = 0; M < 2; ++M)
+    printf("%-10s  %15.2f   %15.2f   %9.3f\n", M ? "background" : "sync",
+           P[M].FirstResult * 1e6, P[M].WorstWarmup * 1e6,
+           P[M].Steady * 1e6);
+  double PauseRatio = P[0].FirstResult / P[1].FirstResult;
+  double Parity = P[1].Steady / P[0].Steady;
   printf("# pause ratio (sync/background first result): %.1fx\n",
-         BgSameCall > 0 ? SyncPause / BgSameCall : 0.0);
-  printf("# steady-state parity (background/sync): %.2fx\n",
-         S.SteadySeconds > 0 ? B.SteadySeconds / S.SteadySeconds : 0.0);
+         PauseRatio);
+  printf("# steady-state parity (background/sync): %.2fx\n", Parity);
 
-  R.headline("pause_ratio",
-             BgSameCall > 0 ? SyncPause / BgSameCall : 0.0);
-  R.headline("steady_parity",
-             S.SteadySeconds > 0 ? B.SteadySeconds / S.SteadySeconds : 0.0);
+  R.headline("pause_ratio", PauseRatio);
+  R.headline("steady_parity", Parity);
   // The gated headline: how much faster the threshold-crossing call
   // returns its first result when compilation happens off-thread. Same
   // ratio as pause_ratio, named speedup_* so compare_bench.py gates it
   // against the checked-in baseline (which floors it far below the
   // observed ~100-200x — the gate catches "background compilation
   // stopped eliding the pause", not scheduler noise).
-  R.headline("speedup_first_result",
-             BgSameCall > 0 ? SyncPause / BgSameCall : 0.0);
-  emitBenchArtifacts(R, Argc, Argv);
+  R.headline("speedup_first_result", PauseRatio);
+  int Status = emitBenchArtifacts(R, Argc, Argv);
 
-  bool PauseEliminated = BgSameCall < SyncPause;
+  bool PauseEliminated = P[1].FirstResult < P[0].FirstResult;
   printf("# warmup pause strictly below synchronous compile pause: %s\n",
          PauseEliminated ? "yes" : "NO");
-  return PauseEliminated ? 0 : 1;
+  return PauseEliminated ? Status : 1;
 }

@@ -16,8 +16,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "suite/harness.h"
-#include "support/stats.h"
-#include "support/timer.h"
 
 #include <cstdio>
 
@@ -34,33 +32,6 @@ poly_dot <- function(a, b, n) {
 }
 )";
 
-std::vector<double> runMode(bool ContextDispatch, long N, int Iters,
-                            RunStats &Out) {
-  Vm::Config Cfg = benchConfig(TierStrategy::Normal);
-  Cfg.ContextDispatch = ContextDispatch;
-  Vm V(Cfg);
-  V.eval(Setup);
-  V.eval("xi <- 1:" + std::to_string(N));
-  V.eval("xr <- as.numeric(1:" + std::to_string(N) + ")");
-  std::string NL = std::to_string(N) + "L";
-
-  std::vector<double> Times;
-  Times.reserve(Iters);
-  for (int K = 0; K < Iters; ++K) {
-    Timer T;
-    // Interleaved polymorphic call sites: int x int, real x real, and a
-    // mixed int x real pair; a scalar call exercises the scalar<=vector
-    // rule of the context order.
-    V.eval("ri <- poly_dot(xi, xi, " + NL + ")");
-    V.eval("rr <- poly_dot(xr, xr, " + NL + ")");
-    V.eval("rm <- poly_dot(xi, xr, " + NL + ")");
-    V.eval("rs <- poly_dot(2L, 3L, 1L)");
-    Times.push_back(T.elapsedSeconds());
-  }
-  Out = runStats();
-  return Times;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -72,11 +43,26 @@ int main(int Argc, char **Argv) {
   R.Name = "fig_ctxdispatch";
   R.Config = "n=" + std::to_string(N) + " iters=" + std::to_string(Iters);
 
-  RunStats Single, Ctx;
-  std::vector<double> TSingle = runMode(false, N, Iters, Single);
-  R.add("single-version", TSingle, Single);
-  std::vector<double> TCtx = runMode(true, N, Iters, Ctx);
-  R.add("ctx-dispatch", TCtx, Ctx);
+  // Interleaved polymorphic call sites: int x int, real x real, and a
+  // mixed int x real pair; a scalar call exercises the scalar<=vector rule
+  // of the context order.
+  const std::string Ns = std::to_string(N), NL = Ns + "L";
+  Session S{"",
+            std::string(Setup) + "\nxi <- 1:" + Ns +
+                "\nxr <- as.numeric(1:" + Ns + ")",
+            {}};
+  S.repeat(Iters, "ri <- poly_dot(xi, xi, " + NL + ")\n" +
+                      "rr <- poly_dot(xr, xr, " + NL + ")\n" +
+                      "rm <- poly_dot(xi, xr, " + NL + ")\n" +
+                      "rs <- poly_dot(2L, 3L, 1L)\nc(ri, rr, rm, rs)");
+  Vm::Config Ctx = benchConfig(TierStrategy::Normal);
+  Ctx.ContextDispatch = true;
+  SessionRun Run = runArms(
+      R, S,
+      {{"single-version", benchConfig(TierStrategy::Normal)},
+       {"ctx-dispatch", Ctx}},
+      2);
+  const std::vector<double> &TSingle = Run[0].Times, &TCtx = Run[1].Times;
 
   printf("# contextual dispatch on a polymorphic kernel "
          "(n=%ld, %d iterations, 4 call shapes per iteration)\n",
@@ -87,14 +73,10 @@ int main(int Argc, char **Argv) {
            TSingle[K] / TCtx[K]);
 
   // Skip the first iterations (warmup/compile) for the steady-state mean.
-  std::vector<double> SS(TSingle.begin() + Iters / 3, TSingle.end());
-  std::vector<double> SC(TCtx.begin() + Iters / 3, TCtx.end());
-  printf("\n# steady-state geomean speedup: %.2fx\n",
-         geomean(SS) / geomean(SC));
-
-  printStats("single-version", Single);
-  printStats("ctx-dispatch", Ctx);
-  R.headline("speedup_ctx", geomean(SS) / geomean(SC));
-  emitBenchArtifacts(R, Argc, Argv);
-  return 0;
+  double Speedup = steadyGeomean(TSingle) / steadyGeomean(TCtx);
+  printf("\n# steady-state geomean speedup: %.2fx\n", Speedup);
+  printStats("single-version", Run[0].Stats);
+  printStats("ctx-dispatch", Run[1].Stats);
+  R.headline("speedup_ctx", Speedup);
+  return emitBenchArtifacts(R, Argc, Argv);
 }

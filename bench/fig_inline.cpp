@@ -17,8 +17,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "suite/harness.h"
-#include "support/stats.h"
-#include "support/timer.h"
 
 #include <cstdio>
 
@@ -36,32 +34,6 @@ dot <- function(v, w, n) {
 }
 )";
 
-std::vector<double> runMode(TierStrategy S, bool Inlining, long N, int Iters,
-                            RunStats &Out) {
-  Vm::Config Cfg = benchConfig(S);
-  Cfg.Inlining = Inlining;
-  Vm V(Cfg);
-  V.eval(Setup);
-  V.eval("xa <- as.numeric(1:" + std::to_string(N) + ")");
-  V.eval("xb <- as.numeric(" + std::to_string(N) + ":1)");
-  std::string Call = "r <- dot(xa, xb, " + std::to_string(N) + "L)";
-
-  std::vector<double> Times;
-  Times.reserve(Iters);
-  for (int K = 0; K < Iters; ++K) {
-    Timer T;
-    V.eval(Call);
-    Times.push_back(T.elapsedSeconds());
-  }
-  Out = runStats();
-  return Times;
-}
-
-double steady(const std::vector<double> &Xs) {
-  std::vector<double> Tail(Xs.begin() + Xs.size() / 3, Xs.end());
-  return geomean(Tail);
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -73,22 +45,23 @@ int main(int Argc, char **Argv) {
   R.Name = "fig_inline";
   R.Config = "n=" + std::to_string(N) + " iters=" + std::to_string(Iters);
 
-  struct Mode {
-    const char *Label;
-    TierStrategy S;
-    bool Inline;
-    RunStats Stats;
-    std::vector<double> Times;
-  } Modes[] = {
-      {"normal", TierStrategy::Normal, false, {}, {}},
-      {"normal+inline", TierStrategy::Normal, true, {}, {}},
-      {"deoptless", TierStrategy::Deoptless, false, {}, {}},
-      {"deoptless+inline", TierStrategy::Deoptless, true, {}, {}},
+  const std::string Ns = std::to_string(N);
+  Session S{"",
+            std::string(Setup) + "\nxa <- as.numeric(1:" + Ns +
+                ")\nxb <- as.numeric(" + Ns + ":1)",
+            {}};
+  S.repeat(Iters, "r <- dot(xa, xb, " + Ns + "L)");
+  auto arm = [](const char *Label, TierStrategy S, bool Inlining) {
+    Arm A{Label, benchConfig(S)};
+    A.Cfg.Inlining = Inlining;
+    return A;
   };
-  for (Mode &M : Modes) {
-    M.Times = runMode(M.S, M.Inline, N, Iters, M.Stats);
-    R.add(M.Label, M.Times, M.Stats);
-  }
+  const std::vector<Arm> Arms = {
+      arm("normal", TierStrategy::Normal, false),
+      arm("normal+inline", TierStrategy::Normal, true),
+      arm("deoptless", TierStrategy::Deoptless, false),
+      arm("deoptless+inline", TierStrategy::Deoptless, true)};
+  SessionRun Run = runArms(R, S, Arms, 2);
 
   printf("# speculative inlining on a call-heavy kernel "
          "(n=%ld, %d iterations, one leaf call per element)\n",
@@ -96,20 +69,17 @@ int main(int Argc, char **Argv) {
   printf("%-6s %14s %14s %14s %14s\n", "iter", "normal[s]", "norm+inl[s]",
          "deoptless[s]", "deopl+inl[s]");
   for (int K = 0; K < Iters; ++K)
-    printf("%-6d %14.6f %14.6f %14.6f %14.6f\n", K + 1, Modes[0].Times[K],
-           Modes[1].Times[K], Modes[2].Times[K], Modes[3].Times[K]);
+    printf("%-6d %14.6f %14.6f %14.6f %14.6f\n", K + 1, Run[0].Times[K],
+           Run[1].Times[K], Run[2].Times[K], Run[3].Times[K]);
 
+  double SpeedN = steadyGeomean(Run[0].Times) / steadyGeomean(Run[1].Times);
+  double SpeedD = steadyGeomean(Run[2].Times) / steadyGeomean(Run[3].Times);
   printf("\n# steady-state geomean speedup from inlining: "
          "normal %.2fx, deoptless %.2fx\n",
-         steady(Modes[0].Times) / steady(Modes[1].Times),
-         steady(Modes[2].Times) / steady(Modes[3].Times));
-
-  for (Mode &M : Modes)
-    printStats(M.Label, M.Stats);
-  R.headline("speedup_inline_normal",
-             steady(Modes[0].Times) / steady(Modes[1].Times));
-  R.headline("speedup_inline_deoptless",
-             steady(Modes[2].Times) / steady(Modes[3].Times));
-  emitBenchArtifacts(R, Argc, Argv);
-  return 0;
+         SpeedN, SpeedD);
+  for (size_t A = 0; A < Arms.size(); ++A)
+    printStats(Arms[A].Label.c_str(), Run[A].Stats);
+  R.headline("speedup_inline_normal", SpeedN);
+  R.headline("speedup_inline_deoptless", SpeedD);
+  return emitBenchArtifacts(R, Argc, Argv);
 }

@@ -59,7 +59,7 @@ ServerConfig configFromArgs(int Argc, char **Argv) {
   return SC;
 }
 
-ServerResult runMode(TierStrategy S, const ServerConfig &Base) {
+ServerResult serveMode(TierStrategy S, const ServerConfig &Base) {
   ServerConfig SC = Base;
   SC.Base.Strategy = S;
   return runServer(SC);
@@ -141,11 +141,11 @@ int main(int Argc, char **Argv) {
          SC.Clients, SC.CompilerThreads, SC.InjectEveryRequests,
          SC.ChaosIntervalUs);
 
-  ServerResult Normal = runMode(TierStrategy::Normal, SC);
+  ServerResult Normal = serveMode(TierStrategy::Normal, SC);
   printMode("normal", Normal);
   addPhases(R, "normal", Normal);
 
-  ServerResult Dl = runMode(TierStrategy::Deoptless, SC);
+  ServerResult Dl = serveMode(TierStrategy::Deoptless, SC);
   printMode("deoptless", Dl);
   addPhases(R, "deoptless", Dl);
 

@@ -6,12 +6,14 @@
 
 #include "suite/harness.h"
 #include "obs/trace.h"
+#include "runtime/value.h"
 #include "support/timer.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <map>
 
 using namespace rjit;
 using namespace rjit::suite;
@@ -24,29 +26,6 @@ Vm::Config rjit::suite::benchConfig(TierStrategy S) {
   return C;
 }
 
-double rjit::suite::timeOnce(Vm &V, const std::string &Source) {
-  Timer T;
-  V.eval(Source);
-  uint64_t Ns = T.elapsedNanos();
-  obs::metrics().Iteration.record(Ns);
-  return static_cast<double>(Ns) * 1e-9;
-}
-
-std::vector<double>
-rjit::suite::runIterations(const Program &P, Vm::Config Cfg, int Iterations,
-                           const std::vector<std::string> &PerPhase) {
-  Vm V(Cfg);
-  V.eval(P.Setup);
-  std::vector<double> Times;
-  Times.reserve(Iterations);
-  for (int K = 0; K < Iterations; ++K) {
-    if (!PerPhase.empty())
-      V.eval(PerPhase[K % PerPhase.size()]);
-    Times.push_back(timeOnce(V, P.Driver));
-  }
-  return Times;
-}
-
 double rjit::suite::geomean(const std::vector<double> &Xs) {
   if (Xs.empty())
     return 0;
@@ -54,6 +33,25 @@ double rjit::suite::geomean(const std::vector<double> &Xs) {
   for (double X : Xs)
     S += std::log(X);
   return std::exp(S / static_cast<double>(Xs.size()));
+}
+
+double rjit::suite::steadyGeomean(const std::vector<double> &Xs) {
+  return geomean(std::vector<double>(Xs.begin() + Xs.size() / 3, Xs.end()));
+}
+
+double rjit::suite::steadyMin(const std::vector<double> &Xs) {
+  if (Xs.empty())
+    return 0;
+  return *std::min_element(Xs.begin() + Xs.size() / 3, Xs.end());
+}
+
+double rjit::suite::steadyMean(const std::vector<double> &Xs, size_t From,
+                               size_t To) {
+  From += (To - From) / 2;
+  double S = 0;
+  for (size_t K = From; K < To; ++K)
+    S += Xs[K];
+  return To > From ? S / static_cast<double>(To - From) : 0;
 }
 
 long rjit::suite::argLong(int Argc, char **Argv, const std::string &Name,
@@ -77,18 +75,6 @@ const char *rjit::suite::argStr(int Argc, char **Argv,
     if (Name == Argv[K])
       return Argv[K + 1];
   return Def;
-}
-
-VmStats rjit::suite::openWindow() {
-  (void)obs::metrics().drain();
-  return stats();
-}
-
-RunStats rjit::suite::runStats(const VmStats &Start) {
-  RunStats R;
-  static_cast<VmStats &>(R) = stats() - Start;
-  R.Metrics = obs::metrics();
-  return R;
 }
 
 void rjit::suite::printStats(const char *Label, const VmStats &S) {
@@ -138,6 +124,136 @@ void BenchReport::headline(const std::string &Key, double Value) {
   Headlines.push_back({Key, Value});
 }
 
+//===----------------------------------------------------------------------===//
+// The A/B protocol
+//===----------------------------------------------------------------------===//
+
+Session &Session::repeat(int Times, const std::string &Timed,
+                         const std::string &Pre) {
+  for (int K = 0; K < Times; ++K)
+    Steps.push_back({K ? "" : Pre, Timed});
+  return *this;
+}
+
+std::vector<Arm> rjit::suite::paperArms() {
+  return {{"normal", benchConfig(TierStrategy::Normal)},
+          {"deoptless", benchConfig(TierStrategy::Deoptless)}};
+}
+
+namespace {
+
+/// Opens a measurement window on the calling thread's Vm: drains its
+/// histograms and returns its counters, for runStats() to subtract at the
+/// window's end.
+VmStats openWindow() {
+  (void)obs::metrics().drain();
+  return stats();
+}
+
+/// The calling thread's Vm's counters since \p Start (openWindow) and its
+/// histograms. Counters and histograms are per Vm: take this while the
+/// arm's Vm lives.
+RunStats runStats(const VmStats &Start) {
+  RunStats R;
+  static_cast<VmStats &>(R) = stats() - Start;
+  R.Metrics = obs::metrics();
+  return R;
+}
+
+/// The BaselineOnly value of every step of \p S. A step's value depends on
+/// its timed expression and its phase, so each distinct pair is evaluated
+/// once.
+std::vector<Value> referenceValues(const Session &S) {
+  Vm V(benchConfig(TierStrategy::BaselineOnly));
+  V.eval(S.Setup);
+  std::map<std::pair<size_t, std::string>, Value> Seen;
+  std::vector<Value> Refs;
+  size_t Phase = 0;
+  for (const Step &St : S.Steps) {
+    if (!St.Pre.empty()) {
+      V.eval(St.Pre);
+      ++Phase;
+    }
+    auto It = Seen.find({Phase, St.Timed});
+    if (It == Seen.end())
+      It = Seen.emplace(std::make_pair(Phase, St.Timed), V.eval(St.Timed))
+               .first;
+    Refs.push_back(It->second);
+  }
+  return Refs;
+}
+
+} // namespace
+
+SessionRun rjit::suite::runArms(BenchReport &R, const Session &S,
+                                const std::vector<Arm> &Arms, int Execs) {
+  const std::vector<Value> Refs = referenceValues(S);
+  size_t Timed = 0;
+  for (const Step &St : S.Steps)
+    Timed += !St.Warmup;
+
+  auto Label = [&](size_t A) {
+    return S.Name.empty() ? Arms[A].Label : S.Name + "/" + Arms[A].Label;
+  };
+  SessionRun Run;
+  Run.Arms.resize(Arms.size());
+  for (ArmRun &A : Run.Arms) {
+    A.Times.assign(Timed, 0.0);
+    A.Fastest.assign(Timed, HUGE_VAL);
+  }
+  for (int E = 0; E < Execs; ++E) {
+    for (size_t Pos = 0; Pos < Arms.size(); ++Pos) {
+      const size_t A = E % 2 ? Arms.size() - 1 - Pos : Pos;
+      Run.Order.push_back(A);
+      ArmRun &Out = Run.Arms[A];
+      Vm::Config Cfg = Arms[A].Cfg;
+      Cfg.InvalidationSeed *= static_cast<uint64_t>(E) + 1;
+      Vm V(Cfg);
+      V.eval(S.Setup);
+      VmStats Start;
+      size_t J = 0;
+      for (size_t K = 0; K < S.Steps.size(); ++K) {
+        const Step &St = S.Steps[K];
+        if (!St.Warmup && J == 0) {
+          resetHeapPeak();
+          Start = openWindow();
+        }
+        if (St.Drain)
+          V.drainCompiles();
+        if (!St.Pre.empty())
+          V.eval(St.Pre);
+        Timer T;
+        Value Got = V.eval(St.Timed);
+        uint64_t Ns = T.elapsedNanos();
+        if (!St.Warmup) {
+          obs::metrics().Iteration.record(Ns);
+          double Secs = static_cast<double>(Ns) * 1e-9;
+          Out.Times[J] += Secs / Execs;
+          Out.Fastest[J] = std::min(Out.Fastest[J], Secs);
+          ++J;
+        }
+        if (Got.equals(Refs[K]))
+          continue;
+        ++R.WrongResults;
+        fprintf(stderr,
+                "WRONG RESULT: %s execution %d step %zu%s: got %s, "
+                "BaselineOnly gives %s\n",
+                Label(A).c_str(), E, K, St.Warmup ? " (warmup)" : "",
+                Got.show().c_str(), Refs[K].show().c_str());
+      }
+      RunStats W = runStats(Start);
+      static_cast<VmStats &>(Out.Stats) += W;
+      Out.Stats.Metrics += W.Metrics;
+      Out.PeakHeap +=
+          static_cast<double>(heapStats().PeakBytes.load()) / Execs;
+    }
+  }
+  for (size_t A = 0; A < Arms.size(); ++A)
+    R.add(Label(A), Run.Arms[A].Times, Run.Arms[A].Stats,
+          Run.Arms[A].Stats.Metrics);
+  return Run;
+}
+
 bool rjit::suite::benchObsInit(int Argc, char **Argv, size_t RingCapacity) {
   if (!argStr(Argc, Argv, "--trace", nullptr))
     return false;
@@ -159,15 +275,6 @@ double exactQuantile(std::vector<double> Xs, double Q) {
   if (Rank < 1)
     Rank = 1;
   return Xs[Rank - 1];
-}
-
-/// Steady state: geomean of the last two thirds (the warmup protocol the
-/// fig benches already use).
-double steadyState(const std::vector<double> &Xs) {
-  if (Xs.empty())
-    return 0;
-  std::vector<double> Tail(Xs.begin() + Xs.size() / 3, Xs.end());
-  return geomean(Tail);
 }
 
 void jsonEscape(FILE *F, const std::string &S) {
@@ -210,7 +317,7 @@ void emitSeries(FILE *F, const BenchSeries &S) {
           "      \"p50_s\": %.9f,\n      \"p90_s\": %.9f,\n"
           "      \"p99_s\": %.9f,\n",
           S.Times.empty() ? 0 : Sum / static_cast<double>(S.Times.size()),
-          steadyState(S.Times), exactQuantile(S.Times, 0.50),
+          steadyGeomean(S.Times), exactQuantile(S.Times, 0.50),
           exactQuantile(S.Times, 0.90), exactQuantile(S.Times, 0.99));
 
   fprintf(F, "      \"counters\": ");
@@ -266,8 +373,8 @@ void emitSeries(FILE *F, const BenchSeries &S) {
 
 } // namespace
 
-void rjit::suite::emitBenchArtifacts(const BenchReport &R, int Argc,
-                                     char **Argv) {
+int rjit::suite::emitBenchArtifacts(const BenchReport &R, int Argc,
+                                    char **Argv) {
   std::string Default = "BENCH_" + R.Name + ".json";
   const char *Path = argStr(Argc, Argv, "--json", Default.c_str());
   FILE *F = fopen(Path, "w");
@@ -302,4 +409,9 @@ void rjit::suite::emitBenchArtifacts(const BenchReport &R, int Argc,
     else
       fprintf(stderr, "# bench: cannot write %s\n", TracePath);
   }
+  if (!R.WrongResults)
+    return 0;
+  fprintf(stderr, "# %llu evaluations differ from BaselineOnly\n",
+          static_cast<unsigned long long>(R.WrongResults));
+  return 1;
 }

@@ -22,33 +22,47 @@ using namespace rjit;
 // Whole-function versions (shared synchronous/background entry point)
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Resolves which context a compile request for \p Ctx (re)compiles into
+/// \p Want and returns that context's entry, or null if it has none yet.
+/// An arity-mismatched call (the dispatch raises before running any
+/// version) and a blacklisted or unplaceable specialized context all fall
+/// back to the generic root: erroneous call sites must not burn
+/// MaxVersions slots. Every context with no typed argument canonicalizes
+/// to THE generic root (runtime contexts may carry extra flags, e.g. a
+/// zero-arity call's CtxNoMissingArgs; two roots would split the
+/// deopt/blacklist bookkeeping). Authoritative under the table's writer
+/// lock, a lock-free preview without it.
+FnVersion *resolveVersion(Function *Fn, const CallContext &Ctx,
+                          VersionTable &Table, CallContext &Want) {
+  Want = Ctx;
+  if (!(Want.Flags & CtxCorrectArity) || Want.isGeneric())
+    Want = genericContext(Fn->Params.size());
+  FnVersion *E = Table.exact(Want);
+  if (!Want.isGeneric() &&
+      ((E && E->Blacklisted) || (!E && Table.fullFor(Want)))) {
+    Want = genericContext(Fn->Params.size());
+    E = Table.exact(Want);
+  }
+  return E;
+}
+
+} // namespace
+
 FnVersion *rjit::compileAndPublishVersion(Function *Fn,
                                           const CallContext &Ctx,
                                           VersionTable &Table,
                                           const VersionCompileOpts &Opts) {
-  // Resolve which context to (re)compile: an arity-mismatched call (the
-  // dispatch raises before running any version) and a blacklisted or
-  // unplaceable specialized context all fall back to the generic root —
-  // erroneous call sites must not burn MaxVersions slots. Resolution and
-  // entry insertion happen under the writer lock; the compile itself runs
-  // unlocked (an executor's guard-failure path never waits out a compile
-  // of the same function), and publication re-checks under the lock.
-  CallContext Want = Ctx;
-  if (!(Want.Flags & CtxCorrectArity) || Want.isGeneric())
-    // Canonicalize: every context with no typed argument maps to THE
-    // generic root (runtime contexts may carry extra flags, e.g. a
-    // zero-arity call's CtxNoMissingArgs; two roots would split the
-    // deopt/blacklist bookkeeping).
-    Want = genericContext(Fn->Params.size());
+  // Resolution and entry insertion happen under the writer lock; the
+  // compile itself runs unlocked (an executor's guard-failure path never
+  // waits out a compile of the same function), and publication re-checks
+  // under the lock.
+  CallContext Want;
   FnVersion *E;
   {
     VersionWriteGuard G(Table);
-    E = Table.exact(Want);
-    if (!Want.isGeneric() &&
-        ((E && E->Blacklisted) || (!E && Table.fullFor(Want)))) {
-      Want = genericContext(Fn->Params.size());
-      E = Table.exact(Want);
-    }
+    E = resolveVersion(Fn, Ctx, Table, Want);
     if (E && E->Blacklisted)
       return nullptr;
     if (E && E->live())
@@ -257,24 +271,16 @@ uint64_t rjit::hashOsrSignature(int32_t Pc,
 bool rjit::requestVersionCompile(CompilerPool &Pool, Function *Fn,
                                  const CallContext &Ctx, VersionTable *Table,
                                  const VersionCompileOpts &Opts) {
-  // Cheap pre-resolution (lock-free reads), mirroring the job's own
-  // resolution: a context whose resolved version is blacklisted or
-  // already live can never publish anything new — without this check,
-  // every call to e.g. a blacklisted hot function would pay a snapshot
-  // deep-copy and a queue round-trip for a job that discards itself.
-  // Resolving *before* keying also collapses distinct raw contexts that
-  // canonicalize to the same version (arity mismatches, a full table)
-  // into one request. The job re-resolves authoritatively under the
-  // writer lock.
-  CallContext Want = Ctx;
-  if (!(Want.Flags & CtxCorrectArity) || Want.isGeneric())
-    Want = genericContext(Fn->Params.size());
-  FnVersion *E = Table->exact(Want);
-  if (!Want.isGeneric() &&
-      ((E && E->Blacklisted) || (!E && Table->fullFor(Want)))) {
-    Want = genericContext(Fn->Params.size());
-    E = Table->exact(Want);
-  }
+  // Cheap pre-resolution (lock-free reads), the job's own resolution: a
+  // context whose resolved version is blacklisted or already live can
+  // never publish anything new — without this check, every call to e.g. a
+  // blacklisted hot function would pay a snapshot deep-copy and a queue
+  // round-trip for a job that discards itself. Resolving *before* keying
+  // also collapses distinct raw contexts that canonicalize to the same
+  // version (arity mismatches, a full table) into one request. The job
+  // re-resolves authoritatively under the writer lock.
+  CallContext Want;
+  FnVersion *E = resolveVersion(Fn, Ctx, *Table, Want);
   if (E && (E->Blacklisted || E->live()))
     return false; // nothing a compile could add
 

@@ -96,6 +96,13 @@ public:
   std::vector<Function *> InnerFns;
 };
 
+/// The name compileToBc gives a module's top level: the one function that
+/// runs in the global environment.
+inline Symbol topLevelName() {
+  static const Symbol S = symbol("<top>");
+  return S;
+}
+
 /// A compilation unit: all functions of a program; Top is the entry.
 struct Module {
   std::vector<std::unique_ptr<Function>> Fns;

@@ -366,7 +366,7 @@ private:
 
 BcResult rjit::compileToBc(const Node &Program) {
   auto Mod = std::make_unique<Module>();
-  Function *Top = Mod->addFunction(symbol("<top>"), {});
+  Function *Top = Mod->addFunction(topLevelName(), {});
   Mod->Top = Top;
   BcCompiler C(*Mod);
   if (!C.compileFunction(Top, Program))

@@ -1,4 +1,4 @@
-//===-- compile/service.cpp - Background compilation service -------------------===//
+//===-- compile/service.cpp - One tier-up path ---------------------------------===//
 //
 // Part of the deoptless reproduction. MIT license.
 //
@@ -15,11 +15,12 @@
 #include "support/timer.h"
 
 #include <cassert>
+#include <functional>
 
 using namespace rjit;
 
 //===----------------------------------------------------------------------===//
-// Whole-function versions (shared synchronous/background entry point)
+// Whole-function versions: the version job's body
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -168,45 +169,47 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
 
 OsrCache::Hit OsrCache::lookup(int32_t Pc,
                                const std::vector<uint32_t> &Sig) const {
-  for (Entry *E : List.read())
-    if (E->Pc == Pc && E->Sig == Sig)
-      return {true, E->Code.get()};
+  std::lock_guard<std::mutex> L(Mu);
+  for (const Entry &E : Entries)
+    if (E.Pc == Pc && E.Sig == Sig)
+      return {true, E.Code.get()};
   return {};
 }
 
-bool OsrCache::full() const { return List.read().size() >= Cap; }
-
-bool OsrCache::invalidate(const LowFunction *Code) {
-  if (!Code)
-    return false;
-  std::lock_guard<std::mutex> L(WriterMu);
-  const std::vector<Entry *> &Cur = List.read();
-  for (size_t K = 0; K < Cur.size(); ++K)
-    if (Cur[K]->Code && Cur[K]->Code->lowPtr() == Code) {
-      List.removeAt(K);
-      return true;
-    }
-  return false;
+bool OsrCache::full() const {
+  std::lock_guard<std::mutex> L(Mu);
+  return Entries.size() >= Cap;
 }
 
-void OsrCache::publish(int32_t Pc, std::vector<uint32_t> Sig,
-                       std::unique_ptr<ExecutableCode> Code) {
-  std::lock_guard<std::mutex> L(WriterMu);
-  const std::vector<Entry *> &Cur = List.read();
-  if (Cur.size() >= Cap)
-    return;
-  for (Entry *E : Cur)
-    if (E->Pc == Pc && E->Sig == Sig)
-      return; // lost a publication race; keep the first entry
+size_t OsrCache::size() const {
+  std::lock_guard<std::mutex> L(Mu);
+  return Entries.size();
+}
 
-  auto E = std::make_unique<Entry>();
-  E->Pc = Pc;
-  E->Sig = std::move(Sig);
-  E->Code = std::move(Code);
+std::unique_ptr<ExecutableCode> OsrCache::invalidate(const LowFunction *Code) {
+  std::lock_guard<std::mutex> L(Mu);
+  for (auto It = Entries.begin(); It != Entries.end(); ++It)
+    if (It->Code && It->Code->lowPtr() == Code) {
+      std::unique_ptr<ExecutableCode> Dropped = std::move(It->Code);
+      Entries.erase(It);
+      return Dropped;
+    }
+  return nullptr;
+}
+
+bool OsrCache::publish(int32_t Pc, std::vector<uint32_t> Sig,
+                       std::unique_ptr<ExecutableCode> Code) {
+  std::lock_guard<std::mutex> L(Mu);
+  if (Entries.size() >= Cap)
+    return false;
+  for (const Entry &E : Entries)
+    if (E.Pc == Pc && E.Sig == Sig)
+      return false; // lost a publication race; keep the first entry
   if (obs::traceOn())
-    obs::traceEvent(obs::TraceEv::Publish, 0,
-                    static_cast<uint64_t>(Pc), obs::CompileKindOsr);
-  List.insertAt(Cur.size(), std::move(E));
+    obs::traceEvent(obs::TraceEv::Publish, 0, static_cast<uint64_t>(Pc),
+                    obs::CompileKindOsr);
+  Entries.push_back({Pc, std::move(Sig), std::move(Code)});
+  return true;
 }
 
 std::vector<uint32_t> rjit::osrSignature(const EntryState &Entry) {
@@ -223,10 +226,12 @@ std::vector<uint32_t> rjit::osrSignature(const EntryState &Entry) {
 }
 
 //===----------------------------------------------------------------------===//
-// Request keys
+// Requests — run on the executor thread
 //===----------------------------------------------------------------------===//
 
-uint64_t rjit::hashCallContext(const CallContext &Ctx) {
+namespace {
+
+uint64_t hashCallContext(const CallContext &Ctx) {
   FnvHasher H;
   H.mix(Ctx.Arity);
   H.mix(Ctx.Flags);
@@ -236,7 +241,7 @@ uint64_t rjit::hashCallContext(const CallContext &Ctx) {
   return H.H;
 }
 
-uint64_t rjit::hashDeoptContext(const DeoptContext &Ctx) {
+uint64_t hashDeoptContext(const DeoptContext &Ctx) {
   FnvHasher H;
   H.mix(static_cast<uint64_t>(Ctx.Pc));
   H.mix(static_cast<uint64_t>(Ctx.Reason.Kind));
@@ -255,8 +260,7 @@ uint64_t rjit::hashDeoptContext(const DeoptContext &Ctx) {
   return H.H;
 }
 
-uint64_t rjit::hashOsrSignature(int32_t Pc,
-                                const std::vector<uint32_t> &Sig) {
+uint64_t hashOsrSignature(int32_t Pc, const std::vector<uint32_t> &Sig) {
   FnvHasher H;
   H.mix(static_cast<uint64_t>(Pc));
   for (uint32_t X : Sig)
@@ -264,92 +268,113 @@ uint64_t rjit::hashOsrSignature(int32_t Pc,
   return H.H;
 }
 
-//===----------------------------------------------------------------------===//
-// Request (enqueue) side — runs on the executor thread
-//===----------------------------------------------------------------------===//
+/// Runs a request's job body, which compiles, publishes and returns
+/// whether it published. Without a pool it runs now against live
+/// feedback; with one, the executor captures \p Fn's feedback closure now
+/// and a compiler thread runs the body under that snapshot. \p Root, when
+/// set, yields the profile that replaces \p Fn's in either mode.
+CompileStatus submit(CompilerPool *Pool, const CompileKey &Key, Function *Fn,
+                     std::function<bool()> Body,
+                     const std::function<FeedbackTable()> &Root = nullptr) {
+  if (!Pool) {
+    if (!Root)
+      return Body() ? CompileStatus::Published : CompileStatus::Refused;
+    // A partial snapshot overrides only the root: inlined callees read
+    // (and repair) their live tables, which this thread owns.
+    FeedbackSnapshot Partial;
+    Partial.replace(Fn, Root());
+    SnapshotScope Scope(Partial);
+    return Body() ? CompileStatus::Published : CompileStatus::Refused;
+  }
+  if (Pool->queue().pending(Key))
+    return CompileStatus::Pending; // in flight: skip the snapshot capture
+  std::shared_ptr<FeedbackSnapshot> Snap = FeedbackSnapshot::capture(Fn);
+  if (Root)
+    Snap->replace(Fn, Root());
+  CompileJob Job{Key, [Snap, Body = std::move(Body)] {
+                   SnapshotScope Scope(*Snap);
+                   Body();
+                 }};
+  CompileQueue::Push R = Pool->queue().push(std::move(Job));
+  return R == CompileQueue::Push::Enqueued ||
+                 R == CompileQueue::Push::Duplicate
+             ? CompileStatus::Pending
+             : CompileStatus::Refused;
+}
 
-bool rjit::requestVersionCompile(CompilerPool &Pool, Function *Fn,
-                                 const CallContext &Ctx, VersionTable *Table,
-                                 const VersionCompileOpts &Opts) {
-  // Cheap pre-resolution (lock-free reads), the job's own resolution: a
-  // context whose resolved version is blacklisted or already live can
-  // never publish anything new — without this check, every call to e.g. a
-  // blacklisted hot function would pay a snapshot deep-copy and a queue
-  // round-trip for a job that discards itself. Resolving *before* keying
-  // also collapses distinct raw contexts that canonicalize to the same
-  // version (arity mismatches, a full table) into one request. The job
-  // re-resolves authoritatively under the writer lock.
+} // namespace
+
+CompileStatus rjit::requestVersionCompile(CompilerPool *Pool, Function *Fn,
+                                          const CallContext &Ctx,
+                                          VersionTable &Table,
+                                          const VersionCompileOpts &Opts) {
+  // The job's own resolution, lock-free: a context whose resolved version
+  // is blacklisted or already live can never publish anything new —
+  // without this check, every call to e.g. a blacklisted hot function
+  // would pay a snapshot deep-copy and a queue round-trip for a job that
+  // discards itself. Resolving *before* keying also collapses distinct
+  // raw contexts that canonicalize to the same version (arity mismatches,
+  // a full table) into one request. The body re-resolves authoritatively
+  // under the writer lock.
   CallContext Want;
-  FnVersion *E = resolveVersion(Fn, Ctx, *Table, Want);
-  if (E && (E->Blacklisted || E->live()))
-    return false; // nothing a compile could add
-
+  if (FnVersion *E = resolveVersion(Fn, Ctx, Table, Want)) {
+    if (E->Blacklisted)
+      return CompileStatus::Refused;
+    if (E->live())
+      return CompileStatus::Published;
+  }
   CompileKey Key{Opts.Opt.Ctx, Fn, CompileKind::Function,
                  hashCallContext(Want)};
-  if (Pool.queue().pending(Key))
-    return true; // in flight: skip the snapshot capture
-  std::shared_ptr<FeedbackSnapshot> Snap = FeedbackSnapshot::capture(Fn);
-  CompileJob Job{Key, [Fn, Want, Table, Opts, Snap]() {
-                   SnapshotScope Scope(*Snap);
-                   compileAndPublishVersion(Fn, Want, *Table, Opts);
-                 }};
-  CompileQueue::Push R = Pool.queue().push(std::move(Job));
-  return R == CompileQueue::Push::Enqueued ||
-         R == CompileQueue::Push::Duplicate;
+  return submit(Pool, Key, Fn, [Fn, Want, &Table, Opts] {
+    return compileAndPublishVersion(Fn, Want, Table, Opts) != nullptr;
+  });
 }
 
-bool rjit::requestOsrCompile(CompilerPool &Pool, Function *Fn,
-                             const EntryState &Entry, OsrCache *Cache,
-                             const OptOptions &Opts) {
+CompileStatus rjit::requestOsrCompile(CompilerPool *Pool, Function *Fn,
+                                      const EntryState &Entry,
+                                      OsrCache &Cache,
+                                      const OptOptions &Opts) {
   std::vector<uint32_t> Sig = osrSignature(Entry);
+  OsrCache::Hit H = Cache.lookup(Entry.Pc, Sig);
+  if (H.Found)
+    return H.Code ? CompileStatus::Published : CompileStatus::Refused;
+  if (Cache.full())
+    return CompileStatus::Refused; // no room for another signature
   CompileKey Key{Opts.Ctx, Fn, CompileKind::OsrIn,
                  hashOsrSignature(Entry.Pc, Sig)};
-  if (Pool.queue().pending(Key))
-    return true;
-  if (Cache->full())
-    return false; // no room for another signature: stop requesting
-  std::shared_ptr<FeedbackSnapshot> Snap = FeedbackSnapshot::capture(Fn);
-  CompileJob Job{Key, [Fn, Entry, Sig = std::move(Sig), Cache, Opts, Snap]() {
-                   SnapshotScope Scope(*Snap);
-                   // Null code is published as a failure marker: the
-                   // executor stops requesting this signature instead of
-                   // re-enqueueing forever.
-                   Cache->publish(Entry.Pc, std::move(Sig),
-                                  compileOsrInCode(Fn, Entry, Opts));
-                 }};
-  CompileQueue::Push R = Pool.queue().push(std::move(Job));
-  return R == CompileQueue::Push::Enqueued ||
-         R == CompileQueue::Push::Duplicate;
+  return submit(Pool, Key, Fn, [Fn, Entry, Sig, &Cache, Opts] {
+    // Null code is published as the failure marker: the executor stops
+    // requesting this signature instead of recompiling it forever.
+    std::unique_ptr<ExecutableCode> Code = compileOsrInCode(Fn, Entry, Opts);
+    bool Compiled = Code != nullptr;
+    return Cache.publish(Entry.Pc, Sig, std::move(Code)) && Compiled;
+  });
 }
 
-bool rjit::requestContinuationCompile(CompilerPool &Pool, Function *Fn,
-                                      const DeoptContext &Ctx,
-                                      DeoptlessTable *Table,
-                                      bool FeedbackCleanup,
-                                      const OptOptions &Opts) {
+CompileStatus rjit::requestContinuationCompile(CompilerPool *Pool,
+                                               Function *Fn,
+                                               const DeoptContext &Ctx,
+                                               DeoptlessTable &Table,
+                                               bool FeedbackCleanup,
+                                               const OptOptions &Opts) {
+  if (Table.full())
+    return CompileStatus::Refused;
   CompileKey Key{Opts.Ctx, Fn, CompileKind::Continuation,
                  hashDeoptContext(Ctx)};
-  if (Pool.queue().pending(Key))
-    return true;
-  if (Table->full())
-    return false;
-  // The repair reads live feedback — do it here, on the executor, and
-  // ship the repaired profile as the job's view of the function.
-  std::shared_ptr<FeedbackSnapshot> Snap = FeedbackSnapshot::capture(Fn);
-  Snap->replace(Fn,
-                repairedContinuationFeedback(Fn, Ctx, FeedbackCleanup));
-  CompileJob Job{Key, [Fn, Ctx, Table, Opts, Snap]() {
-                   SnapshotScope Scope(*Snap);
-                   std::unique_ptr<ExecutableCode> Code =
-                       compileContinuationCode(Fn, Ctx, Opts);
-                   if (Code && Table->insert(Ctx, std::move(Code))) {
-                     ++contextOr(Opts.Ctx).Stats.DeoptlessCompiles;
-                     if (obs::traceOn())
-                       obs::traceEvent(obs::TraceEv::DeoptlessCompile, 0,
-                                       static_cast<uint64_t>(Ctx.Pc));
-                   }
-                 }};
-  CompileQueue::Push R = Pool.queue().push(std::move(Job));
-  return R == CompileQueue::Push::Enqueued ||
-         R == CompileQueue::Push::Duplicate;
+  return submit(
+      Pool, Key, Fn,
+      [Fn, Ctx, &Table, Opts] {
+        std::unique_ptr<ExecutableCode> Code =
+            compileContinuationCode(Fn, Ctx, Opts);
+        if (!Code || !Table.insert(Ctx, std::move(Code)))
+          return false;
+        ++contextOr(Opts.Ctx).Stats.DeoptlessCompiles;
+        if (obs::traceOn())
+          obs::traceEvent(obs::TraceEv::DeoptlessCompile, 0,
+                          static_cast<uint64_t>(Ctx.Pc));
+        return true;
+      },
+      [Fn, &Ctx, FeedbackCleanup] {
+        return repairedContinuationFeedback(Fn, Ctx, FeedbackCleanup);
+      });
 }

@@ -1,29 +1,25 @@
-//===-- compile/service.h - Background compilation service -------*- C++ -*-===//
+//===-- compile/service.h - One tier-up path ---------------------*- C++ -*-===//
 //
 // Part of the deoptless reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compile entry points shared by synchronous and background tier-up,
-/// plus the request (enqueue) side of the background subsystem:
+/// The one tier-up path. Each compile kind has one request: whole-function
+/// versions, OSR-in continuations and deoptless continuations. A request
+/// first checks what a compile could add (a full table, a failure marker,
+/// a version already live) and refuses when nothing. Otherwise it runs the
+/// kind's job body:
 ///
-///  * compileAndPublishVersion() — resolve / compile / atomically publish
-///    one whole-function version. The Vm calls it inline today; a
-///    background job calls the *same* function under a SnapshotScope, so
-///    the two modes cannot drift apart (and drainCompiles() is exactly
-///    "the synchronous result, later").
-///  * requestVersionCompile / requestOsrCompile /
-///    requestContinuationCompile — capture a feedback snapshot on the
-///    executor thread, build a self-contained job and push it (deduped)
-///    onto a pool's queue. All return true when a compile is pending
-///    (newly enqueued or already in flight) — the executor then simply
-///    keeps running baseline code.
-///  * OsrCache — published OSR-in continuations. Synchronous OSR-in
-///    compiles a one-shot continuation from the live interpreter state;
-///    background OSR-in instead compiles for the *type signature* of the
-///    hot state and caches the code, and later activations whose state
-///    matches enter it without ever pausing.
+///  * without a pool (synchronous tier-up, the default), now, on the
+///    executor, against live feedback — the continuation's repaired root
+///    profile is the only override;
+///  * with a pool (Vm::Config::BackgroundCompile), later, on a compiler
+///    thread, under a feedback snapshot the request captures now.
+///
+/// Either way the body publishes into the same table, so the caller
+/// simply dispatches whatever is published after the request returns,
+/// and drainCompiles() is exactly "the synchronous result, later".
 ///
 /// This layer deliberately knows nothing about the Vm: jobs capture plain
 /// pointers (function, target table) and knob copies, never thread-local
@@ -39,7 +35,6 @@
 #include "dispatch/version.h"
 #include "exec/backend.h"
 #include "osr/deoptless.h"
-#include "support/cowlist.h"
 
 #include <cstdint>
 #include <memory>
@@ -59,88 +54,95 @@ struct VersionCompileOpts {
   bool HashWithContexts = false;
 };
 
-/// Resolves which context to (re)compile (blacklisted / unplaceable
-/// specializations fall back to the generic root), compiles it, and
-/// publishes the code into \p Table under its writer lock. Thread-safe:
-/// callable from the executor (synchronous mode) or a compiler thread
-/// (under the job's SnapshotScope). Returns the entry, or null when no
-/// version can be produced. A publication that loses the race against
+/// The version job's body: resolves which context to (re)compile
+/// (blacklisted / unplaceable specializations fall back to the generic
+/// root), compiles it, and publishes the code into \p Table under its
+/// writer lock. Thread-safe: runs on the executor (synchronous requests,
+/// Vm::compileFunction) or a compiler thread (under the job's
+/// SnapshotScope). Returns the entry, or null when no version can be
+/// produced. A publication that loses the race against
 /// guard-failure blacklisting discards its code.
 FnVersion *compileAndPublishVersion(Function *Fn, const CallContext &Ctx,
                                     VersionTable &Table,
                                     const VersionCompileOpts &Opts);
 
+/// What a compile request did: the code is published (the caller can
+/// dispatch to it now), a compile is pending on the pool (queued or in
+/// flight), or the request was refused (a failure marker, a full table or
+/// queue, or an uncompilable state).
+enum class CompileStatus : uint8_t { Published, Pending, Refused };
+
 /// Published OSR-in continuations of one function, keyed by (pc, exact
-/// entry-type signature). Lookup is lock-free (copy-on-write snapshot);
-/// publication is serialized internally. An entry with null code is a
-/// failure marker: the signature is uncompilable, stop requesting it.
+/// entry-type signature). An entry with null code is the failure marker:
+/// the signature is uncompilable, stop requesting it. Only the executor
+/// looks entries up and drops them; compiler threads publish. Every
+/// operation takes the cache's mutex, which the executor takes once per
+/// hot backedge, so the cache holds exactly its live entries.
 class OsrCache {
 public:
   OsrCache() = default;
   OsrCache(const OsrCache &) = delete;
   OsrCache &operator=(const OsrCache &) = delete;
 
-  struct Entry {
-    int32_t Pc;
-    std::vector<uint32_t> Sig;
-    std::unique_ptr<ExecutableCode> Code; ///< null: compile failed
-  };
-
   struct Hit {
     bool Found = false;
-    ExecutableCode *Code = nullptr;
+    ExecutableCode *Code = nullptr; ///< null when Found: the failure marker
   };
 
   Hit lookup(int32_t Pc, const std::vector<uint32_t> &Sig) const;
-  void publish(int32_t Pc, std::vector<uint32_t> Sig,
+  /// Publishes \p Code (null: the failure marker) unless the cache is full
+  /// or (Pc, Sig) is already published; returns whether it was stored.
+  bool publish(int32_t Pc, std::vector<uint32_t> Sig,
                std::unique_ptr<ExecutableCode> Code);
   bool full() const;
-  size_t size() const { return List.read().size(); }
+  size_t size() const;
 
-  /// Drops the entry owning \p Code from the cache (its guard failed:
-  /// the speculation is stale, and the next hot backedge must recompile
-  /// from fresh feedback, like the synchronous hook would). Returns true
-  /// when \p Code was a cached continuation. The code itself is retained
-  /// — the failing activation is still executing it.
-  bool invalidate(const LowFunction *Code);
+  /// Drops the entry owning \p Code (its guard failed: the speculation is
+  /// stale, and the next hot backedge must recompile from fresh feedback)
+  /// and returns the code, or null when \p Code is not cached. The failing
+  /// activation is still executing it: the Vm hands it to its graveyard.
+  std::unique_ptr<ExecutableCode> invalidate(const LowFunction *Code);
 
 private:
+  struct Entry {
+    int32_t Pc;
+    std::vector<uint32_t> Sig;
+    std::unique_ptr<ExecutableCode> Code;
+  };
   static constexpr size_t Cap = 8; ///< signatures per function
-  CowList<Entry> List;
-  std::mutex WriterMu;
+  mutable std::mutex Mu;
+  std::vector<Entry> Entries;
 };
 
 /// The exact type signature of an OSR entry state (stack types, then
 /// (symbol, type) bindings): the OsrCache key.
 std::vector<uint32_t> osrSignature(const EntryState &Entry);
 
-/// Dedup hashes for request keys.
-uint64_t hashCallContext(const CallContext &Ctx);
-uint64_t hashDeoptContext(const DeoptContext &Ctx);
-uint64_t hashOsrSignature(int32_t Pc, const std::vector<uint32_t> &Sig);
+/// Requests the version of (\p Fn, \p Ctx) in \p Table: the context
+/// resolves as in compileAndPublishVersion, which is the job's body. A
+/// blacklisted resolution is refused, a live one is already published.
+CompileStatus requestVersionCompile(CompilerPool *Pool, Function *Fn,
+                                    const CallContext &Ctx,
+                                    VersionTable &Table,
+                                    const VersionCompileOpts &Opts);
 
-/// Requests a background whole-function compile of (\p Fn, \p Ctx) into
-/// \p Table. Captures the feedback snapshot now; returns true when a
-/// compile is pending (enqueued or already in flight), false on
-/// queue-full backpressure.
-bool requestVersionCompile(CompilerPool &Pool, Function *Fn,
-                           const CallContext &Ctx, VersionTable *Table,
-                           const VersionCompileOpts &Opts);
-
-/// Requests a background OSR-in compile for \p Entry into \p Cache.
-/// \p Opts carries the full optimizer knob set (inlining, loop opts,
-/// verification) the job compiles under.
-bool requestOsrCompile(CompilerPool &Pool, Function *Fn,
-                       const EntryState &Entry, OsrCache *Cache,
-                       const OptOptions &Opts);
-
-/// Requests a background deoptless-continuation compile for \p Ctx into
-/// \p Table. The profile repair (paper §4.3) runs now, on the executor —
-/// it reads live feedback — and ships with the snapshot.
-bool requestContinuationCompile(CompilerPool &Pool, Function *Fn,
-                                const DeoptContext &Ctx,
-                                DeoptlessTable *Table, bool FeedbackCleanup,
+/// Requests the OSR-in continuation for \p Entry in \p Cache. \p Opts
+/// carries the full optimizer knob set (inlining, loop opts,
+/// verification) the job compiles under. A failed compile publishes the
+/// failure marker.
+CompileStatus requestOsrCompile(CompilerPool *Pool, Function *Fn,
+                                const EntryState &Entry, OsrCache &Cache,
                                 const OptOptions &Opts);
+
+/// Requests a deoptless continuation for \p Ctx in \p Table, refused when
+/// the table is full. The profile repair (paper §4.3) runs on the
+/// executor, which owns the live feedback it reads: now, or at enqueue
+/// time, shipped in the snapshot.
+CompileStatus requestContinuationCompile(CompilerPool *Pool, Function *Fn,
+                                         const DeoptContext &Ctx,
+                                         DeoptlessTable &Table,
+                                         bool FeedbackCleanup,
+                                         const OptOptions &Opts);
 
 } // namespace rjit
 

@@ -18,7 +18,10 @@ bool rjit::envIsElidable(const Function &Fn) {
   // A function's environment can be elided when its locals are provably
   // private: no closure captures it, and no variable is both read as a
   // free variable and written locally (R's scoping would make such writes
-  // observable through the environment).
+  // observable through the environment). The top level's "locals" are the
+  // globals every later eval reads, so its environment is never private.
+  if (Fn.Name == topLevelName())
+    return false;
   std::set<Symbol> Written(Fn.Params.begin(), Fn.Params.end());
   std::set<Symbol> ReadFirst;
   for (const BcInstr &I : Fn.BC.Instrs) {

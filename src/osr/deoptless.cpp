@@ -6,7 +6,6 @@
 
 #include "osr/deoptless.h"
 #include "compile/service.h"
-#include "compile/snapshot.h"
 #include "lowcode/exec.h"
 #include "lowcode/lower.h"
 #include "obs/trace.h"
@@ -18,13 +17,6 @@
 using namespace rjit;
 
 namespace {
-
-/// A guard failing at the call depth of the innermost running
-/// continuation is *recursive* deoptless (ExecContext::ContinuationDepths).
-bool inRecursiveDeoptless(const ExecContext &C) {
-  return !C.ContinuationDepths.empty() &&
-         C.ContinuationDepths.back() == C.CallDepth;
-}
 
 /// Computes the current optimization context from the live guard state.
 bool computeContext(const SlotView &Slots, const DeoptMeta &Meta,
@@ -55,10 +47,13 @@ bool computeContext(const SlotView &Slots, const DeoptMeta &Meta,
 
 /// The paper's deoptlessCondition. Each refusal is counted by cause: the
 /// guard failure becomes a true deopt.
-bool deoptlessCondition(ExecContext &C, const DeoptMeta &Meta,
-                        bool Injected) {
-  if (inRecursiveDeoptless(C)) {
-    ++C.Stats.DeoptlessSkipRecursive; // no recursive deoptless
+bool deoptlessCondition(ExecContext &C, const LowFunction &F,
+                        const DeoptMeta &Meta, bool Injected) {
+  // No recursive deoptless: a guard failing inside a running continuation
+  // fails in continuation code, whose inlined bodies are part of it
+  // (callees are other code, and may still use deoptless).
+  if (F.Conv == CallConv::Deoptless) {
+    ++C.Stats.DeoptlessSkipRecursive;
     return false;
   }
   // A real builtin redefinition is a changed global assumption: the code
@@ -69,21 +64,6 @@ bool deoptlessCondition(ExecContext &C, const DeoptMeta &Meta,
     return false;
   }
   return true;
-}
-
-/// Compiles a continuation for \p Ctx (with repaired feedback), the
-/// synchronous path: repair and compile inline on the executor thread.
-std::unique_ptr<ExecutableCode>
-compileContinuation(Function *Fn, const DeoptContext &Ctx,
-                    const ContinuationCompile &How) {
-  // Compile against the repaired profile. The partial snapshot overrides
-  // only \p Fn — inlined callees read (and repair) their live tables,
-  // which is safe here: this thread owns them.
-  FeedbackSnapshot Partial;
-  Partial.replace(Fn,
-                  repairedContinuationFeedback(Fn, Ctx, How.FeedbackCleanup));
-  SnapshotScope Scope(Partial);
-  return compileContinuationCode(Fn, Ctx, How.Opts);
 }
 
 } // namespace
@@ -170,13 +150,13 @@ bool rjit::tryDeoptless(const LowFunction &F, const SlotView &Slots,
                         DeoptlessTable &Table, const ContinuationCompile &How,
                         Value &Result) {
   ExecContext &C = currentContext();
-  if (!deoptlessCondition(C, Meta, Injected))
+  if (!deoptlessCondition(C, F, Meta, Injected))
     return false;
   VmStats &S = C.Stats;
   ++S.DeoptlessAttempts;
   // Instants carry the deopt pc (A) and, for rejects, a site code (B):
-  // 0 = context too large, 1 = async miss, 2 = uncompilable/table full,
-  // 3 = post-insert dispatch miss.
+  // 0 = context too large, 1 = compile pending, 2 = refused (uncompilable,
+  // table full or queue full).
   uint64_t Pc = static_cast<uint64_t>(Meta.BcPc);
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::DeoptlessAttempt, 0, Pc);
@@ -191,36 +171,26 @@ bool rjit::tryDeoptless(const LowFunction &F, const SlotView &Slots,
   if (!computeContext(Slots, Meta, Injected, Ctx))
     return Reject(0);
 
-  Function *Fn = continuationOwner(F, Meta);
+  // A miss, or a hit strictly more generic than the current context,
+  // requests a continuation for exactly this context (the recompile
+  // heuristic: a table with room replaces a too-generic hit with a fresh
+  // specialization). What the request published serves this failure; a
+  // too-generic hit serves it while the specialization is pending or
+  // refused. A miss with nothing published is a true deoptimization *this
+  // time*: with a pool the executor never pauses to compile inside a
+  // guard-failure handler.
   Continuation *Cont = Table.dispatch(Ctx);
-
-  // Recompile heuristic: a hit that is strictly more generic than the
-  // current context is replaced by a fresh specialization while the table
-  // has room.
-  bool TooGeneric = Cont && !(Cont->Ctx <= Ctx) && !Table.full();
   bool Compiled = false;
-  if ((!Cont || TooGeneric) && How.Pool) {
-    // Background mode: request the continuation and keep going. A miss
-    // falls back to a true deoptimization *this time*; a too-generic hit
-    // still serves the current failure while the specialization compiles
-    // for the next one. Either way the executor never pauses to compile
-    // inside a guard-failure handler.
-    requestContinuationCompile(*How.Pool, Fn, Ctx, &Table,
-                               How.FeedbackCleanup, How.Opts);
-    if (!Cont)
-      return Reject(1);
-  } else if (!Cont || TooGeneric) {
-    std::unique_ptr<ExecutableCode> Code = compileContinuation(Fn, Ctx, How);
-    if (!Code || Table.full())
-      return Reject(2);
-    ++S.DeoptlessCompiles;
-    if (obs::traceOn())
-      obs::traceEvent(obs::TraceEv::DeoptlessCompile, 0, Pc);
-    Table.insert(Ctx, std::move(Code));
-    Cont = Table.dispatch(Ctx);
-    if (!Cont)
-      return Reject(3);
-    Compiled = true;
+  if (!Cont || !(Cont->Ctx <= Ctx)) {
+    CompileStatus R =
+        requestContinuationCompile(How.Pool, continuationOwner(F, Meta), Ctx,
+                                   Table, How.FeedbackCleanup, How.Opts);
+    if (R == CompileStatus::Published) {
+      Cont = Table.dispatch(Ctx);
+      Compiled = true;
+    } else if (!Cont) {
+      return Reject(R == CompileStatus::Pending ? 1 : 2);
+    }
   }
   if (!Compiled) {
     ++S.DeoptlessHits;
@@ -237,16 +207,7 @@ bool rjit::tryDeoptless(const LowFunction &F, const SlotView &Slots,
     Args.push_back(Slots.get(Ref));
   for (auto &[Sym, Ref] : Meta.EnvSlots)
     Args.push_back(Slots.get(Ref));
-
-  C.ContinuationDepths.push_back(C.CallDepth);
-  try {
-    Result = Cont->Code->run(std::move(Args), /*CurEnv=*/nullptr,
-                             ParentEnv);
-  } catch (...) {
-    C.ContinuationDepths.pop_back();
-    throw;
-  }
-  C.ContinuationDepths.pop_back();
+  Result = Cont->Code->run(std::move(Args), /*CurEnv=*/nullptr, ParentEnv);
 
   // The continuation completed the innermost frame only; resume the
   // synthesized frames of the inlined callers in the baseline so the

@@ -11,9 +11,10 @@
 /// continuations keyed by DeoptContext, owned by the Vm's per-function
 /// TierState next to its version table; on a failing guard the handler
 /// computes the current context, dispatches (first entry whose context is
-/// >= the current one in the partial order), possibly compiles a new
-/// continuation (with repaired feedback, see opt/cleanup), and invokes it
-/// directly with the live state — never leaving optimized code.
+/// >= the current one in the partial order), possibly requests a new
+/// continuation (compiled with repaired feedback, see opt/cleanup) through
+/// compile/service, and invokes it directly with the live state — never
+/// leaving optimized code.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,10 +82,10 @@ private:
   std::mutex WriterMu;
 };
 
-/// How a continuation miss is compiled: inline on the executor, or — with
-/// a pool — by a background request, in which case a miss falls back to a
-/// true deoptimization *this time* and later failures dispatch to the
-/// published continuation without ever pausing.
+/// How a continuation miss is compiled (requestContinuationCompile): now,
+/// on the executor, or — with a pool — in the background, in which case a
+/// miss falls back to a true deoptimization *this time* and later failures
+/// dispatch to the published continuation without ever pausing.
 struct ContinuationCompile {
   OptOptions Opts;
   bool FeedbackCleanup = true; ///< the §4.3 cleanup pass (ablation toggle)
@@ -114,8 +115,8 @@ bool tryDeoptless(const LowFunction &F, const SlotView &Slots,
 
 /// The repaired profile a continuation for \p Ctx must be compiled
 /// against (paper §4.3 "Incomplete Profile Data"). Reads live feedback:
-/// call on the executor thread (synchronous compile, or at enqueue time
-/// of a background continuation job).
+/// call on the executor thread (the continuation request does, in both
+/// modes).
 FeedbackTable repairedContinuationFeedback(Function *Fn,
                                            const DeoptContext &Ctx,
                                            bool CleanupEnabled);
@@ -123,8 +124,7 @@ FeedbackTable repairedContinuationFeedback(Function *Fn,
 /// Compiles the continuation code for \p Ctx (prepared for Opts.Backend).
 /// The caller must have made the repaired profile visible to the
 /// optimizer first (a SnapshotScope whose table for \p Fn is the repaired
-/// feedback) — this is what keeps the compile readable from a background
-/// thread while the interpreter keeps writing the live profile.
+/// feedback): the continuation request's job body runs under one.
 std::unique_ptr<ExecutableCode> compileContinuationCode(
     Function *Fn, const DeoptContext &Ctx, const OptOptions &Opts);
 

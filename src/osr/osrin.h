@@ -9,8 +9,9 @@
 /// hot, compile a continuation from the current bytecode pc — the
 /// interpreter's operand stack values become call arguments — run it to
 /// completion, and return its result as the activation's result. The next
-/// invocation of the function is compiled from the beginning by the VM,
-/// which installs the hot-backedge hook (synchronous or background).
+/// invocation of the function is compiled from the beginning by the VM.
+/// The VM's one hot-backedge hook requests the continuation from
+/// compile/service, which caches it by (pc, entry signature).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,15 +27,14 @@
 namespace rjit {
 
 /// The exact entry state of a hot backedge: the interpreter's operand
-/// stack and (for elidable environments) the current binding types.
-/// Shared by the synchronous hook and background OSR-in compilation.
+/// stack and (for elidable environments) the current binding types. What
+/// an OSR-in request compiles for, and its cache key's source.
 EntryState buildOsrEntryState(Function *Fn, Env *E,
                               const std::vector<Value> &Stack, int32_t Pc);
 
 /// Compiles the OSR-in continuation for \p Entry (prepared for
 /// Opts.Backend), or returns null when \p Fn cannot be compiled from that
-/// state. The one compile both the synchronous hook and background jobs
-/// run.
+/// state. The OSR-in request's job body, in either mode.
 std::unique_ptr<ExecutableCode>
 compileOsrInCode(Function *Fn, const EntryState &Entry,
                  const OptOptions &Opts);

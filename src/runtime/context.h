@@ -8,9 +8,9 @@
 /// Everything an executor thread reaches through ambient state, in one
 /// object (MPLX's JIT entry takes one too, `JitEntryPtr(void *vm_state)`):
 /// the interpreters' hooks, the retire epochs, the cycle-collector heap,
-/// the deoptless call depths, and the Vm's counters and histograms. Each
-/// Vm owns one and installs it on its thread for its lifetime
-/// (ContextScope); code reaches it through currentContext().
+/// and the Vm's counters and histograms. Each Vm owns one and installs it
+/// on its thread for its lifetime (ContextScope); code reaches it through
+/// currentContext().
 ///
 /// Threads without a Vm (compiler threads, Vm-less unit tests) see one
 /// process-wide default context with no hooks, heap or retire epochs;
@@ -128,14 +128,6 @@ public:
 
   InterpHooks Interp;
   LowHooks Low;
-
-  /// Closure-call nesting depth, maintained by the VM's dispatch.
-  int64_t CallDepth = 0;
-  /// Call depths at which a deoptless continuation is running. A guard
-  /// failing at the innermost one's depth is *recursive* deoptless (paper
-  /// §4.3) and must fall back to a true deoptimization; callees (deeper
-  /// depths) may still use deoptless.
-  std::vector<int64_t> ContinuationDepths;
 
   /// This executor's counters and histograms: stats() and obs::metrics()
   /// on its thread. A Vm's start at zero because the Vm does.

@@ -12,10 +12,12 @@
 /// builds the next snapshot aside and installs it with a release store —
 /// the compiler threads' publication. Superseded snapshots are retired,
 /// not freed, until destruction, so a reader mid-scan never sees its
-/// snapshot die; elements are owned by the list and never move.
-///
-/// Shared by VersionTable (dispatch/), DeoptlessTable (osr/) and OsrCache
-/// (compile/) so the memory-ordering discipline exists exactly once.
+/// snapshot die; elements are owned by the list and never move or leave.
+/// What it retains stays bounded because each user bounds its inserts:
+/// VersionTable (dispatch/: MaxVersions plus the generic root) and
+/// DeoptlessTable (osr/: MaxContinuations) share it so the memory-ordering
+/// discipline exists exactly once. A store that drops entries, like
+/// compile/'s OsrCache, must not use it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,23 +59,6 @@ public:
     Retired.emplace_back(Pub.load(std::memory_order_relaxed));
     Pub.store(Next.release(), std::memory_order_release);
     return Raw;
-  }
-
-  /// Publishes the next snapshot without the entry at \p Pos. Ownership
-  /// is retained — the element may still be executing (a reader picked it
-  /// up from an older snapshot) — and reclaimed at list destruction: the
-  /// Vm's code graveyard applies the same defer-then-reclaim discipline
-  /// with epochs and mid-run safepoints, which these tables don't need —
-  /// they are bounded by construction (MaxVersions / MaxContinuations /
-  /// the OSR cache cap), so retained elements can't grow without bound.
-  void removeAt(size_t Pos) {
-    const Order &Cur = read();
-    auto Next = std::make_unique<Order>();
-    Next->reserve(Cur.size() - 1);
-    Next->insert(Next->end(), Cur.begin(), Cur.begin() + Pos);
-    Next->insert(Next->end(), Cur.begin() + Pos + 1, Cur.end());
-    Retired.emplace_back(Pub.load(std::memory_order_relaxed));
-    Pub.store(Next.release(), std::memory_order_release);
   }
 
 private:

@@ -37,13 +37,6 @@ bool rjit::nativeTierDefault() {
 
 namespace {
 
-/// RAII for the closure-call depth the deoptless recursion check uses.
-struct DepthGuard {
-  explicit DepthGuard(ExecContext &C) : C(C) { ++C.CallDepth; }
-  ~DepthGuard() { --C.CallDepth; }
-  ExecContext &C;
-};
-
 /// Runs the dispatched version \p Code of \p Clos: elided code takes the
 /// arguments in its slots; FullEnv code gets the environment the baseline
 /// would build.
@@ -87,7 +80,6 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
   V->dispatchBoundary();
   Function *Fn = Clos->Fn;
   ++Fn->CallCount;
-  DepthGuard Depth(V->context());
   VmStats &S = V->context().Stats;
 
   if (V->Cfg.Strategy == TierStrategy::BaselineOnly)
@@ -115,28 +107,22 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
         VersionWriteGuard G(TS.Versions);
         V->toGraveyard(Ver->retire());
       }
-      if (V->Cfg.BackgroundCompile)
-        requestVersionCompile(*V->ActivePool, Fn, Ver->Ctx, &TS.Versions,
-                              V->versionView());
-      else
-        V->compileVersion(Fn, Ver->Ctx);
+      requestVersionCompile(V->ActivePool, Fn, Ver->Ctx, TS.Versions,
+                            V->versionView());
       ++S.Reoptimizations;
     }
     return R;
   }
 
   if (!Ver && Fn->CallCount >= V->Cfg.CompileThreshold) {
-    if (V->Cfg.BackgroundCompile) {
-      // Request and keep going in the baseline: the warmup pause of a
-      // synchronous compile becomes one more profiled baseline execution.
-      // The version appears to a later call via atomic publication.
-      if (requestVersionCompile(*V->ActivePool, Fn, Ctx, &TS.Versions,
-                                V->versionView()))
-        ++S.WarmupPausesAvoided;
-      Ver = TS.Versions.dispatch(Ctx); // racing publication may be done
-    } else {
-      Ver = V->compileVersion(Fn, Ctx);
-    }
+    // Synchronously the request publishes the version now. With a pool,
+    // this call keeps going in the baseline: the warmup pause becomes one
+    // more profiled baseline execution, and the version appears to a
+    // later call via atomic publication (a racing one may be done).
+    if (requestVersionCompile(V->ActivePool, Fn, Ctx, TS.Versions,
+                              V->versionView()) == CompileStatus::Pending)
+      ++S.WarmupPausesAvoided;
+    Ver = TS.Versions.dispatch(Ctx);
   }
 
   // Hit/miss accounting: only calls whose context *could* have had a
@@ -168,14 +154,13 @@ Value vmLinkedCall(ClosObj *Clos, FnVersion *Ver, ExecutableCode *Code,
   Vm *V = Vm::current();
   assert(V && "linked call without an active Vm");
   // The per-call bookkeeping full dispatch performs, in the same order:
-  // safepoint/injection boundary, warmth, recursion depth, version hit.
+  // safepoint/injection boundary, warmth, version hit.
   // The linking eligibility rules (native/jit.cpp maybeRegisterSite)
   // guarantee dispatch's skipped middle — strategy branches, version-
   // table lookup, context computation, threshold logic — would have been
   // inert and selected exactly Ver/Code, so transcripts are identical.
   V->dispatchBoundary();
   ++Clos->Fn->CallCount;
-  DepthGuard Depth(V->context());
   ++Ver->Hits;
   ++V->context().Stats.NativeLinkedTransfers;
   return runVersion(Clos, *Code, std::move(Args));
@@ -215,46 +200,26 @@ Value vmDeoptHandler(const LowFunction &F, const SlotView &Slots,
   return deoptToBaseline(F, Slots, Meta, CurEnv, ParentEnv);
 }
 
-/// Synchronous OSR-in: compile a one-shot continuation from the hot
-/// backedge's live state and run the rest of the activation in it.
+/// OSR-in at a hot backedge (paper §4.2): request the continuation for
+/// the current (pc, entry signature) and run the rest of the activation in
+/// it when published. Synchronously the request compiles it now, and later
+/// activations with the same signature re-enter it; with a pool the
+/// activation keeps interpreting and a later hot backedge enters it.
 bool vmOsrInHook(Function *Fn, Env *E, std::vector<Value> &Stack, int32_t Pc,
                  Value &Result) {
   Vm *V = Vm::current();
   assert(V && "OSR hook without an active Vm");
-  TierState &TS = V->stateFor(Fn);
-  if (TS.OsrInFailed)
-    return false;
   EntryState Entry = buildOsrEntryState(Fn, E, Stack, Pc);
-  std::unique_ptr<ExecutableCode> Code =
-      compileOsrInCode(Fn, Entry, V->optView());
-  if (!Code) {
-    TS.OsrInFailed = true;
-    return false;
-  }
-  Result = enterOsrContinuation(*Code, Entry, E, Stack);
-  return true;
-}
-
-/// Background-mode OSR-in: consult the published continuation cache for
-/// the current (pc, entry signature); on a miss, request a compile and
-/// keep interpreting — the warmup pause of the synchronous hook becomes a
-/// cache hit on a later hot backedge.
-bool vmBackgroundOsrInHook(Function *Fn, Env *E, std::vector<Value> &Stack,
-                           int32_t Pc, Value &Result) {
-  Vm *V = Vm::current();
-  assert(V && "OSR hook without an active Vm");
-  EntryState Entry = buildOsrEntryState(Fn, E, Stack, Pc);
-  TierState &TS = V->stateFor(Fn);
-  OsrCache::Hit Hit = TS.Osr.lookup(Pc, osrSignature(Entry));
-  if (Hit.Found) {
-    if (!Hit.Code)
-      return false; // published failure marker: uncompilable signature
-    Result = enterOsrContinuation(*Hit.Code, Entry, E, Stack);
-    return true;
-  }
-  if (requestOsrCompile(*V->pool(), Fn, Entry, &TS.Osr, V->optView()))
+  OsrCache &Cache = V->stateFor(Fn).Osr;
+  CompileStatus R =
+      requestOsrCompile(V->pool(), Fn, Entry, Cache, V->optView());
+  if (R == CompileStatus::Pending)
     ++V->context().Stats.WarmupPausesAvoided;
-  return false;
+  if (R != CompileStatus::Published)
+    return false;
+  Result = enterOsrContinuation(*Cache.lookup(Pc, osrSignature(Entry)).Code,
+                                Entry, E, Stack);
+  return true;
 }
 
 } // namespace rjit
@@ -291,8 +256,7 @@ Vm::Vm(Config C) : Cfg(C), Ctx(this), Installed(Ctx) {
   // included. A zero threshold turns OSR-in off; without a hook the
   // interpreter's backedge never divides by it.
   if (Cfg.Strategy != TierStrategy::BaselineOnly && Cfg.OsrThreshold)
-    Ctx.Interp.OsrIn =
-        Cfg.BackgroundCompile ? vmBackgroundOsrInHook : vmOsrInHook;
+    Ctx.Interp.OsrIn = vmOsrInHook;
   Ctx.Interp.OsrThreshold = Cfg.OsrThreshold;
 
   Ctx.Low.Deopt = vmDeoptHandler;
@@ -426,13 +390,13 @@ TierState &Vm::stateFor(Function *Fn) {
 void Vm::retireDeopted(const LowFunction &Code) {
   Function *Fn = Code.Origin;
   TierState &TS = stateFor(Fn);
-  // A failing guard inside a *cached* background OSR continuation means
-  // the cached speculation is stale: drop it so the next hot backedge
-  // recompiles from fresh feedback — the synchronous hook's behavior —
-  // instead of re-entering the same stale code every OsrThreshold
-  // backedges. The usual OSR-deopt bookkeeping follows (retire the most
-  // generic live version, re-warm).
-  TS.Osr.invalidate(&Code);
+  // A failing guard inside cached OSR-in code means the cached speculation
+  // is stale: drop it so the next hot backedge recompiles from fresh
+  // feedback instead of re-entering the same stale code every
+  // OsrThreshold backedges. The failing activation is still running it,
+  // so it leaves through the graveyard. The usual OSR-deopt bookkeeping
+  // follows (retire the most generic live version, re-warm).
+  toGraveyard(TS.Osr.invalidate(&Code));
   // Retire the version the failing guard belongs to. Deopts out of OSR-in
   // or continuation code (not in the table) retire the most generic live
   // version — the seed's single-`Optimized` behavior — and when nothing is
@@ -469,15 +433,11 @@ void Vm::retireDeopted(const LowFunction &Code) {
 }
 
 ExecutableCode *Vm::compileFunction(Function *Fn) {
-  FnVersion *Ver = compileVersion(Fn, genericContext(Fn->Params.size()));
+  // The version job's body (compile/service), run now.
+  FnVersion *Ver =
+      compileAndPublishVersion(Fn, genericContext(Fn->Params.size()),
+                               stateFor(Fn).Versions, versionView());
   return Ver ? Ver->code() : nullptr;
-}
-
-FnVersion *Vm::compileVersion(Function *Fn, const CallContext &Ctx) {
-  // The shared synchronous/background entry point (compile/service):
-  // background jobs run exactly this, under a feedback-snapshot scope.
-  return compileAndPublishVersion(Fn, Ctx, stateFor(Fn).Versions,
-                                  versionView());
 }
 
 Value Vm::eval(const std::string &Source) {

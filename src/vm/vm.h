@@ -22,12 +22,13 @@
 /// One Vm is active per *executor thread* at a time: the Vm installs its
 /// execution context (runtime/context.h) on the thread that builds it;
 /// independent threads may each drive their own Vm, and a CompilerPool
-/// may be shared between them. With
-/// Config::BackgroundCompile, compile requests (whole-function, OSR-in,
-/// deoptless continuations) are enqueued to the pool instead of pausing
-/// the executor; versions appear via atomic publication and the executor
-/// keeps running baseline code until they do. drainCompiles() is the
-/// barrier that recovers fully deterministic synchronous behavior.
+/// may be shared between them. Every compile (whole-function, OSR-in,
+/// deoptless continuation) is one request to compile/service, which runs
+/// it now or — with Config::BackgroundCompile, whose pool the constructor
+/// sets up — enqueues it instead of pausing the executor; code appears
+/// via atomic publication and the executor keeps running baseline code
+/// until it does. drainCompiles() is the barrier that recovers fully
+/// deterministic synchronous behavior.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,11 +66,11 @@ enum class TierStrategy : uint8_t {
 };
 
 /// Per-function tier bookkeeping: the context-keyed version table, the
-/// deoptless continuation table (its exit-side twin), the published
-/// OSR-in continuations and the OSR-in failure flag. All per-version
-/// state (code, deopt counts, blacklist, reopt sampling) lives in the
-/// table's FnVersion entries; without contextual dispatch the table holds
-/// exactly the generic root version and reproduces the seed's
+/// deoptless continuation table (its exit-side twin) and the OSR-in cache,
+/// whose null-code entries are the OSR-in failure markers. All
+/// per-version state (code, deopt counts, blacklist, reopt sampling) lives
+/// in the table's FnVersion entries; without contextual dispatch the table
+/// holds exactly the generic root version and reproduces the seed's
 /// single-`Optimized`-pointer behavior.
 struct TierState {
   TierState(uint32_t MaxVersions, uint32_t MaxContinuations)
@@ -78,10 +79,7 @@ struct TierState {
   }
   VersionTable Versions;
   DeoptlessTable Continuations; ///< deoptless continuations (paper §4.3)
-  OsrCache Osr; ///< background OSR-in continuations (BackgroundCompile)
-  /// A synchronous OSR-in compile of this function failed: don't retry on
-  /// every hot backedge.
-  bool OsrInFailed = false;
+  OsrCache Osr; ///< OSR-in continuations by (pc, entry signature)
 };
 
 class CompilerPool;
@@ -248,11 +246,6 @@ public:
   /// returns the backend-prepared executable or null.
   ExecutableCode *compileFunction(Function *Fn);
 
-  /// Compiles (or returns) the version of \p Fn for \p Ctx, falling back
-  /// to the generic root when the context is blacklisted, unplaceable or
-  /// uncompilable. Returns null when no version can be produced.
-  FnVersion *compileVersion(Function *Fn, const CallContext &Ctx);
-
   /// The compiler pool serving this Vm (null without BackgroundCompile).
   CompilerPool *pool() { return ActivePool; }
 
@@ -337,18 +330,18 @@ private:
   std::unordered_map<Function *, std::unique_ptr<TierState>> States;
   std::unique_ptr<CompilerPool> OwnPool;
   CompilerPool *ActivePool = nullptr;
-  /// Retired optimized code awaiting reclamation: activations of a
-  /// version being retired are still on the stack when the deopt handler
-  /// runs (and under recursion an *outer* activation of the retired
-  /// version can survive arbitrarily many further dispatches), so each
-  /// entry is stamped with its retire epoch and freed by the dispatch-
-  /// boundary safepoint once every activation that could reference it has
-  /// unwound — see RetireEpochs in runtime/context.h. Teardown reclaims
-  /// whatever remains. Touched only by the owning executor thread; epochs
-  /// are monotone, so the vector stays sorted and reclaim is a prefix
-  /// erase. Population is mirrored in the GraveyardSize stats gauge (its
-  /// level set on every retire/reclaim) so tests can observe the
-  /// retire/reclaim lifecycle.
+  /// Retired optimized code awaiting reclamation (retired versions and
+  /// stale OSR-in code): activations of code being retired are still on
+  /// the stack when the deopt handler runs (and under recursion an *outer*
+  /// activation of the retired code can survive arbitrarily many further
+  /// dispatches), so each entry is stamped with its retire epoch and freed
+  /// by the dispatch-boundary safepoint once every activation that could
+  /// reference it has unwound — see RetireEpochs in runtime/context.h.
+  /// Teardown reclaims whatever remains. Touched only by the owning
+  /// executor thread; epochs are monotone, so the vector stays sorted and
+  /// reclaim is a prefix erase. Population is mirrored in the
+  /// GraveyardSize stats gauge (its level set on every retire/reclaim) so
+  /// tests can observe the retire/reclaim lifecycle.
   struct GraveEntry {
     std::unique_ptr<ExecutableCode> Code;
     uint64_t RetireEpoch;

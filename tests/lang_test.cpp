@@ -72,8 +72,9 @@ TEST(Lexer, NewlineSuppressedInParens) {
   auto T = lex("f(a,\n b)");
   // 'b' follows a newline inside parens: flag must be cleared.
   for (auto &Tk : T)
-    if (Tk.Text == "b")
+    if (Tk.Text == "b") {
       EXPECT_FALSE(Tk.AfterNewline);
+    }
 }
 
 TEST(Lexer, KeywordsRecognized) {

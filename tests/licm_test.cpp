@@ -345,15 +345,17 @@ TEST(LicmE2E, HoistedInlinedTypeGuardDeoptsBeforeTheLoop) {
       R = V.eval("use(li, 1L, 10L)"); // warm + compile on Int
     EXPECT_EQ(R.show(), Base);
     uint64_t Hoisted = (stats() - Start).HoistedGuards;
-    if (Inl)
+    if (Inl) {
       EXPECT_GT(Hoisted, 0u)
           << "inlined entry guard on invariant x must hoist";
+    }
     // Phase change: the hoisted guard fails at the preheader.
     Value R2 = V.eval("use(lr, 1L, 10L)");
     EXPECT_EQ(R2.show(), BaseR) << "inl=" << Inl;
     VmStats D = stats() - Start;
-    if (Inl && Hoisted > 0)
+    if (Inl && Hoisted > 0) {
       EXPECT_GT(D.Deopts + D.DeoptlessAttempts, 0u);
+    }
   }
 }
 

@@ -420,8 +420,9 @@ TEST(NativeV2, RawFrameStateValuesLeaveRegisterHomes) {
         V.eval(Setup);
         for (int K = 0; K < 6; ++K)
           ASSERT_EQ(V.eval("mix(ints)").show(), BaseInts);
-        if (B.Native)
+        if (B.Native) {
           ASSERT_GT(stats().NativeEnters, 0u);
+        }
         EXPECT_EQ(V.eval("mix(halves)").show(), BaseHalves);
         EXPECT_EQ(V.eval("mix(halves)").show(), BaseHalves);
         if (S == TierStrategy::Deoptless) {

@@ -142,7 +142,7 @@ TEST_F(OptFixture, MonomorphicBuiltinCallSpecialized) {
 }
 
 TEST_F(OptFixture, MonomorphicClosureCallSpecialized) {
-  Function *F = warm(R"(
+  warm(R"(
     callee <- function(x) x + 1L
     f <- function(a) callee(a)
     f(1L); f(2L)
@@ -393,6 +393,7 @@ TEST_F(OptFixture, CleanupDisabledLeavesProfileVerbatim) {
   Snap.EnvTags = {{symbol("v"), Tag::RealVec}};
   FeedbackTable FB = cleanupFeedback(*F, Snap, /*Enabled=*/false);
   for (const BcInstr &I : F->BC.Instrs)
-    if (I.Op == Opcode::LdVar)
+    if (I.Op == Opcode::LdVar) {
       EXPECT_EQ(FB.Types[I.B].SeenMask, F->Feedback.Types[I.B].SeenMask);
+    }
 }

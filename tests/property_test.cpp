@@ -10,14 +10,15 @@
 //  * a seeded random-program differential fuzzer: a small generator emits
 //    programs over scalars, vectors, lists, branches, calls, higher-order
 //    calls, recursion, nested loops with loop-carried dependencies,
-//    loop-invariant subexpressions and guarded invariant calls, with type
-//    phase-changes; each program runs under all strategy x dispatch x
-//    inlining x loop-opts combinations (plus random-invalidation
-//    configurations) and every configuration must produce the
-//    byte-identical transcript. A final test asserts — via the VM stats —
-//    that the sweep actually took the multi-frame deopt and deoptless-
-//    continuation paths speculative inlining introduces, and that the
-//    loop layer provably hoisted and eliminated guards across the corpus;
+//    loop-invariant subexpressions, guarded invariant calls and a hot
+//    top-level loop storing globals, with type phase-changes; each
+//    program runs under all strategy x dispatch x inlining x loop-opts
+//    combinations (plus random-invalidation configurations) and every
+//    configuration must produce the byte-identical transcript. A final
+//    test asserts — via the VM stats — that the sweep actually took the
+//    multi-frame deopt and deoptless-continuation paths speculative
+//    inlining introduces, and that the loop layer provably hoisted and
+//    eliminated guards across the corpus;
 //
 //  * a *concurrent* differential mode: the same 500 programs re-run with
 //    BackgroundCompile on — N executor threads, each driving its own Vm,
@@ -313,6 +314,18 @@ public:
     // round two re-executes phase-changed code (continuations, retired
     // versions, reopt sampling) at steady state.
     std::vector<std::string> Lines = driverLines();
+    // kT: a top-level loop long enough to OSR-in (the fuzz configs'
+    // OsrThreshold is 100) stores globals that two later lines read.
+    // Top-level code runs in the global environment, so its OSR-in code
+    // must keep those stores. A line of its own: a top level that defines
+    // closures keeps its environment anyway. Drawn last, so every other
+    // shape's draws are unchanged.
+    Lines.push_back(std::string("tg <- 0L\ntv <- integer(150L)\n"
+                                "for (k in 1:150) {\n  tg <- tg ") +
+                    addSub() + " (k %% " + intLit() +
+                    ")\n  tv[[k]] <- tg\n}");
+    Lines.push_back("tg");
+    Lines.push_back("tv[[" + std::to_string(1 + R.below(149)) + "L]]");
     P.Drivers = Lines;
     P.Drivers.insert(P.Drivers.end(), Lines.begin(), Lines.end());
     return P;

@@ -2,11 +2,13 @@
 
 #include "native/native.h"
 #include "osr/deoptless.h"
+#include "osr/osrin.h"
 #include "support/stats.h"
 #include "vm/vm.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -216,6 +218,28 @@ TEST(VmOsrIn, TopLevelLoopTriggersOsrIn) {
   EXPECT_GT(D.OsrInEntries, 0u);
 }
 
+TEST(VmOsrIn, TopLevelLoopKeepsItsGlobalStores) {
+  // The top level runs in the global environment: OSR-in code entered
+  // from a top-level loop must store its globals, which a later eval
+  // reads, on either backend and under either speculating strategy.
+  for (TierStrategy S : {TierStrategy::Normal, TierStrategy::Deoptless})
+    for (bool Native : {false, true}) {
+      if (Native && !nativeBackendSupported())
+        continue;
+      Vm::Config C = cfg(S);
+      C.NativeTier = Native;
+      Vm V(C);
+      VmStats Start = stats();
+      V.eval("s <- 0\nfor (i in 1:50000) s <- s + 1.5");
+      V.eval("v <- integer(300L)\nfor (k in 1:300) v[[k]] <- k");
+      VmStats D = stats() - Start;
+      EXPECT_GT(D.OsrInEntries, 0u);
+      EXPECT_DOUBLE_EQ(V.eval("s").toReal(), 75000.0)
+          << "native " << Native;
+      EXPECT_EQ(V.eval("v[[300]]").toInt(), 300) << "native " << Native;
+    }
+}
+
 TEST(VmOsrIn, DisabledMeansNoEntries) {
   // A zero threshold turns OSR-in off; no backedge may divide by it.
   Vm::Config C = cfg(TierStrategy::Normal);
@@ -307,25 +331,63 @@ f <- function(v) { s <- 0; for (i in 1:length(v)) s <- s + g(v[[i]]); s }
   EXPECT_EQ(D.AssumeChecks, 0u);
 }
 
-TEST(VmOsrIn, FailureFlagDiesWithItsVm) {
-  // A failed OSR-in compile stops retries for that function in that Vm
-  // only: a later Vm on the same thread starts clean, even when its
-  // Function reuses the freed address.
+TEST(VmOsrIn, SynchronousOsrCodeIsReusedPerSignature) {
+  // Synchronous OSR-in caches its code by (pc, entry signature): a second
+  // activation reaching the same hot backedge with the same types enters
+  // it again instead of compiling again.
+  Vm V(osrOnly(TierStrategy::Normal, 50));
+  V.eval("loop <- function(n) { s <- 0L\nfor (i in 1:n) s <- s + i\ns }");
+  VmStats Start = stats();
+  EXPECT_EQ(V.eval("loop(400L)").toInt(), 80200);
+  EXPECT_EQ(V.eval("loop(400L)").toInt(), 80200);
+  VmStats D = stats() - Start;
+  EXPECT_EQ(D.OsrInEntries, 2u);
+  EXPECT_EQ(D.OsrInCompilations, 1u);
+}
+
+namespace {
+
+/// The Vm's own OSR-in hook, wrapped by failingOsrHook.
+bool (*VmOsrHook)(Function *, Env *, std::vector<Value> &, int32_t,
+                  Value &) = nullptr;
+
+/// Publishes the failure marker for the hot backedge's exact state when
+/// it has no cache entry yet, as if its compile had failed, then runs the
+/// Vm's hook.
+bool failingOsrHook(Function *Fn, Env *E, std::vector<Value> &Stack,
+                    int32_t Pc, Value &Result) {
+  OsrCache &Cache = Vm::current()->stateFor(Fn).Osr;
+  std::vector<uint32_t> Sig =
+      osrSignature(buildOsrEntryState(Fn, E, Stack, Pc));
+  if (!Cache.lookup(Pc, Sig).Found)
+    Cache.publish(Pc, Sig, nullptr);
+  return VmOsrHook(Fn, E, Stack, Pc, Result);
+}
+
+} // namespace
+
+TEST(VmOsrIn, FailureMarkerDiesWithItsVm) {
+  // A failed OSR-in compile leaves the cache's failure marker: that
+  // signature is not retried in that Vm, and a later Vm on the same
+  // thread starts clean, even when its Function reuses the freed address.
   const char *Prog = "g <- function(n) { s <- 0L\nfor (i in 1:n) s <- s + i\ns }";
   {
     Vm A(cfg(TierStrategy::Normal));
     A.eval(Prog);
     Function *G = A.eval("g").closObj()->Fn;
-    A.stateFor(G).OsrInFailed = true; // as if its OSR-in compile failed
+    VmOsrHook = A.context().Interp.OsrIn;
+    A.context().Interp.OsrIn = failingOsrHook;
     VmStats Start = stats();
     A.eval("g(5000L)");
     VmStats D = stats() - Start;
-    EXPECT_EQ(D.OsrInEntries, 0u) << "a failed function is not retried";
+    EXPECT_EQ(D.OsrInCompilations, 0u) << "a failed signature is not retried";
+    EXPECT_EQ(D.OsrInEntries, 0u);
+    EXPECT_EQ(A.stateFor(G).Osr.size(), 1u) << "one marker";
   }
   Vm B(cfg(TierStrategy::Normal));
   B.eval(Prog);
   Function *G = B.eval("g").closObj()->Fn;
-  EXPECT_FALSE(B.stateFor(G).OsrInFailed);
+  EXPECT_EQ(B.stateFor(G).Osr.size(), 0u);
   VmStats Start = stats();
   B.eval("g(5000L)");
   VmStats D = stats() - Start;
@@ -481,6 +543,35 @@ TEST(VmDeoptless, TableBoundFallsBackToDeopt) {
   V.eval("sum_data(c(1i, 2i))");
   VmStats D = stats() - Start;
   EXPECT_GT(D.Deopts + D.DeoptlessRejected, 0u);
+}
+
+TEST(VmDeoptless, FullTableMissCompilesNothing) {
+  // Injected failures strike each of f's guards; the one-entry table
+  // fills with the first continuation. Every later miss is refused before
+  // compiling: it truly deopts, and no continuation is compiled only to be
+  // thrown away (no compile latency is recorded).
+  Vm::Config C = cfg(TierStrategy::Deoptless);
+  C.MaxContinuations = 1;
+  C.InvalidationRate = 7;
+  Vm V(C);
+  V.eval("f <- function(l) l[[1]] + l[[2]] + l[[3]] + l[[4]]");
+  V.eval("li <- list(1L, 2L, 3L, 4L)");
+  Function *F = V.eval("f").closObj()->Fn;
+  uint64_t LatencyAtFull = 0, RejectedAtFull = 0;
+  bool Full = false;
+  for (int K = 0; K < 300; ++K) {
+    ASSERT_EQ(V.eval("f(li)").toInt(), 10);
+    if (!Full && V.stateFor(F).Continuations.full()) {
+      Full = true;
+      LatencyAtFull = obs::metrics().CompileLatency.count();
+      RejectedAtFull = stats().DeoptlessRejected;
+    }
+  }
+  ASSERT_TRUE(Full);
+  EXPECT_GT(stats().DeoptlessRejected, RejectedAtFull)
+      << "misses on the full table must happen";
+  EXPECT_EQ(obs::metrics().CompileLatency.count(), LatencyAtFull)
+      << "a miss on a full table compiles nothing";
 }
 
 TEST(VmDeoptless, ResultsAlwaysMatchBaseline) {
@@ -644,7 +735,7 @@ TEST(VmDeoptlessCause, FailureInsideItsOwnContinuationIsRecursive) {
   // Both loops speculate on int list elements. A real first list fails
   // the first loop's guard: deoptless compiles a continuation with that
   // slot repaired, but the second loop's guard in the continuation still
-  // expects ints and fails at the continuation's own call depth.
+  // expects ints and fails inside the continuation's own code.
   Vm V(cfg(TierStrategy::Deoptless));
   V.eval(R"(
     two <- function(a, b) {
@@ -784,8 +875,9 @@ TEST(VmInvalidation, CrossThreadInjectionDuringHotDispatch) {
     EXPECT_GT(D.InjectedFailures, 0u)
         << "injections must actually reach a guard (strategy "
         << static_cast<int>(S) << ")";
-    if (S == TierStrategy::Deoptless)
+    if (S == TierStrategy::Deoptless) {
       EXPECT_GT(D.DeoptlessHits + D.DeoptlessCompiles, 0u);
+    }
   }
 }
 
@@ -890,6 +982,39 @@ TEST(VmGraveyard, TeardownReclaimsWhenSafepointsAreOff) {
   EXPECT_EQ(obs::traceCountOf(obs::TraceEv::Reclaim),
             obs::traceCountOf(obs::TraceEv::Retire))
       << "teardown must reclaim retired executables";
+}
+
+TEST(VmGraveyard, StaleOsrCodeIsReclaimed) {
+  // Every entry into OSR-in code fails its first guard check (injected),
+  // which drops the code from the OSR cache; the next hot backedge
+  // compiles it again. Dropped code leaves through the graveyard, so the
+  // live W^X mappings stay bounded over 4,000 invalidate/recompile
+  // cycles, synchronously and with a 0-thread pool drained each round.
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native tier on this host";
+  for (bool Background : {false, true}) {
+    Vm::Config C = osrOnly(TierStrategy::Normal, 50);
+    C.NativeTier = true;
+    C.BackgroundCompile = Background;
+    C.CompilerThreads = 0;
+    C.InvalidationRate = 1;
+    Vm V(C);
+    V.eval("g <- function(x) x + 1L");
+    V.eval("loop <- function(n) { s <- 0L\nfor (i in 1:n) s <- s + "
+           "g(i)\ns }");
+    VmStats Start = stats();
+    size_t Peak = 0;
+    for (int Round = 0;
+         Round < 8000 && (stats() - Start).OsrInCompilations < 4000; ++Round) {
+      ASSERT_EQ(V.eval("loop(100L)").toInt(), 5150);
+      V.drainCompiles();
+      Peak = std::max(Peak, V.backend()->liveCodeBlocks());
+    }
+    VmStats D = stats() - Start;
+    EXPECT_GE(D.OsrInCompilations, 4000u) << "background " << Background;
+    EXPECT_GE(D.OsrInEntries, 3999u) << "background " << Background;
+    EXPECT_LE(Peak, 8u) << "background " << Background;
+  }
 }
 
 TEST(VmGraveyard, ReoptStormKeepsMemoryBounded) {

@@ -8,7 +8,9 @@
 // iteration on a log scale: normal shows a deopt spike + permanently slower
 // code after each phase change; deoptless shows a one-iteration compile
 // bump and then recovers, and the final float phase is as fast as the
-// first because the original code was never discarded.
+// first because the original code was never discarded. The float and
+// complex continuations peel the loop's first iteration (opt/peel), so
+// `total`, which starts as 0L, stays unboxed in their loops.
 //
 // Usage: fig04_sum [--n <elements>] [--iters <per-phase>]
 //
@@ -60,12 +62,15 @@ int main(int Argc, char **Argv) {
     printf("%-10s %12.6f %12.6f %7.2fx\n", PhaseNames[P], Tn, Td, Tn / Td);
     R.headline(std::string("speedup_") + PhaseNames[P], Tn / Td);
   }
-  printf("\n# events: normal deopts=%llu recompiles=%llu | deoptless "
-         "deopts=%llu continuations=%llu dispatch-hits=%llu\n",
+  printf("\n# events: normal deopts=%llu recompiles=%llu peeled-loops=%llu "
+         "| deoptless deopts=%llu continuations=%llu dispatch-hits=%llu "
+         "peeled-loops=%llu\n",
          static_cast<unsigned long long>(Normal.Stats.Deopts),
          static_cast<unsigned long long>(Normal.Stats.Compilations),
+         static_cast<unsigned long long>(Normal.Stats.PeeledLoops),
          static_cast<unsigned long long>(Dl.Stats.Deopts),
          static_cast<unsigned long long>(Dl.Stats.DeoptlessCompiles),
-         static_cast<unsigned long long>(Dl.Stats.DeoptlessHits));
+         static_cast<unsigned long long>(Dl.Stats.DeoptlessHits),
+         static_cast<unsigned long long>(Dl.Stats.PeeledLoops));
   return emitBenchArtifacts(R, Argc, Argv);
 }

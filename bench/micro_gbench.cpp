@@ -214,6 +214,7 @@ void BM_LowerSuite(benchmark::State &State) {
   const Program *Suite = mainSuite(N);
   std::vector<std::unique_ptr<Vm>> Vms; // own the IR's functions
   std::vector<std::unique_ptr<IrCode>> Irs;
+  uint64_t Peeled = 0;
   for (size_t P = 0; P < N; ++P) {
     Vms.push_back(std::make_unique<Vm>(benchConfig(TierStrategy::Normal)));
     Vm &V = *Vms.back();
@@ -221,6 +222,7 @@ void BM_LowerSuite(benchmark::State &State) {
     for (int K = 0; K < 3; ++K)
       V.eval(Suite[P].Driver);
     const OptOptions O = V.optView();
+    const uint64_t PeeledBefore = V.context().Stats.PeeledLoops;
     for (const auto &Binding : V.global()->bindings()) {
       if (Binding.second.tag() != Tag::Clos)
         continue;
@@ -232,6 +234,7 @@ void BM_LowerSuite(benchmark::State &State) {
       if (Ir)
         Irs.push_back(std::move(Ir));
     }
+    Peeled += V.context().Stats.PeeledLoops - PeeledBefore;
   }
   size_t LowInstrs = 0;
   for (auto _ : State) {
@@ -246,9 +249,11 @@ void BM_LowerSuite(benchmark::State &State) {
   // compile-time-known int slots the stitcher folds to immediates,
   // loop-invariant vector pins, and raw-slot candidates the register
   // allocator could not home.
-  size_t IntConsts = 0, Pins = 0, RegSpills = 0;
+  size_t IntConsts = 0, Pins = 0, RegSpills = 0, GenericBins = 0;
   for (const auto &Ir : Irs) {
     std::unique_ptr<LowFunction> Low = lowerToLow(*Ir);
+    for (const LowInstr &I : Low->Code)
+      GenericBins += I.Op == LowOp::BinGenLow;
     for (uint8_t Known : intConstSlots(*Low).Known)
       IntConsts += Known;
     RegAllocation RA = allocateRegisters(*Low, true);
@@ -260,6 +265,8 @@ void BM_LowerSuite(benchmark::State &State) {
   State.counters["int_consts"] = static_cast<double>(IntConsts);
   State.counters["pins"] = static_cast<double>(Pins);
   State.counters["reg_spills"] = static_cast<double>(RegSpills);
+  State.counters["generic_bins"] = static_cast<double>(GenericBins);
+  State.counters["peeled_loops"] = static_cast<double>(Peeled);
 }
 BENCHMARK(BM_LowerSuite)->Unit(benchmark::kMicrosecond);
 

@@ -70,6 +70,11 @@ struct BcInstr {
 struct Code {
   std::vector<BcInstr> Instrs;
   std::vector<Value> Consts;
+  /// Per call-feedback slot: the variable the call reads its callee from
+  /// when the callee expression is a plain variable, else NoSymbol. The
+  /// deoptless feedback cleanup uses it to find every call through a
+  /// variable that was rebound.
+  std::vector<Symbol> CallVars;
 
   int32_t addConst(Value V) {
     Consts.push_back(std::move(V));

@@ -249,8 +249,11 @@ private:
     for (const auto &A : C.Args)
       if (!expr(*A, true))
         return false;
-    emit(Opcode::Call, static_cast<int32_t>(C.Args.size()),
-         CurFn->Feedback.newCallSlot());
+    int32_t Slot = CurFn->Feedback.newCallSlot();
+    emit(Opcode::Call, static_cast<int32_t>(C.Args.size()), Slot);
+    code().CallVars.resize(Slot + 1, NoSymbol);
+    if (C.Callee->kind() == NodeKind::Var)
+      code().CallVars[Slot] = static_cast<const VarNode &>(*C.Callee).Name;
     if (!ValueNeeded)
       emit(Opcode::Pop);
     return true;

@@ -240,3 +240,51 @@ bool rjit::ensurePreheader(IrCode &C, NaturalLoop &L) {
   L.Preheader = PH;
   return true;
 }
+
+void rjit::cloneBlocks(IrCode &C, const std::vector<BB *> &Blocks,
+                       CloneMap &Map) {
+  // Two passes: every block and instruction first, then operands and
+  // edges, so phis and back-edges resolve to copies made later.
+  std::vector<std::pair<const Instr *, Instr *>> Copies;
+  for (BB *B : Blocks)
+    Map.Blocks[B] = C.newBlock();
+  for (BB *B : Blocks) {
+    BB *NB = Map.Blocks[B];
+    for (auto &IP : B->Instrs) {
+      if (Map.Instrs.count(IP.get()))
+        continue; // substituted by the caller
+      auto NI = C.make(IP->Op, IP->Type);
+      NI->Cst = IP->Cst;
+      NI->Sym = IP->Sym;
+      NI->Bop = IP->Bop;
+      NI->Knd = IP->Knd;
+      NI->TagArg = IP->TagArg;
+      NI->Bid = IP->Bid;
+      NI->Target = IP->Target;
+      NI->Idx = IP->Idx;
+      NI->BcPc = IP->BcPc;
+      NI->StackCount = IP->StackCount;
+      NI->EnvSyms = IP->EnvSyms;
+      NI->HasParentFs = IP->HasParentFs;
+      NI->Anchor = IP->Anchor;
+      NI->RKind = IP->RKind;
+      Instr *Copy = NB->append(std::move(NI));
+      Map.Instrs[IP.get()] = Copy;
+      Copies.push_back({IP.get(), Copy});
+    }
+  }
+  for (auto &[Src, Copy] : Copies) {
+    Copy->Ops.reserve(Src->Ops.size());
+    for (Instr *Op : Src->Ops)
+      Copy->Ops.push_back(Map(Op));
+    for (BB *In : Src->Incoming)
+      Copy->Incoming.push_back(Map(In));
+  }
+  for (BB *B : Blocks) {
+    BB *NB = Map.Blocks[B];
+    for (BB *P : B->Preds)
+      NB->Preds.push_back(Map(P));
+    for (int S = 0; S < 2; ++S)
+      NB->Succs[S] = B->Succs[S] ? Map(B->Succs[S]) : nullptr;
+  }
+}

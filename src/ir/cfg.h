@@ -8,7 +8,8 @@
 /// CFG analyses over the optimizer IR: a dominator tree (iterative
 /// Cooper–Harvey–Kennedy over reverse post-order) and natural loops
 /// (back-edges whose target dominates their source), plus preheader
-/// synthesis. The loop optimization layer (opt/licm) consumes these; the
+/// synthesis and the block copier the inliner and the loop peeler share.
+/// The loop optimization layer (opt/peel, opt/licm) consumes these; the
 /// IR verifier uses the dominator tree to check that definitions dominate
 /// uses between passes.
 ///
@@ -23,6 +24,7 @@
 
 #include "ir/instr.h"
 
+#include <unordered_map>
 #include <vector>
 
 namespace rjit {
@@ -95,6 +97,36 @@ std::vector<NaturalLoop> findLoops(const IrCode &C, const DomTree &DT);
 /// fresh phis). Returns true when the CFG changed — every previously
 /// computed DomTree / loop set is then stale and must be recomputed.
 bool ensurePreheader(IrCode &C, NaturalLoop &L);
+
+/// What cloneBlocks copied: every source block and instruction to its
+/// copy. Instructions may be pre-seeded with substitutions before the
+/// call; those are not copied, and their uses in the copy read the
+/// substitute.
+struct CloneMap {
+  std::unordered_map<const BB *, BB *> Blocks;
+  std::unordered_map<const Instr *, Instr *> Instrs;
+
+  /// The copy of \p I, or \p I itself when it was not copied (a value
+  /// defined outside the copied blocks).
+  Instr *operator()(Instr *I) const {
+    auto It = Instrs.find(I);
+    return It == Instrs.end() ? I : It->second;
+  }
+  BB *operator()(BB *B) const {
+    auto It = Blocks.find(B);
+    return It == Blocks.end() ? B : It->second;
+  }
+};
+
+/// Copies \p Blocks (of \p C or of another IrCode) into \p C: one new
+/// block per source block, one new instruction per source instruction
+/// that \p Map does not already map, with every payload field. Operands,
+/// phi incoming blocks, successors and predecessor lists are remapped
+/// through \p Map, so edges and values inside the copied set point at
+/// the copies and everything else keeps its original target. Pred lists
+/// are copied in order, not rebuilt, which keeps them aligned with the
+/// phi operands. The caller rewires the edges that cross the boundary.
+void cloneBlocks(IrCode &C, const std::vector<BB *> &Blocks, CloneMap &Map);
 
 } // namespace rjit
 

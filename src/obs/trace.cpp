@@ -92,6 +92,10 @@ bool rjit::obs::traceEnabledDefault() {
 void rjit::obs::traceBegin(size_t BufferCapacity) {
   if (BufferCapacity)
     ConfiguredCap.store(BufferCapacity, std::memory_order_relaxed);
+  // Build the calling thread's ring now: its zero-fill (a few MiB at the
+  // default capacity) must not land between an event's timestamp and
+  // its record.
+  (void)threadBuffer();
   uint64_t Zero = 0;
   TsBase.compare_exchange_strong(Zero, nowNanos(),
                                  std::memory_order_relaxed);
@@ -104,13 +108,16 @@ void rjit::obs::traceEnd() {
 
 void rjit::obs::traceEvent(TraceEv Kind, uint64_t DurNanos, uint64_t A,
                            uint64_t B) {
+  // Take the ring before the timestamp: a thread's first event may
+  // build it.
+  TraceBuffer &Ring = threadBuffer();
   TraceEvent E;
   E.Ts = nowNanos();
   E.Dur = DurNanos;
   E.A = A;
   E.B = B;
   E.Kind = Kind;
-  threadBuffer().record(E);
+  Ring.record(E);
 }
 
 uint64_t rjit::obs::nextVersionId() {

@@ -141,9 +141,10 @@ inline bool traceOn() {
 /// RJIT_TRACE environment variable is set to a non-zero value.
 bool traceEnabledDefault();
 
-/// Takes a tracing reference. \p BufferCapacity configures the per-thread
-/// ring size for buffers created *after* this call (already-registered
-/// threads keep theirs); pass 0 to leave the current setting.
+/// Takes a tracing reference and builds the calling thread's ring if it
+/// has none. \p BufferCapacity configures the per-thread ring size for
+/// buffers created from this call on (already-registered threads keep
+/// theirs); pass 0 to leave the current setting.
 void traceBegin(size_t BufferCapacity = 0);
 
 /// Drops a tracing reference. Buffers are retained so events recorded by

@@ -61,6 +61,14 @@ FeedbackTable rjit::cleanupFeedback(const Function &Fn,
       if (S.Kind == DeoptReasonKind::CallTarget ||
           S.Kind == DeoptReasonKind::BuiltinGuard) {
         FB.Calls[I.B].Megamorphic = true; // do not re-speculate this site
+        // The variable the callee came from was rebound: every other call
+        // reading its callee from it profiled the old binding too.
+        const std::vector<Symbol> &Vars = Fn.BC.CallVars;
+        Symbol Var = static_cast<size_t>(I.B) < Vars.size() ? Vars[I.B]
+                                                            : NoSymbol;
+        for (size_t K = 0; Var != NoSymbol && K < Vars.size(); ++K)
+          if (Vars[K] == Var)
+            FB.Calls[K].Megamorphic = true;
       }
       break;
     default:

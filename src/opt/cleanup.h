@@ -16,7 +16,10 @@
 ///  2. every type slot tied to a variable captured by the deopt context is
 ///     checked against the variable's current tag; contradicting profiles
 ///     are replaced by the observed tag;
-///  3. remaining inference happens structurally: the optimizer's optimistic
+///  3. a failed call-target guard makes its call site megamorphic, and
+///     every other call that reads its callee from the same variable
+///     (the variable was rebound, so they all profiled the old closure);
+///  4. remaining inference happens structurally: the optimizer's optimistic
 ///     type inference (opt/inference) fills in downstream types from the
 ///     repaired entry types, subsuming an explicit feedback-flow pass.
 ///

@@ -6,7 +6,8 @@
 
 #include "opt/inline.h"
 
-#include <unordered_map>
+#include "ir/cfg.h"
+
 #include <vector>
 
 using namespace rjit;
@@ -186,68 +187,21 @@ private:
               In = Cont;
     }
 
-    // Clone the callee body. Parameters map to the call arguments; blocks
-    // and instructions are cloned in two passes so phis and back-edges
-    // resolve. Pred lists are copied directly (not rebuilt through
-    // setSuccs) to preserve the phi-operand/predecessor alignment.
-    std::unordered_map<const Instr *, Instr *> IMap;
-    std::unordered_map<const BB *, BB *> BMap;
-    for (auto &BP : Body.Blocks)
-      BMap[BP.get()] = C.newBlock();
+    // Clone the callee body with its parameters substituted by the call
+    // arguments; each returning block jumps to the continuation instead.
+    CloneMap Map;
     for (size_t K = 0; K < Body.Params.size(); ++K)
-      IMap[Body.Params[K]] = Call->op(K + 1);
-
-    for (auto &BP : Body.Blocks) {
-      BB *NB = BMap[BP.get()];
-      for (auto &IP : BP->Instrs) {
-        if (IP->Op == IrOp::Param || IP->Op == IrOp::Ret)
-          continue;
-        auto NI = C.make(IP->Op, IP->Type);
-        NI->Cst = IP->Cst;
-        NI->Sym = IP->Sym;
-        NI->Bop = IP->Bop;
-        NI->Knd = IP->Knd;
-        NI->TagArg = IP->TagArg;
-        NI->Bid = IP->Bid;
-        NI->Target = IP->Target;
-        NI->Idx = IP->Idx;
-        NI->BcPc = IP->BcPc;
-        NI->StackCount = IP->StackCount;
-        NI->EnvSyms = IP->EnvSyms;
-        NI->HasParentFs = IP->HasParentFs;
-        NI->Anchor = IP->Anchor;
-        NI->RKind = IP->RKind;
-        IMap[IP.get()] = NB->append(std::move(NI));
-      }
-    }
-    auto MapI = [&](Instr *I) {
-      auto It = IMap.find(I);
-      assert(It != IMap.end() && "unmapped callee instruction");
-      return It->second;
-    };
-    for (auto &BP : Body.Blocks) {
-      BB *NB = BMap[BP.get()];
-      for (auto &IP : BP->Instrs) {
-        if (IP->Op == IrOp::Param || IP->Op == IrOp::Ret)
-          continue;
-        Instr *NI = MapI(IP.get());
-        NI->Ops.reserve(IP->Ops.size());
-        for (Instr *Op : IP->Ops)
-          NI->Ops.push_back(MapI(Op));
-        for (BB *In : IP->Incoming)
-          NI->Incoming.push_back(BMap[In]);
-      }
-      for (BB *P : BP->Preds)
-        NB->Preds.push_back(BMap[P]);
-      Instr *T = BP->terminator();
-      if (T && T->Op == IrOp::Ret) {
-        auto J = C.make(IrOp::Jump, RType::none());
-        NB->append(std::move(J));
-        NB->Succs[0] = Cont;
-      } else {
-        NB->Succs[0] = BP->Succs[0] ? BMap[BP->Succs[0]] : nullptr;
-        NB->Succs[1] = BP->Succs[1] ? BMap[BP->Succs[1]] : nullptr;
-      }
+      Map.Instrs[Body.Params[K]] = Call->op(K + 1);
+    std::vector<BB *> Src;
+    for (auto &BP : Body.Blocks)
+      Src.push_back(BP.get());
+    cloneBlocks(C, Src, Map);
+    for (Instr *R : Rets) {
+      Instr *J = Map(R);
+      J->Op = IrOp::Jump;
+      J->Type = RType::none();
+      J->Ops.clear();
+      J->Parent->Succs[0] = Cont;
     }
 
     // Chain every callee framestate to the caller's return-framestate and
@@ -256,7 +210,7 @@ private:
       for (auto &IP : BP->Instrs) {
         if (IP->Op != IrOp::FrameStateIr)
           continue;
-        Instr *NF = MapI(IP.get());
+        Instr *NF = Map(IP.get());
         if (!NF->HasParentFs) {
           NF->Ops.push_back(RetFs);
           NF->HasParentFs = true;
@@ -270,16 +224,16 @@ private:
     // ret blocks, in the order the phi operands are pushed.
     Instr *Result;
     if (Rets.size() == 1) {
-      Result = MapI(Rets.front()->op(0));
-      Cont->Preds.push_back(BMap[Rets.front()->Parent]);
+      Result = Map(Rets.front()->op(0));
+      Cont->Preds.push_back(Map(Rets.front()->Parent));
     } else {
       auto Phi = C.make(IrOp::Phi, RType::none());
       RType T = RType::none();
       for (Instr *R : Rets) {
-        Instr *V = MapI(R->op(0));
+        Instr *V = Map(R->op(0));
         Phi->Ops.push_back(V);
-        Phi->Incoming.push_back(BMap[R->Parent]);
-        Cont->Preds.push_back(BMap[R->Parent]);
+        Phi->Incoming.push_back(Map(R->Parent));
+        Cont->Preds.push_back(Map(R->Parent));
         T = T.join(V->Type);
       }
       Phi->Type = T;
@@ -290,7 +244,7 @@ private:
     C.replaceAllUses(Call, Result);
 
     // Rewire the caller block into the cloned entry and drop the call.
-    BB *EntryClone = BMap[Body.Entry];
+    BB *EntryClone = Map(Body.Entry);
     assert(B->Instrs.back().get() == Call && "call must end the split block");
     B->Instrs.pop_back();
     auto J = C.make(IrOp::Jump, RType::none());
@@ -303,7 +257,7 @@ private:
     for (auto &BP : Body.Blocks)
       for (auto &IP : BP->Instrs)
         if (IP->Op == IrOp::CallStatic)
-          Work.push_back({MapI(IP.get()), Depth + 1});
+          Work.push_back({Map(IP.get()), Depth + 1});
   }
 };
 

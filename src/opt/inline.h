@@ -36,6 +36,9 @@ namespace rjit {
 constexpr uint32_t MaxInlineDepth = 2;
 /// Callee size bound, in bytecode instructions.
 constexpr uint32_t MaxInlineSize = 48;
+/// Loop peeling's body size bound (opt/peel), in IR instructions: like an
+/// inlined callee, a peeled iteration is a copy of code.
+constexpr uint32_t MaxPeelSize = 96;
 
 /// Inlines eligible CallStatic sites in \p C (recursively, up to
 /// MaxInlineDepth / MaxInlineSize). Returns the number of calls inlined.

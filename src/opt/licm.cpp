@@ -251,16 +251,27 @@ struct LoopHoister {
       }
     }
 
-    // Materialize outermost-first so each clone can link its parent.
+    // Materialize outermost-first so each clone can link its parent. A
+    // local whose pre-loop value is Undef is first assigned inside the
+    // loop: before it, the interpreter has no binding, and neither does
+    // the clone (like the translator's checkpoints) — a binding to NULL
+    // would also make the deoptless cleanup retype its reads as NULL.
     Instr *ParentClone = nullptr;
     for (size_t F = Chain.size(); F > 0; --F) {
       const Instr *Fs = Chain[F - 1];
       auto NF = C.make(IrOp::FrameStateIr, RType::none());
       NF->BcPc = Fs->BcPc;
       NF->StackCount = Fs->StackCount;
-      NF->EnvSyms = Fs->EnvSyms;
       NF->Target = Fs->Target;
-      NF->Ops = Mapped[F - 1];
+      const std::vector<Instr *> &Vals = Mapped[F - 1];
+      NF->Ops.assign(Vals.begin(), Vals.begin() + Fs->StackCount);
+      for (size_t K = 0; K < Fs->EnvSyms.size(); ++K) {
+        Instr *V = Vals[Fs->StackCount + K];
+        if (V->Op == IrOp::Undef)
+          continue;
+        NF->Ops.push_back(V);
+        NF->EnvSyms.push_back(Fs->EnvSyms[K]);
+      }
       if (ParentClone) {
         NF->Ops.push_back(ParentClone);
         NF->HasParentFs = true;

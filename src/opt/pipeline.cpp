@@ -12,6 +12,7 @@
 #include "opt/inline.h"
 #include "opt/licm.h"
 #include "opt/lowertyped.h"
+#include "opt/peel.h"
 #include "runtime/context.h"
 
 #include <cstdio>
@@ -87,6 +88,7 @@ std::unique_ptr<IrCode> rjit::optimizeToIr(Function *Fn, CallConv Conv,
                                            const OptOptions &Opts) {
   std::unique_ptr<IrCode> C;
   uint32_t Inlined = 0;
+  uint32_t Peeled = 0;
   LoopOptStats Loop;
 
   // The between-pass invariant gate (Opts.VerifyEachPass, debug/CI
@@ -148,8 +150,14 @@ std::unique_ptr<IrCode> rjit::optimizeToIr(Function *Fn, CallConv Conv,
     // arithmetic and refinement casts are what gets hoisted), then one
     // more fixpoint cleans up behind it: spent anchors, detached
     // checkpoints of moved guards, types refined by hoisted casts.
+    // Peeling goes first and decides from the inferred phi types; the
+    // fixpoint after it retypes the peeled loop, so LICM and guard
+    // hoisting see loop-carried values of one kind.
     Loop = LoopOptStats();
     if (Opts.Loop.Enabled) {
+      Peeled = peelLoops(*C);
+      if (Peeled && (!Gate("peel") || !Fixpoint()))
+        return nullptr;
       Loop = runLoopOpts(*C, Opts.Loop);
       if (!Gate("loopopts"))
         return nullptr;
@@ -172,6 +180,7 @@ std::unique_ptr<IrCode> rjit::optimizeToIr(Function *Fn, CallConv Conv,
   }
   VmStats &S = contextOr(Opts.Ctx).Stats;
   S.InlinedCalls += Inlined;
+  S.PeeledLoops += Peeled;
   S.HoistedInstrs += Loop.HoistedInstrs;
   S.HoistedGuards += Loop.HoistedGuards;
   S.EliminatedGuards += Loop.EliminatedGuards;

@@ -7,7 +7,9 @@
 /// \file
 /// Drives the optimizer: translate (with inline speculation), then iterate
 /// type inference, typed-op strength reduction, constant folding and dead
-/// code elimination to a fixpoint, and verify.
+/// code elimination to a fixpoint; then the loop layer (peeling of
+/// type-unstable loops, a fixpoint to retype them, LICM and guard
+/// hoisting, another fixpoint), and verify.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -186,8 +186,15 @@ Value vmDeoptHandler(const LowFunction &F, const SlotView &Slots,
     if (tryDeoptless(F, Slots, Meta, ParentEnv, Injected,
                      Owner.Continuations,
                      {V->optView(), V->Cfg.FeedbackCleanup, V->ActivePool},
-                     Result))
+                     Result)) {
+      // A real failure makes cached OSR-in code stale even when a
+      // continuation absorbed it: drop the entry, as retireDeopted does
+      // on a true deopt, or every later activation with this entry
+      // signature enters it and fails the same guard again.
+      if (!Injected)
+        V->toGraveyard(V->stateFor(F.Origin).Osr.invalidate(&F));
       return Result;
+    }
   }
   // A true deoptimization normally retires the optimized code: under
   // Normal this is the Fig. 1 cycle, under Deoptless it is the

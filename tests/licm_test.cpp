@@ -11,17 +11,27 @@
 //  * redundant-guard elimination keeps the dominating guard only;
 //  * LoopOpts off/on produce identical transcripts (the layer is a pure
 //    optimization), including across OSR-in entries whose entry block is
-//    a loop header.
+//    a loop header;
+//  * peeling makes Fig. 4's accumulator type-stable in the deoptless
+//    continuations, keeps a zero-trip loop's int, and a guard failing in
+//    the peeled iteration resumes at the right pc.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ir/cfg.h"
+#include "lowcode/lowcode.h"
+#include "native/native.h"
 #include "opt/pipeline.h"
+#include "osr/deoptless.h"
+#include "suite/programs.h"
 #include "support/stats.h"
 #include "testutil.h"
 #include "vm/vm.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
 
 using namespace rjit;
 
@@ -493,4 +503,160 @@ TEST(LicmE2E, LoopOptsOffParityAcrossStrategies) {
         EXPECT_EQ(Base, runUnder(Setup, Driver, e2eConfig(St, Inl, Loop)))
             << "strategy " << static_cast<int>(St) << " inl=" << Inl
             << " loop=" << Loop;
+}
+
+//===----------------------------------------------------------------------===//
+// Peeling type-unstable loops (opt/peel)
+
+namespace {
+
+/// The LowCode instructions inside \p F's loops: every range a backward
+/// jump closes, unless it holds a `ret` (lowering places exit blocks
+/// after the loop and may jump back to a shared `ret`).
+std::vector<LowInstr> loopInstrs(const LowFunction &F) {
+  std::vector<LowInstr> In;
+  for (size_t Pc = 0; Pc < F.Code.size(); ++Pc) {
+    const LowInstr &J = F.Code[Pc];
+    if (J.Op != LowOp::JumpLow || J.Imm < 0 ||
+        static_cast<size_t>(J.Imm) > Pc)
+      continue;
+    auto First = F.Code.begin() + J.Imm, Last = F.Code.begin() + Pc + 1;
+    if (std::none_of(First, Last, [](const LowInstr &I) {
+          return I.Op == LowOp::RetLow;
+        }))
+      In.insert(In.end(), First, Last);
+  }
+  return In;
+}
+
+/// The backends a test sweeps: the interpreter, and native code where
+/// the host has it.
+std::vector<bool> backends() {
+  std::vector<bool> B{false};
+  if (nativeBackendSupported())
+    B.push_back(true);
+  return B;
+}
+
+} // namespace
+
+TEST(Peel, DeoptlessSumContinuationsRunTypedLoops) {
+  // Fig. 4: `total <- 0L` summed over int, double, complex and double
+  // data. The double and complex continuations peel the first iteration,
+  // so `total` is one kind in their loops: no generic `+`, no boxing.
+  const char *Phases[] = {"1:300", "as.numeric(1:300)",
+                          "as.complex(1:300)", "as.numeric(1:300)"};
+  for (bool Native : backends()) {
+    Vm::Config C = e2eConfig(TierStrategy::Deoptless, false);
+    C.NativeTier = Native;
+    Vm V(C);
+    V.eval(suite::byName("sum")->Setup);
+    VmStats Start = stats();
+    for (const char *Data : Phases) {
+      V.eval(std::string("data <- ") + Data);
+      for (int K = 0; K < 4; ++K)
+        EXPECT_EQ(V.eval("sum_data(data)").show(),
+                  V.eval("sum(data)").show())
+            << Data;
+    }
+    VmStats D = stats() - Start;
+    EXPECT_EQ(D.Deopts, 0u);
+    EXPECT_EQ(D.DeoptlessCompiles, 2u);
+    EXPECT_EQ(D.PeeledLoops, 2u) << "native " << Native;
+
+    Function *Fn = V.eval("sum_data").closObj()->Fn;
+    std::vector<Continuation *> Conts =
+        V.stateFor(Fn).Continuations.entries();
+    ASSERT_EQ(Conts.size(), 2u);
+    for (Continuation *Cont : Conts) {
+      const LowFunction &F = Cont->Code->low();
+      std::vector<LowInstr> Loop = loopInstrs(F);
+      EXPECT_FALSE(Loop.empty()) << printLow(F);
+      for (const LowInstr &I : Loop)
+        EXPECT_TRUE(I.Op != LowOp::BinGenLow && I.Op != LowOp::Box &&
+                    I.Op != LowOp::Unbox)
+            << lowOpName(I.Op) << " in the loop of\n"
+            << printLow(F);
+    }
+  }
+  // Normal recompiles after its deopt from a polymorphic profile: nothing
+  // qualifies.
+  Vm V(e2eConfig(TierStrategy::Normal, false));
+  V.eval(suite::byName("sum")->Setup);
+  VmStats Start = stats();
+  for (const char *Data : Phases) {
+    V.eval(std::string("data <- ") + Data);
+    for (int K = 0; K < 4; ++K)
+      V.eval("sum_data(data)");
+  }
+  EXPECT_EQ((stats() - Start).PeeledLoops, 0u);
+}
+
+TEST(Peel, ZeroTripLoopKeepsTheEntryInt) {
+  // Warmed on doubles, the loop is peeled; over an empty vector the loop
+  // test in front of the peeled iteration exits at once, and the result
+  // is the entry value 0L, not 0.
+  const char *Setup = R"(
+    acc <- function(v) {
+      total <- 0L
+      for (x in v) total <- total + x
+      total
+    }
+  )";
+  for (TierStrategy St : {TierStrategy::Normal, TierStrategy::Deoptless})
+    for (bool Native : backends()) {
+      Vm::Config C = e2eConfig(St, false);
+      C.NativeTier = Native;
+      Vm V(C);
+      V.eval(Setup);
+      VmStats Start = stats();
+      for (int K = 0; K < 4; ++K)
+        EXPECT_EQ(V.eval("acc(c(1.5, 2, 3))").show(), "6.5");
+      EXPECT_GT((stats() - Start).PeeledLoops, 0u);
+      EXPECT_EQ(V.eval("acc(numeric(0))").show(), "0L")
+          << "strategy " << static_cast<int>(St) << " native " << Native;
+      EXPECT_EQ(V.eval("acc(c(1.5, 2, 3))").show(), "6.5");
+    }
+}
+
+TEST(Peel, GuardFailingInThePeeledIterationResumesThere) {
+  // The element guard (the profile says double) sits in both copies of
+  // the body. An int first element fails it in the peeled iteration, an
+  // int second element in the loop proper; either way the frame state
+  // must name the `+` pc with that iteration's `total`.
+  const char *Setup = R"(
+    lsum <- function(l) {
+      total <- 0L
+      for (i in 1:length(l)) total <- total + l[[i]]
+      total
+    }
+    warm <- list(1.5, 2.5, 3.5)
+  )";
+  const char *Calls[] = {"lsum(list(1L, 2.5, 3.5))",
+                         "lsum(list(1.5, 2L, 3.5))", "lsum(list(7L))"};
+  std::vector<std::string> Want;
+  {
+    Vm Base(e2eConfig(TierStrategy::BaselineOnly, false));
+    Base.eval(Setup);
+    for (const char *Call : Calls)
+      Want.push_back(Base.eval(Call).show());
+  }
+  for (TierStrategy St : {TierStrategy::Normal, TierStrategy::Deoptless})
+    for (bool Native : backends())
+      for (size_t K = 0; K < std::size(Calls); ++K) {
+        Vm::Config C = e2eConfig(St, false);
+        C.NativeTier = Native;
+        Vm V(C);
+        V.eval(Setup);
+        VmStats Start = stats();
+        for (int W = 0; W < 4; ++W)
+          EXPECT_EQ(V.eval("lsum(warm)").show(), "7.5");
+        VmStats Warm = stats() - Start;
+        EXPECT_GT(Warm.PeeledLoops, 0u);
+        EXPECT_EQ(Warm.AssumeFailures, 0u);
+        EXPECT_EQ(V.eval(Calls[K]).show(), Want[K])
+            << Calls[K] << " strategy " << static_cast<int>(St)
+            << " native " << Native;
+        EXPECT_GT((stats() - Start).AssumeFailures, 0u) << Calls[K];
+      }
 }

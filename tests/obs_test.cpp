@@ -613,6 +613,27 @@ TEST(TraceRing, RingOverflowCountsDropsEndToEnd) {
   obs::traceEnd();
 }
 
+TEST(TraceRing, BeginBuildsTheCallingThreadsRing) {
+  // traceBegin builds the calling thread's ring with the capacity it
+  // configures, so the ring's zero-fill never lands between the thread's
+  // first timestamp and its record. A later traceBegin's capacity only
+  // applies to rings built after it.
+  std::thread([] {
+    obs::traceBegin(8);
+    obs::traceBegin(1 << 16);
+    for (int K = 0; K < 50; ++K)
+      obs::traceEvent(obs::TraceEv::GuardFail, 0, K, 0);
+    obs::traceEnd();
+    obs::traceEnd();
+  }).join();
+  EXPECT_EQ(obs::traceCountOf(obs::TraceEv::GuardFail), 8u);
+  EXPECT_GE(obs::traceDropped(), 42u);
+
+  obs::traceBegin();
+  obs::traceReset();
+  obs::traceEnd();
+}
+
 //===----------------------------------------------------------------------===//
 // README glossary: every counter, gauge, histogram and trace event the .def
 // lists declare has a row

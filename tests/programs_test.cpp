@@ -97,3 +97,44 @@ TEST(SuiteLookup, ByNameFindsEverything) {
     EXPECT_EQ(byName(P->Name), P);
   EXPECT_EQ(byName("no-such-program"), nullptr);
 }
+
+TEST(SuiteSessions, RaytraceFunctionSwitchStaysDeoptless) {
+  // Fig. 9's second session: `interp` is rebound from interp_bilinear to
+  // interp_nearest. The version's call-target guard fails before the
+  // outer loop, and its continuation must not speculate on the old
+  // binding at the other call through `interp`, nor retype the locals
+  // the loop has not assigned yet: no true deopt, no guard failing
+  // inside the continuation, and every later call hits it.
+  const char *Cast = "cast_rays(hm, 20L, interp, 0.7, 0.4)";
+  std::string Want;
+  {
+    Vm Base(cfg(TierStrategy::BaselineOnly));
+    Base.eval(byName("raytrace")->Setup);
+    Base.eval("hm <- make_heightmap(20L)\ninterp <- interp_nearest");
+    Want = Base.eval(Cast).show();
+  }
+  Vm::Config C = cfg(TierStrategy::Deoptless);
+  C.CompileThreshold = 3;
+  C.OsrThreshold = 100000;
+  C.NativeTier = false;
+  Vm V(C);
+  V.eval(byName("raytrace")->Setup);
+  V.eval("hm <- make_heightmap(20L)");
+  V.eval("interp <- interp_bilinear");
+  for (int K = 0; K < 4; ++K)
+    V.eval(Cast);
+  V.eval("interp <- interp_nearest");
+  VmStats Start = stats();
+  for (int K = 0; K < 4; ++K) {
+    VmStats Before = stats();
+    EXPECT_EQ(V.eval(Cast).show(), Want);
+    VmStats D = stats() - Before;
+    if (K > 0) {
+      EXPECT_EQ(D.DeoptlessHits, 1u) << "call " << K;
+    }
+  }
+  VmStats D = stats() - Start;
+  EXPECT_EQ(D.Deopts, 0u);
+  EXPECT_EQ(D.DeoptlessSkipRecursive, 0u);
+  EXPECT_EQ(D.DeoptlessCompiles, 1u);
+}

@@ -326,6 +326,19 @@ public:
                     ")\n  tv[[k]] <- tg\n}");
     Lines.push_back("tg");
     Lines.push_back("tv[[" + std::to_string(1 + R.below(149)) + "L]]");
+    // kI: an int-initialized accumulator over double, empty, complex and
+    // int data. Warmed on doubles, its loop is peeled (the accumulator
+    // enters as 0L and comes around as a double); the empty vector then
+    // takes the zero-trip exit in front of the peeled iteration and must
+    // return 0L, and complex data fails the element guard (a deopt or a
+    // continuation, which peels again). Drawn after every other shape,
+    // so their draws are unchanged.
+    P.Setup += std::string("kI <- function(v) {\n  acc <- 0L\n"
+                           "  for (x in v) acc <- acc ") +
+               addSub() + " x\n  acc\n}\nvc <- as.complex(vr)\n";
+    for (const char *Arg : {"vr", "vr", "vr", "numeric(0)", "vc", "vc",
+                            "complex(0)", "vr", "vi", "numeric(0)"})
+      Lines.push_back(std::string("kI(") + Arg + ")");
     P.Drivers = Lines;
     P.Drivers.insert(P.Drivers.end(), Lines.begin(), Lines.end());
     return P;
@@ -827,6 +840,9 @@ public:
     EXPECT_GT(C.EliminatedGuards, 0u)
         << "redundant-guard elimination never fired — the kP corpus "
            "shape must produce dominated duplicate guards";
+    EXPECT_GT(C.PeeledLoops, 0u)
+        << "no loop was peeled — the kI corpus shape must warm an "
+           "int-initialized accumulator on doubles";
     if (nativeBackendSupported()) {
       EXPECT_GT(C.NativeCompiles, 0u)
           << "the NativeTier axis never produced template-JIT code";

@@ -345,6 +345,35 @@ TEST(VmOsrIn, SynchronousOsrCodeIsReusedPerSignature) {
   EXPECT_EQ(D.OsrInCompilations, 1u);
 }
 
+TEST(VmOsrIn, DeoptlessDropsStaleOsrCode) {
+  // The loop's callee is rebound after OSR-in code speculated on it. The
+  // first activation that enters the cached code fails its call-target
+  // guard, and a continuation absorbs the failure. The cached code is
+  // stale all the same: it must leave the cache, or every later
+  // activation enters it and fails the same guard again.
+  for (bool Background : {false, true}) {
+    Vm::Config C = osrOnly(TierStrategy::Deoptless, 50);
+    C.BackgroundCompile = Background;
+    C.CompilerThreads = 0;
+    Vm V(C);
+    V.eval("g <- function(x) 2L");
+    V.eval("f <- function(n) { s <- 0L\nfor (i in 1:n) s <- s + g(i)\ns }");
+    for (int K = 0; K < 5; ++K) {
+      EXPECT_EQ(V.eval("f(200L)").toInt(), 400);
+      V.drainCompiles();
+    }
+    V.eval("g <- function(x) 1L + 1L");
+    VmStats Start = stats();
+    for (int K = 0; K < 20; ++K) {
+      EXPECT_EQ(V.eval("f(200L)").toInt(), 400) << "call " << K;
+      V.drainCompiles();
+    }
+    VmStats D = stats() - Start;
+    EXPECT_LE(D.AssumeFailures, 2u) << "background " << Background;
+    EXPECT_GT(D.OsrInEntries, 0u) << "background " << Background;
+  }
+}
+
 namespace {
 
 /// The Vm's own OSR-in hook, wrapped by failingOsrHook.

@@ -81,7 +81,7 @@ int main(int Argc, char **Argv) {
                 bool Trace) {
     Arm A{Label, benchConfig(S)};
     A.Cfg.Inlining = true;
-    A.Cfg.LoopOpts.Enabled = LoopOpts;
+    A.Cfg.LoopOpts = LoopOpts;
     A.Cfg.Trace.Enabled = Trace;
     return A;
   };

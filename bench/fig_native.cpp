@@ -96,7 +96,7 @@ callsum <- function(n) {
 Vm::Config modeConfig(bool Native, bool V2) {
   Vm::Config Cfg = benchConfig(TierStrategy::Normal);
   Cfg.Inlining = true;
-  Cfg.LoopOpts.Enabled = true;
+  Cfg.LoopOpts = true;
   Cfg.NativeTier = Native;
   Cfg.NativeV2.Regalloc = V2;
   Cfg.NativeV2.Linking = V2;

@@ -22,6 +22,7 @@
 #ifndef RJIT_COMPILE_QUEUE_H
 #define RJIT_COMPILE_QUEUE_H
 
+#include "obs/trace.h"
 #include "support/fnv.h"
 
 #include <condition_variable>
@@ -34,13 +35,6 @@
 namespace rjit {
 
 class ExecContext;
-
-/// What a compile request produces.
-enum class CompileKind : uint8_t {
-  Function,     ///< a whole-function version for a CallContext
-  OsrIn,        ///< an OSR-in continuation for (pc, entry signature)
-  Continuation, ///< a deoptless continuation for a DeoptContext
-};
 
 /// Identity of a request, the dedup unit. Owner, the requesting Vm's
 /// context, scopes drain barriers to one Vm of a shared pool and is

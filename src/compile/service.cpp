@@ -9,19 +9,14 @@
 #include "lowcode/lower.h"
 #include "obs/trace.h"
 #include "opt/pipeline.h"
-#include "osr/osrin.h"
+#include "osr/deoptless.h"
 #include "runtime/context.h"
-#include "support/fnv.h"
 #include "support/timer.h"
 
 #include <cassert>
 #include <functional>
 
 using namespace rjit;
-
-//===----------------------------------------------------------------------===//
-// Whole-function versions: the version job's body
-//===----------------------------------------------------------------------===//
 
 namespace {
 
@@ -36,7 +31,7 @@ namespace {
 /// deopt/blacklist bookkeeping). Authoritative under the table's writer
 /// lock, a lock-free preview without it.
 FnVersion *resolveVersion(Function *Fn, const CallContext &Ctx,
-                          VersionTable &Table, CallContext &Want) {
+                          CodeTable<CallContext> &Table, CallContext &Want) {
   Want = Ctx;
   if (!(Want.Flags & CtxCorrectArity) || Want.isGeneric())
     Want = genericContext(Fn->Params.size());
@@ -49,11 +44,64 @@ FnVersion *resolveVersion(Function *Fn, const CallContext &Ctx,
   return E;
 }
 
+/// The request path every kind shares. What \p T already holds for \p K
+/// settles the request when a compile could add nothing: a failure mark
+/// or a full table refuses, live code is published (lock-free; the body's
+/// publication re-checks under the writer lock). Otherwise runs \p Body,
+/// which compiles, publishes and returns whether it published: without a
+/// pool now, against live feedback; with one, the executor captures
+/// \p Fn's feedback closure now and a compiler thread runs the body under
+/// that snapshot. \p Root, when set, yields the profile that replaces
+/// \p Fn's in either mode.
+template <typename Key>
+CompileStatus request(CompilerPool *Pool, Function *Fn, CodeTable<Key> &T,
+                      const Key &K, const OptOptions &Opts,
+                      std::function<bool()> Body,
+                      const std::function<FeedbackTable()> &Root = nullptr) {
+  if (const CodeEntry<Key> *E = T.exact(K)) {
+    if (E->Blacklisted)
+      return CompileStatus::Refused;
+    if (E->live())
+      return CompileStatus::Published;
+  } else if (T.fullFor(K)) {
+    return CompileStatus::Refused;
+  }
+  if (!Pool) {
+    if (!Root)
+      return Body() ? CompileStatus::Published : CompileStatus::Refused;
+    // A partial snapshot overrides only the root: inlined callees read
+    // (and repair) their live tables, which this thread owns.
+    FeedbackSnapshot Partial;
+    Partial.replace(Fn, Root());
+    SnapshotScope Scope(Partial);
+    return Body() ? CompileStatus::Published : CompileStatus::Refused;
+  }
+  CompileKey QKey{Opts.Ctx, Fn, Key::Kind, K.hash()};
+  if (Pool->queue().pending(QKey))
+    return CompileStatus::Pending; // in flight: skip the snapshot capture
+  std::shared_ptr<FeedbackSnapshot> Snap = FeedbackSnapshot::capture(Fn);
+  if (Root)
+    Snap->replace(Fn, Root());
+  CompileJob Job{QKey, [Snap, Body = std::move(Body)] {
+                   SnapshotScope Scope(*Snap);
+                   Body();
+                 }};
+  CompileQueue::Push R = Pool->queue().push(std::move(Job));
+  return R == CompileQueue::Push::Enqueued ||
+                 R == CompileQueue::Push::Duplicate
+             ? CompileStatus::Pending
+             : CompileStatus::Refused;
+}
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Whole-function versions: the version job's body
+//===----------------------------------------------------------------------===//
 
 FnVersion *rjit::compileAndPublishVersion(Function *Fn,
                                           const CallContext &Ctx,
-                                          VersionTable &Table,
+                                          CodeTable<CallContext> &Table,
                                           const VersionCompileOpts &Opts) {
   // Resolution and entry insertion happen under the writer lock; the
   // compile itself runs unlocked (an executor's guard-failure path never
@@ -62,7 +110,7 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
   CallContext Want;
   FnVersion *E;
   {
-    VersionWriteGuard G(Table);
+    std::lock_guard G(Table);
     E = resolveVersion(Fn, Ctx, Table, Want);
     if (E && E->Blacklisted)
       return nullptr;
@@ -75,7 +123,7 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
   uint64_t T0 = nowNanos();
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::CompileStart, 0, E->ObsId,
-                    obs::CompileKindFn);
+                    static_cast<uint64_t>(CompileKind::Function));
 
   const OptOptions &O = Opts.Opt;
   EntryState Entry;
@@ -96,30 +144,16 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
   if (!Ir && Want.isGeneric())
     Ir = optimizeToIr(Fn, CallConv::FullEnv, EntryState(), O);
   if (!Ir) {
-    if (!Want.isGeneric()) {
-      // Specialization impossible (no elidable environment): burn the
-      // context so future calls go straight to the generic root.
-      {
-        VersionWriteGuard G(Table);
-        E->Blacklisted = true;
-      }
-      if (obs::traceOn())
-        obs::traceEvent(obs::TraceEv::VersionBlacklist, 0, E->ObsId);
-      return compileAndPublishVersion(
-          Fn, genericContext(Fn->Params.size()), Table, Opts);
-    }
-    // The generic root itself is uncompilable: blacklist it as the
-    // failure marker, or every post-threshold call retries the whole
-    // pipeline — synchronously as a per-call compile pause, in
-    // background mode as an endless snapshot-capture + enqueue loop
-    // (the OSR cache's null-code entries play the same role).
-    {
-      VersionWriteGuard G(Table);
-      E->Blacklisted = true;
-    }
-    if (obs::traceOn())
-      obs::traceEvent(obs::TraceEv::VersionBlacklist, 0, E->ObsId);
-    return nullptr;
+    // The failure mark burns an impossible specialization (no elidable
+    // environment), so future calls go straight to the generic root. On
+    // the root itself it stops every post-threshold call from retrying
+    // the whole pipeline: synchronously a per-call compile pause, in
+    // background mode an endless snapshot-capture + enqueue loop.
+    Table.publish(Want, nullptr);
+    if (Want.isGeneric())
+      return nullptr;
+    return compileAndPublishVersion(Fn, genericContext(Fn->Params.size()),
+                                    Table, Opts);
   }
 
   std::unique_ptr<ExecutableCode> Exec =
@@ -129,244 +163,72 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
   Requester.Metrics.CompileLatency.record(Dur);
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::CompileFinish, Dur, E->ObsId,
-                    obs::CompileKindFn);
-  {
-    VersionWriteGuard G(Table);
-    // Guard-failure blacklisting may have raced ahead of this
-    // publication: the code must be discarded, not installed over the
-    // executor's decision. A concurrent publication into the same entry
-    // (two contexts resolving to the same root) keeps the first code.
-    // Dropping Exec here frees it immediately — no epoch/graveyard
-    // detour needed, since code that was never published can have no
-    // activation — and for the native tier the executable's destructor
-    // returns its W^X mapping (the arena mutex makes that safe from a
-    // compiler thread racing other installs).
-    if (E->Blacklisted)
-      return nullptr;
-    if (!E->live()) {
-      E->FeedbackHash = feedbackHash(*Fn, Opts.HashWithContexts);
-      E->CallsSinceSample = 0;
-      E->publish(std::move(Exec));
-      ++Requester.Stats.Compilations;
-      if (!Want.isGeneric())
-        ++Requester.Stats.CtxVersions;
-    }
+                    static_cast<uint64_t>(CompileKind::Function));
+  // Guard-failure blacklisting may have raced ahead of this publication,
+  // or a concurrent one into the same entry (two contexts resolving to
+  // the same root): either way the code is discarded, not installed over
+  // the executor's decision or the first code.
+  if (Table.publish(Want, std::move(Exec),
+                    feedbackHash(*Fn, Opts.HashWithContexts))) {
+    ++Requester.Stats.Compilations;
+    if (!Want.isGeneric())
+      ++Requester.Stats.CtxVersions;
   }
+  if (!E->live())
+    return nullptr;
   // Direct call linking (native tier v2): patch registered native call
-  // sites of Fn forward to the freshly published version. Outside the
-  // writer lock — the linker's mutex is a leaf — and guarded on live():
-  // if a blacklist or concurrent publication won the race above, there is
-  // nothing to link (and re-notifying an already-linked version is
-  // idempotent).
-  if (E->live())
-    backendOr(O.Backend).notifyPublish(Fn, E);
+  // sites of Fn forward to the published version. Outside the writer
+  // lock — the linker's mutex is a leaf — and re-notifying an
+  // already-linked version is idempotent.
+  backendOr(O.Backend).notifyPublish(Fn, E);
   return E;
-}
-
-//===----------------------------------------------------------------------===//
-// OSR cache
-//===----------------------------------------------------------------------===//
-
-OsrCache::Hit OsrCache::lookup(int32_t Pc,
-                               const std::vector<uint32_t> &Sig) const {
-  std::lock_guard<std::mutex> L(Mu);
-  for (const Entry &E : Entries)
-    if (E.Pc == Pc && E.Sig == Sig)
-      return {true, E.Code.get()};
-  return {};
-}
-
-bool OsrCache::full() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Entries.size() >= Cap;
-}
-
-size_t OsrCache::size() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Entries.size();
-}
-
-std::unique_ptr<ExecutableCode> OsrCache::invalidate(const LowFunction *Code) {
-  std::lock_guard<std::mutex> L(Mu);
-  for (auto It = Entries.begin(); It != Entries.end(); ++It)
-    if (It->Code && It->Code->lowPtr() == Code) {
-      std::unique_ptr<ExecutableCode> Dropped = std::move(It->Code);
-      Entries.erase(It);
-      return Dropped;
-    }
-  return nullptr;
-}
-
-bool OsrCache::publish(int32_t Pc, std::vector<uint32_t> Sig,
-                       std::unique_ptr<ExecutableCode> Code) {
-  std::lock_guard<std::mutex> L(Mu);
-  if (Entries.size() >= Cap)
-    return false;
-  for (const Entry &E : Entries)
-    if (E.Pc == Pc && E.Sig == Sig)
-      return false; // lost a publication race; keep the first entry
-  if (obs::traceOn())
-    obs::traceEvent(obs::TraceEv::Publish, 0, static_cast<uint64_t>(Pc),
-                    obs::CompileKindOsr);
-  Entries.push_back({Pc, std::move(Sig), std::move(Code)});
-  return true;
-}
-
-std::vector<uint32_t> rjit::osrSignature(const EntryState &Entry) {
-  std::vector<uint32_t> Sig;
-  Sig.reserve(1 + Entry.StackTypes.size() + 2 * Entry.EnvTypes.size());
-  Sig.push_back(static_cast<uint32_t>(Entry.StackTypes.size()));
-  for (const RType &T : Entry.StackTypes)
-    Sig.push_back(T.rawMask());
-  for (const auto &[Sym, T] : Entry.EnvTypes) {
-    Sig.push_back(Sym);
-    Sig.push_back(T.rawMask());
-  }
-  return Sig;
 }
 
 //===----------------------------------------------------------------------===//
 // Requests — run on the executor thread
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-uint64_t hashCallContext(const CallContext &Ctx) {
-  FnvHasher H;
-  H.mix(Ctx.Arity);
-  H.mix(Ctx.Flags);
-  H.mix(Ctx.TypedMask);
-  for (unsigned K = 0; K < MaxProfiledArgs; ++K)
-    H.mix(static_cast<uint64_t>(Ctx.ArgTags[K]));
-  return H.H;
-}
-
-uint64_t hashDeoptContext(const DeoptContext &Ctx) {
-  FnvHasher H;
-  H.mix(static_cast<uint64_t>(Ctx.Pc));
-  H.mix(static_cast<uint64_t>(Ctx.Reason.Kind));
-  H.mix(static_cast<uint64_t>(Ctx.Reason.ReasonPc));
-  H.mix(static_cast<uint64_t>(Ctx.Reason.FailedSlot));
-  H.mix(static_cast<uint64_t>(Ctx.Reason.ActualTag));
-  H.mix(reinterpret_cast<uintptr_t>(Ctx.Reason.ActualFn));
-  H.mix(Ctx.StackSize);
-  for (unsigned K = 0; K < Ctx.StackSize; ++K)
-    H.mix(static_cast<uint64_t>(Ctx.StackTags[K]));
-  H.mix(Ctx.EnvSize);
-  for (unsigned K = 0; K < Ctx.EnvSize; ++K) {
-    H.mix(Ctx.EnvEntries[K].first);
-    H.mix(static_cast<uint64_t>(Ctx.EnvEntries[K].second));
-  }
-  return H.H;
-}
-
-uint64_t hashOsrSignature(int32_t Pc, const std::vector<uint32_t> &Sig) {
-  FnvHasher H;
-  H.mix(static_cast<uint64_t>(Pc));
-  for (uint32_t X : Sig)
-    H.mix(X);
-  return H.H;
-}
-
-/// Runs a request's job body, which compiles, publishes and returns
-/// whether it published. Without a pool it runs now against live
-/// feedback; with one, the executor captures \p Fn's feedback closure now
-/// and a compiler thread runs the body under that snapshot. \p Root, when
-/// set, yields the profile that replaces \p Fn's in either mode.
-CompileStatus submit(CompilerPool *Pool, const CompileKey &Key, Function *Fn,
-                     std::function<bool()> Body,
-                     const std::function<FeedbackTable()> &Root = nullptr) {
-  if (!Pool) {
-    if (!Root)
-      return Body() ? CompileStatus::Published : CompileStatus::Refused;
-    // A partial snapshot overrides only the root: inlined callees read
-    // (and repair) their live tables, which this thread owns.
-    FeedbackSnapshot Partial;
-    Partial.replace(Fn, Root());
-    SnapshotScope Scope(Partial);
-    return Body() ? CompileStatus::Published : CompileStatus::Refused;
-  }
-  if (Pool->queue().pending(Key))
-    return CompileStatus::Pending; // in flight: skip the snapshot capture
-  std::shared_ptr<FeedbackSnapshot> Snap = FeedbackSnapshot::capture(Fn);
-  if (Root)
-    Snap->replace(Fn, Root());
-  CompileJob Job{Key, [Snap, Body = std::move(Body)] {
-                   SnapshotScope Scope(*Snap);
-                   Body();
-                 }};
-  CompileQueue::Push R = Pool->queue().push(std::move(Job));
-  return R == CompileQueue::Push::Enqueued ||
-                 R == CompileQueue::Push::Duplicate
-             ? CompileStatus::Pending
-             : CompileStatus::Refused;
-}
-
-} // namespace
-
 CompileStatus rjit::requestVersionCompile(CompilerPool *Pool, Function *Fn,
                                           const CallContext &Ctx,
-                                          VersionTable &Table,
+                                          CodeTable<CallContext> &Table,
                                           const VersionCompileOpts &Opts) {
-  // The job's own resolution, lock-free: a context whose resolved version
-  // is blacklisted or already live can never publish anything new —
-  // without this check, every call to e.g. a blacklisted hot function
-  // would pay a snapshot deep-copy and a queue round-trip for a job that
-  // discards itself. Resolving *before* keying also collapses distinct
-  // raw contexts that canonicalize to the same version (arity mismatches,
-  // a full table) into one request. The body re-resolves authoritatively
+  // The job's own resolution, lock-free, so the shared check sees the
+  // entry the job would publish into: a resolved version that is
+  // blacklisted or already live can never publish anything new — without
+  // this, every call to e.g. a blacklisted hot function would pay a
+  // snapshot deep-copy and a queue round-trip for a job that discards
+  // itself. Resolving *before* keying also collapses distinct raw
+  // contexts that canonicalize to the same version (arity mismatches, a
+  // full table) into one request. The body re-resolves authoritatively
   // under the writer lock.
   CallContext Want;
-  if (FnVersion *E = resolveVersion(Fn, Ctx, Table, Want)) {
-    if (E->Blacklisted)
-      return CompileStatus::Refused;
-    if (E->live())
-      return CompileStatus::Published;
-  }
-  CompileKey Key{Opts.Opt.Ctx, Fn, CompileKind::Function,
-                 hashCallContext(Want)};
-  return submit(Pool, Key, Fn, [Fn, Want, &Table, Opts] {
+  resolveVersion(Fn, Ctx, Table, Want);
+  return request(Pool, Fn, Table, Want, Opts.Opt, [Fn, Want, &Table, Opts] {
     return compileAndPublishVersion(Fn, Want, Table, Opts) != nullptr;
   });
 }
 
 CompileStatus rjit::requestOsrCompile(CompilerPool *Pool, Function *Fn,
                                       const EntryState &Entry,
-                                      OsrCache &Cache,
+                                      CodeTable<OsrKey> &Table,
                                       const OptOptions &Opts) {
-  std::vector<uint32_t> Sig = osrSignature(Entry);
-  OsrCache::Hit H = Cache.lookup(Entry.Pc, Sig);
-  if (H.Found)
-    return H.Code ? CompileStatus::Published : CompileStatus::Refused;
-  if (Cache.full())
-    return CompileStatus::Refused; // no room for another signature
-  CompileKey Key{Opts.Ctx, Fn, CompileKind::OsrIn,
-                 hashOsrSignature(Entry.Pc, Sig)};
-  return submit(Pool, Key, Fn, [Fn, Entry, Sig, &Cache, Opts] {
-    // Null code is published as the failure marker: the executor stops
-    // requesting this signature instead of recompiling it forever.
-    std::unique_ptr<ExecutableCode> Code = compileOsrInCode(Fn, Entry, Opts);
-    bool Compiled = Code != nullptr;
-    return Cache.publish(Entry.Pc, Sig, std::move(Code)) && Compiled;
+  OsrKey K(Entry);
+  return request(Pool, Fn, Table, K, Opts, [Fn, Entry, K, &Table, Opts] {
+    if (!Table.publish(K, compileOsrInCode(Fn, Entry, Opts)))
+      return false;
+    ++contextOr(Opts.Ctx).Stats.OsrInCompilations;
+    return true;
   });
 }
 
-CompileStatus rjit::requestContinuationCompile(CompilerPool *Pool,
-                                               Function *Fn,
-                                               const DeoptContext &Ctx,
-                                               DeoptlessTable &Table,
-                                               bool FeedbackCleanup,
-                                               const OptOptions &Opts) {
-  if (Table.full())
-    return CompileStatus::Refused;
-  CompileKey Key{Opts.Ctx, Fn, CompileKind::Continuation,
-                 hashDeoptContext(Ctx)};
-  return submit(
-      Pool, Key, Fn,
+CompileStatus rjit::requestContinuationCompile(
+    CompilerPool *Pool, Function *Fn, const DeoptContext &Ctx,
+    CodeTable<DeoptContext> &Table, bool FeedbackCleanup,
+    const OptOptions &Opts) {
+  return request(
+      Pool, Fn, Table, Ctx, Opts,
       [Fn, Ctx, &Table, Opts] {
-        std::unique_ptr<ExecutableCode> Code =
-            compileContinuationCode(Fn, Ctx, Opts);
-        if (!Code || !Table.insert(Ctx, std::move(Code)))
+        if (!Table.publish(Ctx, compileContinuationCode(Fn, Ctx, Opts)))
           return false;
         ++contextOr(Opts.Ctx).Stats.DeoptlessCompiles;
         if (obs::traceOn())

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// The one tier-up path. Each compile kind has one request: whole-function
-/// versions, OSR-in continuations and deoptless continuations. A request
-/// first checks what a compile could add (a full table, a failure marker,
-/// a version already live) and refuses when nothing. Otherwise it runs the
-/// kind's job body:
+/// versions, OSR-in continuations and deoptless continuations, each
+/// publishing into its own instance of the code table (dispatch/table.h).
+/// Every request first checks what a compile could add: a failure-marked
+/// entry or a full table refuses, live code is already published.
+/// Otherwise it runs the kind's job body:
 ///
 ///  * without a pool (synchronous tier-up, the default), now, on the
 ///    executor, against live feedback — the continuation's repaired root
@@ -17,9 +18,12 @@
 ///  * with a pool (Vm::Config::BackgroundCompile), later, on a compiler
 ///    thread, under a feedback snapshot the request captures now.
 ///
-/// Either way the body publishes into the same table, so the caller
-/// simply dispatches whatever is published after the request returns,
-/// and drainCompiles() is exactly "the synchronous result, later".
+/// Either way the body publishes through one step shared by every kind:
+/// under the table's writer lock, code for a failure-marked or live entry
+/// (a lost race) or for a full table is discarded, and a failed compile
+/// sets the failure mark. The caller simply dispatches whatever is
+/// published after the request returns, and drainCompiles() is exactly
+/// "the synchronous result, later".
 ///
 /// This layer deliberately knows nothing about the Vm: jobs capture plain
 /// pointers (function, target table) and knob copies, never thread-local
@@ -32,14 +36,12 @@
 #define RJIT_COMPILE_SERVICE_H
 
 #include "compile/pool.h"
-#include "dispatch/version.h"
+#include "dispatch/context.h"
+#include "dispatch/table.h"
 #include "exec/backend.h"
-#include "osr/deoptless.h"
+#include "osr/osrin.h"
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <vector>
 
 namespace rjit {
 
@@ -56,91 +58,42 @@ struct VersionCompileOpts {
 
 /// The version job's body: resolves which context to (re)compile
 /// (blacklisted / unplaceable specializations fall back to the generic
-/// root), compiles it, and publishes the code into \p Table under its
-/// writer lock. Thread-safe: runs on the executor (synchronous requests,
-/// Vm::compileFunction) or a compiler thread (under the job's
-/// SnapshotScope). Returns the entry, or null when no version can be
-/// produced. A publication that loses the race against
-/// guard-failure blacklisting discards its code.
+/// root), compiles it, and publishes the code into \p Table. Thread-safe:
+/// runs on the executor (synchronous requests, Vm::compileFunction) or a
+/// compiler thread (under the job's SnapshotScope). Returns the entry, or
+/// null when no version can be produced. A publication that loses the
+/// race against guard-failure blacklisting discards its code.
 FnVersion *compileAndPublishVersion(Function *Fn, const CallContext &Ctx,
-                                    VersionTable &Table,
+                                    CodeTable<CallContext> &Table,
                                     const VersionCompileOpts &Opts);
 
 /// What a compile request did: the code is published (the caller can
 /// dispatch to it now), a compile is pending on the pool (queued or in
-/// flight), or the request was refused (a failure marker, a full table or
+/// flight), or the request was refused (a failure mark, a full table or
 /// queue, or an uncompilable state).
 enum class CompileStatus : uint8_t { Published, Pending, Refused };
 
-/// Published OSR-in continuations of one function, keyed by (pc, exact
-/// entry-type signature). An entry with null code is the failure marker:
-/// the signature is uncompilable, stop requesting it. Only the executor
-/// looks entries up and drops them; compiler threads publish. Every
-/// operation takes the cache's mutex, which the executor takes once per
-/// hot backedge, so the cache holds exactly its live entries.
-class OsrCache {
-public:
-  OsrCache() = default;
-  OsrCache(const OsrCache &) = delete;
-  OsrCache &operator=(const OsrCache &) = delete;
-
-  struct Hit {
-    bool Found = false;
-    ExecutableCode *Code = nullptr; ///< null when Found: the failure marker
-  };
-
-  Hit lookup(int32_t Pc, const std::vector<uint32_t> &Sig) const;
-  /// Publishes \p Code (null: the failure marker) unless the cache is full
-  /// or (Pc, Sig) is already published; returns whether it was stored.
-  bool publish(int32_t Pc, std::vector<uint32_t> Sig,
-               std::unique_ptr<ExecutableCode> Code);
-  bool full() const;
-  size_t size() const;
-
-  /// Drops the entry owning \p Code (its guard failed: the speculation is
-  /// stale, and the next hot backedge must recompile from fresh feedback)
-  /// and returns the code, or null when \p Code is not cached. The failing
-  /// activation is still executing it: the Vm hands it to its graveyard.
-  std::unique_ptr<ExecutableCode> invalidate(const LowFunction *Code);
-
-private:
-  struct Entry {
-    int32_t Pc;
-    std::vector<uint32_t> Sig;
-    std::unique_ptr<ExecutableCode> Code;
-  };
-  static constexpr size_t Cap = 8; ///< signatures per function
-  mutable std::mutex Mu;
-  std::vector<Entry> Entries;
-};
-
-/// The exact type signature of an OSR entry state (stack types, then
-/// (symbol, type) bindings): the OsrCache key.
-std::vector<uint32_t> osrSignature(const EntryState &Entry);
-
 /// Requests the version of (\p Fn, \p Ctx) in \p Table: the context
-/// resolves as in compileAndPublishVersion, which is the job's body. A
-/// blacklisted resolution is refused, a live one is already published.
+/// resolves as in compileAndPublishVersion, which is the job's body.
 CompileStatus requestVersionCompile(CompilerPool *Pool, Function *Fn,
                                     const CallContext &Ctx,
-                                    VersionTable &Table,
+                                    CodeTable<CallContext> &Table,
                                     const VersionCompileOpts &Opts);
 
-/// Requests the OSR-in continuation for \p Entry in \p Cache. \p Opts
-/// carries the full optimizer knob set (inlining, loop opts,
-/// verification) the job compiles under. A failed compile publishes the
-/// failure marker.
+/// Requests the OSR-in continuation for \p Entry in \p Table, under the
+/// key OsrKey(Entry). \p Opts carries the full optimizer knob set
+/// (inlining, loop opts, verification) the job compiles under.
 CompileStatus requestOsrCompile(CompilerPool *Pool, Function *Fn,
-                                const EntryState &Entry, OsrCache &Cache,
+                                const EntryState &Entry,
+                                CodeTable<OsrKey> &Table,
                                 const OptOptions &Opts);
 
-/// Requests a deoptless continuation for \p Ctx in \p Table, refused when
-/// the table is full. The profile repair (paper §4.3) runs on the
-/// executor, which owns the live feedback it reads: now, or at enqueue
-/// time, shipped in the snapshot.
+/// Requests a deoptless continuation for \p Ctx in \p Table. The profile
+/// repair (paper §4.3) runs on the executor, which owns the live feedback
+/// it reads: now, or at enqueue time, shipped in the snapshot.
 CompileStatus requestContinuationCompile(CompilerPool *Pool, Function *Fn,
                                          const DeoptContext &Ctx,
-                                         DeoptlessTable &Table,
+                                         CodeTable<DeoptContext> &Table,
                                          bool FeedbackCleanup,
                                          const OptOptions &Opts);
 

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "dispatch/context.h"
+#include "support/fnv.h"
 
 #include <sstream>
 
@@ -33,6 +34,16 @@ bool CallContext::operator==(const CallContext &O) const {
     if ((TypedMask & (1u << K)) && ArgTags[K] != O.ArgTags[K])
       return false;
   return true;
+}
+
+uint64_t CallContext::hash() const {
+  FnvHasher H;
+  H.mix(Arity);
+  H.mix(Flags);
+  H.mix(TypedMask);
+  for (unsigned K = 0; K < MaxProfiledArgs; ++K)
+    H.mix(static_cast<uint64_t>(ArgTags[K]));
+  return H.H;
 }
 
 std::string CallContext::str() const {

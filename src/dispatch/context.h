@@ -21,6 +21,7 @@
 #define RJIT_DISPATCH_CONTEXT_H
 
 #include "bc/feedback.h"
+#include "obs/trace.h"
 #include "osr/reason.h"
 
 #include <string>
@@ -41,10 +42,12 @@ enum CallAssumption : uint8_t {
   CtxNoMissingArgs = 1 << 1,
 };
 
-/// The optimization context of one invocation. Argument slots beyond
-/// MaxProfiledArgs stay untyped (the same bound the call-site profile
-/// uses).
+/// The optimization context of one invocation, and the version table's
+/// key (dispatch/table.h). Argument slots beyond MaxProfiledArgs stay
+/// untyped (the same bound the call-site profile uses).
 struct CallContext {
+  static constexpr CompileKind Kind = CompileKind::Function;
+
   uint8_t Arity = 0;
   uint8_t Flags = 0;     ///< set of CallAssumption bits
   uint8_t TypedMask = 0; ///< bit K set: ArgTags[K] is a real observation
@@ -57,11 +60,14 @@ struct CallContext {
   /// True when no argument is specialized: the root of the lattice for
   /// this arity (the seed's single optimized version).
   bool isGeneric() const { return TypedMask == 0; }
+  /// Only the generic root is exempt from MaxVersions.
+  bool unbounded() const { return isGeneric(); }
 
   /// Partial order: *this may invoke a version compiled for \p O.
   bool operator<=(const CallContext &O) const;
   bool operator==(const CallContext &O) const;
   bool operator!=(const CallContext &O) const { return !(*this == O); }
+  uint64_t hash() const;
 
   std::string str() const;
 };

@@ -7,9 +7,9 @@
 /// \file
 /// The execution-backend seam: optimized code is lowered to LowCode (the
 /// portable description carrying the deopt metadata) and then *prepared*
-/// by a backend into an ExecutableCode — the unit every publication point
-/// (FnVersion, OsrCache, deoptless Continuation) stores and every dispatch
-/// point invokes. Two backends exist:
+/// by a backend into an ExecutableCode — the unit every code-table entry
+/// (dispatch/table.h: versions, OSR-in and deoptless continuations) stores
+/// and every dispatch point invokes. Two backends exist:
 ///
 ///  * the threaded-interpreter backend (always available, portable):
 ///    prepare() is a thin wrapper and run() is runLow();
@@ -40,7 +40,10 @@ namespace rjit {
 
 class Env;
 class Function;
-struct FnVersion;
+struct CallContext;
+template <typename Key> struct CodeEntry;
+/// A whole-function version: the code-table entry of a call context.
+using FnVersion = CodeEntry<CallContext>;
 
 /// RAII pin for one ExecutableCode activation in the executor's retire
 /// epochs (RetireEpochs, runtime/context.h): ExecutableCode::run takes it
@@ -69,7 +72,7 @@ private:
 };
 
 /// A backend-produced executable unit. Owns the LowFunction it was
-/// prepared from: the deopt runtime, the version tables and the printers
+/// prepared from: the deopt runtime, the code tables and the printers
 /// all keep speaking LowCode — low() is the stable identity every
 /// "which code does this guard belong to" lookup uses.
 class ExecutableCode {
@@ -97,10 +100,10 @@ public:
   /// Name of the backend that produced this code ("interp", "native-x64").
   virtual const char *backendName() const = 0;
 
-  /// Observability identity: the FnVersion ObsId this code was published
-  /// into (0 for OSR/continuation code). Set at publication; the retire
-  /// and reclaim trace events carry it, so they attribute the executable
-  /// to its version after the version has let go of it.
+  /// Observability identity: the ObsId of the code-table entry this code
+  /// was published into. Set at publication; the retire and reclaim trace
+  /// events carry it, so they attribute the executable to its entry after
+  /// the entry has let go of it.
   uint64_t obsId() const { return ObsId; }
   void setObsId(uint64_t Id) { ObsId = Id; }
 

@@ -8,10 +8,9 @@
 #include "bc/interp.h"
 #include "lowcode/step.h"
 #include "obs/trace.h"
+#include "runtime/arith.h"
 #include "runtime/builtins.h"
 #include "support/stats.h"
-
-#include <cmath>
 
 using namespace rjit;
 
@@ -84,106 +83,6 @@ Value setTypedElem(Value Obj, Tag VecTag, int64_t Idx, ElemT Elem) {
   }
   O->D[Idx - 1] = Elem;
   return Obj;
-}
-
-/// Complex ring ops and (in)equality (boxed operands).
-Value cplxArith(BinOp Op, Complex X, Complex Y) {
-  switch (Op) {
-  case BinOp::Add:
-    return Value::cplx(X + Y);
-  case BinOp::Sub:
-    return Value::cplx(X - Y);
-  case BinOp::Mul:
-    return Value::cplx(X * Y);
-  case BinOp::Div:
-    return Value::cplx(X / Y);
-  case BinOp::Eq:
-    return Value::lgl(X == Y);
-  case BinOp::Ne:
-    return Value::lgl(!(X == Y));
-  default:
-    rerror("invalid complex operation");
-  }
-}
-
-template <typename T> bool cmpApply(BinOp Op, T X, T Y) {
-  switch (Op) {
-  case BinOp::Eq:
-    return X == Y;
-  case BinOp::Ne:
-    return X != Y;
-  case BinOp::Lt:
-    return X < Y;
-  case BinOp::Le:
-    return X <= Y;
-  case BinOp::Gt:
-    return X > Y;
-  default:
-    return X >= Y;
-  }
-}
-
-int32_t intArithApply(BinOp Op, int32_t X, int32_t Y) {
-  // Unsigned wraparound, exactly as runtime/value.cpp's intArith: the
-  // typed tier must wrap to the same values as the generic ops.
-  auto Wrap = [](uint32_t R) { return static_cast<int32_t>(R); };
-  switch (Op) {
-  case BinOp::Add:
-    return Wrap(static_cast<uint32_t>(X) + static_cast<uint32_t>(Y));
-  case BinOp::Sub:
-    return Wrap(static_cast<uint32_t>(X) - static_cast<uint32_t>(Y));
-  case BinOp::Mul:
-    return Wrap(static_cast<uint32_t>(X) * static_cast<uint32_t>(Y));
-  case BinOp::Mod: {
-    if (Y == 0)
-      rerror("integer modulo by zero");
-    if (Y == -1)
-      return 0; // INT_MIN % -1 traps on x86; the result is always 0
-    int32_t R = X % Y;
-    if (R != 0 && ((R < 0) != (Y < 0)))
-      R += Y;
-    return R;
-  }
-  case BinOp::IDiv: {
-    if (Y == 0)
-      rerror("integer division by zero");
-    if (Y == -1) // INT_MIN / -1 traps on x86; negate with wraparound
-      return Wrap(0u - static_cast<uint32_t>(X));
-    int32_t Q = X / Y;
-    if ((X % Y != 0) && ((X < 0) != (Y < 0)))
-      --Q;
-    return Q;
-  }
-  default:
-    assert(false && "not an int arithmetic op");
-    return 0;
-  }
-}
-
-double realArithApply(BinOp Op, double X, double Y) {
-  switch (Op) {
-  case BinOp::Add:
-    return X + Y;
-  case BinOp::Sub:
-    return X - Y;
-  case BinOp::Mul:
-    return X * Y;
-  case BinOp::Div:
-    return X / Y;
-  case BinOp::Pow:
-    return std::pow(X, Y);
-  case BinOp::Mod: {
-    double R = std::fmod(X, Y);
-    if (R != 0 && ((R < 0) != (Y < 0)))
-      R += Y;
-    return R;
-  }
-  case BinOp::IDiv:
-    return std::floor(X / Y);
-  default:
-    assert(false && "not a real arithmetic op");
-    return 0;
-  }
 }
 
 //===--------------------------------------------------------------------===//
@@ -313,17 +212,18 @@ LOW_BODY(ArithTyped) {
   int Rank = arithRank(I);
   if (Rank == 2) {
     if (isComparison(Op))
-      S[I.Dst] = Value::lgl(cmpApply(Op, D[I.A], D[I.B]));
+      S[I.Dst] = Value::lgl(scalarCompare(Op, D[I.A], D[I.B]));
     else
-      D[I.Dst] = realArithApply(Op, D[I.A], D[I.B]);
+      D[I.Dst] = realArith(Op, D[I.A], D[I.B]);
   } else if (Rank == 1) {
     if (isComparison(Op))
-      S[I.Dst] = Value::lgl(cmpApply(Op, Iv[I.A], Iv[I.B]));
+      S[I.Dst] = Value::lgl(scalarCompare(Op, Iv[I.A], Iv[I.B]));
     else
-      Iv[I.Dst] = intArithApply(Op, Iv[I.A], Iv[I.B]);
+      Iv[I.Dst] = intArith(Op, Iv[I.A], Iv[I.B]);
   } else {
-    S[I.Dst] =
-        cplxArith(Op, S[I.A].asCplxUnchecked(), S[I.B].asCplxUnchecked());
+    Complex X = S[I.A].asCplxUnchecked(), Y = S[I.B].asCplxUnchecked();
+    S[I.Dst] = isComparison(Op) ? Value::lgl(cplxCompare(Op, X, Y))
+                                : Value::cplx(cplxArith(Op, X, Y));
   }
 }
 
@@ -644,12 +544,11 @@ bool rjit::stepCmpBranchTaken(const LowInstr &I, const Value *S,
   int Rank = arithRank(I);
   bool Cond;
   if (Rank == 2)
-    Cond = cmpApply(Op, D[I.A], D[I.B]);
+    Cond = scalarCompare(Op, D[I.A], D[I.B]);
   else if (Rank == 1)
-    Cond = cmpApply(Op, Iv[I.A], Iv[I.B]);
+    Cond = scalarCompare(Op, Iv[I.A], Iv[I.B]);
   else
-    Cond = cplxArith(Op, S[I.A].asCplxUnchecked(), S[I.B].asCplxUnchecked())
-               .asLglUnchecked();
+    Cond = cplxCompare(Op, S[I.A].asCplxUnchecked(), S[I.B].asCplxUnchecked());
   return Cond == cmpBranchSense(I);
 }
 

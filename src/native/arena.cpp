@@ -38,7 +38,7 @@ const void *CodeArena::install(const std::vector<uint8_t> &Code) {
   std::memcpy(Mem, Code.data(), Code.size());
   // Seal: never writable+executable at once. x86-64 needs no explicit
   // icache flush; publication happens-before execution via the release
-  // store of the owning FnVersion / cache entry.
+  // store of the owning code-table entry.
   if (mprotect(Mem, Size, PROT_READ | PROT_EXEC) != 0) {
     munmap(Mem, Size);
     return nullptr;

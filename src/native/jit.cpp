@@ -45,7 +45,7 @@
 #if RJIT_NATIVE_X64
 
 #include "dispatch/context.h"
-#include "dispatch/version.h"
+#include "dispatch/table.h"
 #include "lowcode/exec.h"
 #include "lowcode/step.h"
 #include "native/arena.h"

@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "native/linker.h"
-#include "dispatch/version.h"
+#include "dispatch/context.h"
+#include "dispatch/table.h"
 #include "obs/trace.h"
 
 #include <algorithm>

@@ -26,6 +26,8 @@
 #ifndef RJIT_NATIVE_LINKER_H
 #define RJIT_NATIVE_LINKER_H
 
+#include "exec/backend.h"
+
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -33,10 +35,6 @@
 #include <vector>
 
 namespace rjit {
-
-class Function;
-struct FnVersion;
-class ExecutableCode;
 
 /// One native call site's link cell. Pc identifies the LowCode call
 /// instruction; Target is the published version the fast path transfers

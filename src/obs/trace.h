@@ -33,16 +33,17 @@
 ///    JSON format (load in Perfetto / chrome://tracing); traceSummary()
 ///    prints per-kind counts for humans.
 ///
-/// The rings are also the VM's only record of each version's history.
-/// Every FnVersion carries an id (nextVersionId(), minted when its table
-/// entry is created and kept across the Fig. 1 retire/recompile cycle),
-/// and each transition of that version is one event with the id in A:
-/// version-create, compile (B = CompileKindFn), publish (B =
-/// CompileKindFn), version-deopt (a true deopt charged to the version),
-/// version-blacklist, retire (code moved to the graveyard) and reclaim
+/// The rings are also the VM's only record of each code-table entry's
+/// history. Every entry (dispatch/table.h: versions, OSR-in and deoptless
+/// continuations) carries an id (nextVersionId(), minted when the entry is
+/// created and kept across the Fig. 1 retire/recompile cycle), and each
+/// transition of that entry is one event with the id in A: version-create
+/// (B = CompileKind), compile (versions only), publish (B = CompileKind),
+/// version-deopt (a true deopt charged to a version), version-blacklist
+/// (the failure mark), retire (code moved to the graveyard) and reclaim
 /// (graveyarded code freed). Those seven kinds filtered by one id replay
-/// that version's timeline; all but compile are in the export's
-/// `lifecycle` category.
+/// that entry's timeline; all but compile are in the export's `lifecycle`
+/// category.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,6 +57,16 @@
 #include <vector>
 
 namespace rjit {
+
+/// What a compile produces: the compile queue's request kind and the B
+/// payload of compile, compile-job, publish and version-create events.
+/// deoptbench reads the values from exported traces.
+enum class CompileKind : uint8_t {
+  Function = 0,     ///< a whole-function version for a CallContext
+  OsrIn = 1,        ///< an OSR-in continuation for (pc, entry signature)
+  Continuation = 2, ///< a deoptless continuation for a DeoptContext
+};
+
 namespace obs {
 
 /// The typed runtime events, one per obs/trace.def entry (which documents
@@ -65,11 +76,6 @@ enum class TraceEv : uint8_t {
 #include "obs/trace.def"
   kCount
 };
-
-/// Compile kinds carried in TraceEv::Compile* events' A/B payloads.
-constexpr uint64_t CompileKindFn = 0;   ///< whole-function version
-constexpr uint64_t CompileKindOsr = 1;  ///< OSR-in continuation
-constexpr uint64_t CompileKindCont = 2; ///< deoptless continuation
 
 /// One recorded event. 40 bytes, POD: slots are copied into the ring by
 /// value and never touched again until export.
@@ -156,9 +162,9 @@ void traceEnd();
 void traceEvent(TraceEv Kind, uint64_t DurNanos = 0, uint64_t A = 0,
                 uint64_t B = 0);
 
-/// Mints a fresh version id (process-wide, never 0). Ids are minted
-/// whether or not tracing is on, so versions created before tracing was
-/// switched on still key their later events correctly.
+/// Mints a fresh code-table entry id (process-wide, never 0). Ids are
+/// minted whether or not tracing is on, so entries created before tracing
+/// was switched on still key their later events correctly.
 uint64_t nextVersionId();
 
 /// Total events recorded / dropped across every thread's ring.

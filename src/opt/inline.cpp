@@ -264,7 +264,7 @@ private:
 } // namespace
 
 uint32_t rjit::inlineCalls(IrCode &C, const OptOptions &Opts) {
-  if (!Opts.Inline.Enabled)
+  if (!Opts.Inline)
     return 0;
   Inliner I(C, Opts);
   return I.run();

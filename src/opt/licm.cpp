@@ -377,9 +377,9 @@ struct LoopHoister {
 
 } // namespace
 
-LoopOptStats rjit::runLoopOpts(IrCode &C, const LoopOptOptions &Opts) {
+LoopOptStats rjit::runLoopOpts(IrCode &C) {
   LoopOptStats Stats;
-  if (!Opts.Enabled || !C.Entry)
+  if (!C.Entry)
     return Stats;
 
   // Pass 1: prune guards an equivalent dominating guard already covers —

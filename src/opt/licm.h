@@ -50,12 +50,12 @@ struct LoopOptStats {
   uint32_t EliminatedGuards = 0; ///< Assumes dominated by an equivalent
 };
 
-/// Runs the loop optimization layer over \p C per \p Opts. Synthesizes
-/// preheaders as needed, processes loops innermost-first (an instruction
-/// hoisted into an inner preheader can be hoisted again out of the
-/// enclosing loop), and clears every translator anchor flag so later DCE
-/// sweeps unconsumed anchors.
-LoopOptStats runLoopOpts(IrCode &C, const LoopOptOptions &Opts);
+/// Runs the loop optimization layer over \p C. Synthesizes preheaders as
+/// needed, processes loops innermost-first (an instruction hoisted into an
+/// inner preheader can be hoisted again out of the enclosing loop), and
+/// clears every translator anchor flag so later DCE sweeps unconsumed
+/// anchors.
+LoopOptStats runLoopOpts(IrCode &C);
 
 } // namespace rjit
 

@@ -154,11 +154,11 @@ std::unique_ptr<IrCode> rjit::optimizeToIr(Function *Fn, CallConv Conv,
     // fixpoint after it retypes the peeled loop, so LICM and guard
     // hoisting see loop-carried values of one kind.
     Loop = LoopOptStats();
-    if (Opts.Loop.Enabled) {
+    if (Opts.Loop) {
       Peeled = peelLoops(*C);
       if (Peeled && (!Gate("peel") || !Fixpoint()))
         return nullptr;
-      Loop = runLoopOpts(*C, Opts.Loop);
+      Loop = runLoopOpts(*C);
       if (!Gate("loopopts"))
         return nullptr;
       if (!Fixpoint())

@@ -489,7 +489,7 @@ private:
     // test, so a zero-trip loop stays correct. Anchored checkpoints are
     // DCE roots until opt/licm consumes and clears them.
     if (BI.IsLoopHeader && BI.UsesPhis && Opts.Speculate &&
-        Opts.Loop.Enabled) {
+        Opts.Loop) {
       CurPc = BI.Start;
       checkpoint()->Anchor = true;
     }

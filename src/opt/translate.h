@@ -51,25 +51,6 @@ struct EntryState {
   std::vector<RType> ParamTypes;
 };
 
-/// Speculative inlining switch (opt/inline): splice monomorphic hot
-/// callees into the caller under the callee-identity guard. One struct
-/// shared verbatim by every compile entry point — whole-function
-/// versions, OSR-in continuations and deoptless continuations — so the
-/// tiers cannot drift apart (Vm::Config::inlineView is the single
-/// source of truth). The splice bounds are constants in opt/inline.h.
-struct InlineOptions {
-  bool Enabled = false;
-};
-
-/// Loop optimization switch (opt/licm): dominator/loop analysis feeding
-/// LICM, loop-invariant guard hoisting and redundant-guard elimination.
-/// One struct shared verbatim by every compile entry point (whole-function
-/// versions, OSR-in continuations, deoptless continuations) so the tiers
-/// cannot drift apart; Vm::Config::LoopOpts is the single source of truth.
-struct LoopOptOptions {
-  bool Enabled = true; ///< runs the whole loop layer
-};
-
 /// The one definition of "debug builds verify between passes": both
 /// structs that carry the knob (Vm::Config and OptOptions, which every
 /// compile entry point receives from Vm::optView) default from
@@ -83,11 +64,19 @@ inline constexpr bool VerifyPassesDefault = false;
 class ExecBackend;
 class ExecContext;
 
-/// Translation/optimization knobs.
+/// Translation/optimization knobs, shared verbatim by every compile entry
+/// point (whole-function versions, OSR-in continuations, deoptless
+/// continuations) so the tiers cannot drift apart; Vm::optView fills them
+/// from Vm::Config.
 struct OptOptions {
-  bool Speculate = true;       ///< insert Assume guards from feedback
-  InlineOptions Inline;
-  LoopOptOptions Loop;
+  bool Speculate = true; ///< insert Assume guards from feedback
+  /// Speculative inlining (opt/inline): splice monomorphic hot callees
+  /// into the caller under the callee-identity guard. The splice bounds
+  /// are constants in opt/inline.h.
+  bool Inline = false;
+  /// The loop layer (opt/licm, opt/peel): loop peeling, LICM,
+  /// loop-invariant guard hoisting and redundant-guard elimination.
+  bool Loop = true;
   /// Run the IR verifier between every optimization pass (the invariant
   /// gate; structural breakage fails the compile at the pass that caused
   /// it instead of at the end — or never, when output happens to match).

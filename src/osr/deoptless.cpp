@@ -109,46 +109,15 @@ rjit::compileContinuationCode(Function *Fn, const DeoptContext &Ctx,
   contextOr(Opts.Ctx).Metrics.CompileLatency.record(Dur);
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::CompileFinish, Dur,
-                    static_cast<uint64_t>(Ctx.Pc), obs::CompileKindCont);
+                    static_cast<uint64_t>(Ctx.Pc),
+                    static_cast<uint64_t>(CompileKind::Continuation));
   return Code;
-}
-
-Continuation *DeoptlessTable::dispatch(const DeoptContext &Ctx) {
-  // The table is kept sorted most-specialized-first; take the first
-  // compatible entry (paper §4.3). The snapshot is immutable, so the scan
-  // is safe against a background job publishing concurrently.
-  for (Continuation *E : snapshot())
-    if (Ctx <= E->Ctx)
-      return E;
-  return nullptr;
-}
-
-bool DeoptlessTable::insert(DeoptContext Ctx,
-                            std::unique_ptr<ExecutableCode> Code) {
-  std::lock_guard<std::mutex> L(WriterMu);
-  const std::vector<Continuation *> &Cur = snapshot();
-  if (Cur.size() >= Cap)
-    return false;
-  for (Continuation *E : Cur)
-    if (Ctx <= E->Ctx && E->Ctx <= Ctx)
-      return false; // equal context already published (lost a race)
-
-  auto E = std::make_unique<Continuation>();
-  E->Ctx = Ctx;
-  E->Code = std::move(Code);
-
-  // Linearize the partial order: more specialized entries first.
-  size_t Pos = 0;
-  while (Pos < Cur.size() && !(Ctx <= Cur[Pos]->Ctx))
-    ++Pos;
-  List.insertAt(Pos, std::move(E));
-  return true;
 }
 
 bool rjit::tryDeoptless(const LowFunction &F, const SlotView &Slots,
                         const DeoptMeta &Meta, Env *ParentEnv, bool Injected,
-                        DeoptlessTable &Table, const ContinuationCompile &How,
-                        Value &Result) {
+                        CodeTable<DeoptContext> &Table,
+                        const ContinuationCompile &How, Value &Result) {
   ExecContext &C = currentContext();
   if (!deoptlessCondition(C, F, Meta, Injected))
     return false;
@@ -179,7 +148,7 @@ bool rjit::tryDeoptless(const LowFunction &F, const SlotView &Slots,
   // refused. A miss with nothing published is a true deoptimization *this
   // time*: with a pool the executor never pauses to compile inside a
   // guard-failure handler.
-  Continuation *Cont = Table.dispatch(Ctx);
+  CodeEntry<DeoptContext> *Cont = Table.dispatch(Ctx);
   bool Compiled = false;
   if (!Cont || !(Cont->Ctx <= Ctx)) {
     CompileStatus R =
@@ -207,7 +176,7 @@ bool rjit::tryDeoptless(const LowFunction &F, const SlotView &Slots,
     Args.push_back(Slots.get(Ref));
   for (auto &[Sym, Ref] : Meta.EnvSlots)
     Args.push_back(Slots.get(Ref));
-  Result = Cont->Code->run(std::move(Args), /*CurEnv=*/nullptr, ParentEnv);
+  Result = Cont->code()->run(std::move(Args), /*CurEnv=*/nullptr, ParentEnv);
 
   // The continuation completed the innermost frame only; resume the
   // synthesized frames of the inlined callers in the baseline so the

@@ -8,79 +8,32 @@
 /// The paper's core contribution: deoptimization points become
 /// assumption-polymorphic dispatch sites over specialized optimized
 /// continuations. Each function has a bounded dispatch table of
-/// continuations keyed by DeoptContext, owned by the Vm's per-function
-/// TierState next to its version table; on a failing guard the handler
-/// computes the current context, dispatches (first entry whose context is
-/// >= the current one in the partial order), possibly requests a new
-/// continuation (compiled with repaired feedback, see opt/cleanup) through
-/// compile/service, and invokes it directly with the live state — never
-/// leaving optimized code.
+/// continuations keyed by DeoptContext (paper §4.3: at most
+/// MaxContinuations entries, sorted from most to least specialized, the
+/// first compatible one serves): the same code table (dispatch/table.h) as
+/// its versions and OSR-in code, owned by the Vm's per-function TierState.
+/// On a failing guard the handler computes the current context, dispatches
+/// (first entry whose context is >= the current one in the partial order),
+/// possibly requests a new continuation (compiled with repaired feedback,
+/// see opt/cleanup) through compile/service, and invokes it directly with
+/// the live state — never leaving optimized code.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RJIT_OSR_DEOPTLESS_H
 #define RJIT_OSR_DEOPTLESS_H
 
+#include "dispatch/table.h"
 #include "exec/backend.h"
 #include "opt/translate.h"
 #include "osr/reason.h"
-#include "support/cowlist.h"
 
 #include <memory>
-#include <mutex>
-#include <vector>
 
 namespace rjit {
 
 class CompilerPool;
 struct SlotView;
-
-/// One compiled continuation with its compilation context. Immutable after
-/// publication except Hits, which only the owning executor touches.
-struct Continuation {
-  DeoptContext Ctx;
-  std::unique_ptr<ExecutableCode> Code;
-  uint32_t Hits = 0;
-};
-
-/// Per-function dispatch table (paper §4.3: at most 5 entries; the table
-/// is kept sorted from most to least specialized and scanned for the first
-/// compatible entry).
-///
-/// Concurrency: like VersionTable, the sorted linearization is published
-/// copy-on-write (release store / acquire load), so the executor's guard
-/// failure path dispatches lock-free while a background continuation job
-/// publishes. insert() serializes writers internally. The capacity is
-/// fixed at construction (Vm::Config::MaxContinuations).
-class DeoptlessTable {
-public:
-  explicit DeoptlessTable(uint32_t Cap) : Cap(Cap) {}
-  DeoptlessTable(const DeoptlessTable &) = delete;
-  DeoptlessTable &operator=(const DeoptlessTable &) = delete;
-
-  /// First continuation callable from \p Ctx, or null. Lock-free.
-  Continuation *dispatch(const DeoptContext &Ctx);
-
-  /// Inserts \p Code for \p Ctx; returns false when the table is full or
-  /// an exact entry for \p Ctx already exists (a background job lost a
-  /// publication race).
-  bool insert(DeoptContext Ctx, std::unique_ptr<ExecutableCode> Code);
-
-  size_t size() const { return snapshot().size(); }
-  bool full() const { return size() >= Cap; }
-
-  /// Snapshot of the entries, most specialized first.
-  std::vector<Continuation *> entries() const { return snapshot(); }
-
-private:
-  const std::vector<Continuation *> &snapshot() const {
-    return List.read();
-  }
-
-  CowList<Continuation> List;
-  const uint32_t Cap;
-  std::mutex WriterMu;
-};
 
 /// How a continuation miss is compiled (requestContinuationCompile): now,
 /// on the executor, or — with a pool — in the background, in which case a
@@ -110,7 +63,8 @@ inline Function *continuationOwner(const LowFunction &F,
 /// continuation, so the activation still yields the caller's value.
 bool tryDeoptless(const LowFunction &F, const SlotView &Slots,
                   const DeoptMeta &Meta, Env *ParentEnv, bool Injected,
-                  DeoptlessTable &Table, const ContinuationCompile &How,
+                  CodeTable<DeoptContext> &Table,
+                  const ContinuationCompile &How,
                   Value &Result);
 
 /// The repaired profile a continuation for \p Ctx must be compiled

@@ -9,6 +9,7 @@
 #include "obs/trace.h"
 #include "opt/pipeline.h"
 #include "runtime/context.h"
+#include "support/fnv.h"
 #include "support/timer.h"
 
 using namespace rjit;
@@ -28,6 +29,25 @@ EntryState rjit::buildOsrEntryState(Function *Fn, Env *E,
           {Sym, V.isNull() ? RType::of(Tag::Null) : RType::of(V.tag())});
   }
   return Entry;
+}
+
+OsrKey::OsrKey(const EntryState &Entry) : Pc(Entry.Pc) {
+  Sig.reserve(1 + Entry.StackTypes.size() + 2 * Entry.EnvTypes.size());
+  Sig.push_back(static_cast<uint32_t>(Entry.StackTypes.size()));
+  for (const RType &T : Entry.StackTypes)
+    Sig.push_back(T.rawMask());
+  for (const auto &[Sym, T] : Entry.EnvTypes) {
+    Sig.push_back(Sym);
+    Sig.push_back(T.rawMask());
+  }
+}
+
+uint64_t OsrKey::hash() const {
+  FnvHasher H;
+  H.mix(static_cast<uint64_t>(Pc));
+  for (uint32_t X : Sig)
+    H.mix(X);
+  return H.H;
 }
 
 Value rjit::enterOsrContinuation(ExecutableCode &Code,
@@ -61,12 +81,11 @@ rjit::compileOsrInCode(Function *Fn, const EntryState &Entry,
     return nullptr;
   std::unique_ptr<ExecutableCode> Code =
       prepareExecutable(Opts.Backend, lowerToLow(*Ir));
-  ExecContext &Requester = contextOr(Opts.Ctx);
-  ++Requester.Stats.OsrInCompilations;
   uint64_t Dur = nowNanos() - T0;
-  Requester.Metrics.CompileLatency.record(Dur);
+  contextOr(Opts.Ctx).Metrics.CompileLatency.record(Dur);
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::CompileFinish, Dur,
-                    static_cast<uint64_t>(Entry.Pc), obs::CompileKindOsr);
+                    static_cast<uint64_t>(Entry.Pc),
+                    static_cast<uint64_t>(CompileKind::OsrIn));
   return Code;
 }

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "osr/reason.h"
+#include "support/fnv.h"
 
 using namespace rjit;
 
@@ -40,6 +41,25 @@ bool DeoptContext::operator<=(const DeoptContext &O) const {
       return false;
   }
   return true;
+}
+
+uint64_t DeoptContext::hash() const {
+  FnvHasher H;
+  H.mix(static_cast<uint64_t>(Pc));
+  H.mix(static_cast<uint64_t>(Reason.Kind));
+  H.mix(static_cast<uint64_t>(Reason.ReasonPc));
+  H.mix(static_cast<uint64_t>(Reason.FailedSlot));
+  H.mix(static_cast<uint64_t>(Reason.ActualTag));
+  H.mix(reinterpret_cast<uintptr_t>(Reason.ActualFn));
+  H.mix(StackSize);
+  for (unsigned K = 0; K < StackSize; ++K)
+    H.mix(static_cast<uint64_t>(StackTags[K]));
+  H.mix(EnvSize);
+  for (unsigned K = 0; K < EnvSize; ++K) {
+    H.mix(EnvEntries[K].first);
+    H.mix(static_cast<uint64_t>(EnvEntries[K].second));
+  }
+  return H.H;
 }
 
 std::string DeoptContext::str() const {

@@ -21,6 +21,7 @@
 
 #include "ir/type.h"
 #include "lowcode/lowcode.h"
+#include "obs/trace.h"
 
 #include <string>
 
@@ -39,8 +40,11 @@ struct DeoptReasonRt {
 inline constexpr unsigned MaxCtxStack = 16;
 inline constexpr unsigned MaxCtxEnv = 32;
 
-/// The deoptless optimization context.
+/// The deoptless optimization context, and the continuation table's key
+/// (dispatch/table.h).
 struct DeoptContext {
+  static constexpr CompileKind Kind = CompileKind::Continuation;
+
   int32_t Pc = -1; ///< deopt target (resume pc)
   DeoptReasonRt Reason;
   uint16_t StackSize = 0;
@@ -50,6 +54,12 @@ struct DeoptContext {
 
   /// Partial order: *this can invoke a continuation compiled for \p O.
   bool operator<=(const DeoptContext &O) const;
+  /// Contexts that may run each other's continuations share one entry.
+  bool operator==(const DeoptContext &O) const {
+    return *this <= O && O <= *this;
+  }
+  uint64_t hash() const;
+  bool unbounded() const { return false; }
 
   std::string str() const;
 };

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/value.h"
+#include "runtime/arith.h"
 #include "runtime/context.h"
 #include "runtime/env.h"
 #include "support/stats.h"
@@ -518,105 +519,6 @@ struct NumView {
   }
 };
 
-int32_t intArith(BinOp Op, int32_t A, int32_t B) {
-  // Wraparound is performed in unsigned arithmetic: signed overflow is UB
-  // in C++, and both tiers must produce the identical (wrapped) value for
-  // the cross-tier differential tests.
-  auto Wrap = [](uint32_t R) { return static_cast<int32_t>(R); };
-  switch (Op) {
-  case BinOp::Add:
-    return Wrap(static_cast<uint32_t>(A) + static_cast<uint32_t>(B));
-  case BinOp::Sub:
-    return Wrap(static_cast<uint32_t>(A) - static_cast<uint32_t>(B));
-  case BinOp::Mul:
-    return Wrap(static_cast<uint32_t>(A) * static_cast<uint32_t>(B));
-  case BinOp::Mod: {
-    if (B == 0)
-      rerror("integer modulo by zero");
-    if (B == -1)
-      return 0; // INT_MIN % -1 traps on x86; the result is always 0
-    int32_t R = A % B;
-    if (R != 0 && ((R < 0) != (B < 0)))
-      R += B; // R's %% has the sign of the divisor.
-    return R;
-  }
-  case BinOp::IDiv: {
-    if (B == 0)
-      rerror("integer division by zero");
-    if (B == -1) // INT_MIN / -1 traps on x86; negate with wraparound
-      return Wrap(0u - static_cast<uint32_t>(A));
-    int32_t Q = A / B;
-    if ((A % B != 0) && ((A < 0) != (B < 0)))
-      --Q;
-    return Q;
-  }
-  default:
-    assert(false && "not an int-preserving op");
-    return 0;
-  }
-}
-
-double realArith(BinOp Op, double A, double B) {
-  switch (Op) {
-  case BinOp::Add:
-    return A + B;
-  case BinOp::Sub:
-    return A - B;
-  case BinOp::Mul:
-    return A * B;
-  case BinOp::Div:
-    return A / B;
-  case BinOp::Pow:
-    return std::pow(A, B);
-  case BinOp::Mod: {
-    double R = std::fmod(A, B);
-    if (R != 0 && ((R < 0) != (B < 0)))
-      R += B;
-    return R;
-  }
-  case BinOp::IDiv:
-    return std::floor(A / B);
-  default:
-    assert(false && "not a real arithmetic op");
-    return 0;
-  }
-}
-
-Complex cplxArith(BinOp Op, Complex A, Complex B) {
-  switch (Op) {
-  case BinOp::Add:
-    return A + B;
-  case BinOp::Sub:
-    return A - B;
-  case BinOp::Mul:
-    return A * B;
-  case BinOp::Div:
-    return A / B;
-  default:
-    rerror("invalid operation on complex values");
-  }
-}
-
-bool realCompare(BinOp Op, double A, double B) {
-  switch (Op) {
-  case BinOp::Eq:
-    return A == B;
-  case BinOp::Ne:
-    return A != B;
-  case BinOp::Lt:
-    return A < B;
-  case BinOp::Le:
-    return A <= B;
-  case BinOp::Gt:
-    return A > B;
-  case BinOp::Ge:
-    return A >= B;
-  default:
-    assert(false && "not a comparison");
-    return false;
-  }
-}
-
 } // namespace
 
 Value rjit::genericBinary(BinOp Op, const Value &A, const Value &B) {
@@ -654,27 +556,16 @@ Value rjit::genericBinary(BinOp Op, const Value &A, const Value &B) {
   auto IdxB = [&](int64_t Idx) { return LenB == 1 ? 0 : Idx; };
 
   if (isComparison(Op)) {
-    if (K == NumKind::Cplx) {
-      if (Op != BinOp::Eq && Op != BinOp::Ne)
-        rerror("invalid comparison with complex values");
-      if (Len == 1) {
-        bool E = VA.getCplx(0) == VB.getCplx(0);
-        return Value::lgl(Op == BinOp::Eq ? E : !E);
-      }
-      std::vector<int8_t> R(Len);
-      for (int64_t Idx = 0; Idx < Len; ++Idx) {
-        bool E = VA.getCplx(IdxA(Idx)) == VB.getCplx(IdxB(Idx));
-        R[Idx] = (Op == BinOp::Eq ? E : !E) ? 1 : 0;
-      }
-      return Value::lglVec(std::move(R));
-    }
+    auto Compare = [&](int64_t I, int64_t J) {
+      return K == NumKind::Cplx
+                 ? cplxCompare(Op, VA.getCplx(I), VB.getCplx(J))
+                 : scalarCompare(Op, VA.getReal(I), VB.getReal(J));
+    };
     if (Len == 1)
-      return Value::lgl(realCompare(Op, VA.getReal(0), VB.getReal(0)));
+      return Value::lgl(Compare(0, 0));
     std::vector<int8_t> R(Len);
     for (int64_t Idx = 0; Idx < Len; ++Idx)
-      R[Idx] =
-          realCompare(Op, VA.getReal(IdxA(Idx)), VB.getReal(IdxB(Idx))) ? 1
-                                                                        : 0;
+      R[Idx] = Compare(IdxA(Idx), IdxB(Idx)) ? 1 : 0;
     return Value::lglVec(std::move(R));
   }
 

@@ -51,16 +51,10 @@ Value runVersion(ClosObj *Clos, ExecutableCode &Code,
 
 } // namespace
 
-InlineOptions Vm::Config::inlineView() const {
-  InlineOptions I;
-  I.Enabled = Inlining;
-  return I;
-}
-
 OptOptions Vm::optView() {
   OptOptions O;
   O.Speculate = Cfg.Speculate;
-  O.Inline = Cfg.inlineView();
+  O.Inline = Cfg.Inlining;
   O.Loop = Cfg.LoopOpts;
   O.VerifyEachPass = Cfg.VerifyBetweenPasses;
   O.Backend = ActiveBackend;
@@ -104,7 +98,7 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
     Value R = callClosureBaseline(Clos, std::move(Args));
     if (feedbackHash(*Fn, CtxDispatch) != Ver->FeedbackHash) {
       {
-        VersionWriteGuard G(TS.Versions);
+        std::lock_guard G(TS.Versions);
         V->toGraveyard(Ver->retire());
       }
       requestVersionCompile(V->ActivePool, Fn, Ver->Ctx, TS.Versions,
@@ -187,12 +181,12 @@ Value vmDeoptHandler(const LowFunction &F, const SlotView &Slots,
                      Owner.Continuations,
                      {V->optView(), V->Cfg.FeedbackCleanup, V->ActivePool},
                      Result)) {
-      // A real failure makes cached OSR-in code stale even when a
-      // continuation absorbed it: drop the entry, as retireDeopted does
-      // on a true deopt, or every later activation with this entry
-      // signature enters it and fails the same guard again.
+      // A real failure makes OSR-in code stale even when a continuation
+      // absorbed it: retire it, as retireDeopted does on a true deopt, or
+      // every later activation with this entry signature enters it and
+      // fails the same guard again.
       if (!Injected)
-        V->toGraveyard(V->stateFor(F.Origin).Osr.invalidate(&F));
+        V->retireOsrCode(F);
       return Result;
     }
   }
@@ -217,15 +211,14 @@ bool vmOsrInHook(Function *Fn, Env *E, std::vector<Value> &Stack, int32_t Pc,
   Vm *V = Vm::current();
   assert(V && "OSR hook without an active Vm");
   EntryState Entry = buildOsrEntryState(Fn, E, Stack, Pc);
-  OsrCache &Cache = V->stateFor(Fn).Osr;
-  CompileStatus R =
-      requestOsrCompile(V->pool(), Fn, Entry, Cache, V->optView());
+  CodeTable<OsrKey> &Osr = V->stateFor(Fn).Osr;
+  CompileStatus R = requestOsrCompile(V->pool(), Fn, Entry, Osr, V->optView());
   if (R == CompileStatus::Pending)
     ++V->context().Stats.WarmupPausesAvoided;
   if (R != CompileStatus::Published)
     return false;
-  Result = enterOsrContinuation(*Cache.lookup(Pc, osrSignature(Entry)).Code,
-                                Entry, E, Stack);
+  Result = enterOsrContinuation(*Osr.dispatch(OsrKey(Entry))->code(), Entry,
+                                E, Stack);
   return true;
 }
 
@@ -278,7 +271,7 @@ Vm::~Vm() {
   // first.
   drainCompiles();
   // Tier states hold executables that point into the native code arena:
-  // drop them (versions, continuations, OSR caches) while it still exists.
+  // drop them (every code table) while it still exists.
   States.clear();
   // Teardown is the fallback safepoint: no activation of retired code can
   // still be on the stack (epochs are ignored — the executor is gone), so
@@ -394,16 +387,22 @@ TierState &Vm::stateFor(Function *Fn) {
   return *S;
 }
 
+void Vm::retireOsrCode(const LowFunction &Code) {
+  // The failing activation is still running the code, so it leaves
+  // through the graveyard; the entry stays, and its key's next hot
+  // backedge republishes into it.
+  CodeTable<OsrKey> &Osr = stateFor(Code.Origin).Osr;
+  std::lock_guard G(Osr);
+  if (CodeEntry<OsrKey> *E = Osr.owner(&Code))
+    toGraveyard(E->retire());
+}
+
 void Vm::retireDeopted(const LowFunction &Code) {
   Function *Fn = Code.Origin;
   TierState &TS = stateFor(Fn);
-  // A failing guard inside cached OSR-in code means the cached speculation
-  // is stale: drop it so the next hot backedge recompiles from fresh
-  // feedback instead of re-entering the same stale code every
-  // OsrThreshold backedges. The failing activation is still running it,
-  // so it leaves through the graveyard. The usual OSR-deopt bookkeeping
-  // follows (retire the most generic live version, re-warm).
-  toGraveyard(TS.Osr.invalidate(&Code));
+  // A failing guard inside OSR-in code retires it. The usual OSR-deopt
+  // bookkeeping follows (retire the most generic live version, re-warm).
+  retireOsrCode(Code);
   // Retire the version the failing guard belongs to. Deopts out of OSR-in
   // or continuation code (not in the table) retire the most generic live
   // version — the seed's single-`Optimized` behavior — and when nothing is
@@ -412,7 +411,7 @@ void Vm::retireDeopted(const LowFunction &Code) {
   // Retirement and blacklisting race with a compiler thread publishing
   // into the same table; the writer lock serializes them (a publish that
   // loses the race to a blacklist discards its code).
-  VersionWriteGuard G(TS.Versions);
+  std::lock_guard G(TS.Versions);
   FnVersion *Ver = TS.Versions.owner(&Code);
   if (!Ver)
     Ver = TS.Versions.mostGenericLive();
@@ -429,11 +428,8 @@ void Vm::retireDeopted(const LowFunction &Code) {
   ++Ver->DeoptCount;
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::VersionDeopt, 0, Ver->ObsId);
-  if (Ver->DeoptCount >= Cfg.DeoptBlacklist && !Ver->Blacklisted) {
-    Ver->Blacklisted = true;
-    if (obs::traceOn())
-      obs::traceEvent(obs::TraceEv::VersionBlacklist, 0, Ver->ObsId);
-  }
+  if (Ver->DeoptCount >= Cfg.DeoptBlacklist && !Ver->Blacklisted)
+    Ver->markFailed();
   // Re-warm before recompiling so the baseline can collect fresh feedback
   // (Fig. 1: deopt -> profile -> recompile).
   Fn->CallCount = 0;

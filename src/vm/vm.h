@@ -26,9 +26,11 @@
 /// deoptless continuation) is one request to compile/service, which runs
 /// it now or — with Config::BackgroundCompile, whose pool the constructor
 /// sets up — enqueues it instead of pausing the executor; code appears
-/// via atomic publication and the executor keeps running baseline code
-/// until it does. drainCompiles() is the barrier that recovers fully
-/// deterministic synchronous behavior.
+/// via atomic publication into the function's code tables
+/// (dispatch/table.h) and the executor keeps running baseline code until
+/// it does. Retired code of every kind leaves through one graveyard.
+/// drainCompiles() is the barrier that recovers fully deterministic
+/// synchronous behavior.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +39,7 @@
 
 #include "bc/compiler.h"
 #include "compile/service.h"
-#include "dispatch/version.h"
+#include "dispatch/table.h"
 #include "exec/backend.h"
 #include "lowcode/lowcode.h"
 #include "native/native.h"
@@ -65,21 +67,20 @@ enum class TierStrategy : uint8_t {
   ProfileDrivenReopt ///< sampling reoptimization comparator (Fig. 11)
 };
 
-/// Per-function tier bookkeeping: the context-keyed version table, the
-/// deoptless continuation table (its exit-side twin) and the OSR-in cache,
-/// whose null-code entries are the OSR-in failure markers. All
-/// per-version state (code, deopt counts, blacklist, reopt sampling) lives
-/// in the table's FnVersion entries; without contextual dispatch the table
-/// holds exactly the generic root version and reproduces the seed's
-/// single-`Optimized`-pointer behavior.
+/// Per-function tier bookkeeping: one code table (dispatch/table.h) per
+/// kind of optimized code — versions keyed by call context, deoptless
+/// continuations by deopt context and OSR-in continuations by exact (pc,
+/// entry signature). All per-entry state (code, deopt counts, failure
+/// mark, reopt sampling) lives in the entries; without contextual
+/// dispatch the version table holds exactly the generic root version and
+/// reproduces the seed's single-`Optimized`-pointer behavior.
 struct TierState {
   TierState(uint32_t MaxVersions, uint32_t MaxContinuations)
-      : Continuations(MaxContinuations) {
-    Versions.setCapacity(MaxVersions);
-  }
-  VersionTable Versions;
-  DeoptlessTable Continuations; ///< deoptless continuations (paper §4.3)
-  OsrCache Osr; ///< OSR-in continuations by (pc, entry signature)
+      : Versions(MaxVersions), Continuations(MaxContinuations),
+        Osr(MaxOsrSignatures) {}
+  CodeTable<CallContext> Versions;
+  CodeTable<DeoptContext> Continuations; ///< paper §4.3
+  CodeTable<OsrKey> Osr;                 ///< paper §4.2
 };
 
 class CompilerPool;
@@ -131,7 +132,7 @@ public:
     /// Strategy: dominator/loop analysis drives LICM, loop-invariant guard
     /// hoisting (guards re-anchored to a preheader frame state, so a
     /// failure deopts *before* the loop) and redundant-guard elimination.
-    LoopOptOptions LoopOpts;
+    bool LoopOpts = true;
     /// Correctness gate: run the IR verifier between every optimization
     /// pass, so structural breakage fails the compile at the offending
     /// pass. On in debug builds, which CI's sanitizer jobs run; off in
@@ -214,9 +215,8 @@ public:
       uint32_t BufferCapacity = 0;
     } Trace;
 
-    /// The inlining view: the InlineOptions every compile entry point
-    /// (versions, OSR-in, deoptless continuations) receives.
-    InlineOptions inlineView() const;
+    /// The inlining switch, as deoptbench reads it.
+    bool inlineView() const { return Inlining; }
   };
 
   explicit Vm(Config Cfg);
@@ -359,6 +359,12 @@ private:
   /// one), counts the deopt towards blacklisting and re-warms the
   /// function.
   void retireDeopted(const LowFunction &Code);
+
+  /// Retires \p Code from its function's OSR-in table if it is OSR-in
+  /// code there: a real guard failure made its speculation stale, so the
+  /// next hot backedge recompiles into the same entry from fresh feedback
+  /// instead of re-entering the stale code.
+  void retireOsrCode(const LowFunction &Code);
 
   /// Moves retired code to the graveyard, stamping the current retire
   /// epoch, and re-syncs the gauge.

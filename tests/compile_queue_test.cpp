@@ -180,7 +180,7 @@ TEST(BackgroundCompile, PublicationLosingBlacklistRaceDiscardsCode) {
   // The executor blacklists the root before the compile lands (the
   // deterministic replay of a guard-failure storm during the compile).
   {
-    VersionWriteGuard G(TS.Versions);
+    std::lock_guard G(TS.Versions);
     FnVersion *E = TS.Versions.insert(genericContext(1));
     ASSERT_NE(E, nullptr);
     E->Blacklisted = true;
@@ -287,7 +287,7 @@ TEST(BackgroundCompile, LoopOptsKeepDrainTranscriptsIdentical) {
   auto Run = [](bool LoopOpts, uint64_t &Compilations) {
     Vm::Config C = backgroundCfg(/*Threads=*/0);
     C.Speculate = false;
-    C.LoopOpts.Enabled = LoopOpts;
+    C.LoopOpts = LoopOpts;
     Vm V(C);
     V.eval("colsum <- function(m, nr, nc) {\n"
            "  s <- 0\n"
@@ -371,11 +371,11 @@ TEST(BackgroundCompile, OsrContinuationIsCachedAndEntered) {
 }
 
 TEST(BackgroundCompile, StaleOsrContinuationIsInvalidatedOnDeopt) {
-  // The cache key is (pc, entry-type signature); a call-target rebinding
-  // changes neither, so the cached continuation's callee guard goes
-  // stale while the key still matches. The deopt must evict the entry —
-  // otherwise every OsrThreshold-th backedge re-enters the same stale
-  // code and deopts again, forever.
+  // The OSR-in table key is (pc, entry-type signature); a call-target
+  // rebinding changes neither, so the published continuation's callee
+  // guard goes stale while the key still matches. The deopt must retire
+  // the entry's code — otherwise every OsrThreshold-th backedge re-enters
+  // the same stale code and deopts again, forever.
   Vm::Config C = backgroundCfg(/*Threads=*/0);
   C.OsrThreshold = 50;
   C.CompileThreshold = 1000000; // isolate the OSR path
@@ -398,9 +398,9 @@ TEST(BackgroundCompile, StaleOsrContinuationIsInvalidatedOnDeopt) {
   uint64_t DeoptsAfterFirst = stats().Deopts;
   EXPECT_GT(DeoptsAfterFirst, DeoptsBefore);
 
-  // The stale entry is gone: the next run misses the cache (requesting a
-  // fresh compile) and interprets — no repeated stale re-entry, no
-  // further deopts.
+  // The stale code is retired: the next run finds its entry without code
+  // (requesting a fresh compile) and interprets — no repeated stale
+  // re-entry, no further deopts.
   EXPECT_EQ(V.eval("loop(400L)").show(), "81000L");
   EXPECT_EQ(stats().Deopts, DeoptsAfterFirst)
       << "an evicted continuation must not keep deopting";

@@ -1,13 +1,15 @@
 //===-- tests/dispatch_test.cpp - Contextual dispatch tests ----------------===//
 //
 // The call-entry generalization of the deoptless dispatch: CallContext
-// partial order, VersionTable discipline, and the end-to-end behavior of
-// context-specialized function versions through the Vm tier manager.
+// partial order, the code table's discipline over all three of its keys,
+// and the end-to-end behavior of context-specialized function versions
+// through the Vm tier manager.
 //
 //===----------------------------------------------------------------------===//
 
 #include "dispatch/context.h"
-#include "dispatch/version.h"
+#include "dispatch/table.h"
+#include "osr/osrin.h"
 #include "support/stats.h"
 #include "testutil.h"
 #include "vm/vm.h"
@@ -135,65 +137,158 @@ TEST(CallContext, WrongArityDropsCorrectArityFlag) {
 }
 
 //===----------------------------------------------------------------------===//
-// VersionTable discipline
+// The code table, once per key: versions, continuations, OSR-in code
 
 namespace {
 
-std::unique_ptr<ExecutableCode> dummyLow() {
-  auto F = std::make_unique<LowFunction>();
-  F->Code.push_back({LowOp::RetLow});
-  F->NumSlots = 1;
-  return interpBackend().prepare(std::move(F));
+DeoptContext deoptCtx(int32_t Pc, Tag Actual, std::vector<Tag> Stack) {
+  DeoptContext C;
+  C.Pc = Pc;
+  C.Reason.ReasonPc = Pc;
+  C.Reason.ActualTag = Actual;
+  C.StackSize = static_cast<uint16_t>(Stack.size());
+  for (size_t K = 0; K < Stack.size(); ++K)
+    C.StackTags[K] = Stack[K];
+  return C;
 }
+
+OsrKey osrKey(int32_t Pc, std::vector<Tag> Stack) {
+  EntryState E;
+  E.Pc = Pc;
+  for (Tag T : Stack)
+    E.StackTypes.push_back(RType::of(T));
+  return OsrKey(E);
+}
+
+/// Per key: a key, one its code serves (special <= general wherever the
+/// order is more than equality) and distinct bounded keys.
+template <typename Key> struct Keys;
+template <> struct Keys<CallContext> {
+  static CallContext general() { return ctxOf({Tag::RealVec}, 1); }
+  static CallContext special() { return ctxOf({Tag::Real}, 1); }
+  static CallContext other(size_t K) {
+    return ctxOf(std::vector<Tag>(K + 2, Tag::Int), K + 2);
+  }
+};
+template <> struct Keys<DeoptContext> {
+  static DeoptContext general() {
+    return deoptCtx(5, Tag::RealVec, {Tag::RealVec});
+  }
+  static DeoptContext special() { return deoptCtx(5, Tag::Real, {Tag::Real}); }
+  static DeoptContext other(size_t K) {
+    return deoptCtx(static_cast<int32_t>(100 + K), Tag::RealVec, {});
+  }
+};
+template <> struct Keys<OsrKey> {
+  static OsrKey general() { return osrKey(5, {Tag::RealVec}); }
+  static OsrKey special() { return osrKey(5, {Tag::Real}); }
+  static OsrKey other(size_t K) {
+    return osrKey(static_cast<int32_t>(100 + K), {});
+  }
+};
+
+template <typename Key> class CodeTableTest : public ::testing::Test {};
+using TableKeys = ::testing::Types<CallContext, DeoptContext, OsrKey>;
+TYPED_TEST_SUITE(CodeTableTest, TableKeys);
 
 } // namespace
 
-TEST(VersionTable, MostSpecializedFirst) {
-  VersionTable T;
-  T.setCapacity(4);
-  VersionWriteGuard WG(T);
-  FnVersion *G = T.insert(genericContext(1));
-  G->publish(dummyLow());
-  FnVersion *S = T.insert(ctxOf({Tag::IntVec}, 1));
-  S->publish(dummyLow());
-  // A typed call must land on the specialized entry even though the
-  // generic root also matches.
-  FnVersion *Hit = T.dispatch(ctxOf({Tag::IntVec}, 1));
-  ASSERT_NE(Hit, nullptr);
-  EXPECT_FALSE(Hit->Ctx.isGeneric());
-  // A call the specialization cannot serve falls through to the root.
-  Hit = T.dispatch(ctxOf({Tag::RealVec}, 1));
-  ASSERT_NE(Hit, nullptr);
-  EXPECT_TRUE(Hit->Ctx.isGeneric());
+TYPED_TEST(CodeTableTest, MostSpecializedFirst) {
+  using K = Keys<TypeParam>;
+  CodeTable<TypeParam> T(4);
+  ASSERT_TRUE(T.publish(K::general(), dummyCode()));
+  CodeEntry<TypeParam> *G = T.exact(K::general());
+  // Before the specialization exists, its query is served by the general
+  // entry wherever the order allows it.
+  bool Ordered = K::special() <= K::general();
+  EXPECT_EQ(T.dispatch(K::special()), Ordered ? G : nullptr);
+  EXPECT_EQ(T.dispatch(K::other(0)), nullptr) << "unrelated keys miss";
+
+  ASSERT_TRUE(T.publish(K::special(), dummyCode()));
+  CodeEntry<TypeParam> *S = T.exact(K::special());
+  ASSERT_NE(S, G);
+  EXPECT_EQ(T.dispatch(K::special()), S)
+      << "the more specialized entry answers its own query";
+  EXPECT_EQ(T.dispatch(K::general()), G);
+  if (Ordered) {
+    EXPECT_EQ(T.entries().front(), S) << "sorted most specialized first";
+  }
 }
 
-TEST(VersionTable, BoundExemptsGenericRoot) {
-  VersionTable T;
-  T.setCapacity(1);
-  VersionWriteGuard WG(T);
-  EXPECT_NE(T.insert(ctxOf({Tag::IntVec}, 1)), nullptr);
-  EXPECT_EQ(T.insert(ctxOf({Tag::RealVec}, 1)), nullptr)
+TYPED_TEST(CodeTableTest, BoundCountsRetiredEntries) {
+  using K = Keys<TypeParam>;
+  CodeTable<TypeParam> T(2);
+  for (size_t I = 0; I < 2; ++I)
+    ASSERT_TRUE(T.publish(K::other(I), dummyCode()));
+  EXPECT_TRUE(T.full());
+  CodeEntry<TypeParam> *E = T.exact(K::other(0));
+  ASSERT_NE(E, nullptr);
+  {
+    std::lock_guard G(T);
+    std::unique_ptr<ExecutableCode> Gone = E->retire();
+  }
+  EXPECT_TRUE(T.full()) << "a retired entry keeps its slot";
+  EXPECT_FALSE(T.publish(K::other(2), dummyCode()));
+  EXPECT_EQ(T.size(), 2u);
+  EXPECT_NE(T.dispatch(K::other(1)), nullptr) << "old entries still serve";
+}
+
+TYPED_TEST(CodeTableTest, LostRaceKeepsTheFirstCode) {
+  using K = Keys<TypeParam>;
+  CodeTable<TypeParam> T(4);
+  ASSERT_TRUE(T.publish(K::general(), dummyCode()));
+  ExecutableCode *First = T.exact(K::general())->code();
+  EXPECT_FALSE(T.publish(K::general(), dummyCode()))
+      << "a second publication for a live entry is discarded";
+  EXPECT_EQ(T.exact(K::general())->code(), First);
+
+  // A failed compile marks its entry: no later code is installed there,
+  // and dispatch skips it.
+  EXPECT_FALSE(T.publish(K::special(), nullptr));
+  CodeEntry<TypeParam> *Marked = T.exact(K::special());
+  ASSERT_NE(Marked, nullptr);
+  EXPECT_TRUE(Marked->Blacklisted);
+  EXPECT_FALSE(T.publish(K::special(), dummyCode()));
+  EXPECT_FALSE(Marked->live());
+  EXPECT_NE(T.dispatch(K::special()), Marked);
+}
+
+TYPED_TEST(CodeTableTest, RetireKeepsTheEntry) {
+  using K = Keys<TypeParam>;
+  CodeTable<TypeParam> T(4);
+  ASSERT_TRUE(T.publish(K::general(), dummyCode()));
+  CodeEntry<TypeParam> *E = T.exact(K::general());
+  const LowFunction *Low = E->code()->lowPtr();
+  EXPECT_EQ(T.owner(Low), E);
+  uint64_t Id = E->ObsId;
+  {
+    std::lock_guard G(T);
+    std::unique_ptr<ExecutableCode> Gone = E->retire();
+    E->DeoptCount = 7;
+  }
+  EXPECT_EQ(T.dispatch(K::general()), nullptr)
+      << "retired entries never dispatch";
+  EXPECT_EQ(T.owner(Low), nullptr);
+  EXPECT_EQ(T.exact(K::general()), E)
+      << "but the entry and its counters persist";
+  EXPECT_EQ(T.liveCount(), 0u);
+
+  // A recompile republishes into the same entry, under the same id.
+  ASSERT_TRUE(T.publish(K::general(), dummyCode()));
+  EXPECT_EQ(T.dispatch(K::general()), E);
+  EXPECT_EQ(T.size(), 1u);
+  EXPECT_EQ(E->ObsId, Id);
+  EXPECT_EQ(E->DeoptCount, 7u);
+}
+
+TEST(CodeTable, BoundExemptsGenericRoot) {
+  CodeTable<CallContext> T(1);
+  ASSERT_TRUE(T.publish(ctxOf({Tag::IntVec}, 1), dummyCode()));
+  EXPECT_FALSE(T.publish(ctxOf({Tag::RealVec}, 1), dummyCode()))
       << "specialized bound reached";
-  EXPECT_NE(T.insert(genericContext(1)), nullptr)
+  EXPECT_TRUE(T.publish(genericContext(1), dummyCode()))
       << "the generic root is exempt from the bound";
   EXPECT_EQ(T.size(), 2u);
-}
-
-TEST(VersionTable, RetiredEntriesKeepBookkeeping) {
-  VersionTable T;
-  T.setCapacity(4);
-  VersionWriteGuard WG(T);
-  FnVersion *E = T.insert(ctxOf({Tag::IntVec}, 1));
-  E->publish(dummyLow());
-  const LowFunction *Code = E->code()->lowPtr();
-  EXPECT_EQ(T.owner(Code), E);
-  E->retire(); // retire (deopt); ownership would move to the graveyard
-  E->DeoptCount = 7;
-  EXPECT_EQ(T.dispatch(ctxOf({Tag::IntVec}, 1)), nullptr)
-      << "retired entries never dispatch";
-  EXPECT_EQ(T.exact(ctxOf({Tag::IntVec}, 1)), E)
-      << "but their counters persist for blacklisting";
-  EXPECT_EQ(T.liveCount(), 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -133,7 +133,7 @@ TEST_F(LicmFixture, InvariantCalleeIdentityGuardHoistedToPreheader) {
 
   // Ablation: with the layer off the guard stays in the loop.
   OptOptions Off;
-  Off.Loop.Enabled = false;
+  Off.Loop = false;
   auto C2 = optimizeToIr(Hot, CallConv::FullElided, EntryState(), Off);
   ASSERT_TRUE(C2);
   InLoop.clear();
@@ -318,7 +318,7 @@ Vm::Config e2eConfig(TierStrategy S, bool Inlining, bool LoopOpts = true) {
   C.CompileThreshold = 2;
   C.OsrThreshold = 100;
   C.Inlining = Inlining;
-  C.LoopOpts.Enabled = LoopOpts;
+  C.LoopOpts = LoopOpts;
   return C;
 }
 
@@ -565,11 +565,11 @@ TEST(Peel, DeoptlessSumContinuationsRunTypedLoops) {
     EXPECT_EQ(D.PeeledLoops, 2u) << "native " << Native;
 
     Function *Fn = V.eval("sum_data").closObj()->Fn;
-    std::vector<Continuation *> Conts =
+    const std::vector<CodeEntry<DeoptContext> *> &Conts =
         V.stateFor(Fn).Continuations.entries();
     ASSERT_EQ(Conts.size(), 2u);
-    for (Continuation *Cont : Conts) {
-      const LowFunction &F = Cont->Code->low();
+    for (CodeEntry<DeoptContext> *Cont : Conts) {
+      const LowFunction &F = Cont->code()->low();
       std::vector<LowInstr> Loop = loopInstrs(F);
       EXPECT_FALSE(Loop.empty()) << printLow(F);
       for (const LowInstr &I : Loop)

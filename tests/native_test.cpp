@@ -16,7 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "dispatch/context.h"
-#include "dispatch/version.h"
+#include "dispatch/table.h"
 #include "native/native.h"
 #include "native/regalloc.h"
 #include "support/stats.h"

@@ -263,13 +263,14 @@ obs::VmMetrics runDeoptCycle() {
   return obs::metrics();
 }
 
-/// True for the seven kinds that record a version's transitions with its
-/// id in A (compile and publish only for whole-function code, B = kind).
+/// True for the seven kinds that record a code-table entry's transitions
+/// with its id in A (compile only for whole-function code: OSR-in and
+/// continuation compiles carry their bc pc).
 bool isLifecycleEvent(const obs::TraceEvent &E) {
   switch (E.Kind) {
   case obs::TraceEv::CompileFinish:
+    return E.B == static_cast<uint64_t>(CompileKind::Function);
   case obs::TraceEv::Publish:
-    return E.B == obs::CompileKindFn;
   case obs::TraceEv::VersionCreate:
   case obs::TraceEv::VersionDeopt:
   case obs::TraceEv::VersionBlacklist:
@@ -567,6 +568,47 @@ TEST(Lifecycle, BlacklistIsOneEventAfterTheDeoptBudget) {
     EXPECT_EQ(Deopts, 1) << "id " << Id;
   }
   EXPECT_EQ(Blacklisted, 1u);
+}
+
+TEST(Lifecycle, OsrInEntryKeepsItsIdAcrossRetireAndRepublish) {
+  obs::traceBegin();
+  obs::traceReset();
+  obs::traceEnd();
+
+  // OSR-in code is a code-table entry like a version: a real guard failure
+  // (a logical where the code speculates on an int) retires its code, and
+  // the next hot backedge republishes into the same entry, so one id
+  // carries create, publish, retire, publish again and reclaim.
+  Vm::Config C = tracedConfig();
+  C.CompileThreshold = 1000000; // OSR-in only
+  C.OsrThreshold = 50;
+  uint64_t Id = 0;
+  {
+    Vm V(C);
+    V.eval("f <- function(a, n) { s <- 0L\n"
+           "  for (i in 1:n) s <- s + a[[i]]\n"
+           "  s }");
+    V.eval("a <- list(1L)\nfor (k in 2:200) a[[k]] <- k");
+    EXPECT_EQ(V.eval("f(a, 200L)").toInt(), 20100);
+    V.eval("a[[200]] <- TRUE");
+    EXPECT_EQ(V.eval("f(a, 200L)").toInt(), 19901);
+    EXPECT_EQ(V.eval("f(a, 200L)").toInt(), 19901);
+    CodeTable<OsrKey> &Osr = V.stateFor(V.eval("f").closObj()->Fn).Osr;
+    ASSERT_EQ(Osr.size(), 1u);
+    Id = Osr.entries()[0]->ObsId;
+  }
+  std::vector<obs::TraceEvent> T = versionTimelines()[Id];
+  int Created = indexOf(T, obs::TraceEv::VersionCreate, 0);
+  ASSERT_GE(Created, 0);
+  EXPECT_EQ(T[Created].B, static_cast<uint64_t>(CompileKind::OsrIn));
+  int Published = indexOf(T, obs::TraceEv::Publish, Created + 1);
+  int Retired = indexOf(T, obs::TraceEv::Retire, Published + 1);
+  int Republished = indexOf(T, obs::TraceEv::Publish, Retired + 1);
+  ASSERT_GE(Published, 0);
+  EXPECT_EQ(T[Published].B, static_cast<uint64_t>(CompileKind::OsrIn));
+  EXPECT_GT(Retired, Published);
+  EXPECT_GT(Republished, Retired);
+  EXPECT_GT(indexOf(T, obs::TraceEv::Reclaim, Retired + 1), Retired);
 }
 
 // Suite name ordering matters: gtest runs suites in first-registration

@@ -1,7 +1,5 @@
 //===-- tests/osr_test.cpp - OSR machinery unit tests ----------------------===//
 
-#include "osr/deopt.h"
-#include "osr/deoptless.h"
 #include "osr/reason.h"
 
 #include <gtest/gtest.h>
@@ -163,73 +161,3 @@ INSTANTIATE_TEST_SUITE_P(
         TagPair{Tag::Real, Tag::Int, false},
         TagPair{Tag::List, Tag::List, true},
         TagPair{Tag::Null, Tag::Int, false}));
-
-//===----------------------------------------------------------------------===//
-// Dispatch table
-
-namespace {
-
-std::unique_ptr<ExecutableCode> dummyCode() {
-  auto F = std::make_unique<LowFunction>();
-  F->Code.push_back({LowOp::RetLow});
-  F->NumSlots = 1;
-  return interpBackend().prepare(std::move(F));
-}
-
-} // namespace
-
-TEST(DispatchTable, FirstCompatibleWins) {
-  DeoptlessTable T(5);
-  DeoptContext VecCtx = ctx(5, DeoptReasonKind::Typecheck, Tag::RealVec,
-                            {Tag::RealVec}, {});
-  ASSERT_TRUE(T.insert(VecCtx, dummyCode()));
-
-  DeoptContext SclCtx = ctx(5, DeoptReasonKind::Typecheck, Tag::Real,
-                            {Tag::Real}, {});
-  EXPECT_NE(T.dispatch(SclCtx), nullptr)
-      << "scalar query must hit the vector continuation";
-  DeoptContext Other =
-      ctx(9, DeoptReasonKind::Typecheck, Tag::RealVec, {Tag::RealVec}, {});
-  EXPECT_EQ(T.dispatch(Other), nullptr);
-}
-
-TEST(DispatchTable, MoreSpecializedSortsFirst) {
-  DeoptlessTable T(5);
-  DeoptContext VecCtx = ctx(5, DeoptReasonKind::Typecheck, Tag::RealVec,
-                            {Tag::RealVec}, {});
-  DeoptContext SclCtx =
-      ctx(5, DeoptReasonKind::Typecheck, Tag::Real, {Tag::Real}, {});
-  ASSERT_TRUE(T.insert(VecCtx, dummyCode()));
-  ASSERT_TRUE(T.insert(SclCtx, dummyCode()));
-  // A scalar query must now be answered by the scalar (more specialized)
-  // entry, which sorts before the vector one.
-  Continuation *Hit = T.dispatch(SclCtx);
-  ASSERT_NE(Hit, nullptr);
-  EXPECT_EQ(Hit->Ctx.Reason.ActualTag, Tag::Real);
-}
-
-TEST(DispatchTable, BoundEnforced) {
-  DeoptlessTable T(2);
-  for (int K = 0; K < 2; ++K)
-    ASSERT_TRUE(T.insert(
-        ctx(K, DeoptReasonKind::Typecheck, Tag::RealVec, {}, {}),
-        dummyCode()));
-  EXPECT_TRUE(T.full());
-  EXPECT_FALSE(T.insert(
-      ctx(99, DeoptReasonKind::Typecheck, Tag::RealVec, {}, {}),
-      dummyCode()));
-}
-
-TEST(DispatchTable, FullTableRejectsEvenMoreSpecialized) {
-  // Table-full behavior: insert never evicts — a more specialized
-  // newcomer is rejected too, and dispatch keeps serving the old entries.
-  DeoptlessTable T(1);
-  DeoptContext Vec = ctx(5, DeoptReasonKind::Typecheck, Tag::RealVec,
-                         {Tag::RealVec}, {});
-  ASSERT_TRUE(T.insert(Vec, dummyCode()));
-  DeoptContext Scl =
-      ctx(5, DeoptReasonKind::Typecheck, Tag::Real, {Tag::Real}, {});
-  EXPECT_FALSE(T.insert(Scl, dummyCode()));
-  EXPECT_EQ(T.size(), 1u);
-  EXPECT_NE(T.dispatch(Scl), nullptr) << "old entry still serves";
-}

@@ -586,7 +586,7 @@ TEST_P(DiffFuzz, AllConfigurationsAgree) {
           for (bool Loop : {false, true})
             for (bool Native : nativeAxis()) {
               Vm::Config C = cfg(S, Ctx, Inl);
-              C.LoopOpts.Enabled = Loop;
+              C.LoopOpts = Loop;
               C.NativeTier = Native;
               ASSERT_EQ(Base, runProgram(P, C))
                   << "seed " << Seed << " strategy "
@@ -737,7 +737,7 @@ TEST_P(ConcurrentDiffFuzz, BackgroundTranscriptsMatchSyncBaseline) {
         // LoopOpts axis, alternated per (program, strategy) so both
         // settings race the shared pool across the corpus without
         // doubling the TSan-heavy concurrent sweep.
-        C.LoopOpts.Enabled =
+        C.LoopOpts =
             ((K + (S == TierStrategy::Deoptless ? 1 : 0)) % 2) == 0;
         // NativeTier alternated at half the rate: over K mod 4 every
         // (loop, native) combination races the shared pool — compiler

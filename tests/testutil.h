@@ -5,6 +5,7 @@
 
 #include "bc/compiler.h"
 #include "bc/interp.h"
+#include "exec/backend.h"
 #include "lang/parser.h"
 #include "runtime/builtins.h"
 #include "runtime/context.h"
@@ -61,6 +62,14 @@ private:
   Env *Global;
   std::vector<std::unique_ptr<Module>> Mods;
 };
+
+/// A minimal executable (one return instruction) for code-table tests.
+inline std::unique_ptr<ExecutableCode> dummyCode() {
+  auto F = std::make_unique<LowFunction>();
+  F->Code.push_back({LowOp::RetLow});
+  F->NumSlots = 1;
+  return interpBackend().prepare(std::move(F));
+}
 
 } // namespace rjit
 

@@ -332,9 +332,9 @@ f <- function(v) { s <- 0; for (i in 1:length(v)) s <- s + g(v[[i]]); s }
 }
 
 TEST(VmOsrIn, SynchronousOsrCodeIsReusedPerSignature) {
-  // Synchronous OSR-in caches its code by (pc, entry signature): a second
-  // activation reaching the same hot backedge with the same types enters
-  // it again instead of compiling again.
+  // Synchronous OSR-in publishes its code under (pc, entry signature): a
+  // second activation reaching the same hot backedge with the same types
+  // enters it again instead of compiling again.
   Vm V(osrOnly(TierStrategy::Normal, 50));
   V.eval("loop <- function(n) { s <- 0L\nfor (i in 1:n) s <- s + i\ns }");
   VmStats Start = stats();
@@ -347,10 +347,10 @@ TEST(VmOsrIn, SynchronousOsrCodeIsReusedPerSignature) {
 
 TEST(VmOsrIn, DeoptlessDropsStaleOsrCode) {
   // The loop's callee is rebound after OSR-in code speculated on it. The
-  // first activation that enters the cached code fails its call-target
-  // guard, and a continuation absorbs the failure. The cached code is
-  // stale all the same: it must leave the cache, or every later
-  // activation enters it and fails the same guard again.
+  // first activation that enters the published code fails its call-target
+  // guard, and a continuation absorbs the failure. The code is stale all
+  // the same: it must be retired, or every later activation enters it and
+  // fails the same guard again.
   for (bool Background : {false, true}) {
     Vm::Config C = osrOnly(TierStrategy::Deoptless, 50);
     C.BackgroundCompile = Background;
@@ -380,23 +380,22 @@ namespace {
 bool (*VmOsrHook)(Function *, Env *, std::vector<Value> &, int32_t,
                   Value &) = nullptr;
 
-/// Publishes the failure marker for the hot backedge's exact state when
-/// it has no cache entry yet, as if its compile had failed, then runs the
-/// Vm's hook.
+/// Publishes the failure mark for the hot backedge's exact state when it
+/// has no entry yet, as if its compile had failed, then runs the Vm's
+/// hook.
 bool failingOsrHook(Function *Fn, Env *E, std::vector<Value> &Stack,
                     int32_t Pc, Value &Result) {
-  OsrCache &Cache = Vm::current()->stateFor(Fn).Osr;
-  std::vector<uint32_t> Sig =
-      osrSignature(buildOsrEntryState(Fn, E, Stack, Pc));
-  if (!Cache.lookup(Pc, Sig).Found)
-    Cache.publish(Pc, Sig, nullptr);
+  CodeTable<OsrKey> &Osr = Vm::current()->stateFor(Fn).Osr;
+  OsrKey Key(buildOsrEntryState(Fn, E, Stack, Pc));
+  if (!Osr.exact(Key))
+    Osr.publish(Key, nullptr);
   return VmOsrHook(Fn, E, Stack, Pc, Result);
 }
 
 } // namespace
 
 TEST(VmOsrIn, FailureMarkerDiesWithItsVm) {
-  // A failed OSR-in compile leaves the cache's failure marker: that
+  // A failed OSR-in compile leaves the entry's failure mark: that
   // signature is not retried in that Vm, and a later Vm on the same
   // thread starts clean, even when its Function reuses the freed address.
   const char *Prog = "g <- function(n) { s <- 0L\nfor (i in 1:n) s <- s + i\ns }";
@@ -421,6 +420,56 @@ TEST(VmOsrIn, FailureMarkerDiesWithItsVm) {
   B.eval("g(5000L)");
   VmStats D = stats() - Start;
   EXPECT_GT(D.OsrInEntries, 0u);
+}
+
+TEST(VmOsrIn, RealFailuresRepublishIntoOneEntry) {
+  // Each round makes one more list hold a logical where the loop's OSR-in
+  // code speculates on an int element: a real guard failure, with the same
+  // entry signature (s stays an int). The failing code is retired and the
+  // next hot backedge recompiles into the same entry, so the function's
+  // OSR-in table holds one entry, republished each round, synchronously
+  // and on a 0-thread pool.
+  for (bool Background : {false, true}) {
+    Vm::Config C = osrOnly(TierStrategy::Normal, 50);
+    C.BackgroundCompile = Background;
+    C.CompilerThreads = 0;
+    Vm V(C);
+    V.eval("f <- function(a, b, c, n) { s <- 0L\n"
+           "for (i in 1:n) s <- s + a[[i]] + b[[i]] + c[[i]]\ns }");
+    V.eval("a <- list(1L)\nfor (k in 2:200) a[[k]] <- k\nb <- a\nc <- a");
+    const char *Call = "f(a, b, c, 200L)";
+    Function *F = V.eval("f").closObj()->Fn;
+    CodeTable<OsrKey> &Osr = V.stateFor(F).Osr;
+    int Want = 60300;
+    auto Run = [&] {
+      EXPECT_EQ(V.eval(Call).toInt(), Want) << "background " << Background;
+      V.drainCompiles();
+    };
+    Run();
+    Run(); // with a pool, the second call enters the published code
+    ASSERT_EQ(Osr.size(), 1u);
+    CodeEntry<OsrKey> *E = Osr.entries()[0];
+    ASSERT_TRUE(E->live());
+    const uint64_t Id = E->ObsId;
+    VmStats Start = stats();
+    for (const char *List : {"a", "b", "c"}) {
+      V.eval(std::string(List) + "[[200]] <- TRUE");
+      Want -= 199;
+      Run(); // enters the code, which fails its guard on the logical
+      EXPECT_FALSE(E->live()) << "the stale code is retired";
+      Run(); // the next hot backedge republishes (with a pool, at drain)
+      Run();
+      EXPECT_EQ(Osr.size(), 1u) << "background " << Background;
+      EXPECT_EQ(Osr.entries()[0], E);
+      EXPECT_EQ(E->ObsId, Id);
+      EXPECT_TRUE(E->live()) << "background " << Background;
+    }
+    VmStats D = stats() - Start;
+    EXPECT_EQ(D.Deopts, 3u) << "background " << Background;
+    EXPECT_EQ(D.AssumeFailures, 3u);
+    EXPECT_EQ(D.InjectedFailures, 0u);
+    EXPECT_EQ(D.OsrInCompilations, 3u) << "background " << Background;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -731,7 +780,7 @@ TEST(VmDeoptless, ContinuationTablesArePerVm) {
   });
   std::thread Second([&] {
     Vm V(cfg(TierStrategy::Deoptless));
-    DeoptlessTable *T = Warm(V);
+    CodeTable<DeoptContext> *T = Warm(V);
     EXPECT_EQ(T->size(), 1u);
     AwaitBoth();
     if (T->size() != 1)
@@ -1015,10 +1064,11 @@ TEST(VmGraveyard, TeardownReclaimsWhenSafepointsAreOff) {
 
 TEST(VmGraveyard, StaleOsrCodeIsReclaimed) {
   // Every entry into OSR-in code fails its first guard check (injected),
-  // which drops the code from the OSR cache; the next hot backedge
-  // compiles it again. Dropped code leaves through the graveyard, so the
-  // live W^X mappings stay bounded over 4,000 invalidate/recompile
-  // cycles, synchronously and with a 0-thread pool drained each round.
+  // which retires the code from its OSR-in entry; the next hot backedge
+  // compiles it again into the same entry. Retired code leaves through
+  // the graveyard, so the live W^X mappings stay bounded over 4,000
+  // invalidate/recompile cycles, synchronously and with a 0-thread pool
+  // drained each round.
   if (!nativeBackendSupported())
     GTEST_SKIP() << "no native tier on this host";
   for (bool Background : {false, true}) {

@@ -53,6 +53,7 @@ enum Cc : uint8_t {
   CcBe = 0x6, ///< below-equal (CF=1 or ZF=1)
   CcA = 0x7,  ///< above (CF=0 and ZF=0)
   CcS = 0x8,  ///< sign
+  CcNs = 0x9,
   CcP = 0xA,  ///< parity (unordered after ucomisd)
   CcNp = 0xB,
   CcL = 0xC,
@@ -194,6 +195,24 @@ public:
     u8(0x3B);
     modrmReg(A, B);
   }
+  void xorRegReg32(uint8_t Dst, uint8_t Src) {
+    rexOpt(0, Dst, Src);
+    u8(0x33);
+    modrmReg(Dst, Src);
+  }
+  void testRegReg32(uint8_t A, uint8_t B) {
+    rexOpt(0, B, A);
+    u8(0x85);
+    modrmReg(B, A);
+  }
+  /// cdq: edx <- the sign of eax, for idiv.
+  void cdq() { u8(0x99); }
+  /// idiv r32: eax <- edx:eax / src (toward zero), edx <- the remainder.
+  void idivReg32(uint8_t Src) {
+    rexOpt(0, 0, Src);
+    u8(0xF7);
+    modrmReg(7, Src); // /7 = idiv
+  }
   void addRegImm32(uint8_t R, uint32_t Imm) { aluImm32(0, R, Imm); }
   void subRegImm32(uint8_t R, uint32_t Imm) { aluImm32(5, R, Imm); }
   void cmpRegImm32(uint8_t R, uint32_t Imm) { aluImm32(7, R, Imm); }
@@ -278,12 +297,54 @@ public:
     u8(0x39);
     modrmReg(B, A);
   }
-  /// lock inc qword [base + disp32] — the relaxed-atomic stat bump.
-  void lockIncMem64(uint8_t Base, int32_t Disp) {
-    u8(0xF0);
+  /// inc qword [base + disp32] — a counter bump (one writer: the
+  /// executor running the code).
+  void incMem64(uint8_t Base, int32_t Disp) {
     rex(1, 0, Base);
     u8(0xFF);
     mem(0, Base, Disp); // /0 = inc
+  }
+  /// inc dword [base + disp32] — a heap object's refcount.
+  void incMem32(uint8_t Base, int32_t Disp) {
+    rexOpt(0, 0, Base);
+    u8(0xFF);
+    mem(0, Base, Disp);
+  }
+  /// mov qword [base + disp32], imm32 (sign-extended).
+  void movMem64Imm32(uint8_t Base, int32_t Disp, uint32_t Imm) {
+    rex(1, 0, Base);
+    u8(0xC7);
+    mem(0, Base, Disp);
+    u32(Imm);
+  }
+
+  //===-- Byte registers (al, cl, dl, bl only: no REX needed) ------------//
+
+  /// setcc r8
+  void setcc(Cc C, uint8_t R) {
+    assert(R < 4 && "byte register without REX");
+    u8(0x0F);
+    u8(0x90 + C);
+    modrmReg(0, R);
+  }
+  /// and dst8, src8
+  void andRegReg8(uint8_t Dst, uint8_t Src) {
+    assert(Dst < 4 && Src < 4 && "byte register without REX");
+    u8(0x20);
+    modrmReg(Src, Dst);
+  }
+  /// or dst8, src8
+  void orRegReg8(uint8_t Dst, uint8_t Src) {
+    assert(Dst < 4 && Src < 4 && "byte register without REX");
+    u8(0x08);
+    modrmReg(Src, Dst);
+  }
+  /// movzx dst32, src8
+  void movzxRegReg8(uint8_t Dst, uint8_t Src) {
+    assert(Dst < 4 && Src < 4 && "byte register without REX");
+    u8(0x0F);
+    u8(0xB6);
+    modrmReg(Dst, Src);
   }
 
   //===-- SSE2 scalar doubles ---------------------------------------------//

@@ -9,10 +9,18 @@
 //    whole-function register homes. The invariant is pc-independent — "a
 //    homed slot's current value is in its register at every instruction
 //    boundary" — so arbitrary LowCode jumps need no per-edge fixup code.
-//    Helper calls flush caller-saved homes and reload after; helpers that
-//    read the raw arrays get a full flush — side exits included, since
-//    deopt metadata names raw frame-state values in their slots and the
-//    deopt runtime boxes them from the arrays.
+//    A home's slot array entry may lag behind its register: the dirty-home
+//    analysis (computeDirtyHomes) tracks, per pc, which homes may differ
+//    from their arrays. A helper call stores only the dirty homes it
+//    clobbers (caller-saved) or its op reads, and reloads the caller-saved
+//    homes and the homes its op writes; a side exit stores every dirty
+//    home, since deopt boxes raw frame-state values from the arrays.
+//
+//  * Boxed-slot templates: Box, boxed Move and LoadConst, and rank-1/2
+//    compares (which write a boxed Lgl) store inline when the destination's
+//    old value is an immediate, and leave the rest — releasing a heap
+//    object — to an out-of-line stub that runs the op through the helper.
+//    Boxed branch conditions test a Lgl inline.
 //
 //  * Direct call linking (native/linker.*): monomorphic CallValLow sites
 //    carry a LinkSite data cell. Once the callee's generic version is
@@ -70,15 +78,21 @@ using namespace rjit;
 
 namespace rjit {
 
-/// Friend of Value: the layout constants the templates hard-code.
+/// Friend of Value and GcObject: the layout constants the templates
+/// hard-code.
 struct ValueLayout {
   static constexpr int32_t Tag = offsetof(Value, T);
   static constexpr int32_t Payload = offsetof(Value, I);
+  /// GcObject's refcount, bumped in place by the boxed-copy templates.
+  static constexpr int32_t RefCount = offsetof(GcObject, RefCount);
+  static_assert(sizeof(GcObject::RefCount) == 4, "templates inc a dword");
 };
 
 } // namespace rjit
 
 static_assert(sizeof(Value) == 24, "templates hard-code the Value stride");
+static_assert(sizeof(RelaxedCounter) == 8,
+              "templates inc a counter's qword in place");
 
 namespace {
 
@@ -151,6 +165,13 @@ template <typename T> const VecInternals &vecInternals() {
     return R;
   }();
   return L;
+}
+
+/// True when the typed-extract template has an inline path for element
+/// kind \p K: real and int vectors, given the probed vector layout.
+bool inlineExtract(Tag K) {
+  return (K == Tag::Real && vecInternals<double>().Valid) ||
+         (K == Tag::Int && vecInternals<int32_t>().Valid);
 }
 
 } // namespace
@@ -350,6 +371,18 @@ public:
       // call: slots it skipped as candidates fold to immediates here.
       IC = intConstSlots(F);
     }
+    for (uint16_t S = 0; S < RA.IntHome.size(); ++S)
+      if (RA.IntHome[S] >= 0) {
+        if (!natGprCalleeSaved(static_cast<uint8_t>(RA.IntHome[S])))
+          CallerSaved |= HomeSet(1) << HomeSlots.size();
+        HomeSlots.push_back({S, SlotClass::RawInt});
+      }
+    for (uint16_t S = 0; S < RA.RealHome.size(); ++S)
+      if (RA.RealHome[S] >= 0) {
+        CallerSaved |= HomeSet(1) << HomeSlots.size(); // every XMM
+        HomeSlots.push_back({S, SlotClass::RawReal});
+      }
+    computeDirtyHomes();
   }
 
   /// Compiles F into \p Out, appending the LowCode pc of every emitted
@@ -400,11 +433,21 @@ private:
   std::vector<size_t> EpiFix;                    ///< rel32 -> epilogue
   std::vector<int32_t> LinkSitePcs;
 
+  /// A set of register homes: bit B is HomeSlots[B].
+  using HomeSet = uint32_t;
+  static_assert(NatGprPoolSize + NatXmmPoolSize <= 32, "a home per bit");
+  std::vector<LiveRef> HomeSlots; ///< int homes, then real, by slot
+  HomeSet CallerSaved = 0;        ///< the homes a C call clobbers
+  /// Per pc: the homes whose register may differ from their slot array
+  /// when the op starts (computeDirtyHomes).
+  std::vector<HomeSet> DirtyIn;
+
   struct Stub {
     enum Kind {
       GuardFail, ///< side exit: deopt protocol, then epilogue
       GuardTick, ///< armed invalidation countdown on a passing guard
       StepSlow,  ///< run the op via the interpreter handler, resume
+      CondSlow,  ///< boxed branch condition that is not a Lgl
     };
     int32_t Pc;
     Kind K;
@@ -442,8 +485,8 @@ private:
   }
 
   /// Writes a raw-int slot from \p Src (register): to its home, or to the
-  /// slot array. A homed slot's array entry is NOT kept current — that is
-  /// what flushHomes is for.
+  /// slot array. A homed slot's array entry is NOT kept current: the
+  /// write makes the home dirty (computeDirtyHomes).
   void intStore(uint16_t Slot, uint8_t Src) {
     int16_t H = RA.intHome(Slot);
     if (H >= 0) {
@@ -472,42 +515,128 @@ private:
     }
   }
 
-  /// Stores homed slots back to their slot arrays. \p All=false syncs only
-  /// the caller-saved homes (every XMM, plus r8-r11) — enough to preserve
-  /// their *values* across a C call; \p All=true also syncs the
-  /// callee-saved homes so a helper that *reads the raw arrays* sees
-  /// current values.
-  void flushHomes(bool All) {
-    for (size_t Slot = 0; Slot < RA.IntHome.size(); ++Slot) {
-      int16_t H = RA.IntHome[Slot];
-      if (H >= 0 && (All || !natGprCalleeSaved(static_cast<uint8_t>(H))))
-        A.movMemReg32(R14, iOff(static_cast<uint16_t>(Slot)),
-                      static_cast<uint8_t>(H));
-    }
-    for (size_t Slot = 0; Slot < RA.RealHome.size(); ++Slot) {
-      int16_t H = RA.RealHome[Slot];
-      if (H >= 0)
-        A.movsdMemXmm(R13, dOff(static_cast<uint16_t>(Slot)),
-                      static_cast<uint8_t>(H));
+  /// Stores the homes in \p Set to their slot arrays.
+  void storeHomes(HomeSet Set) {
+    for (size_t B = 0; B < HomeSlots.size(); ++B) {
+      if (!(Set >> B & 1))
+        continue;
+      uint16_t Slot = HomeSlots[B].Slot;
+      if (HomeSlots[B].K == SlotClass::RawInt)
+        A.movMemReg32(R14, iOff(Slot), static_cast<uint8_t>(RA.IntHome[Slot]));
+      else
+        A.movsdMemXmm(R13, dOff(Slot), static_cast<uint8_t>(RA.RealHome[Slot]));
     }
   }
 
-  /// Loads homed slots from their slot arrays: after a C call clobbered
-  /// the caller-saved homes, or (\p All) after a helper may have written
-  /// the raw arrays. Pure moves — never disturbs EFLAGS, so a reload may
-  /// sit between a test and its jcc.
-  void reloadHomes(bool All) {
-    for (size_t Slot = 0; Slot < RA.IntHome.size(); ++Slot) {
-      int16_t H = RA.IntHome[Slot];
-      if (H >= 0 && (All || !natGprCalleeSaved(static_cast<uint8_t>(H))))
-        A.movRegMem32(static_cast<uint8_t>(H), R14,
-                      iOff(static_cast<uint16_t>(Slot)));
+  /// Loads the homes in \p Set from their slot arrays. Pure moves — never
+  /// disturbs EFLAGS, so a reload may sit between a test and its jcc.
+  void loadHomes(HomeSet Set) {
+    for (size_t B = 0; B < HomeSlots.size(); ++B) {
+      if (!(Set >> B & 1))
+        continue;
+      uint16_t Slot = HomeSlots[B].Slot;
+      if (HomeSlots[B].K == SlotClass::RawInt)
+        A.movRegMem32(static_cast<uint8_t>(RA.IntHome[Slot]), R14, iOff(Slot));
+      else
+        A.movsdXmmMem(static_cast<uint8_t>(RA.RealHome[Slot]), R13, dOff(Slot));
     }
-    for (size_t Slot = 0; Slot < RA.RealHome.size(); ++Slot) {
-      int16_t H = RA.RealHome[Slot];
-      if (H >= 0)
-        A.movsdXmmMem(static_cast<uint8_t>(H), R13,
-                      dOff(static_cast<uint16_t>(Slot)));
+  }
+
+  HomeSet homeOf(LiveRef R) const {
+    for (size_t B = 0; B < HomeSlots.size(); ++B)
+      if (HomeSlots[B].Slot == R.Slot && HomeSlots[B].K == R.K)
+        return HomeSet(1) << B;
+    return 0;
+  }
+  HomeSet useHomes(const LowInstr &I) const {
+    HomeSet S = 0;
+    forEachUse(I, [&](LiveRef R) { S |= homeOf(R); });
+    return S;
+  }
+  HomeSet defHomes(const LowInstr &I) const {
+    HomeSet S = 0;
+    forEachDef(I, [&](LiveRef R) { S |= homeOf(R); });
+    return S;
+  }
+
+  /// True when \p I's main path calls out of generated code: the step
+  /// helper, the linked-call helper or the complex compare-branch helper.
+  /// emitInstr routes exactly these ops to a helper and the dirty-home
+  /// analysis reads the same answer, so the two cannot disagree about
+  /// which ops clobber the caller-saved homes. RetLow's helper ends the
+  /// activation, and stubs are off the main path.
+  static bool callsHelper(const LowInstr &I) {
+    switch (I.Op) {
+    case LowOp::LoadConst:
+    case LowOp::Box:
+    case LowOp::Unbox:
+    case LowOp::GuardCond:
+    case LowOp::JumpLow:
+    case LowOp::BranchFalseLow:
+    case LowOp::BranchTrueLow:
+    case LowOp::RetLow:
+      return false;
+    case LowOp::Move: // a boxed self-move keeps the helper
+      return static_cast<SlotClass>(I.B) == SlotClass::Boxed && I.Dst == I.A;
+    case LowOp::Coerce:
+      return coerceSrcClass(I) == SlotClass::Boxed ||
+             static_cast<SlotClass>(I.B) == SlotClass::Boxed;
+    case LowOp::ArithTyped:
+      return !inlinedArith(arithOp(I), arithRank(I)) &&
+             !stubbedArith(arithOp(I), arithRank(I));
+    case LowOp::Extract2Typed:
+      return !inlineExtract(elemKind(I));
+    case LowOp::CmpBranch:
+      return rankClass(arithRank(I)) == SlotClass::Boxed;
+    default:
+      return true;
+    }
+  }
+
+  /// The ArithTyped forms compiled inline with a stub, beside the
+  /// allocator's inlinedArith ones: rank-1/2 compares (their result is a
+  /// boxed Lgl) and rank-1 %% and %/% (a divisor of 0 or -1 takes the
+  /// stub).
+  static bool stubbedArith(BinOp Op, int Rank) {
+    if (isComparison(Op))
+      return Rank == 1 || Rank == 2;
+    return Rank == 1 && (Op == BinOp::Mod || Op == BinOp::IDiv);
+  }
+
+  /// The dirty-home analysis, a forward dataflow over LowCode pcs. A home
+  /// is dirty where its register may hold a value its slot array does
+  /// not: an inline template wrote it and no helper call has stored it
+  /// since. Entry is all clean (the prologue loads every home from the
+  /// arrays); dirty sets union where control flow merges. An inline op
+  /// dirties the homes it writes — its stubs leave the arrays no staler
+  /// than its fast path does. A helper call leaves clean every home it
+  /// stored or reloaded (emitOpCall).
+  void computeDirtyHomes() {
+    const int32_t N = static_cast<int32_t>(F.Code.size());
+    DirtyIn.assign(static_cast<size_t>(N), 0);
+    if (HomeSlots.empty())
+      return;
+    for (bool Changed = true; Changed;) {
+      Changed = false;
+      for (int32_t Pc = 0; Pc < N; ++Pc) {
+        const LowInstr &I = F.Code[Pc];
+        HomeSet Out = callsHelper(I) ? DirtyIn[Pc] & ~(CallerSaved |
+                                                       useHomes(I) |
+                                                       defHomes(I))
+                                     : DirtyIn[Pc] | defHomes(I);
+        auto Flow = [&](int32_t To) {
+          if (To < N && (DirtyIn[To] | Out) != DirtyIn[To]) {
+            DirtyIn[To] |= Out;
+            Changed = true;
+          }
+        };
+        if (I.Op == LowOp::RetLow)
+          continue;
+        if (I.Op != LowOp::JumpLow)
+          Flow(Pc + 1);
+        if (isBranch(I.Op))
+          Flow(I.Imm);
+      }
     }
   }
 
@@ -577,15 +706,36 @@ private:
     A.callReg(RAX);
   }
 
-  /// Fallback template: run the op via the interpreter handler, bail to
-  /// the epilogue on a parked exception. The handler may read or write
-  /// any raw slot, so homes round-trip the arrays completely.
-  void emitStep(int32_t Pc) {
-    flushHomes(true);
-    helperCall(rjit_nat_step, Pc);
+  /// Bumps one of the Vm's counters. A plain inc: its executor, the thread
+  /// running this code, is the counter's only writer.
+  void emitCount(RelaxedCounter &C) {
+    A.movRegImm64(RAX, reinterpret_cast<uint64_t>(&C));
+    A.incMem64(RAX, 0);
+  }
+
+  /// Calls \p Target(frame, \p Arg) for the op at \p Pc and bails to the
+  /// epilogue on a parked exception (a negative result). Before the call
+  /// it stores the dirty homes the call clobbers or the op reads; after
+  /// it, it reloads the caller-saved homes and the homes the op writes —
+  /// so every home it touches is clean afterwards. The result's flags
+  /// survive the reloads. \p Count, when set, is bumped first.
+  template <typename Fn>
+  void emitOpCall(int32_t Pc, Fn *Target, int32_t Arg,
+                  RelaxedCounter *Count = nullptr) {
+    const LowInstr &I = F.Code[Pc];
+    storeHomes(DirtyIn[Pc] & (CallerSaved | useHomes(I)));
+    if (Count)
+      emitCount(*Count);
+    helperCall(Target, Arg);
     A.testRegReg64(RAX, RAX);
     EpiFix.push_back(A.jcc32(CcS));
-    reloadHomes(true);
+    loadHomes(CallerSaved | defHomes(I));
+  }
+
+  /// Fallback template: run the op via the interpreter handler, counted
+  /// in NativeHelperCalls.
+  void emitStep(int32_t Pc) {
+    emitOpCall(Pc, rjit_nat_step, Pc, &Stats.NativeHelperCalls);
   }
 
   void emitPrologue() {
@@ -606,7 +756,7 @@ private:
     A.movRegMem64(R13, RBX, offsetof(NativeFrame, D));
     A.movRegMem64(R14, RBX, offsetof(NativeFrame, Iv));
     // Establish the home invariant from the freshly spilled entry state.
-    reloadHomes(true);
+    loadHomes(~HomeSet(0));
   }
 
   size_t emitEpilogue() {
@@ -629,23 +779,25 @@ private:
       size_t Here = A.size();
       for (size_t Site : St.Sites)
         A.patchRel32(Site, Here);
+      // Every stub is entered before its op wrote anything: the dirty
+      // homes are the op's DirtyIn.
       switch (St.K) {
       case Stub::GuardFail:
         // Deopt boxes the raw frame-state values from the arrays, so every
-        // home is flushed; the activation ends here — no reload.
-        flushHomes(true);
+        // dirty home is stored; the activation ends here — no reload.
+        storeHomes(DirtyIn[St.Pc]);
         helperCall(rjit_nat_guard_fail, St.Pc);
         EpiFix.push_back(A.jmp32());
         break;
       case Stub::GuardTick:
-        // An injected failure deopts from inside the helper: flush every
-        // home as GuardFail does. It writes no raw slot, so only the
+        // An injected failure deopts from inside the helper: store every
+        // dirty home as GuardFail does. It writes no raw slot, so only the
         // caller-saved homes need reloading when the guard passes on.
-        flushHomes(true);
+        storeHomes(DirtyIn[St.Pc]);
         helperCall(rjit_nat_guard_tick, St.Pc);
         A.testRegReg64(RAX, RAX);
         EpiFix.push_back(A.jcc32(CcNe)); // 1 = activation ended
-        reloadHomes(false);
+        loadHomes(CallerSaved);
         emitPinReloads(St.Pc); // the helper clobbered caller-saved pins
         A.patchRel32(A.jmp32(), St.Resume);
         break;
@@ -654,6 +806,16 @@ private:
         emitPinReloads(St.Pc);
         A.patchRel32(A.jmp32(), St.Resume);
         break;
+      case Stub::CondSlow: {
+        // rax = 1 (truthy) or 0: the fast path's taken condition applies.
+        // No pin reload: it would clobber the flags, and pinSafeOp keeps
+        // branches on boxed conditions out of pinned loops.
+        const LowInstr &I = F.Code[St.Pc];
+        emitOpCall(St.Pc, rjit_nat_cond, I.A);
+        PcFix.push_back({A.jcc32(condTaken(I)), I.Imm});
+        A.patchRel32(A.jmp32(), St.Resume);
+        break;
+      }
       }
     }
   }
@@ -822,6 +984,18 @@ private:
   //===-- Per-op templates ------------------------------------------------//
 
   void emitInstr(int32_t Pc, const LowInstr &I) {
+    if (callsHelper(I)) {
+      if (I.Op == LowOp::CallValLow && Opts.Linking) {
+        emitLinkedCall(Pc);
+      } else if (I.Op == LowOp::CmpBranch) {
+        // Complex rank: the helper computes taken-ness from boxed slots.
+        emitOpCall(Pc, rjit_nat_cmpbranch, Pc);
+        PcFix.push_back({A.jcc32(CcNe), I.Imm});
+      } else {
+        emitStep(Pc);
+      }
+      return;
+    }
     switch (I.Op) {
     case LowOp::LoadConst: {
       SlotClass K = static_cast<SlotClass>(I.B);
@@ -844,21 +1018,23 @@ private:
         else
           A.movMem32Imm32(R14, iOff(I.Dst), Imm);
       } else {
-        emitStep(Pc); // boxed: refcounted store
+        emitBoxedConst(Pc, I);
       }
       return;
     }
     case LowOp::Move: {
       SlotClass K = static_cast<SlotClass>(I.B);
-      if (K == SlotClass::RawReal) {
+      if (K == SlotClass::RawReal)
         realStore(I.Dst, realSrc(I.A, 0));
-      } else if (K == SlotClass::RawInt) {
+      else if (K == SlotClass::RawInt)
         intStore(I.Dst, intSrc(I.A, RAX));
-      } else {
-        emitStep(Pc); // boxed: refcounted copy/steal
-      }
+      else
+        emitBoxedMove(Pc, I);
       return;
     }
+    case LowOp::Box:
+      emitBox(Pc, I);
+      return;
     case LowOp::Unbox:
       // Reading a payload needs no refcount traffic: bit-copy it into the
       // raw home (the tag was guaranteed by the guard that dominates
@@ -883,12 +1059,12 @@ private:
         }
       }
       return;
-    case LowOp::Coerce: {
+    case LowOp::Coerce: { // raw to raw: callsHelper takes the boxed forms
       SlotClass SrcK = coerceSrcClass(I);
       SlotClass DstK = static_cast<SlotClass>(I.B);
       if (DstK == SlotClass::RawReal && SrcK == SlotClass::RawReal) {
         realStore(I.Dst, realSrc(I.A, 0));
-      } else if (DstK == SlotClass::RawReal && SrcK == SlotClass::RawInt) {
+      } else if (DstK == SlotClass::RawReal) {
         int16_t DH = RA.realHome(I.Dst);
         uint8_t X = DH >= 0 ? static_cast<uint8_t>(DH) : 0;
         int16_t AH = RA.intHome(I.A);
@@ -898,9 +1074,9 @@ private:
           A.cvtsi2sdXmmMem32(X, R14, iOff(I.A));
         if (DH < 0)
           A.movsdMemXmm(R13, dOff(I.Dst), 0);
-      } else if (DstK == SlotClass::RawInt && SrcK == SlotClass::RawInt) {
+      } else if (SrcK == SlotClass::RawInt) {
         intStore(I.Dst, intSrc(I.A, RAX));
-      } else if (DstK == SlotClass::RawInt && SrcK == SlotClass::RawReal) {
+      } else {
         // cvttsd2si truncates toward zero = the handler's static_cast.
         int16_t DH = RA.intHome(I.Dst);
         uint8_t R =
@@ -912,34 +1088,28 @@ private:
           A.cvttsd2siRegMem(R, R13, dOff(I.A));
         if (DH < 0)
           A.movMemReg32(R14, iOff(I.Dst), RAX);
-      } else {
-        emitStep(Pc); // boxed source or destination
       }
       return;
     }
     case LowOp::ArithTyped: {
       BinOp Op = arithOp(I);
-      int Rank = arithRank(I);
-      if (Rank == 2 && inlinedArith(Op, Rank)) {
+      if (isComparison(Op)) {
+        emitCompare(Pc, I);
+      } else if (Op == BinOp::Mod || Op == BinOp::IDiv) {
+        emitIntDivMod(Pc, I);
+      } else if (arithRank(I) == 2) {
         if (!realArithInPlace(Op, I.Dst, I.A, I.B)) {
           realArithToScratch(Op, I.A, I.B);
           realStore(I.Dst, 0);
         }
-      } else if (Rank == 1 && inlinedArith(Op, Rank)) {
-        if (!intArithInPlace(Op, I.Dst, I.A, I.B)) {
-          intArithToScratch(Op, I.A, I.B);
-          intStore(I.Dst, RAX);
-        }
-      } else {
-        // Compares box their result; %%, %/%, ^ and complex arithmetic
-        // have error paths / libm calls — all through the handler.
-        emitStep(Pc);
+      } else if (!intArithInPlace(Op, I.Dst, I.A, I.B)) {
+        intArithToScratch(Op, I.A, I.B);
+        intStore(I.Dst, RAX);
       }
       return;
     }
     case LowOp::Extract2Typed:
-      if (!emitExtract2Typed(Pc, I))
-        emitStep(Pc);
+      emitExtract2Typed(Pc, I);
       return;
     case LowOp::GuardCond:
       emitGuard(Pc, I);
@@ -948,24 +1118,21 @@ private:
       PcFix.push_back({A.jmp32(), I.Imm});
       return;
     case LowOp::BranchFalseLow:
-    case LowOp::BranchTrueLow:
-      flushHomes(false);
-      helperCall(rjit_nat_cond, I.A);
-      A.testRegReg64(RAX, RAX);
-      EpiFix.push_back(A.jcc32(CcS)); // -1: exception parked
-      reloadHomes(false);             // moves: EFLAGS survive
-      PcFix.push_back(
-          {A.jcc32(I.Op == LowOp::BranchFalseLow ? CcE : CcNe), I.Imm});
+    case LowOp::BranchTrueLow: {
+      // A Lgl condition is its payload; any other tag goes to the
+      // condition helper in a CondSlow stub.
+      Stub Slow{Pc, Stub::CondSlow, {}, 0};
+      A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
+                    static_cast<uint8_t>(Tag::Lgl));
+      Slow.Sites.push_back(A.jcc32(CcNe));
+      A.cmpMem32Imm32(R12, sOff(I.A, ValueLayout::Payload), 0);
+      PcFix.push_back({A.jcc32(condTaken(I)), I.Imm});
+      Slow.Resume = A.size();
+      Stubs.push_back(std::move(Slow));
       return;
+    }
     case LowOp::CmpBranch:
-      emitCmpBranch(Pc, I);
-      return;
-    case LowOp::CallValLow:
-      if (Opts.Linking) {
-        emitLinkedCall(Pc);
-        return;
-      }
-      emitStep(Pc);
+      emitCmpBranch(I);
       return;
     case LowOp::RetLow:
       // The activation ends: nothing reads the raw arrays or the homes
@@ -974,26 +1141,192 @@ private:
       EpiFix.push_back(A.jmp32());
       return;
     default:
-      emitStep(Pc);
+      assert(false && "callsHelper sends every other op to a helper");
       return;
     }
   }
 
+  /// The flags condition under which a boxed branch is taken, after a
+  /// compare of its condition's truth value with 0.
+  static Cc condTaken(const LowInstr &I) {
+    return I.Op == LowOp::BranchTrueLow ? CcNe : CcE;
+  }
+
   /// A CallValLow under direct linking: allocate a LinkSite and route
   /// through the link helper (fast path: vmLinkedCall; miss: the
-  /// interpreter handler + site bookkeeping). The callee runs
-  /// arbitrary code, so caller-saved homes round-trip memory; raw arrays
-  /// are untouched by any call machinery (arguments and results are
-  /// boxed), so callee-saved homes stay valid.
+  /// interpreter handler + site bookkeeping). Arguments and results are
+  /// boxed, so the call stores and reloads only the caller-saved homes.
   void emitLinkedCall(int32_t Pc) {
     int32_t Idx = static_cast<int32_t>(LinkSitePcs.size());
     LinkSitePcs.push_back(Pc);
-    flushHomes(false);
-    helperCall(rjit_nat_call_linked, Idx);
-    A.testRegReg64(RAX, RAX);
-    EpiFix.push_back(A.jcc32(CcS));
-    reloadHomes(false);
+    emitOpCall(Pc, rjit_nat_call_linked, Idx);
   }
+
+  //===-- Boxed-slot templates --------------------------------------------//
+  //
+  // Each writes its boxed destination inline when the destination's old
+  // value holds no refcounted payload (tag <= Cplx), so overwriting it
+  // releases nothing; otherwise it jumps to a StepSlow stub, where the
+  // helper runs the whole op and releases the old value. Every fast path
+  // tests before it writes, so the stub reruns the op on unchanged inputs.
+
+  /// Jumps to \p Slow unless boxed slot \p Slot holds an immediate.
+  void testImmediateDst(uint16_t Slot, Stub &Slow) {
+    A.cmpMem8Imm8(R12, sOff(Slot, ValueLayout::Tag),
+                  static_cast<uint8_t>(Tag::Cplx));
+    Slow.Sites.push_back(A.jcc32(CcA));
+  }
+
+  /// Writes \p T as the whole tag word of boxed slot \p Slot: a later
+  /// 8-byte copy of the slot then reads back one store of its own width.
+  void storeTag(uint16_t Slot, Tag T) {
+    A.movMem64Imm32(R12, sOff(Slot, ValueLayout::Tag),
+                    static_cast<uint32_t>(T));
+  }
+
+  void resumeAfter(Stub &Slow) {
+    Slow.Resume = A.size();
+    Stubs.push_back(std::move(Slow));
+  }
+
+  /// Boxed Dst <- raw A.
+  void emitBox(int32_t Pc, const LowInstr &I) {
+    Stub Slow{Pc, Stub::StepSlow, {}, 0};
+    testImmediateDst(I.Dst, Slow);
+    if (static_cast<SlotClass>(I.C) == SlotClass::RawReal) {
+      A.movsdMemXmm(R12, sOff(I.Dst, ValueLayout::Payload),
+                    realSrc(I.A, 0));
+      storeTag(I.Dst, Tag::Real);
+    } else {
+      // A 32-bit move zero-extends: the payload word then holds exactly
+      // what Value::integer leaves in it.
+      uint8_t R = intSrc(I.A, RAX);
+      if (R != RAX)
+        A.movRegReg32(RAX, R);
+      A.movMemReg64(R12, sOff(I.Dst, ValueLayout::Payload), RAX);
+      storeTag(I.Dst, Tag::Int);
+    }
+    resumeAfter(Slow);
+  }
+
+  /// Boxed Dst <- Consts[Imm]: the constant's payload as immediates, or
+  /// its heap object with one more reference (the LowFunction's constant
+  /// pool holds the object as long as this code lives).
+  void emitBoxedConst(int32_t Pc, const LowInstr &I) {
+    const Value &V = F.Consts[I.Imm];
+    Stub Slow{Pc, Stub::StepSlow, {}, 0};
+    testImmediateDst(I.Dst, Slow);
+    if (GcObject *Obj = V.heapPayload()) {
+      A.movRegImm64(RAX, reinterpret_cast<uint64_t>(Obj));
+      A.incMem32(RAX, ValueLayout::RefCount);
+      A.movMemReg64(R12, sOff(I.Dst, ValueLayout::Payload), RAX);
+    } else {
+      const int32_t Words = V.tag() == Tag::Cplx ? 2 : 1;
+      for (int32_t W = 0; W < Words; ++W) {
+        int32_t Off = ValueLayout::Payload + 8 * W;
+        uint64_t Bits;
+        std::memcpy(&Bits, reinterpret_cast<const char *>(&V) + Off, 8);
+        A.movRegImm64(RAX, Bits);
+        A.movMemReg64(R12, sOff(I.Dst, Off), RAX);
+      }
+    }
+    storeTag(I.Dst, V.tag());
+    resumeAfter(Slow);
+  }
+
+  /// Boxed Dst <- A: a bit copy of the 24 bytes. A copy (C = 0) adds a
+  /// reference to A's heap object; a steal (C = 1) leaves A null instead.
+  void emitBoxedMove(int32_t Pc, const LowInstr &I) {
+    Stub Slow{Pc, Stub::StepSlow, {}, 0};
+    testImmediateDst(I.Dst, Slow);
+    if (!I.C) {
+      // retainPayload: a heap tag (above Cplx, not Builtin) with an object.
+      A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
+                    static_cast<uint8_t>(Tag::Cplx));
+      size_t Scalar = A.jcc32(CcBe);
+      A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
+                    static_cast<uint8_t>(Tag::Builtin));
+      size_t Builtin = A.jcc32(CcE);
+      A.movRegMem64(RAX, R12, sOff(I.A, ValueLayout::Payload));
+      A.testRegReg64(RAX, RAX);
+      size_t NoObj = A.jcc32(CcE);
+      A.incMem32(RAX, ValueLayout::RefCount);
+      for (size_t Site : {Scalar, Builtin, NoObj})
+        A.patchRel32(Site, A.size());
+    }
+    for (int32_t Off = 0; Off < ValueStride; Off += 8) {
+      A.movRegMem64(RAX, R12, sOff(I.A, Off));
+      A.movMemReg64(R12, sOff(I.Dst, Off), RAX);
+    }
+    if (I.C) {
+      storeTag(I.A, Tag::Null);
+      A.movMem64Imm32(R12, sOff(I.A, ValueLayout::Payload), 0);
+    }
+    resumeAfter(Slow);
+  }
+
+  /// Boxed Dst <- Lgl(A op B) for a rank-1 or rank-2 compare.
+  void emitCompare(int32_t Pc, const LowInstr &I) {
+    Stub Slow{Pc, Stub::StepSlow, {}, 0};
+    testImmediateDst(I.Dst, Slow);
+    BinOp Op = arithOp(I);
+    if (arithRank(I) == 1) {
+      intCompare(I.A, I.B);
+      A.setcc(intCc(Op), RAX);
+    } else {
+      A.setcc(realCompare(Op, I.A, I.B), RAX);
+      if (Op == BinOp::Eq) { // and ordered
+        A.setcc(CcNp, RDX);
+        A.andRegReg8(RAX, RDX);
+      } else if (Op == BinOp::Ne) { // or unordered
+        A.setcc(CcP, RDX);
+        A.orRegReg8(RAX, RDX);
+      }
+    }
+    A.movzxRegReg8(RAX, RAX);
+    A.movMemReg64(R12, sOff(I.Dst, ValueLayout::Payload), RAX);
+    storeTag(I.Dst, Tag::Lgl);
+    resumeAfter(Slow);
+  }
+
+  /// Raw-int Dst <- A %% B or A %/% B, floored as intArith does: idiv
+  /// truncates, then a nonzero remainder whose sign differs from B's
+  /// moves the result one step (R += B, Q -= 1). A divisor of 0 (an
+  /// error) or -1 (INT_MIN would trap) takes the stub.
+  void emitIntDivMod(int32_t Pc, const LowInstr &I) {
+    Stub Slow{Pc, Stub::StepSlow, {}, 0};
+    uint8_t B = intSrc(I.B, RSI); // never rax or rdx: homes avoid them
+    A.cmpRegImm32(B, 0);
+    Slow.Sites.push_back(A.jcc32(CcE));
+    A.cmpRegImm32(B, static_cast<uint32_t>(-1));
+    Slow.Sites.push_back(A.jcc32(CcE));
+    uint8_t Ar = intSrc(I.A, RAX);
+    if (Ar != RAX)
+      A.movRegReg32(RAX, Ar);
+    A.cdq();
+    A.idivReg32(B);
+    A.testRegReg32(RDX, RDX);
+    size_t Exact = A.jcc32(CcE);
+    bool Mod = arithOp(I) == BinOp::Mod;
+    // The remainder has A's sign; the xor is negative when B's differs.
+    if (Mod) {
+      A.movRegReg32(RAX, RDX); // the quotient is dead; B may be in rsi
+      A.xorRegReg32(RAX, B);
+    } else {
+      A.xorRegReg32(RDX, B);
+    }
+    size_t SameSign = A.jcc32(CcNs);
+    if (Mod)
+      A.addRegReg32(RDX, B);
+    else
+      A.subRegImm32(RAX, 1);
+    A.patchRel32(Exact, A.size());
+    A.patchRel32(SameSign, A.size());
+    intStore(I.Dst, Mod ? RDX : RAX);
+    resumeAfter(Slow);
+  }
+
+  //===-- Compares --------------------------------------------------------//
 
   /// Signed-integer condition code for a compare operator.
   static Cc intCc(BinOp Op) {
@@ -1013,6 +1346,18 @@ private:
     }
   }
 
+  /// Sets the flags of raw-int `A - B`.
+  void intCompare(uint16_t ASlot, uint16_t BSlot) {
+    uint8_t Ar = intSrc(ASlot, RAX);
+    int16_t BH = RA.intHome(BSlot);
+    if (BH >= 0)
+      A.cmpRegReg32(Ar, static_cast<uint8_t>(BH));
+    else if (IC.known(BSlot))
+      A.cmpRegImm32(Ar, static_cast<uint32_t>(IC.val(BSlot)));
+    else
+      A.cmpRegMem32(Ar, R14, iOff(BSlot));
+  }
+
   void ucomisdRhs(uint8_t X, uint16_t BSlot) {
     int16_t H = RA.realHome(BSlot);
     if (H >= 0)
@@ -1021,79 +1366,70 @@ private:
       A.ucomisdXmmMem(X, R13, dOff(BSlot));
   }
 
-  void emitCmpBranch(int32_t Pc, const LowInstr &I) {
+  /// Sets the flags of raw-real `A op B` and returns the code that holds
+  /// when the compare is true and the operands are ordered. NaN
+  /// discipline: C++'s `a < b` is false when unordered. After `ucomisd x,
+  /// m` the unordered case sets CF (and PF), so the above-style codes
+  /// returned for <, <=, >, >= never hold on NaN and their ccNot twins
+  /// (CF-based) always do — exactly the C++ negation. Lt/Le compare with
+  /// the operands swapped (a<b == b>a) so the above-style codes apply in
+  /// every direction. For Eq/Ne (CcE/CcNe) the caller folds in parity
+  /// itself: unordered sets ZF too. ucomisd never writes its first
+  /// operand, so a home may be compared in place.
+  Cc realCompare(BinOp Op, uint16_t ASlot, uint16_t BSlot) {
+    bool Swap = Op == BinOp::Lt || Op == BinOp::Le;
+    uint8_t X = realSrc(Swap ? BSlot : ASlot, 0);
+    ucomisdRhs(X, Swap ? ASlot : BSlot);
+    switch (Op) {
+    case BinOp::Eq:
+      return CcE;
+    case BinOp::Ne:
+      return CcNe;
+    case BinOp::Lt:
+    case BinOp::Gt:
+      return CcA;
+    default:
+      return CcAe;
+    }
+  }
+
+  /// A rank-1 or rank-2 compare-and-branch (callsHelper takes complex).
+  void emitCmpBranch(const LowInstr &I) {
     bool Sense = cmpBranchSense(I);
     BinOp Op = arithOp(I);
-    int Rank = arithRank(I);
-
-    if (Rank == 1) {
-      uint8_t Ar = intSrc(I.A, RAX);
-      int16_t BH = RA.intHome(I.B);
-      if (BH >= 0)
-        A.cmpRegReg32(Ar, static_cast<uint8_t>(BH));
-      else if (IC.known(I.B))
-        A.cmpRegImm32(Ar, static_cast<uint32_t>(IC.val(I.B)));
-      else
-        A.cmpRegMem32(Ar, R14, iOff(I.B));
+    if (arithRank(I) == 1) {
+      intCompare(I.A, I.B);
       Cc C = intCc(Op);
       PcFix.push_back({A.jcc32(Sense ? C : ccNot(C)), I.Imm});
       return;
     }
-    if (Rank == 2) {
-      // NaN discipline: C++'s `a < b` is false when unordered. After
-      // `ucomisd x, m` the unordered case sets CF (and PF), so the
-      // "condition true" codes below are never taken on NaN, and their
-      // ccNot twins (CF-based) always are — exactly the C++ negation.
-      // Lt/Le compare with the operands swapped (a<b == b>a) so the
-      // above-style codes apply in every direction. ucomisd never writes
-      // its first operand, so a home may be compared in place.
-      if (Op == BinOp::Eq || Op == BinOp::Ne) {
-        uint8_t Ax = realSrc(I.A, 0);
-        ucomisdRhs(Ax, I.B);
-        bool BranchOnEq = (Op == BinOp::Eq) == Sense;
-        if (BranchOnEq) {
-          // Taken iff ordered-equal: parity (unordered) skips.
-          size_t Skip = A.jcc32(CcP);
-          PcFix.push_back({A.jcc32(CcE), I.Imm});
-          A.patchRel32(Skip, A.size());
-        } else {
-          // Taken iff not ordered-equal: != or unordered.
-          PcFix.push_back({A.jcc32(CcNe), I.Imm});
-          PcFix.push_back({A.jcc32(CcP), I.Imm});
-        }
-        return;
+    Cc C = realCompare(Op, I.A, I.B);
+    if (Op == BinOp::Eq || Op == BinOp::Ne) {
+      if ((Op == BinOp::Eq) == Sense) {
+        // Taken iff ordered-equal: parity (unordered) skips.
+        size_t Skip = A.jcc32(CcP);
+        PcFix.push_back({A.jcc32(CcE), I.Imm});
+        A.patchRel32(Skip, A.size());
+      } else {
+        // Taken iff not ordered-equal: != or unordered.
+        PcFix.push_back({A.jcc32(CcNe), I.Imm});
+        PcFix.push_back({A.jcc32(CcP), I.Imm});
       }
-      bool Swap = Op == BinOp::Lt || Op == BinOp::Le;
-      Cc C = (Op == BinOp::Lt || Op == BinOp::Gt) ? CcA : CcAe;
-      uint8_t Ax = realSrc(Swap ? I.B : I.A, 0);
-      ucomisdRhs(Ax, Swap ? I.A : I.B);
-      PcFix.push_back({A.jcc32(Sense ? C : ccNot(C)), I.Imm});
       return;
     }
-    // Complex rank: the handler computes taken-ness from the raw/boxed
-    // arrays — flush everything. It never writes, so only caller-saved
-    // homes need reloading, and those reloads (moves) preserve the flags
-    // the branch below consumes.
-    flushHomes(true);
-    helperCall(rjit_nat_cmpbranch, Pc);
-    A.testRegReg64(RAX, RAX);
-    EpiFix.push_back(A.jcc32(CcS));
-    reloadHomes(false);
-    PcFix.push_back({A.jcc32(CcNe), I.Imm});
+    PcFix.push_back({A.jcc32(Sense ? C : ccNot(C)), I.Imm});
   }
 
   /// Typed element load: inline fast path for the real/int *vector* case
   /// (tag test, storage pointers, unsigned bounds check, indexed load);
   /// everything else — the widened length-one-scalar case, out-of-bounds
-  /// errors, complex/logical kinds — takes the out-of-line interpreter
-  /// handler, which re-executes the op from scratch. Returns false when
-  /// no inline path exists (caller emits the plain fallback).
-  bool emitExtract2Typed(int32_t Pc, const LowInstr &I) {
+  /// errors — takes the out-of-line interpreter handler, which re-executes
+  /// the op from scratch. Complex and logical kinds never get here
+  /// (inlineExtract).
+  void emitExtract2Typed(int32_t Pc, const LowInstr &I) {
     Tag K = elemKind(I);
     const VecInternals &VI = K == Tag::Real ? vecInternals<double>()
                                             : vecInternals<int32_t>();
-    if ((K != Tag::Real && K != Tag::Int) || !VI.Valid)
-      return false;
     int32_t DMember =
         K == Tag::Real
             ? static_cast<int32_t>(offsetof(RealVecObj, D))
@@ -1142,9 +1478,7 @@ private:
       if (DH < 0)
         intStore(I.Dst, RAX);
     }
-    Slow.Resume = A.size();
-    Stubs.push_back(std::move(Slow));
-    return true;
+    resumeAfter(Slow);
   }
 
   /// rsi <- the 1-based index in raw-int slot \p Slot, sign-extended and
@@ -1161,10 +1495,10 @@ private:
   void emitGuard(int32_t Pc, const LowInstr &I) {
     const DeoptMeta &M = F.Deopts[I.Imm];
     // AssumeChecks counts every execution, passing or failing — bump it
-    // first, exactly like the interpreter. lock inc: the counter is a
-    // relaxed atomic shared with instrumented C++ readers.
-    A.movRegImm64(RAX, reinterpret_cast<uint64_t>(&Stats.AssumeChecks));
-    A.lockIncMem64(RAX, 0);
+    // first, exactly like the interpreter. No lock prefix: the executor is
+    // the counter's one writer, and readers on other threads read it only
+    // across a barrier or join (README "Threading model").
+    emitCount(Stats.AssumeChecks);
 
     Stub Fail{Pc, Stub::GuardFail, {}, 0};
     switch (I.C) {

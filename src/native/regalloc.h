@@ -18,13 +18,14 @@
 /// register without a dataflow-precise liveness analysis. A fixed home
 /// makes the invariant pc-independent — "a homed slot's current value is
 /// in its register at every instruction boundary" — which is exactly what
-/// makes side exits and helper calls easy to keep sound: flush homes to
+/// makes side exits and helper calls easy to keep sound: store homes to
 /// the arrays before any code that reads them, reload after any code that
-/// may write them. Deopt reads raw frame-state values from the arrays
-/// (DeoptMeta names them by slot and class), so a side-exit stub flushes
-/// every home before it calls the deopt hook; because a home is never
-/// shared, the flushed slot holds exactly the value the guard's frame
-/// state names.
+/// may write them. The stitcher stores only the homes its dirty-home
+/// analysis says may differ from their arrays (native/jit.cpp). Deopt
+/// reads raw frame-state values from the arrays (DeoptMeta names them by
+/// slot and class), so a side-exit stub stores every dirty home before it
+/// calls the deopt hook; because a home is never shared, the stored slot
+/// holds exactly the value the guard's frame state names.
 ///
 /// The linear-scan part is the *assignment order*: candidates are sorted
 /// by descending use weight (uses × loop depth, backedge-interval
@@ -52,14 +53,15 @@ struct LowFunction;
 /// rax/rdx/rsi stay template scratch. rcx and rdi join the pool last:
 /// the stitcher never uses rcx as an inline scratch register, and only
 /// touches rdi when marshalling helper arguments — every helper call
-/// site flushes caller-saved homes first (or exits the activation), so
-/// homes in either are sound, just the most expensive ones.
+/// site stores the dirty caller-saved homes first and reloads them after
+/// (or exits the activation), so homes in either are sound, just the most
+/// expensive ones.
 constexpr uint8_t NatGprPool[] = {RBP, R15, R8, R9, R10, R11, RCX, RDI};
 constexpr size_t NatGprPoolSize = sizeof(NatGprPool);
 
 /// XMM pool for raw-real homes; xmm0/xmm1 stay template scratch. All XMMs
-/// are caller-saved in the SysV ABI, so every real home round-trips
-/// through memory at helper calls.
+/// are caller-saved in the SysV ABI, so every real home is reloaded from
+/// memory after a helper call (and stored before it when dirty).
 constexpr uint8_t NatXmmFirst = 2;
 constexpr uint8_t NatXmmLast = 15;
 constexpr size_t NatXmmPoolSize = NatXmmLast - NatXmmFirst + 1;
@@ -67,9 +69,11 @@ constexpr size_t NatXmmPoolSize = NatXmmLast - NatXmmFirst + 1;
 /// True when a GPR home survives a C call (SysV callee-saved).
 inline bool natGprCalleeSaved(uint8_t R) { return R == RBP || R == R15; }
 
-/// True for the ArithTyped forms the stitcher compiles inline: rank-2
-/// +,-,*,/ and rank-1 +,-,*. Compares box their result; %%, %/%, ^ and
-/// complex arithmetic take the helper.
+/// True for the ArithTyped forms the stitcher compiles inline with no
+/// stub: rank-2 +,-,*,/ and rank-1 +,-,*. The stitcher also inlines
+/// rank-1/2 compares (they write a boxed Lgl, so pinSafeOp keeps them out
+/// of pinned loops) and rank-1 %% and %/%, each with a stub; those gain no
+/// use weight here. ^ and complex arithmetic take the helper.
 inline bool inlinedArith(BinOp Op, int Rank) {
   if (Rank == 2)
     return Op == BinOp::Add || Op == BinOp::Sub || Op == BinOp::Mul ||

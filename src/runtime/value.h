@@ -195,6 +195,8 @@ protected:
 
 private:
   friend class GcHeap;
+  /// The native backend's boxed-copy template bumps RefCount in place.
+  friend struct ValueLayout;
   GcHeap *Heap = nullptr;
   uint32_t HeapSlot = 0;
   mutable uint32_t RefCount = 0;

@@ -477,15 +477,26 @@ LowInstr instr(LowOp Op, uint16_t Dst, uint16_t A, uint16_t B, uint16_t C,
   return I;
 }
 
-} // namespace
+const SlotClass Classes[] = {SlotClass::Boxed, SlotClass::RawReal,
+                             SlotClass::RawInt};
 
-TEST(LowOpTable, DeclaredDefsAreTheRealDefs) {
-  // Every non-control-flow op, in each class or kind variant the lowerer
-  // emits, runs once against sentinel-filled slots. Every slot it changes
-  // must be a def ops.def declares, with that class, or a boxed operand
-  // the op moves out of; every declared def must be written. Regalloc's
-  // intConstSlots folds a raw int slot with one declared def, so a
-  // missing def here would be a miscompile there.
+bool hasRef(const std::vector<LiveRef> &Refs, LiveRef R) {
+  for (LiveRef X : Refs)
+    if (X.Slot == R.Slot && X.K == R.K)
+      return true;
+  return false;
+}
+
+/// Fills an op case's inputs into a frame, or runs its op on one.
+using FrameFn = std::function<void(SentinelFrame &)>;
+using OpCase = std::function<void(const LowInstr &I, const FrameFn &SetInputs,
+                                  const FrameFn &Run)>;
+
+/// Calls \p Case on every non-control-flow op, in each class or kind
+/// variant the lowerer emits, with inputs under which it succeeds (null
+/// when it needs none) and a function that runs it on a sentinel frame.
+/// Fails when an op the stepper runs has no case.
+void forEachOpCase(const OpCase &Case) {
   Vm V;
   V.eval(R"(
     x <- 11L
@@ -497,53 +508,15 @@ TEST(LowOpTable, DeclaredDefsAreTheRealDefs) {
   LowFunction F;
   F.Origin = V.eval("mk").closObj()->Fn;
   F.Consts = {Value::real(2.5), Value::integer(42), Value::str("k")};
-  std::vector<bool> Seen(NumLowOps, false);
-  const SlotClass Classes[] = {SlotClass::Boxed, SlotClass::RawReal,
-                               SlotClass::RawInt};
 
-  using Inputs = std::function<void(SentinelFrame &)>;
+  std::vector<bool> Seen(NumLowOps, false);
   auto Check = [&](const std::string &What, const LowInstr &I,
-                   const Inputs &SetInputs) {
+                   const FrameFn &SetInputs) {
     SCOPED_TRACE(What);
     Seen[static_cast<uint8_t>(I.Op)] = true;
-    SentinelFrame Fr;
-    if (SetInputs)
-      SetInputs(Fr);
-    SentinelFrame Before = Fr;
-    stepLowInstr(F, I, Fr.S.data(), Fr.D.data(), Fr.Iv.data(), G, G, G);
-
-    std::vector<LiveRef> Defs, MovedOut;
-    forEachDef(I, [&](LiveRef R) { Defs.push_back(R); });
-    if (I.Op == LowOp::CallValLow || I.Op == LowOp::CallBiLow)
-      for (int32_t K = 0; K < I.Imm; ++K)
-        MovedOut.push_back({static_cast<uint16_t>(I.B + K), SlotClass::Boxed});
-    if ((I.Op == LowOp::Move && I.C) ||
-        ((I.Op == LowOp::SetElem2Low || I.Op == LowOp::SetElem2Typed) &&
-         stealsContainer(I)))
-      MovedOut.push_back({I.A, SlotClass::Boxed});
-    auto Has = [](const std::vector<LiveRef> &Refs, LiveRef R) {
-      for (LiveRef X : Refs)
-        if (X.Slot == R.Slot && X.K == R.K)
-          return true;
-      return false;
-    };
-    for (uint16_t K = 0; K < NumTestSlots; ++K) {
-      const Value &Old = Before.S[K], &New = Fr.S[K];
-      bool Changed[] = {Old.tag() != New.tag() || !Old.equals(New),
-                        std::memcmp(&Before.D[K], &Fr.D[K], 8) != 0,
-                        Before.Iv[K] != Fr.Iv[K]};
-      for (int C = 0; C < 3; ++C) {
-        LiveRef R{K, Classes[C]};
-        char Letter = "sdi"[C]; // printLow's class letters
-        if (Changed[C]) {
-          EXPECT_TRUE(Has(Defs, R) || Has(MovedOut, R))
-              << "undeclared write to " << Letter << K;
-        } else {
-          EXPECT_FALSE(Has(Defs, R))
-              << "declared def " << Letter << K << " was not written";
-        }
-      }
-    }
+    Case(I, SetInputs, [&](SentinelFrame &Fr) {
+      stepLowInstr(F, I, Fr.S.data(), Fr.D.data(), Fr.Iv.data(), G, G, G);
+    });
   };
 
   const char *ClassNames[] = {"boxed", "real", "int"};
@@ -670,9 +643,99 @@ TEST(LowOpTable, DeclaredDefsAreTheRealDefs) {
   for (size_t Op = 0; Op < NumLowOps; ++Op) {
     LowOp O = static_cast<LowOp>(Op);
     if (!isBranch(O) && O != LowOp::GuardCond && O != LowOp::RetLow) {
-      EXPECT_TRUE(Seen[Op]) << lowOpName(O) << " has no def-set case";
+      EXPECT_TRUE(Seen[Op]) << lowOpName(O) << " has no case";
     }
   }
+}
+
+} // namespace
+
+TEST(LowOpTable, DeclaredDefsAreTheRealDefs) {
+  // Every op runs once against sentinel-filled slots. Every slot it
+  // changes must be a def ops.def declares, with that class, or a boxed
+  // operand the op moves out of; every declared def must be written.
+  // Regalloc's intConstSlots folds a raw int slot with one declared def,
+  // so a missing def here would be a miscompile there.
+  forEachOpCase(
+      [](const LowInstr &I, const FrameFn &SetInputs, const FrameFn &Run) {
+        SentinelFrame Fr;
+        if (SetInputs)
+          SetInputs(Fr);
+        SentinelFrame Before = Fr;
+        Run(Fr);
+
+        std::vector<LiveRef> Defs, MovedOut;
+        forEachDef(I, [&](LiveRef R) { Defs.push_back(R); });
+        if (I.Op == LowOp::CallValLow || I.Op == LowOp::CallBiLow)
+          for (int32_t K = 0; K < I.Imm; ++K)
+            MovedOut.push_back(
+                {static_cast<uint16_t>(I.B + K), SlotClass::Boxed});
+        if ((I.Op == LowOp::Move && I.C) ||
+            ((I.Op == LowOp::SetElem2Low || I.Op == LowOp::SetElem2Typed) &&
+             stealsContainer(I)))
+          MovedOut.push_back({I.A, SlotClass::Boxed});
+        for (uint16_t K = 0; K < NumTestSlots; ++K) {
+          const Value &Old = Before.S[K], &New = Fr.S[K];
+          bool Changed[] = {Old.tag() != New.tag() || !Old.equals(New),
+                            std::memcmp(&Before.D[K], &Fr.D[K], 8) != 0,
+                            Before.Iv[K] != Fr.Iv[K]};
+          for (int C = 0; C < 3; ++C) {
+            LiveRef R{K, Classes[C]};
+            char Letter = "sdi"[C]; // printLow's class letters
+            if (Changed[C]) {
+              EXPECT_TRUE(hasRef(Defs, R) || hasRef(MovedOut, R))
+                  << "undeclared write to " << Letter << K;
+            } else {
+              EXPECT_FALSE(hasRef(Defs, R))
+                  << "declared def " << Letter << K << " was not written";
+            }
+          }
+        }
+      });
+}
+
+TEST(LowOpTable, DeclaredUsesAreTheRealUses) {
+  // The twin of the def check: every op runs twice on the same inputs,
+  // the second time with every raw slot it does not declare as a use
+  // holding a different sentinel, and its declared defs must come out the
+  // same. The native tier stores only an op's declared uses (and the
+  // caller-saved homes) to the slot arrays before a helper runs it, so an
+  // undeclared read would see a stale array value there.
+  forEachOpCase(
+      [](const LowInstr &I, const FrameFn &SetInputs, const FrameFn &Run) {
+        SentinelFrame Same, Other;
+        if (SetInputs) {
+          SetInputs(Same);
+          SetInputs(Other);
+        }
+        std::vector<LiveRef> Uses;
+        forEachUse(I, [&](LiveRef R) { Uses.push_back(R); });
+        for (uint16_t K = 0; K < NumTestSlots; ++K) {
+          if (!hasRef(Uses, {K, SlotClass::RawReal}))
+            Other.D[K] = 5000.75 + K;
+          if (!hasRef(Uses, {K, SlotClass::RawInt}))
+            Other.Iv[K] = 5000 + K;
+        }
+        Run(Same);
+        Run(Other);
+        forEachDef(I, [&](LiveRef R) {
+          if (R.K == SlotClass::RawReal) {
+            EXPECT_EQ(Same.D[R.Slot], Other.D[R.Slot]) << "d" << R.Slot;
+          } else if (R.K == SlotClass::RawInt) {
+            EXPECT_EQ(Same.Iv[R.Slot], Other.Iv[R.Slot]) << "i" << R.Slot;
+          } else {
+            const Value &X = Same.S[R.Slot], &Y = Other.S[R.Slot];
+            // Two runs make two closures: compare what they close over.
+            bool Equal =
+                X.tag() == Tag::Clos && Y.tag() == Tag::Clos
+                    ? X.closObj()->Fn == Y.closObj()->Fn &&
+                          X.closObj()->Enclosing == Y.closObj()->Enclosing
+                    : X.tag() == Y.tag() && X.equals(Y);
+            EXPECT_TRUE(Equal) << "s" << R.Slot << ": " << X.show()
+                               << " vs " << Y.show();
+          }
+        });
+      });
 }
 
 namespace {

@@ -2,7 +2,7 @@
 //
 // Part of the deoptless reproduction. MIT license.
 //
-// Three kernels, three claims:
+// Two kernels, two claims:
 //
 //  * colsum, three modes: the hoisted-clean loop kernel of fig_licm,
 //    widened to two independent accumulator chains — contextual inlining
@@ -12,24 +12,19 @@
 //    the comparison throughput-bound (the template tier's per-op slot
 //    round-trips saturate the load ports) rather than add-latency-bound.
 //    interp vs v2 measures the whole native tier (headline:
-//    speedup_native); template-only vs v2 isolates exactly the v2
-//    features — register homes (and vector pins) instead of per-op
-//    slot-array round-trips, direct linking — on identical LowCode
-//    (headline: speedup_native_v2, gated at >= --v2bound, default 2.0x).
+//    speedup_native); template-only vs v2 isolates exactly the v2 layer —
+//    register homes (and vector pins) instead of per-op slot-array
+//    round-trips — on identical LowCode (headline: speedup_native_v2,
+//    gated at >= --v2bound, default 2.0x).
 //
 //  * axpy (template-only vs v2, untimed headline-wise): a register-
 //    pressure arithmetic chain filling the XMM home pool; reported as
 //    series data and the NativeRegSpills sanity signal.
 //
-//  * callsum (v2, inlining off): a non-inlined monomorphic call in a hot
-//    loop. Not a timed headline (dispatch savings are real but modest and
-//    host-noisy); the exit code instead asserts the linking machinery
-//    demonstrably engaged: NativeLinkedTransfers > 0.
-//
 // The exit code asserts all acceptance bounds: >= --bound (default 2.0x)
 // native-over-interp on colsum, >= --v2bound (default 2.0x) v2-over-
-// template on colsum, NativeEnters/NativeCompiles > 0,
-// NativeLinkedTransfers > 0, and every result equal to BaselineOnly's.
+// template on colsum, NativeEnters/NativeCompiles > 0, and every result
+// equal to BaselineOnly's.
 // On hosts without the native backend the bench prints a skip marker and
 // exits 0 — the binary must build and run everywhere.
 //
@@ -84,22 +79,12 @@ axpy <- function(v, n, a) {
 }
 )";
 
-const char *CallsSetup = R"(
-inc <- function(x) x + 1L
-callsum <- function(n) {
-  s <- 0L
-  for (i in 1:n) s <- s + inc(i)
-  s
-}
-)";
-
 Vm::Config modeConfig(bool Native, bool V2) {
   Vm::Config Cfg = benchConfig(TierStrategy::Normal);
   Cfg.Inlining = true;
   Cfg.LoopOpts = true;
   Cfg.NativeTier = Native;
   Cfg.NativeV2.Regalloc = V2;
-  Cfg.NativeV2.Linking = V2;
   return Cfg;
 }
 
@@ -164,15 +149,6 @@ int main(int Argc, char **Argv) {
   Axpy.repeat(Iters, "r <- axpy(d, " + std::to_string(N) + "L, 1.0000001)");
   SessionRun Ax = runArms(R, Axpy, {Template, V2}, 2);
 
-  // --- callsum: direct linking engagement (not a timed headline) --------
-  Session Calls{"calls", CallsSetup, {}};
-  Calls.repeat(Iters / 2 > 4 ? Iters / 2 : 4,
-               "r <- callsum(" + std::to_string(N / 4) + "L)");
-  std::vector<Arm> CallArms = {Template, V2};
-  for (Arm &A : CallArms)
-    A.Cfg.Inlining = false; // keep the call out of line
-  SessionRun Ca = runArms(R, Calls, CallArms, 2);
-
   printSeries("# colsum: native v2 vs threaded interpreter on the "
               "hoisted-clean kernel",
               "interp[s]", "v2[s]", Col[0].Times, Col[2].Times);
@@ -181,8 +157,8 @@ int main(int Argc, char **Argv) {
          "%.2fx\n\n",
          Speed);
 
-  printSeries("# colsum: v2 (regalloc+linking) vs template-only "
-              "native tier, identical LowCode",
+  printSeries("# colsum: v2 (regalloc) vs template-only native tier, "
+              "identical LowCode",
               "template[s]", "v2[s]", Col[1].Times, Col[2].Times);
   double SpeedV2 = speedup(Col[1], Col[2]);
   printf("\n# steady-state (best-tail) speedup of v2 over the template "
@@ -194,20 +170,14 @@ int main(int Argc, char **Argv) {
   printf("\n# axpy v2-over-template (series only, not gated): %.2fx\n\n",
          speedup(Ax[0], Ax[1]));
 
-  printSeries("# callsum: out-of-line monomorphic call, template vs v2 "
-              "(direct linking)",
-              "template[s]", "v2[s]", Ca[0].Times, Ca[1].Times);
-  printf("\n# callsum v2-over-template: %.2fx\n\n", speedup(Ca[0], Ca[1]));
-
   const RunStats &Native = Col[2].Stats;
   printf("# native events: compiles %llu, enters %llu; v2 reg spills "
-         "%llu; linked transfers %llu\n",
+         "%llu\n",
          static_cast<unsigned long long>(Native.NativeCompiles +
                                          Ax[1].Stats.NativeCompiles),
          static_cast<unsigned long long>(Native.NativeEnters +
                                          Ax[1].Stats.NativeEnters),
-         static_cast<unsigned long long>(Ax[1].Stats.NativeRegSpills),
-         static_cast<unsigned long long>(Ca[1].Stats.NativeLinkedTransfers));
+         static_cast<unsigned long long>(Ax[1].Stats.NativeRegSpills));
 
   // Checked probe for the trace export: a short native run with injected
   // invalidation exercises the side-exit stubs and the deopt path, so the
@@ -227,9 +197,6 @@ int main(int Argc, char **Argv) {
   R.headline("speedup_native_v2", SpeedV2);
   int Status = emitBenchArtifacts(R, Argc, Argv);
 
-  bool Linked = Ca[1].Stats.NativeLinkedTransfers > 0;
-  if (!Linked)
-    printf("# FAIL: direct linking never engaged (0 linked transfers)\n");
   bool Fast = Speed >= Bound && SpeedV2 >= V2Bound &&
               Native.NativeEnters > 0 && Native.NativeCompiles > 0;
   if (!Fast)
@@ -237,5 +204,5 @@ int main(int Argc, char **Argv) {
            "%.2fx v2-over-template speedup (got %.2fx) with NativeEnters "
            "> 0\n",
            Bound, Speed, V2Bound, SpeedV2);
-  return Linked && Fast ? Status : 1;
+  return Fast ? Status : 1;
 }

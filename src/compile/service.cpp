@@ -93,6 +93,34 @@ CompileStatus request(CompilerPool *Pool, Function *Fn, CodeTable<Key> &T,
              : CompileStatus::Refused;
 }
 
+/// Compiles the continuation entering \p Fn's bytecode at \p Entry under
+/// \p Conv — OSR-in code for a hot backedge or a deoptless continuation —
+/// prepared for Opts.Backend, or returns null when \p Fn cannot be
+/// compiled from that state. What both continuation jobs run, in either
+/// mode.
+std::unique_ptr<ExecutableCode> compileContinuation(Function *Fn,
+                                                    CallConv Conv,
+                                                    const EntryState &Entry,
+                                                    const OptOptions &Opts) {
+  assert((Conv == CallConv::OsrIn || Conv == CallConv::Deoptless) &&
+         "continuations enter mid-function");
+  uint64_t T0 = nowNanos();
+  std::unique_ptr<IrCode> Ir = optimizeToIr(Fn, Conv, Entry, Opts);
+  if (!Ir)
+    return nullptr;
+  std::unique_ptr<ExecutableCode> Code =
+      prepareExecutable(Opts.Backend, lowerToLow(*Ir));
+  uint64_t Dur = nowNanos() - T0;
+  contextOr(Opts.Ctx).Metrics.CompileLatency.record(Dur);
+  if (obs::traceOn())
+    obs::traceEvent(obs::TraceEv::CompileFinish, Dur,
+                    static_cast<uint64_t>(Entry.Pc),
+                    static_cast<uint64_t>(Conv == CallConv::OsrIn
+                                              ? CompileKind::OsrIn
+                                              : CompileKind::Continuation));
+  return Code;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -174,14 +202,7 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
     if (!Want.isGeneric())
       ++Requester.Stats.CtxVersions;
   }
-  if (!E->live())
-    return nullptr;
-  // Direct call linking (native tier v2): patch registered native call
-  // sites of Fn forward to the published version. Outside the writer
-  // lock — the linker's mutex is a leaf — and re-notifying an
-  // already-linked version is idempotent.
-  backendOr(O.Backend).notifyPublish(Fn, E);
-  return E;
+  return E->live() ? E : nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -214,7 +235,8 @@ CompileStatus rjit::requestOsrCompile(CompilerPool *Pool, Function *Fn,
                                       const OptOptions &Opts) {
   OsrKey K(Entry);
   return request(Pool, Fn, Table, K, Opts, [Fn, Entry, K, &Table, Opts] {
-    if (!Table.publish(K, compileOsrInCode(Fn, Entry, Opts)))
+    if (!Table.publish(K,
+                       compileContinuation(Fn, CallConv::OsrIn, Entry, Opts)))
       return false;
     ++contextOr(Opts.Ctx).Stats.OsrInCompilations;
     return true;
@@ -228,7 +250,9 @@ CompileStatus rjit::requestContinuationCompile(
   return request(
       Pool, Fn, Table, Ctx, Opts,
       [Fn, Ctx, &Table, Opts] {
-        if (!Table.publish(Ctx, compileContinuationCode(Fn, Ctx, Opts)))
+        if (!Table.publish(Ctx, compileContinuation(Fn, CallConv::Deoptless,
+                                                    continuationEntry(Ctx),
+                                                    Opts)))
           return false;
         ++contextOr(Opts.Ctx).Stats.DeoptlessCompiles;
         if (obs::traceOn())

@@ -141,32 +141,6 @@ public:
   /// The reopt-storm soak test uses it to prove reclaimed native code
   /// actually returns its pages, not just its ExecutableCode wrapper.
   virtual size_t liveCodeBlocks() const { return 0; }
-
-  //===-- Direct-call link hooks (native tier v2) -----------------------===//
-  //
-  // The link/unlink protocol for direct version->version call transfers
-  // (native/linker.h). Backends without call linking ignore all three.
-
-  /// \p Ver was just published as a version of \p Fn (compile/service.cpp,
-  /// after the version writer lock is released; may run on a compiler
-  /// thread). A linking backend patches registered call sites forward.
-  virtual void notifyPublish(Function *Fn, FnVersion *Ver) {
-    (void)Fn;
-    (void)Ver;
-  }
-
-  /// \p Code is being retired (Vm::toGraveyard, executor thread, before
-  /// the graveyard takes ownership). A linking backend patches every
-  /// predecessor site back to the dispatch path — the ordering that
-  /// guarantees no direct jump outlives its target's mapping.
-  virtual void notifyRetire(ExecutableCode *Code) { (void)Code; }
-
-  /// Diagnostic: call sites currently direct-linked to \p Code (the
-  /// retire-while-linked regression test's probe).
-  virtual size_t linkedPredecessors(const ExecutableCode *Code) const {
-    (void)Code;
-    return 0;
-  }
 };
 
 /// The interpreter backend (stateless process-wide singleton).

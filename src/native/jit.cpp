@@ -2,13 +2,14 @@
 //
 // Part of the deoptless reproduction. MIT license.
 //
-// Template stitching with two v2 layers on top (each independently
-// switchable via NativeTierOptions; both off is the template-only tier):
+// Template stitching with two layers on top:
 //
-//  * Register allocation (native/regalloc.*): hot raw int/double slots get
-//    whole-function register homes. The invariant is pc-independent — "a
-//    homed slot's current value is in its register at every instruction
-//    boundary" — so arbitrary LowCode jumps need no per-edge fixup code.
+//  * Register allocation (native/regalloc.*), the v2 layer that
+//    NativeTierOptions switches (off is the template-only tier): hot raw
+//    int/double slots get whole-function register homes. The invariant is
+//    pc-independent — "a homed slot's current value is in its register at
+//    every instruction boundary" — so arbitrary LowCode jumps need no
+//    per-edge fixup code.
 //    A home's slot array entry may lag behind its register: the dirty-home
 //    analysis (computeDirtyHomes) tracks, per pc, which homes may differ
 //    from their arrays. A helper call stores only the dirty homes it
@@ -22,12 +23,9 @@
 //    object — to an out-of-line stub that runs the op through the helper.
 //    Boxed branch conditions test a Lgl inline.
 //
-//  * Direct call linking (native/linker.*): monomorphic CallValLow sites
-//    carry a LinkSite data cell. Once the callee's generic version is
-//    published, the call helper transfers straight to its code via
-//    vmLinkedCall — skipping dispatch's version-table walk — and the
-//    retire path unlinks every predecessor before the graveyard can
-//    reclaim the target block.
+// Calls are helper calls like any other op: CallValLow runs the
+// interpreter's handler, so a closure call out of native code goes through
+// vmDispatchCall, the one call path every tier shares.
 //
 // Register plan: rbx = NativeFrame*, r12 = boxed slots (Value*), r13 = raw
 // double slots, r14 = raw int32 slots; rax/rcx/rdx/rsi/rdi/xmm0/xmm1 are
@@ -52,17 +50,13 @@
 
 #if RJIT_NATIVE_X64
 
-#include "dispatch/context.h"
-#include "dispatch/table.h"
 #include "lowcode/exec.h"
 #include "lowcode/step.h"
 #include "native/arena.h"
 #include "native/emitter.h"
-#include "native/linker.h"
 #include "native/regalloc.h"
 #include "obs/trace.h"
 #include "runtime/context.h"
-#include "vm/vm.h"
 
 #include <cstddef>
 #include <cstring>
@@ -107,10 +101,6 @@ struct NativeFrame {
   Env *ParentEnv = nullptr;
   Env *ReadEnv = nullptr;
   ExecContext *Ctx = nullptr; ///< injection countdown, deopt hook
-  /// The executable's LinkSite cells (index = the call helper's site
-  /// argument) and the backend's link registry; null when linking is off.
-  LinkSite *Sites = nullptr;
-  NativeLinker *Linker = nullptr;
   /// Element counts of pinned loop-invariant vectors (regalloc.h
   /// PinInfo::Cell indexes here); the pinned extract's bounds check reads
   /// its cell instead of the vector header. 0 = pin disabled, every
@@ -228,93 +218,6 @@ static void rjit_nat_ret(NativeFrame *Fr, int32_t Slot) {
 
 namespace {
 
-/// Monomorphic-call bookkeeping on a direct-link fast-path miss: enroll an
-/// eligible unregistered site, demote a site whose callee changed. Only
-/// the owning executor thread touches State/CacheFn.
-void maybeRegisterSite(NativeFrame *Fr, LinkSite &Site, const LowInstr &I) {
-  if (Site.State == LinkSite::Polymorphic || !Fr->Linker)
-    return;
-  const Value &Callee = Fr->S[I.A];
-  if (Callee.tag() != Tag::Clos) {
-    // Builtins (and errors) go through the interpreter handler forever.
-    Site.Target.store(nullptr, std::memory_order_relaxed);
-    Site.State = LinkSite::Polymorphic;
-    return;
-  }
-  Function *Fn = Callee.closObj()->Fn;
-  if (Site.State == LinkSite::Registered) {
-    if (Fn != Site.CacheFn) {
-      Site.Target.store(nullptr, std::memory_order_relaxed);
-      Site.State = LinkSite::Polymorphic;
-    }
-    return; // still monomorphic: waiting for the callee's publication
-  }
-  // Unregistered. Linking is only sound when dispatch would always pick
-  // the generic version for this callee: contextual dispatch selects by
-  // argument context and ProfileDrivenReopt's sampling must see every
-  // call, so both stay on full dispatch.
-  Vm *V = Vm::current();
-  if (!V || V->config().ContextDispatch ||
-      (V->config().Strategy != TierStrategy::Normal &&
-       V->config().Strategy != TierStrategy::Deoptless)) {
-    Site.State = LinkSite::Polymorphic;
-    return;
-  }
-  Site.CacheFn = Fn;
-  Site.State = LinkSite::Registered;
-  Fr->Linker->registerSite(Fn, &Site);
-  // The callee may already be published — link now rather than waiting
-  // for its next publication event.
-  FnVersion *Ver =
-      V->stateFor(Fn).Versions.dispatch(genericContext(Fn->Params.size()));
-  if (Ver && Ver->code())
-    Fr->Linker->onPublish(Fn, Ver);
-}
-
-} // namespace
-
-extern "C" {
-
-/// Direct-linked CallValLow: when the site's cached callee matches and its
-/// version is linked, transfer via vmLinkedCall (which performs exactly
-/// full dispatch's per-call bookkeeping); otherwise fall back to the
-/// interpreter handler — the same instruction, re-executed from scratch.
-/// The argument-range aliasing check (callee slot inside [B, B+Imm))
-/// matters because the handler moves the arguments out *before* reading
-/// the callee slot; falling back reproduces that exact moved-from
-/// behavior instead of duplicating it here.
-static int64_t rjit_nat_call_linked(NativeFrame *Fr, int32_t SiteIdx) {
-  LinkSite &Site = Fr->Sites[SiteIdx];
-  const LowInstr &I = Fr->F->Code[Site.Pc];
-  FnVersion *Ver = Site.Target.load(std::memory_order_acquire);
-  if (Ver && Fr->S[I.A].tag() == Tag::Clos) {
-    ClosObj *C = Fr->S[I.A].closObj();
-    ExecutableCode *Code;
-    if (C->Fn == Site.CacheFn && (Code = Ver->code()) != nullptr &&
-        static_cast<int32_t>(Site.CacheFn->Params.size()) == I.Imm &&
-        !(I.A >= I.B &&
-          static_cast<int32_t>(I.A) < static_cast<int32_t>(I.B) + I.Imm)) {
-      try {
-        std::vector<Value> Args;
-        Args.reserve(static_cast<size_t>(I.Imm));
-        for (int32_t K = 0; K < I.Imm; ++K)
-          Args.push_back(std::move(Fr->S[I.B + K]));
-        Fr->S[I.Dst] = vmLinkedCall(C, Ver, Code, std::move(Args));
-        return 0;
-      } catch (...) {
-        Fr->Exc = std::current_exception();
-        return -1;
-      }
-    }
-  }
-  maybeRegisterSite(Fr, Site, I);
-  return rjit_nat_step(Fr, Site.Pc);
-}
-
-} // extern "C"
-
-namespace {
-
 /// failGuard (lowcode/step.h) from a native frame: its result becomes
 /// this activation's, and an exception is parked for the rethrow.
 void guardDeopt(NativeFrame *Fr, int32_t Pc, bool Injected) {
@@ -359,7 +262,7 @@ public:
   /// \p Stats: the counters the emitted guards bump (the backend's Vm's).
   Stitcher(const LowFunction &F, const NativeTierOptions &Opts,
            VmStats &Stats)
-      : F(F), Opts(Opts), Stats(Stats) {
+      : F(F), Stats(Stats) {
     if (Opts.Regalloc) {
       // Pins require the inline typed-extract fast path: without the
       // probed vector layout every extract is a main-path helper call,
@@ -385,11 +288,9 @@ public:
     computeDirtyHomes();
   }
 
-  /// Compiles F into \p Out, appending the LowCode pc of every emitted
-  /// link site to \p SitePcs (index order = the call helper's site index).
-  /// Returns false when the function has no code (callers fall back to
-  /// the interpreter executable).
-  bool compile(std::vector<uint8_t> &Out, std::vector<int32_t> &SitePcs) {
+  /// Compiles F into \p Out. Returns false when the function has no code
+  /// (callers fall back to the interpreter executable).
+  bool compile(std::vector<uint8_t> &Out) {
     if (F.Code.empty())
       return false;
 
@@ -415,7 +316,6 @@ public:
       A.patchRel32(Site, InstrOff[Pc]);
 
     Out = std::move(A.Buf);
-    SitePcs = std::move(LinkSitePcs);
     return true;
   }
 
@@ -423,7 +323,6 @@ public:
 
 private:
   const LowFunction &F;
-  NativeTierOptions Opts;
   VmStats &Stats;
   RegAllocation RA;
   IntConstMap IC;
@@ -431,7 +330,6 @@ private:
   std::vector<size_t> InstrOff;
   std::vector<std::pair<size_t, int32_t>> PcFix; ///< rel32 -> LowCode pc
   std::vector<size_t> EpiFix;                    ///< rel32 -> epilogue
-  std::vector<int32_t> LinkSitePcs;
 
   /// A set of register homes: bit B is HomeSlots[B].
   using HomeSet = uint32_t;
@@ -560,7 +458,7 @@ private:
   }
 
   /// True when \p I's main path calls out of generated code: the step
-  /// helper, the linked-call helper or the complex compare-branch helper.
+  /// helper or the complex compare-branch helper.
   /// emitInstr routes exactly these ops to a helper and the dirty-home
   /// analysis reads the same answer, so the two cannot disagree about
   /// which ops clobber the caller-saved homes. RetLow's helper ends the
@@ -985,9 +883,7 @@ private:
 
   void emitInstr(int32_t Pc, const LowInstr &I) {
     if (callsHelper(I)) {
-      if (I.Op == LowOp::CallValLow && Opts.Linking) {
-        emitLinkedCall(Pc);
-      } else if (I.Op == LowOp::CmpBranch) {
+      if (I.Op == LowOp::CmpBranch) {
         // Complex rank: the helper computes taken-ness from boxed slots.
         emitOpCall(Pc, rjit_nat_cmpbranch, Pc);
         PcFix.push_back({A.jcc32(CcNe), I.Imm});
@@ -1150,16 +1046,6 @@ private:
   /// compare of its condition's truth value with 0.
   static Cc condTaken(const LowInstr &I) {
     return I.Op == LowOp::BranchTrueLow ? CcNe : CcE;
-  }
-
-  /// A CallValLow under direct linking: allocate a LinkSite and route
-  /// through the link helper (fast path: vmLinkedCall; miss: the
-  /// interpreter handler + site bookkeeping). Arguments and results are
-  /// boxed, so the call stores and reloads only the caller-saved homes.
-  void emitLinkedCall(int32_t Pc) {
-    int32_t Idx = static_cast<int32_t>(LinkSitePcs.size());
-    LinkSitePcs.push_back(Pc);
-    emitOpCall(Pc, rjit_nat_call_linked, Idx);
   }
 
   //===-- Boxed-slot templates --------------------------------------------//
@@ -1559,17 +1445,9 @@ private:
 class NativeExecutable final : public ExecutableCode {
 public:
   NativeExecutable(std::unique_ptr<LowFunction> L, CodeArena &Arena,
-                   const void *Entry, std::vector<int32_t> SitePcs,
-                   NativeLinker *Linker)
+                   const void *Entry)
       : ExecutableCode(std::move(L)), Arena(&Arena),
-        Entry(reinterpret_cast<NativeEntry>(const_cast<void *>(Entry))),
-        Linker(Linker), NumSites(SitePcs.size()) {
-    if (NumSites) {
-      Sites = std::make_unique<LinkSite[]>(NumSites);
-      for (size_t K = 0; K < NumSites; ++K)
-        Sites[K].Pc = SitePcs[K];
-    }
-  }
+        Entry(reinterpret_cast<NativeEntry>(const_cast<void *>(Entry))) {}
 
   /// Reclaiming the executable returns its W^X pages. Safe wherever
   /// destroying the wrapper is safe (graveyard safepoint after the retire
@@ -1578,11 +1456,7 @@ public:
   /// block and no dispatch can re-read the entry. The arena strictly
   /// outlives its executables (Vm member order), and its mutex makes the
   /// compiler-thread discard path race-free against concurrent installs.
-  /// Link sites deregister first so no later publication patches a cell
-  /// inside a freed executable.
   ~NativeExecutable() override {
-    if (Linker && Sites)
-      Linker->dropSites(Sites.get(), Sites.get() + NumSites);
     Arena->release(reinterpret_cast<const void *>(Entry));
   }
 
@@ -1606,8 +1480,6 @@ protected:
     Fr.ParentEnv = ParentEnv;
     Fr.ReadEnv = CurEnv ? CurEnv : ParentEnv;
     Fr.Ctx = &currentContext();
-    Fr.Sites = Sites.get();
-    Fr.Linker = Linker;
 
     ++Fr.Ctx->Stats.NativeEnters;
     if (obs::traceOn())
@@ -1621,9 +1493,6 @@ protected:
 private:
   CodeArena *Arena;
   NativeEntry Entry;
-  NativeLinker *Linker;
-  size_t NumSites;
-  std::unique_ptr<LinkSite[]> Sites;
 };
 
 class NativeBackend final : public ExecBackend {
@@ -1636,45 +1505,23 @@ public:
   std::unique_ptr<ExecutableCode>
   prepare(std::unique_ptr<LowFunction> Low) override {
     std::vector<uint8_t> Code;
-    std::vector<int32_t> SitePcs;
     Stitcher St(*Low, Opts, Ctx.Stats);
-    if (!St.compile(Code, SitePcs))
+    if (!St.compile(Code))
       return interpBackend().prepare(std::move(Low));
     const void *Entry = Arena.install(Code);
     if (!Entry) // mapping denied (hardened host): portable fallback
       return interpBackend().prepare(std::move(Low));
     ++Ctx.Stats.NativeCompiles;
     Ctx.Stats.NativeRegSpills += St.regSpills();
-    return std::make_unique<NativeExecutable>(
-        std::move(Low), Arena, Entry, std::move(SitePcs),
-        Opts.Linking ? &Linker : nullptr);
+    return std::make_unique<NativeExecutable>(std::move(Low), Arena, Entry);
   }
 
   size_t liveCodeBlocks() const override { return Arena.blockCount(); }
-
-  void notifyPublish(Function *Fn, FnVersion *Ver) override {
-    if (Opts.Linking)
-      Linker.onPublish(Fn, Ver);
-  }
-
-  /// Called by Vm::toGraveyard *before* the dying code is even stamped
-  /// with a retire epoch: every linked predecessor is patched back to the
-  /// dispatch fallback strictly before the graveyard can reclaim (unmap)
-  /// the block. This ordering is the linker's entire soundness argument.
-  void notifyRetire(ExecutableCode *Code) override {
-    if (Opts.Linking)
-      Linker.onRetire(Code);
-  }
-
-  size_t linkedPredecessors(const ExecutableCode *Code) const override {
-    return Opts.Linking ? Linker.linkedPredecessors(Code) : 0;
-  }
 
 private:
   NativeTierOptions Opts;
   /// The context compiles are charged to and guards count into.
   ExecContext &Ctx;
-  NativeLinker Linker;
   CodeArena Arena;
 };
 

@@ -20,7 +20,8 @@
 ///    unchanged from native frames;
 ///  * every other op (environment access, calls, generic fallbacks)
 ///    compiles to a direct call into the interpreter's own op handler
-///    (lowcode/step.h) — one semantics, two drivers.
+///    (lowcode/step.h) — one semantics, two drivers. A closure call thus
+///    reaches vmDispatchCall exactly as it does from the interpreters.
 ///
 /// Code is emitted into a per-backend (per-Vm) W^X arena: pages are
 /// writable during emission, then sealed read+execute before publication.
@@ -45,7 +46,7 @@ namespace rjit {
 /// the Vm::Config::NativeTier gate.
 bool nativeBackendSupported();
 
-/// The process default for the v2 feature switches: on unless the
+/// The process default for the v2 feature switch: on unless the
 /// RJIT_NATIVE_V2 environment variable is set to 0. CI's off-switch job
 /// uses it to keep the template-only tier compiled and tested alongside
 /// the v2 matrix entries.
@@ -57,23 +58,19 @@ inline bool nativeTierV2Default() {
   return D;
 }
 
-/// Per-feature switches for the v2 native tier (Vm::Config::NativeV2 and
-/// the differential fuzzer's feature axis). Both default from
-/// RJIT_NATIVE_V2; both off is the template-only stitcher. Transcripts are
-/// byte-identical across every combination (the fuzzer asserts it).
+/// The v2 native tier's switch (Vm::Config::NativeV2 and the differential
+/// fuzzer's feature axis). Defaults from RJIT_NATIVE_V2; off is the
+/// template-only stitcher. Transcripts are byte-identical either way (the
+/// fuzzer asserts it).
 struct NativeTierOptions {
   /// Linear-scan register allocation over the raw slot classes
   /// (native/regalloc.*): hot unboxed slots live in GPRs/XMMs instead of
   /// the slot arrays.
   bool Regalloc = nativeTierV2Default();
-  /// Direct call linking (native/linker.*): hot monomorphic
-  /// version->version transfers bypass full VM dispatch via LinkSites
-  /// patched at publication and unlinked at retire.
-  bool Linking = nativeTierV2Default();
 };
 
 /// Creates a native backend instance (owning its code arena) with the v2
-/// feature switches \p O, or null on unsupported hosts — callers fall back
+/// feature switch \p O, or null on unsupported hosts — callers fall back
 /// to the interpreter backend. Its compiles are charged to \p Ctx, and the
 /// code it emits counts guard checks into \p Ctx's AssumeChecks; null
 /// means the calling thread's context. The Vm hands it its own.

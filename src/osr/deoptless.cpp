@@ -7,12 +7,9 @@
 #include "osr/deoptless.h"
 #include "compile/service.h"
 #include "lowcode/exec.h"
-#include "lowcode/lower.h"
 #include "obs/trace.h"
 #include "opt/cleanup.h"
-#include "opt/pipeline.h"
 #include "osr/deopt.h"
-#include "support/timer.h"
 
 using namespace rjit;
 
@@ -87,9 +84,7 @@ FeedbackTable rjit::repairedContinuationFeedback(Function *Fn,
   return cleanupFeedback(*Fn, Snap, Repair);
 }
 
-std::unique_ptr<ExecutableCode>
-rjit::compileContinuationCode(Function *Fn, const DeoptContext &Ctx,
-                              const OptOptions &Opts) {
+EntryState rjit::continuationEntry(const DeoptContext &Ctx) {
   EntryState Entry;
   Entry.Pc = Ctx.Pc;
   for (unsigned K = 0; K < Ctx.StackSize; ++K)
@@ -97,21 +92,7 @@ rjit::compileContinuationCode(Function *Fn, const DeoptContext &Ctx,
   for (unsigned K = 0; K < Ctx.EnvSize; ++K)
     Entry.EnvTypes.push_back(
         {Ctx.EnvEntries[K].first, RType::of(Ctx.EnvEntries[K].second)});
-
-  uint64_t T0 = nowNanos();
-  std::unique_ptr<IrCode> Ir =
-      optimizeToIr(Fn, CallConv::Deoptless, Entry, Opts);
-  if (!Ir)
-    return nullptr;
-  std::unique_ptr<ExecutableCode> Code =
-      prepareExecutable(Opts.Backend, lowerToLow(*Ir));
-  uint64_t Dur = nowNanos() - T0;
-  contextOr(Opts.Ctx).Metrics.CompileLatency.record(Dur);
-  if (obs::traceOn())
-    obs::traceEvent(obs::TraceEv::CompileFinish, Dur,
-                    static_cast<uint64_t>(Ctx.Pc),
-                    static_cast<uint64_t>(CompileKind::Continuation));
-  return Code;
+  return Entry;
 }
 
 bool rjit::tryDeoptless(const LowFunction &F, const SlotView &Slots,

@@ -75,12 +75,11 @@ FeedbackTable repairedContinuationFeedback(Function *Fn,
                                            const DeoptContext &Ctx,
                                            bool CleanupEnabled);
 
-/// Compiles the continuation code for \p Ctx (prepared for Opts.Backend).
-/// The caller must have made the repaired profile visible to the
-/// optimizer first (a SnapshotScope whose table for \p Fn is the repaired
-/// feedback): the continuation request's job body runs under one.
-std::unique_ptr<ExecutableCode> compileContinuationCode(
-    Function *Fn, const DeoptContext &Ctx, const OptOptions &Opts);
+/// The entry state a continuation for \p Ctx is compiled from: its pc and
+/// the stack and environment types the context records. The continuation
+/// request's job compiles it under the repaired profile (a SnapshotScope
+/// whose table for the owner is the repaired feedback).
+EntryState continuationEntry(const DeoptContext &Ctx);
 
 } // namespace rjit
 

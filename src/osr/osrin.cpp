@@ -5,12 +5,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "osr/osrin.h"
-#include "lowcode/lower.h"
 #include "obs/trace.h"
-#include "opt/pipeline.h"
 #include "runtime/context.h"
 #include "support/fnv.h"
-#include "support/timer.h"
 
 using namespace rjit;
 
@@ -70,22 +67,4 @@ Value rjit::enterOsrContinuation(ExecutableCode &Code,
                     static_cast<uint64_t>(Entry.Pc));
   return Code.run(std::move(Args), Low.NeedsEnv ? E : nullptr,
                   E->parent());
-}
-
-std::unique_ptr<ExecutableCode>
-rjit::compileOsrInCode(Function *Fn, const EntryState &Entry,
-                       const OptOptions &Opts) {
-  uint64_t T0 = nowNanos();
-  std::unique_ptr<IrCode> Ir = optimizeToIr(Fn, CallConv::OsrIn, Entry, Opts);
-  if (!Ir)
-    return nullptr;
-  std::unique_ptr<ExecutableCode> Code =
-      prepareExecutable(Opts.Backend, lowerToLow(*Ir));
-  uint64_t Dur = nowNanos() - T0;
-  contextOr(Opts.Ctx).Metrics.CompileLatency.record(Dur);
-  if (obs::traceOn())
-    obs::traceEvent(obs::TraceEv::CompileFinish, Dur,
-                    static_cast<uint64_t>(Entry.Pc),
-                    static_cast<uint64_t>(CompileKind::OsrIn));
-  return Code;
 }

@@ -57,13 +57,6 @@ struct OsrKey {
   bool unbounded() const { return false; }
 };
 
-/// Compiles the OSR-in continuation for \p Entry (prepared for
-/// Opts.Backend), or returns null when \p Fn cannot be compiled from that
-/// state. What the OSR-in request's job compiles, in either mode.
-std::unique_ptr<ExecutableCode>
-compileOsrInCode(Function *Fn, const EntryState &Entry,
-                 const OptOptions &Opts);
-
 /// Enters compiled OSR-in code with the interpreter's live values (stack
 /// first, then — for elided code — the environment bindings in the entry
 /// order) and returns the activation's result.

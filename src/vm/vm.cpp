@@ -143,23 +143,6 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
   return runVersion(Clos, *Code, std::move(Args));
 }
 
-Value vmLinkedCall(ClosObj *Clos, FnVersion *Ver, ExecutableCode *Code,
-                   std::vector<Value> &&Args) {
-  Vm *V = Vm::current();
-  assert(V && "linked call without an active Vm");
-  // The per-call bookkeeping full dispatch performs, in the same order:
-  // safepoint/injection boundary, warmth, version hit.
-  // The linking eligibility rules (native/jit.cpp maybeRegisterSite)
-  // guarantee dispatch's skipped middle — strategy branches, version-
-  // table lookup, context computation, threshold logic — would have been
-  // inert and selected exactly Ver/Code, so transcripts are identical.
-  V->dispatchBoundary();
-  ++Clos->Fn->CallCount;
-  ++Ver->Hits;
-  ++V->context().Stats.NativeLinkedTransfers;
-  return runVersion(Clos, *Code, std::move(Args));
-}
-
 /// The Vm's guard-failure handler (its context's LowHooks::Deopt), paper
 /// Listing 6: try deoptless first, then apply the strategy's retire
 /// policy, then resume the baseline interpreter.
@@ -313,11 +296,6 @@ uint64_t Vm::collectHeap() {
 void Vm::toGraveyard(std::unique_ptr<ExecutableCode> Code) {
   if (!Code)
     return;
-  // Unlink direct-linked native call sites pointing into this code
-  // *before* it can ever be reclaimed: from here on, predecessors fall
-  // back to full VM dispatch. Ordering is the linker's entire soundness
-  // argument (the retire-while-linked regression test pins it).
-  ActiveBackend->notifyRetire(Code.get());
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::Retire, 0, Code->obsId());
   // Retires only happen on the executor thread (deopt handler, reopt

@@ -148,13 +148,12 @@ public:
     /// ways); unset means off.
     bool NativeTier = nativeTierDefault();
 
-    /// The v2 native tier's two layers, register allocation and direct
-    /// call linking, each a measured effect (fig_native's v2 ratio; the
-    /// linked transfers of deoptbench steady). Only consulted when
+    /// The v2 native tier's register allocation, a measured effect
+    /// (fig_native's v2-over-template ratio). Only consulted when
     /// NativeTier is on and the Vm constructs its own native backend.
-    /// Both default from RJIT_NATIVE_V2 (unset = on), which CI's rollback
-    /// job sets to 0. The fuzzer asserts byte-identical transcripts over
-    /// all four combinations.
+    /// Defaults from RJIT_NATIVE_V2 (unset = on), which CI's rollback job
+    /// sets to 0. The fuzzer asserts byte-identical transcripts either
+    /// way.
     NativeTierOptions NativeV2;
 
     /// Fuzzer oracle, orthogonal to Strategy: retired ExecutableCode is
@@ -294,15 +293,6 @@ public:
   /// Stats and Metrics while the Vm lives (the server harness does).
   ExecContext &context() { return Ctx; }
 
-  /// The per-dispatch boundary work every closure call performs exactly
-  /// once, whether it arrives through full VM dispatch or a direct-linked
-  /// native call site: the graveyard/heap safepoint poll plus consumption
-  /// of at most one cross-thread injected-invalidation request. Keeping
-  /// both paths on this single function is what makes linked transfers
-  /// observably equivalent to dispatched calls (the fuzzer's linking axis
-  /// relies on it).
-  void dispatchBoundary();
-
 private:
   friend Value vmDispatchCall(ClosObj *, std::vector<Value> &&);
   friend Value vmDeoptHandler(const LowFunction &, const SlotView &,
@@ -387,18 +377,12 @@ private:
         Ctx.heap()->shouldCollect(Cfg.HeapGc.ThresholdBytes))
       collectHeap();
   }
-};
 
-/// The direct-linked native call transfer (native/jit.cpp's link helper
-/// calls this after its own monomorphic fast-path checks): performs the
-/// per-call bookkeeping full dispatch would (dispatch boundary, call
-/// count, recursion guard, version hit) and runs \p Code — bypassing
-/// dispatch's version-table lookup, threshold logic and context
-/// computation, which the linking eligibility rules guarantee would have
-/// selected exactly \p Ver. Defined in vm.cpp next to vmDispatchCall so
-/// the two stay one semantics.
-Value vmLinkedCall(ClosObj *Clos, FnVersion *Ver, ExecutableCode *Code,
-                   std::vector<Value> &&Args);
+  /// The boundary work vmDispatchCall does once per closure call: the
+  /// graveyard/heap safepoint poll plus consumption of at most one
+  /// cross-thread injected-invalidation request.
+  void dispatchBoundary();
+};
 
 } // namespace rjit
 

@@ -268,15 +268,14 @@ TEST(NativeJit, InjectedInvalidationKeepsResults) {
 }
 
 //===----------------------------------------------------------------------===//
-// Native tier v2: register allocation and direct linking
+// Native tier v2: register allocation
 
-/// Both v2 features forced on, independent of the RJIT_NATIVE_V2
+/// Register allocation forced on, independent of the RJIT_NATIVE_V2
 /// environment (CI's off-switch job must not turn these tests into
 /// no-ops).
 Vm::Config v2cfg(TierStrategy S) {
   Vm::Config C = cfg(S, true);
   C.NativeV2.Regalloc = true;
-  C.NativeV2.Linking = true;
   return C;
 }
 
@@ -333,7 +332,6 @@ TEST(NativeV2, RegisterAllocationSpillsDeterministically) {
 
   NativeTierOptions O;
   O.Regalloc = true;
-  O.Linking = false;
   std::unique_ptr<ExecBackend> B = makeNativeBackend(O);
   ASSERT_NE(B, nullptr);
   uint64_t SpillsBefore = stats().NativeRegSpills;
@@ -417,7 +415,7 @@ TEST(NativeV2, RawFrameStateValuesLeaveRegisterHomes) {
                                               ? ", Normal"
                                               : ", Deoptless"));
       Vm::Config C = cfg(S, B.Native);
-      C.NativeV2.Regalloc = C.NativeV2.Linking = B.V2;
+      C.NativeV2.Regalloc = B.V2;
       {
         Vm V(C);
         V.eval(Setup);
@@ -442,65 +440,6 @@ TEST(NativeV2, RawFrameStateValuesLeaveRegisterHomes) {
       EXPECT_GT(Run.InjectedFailures, 0u);
     }
   }
-}
-
-TEST(NativeV2, RetireWhileLinkedPatchesBackBeforeReclaim) {
-  if (!nativeBackendSupported())
-    GTEST_SKIP() << "no native backend on this host";
-  // The linking soundness invariant: when a linked callee version is
-  // retired, every predecessor's direct transfer is severed at retire
-  // time — strictly before the graveyard safepoint can unmap the target
-  // block — and the site falls back to full dispatch, then relinks once
-  // a replacement version is published.
-  Vm::Config C = v2cfg(TierStrategy::Normal);
-  C.Inlining = false; // keep g an out-of-line call so the site links
-  C.ReclaimAtSafepoints = true;
-  Vm V(C);
-  V.eval(R"(
-    g <- function(x) x + 1L
-    h <- function(n) {
-      s <- 0L
-      for (i in 1:n) s <- s + g(i)
-      s
-    }
-  )");
-  for (int K = 0; K < 6; ++K)
-    ASSERT_EQ(V.eval("h(50L)").asIntUnchecked(), 1325);
-  ASSERT_GT(stats().NativeEnters, 0u);
-  ASSERT_GT(stats().NativeLinkedTransfers, 0u)
-      << "h's call site must have linked to g's published version";
-
-  Function *GFn = V.eval("g").closObj()->Fn;
-  FnVersion *Ver = V.stateFor(GFn).Versions.dispatch(genericContext(1));
-  ASSERT_NE(Ver, nullptr);
-  ExecutableCode *GCode = Ver->code();
-  ASSERT_NE(GCode, nullptr);
-  ASSERT_GE(V.backend()->linkedPredecessors(GCode), 1u)
-      << "the link registry must know h's site points into g's code";
-
-  // Type change: g's int-speculated version deopts and is retired. The
-  // eval finishes in the baseline with no further closure dispatch, so
-  // the safepoint has NOT run yet: the dead code is graveyarded but not
-  // reclaimed — and the predecessor count must already be zero. That
-  // ordering (unlink at retire, reclaim at the later safepoint) is what
-  // keeps a linked jump from ever targeting unmapped memory.
-  uint64_t Retired = stats().GraveyardSize;
-  V.eval("g(1.5)");
-  EXPECT_GT(stats().Deopts, 0u);
-  EXPECT_GT(stats().GraveyardSize, Retired)
-      << "the deopted version must be graveyarded, not freed";
-  EXPECT_EQ(V.backend()->linkedPredecessors(GCode), 0u)
-      << "retire must sever every predecessor link before reclamation";
-
-  // The severed site must fall back to dispatch (correctness) and relink
-  // once g republishes: linked transfers resume growing.
-  for (int K = 0; K < 6; ++K)
-    ASSERT_EQ(V.eval("h(50L)").asIntUnchecked(), 1325);
-  uint64_t AfterRepublish = stats().NativeLinkedTransfers;
-  for (int K = 0; K < 4; ++K)
-    ASSERT_EQ(V.eval("h(50L)").asIntUnchecked(), 1325);
-  EXPECT_GT(stats().NativeLinkedTransfers, AfterRepublish)
-      << "the site must relink to the republished version";
 }
 
 TEST(NativeJit, BackgroundCompilePublishesNativeCode) {
@@ -561,22 +500,19 @@ constexpr uint16_t BoxedK = static_cast<uint16_t>(SlotClass::Boxed);
 constexpr uint16_t RealK = static_cast<uint16_t>(SlotClass::RawReal);
 constexpr uint16_t IntK = static_cast<uint16_t>(SlotClass::RawInt);
 
-/// The four native v2 combinations: regalloc x linking.
+/// The two native v2 settings: regalloc off and on.
 std::vector<NativeTierOptions> v2Combos() {
   std::vector<NativeTierOptions> Out;
-  for (bool Regalloc : {false, true})
-    for (bool Linking : {false, true}) {
-      NativeTierOptions O;
-      O.Regalloc = Regalloc;
-      O.Linking = Linking;
-      Out.push_back(O);
-    }
+  for (bool Regalloc : {false, true}) {
+    NativeTierOptions O;
+    O.Regalloc = Regalloc;
+    Out.push_back(O);
+  }
   return Out;
 }
 
 std::string comboName(const NativeTierOptions &O) {
-  return std::string("regalloc ") + (O.Regalloc ? "on" : "off") +
-         ", linking " + (O.Linking ? "on" : "off");
+  return std::string("regalloc ") + (O.Regalloc ? "on" : "off");
 }
 
 /// What one run of hand-built code did: its result (or error) and the
@@ -606,7 +542,7 @@ RunResult runCode(ExecBackend &B, const LowFunction &F,
 
 /// Runs \p F, whose parameter 0 is the boxed slot its first op
 /// overwrites, with an immediate there (the template's fast path) and with
-/// a heap vector (its stub), under each v2 combination. Every run must
+/// a heap vector (its stub), under each v2 setting. Every run must
 /// return what the LowCode interpreter returns on the same arguments and
 /// make as many copy-on-write copies; the stub calls the step helper once
 /// more than the fast path, which calls it only for \p HelperOps other

@@ -596,25 +596,20 @@ TEST_P(DiffFuzz, AllConfigurationsAgree) {
                   << P.Setup << "drivers:\n" << driversOf(P);
             }
 
-    // The native-v2 feature lattice: every {regalloc, linking} on/off
-    // combination must produce the byte-identical transcript — the
-    // features are pure strength reductions with no observable semantics
-    // of their own. Strategy alternates with (program, mask) so each
-    // feature value runs under both Normal and Deoptless across the
-    // corpus; dispatch stays contextual-free and inlining off so call
-    // sites remain out-of-line and the linking axis actually has sites to
-    // link.
+    // The native-v2 axis: register allocation off and on must produce
+    // the byte-identical transcript — it is a pure strength reduction
+    // with no observable semantics of its own. Strategy alternates with
+    // (program, setting) so each setting runs under both Normal and
+    // Deoptless across the corpus.
     if (nativeBackendSupported())
-      for (unsigned Mask = 0; Mask < 4; ++Mask) {
-        Vm::Config C = cfg((K + Mask) % 2 ? TierStrategy::Deoptless
-                                          : TierStrategy::Normal);
+      for (unsigned Regalloc = 0; Regalloc < 2; ++Regalloc) {
+        Vm::Config C = cfg((K + Regalloc) % 2 ? TierStrategy::Deoptless
+                                              : TierStrategy::Normal);
         C.NativeTier = true;
-        C.NativeV2.Regalloc = (Mask & 1) != 0;
-        C.NativeV2.Linking = (Mask & 2) != 0;
+        C.NativeV2.Regalloc = Regalloc != 0;
         ASSERT_EQ(Base, runProgram(P, C))
-            << "seed " << Seed << " native-v2 mask " << Mask
-            << " (regalloc=" << C.NativeV2.Regalloc
-            << " linking=" << C.NativeV2.Linking << ")\nprogram:\n"
+            << "seed " << Seed << " native-v2 regalloc=" << Regalloc
+            << "\nprogram:\n"
             << P.Setup << "drivers:\n" << driversOf(P);
       }
 
@@ -654,9 +649,8 @@ TEST_P(DiffFuzz, AllConfigurationsAgree) {
 }
 
 // 10 shards x 50 programs = 500 random programs, each checked under 29
-// configurations (61 when the native axis is available, including the
-// four-point native-v2 feature lattice; shards parallelize under
-// `ctest -j`).
+// configurations (59 when the native axis is available, including the
+// native-v2 regalloc axis; shards parallelize under `ctest -j`).
 INSTANTIATE_TEST_SUITE_P(Shards, DiffFuzz,
                          ::testing::Range(0, static_cast<int>(FuzzShards)));
 
@@ -747,13 +741,9 @@ TEST_P(ConcurrentDiffFuzz, BackgroundTranscriptsMatchSyncBaseline) {
             nativeBackendSupported() &&
             (((K >> 1) + (S == TierStrategy::Deoptless ? 1 : 0)) % 2) ==
                 0;
-        // Native-v2 feature mask from the program index: over K mod 4
-        // every {regalloc, linking} combination races the shared pool —
-        // including link patching (publication from a compiler thread
-        // writing a LinkSite an executor is reading) and unlink on retire
-        // under concurrent reclamation.
+        // Native-v2 setting from the program index: over K mod 4 every
+        // (native, regalloc) combination races the shared pool.
         C.NativeV2.Regalloc = (K & 1) != 0;
-        C.NativeV2.Linking = (K & 2) != 0;
         // Event tracing on half the corpus: executor threads record into
         // per-thread rings while compiler threads trace job/publish
         // events — the tracer itself races the sweep under TSan. Small
@@ -849,9 +839,6 @@ public:
       EXPECT_GT(C.NativeEnters, 0u)
           << "the NativeTier axis never entered native code — the "
              "sweep's transcripts did not actually cover the JIT";
-      EXPECT_GT(C.NativeLinkedTransfers, 0u)
-          << "the native-v2 lattice never took a direct-linked call — "
-             "the kD/kE/kH call shapes must link under the linking axis";
     }
     EXPECT_GT(C.GcCollections, 0u)
         << "the HeapGc axis never collected — the kG corpus shape must "

@@ -250,10 +250,14 @@ void BM_LowerSuite(benchmark::State &State) {
   // loop-invariant vector pins, and raw-slot candidates the register
   // allocator could not home.
   size_t IntConsts = 0, Pins = 0, RegSpills = 0, GenericBins = 0;
+  size_t LdEnvs = 0, Guards = 0;
   for (const auto &Ir : Irs) {
     std::unique_ptr<LowFunction> Low = lowerToLow(*Ir);
-    for (const LowInstr &I : Low->Code)
+    for (const LowInstr &I : Low->Code) {
       GenericBins += I.Op == LowOp::BinGenLow;
+      LdEnvs += I.Op == LowOp::LdEnv;
+    }
+    Guards += Low->GuardCount;
     for (uint8_t Known : intConstSlots(*Low).Known)
       IntConsts += Known;
     RegAllocation RA = allocateRegisters(*Low, true);
@@ -266,6 +270,8 @@ void BM_LowerSuite(benchmark::State &State) {
   State.counters["pins"] = static_cast<double>(Pins);
   State.counters["reg_spills"] = static_cast<double>(RegSpills);
   State.counters["generic_bins"] = static_cast<double>(GenericBins);
+  State.counters["ldenv"] = static_cast<double>(LdEnvs);
+  State.counters["guards"] = static_cast<double>(Guards);
   State.counters["peeled_loops"] = static_cast<double>(Peeled);
 }
 BENCHMARK(BM_LowerSuite)->Unit(benchmark::kMicrosecond);

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "suite/harness.h"
+#include "lowcode/lowcode.h"
 #include "obs/trace.h"
 #include "runtime/value.h"
 #include "support/timer.h"
@@ -77,6 +78,18 @@ const char *rjit::suite::argStr(int Argc, char **Argv,
   return Def;
 }
 
+namespace {
+
+/// Calls \p Visit(mnemonic, count) for every nonzero per-LowOp cell of
+/// \p S's native_helper_calls.
+template <typename Fn> void forEachHelperCallCell(const VmStats &S, Fn Visit) {
+  for (size_t Op = 0; Op < NumLowOps; ++Op)
+    if (uint64_t V = S.NativeHelperCallsByOp[Op])
+      Visit(lowOpName(static_cast<LowOp>(Op)), V);
+}
+
+} // namespace
+
 void rjit::suite::printStats(const char *Label, const VmStats &S) {
   // Registry-driven: the schema (names, membership) lives in
   // support/stats.def, shared with the JSON emission below — per-bench
@@ -100,6 +113,11 @@ void rjit::suite::printStats(const char *Label, const VmStats &S) {
                (unsigned long long)V, (unsigned long long)High);
         Any = true;
       });
+  forEachHelperCallCell(S, [&](const char *Op, uint64_t V) {
+    printf("%s native_helper_calls[%s]=%llu", Any ? "," : "", Op,
+           (unsigned long long)V);
+    Any = true;
+  });
   printf("%s\n", Any ? "" : " (all zero)");
 }
 
@@ -287,6 +305,19 @@ void jsonEscape(FILE *F, const std::string &S) {
       fputc(C, F);
 }
 
+/// The nonzero per-op cells of native_helper_calls as one JSON object,
+/// keyed by LowOp mnemonic.
+void emitHelperCallCells(FILE *F, const VmStats &S) {
+  fprintf(F, "{");
+  bool Any = false;
+  forEachHelperCallCell(S, [&](const char *Op, uint64_t V) {
+    fprintf(F, "%s\"%s\": %llu", Any ? ", " : "", Op,
+            static_cast<unsigned long long>(V));
+    Any = true;
+  });
+  fprintf(F, "}");
+}
+
 /// The nonzero counters of \p S as one JSON object.
 void emitCounters(FILE *F, const VmStats &S) {
   fprintf(F, "{");
@@ -322,6 +353,8 @@ void emitSeries(FILE *F, const BenchSeries &S) {
 
   fprintf(F, "      \"counters\": ");
   emitCounters(F, S.Stats);
+  fprintf(F, ",\n      \"native_helper_calls_by_op\": ");
+  emitHelperCallCells(F, S.Stats);
   if (!S.Clients.empty()) {
     fprintf(F, ",\n      \"clients\": [");
     for (size_t K = 0; K < S.Clients.size(); ++K) {

@@ -55,7 +55,8 @@ struct RunStats : VmStats {
 
 /// Prints the tiering effectiveness counters of one run: compilations,
 /// context-dispatch version/hit/miss counters and the deoptless
-/// continuation dispatch counters (skipping zero groups).
+/// continuation dispatch counters (skipping zero groups), then the native
+/// helper calls by LowOp (native_helper_calls[mnemonic]).
 void printStats(const char *Label, const VmStats &S);
 
 //===----------------------------------------------------------------------===//

@@ -95,6 +95,10 @@ public:
   Code BC;
   FeedbackTable Feedback;
   uint64_t CallCount = 0;
+  /// The parent of every environment this function runs in is the global
+  /// environment (or the function runs in it): true for the top level
+  /// and for the functions it defines. Their free variables are globals.
+  bool GlobalScope = false;
 
   /// Functions referenced by this function's MkClosure instructions
   /// (A operand indexes into this vector). Owned by the Module.

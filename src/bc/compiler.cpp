@@ -157,6 +157,7 @@ private:
     case NodeKind::FunDef: {
       auto &F = static_cast<const FunDefNode &>(N);
       Function *Inner = M.addFunction(symbol("<anon>"), F.Params);
+      Inner->GlobalScope = CurFn->Name == topLevelName();
       if (!compileFunction(Inner, *F.Body))
         return false;
       if (ValueNeeded) {
@@ -370,6 +371,7 @@ private:
 BcResult rjit::compileToBc(const Node &Program) {
   auto Mod = std::make_unique<Module>();
   Function *Top = Mod->addFunction(topLevelName(), {});
+  Top->GlobalScope = true;
   Mod->Top = Top;
   BcCompiler C(*Mod);
   if (!C.compileFunction(Top, Program))

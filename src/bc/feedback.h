@@ -116,9 +116,6 @@ struct CallFeedback {
   bool monomorphicClosure() const {
     return !Megamorphic && Target != nullptr;
   }
-  bool monomorphicBuiltin() const {
-    return !Megamorphic && BuiltinIdPlus1 != 0;
-  }
 };
 
 /// Branch / backedge counters (also the OSR-in trigger).

@@ -185,14 +185,10 @@ Value run(Function *Fn, Env *E, std::vector<Value> &&Stack, int32_t Pc) {
       Symbol Sym = static_cast<Symbol>(I.A);
       // R semantics: the container is looked up through the chain but the
       // updated container is always bound locally.
-      Value *Slot = E->findLocal(Sym);
-      if (!Slot) {
-        E->set(Sym, E->get(Sym));
-        Slot = E->findLocal(Sym);
-      }
-      FB.Types[I.B].record(Slot->tag());
+      Value &Slot = E->updateSlot(Sym);
+      FB.Types[I.B].record(Slot.tag());
       // Move out of the slot so an unshared container mutates in place.
-      *Slot = assign2(std::move(*Slot), Idx.toInt(), V);
+      Slot = assign2(std::move(Slot), Idx.toInt(), V);
       S.push_back(std::move(V));
       ++Pc;
       break;

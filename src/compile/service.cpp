@@ -197,7 +197,8 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
   // the same root): either way the code is discarded, not installed over
   // the executor's decision or the first code.
   if (Table.publish(Want, std::move(Exec),
-                    feedbackHash(*Fn, Opts.HashWithContexts))) {
+                    feedbackHash(*Fn, Opts.HashWithContexts),
+                    &Requester.Watch.Epoch)) {
     ++Requester.Stats.Compilations;
     if (!Want.isGeneric())
       ++Requester.Stats.CtxVersions;
@@ -236,7 +237,8 @@ CompileStatus rjit::requestOsrCompile(CompilerPool *Pool, Function *Fn,
   OsrKey K(Entry);
   return request(Pool, Fn, Table, K, Opts, [Fn, Entry, K, &Table, Opts] {
     if (!Table.publish(K,
-                       compileContinuation(Fn, CallConv::OsrIn, Entry, Opts)))
+                       compileContinuation(Fn, CallConv::OsrIn, Entry, Opts),
+                       0, &contextOr(Opts.Ctx).Watch.Epoch))
       return false;
     ++contextOr(Opts.Ctx).Stats.OsrInCompilations;
     return true;
@@ -250,9 +252,10 @@ CompileStatus rjit::requestContinuationCompile(
   return request(
       Pool, Fn, Table, Ctx, Opts,
       [Fn, Ctx, &Table, Opts] {
-        if (!Table.publish(Ctx, compileContinuation(Fn, CallConv::Deoptless,
-                                                    continuationEntry(Ctx),
-                                                    Opts)))
+        if (!Table.publish(Ctx,
+                           compileContinuation(Fn, CallConv::Deoptless,
+                                               continuationEntry(Ctx), Opts),
+                           0, &contextOr(Opts.Ctx).Watch.Epoch))
           return false;
         ++contextOr(Opts.Ctx).Stats.DeoptlessCompiles;
         if (obs::traceOn())

@@ -20,10 +20,12 @@
 ///
 /// Either way the body publishes through one step shared by every kind:
 /// under the table's writer lock, code for a failure-marked or live entry
-/// (a lost race) or for a full table is discarded, and a failed compile
-/// sets the failure mark. The caller simply dispatches whatever is
-/// published after the request returns, and drainCompiles() is exactly
-/// "the synchronous result, later".
+/// (a lost race) or for a full table is discarded, and so is code that
+/// folded global builtins in an epoch a rebinding has since left
+/// (runtime/context.h); a failed compile sets the failure mark. The
+/// caller simply dispatches whatever is published after the request
+/// returns, and drainCompiles() is exactly "the synchronous result,
+/// later".
 ///
 /// This layer deliberately knows nothing about the Vm: jobs capture plain
 /// pointers (function, target table) and knob copies, never thread-local

@@ -209,10 +209,15 @@ public:
   /// never published has no activation, so it is freed at once, and the
   /// native tier's destructor returns its W^X mapping (the arena mutex
   /// makes that safe from a compiler thread). A null \p Code — a failed
-  /// compile — sets the failure mark instead. Returns whether \p Code was
-  /// published.
+  /// compile — sets the failure mark instead. Code that folded global
+  /// builtins in an older epoch than \p BuiltinEpoch (the requester's
+  /// builtin watch, runtime/context.h) is discarded as a lost race too: a
+  /// rebinding overtook the compile. The rebinding bumps the epoch before
+  /// its retire scan takes this lock, so code published ahead of the bump
+  /// is retired by the scan. Returns whether \p Code was published.
   bool publish(const Key &K, std::unique_ptr<ExecutableCode> Code,
-               uint64_t FeedbackHash = 0) {
+               uint64_t FeedbackHash = 0,
+               const std::atomic<uint64_t> *BuiltinEpoch = nullptr) {
     std::lock_guard G(*this);
     Entry *E = exact(K);
     if (!E && !(E = insert(K)))
@@ -223,6 +228,10 @@ public:
       E->markFailed();
       return false;
     }
+    if (BuiltinEpoch && Code->low().FoldsBuiltins &&
+        Code->low().BuiltinEpoch !=
+            BuiltinEpoch->load(std::memory_order_relaxed))
+      return false;
     E->install(std::move(Code), FeedbackHash);
     return true;
   }

@@ -14,8 +14,8 @@ const char *rjit::deoptReasonName(DeoptReasonKind K) {
     return "typecheck";
   case DeoptReasonKind::CallTarget:
     return "calltarget";
-  case DeoptReasonKind::BuiltinGuard:
-    return "builtin";
+  case DeoptReasonKind::BuiltinEpoch:
+    return "builtin-epoch";
   case DeoptReasonKind::Injected:
     return "injected";
   }
@@ -80,14 +80,14 @@ const char *rjit::irOpName(IrOp Op) {
     return "istag";
   case IrOp::IsFunIr:
     return "isfun";
-  case IrOp::IsBuiltinIr:
-    return "isbuiltin";
   case IrOp::FrameStateIr:
     return "framestate";
   case IrOp::CheckpointIr:
     return "checkpoint";
   case IrOp::AssumeIr:
     return "assume";
+  case IrOp::EpochCheckIr:
+    return "epochcheck";
   case IrOp::Jump:
     return "jump";
   case IrOp::BranchIr:
@@ -109,6 +109,7 @@ bool rjit::hasSideEffects(IrOp Op) {
   case IrOp::CallStatic:
   case IrOp::MkClosureIr:
   case IrOp::AssumeIr:
+  case IrOp::EpochCheckIr:
   case IrOp::Jump:
   case IrOp::BranchIr:
   case IrOp::Ret:

@@ -48,7 +48,7 @@ struct IrCode;
 enum class DeoptReasonKind : uint8_t {
   Typecheck,    ///< a value's dynamic tag differed from the speculation
   CallTarget,   ///< a call site bound to a different closure
-  BuiltinGuard, ///< a global no longer names the expected builtin
+  BuiltinEpoch, ///< a global builtin binding was overwritten (EpochCheckIr)
   Injected,     ///< test-mode random invalidation (§5.1 methodology)
 };
 
@@ -90,11 +90,14 @@ enum class IrOp : uint8_t {
   // Guard conditions.
   IsTagIr,     ///< TagArg; Ops = [v]; also true for scalar of a vector tag
   IsFunIr,     ///< Target; Ops = [v]; closure identity test
-  IsBuiltinIr, ///< Bid; Ops = [v]
   // Speculation machinery.
   FrameStateIr, ///< BcPc, StackCount, EnvSyms; Ops = [stack..., env...]
   CheckpointIr, ///< Ops = [framestate]
   AssumeIr,     ///< Ops = [cond, checkpoint]; RKind/ExpectedTag/ReasonPc
+  /// Ops = [checkpoint]; deopts when a global builtin binding was
+  /// overwritten since the compile (IrCode::FoldsBuiltins). Not a guard:
+  /// never hoisted, merged or injected.
+  EpochCheckIr,
   // Control flow (block terminators).
   Jump,     ///< to BB succ 0
   BranchIr, ///< Ops = [cond]; succ 0 = true, succ 1 = false
@@ -213,6 +216,10 @@ struct IrCode {
   int32_t EntryPc = 0;        ///< bytecode pc this code starts at
   CallConv Conv = CallConv::FullEnv;
   bool UsesRealEnv = false;   ///< environment ops target a live Env object
+  /// Some global builtin's name was folded to the builtin (opt/translate),
+  /// under the builtin watch's epoch BuiltinEpoch (OptOptions).
+  bool FoldsBuiltins = false;
+  uint64_t BuiltinEpoch = 0;
 
   std::vector<std::unique_ptr<BB>> Blocks;
   BB *Entry = nullptr;

@@ -40,7 +40,6 @@ void printInstr(const Instr &I, std::string &S) {
     S += std::string("<") + tagName(I.Knd) + ">";
     break;
   case IrOp::CallBuiltinKnown:
-  case IrOp::IsBuiltinIr:
     S += std::string(" ") + builtinName(I.Bid);
     break;
   case IrOp::CallStatic:
@@ -62,6 +61,7 @@ void printInstr(const Instr &I, std::string &S) {
       S += " caller=" + ref(I.Ops.back());
     break;
   case IrOp::AssumeIr:
+  case IrOp::EpochCheckIr:
     S += std::string(" [") + deoptReasonName(I.RKind) + "@" +
          std::to_string(I.BcPc) + "]";
     break;

@@ -34,8 +34,8 @@ size_t expectedArity(const Instr &I) {
   case IrOp::CastType:
   case IrOp::IsTagIr:
   case IrOp::IsFunIr:
-  case IrOp::IsBuiltinIr:
   case IrOp::CheckpointIr:
+  case IrOp::EpochCheckIr:
   case IrOp::BranchIr:
   case IrOp::Ret:
     return 1;
@@ -183,6 +183,14 @@ std::string rjit::verify(const IrCode &C) {
         if (I.Ops.size() == 2 && I.Ops[1]->Op != IrOp::CheckpointIr)
           Fail("assume %" + std::to_string(I.Id) +
                ": second operand must be a checkpoint");
+      }
+      if (I.Op == IrOp::EpochCheckIr) {
+        if (I.Ops.size() == 1 && I.Ops[0]->Op != IrOp::CheckpointIr)
+          Fail("epochcheck %" + std::to_string(I.Id) +
+               ": operand must be a checkpoint");
+        if (!C.FoldsBuiltins)
+          Fail("epochcheck %" + std::to_string(I.Id) +
+               ": the code folds no builtin");
       }
       if (I.Op == IrOp::CheckpointIr) {
         if (I.Ops.size() == 1 && I.Ops[0]->Op != IrOp::FrameStateIr)

@@ -51,21 +51,6 @@ Value coerceValue(const Value &V, Tag Target) {
   }
 }
 
-void superAssignFrom(Env *Start, Symbol Sym, Value V) {
-  for (Env *E = Start; E; E = E->parent()) {
-    if (Value *Slot = E->findLocal(Sym)) {
-      *Slot = std::move(V);
-      return;
-    }
-  }
-  Env *Outer = Start;
-  while (Outer && Outer->parent())
-    Outer = Outer->parent();
-  if (!Outer)
-    rerror("superassignment without an environment");
-  Outer->set(Sym, std::move(V));
-}
-
 /// COW + grow-on-assign element store into a typed vector container.
 template <typename ObjT, typename ElemT>
 Value setTypedElem(Value Obj, Tag VecTag, int64_t Idx, ElemT Elem) {
@@ -90,8 +75,8 @@ Value setTypedElem(Value Obj, Tag VecTag, int64_t Idx, ElemT Elem) {
 // and stepLowInstr (the native backend's per-op fallback), so the two
 // drivers cannot drift apart. Bodies take raw slot pointers: the
 // interpreter passes its vectors' data, the native frame its arrays.
-// Control-flow ops (jumps, branches, GuardCond, RetLow) have no body; each
-// driver runs them itself.
+// Control-flow ops (jumps, branches, GuardCond, EpochCheck, RetLow) have
+// no body; each driver runs them itself.
 //===--------------------------------------------------------------------===//
 
 template <LowOp Op>
@@ -186,8 +171,10 @@ LOW_BODY(StEnv) {
 LOW_BODY(StEnvSuper) {
   if (CurEnv)
     CurEnv->setSuper(static_cast<Symbol>(I.Imm), S[I.A]);
+  else if (ParentEnv)
+    ParentEnv->setNearest(static_cast<Symbol>(I.Imm), S[I.A]);
   else
-    superAssignFrom(ParentEnv, static_cast<Symbol>(I.Imm), S[I.A]);
+    rerror("superassignment without an environment");
 }
 
 LOW_BODY(MkClosLow) {
@@ -353,13 +340,8 @@ LOW_BODY(SetElem2Typed) {
 
 LOW_BODY(SetIdx2EnvLow) {
   assert(CurEnv && "env-indexed store requires an environment");
-  Symbol Sym = static_cast<Symbol>(I.Imm2);
-  Value *Slot = CurEnv->findLocal(Sym);
-  if (!Slot) {
-    CurEnv->set(Sym, CurEnv->get(Sym));
-    Slot = CurEnv->findLocal(Sym);
-  }
-  *Slot = assign2(std::move(*Slot), S[I.A].toInt(), S[I.B]);
+  Value &Slot = CurEnv->updateSlot(static_cast<Symbol>(I.Imm2));
+  Slot = assign2(std::move(Slot), S[I.A].toInt(), S[I.B]);
   S[I.Dst] = S[I.B];
 }
 
@@ -455,13 +437,19 @@ Value rjit::runLow(const LowFunction &F, std::vector<Value> &&Args,
 #undef VMOP
     VMCASE(GuardCond) {
       bool Holds = lowGuardHolds(I, F.Deopts[I.Imm], S);
-      ++Cx.Stats.AssumeChecks;
-      bool Injected = Holds && guardInjectable(I) &&
-                      Cx.Low.InvalidationCountdown &&
+      Cx.Stats.AssumeChecks.bump();
+      bool Injected = Holds && Cx.Low.InvalidationCountdown &&
                       --Cx.Low.InvalidationCountdown == 0;
       if (!Holds || Injected)
         return failGuard(Cx, obs::TraceEv::GuardFail, F, Pc, {S, D, Iv},
                          CurEnv, ParentEnv, Injected);
+      ++Pc;
+      VMSTEP();
+    }
+    VMCASE(EpochCheck) {
+      if (Cx.Watch.Epoch.load(std::memory_order_relaxed) != F.BuiltinEpoch)
+        return failGuard(Cx, obs::TraceEv::GuardFail, F, Pc, {S, D, Iv},
+                         CurEnv, ParentEnv, /*Injected=*/false);
       ++Pc;
       VMSTEP();
     }
@@ -508,9 +496,6 @@ bool rjit::lowGuardHolds(const LowInstr &I, const DeoptMeta &M,
   case 1:
     return S[I.A].tag() == Tag::Clos &&
            S[I.A].closObj()->Fn == M.ExpectedFun;
-  case 2:
-    return S[I.A].tag() == Tag::Builtin &&
-           S[I.A].builtinId() == M.ExpectedBuiltin;
   default:
     return S[I.A].tag() == Tag::Lgl && S[I.A].asLglUnchecked();
   }

@@ -47,7 +47,7 @@ std::string rjit::printLow(const LowFunction &F) {
       S += " -> " + std::to_string(I.Imm);
     else if (I.Imm)
       S += " imm=" + std::to_string(I.Imm);
-    if (I.Op == LowOp::GuardCond) {
+    if (I.Op == LowOp::GuardCond || I.Op == LowOp::EpochCheck) {
       const DeoptMeta &M = F.Deopts[I.Imm];
       S += std::string(" [") + deoptReasonName(M.RKind) +
            " pc=" + std::to_string(M.BcPc) + "]";

@@ -34,6 +34,7 @@
 #define RJIT_LOWCODE_LOWCODE_H
 
 #include "ir/instr.h"
+#include "support/stats.h"
 
 #include <memory>
 #include <string>
@@ -114,13 +115,12 @@ constexpr uint16_t packElem(Tag Kind, bool Steal = false) {
 inline Tag elemKind(const LowInstr &I) { return static_cast<Tag>(I.C & 0xFF); }
 inline bool stealsContainer(const LowInstr &I) { return I.C & 0x100; }
 
-/// GuardCond: C is the guard kind (0 tag, 1 closure identity, 2 builtin
-/// identity, 3 logical truth). Builtin-stability guards model what Ř
-/// implements as a watchpoint-invalidated global assumption, not a
-/// per-execution check: Ř never executes them, so a random failure there
-/// has no counterpart in the paper's experiment. The random-invalidation
-/// test mode (§5.1) therefore targets only the dynamic kinds.
-inline bool guardInjectable(const LowInstr &I) { return I.C != 2; }
+/// GuardCond: C is the guard kind (0 tag, 1 closure identity, 3 logical
+/// truth). Every kind is a per-execution check, so the random-invalidation
+/// test mode (§5.1) can strike any of them. Builtin stability is no guard:
+/// as in Ř, it is a global assumption the builtin watch invalidates
+/// (runtime/context.h), checked only by EpochCheck after calls and
+/// environment stores, which the test mode never strikes.
 
 /// The slot class of a rank's raw operands: Int and Real ranks are raw.
 inline SlotClass rankClass(int Rank) {
@@ -213,6 +213,8 @@ template <typename Fn> void forEachSlot(const LowInstr &I, Role R, Fn &&Visit) {
 } // namespace lowop
 
 constexpr size_t NumLowOps = sizeof(lowop::Table) / sizeof(lowop::Table[0]);
+static_assert(NumLowOps <= VmStats::MaxLowOps,
+              "VmStats keeps one helper-call cell per LowOp");
 
 /// The op's mnemonic, as printLow prints it.
 inline const char *lowOpName(LowOp Op) { return lowop::info(Op).Mnemonic; }
@@ -267,8 +269,6 @@ struct DeoptMeta {
   DeoptReasonKind RKind = DeoptReasonKind::Typecheck;
   Tag ExpectedTag = Tag::Null;
   Function *ExpectedFun = nullptr;
-  BuiltinId ExpectedBuiltin{};
-  bool HasExpectedBuiltin = false;
   int32_t ReasonPc = -1;       ///< bytecode pc of the speculated operation
   int32_t FailedFeedbackSlot = -1;
   uint16_t ValueSlot = 0;      ///< slot of the guarded value (actual value)
@@ -298,6 +298,11 @@ struct LowFunction {
 
   /// Number of guard instructions (code-size ablation metric).
   uint32_t GuardCount = 0;
+
+  /// The code folded global builtins (IrCode::FoldsBuiltins) while the
+  /// builtin watch read BuiltinEpoch: it is valid only at that epoch.
+  bool FoldsBuiltins = false;
+  uint64_t BuiltinEpoch = 0;
 };
 
 /// Renders LowCode as text (tests, debugging).

@@ -78,6 +78,8 @@ public:
     F->Conv = C.Conv;
     F->EntryPc = C.EntryPc;
     F->NeedsEnv = C.UsesRealEnv;
+    F->FoldsBuiltins = C.FoldsBuiltins;
+    F->BuiltinEpoch = C.BuiltinEpoch;
     F->EnvParamSyms = C.EnvParamSyms;
     F->NumStackParams = C.NumStackParams;
     F->NumParams = static_cast<uint32_t>(C.Params.size());
@@ -168,6 +170,7 @@ private:
     case IrOp::FrameStateIr:
     case IrOp::CheckpointIr:
     case IrOp::AssumeIr:
+    case IrOp::EpochCheckIr:
     case IrOp::StVarEnv:
     case IrOp::StVarSuperEnv:
     case IrOp::Jump:
@@ -281,7 +284,6 @@ private:
     case IrOp::CheckpointIr:
     case IrOp::IsTagIr:
     case IrOp::IsFunIr:
-    case IrOp::IsBuiltinIr:
       return true;
     default:
       return false;
@@ -774,21 +776,25 @@ private:
 
     case IrOp::IsTagIr:
     case IrOp::IsFunIr:
-    case IrOp::IsBuiltinIr:
       return; // evaluated by the guard
 
     case IrOp::AssumeIr: {
       const Instr *Cond = I.op(0);
-      int32_t MetaIdx = buildMeta(I, Cond);
+      int32_t MetaIdx = buildMeta(I, Cond, I.op(1));
       LowInstr L{LowOp::GuardCond};
       L.Imm = MetaIdx;
       L.A = F->Deopts[MetaIdx].ValueSlot;
-      L.C = static_cast<uint16_t>(Cond->Op == IrOp::IsTagIr    ? 0
-                                  : Cond->Op == IrOp::IsFunIr  ? 1
-                                  : Cond->Op == IrOp::IsBuiltinIr ? 2
-                                                                  : 3);
+      L.C = static_cast<uint16_t>(Cond->Op == IrOp::IsTagIr   ? 0
+                                  : Cond->Op == IrOp::IsFunIr ? 1
+                                                              : 3);
       emit(L);
       ++F->GuardCount;
+      return;
+    }
+    case IrOp::EpochCheckIr: {
+      LowInstr L{LowOp::EpochCheck};
+      L.Imm = buildMeta(I, nullptr, I.op(0));
+      emit(L);
       return;
     }
     case IrOp::FrameStateIr:
@@ -849,30 +855,25 @@ private:
     emit(Bx);
   }
 
-  int32_t buildMeta(const Instr &Assume, const Instr *Cond) {
+  /// The deopt metadata of a guard (\p Check an Assume testing \p Cond)
+  /// or of an epoch check (no \p Cond), resuming at \p Cp's framestate.
+  int32_t buildMeta(const Instr &Check, const Instr *Cond, const Instr *Cp) {
     DeoptMeta M;
-    M.RKind = Assume.RKind;
-    M.ReasonPc = Assume.BcPc;
-    M.FailedFeedbackSlot = Assume.Idx;
-    if (Cond->Op == IrOp::IsTagIr || Cond->Op == IrOp::IsFunIr ||
-        Cond->Op == IrOp::IsBuiltinIr) {
+    M.RKind = Check.RKind;
+    M.ReasonPc = Check.BcPc;
+    M.FailedFeedbackSlot = Check.Idx;
+    if (Cond && (Cond->Op == IrOp::IsTagIr || Cond->Op == IrOp::IsFunIr)) {
       if (Cond->Op == IrOp::IsTagIr)
         M.ExpectedTag = Cond->TagArg;
       if (Cond->Op == IrOp::IsFunIr)
         M.ExpectedFun = Cond->Target;
-      if (Cond->Op == IrOp::IsBuiltinIr) {
-        M.ExpectedBuiltin = Cond->Bid;
-        M.HasExpectedBuiltin = true;
-        M.ExpectedTag = Tag::Builtin;
-      }
       M.ValueSlot = ensureBoxed(Cond->op(0));
       M.HasValueSlot = true;
-    } else {
+    } else if (Cond) {
       M.ValueSlot = ensureBoxed(Cond);
       M.HasValueSlot = false;
     }
 
-    const Instr *Cp = Assume.op(1);
     const Instr *Fs = Cp->op(0);
     M.BcPc = Fs->BcPc;
     M.FrameFn = Fs->Target;

@@ -31,7 +31,7 @@ struct SlotView;
 
 /// Executes the single non-control-flow instruction \p I against the raw
 /// slot arrays. Control-flow ops (jumps, branches, CmpBranch, GuardCond,
-/// RetLow) are the caller's job — the native backend always emits
+/// EpochCheck, RetLow) are the caller's job — the native backend always emits
 /// templates for them — and assert here. Raises RError exactly like the
 /// interpreter would.
 void stepLowInstr(const LowFunction &F, const LowInstr &I, Value *S,
@@ -48,9 +48,9 @@ bool stepCmpBranchTaken(const LowInstr &I, const Value *S, const double *D,
 /// case and the native backend's slow-path re-check.
 bool lowGuardHolds(const LowInstr &I, const DeoptMeta &M, const Value *S);
 
-/// The failure of GuardCond at \p Pc, one protocol for both tiers. An
-/// \p Injected failure (the §5.1 countdown reached zero on a holding
-/// guard) rearms the countdown, counts InjectedFailures and traces
+/// The failure of GuardCond or EpochCheck at \p Pc, one protocol for both
+/// tiers. An \p Injected failure (the §5.1 countdown reached zero on a
+/// holding guard) rearms the countdown, counts InjectedFailures and traces
 /// Invalidate first. Every failure counts AssumeFailures, is traced as
 /// \p Kind (the interpreter's guard-fail, the native tier's
 /// native-side-exit) and tail-calls \p C's deopt hook, whose result is the

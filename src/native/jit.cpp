@@ -87,6 +87,9 @@ struct ValueLayout {
 static_assert(sizeof(Value) == 24, "templates hard-code the Value stride");
 static_assert(sizeof(RelaxedCounter) == 8,
               "templates inc a counter's qword in place");
+static_assert(sizeof(std::atomic<uint64_t>) == 8 &&
+                  std::atomic<uint64_t>::is_always_lock_free,
+              "epoch checks compare the builtin watch's qword in place");
 
 namespace {
 
@@ -259,10 +262,11 @@ namespace {
 
 class Stitcher {
 public:
-  /// \p Stats: the counters the emitted guards bump (the backend's Vm's).
+  /// \p Ctx: the backend's Vm's context — the counters the emitted code
+  /// bumps and the builtin watch its epoch checks read.
   Stitcher(const LowFunction &F, const NativeTierOptions &Opts,
-           VmStats &Stats)
-      : F(F), Stats(Stats) {
+           ExecContext &Ctx)
+      : F(F), Ctx(Ctx) {
     if (Opts.Regalloc) {
       // Pins require the inline typed-extract fast path: without the
       // probed vector layout every extract is a main-path helper call,
@@ -323,7 +327,7 @@ public:
 
 private:
   const LowFunction &F;
-  VmStats &Stats;
+  ExecContext &Ctx;
   RegAllocation RA;
   IntConstMap IC;
   X64Emitter A;
@@ -469,6 +473,7 @@ private:
     case LowOp::Box:
     case LowOp::Unbox:
     case LowOp::GuardCond:
+    case LowOp::EpochCheck:
     case LowOp::JumpLow:
     case LowOp::BranchFalseLow:
     case LowOp::BranchTrueLow:
@@ -616,14 +621,16 @@ private:
   /// it stores the dirty homes the call clobbers or the op reads; after
   /// it, it reloads the caller-saved homes and the homes the op writes —
   /// so every home it touches is clean afterwards. The result's flags
-  /// survive the reloads. \p Count, when set, is bumped first.
+  /// survive the reloads. \p Counted bumps NativeHelperCalls and the op's
+  /// cell of NativeHelperCallsByOp first.
   template <typename Fn>
-  void emitOpCall(int32_t Pc, Fn *Target, int32_t Arg,
-                  RelaxedCounter *Count = nullptr) {
+  void emitOpCall(int32_t Pc, Fn *Target, int32_t Arg, bool Counted = false) {
     const LowInstr &I = F.Code[Pc];
     storeHomes(DirtyIn[Pc] & (CallerSaved | useHomes(I)));
-    if (Count)
-      emitCount(*Count);
+    if (Counted) {
+      emitCount(Ctx.Stats.NativeHelperCalls);
+      emitCount(Ctx.Stats.NativeHelperCallsByOp[static_cast<uint8_t>(I.Op)]);
+    }
     helperCall(Target, Arg);
     A.testRegReg64(RAX, RAX);
     EpiFix.push_back(A.jcc32(CcS));
@@ -631,9 +638,9 @@ private:
   }
 
   /// Fallback template: run the op via the interpreter handler, counted
-  /// in NativeHelperCalls.
+  /// in NativeHelperCalls and by op.
   void emitStep(int32_t Pc) {
-    emitOpCall(Pc, rjit_nat_step, Pc, &Stats.NativeHelperCalls);
+    emitOpCall(Pc, rjit_nat_step, Pc, /*Counted=*/true);
   }
 
   void emitPrologue() {
@@ -1010,6 +1017,9 @@ private:
     case LowOp::GuardCond:
       emitGuard(Pc, I);
       return;
+    case LowOp::EpochCheck:
+      emitEpochCheck(Pc);
+      return;
     case LowOp::JumpLow:
       PcFix.push_back({A.jmp32(), I.Imm});
       return;
@@ -1384,7 +1394,7 @@ private:
     // first, exactly like the interpreter. No lock prefix: the executor is
     // the counter's one writer, and readers on other threads read it only
     // across a barrier or join (README "Threading model").
-    emitCount(Stats.AssumeChecks);
+    emitCount(Ctx.Stats.AssumeChecks);
 
     Stub Fail{Pc, Stub::GuardFail, {}, 0};
     switch (I.C) {
@@ -1403,14 +1413,6 @@ private:
                     RDX);
       Fail.Sites.push_back(A.jcc32(CcNe));
       break;
-    case 2: // builtin stability
-      A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
-                    static_cast<uint8_t>(Tag::Builtin));
-      Fail.Sites.push_back(A.jcc32(CcNe));
-      A.cmpMem32Imm32(R12, sOff(I.A, ValueLayout::Payload),
-                      static_cast<uint32_t>(M.ExpectedBuiltin));
-      Fail.Sites.push_back(A.jcc32(CcNe));
-      break;
     default: // scalar-logical truth
       A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
                     static_cast<uint8_t>(Tag::Lgl));
@@ -1421,20 +1423,30 @@ private:
     }
     Stubs.push_back(std::move(Fail));
 
-    // Random-invalidation countdown (guardInjectable, lowcode.h). The
-    // fast path is one load + one compare when the mode is off.
-    if (guardInjectable(I)) {
-      Stub Tick{Pc, Stub::GuardTick, {}, 0};
-      A.movRegMem64(RAX, RBX, offsetof(NativeFrame, Ctx));
-      A.cmpMem64Imm32(
-          RAX,
-          static_cast<int32_t>(offsetof(ExecContext, Low) +
-                               offsetof(LowHooks, InvalidationCountdown)),
-          0);
-      Tick.Sites.push_back(A.jcc32(CcNe));
-      Tick.Resume = A.size();
-      Stubs.push_back(std::move(Tick));
-    }
+    // Random-invalidation countdown (§5.1; every guard kind). The fast
+    // path is one load + one compare when the mode is off.
+    Stub Tick{Pc, Stub::GuardTick, {}, 0};
+    A.movRegMem64(RAX, RBX, offsetof(NativeFrame, Ctx));
+    A.cmpMem64Imm32(
+        RAX,
+        static_cast<int32_t>(offsetof(ExecContext, Low) +
+                             offsetof(LowHooks, InvalidationCountdown)),
+        0);
+    Tick.Sites.push_back(A.jcc32(CcNe));
+    Tick.Resume = A.size();
+    Stubs.push_back(std::move(Tick));
+  }
+
+  /// The builtin watch's epoch against the one the code folded its
+  /// builtins in: a load and a compare. A mismatch side-exits through the
+  /// guard-failure stub (never injected, never counted as a check).
+  void emitEpochCheck(int32_t Pc) {
+    Stub Fail{Pc, Stub::GuardFail, {}, 0};
+    A.movRegImm64(RAX, reinterpret_cast<uint64_t>(&Ctx.Watch.Epoch));
+    A.movRegImm64(RDX, F.BuiltinEpoch);
+    A.cmpMemReg64(RAX, 0, RDX);
+    Fail.Sites.push_back(A.jcc32(CcNe));
+    Stubs.push_back(std::move(Fail));
   }
 };
 
@@ -1481,7 +1493,7 @@ protected:
     Fr.ReadEnv = CurEnv ? CurEnv : ParentEnv;
     Fr.Ctx = &currentContext();
 
-    ++Fr.Ctx->Stats.NativeEnters;
+    Fr.Ctx->Stats.NativeEnters.bump();
     if (obs::traceOn())
       obs::traceEvent(obs::TraceEv::NativeEnter, 0, obsId());
     Entry(&Fr);
@@ -1505,7 +1517,7 @@ public:
   std::unique_ptr<ExecutableCode>
   prepare(std::unique_ptr<LowFunction> Low) override {
     std::vector<uint8_t> Code;
-    Stitcher St(*Low, Opts, Ctx.Stats);
+    Stitcher St(*Low, Opts, Ctx);
     if (!St.compile(Code))
       return interpBackend().prepare(std::move(Low));
     const void *Entry = Arena.install(Code);

@@ -57,6 +57,7 @@ bool pinSafeOp(const LowInstr &I) {
   case LowOp::CmpBranch:
     return rankClass(arithRank(I)) != SlotClass::Boxed;
   case LowOp::GuardCond:
+  case LowOp::EpochCheck:
   case LowOp::JumpLow:
     return true;
   default:

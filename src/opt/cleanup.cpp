@@ -58,8 +58,7 @@ FeedbackTable rjit::cleanupFeedback(const Function &Fn,
       }
       break;
     case Opcode::Call:
-      if (S.Kind == DeoptReasonKind::CallTarget ||
-          S.Kind == DeoptReasonKind::BuiltinGuard) {
+      if (S.Kind == DeoptReasonKind::CallTarget) {
         FB.Calls[I.B].Megamorphic = true; // do not re-speculate this site
         // The variable the callee came from was rebound: every other call
         // reading its callee from it profiled the old binding too.

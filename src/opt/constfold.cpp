@@ -126,6 +126,16 @@ bool rjit::foldConstants(IrCode &C) {
         Changed = true;
       }
       break;
+    case IrOp::CallVal:
+      // A callee that became a builtin constant — a merge of one folded
+      // global builtin, a continuation's stack builtin — is a direct call.
+      if (isConst(I->op(0)) && I->op(0)->Cst.tag() == Tag::Builtin) {
+        I->Op = IrOp::CallBuiltinKnown;
+        I->Bid = I->op(0)->Cst.builtinId();
+        I->Ops.erase(I->Ops.begin());
+        Changed = true;
+      }
+      break;
     default:
       break;
     }

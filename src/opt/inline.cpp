@@ -109,7 +109,9 @@ private:
     }
     std::unique_ptr<IrCode> Body =
         translate(Callee, CallConv::FullElided, Entry, Opts);
-    if (!Body)
+    // A folded global builtin is a global read too: the caller's code
+    // would need the callee's epoch checks at its own call sites.
+    if (!Body || Body->FoldsBuiltins)
       return false;
 
     std::vector<Instr *> Rets;

@@ -43,9 +43,6 @@ bool guardKeyOf(const Instr *Assume, GuardKey &Key) {
   case IrOp::IsFunIr:
     Extra = reinterpret_cast<uintptr_t>(Cond->Target);
     break;
-  case IrOp::IsBuiltinIr:
-    Extra = static_cast<uint64_t>(Cond->Bid);
-    break;
   default:
     return false;
   }
@@ -114,7 +111,6 @@ bool totallyHoistable(const Instr *I) {
   case IrOp::LengthIr:   // length() is defined for every value
   case IrOp::IsTagIr:    // guard predicates are pure tag/identity tests
   case IrOp::IsFunIr:
-  case IrOp::IsBuiltinIr:
     return true;
   case IrOp::CoerceNum:
     // Scalar numeric coercion cannot raise when the operand is statically
@@ -324,8 +320,7 @@ struct LoopHoister {
         if (IP->Op != IrOp::AssumeIr || IP->Ops.size() != 2)
           continue;
         Instr *Cond = IP->op(0);
-        if (Cond->Op != IrOp::IsTagIr && Cond->Op != IrOp::IsFunIr &&
-            Cond->Op != IrOp::IsBuiltinIr)
+        if (Cond->Op != IrOp::IsTagIr && Cond->Op != IrOp::IsFunIr)
           continue;
         if (!invariant(Cond) && !invariant(Cond->op(0)))
           continue; // the guarded value varies inside the loop

@@ -98,10 +98,12 @@ public:
     analyze();
     if (!Blocks.count(Entry.Pc))
       return nullptr;
+    findFoldableBuiltins();
 
     buildPrologue();
     processWorklist();
     finalizeFallthroughs();
+    finishBuiltinWatch();
     return std::move(C);
   }
 
@@ -131,6 +133,13 @@ private:
   std::map<int32_t, BlockInfo> Blocks; ///< keyed by leader pc
   std::vector<int32_t> Worklist;
   std::set<Symbol> AllLocals; ///< every symbol written in the function
+
+  /// Global builtins this function reads under their own names and may
+  /// fold to the builtin itself (findFoldableBuiltins), and how many reads
+  /// were folded.
+  std::map<Symbol, BuiltinId> FoldSyms;
+  uint32_t Folds = 0;
+  std::map<BuiltinId, Instr *> BuiltinConsts; ///< builtinConst's cache
 
   BB *CurBb = nullptr;
   AbsState St;
@@ -272,6 +281,66 @@ private:
     }
   }
 
+  /// Builtin bindings are watched global assumptions (Ř's builtin
+  /// watchpoint; runtime/context.h): a free variable that names a builtin
+  /// folds to that builtin when every read of it is a read of the global
+  /// environment — the function's environments have the global one as
+  /// parent (or are it), and the function neither assigns the name nor
+  /// binds it as a parameter — and the requester's executor saw the
+  /// global binding still hold the builtin (OptOptions::IntactBuiltins).
+  /// Nothing guards the folded value per call: a rebinding retires the
+  /// code, and running activations check the watch's epoch after every
+  /// closure call and environment store (epochCheck).
+  void findFoldableBuiltins() {
+    if (!Opts.Speculate || !Fn->GlobalScope || !Opts.IntactBuiltins)
+      return;
+    std::set<Symbol> Bound(Fn->Params.begin(), Fn->Params.end());
+    for (const BcInstr &I : Fn->BC.Instrs)
+      if (I.Op == Opcode::StVar || I.Op == Opcode::SetIdx2 ||
+          I.Op == Opcode::SetIdx1 || I.Op == Opcode::ForStep)
+        Bound.insert(static_cast<Symbol>(I.A));
+    for (const BcInstr &I : Fn->BC.Instrs) {
+      Symbol S = static_cast<Symbol>(I.A);
+      BuiltinId Id;
+      if (I.Op == Opcode::LdVar && !Bound.count(S) && builtinNamed(S, Id) &&
+          (Opts.IntactBuiltins >> static_cast<unsigned>(Id) & 1))
+        FoldSyms.emplace(S, Id);
+    }
+  }
+
+  /// Code that folded a builtin watches the epoch; code that folded none
+  /// drops the epoch checks translation placed.
+  void finishBuiltinWatch() {
+    if (Folds) {
+      C->FoldsBuiltins = true;
+      C->BuiltinEpoch = Opts.BuiltinEpoch;
+      return;
+    }
+    for (auto &B : C->Blocks) {
+      auto &Is = B->Instrs;
+      Is.erase(std::remove_if(Is.begin(), Is.end(),
+                              [](const std::unique_ptr<Instr> &I) {
+                                return I->Op == IrOp::EpochCheckIr;
+                              }),
+               Is.end());
+    }
+  }
+
+  /// After the instruction at \p Pc, which may have rebound a global (a
+  /// closure call or an environment store), deopts to pc + 1 when the
+  /// builtin watch's epoch moved. Builtin calls store no bindings and
+  /// need no check.
+  void epochCheck(int32_t Pc) {
+    if (FoldSyms.empty())
+      return;
+    CurPc = Pc + 1;
+    Instr *Chk = add(IrOp::EpochCheckIr, RType::none(), {checkpoint()});
+    Chk->RKind = DeoptReasonKind::BuiltinEpoch;
+    Chk->BcPc = Pc;
+    Chk->Idx = -1;
+    CurPc = Pc;
+  }
+
   //===-- IR helpers --------------------------------------------------------//
 
   Instr *add(BB *B, IrOp Op, RType T,
@@ -289,6 +358,24 @@ private:
     Instr *I = add(IrOp::Const, T);
     I->Cst = std::move(V);
     return I;
+  }
+
+  /// The one constant of builtin \p Id, in the prologue, which dominates
+  /// every use: all folded reads of a builtin share it, so a merge of
+  /// them is a trivial phi and a call through the merge becomes a direct
+  /// call once the phi is gone (opt/constfold).
+  Instr *builtinConst(BuiltinId Id) {
+    Instr *&K = BuiltinConsts[Id];
+    if (!K) {
+      auto I = C->make(IrOp::Const, RType::of(Tag::Builtin));
+      I->Cst = Value::builtin(Id);
+      I->Parent = C->Entry;
+      auto &Is = C->Entry->Instrs;
+      K = Is.insert(C->Entry->terminated() ? Is.end() - 1 : Is.end(),
+                    std::move(I))
+              ->get();
+    }
+    return K;
   }
 
   //===-- Prologue / entry state --------------------------------------------//
@@ -328,8 +415,13 @@ private:
       break;
     case CallConv::OsrIn:
     case CallConv::Deoptless:
-      for (RType T : Entry.StackTypes)
-        St.Stack.push_back(MakeParam(T));
+      for (size_t K = 0; K < Entry.StackTypes.size(); ++K) {
+        Instr *P = MakeParam(Entry.StackTypes[K]);
+        uint16_t Bi = K < Entry.StackBuiltins.size() ? Entry.StackBuiltins[K]
+                                                     : 0;
+        St.Stack.push_back(Bi ? builtinConst(static_cast<BuiltinId>(Bi - 1))
+                              : P);
+      }
       C->NumStackParams = static_cast<uint32_t>(Entry.StackTypes.size());
       if (!RealEnv) {
         for (auto &[Sym, T] : Entry.EnvTypes) {
@@ -618,6 +710,10 @@ private:
   /// Reads a variable: SSA local, or environment (free variables and
   /// RealEnv mode).
   Instr *readVar(Symbol S, int32_t FbIdx) {
+    if (auto It = FoldSyms.find(S); It != FoldSyms.end()) {
+      ++Folds;
+      return builtinConst(It->second);
+    }
     if (!RealEnv) {
       auto It = St.Locals.find(S);
       if (It != St.Locals.end()) {
@@ -651,6 +747,7 @@ private:
       } else {
         Instr *StI = add(IrOp::StVarEnv, RType::none(), {V});
         StI->Sym = S;
+        epochCheck(Pc);
       }
       return true;
     }
@@ -659,6 +756,7 @@ private:
       Instr *V = pop();
       Instr *StI = add(IrOp::StVarSuperEnv, RType::none(), {V});
       StI->Sym = static_cast<Symbol>(I.A);
+      epochCheck(Pc);
       return true;
     }
 
@@ -684,7 +782,7 @@ private:
     }
 
     case Opcode::Call:
-      translateCall(I);
+      translateCall(I, Pc);
       return true;
 
     case Opcode::BinBc:
@@ -735,13 +833,15 @@ private:
         Instr *Cur = St.Locals[S];
         Instr *NewC = add(IrOp::SetElem2Gen, RType::any(), {Cur, Idx, V});
         St.Locals[S] = NewC;
+        push(V);
       } else {
         Instr *SetI = add(I.Op == Opcode::SetIdx2 ? IrOp::SetIdx2Env
                                                   : IrOp::SetIdx1Env,
                           V->Type, {Idx, V});
         SetI->Sym = S;
+        push(V);
+        epochCheck(Pc);
       }
-      push(V);
       return true;
     }
 
@@ -841,34 +941,25 @@ private:
     }
   }
 
-  void translateCall(const BcInstr &I) {
+  void translateCall(const BcInstr &I, int32_t Pc) {
     size_t NArgs = static_cast<size_t>(I.A);
     std::vector<Instr *> Args(NArgs);
     for (size_t K = NArgs; K > 0; --K)
       Args[K - 1] = pop();
     Instr *Callee = pop();
 
-    const CallFeedback &CF = profileOf(Fn).Calls[I.B];
-    if (Opts.Speculate && CF.monomorphicBuiltin()) {
-      // Speculate the callee still names the expected builtin (paper:
-      // "stability of call targets").
-      push(Callee);
-      for (Instr *A : Args)
-        push(A);
-      Instr *Cond = add(IrOp::IsBuiltinIr, RType::of(Tag::Lgl), {Callee});
-      Cond->Bid = static_cast<BuiltinId>(CF.BuiltinIdPlus1 - 1);
-      Instr *As = add(IrOp::AssumeIr, RType::none(), {Cond, checkpoint()});
-      As->RKind = DeoptReasonKind::BuiltinGuard;
-      As->BcPc = CurPc;
-      As->Bid = Cond->Bid;
-      for (size_t K = 0; K < NArgs + 1; ++K)
-        pop();
+    // A folded global builtin (findFoldableBuiltins) is the paper's
+    // "stability of call targets" as a watched assumption: a direct call,
+    // no guard. A builtin held anywhere else — a local, a parameter, an
+    // alias — takes the generic call.
+    if (Callee->Op == IrOp::Const && Callee->Cst.tag() == Tag::Builtin) {
       Instr *R = add(IrOp::CallBuiltinKnown, RType::any());
-      R->Bid = Cond->Bid;
+      R->Bid = Callee->Cst.builtinId();
       R->Ops = Args;
       push(R);
       return;
     }
+    const CallFeedback &CF = profileOf(Fn).Calls[I.B];
     if (Opts.Speculate && CF.monomorphicClosure()) {
       Function *Target =
           const_cast<Function *>(static_cast<const Function *>(CF.Target));
@@ -892,6 +983,7 @@ private:
         for (Instr *A : Args)
           R->Ops.push_back(A);
         push(R);
+        epochCheck(Pc);
         return;
       }
     }
@@ -900,6 +992,7 @@ private:
     for (Instr *A : Args)
       R->Ops.push_back(A);
     push(R);
+    epochCheck(Pc);
   }
 
   void translateForStep(const BcInstr &I, int32_t Pc) {

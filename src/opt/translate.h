@@ -40,6 +40,11 @@ struct EntryState {
   int32_t Pc = 0;
   /// Types of the operand-stack values at entry (bottom first).
   std::vector<RType> StackTypes;
+  /// Deoptless only, aligned with StackTypes: BuiltinId + 1 where the
+  /// continuation's dispatch proves the stack value is that builtin
+  /// (DeoptContext::StackBuiltins), else 0. Translation uses the builtin
+  /// constant there, so a builtin callee stays a direct call.
+  std::vector<uint16_t> StackBuiltins;
   /// Types of the local bindings passed in (Deoptless) or loaded from the
   /// environment at entry (OsrIn).
   std::vector<std::pair<Symbol, RType>> EnvTypes;
@@ -90,6 +95,14 @@ struct OptOptions {
   /// latency are charged to: the requesting Vm's, set next to Backend for
   /// the same reason. Null means the calling thread's.
   ExecContext *Ctx = nullptr;
+  /// The requester's builtin watch (runtime/context.h), copied on its
+  /// executor when the compile is requested: the global builtins still
+  /// bound under their names (one bit per BuiltinId), and the epoch that
+  /// fact holds in. Speculating compiles fold those names to the builtins
+  /// themselves. The default is a fresh Vm's watch (every builtin bound,
+  /// epoch 0), for compiles outside a Vm; Vm::optView copies the live one.
+  uint64_t IntactBuiltins = ~uint64_t(0);
+  uint64_t BuiltinEpoch = 0;
 };
 
 /// Result of checking whether a function's environment can be elided.

@@ -33,8 +33,13 @@ bool computeContext(const SlotView &Slots, const DeoptMeta &Meta,
       Ctx.Reason.ActualFn = V.closObj()->Fn;
   }
   Ctx.StackSize = static_cast<uint16_t>(Meta.StackSlots.size());
-  for (size_t K = 0; K < Meta.StackSlots.size(); ++K)
+  for (size_t K = 0; K < Meta.StackSlots.size(); ++K) {
     Ctx.StackTags[K] = Slots.tag(Meta.StackSlots[K]);
+    if (Ctx.StackTags[K] == Tag::Builtin) // builtins are always boxed
+      Ctx.StackBuiltins[K] = static_cast<uint16_t>(
+          1 + static_cast<unsigned>(
+                  Slots.S[Meta.StackSlots[K].Slot].builtinId()));
+  }
   Ctx.EnvSize = static_cast<uint16_t>(Meta.EnvSlots.size());
   for (size_t K = 0; K < Meta.EnvSlots.size(); ++K)
     Ctx.EnvEntries[K] = {Meta.EnvSlots[K].first,
@@ -46,18 +51,18 @@ bool computeContext(const SlotView &Slots, const DeoptMeta &Meta,
 /// guard failure becomes a true deopt.
 bool deoptlessCondition(ExecContext &C, const LowFunction &F,
                         const DeoptMeta &Meta, bool Injected) {
+  // A failed epoch check is a changed global assumption: a builtin the
+  // code folded was really rebound, so the code is permanently invalid
+  // and must actually deoptimize. The check is never injected.
+  if (Meta.RKind == DeoptReasonKind::BuiltinEpoch) {
+    ++C.Stats.DeoptlessSkipBuiltin;
+    return false;
+  }
   // No recursive deoptless: a guard failing inside a running continuation
   // fails in continuation code, whose inlined bodies are part of it
   // (callees are other code, and may still use deoptless).
   if (F.Conv == CallConv::Deoptless) {
     ++C.Stats.DeoptlessSkipRecursive;
-    return false;
-  }
-  // A real builtin redefinition is a changed global assumption: the code
-  // is permanently invalid and must actually deoptimize. Injected test
-  // failures leave the fact intact.
-  if (Meta.RKind == DeoptReasonKind::BuiltinGuard && !Injected) {
-    ++C.Stats.DeoptlessSkipBuiltin;
     return false;
   }
   return true;
@@ -87,8 +92,10 @@ FeedbackTable rjit::repairedContinuationFeedback(Function *Fn,
 EntryState rjit::continuationEntry(const DeoptContext &Ctx) {
   EntryState Entry;
   Entry.Pc = Ctx.Pc;
-  for (unsigned K = 0; K < Ctx.StackSize; ++K)
+  for (unsigned K = 0; K < Ctx.StackSize; ++K) {
     Entry.StackTypes.push_back(RType::of(Ctx.StackTags[K]));
+    Entry.StackBuiltins.push_back(Ctx.StackBuiltins[K]);
+  }
   for (unsigned K = 0; K < Ctx.EnvSize; ++K)
     Entry.EnvTypes.push_back(
         {Ctx.EnvEntries[K].first, RType::of(Ctx.EnvEntries[K].second)});

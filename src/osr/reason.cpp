@@ -26,13 +26,14 @@ bool DeoptContext::operator<=(const DeoptContext &O) const {
     if (Reason.ActualFn != O.Reason.ActualFn)
       return false;
     break;
-  case DeoptReasonKind::BuiltinGuard:
-    return false; // global redefinitions invalidate for good
+  case DeoptReasonKind::BuiltinEpoch:
+    return false; // never offered to deoptless (deoptlessCondition)
   case DeoptReasonKind::Injected:
     break; // the guarded fact still holds; any injected context matches
   }
   for (unsigned K = 0; K < StackSize; ++K)
-    if (!tagCompatible(StackTags[K], O.StackTags[K]))
+    if (!tagCompatible(StackTags[K], O.StackTags[K]) ||
+        StackBuiltins[K] != O.StackBuiltins[K])
       return false;
   for (unsigned K = 0; K < EnvSize; ++K) {
     if (EnvEntries[K].first != O.EnvEntries[K].first)
@@ -52,8 +53,10 @@ uint64_t DeoptContext::hash() const {
   H.mix(static_cast<uint64_t>(Reason.ActualTag));
   H.mix(reinterpret_cast<uintptr_t>(Reason.ActualFn));
   H.mix(StackSize);
-  for (unsigned K = 0; K < StackSize; ++K)
+  for (unsigned K = 0; K < StackSize; ++K) {
     H.mix(static_cast<uint64_t>(StackTags[K]));
+    H.mix(StackBuiltins[K]);
+  }
   H.mix(EnvSize);
   for (unsigned K = 0; K < EnvSize; ++K) {
     H.mix(EnvEntries[K].first);

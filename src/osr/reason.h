@@ -50,6 +50,10 @@ struct DeoptContext {
   uint16_t StackSize = 0;
   uint16_t EnvSize = 0;
   Tag StackTags[MaxCtxStack] = {};
+  /// BuiltinId + 1 of each Builtin-tagged stack value, 0 for the others:
+  /// a builtin callee waiting on the operand stack (the folded constant of
+  /// the failing code) stays a direct call in the continuation.
+  uint16_t StackBuiltins[MaxCtxStack] = {};
   std::pair<Symbol, Tag> EnvEntries[MaxCtxEnv] = {};
 
   /// Partial order: *this can invoke a continuation compiled for \p O.

@@ -280,6 +280,21 @@ const char *rjit::builtinName(BuiltinId Id) {
   return "?";
 }
 
+bool rjit::builtinNamed(Symbol S, BuiltinId &Id) {
+  static const std::vector<Symbol> Names = [] {
+    std::vector<Symbol> N;
+    for (const auto &E : Table)
+      N.push_back(symbol(E.Name));
+    return N;
+  }();
+  for (size_t K = 0; K < Names.size(); ++K)
+    if (Names[K] == S) {
+      Id = Table[K].Id;
+      return true;
+    }
+  return false;
+}
+
 void rjit::installBuiltins(Env &GlobalEnv) {
   for (const auto &E : Table)
     GlobalEnv.set(symbol(E.Name), Value::builtin(E.Id));

@@ -16,6 +16,7 @@
 #define RJIT_RUNTIME_BUILTINS_H
 
 #include "runtime/value.h"
+#include "support/interner.h"
 
 namespace rjit {
 
@@ -80,6 +81,11 @@ inline constexpr unsigned NumBuiltins =
 
 /// R-level name of a builtin.
 const char *builtinName(BuiltinId Id);
+
+/// The builtin installBuiltins binds under \p S, when there is one. The
+/// builtin watch (runtime/context.h) keeps one bit per builtin.
+bool builtinNamed(Symbol S, BuiltinId &Id);
+static_assert(NumBuiltins <= 64, "the builtin watch keeps a 64-bit mask");
 
 /// Invokes builtin \p Id on \p N arguments. Raises RError on arity or type
 /// errors.

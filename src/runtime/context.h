@@ -26,9 +26,11 @@
 
 #include "obs/metrics.h"
 #include "runtime/gcheap.h"
+#include "support/interner.h"
 #include "support/rng.h"
 #include "support/stats.h"
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -85,6 +87,27 @@ struct LowHooks {
   }
 };
 
+/// Builtin bindings as watched global assumptions (Ř's builtin
+/// watchpoint). Optimized code folds a global builtin's name to the
+/// builtin itself and guards nothing per call; instead, every overwrite of
+/// a global binding that holds a builtin bumps Epoch (Env's store path
+/// tests for it in O(1) and calls Rebind), which retires the code that
+/// folded builtins, and running activations of that code compare Epoch
+/// after each closure call and each of their own environment stores.
+struct BuiltinWatch {
+  /// Written by the executor only; read by its optimized code (natively
+  /// with a plain load) and by compiler threads when they publish.
+  std::atomic<uint64_t> Epoch{0};
+  /// Bit b is set while the global binding named builtinName(b) holds
+  /// builtin b. Executor-only; compile requests copy it
+  /// (OptOptions::IntactBuiltins), so compiler threads never read the
+  /// global environment.
+  uint64_t Intact = ~uint64_t(0);
+  /// The Vm's handler, called before a global binding holding a builtin
+  /// (or receiving one) is overwritten. Null without a Vm.
+  void (*Rebind)(Symbol S, const Value &Old, const Value &New) = nullptr;
+};
+
 /// Per-executor retire epochs for safepoint reclamation of retired code
 /// (FliT's deferred reclamation: free once no reader can hold the object).
 /// The Vm stamps each graveyard entry with the epoch of its retire; every
@@ -128,6 +151,7 @@ public:
 
   InterpHooks Interp;
   LowHooks Low;
+  BuiltinWatch Watch;
 
   /// This executor's counters and histograms: stats() and obs::metrics()
   /// on its thread. A Vm's start at zero because the Vm does.

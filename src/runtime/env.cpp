@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/env.h"
+#include "runtime/context.h"
 
 using namespace rjit;
 
@@ -57,25 +58,57 @@ const Value *Env::findLocal(Symbol S) const {
   return nullptr;
 }
 
+void Env::watch(Symbol S, const Value &Old, const Value &New) const {
+  // Only the global environment has no parent, and only a builtin leaving
+  // or entering a binding there concerns the watch.
+  if (!Parent && (Old.tag() == Tag::Builtin || New.tag() == Tag::Builtin))
+    if (auto *Rebind = currentContext().Watch.Rebind)
+      Rebind(S, Old, New);
+}
+
+void Env::overwrite(Symbol S, Value &Slot, Value V) {
+  watch(S, Slot, V);
+  Slot = std::move(V);
+}
+
 void Env::set(Symbol S, Value V) {
   if (Value *Slot = findLocal(S)) {
-    *Slot = std::move(V);
+    overwrite(S, *Slot, std::move(V));
     return;
   }
   Bindings.emplace_back(S, std::move(V));
 }
 
 void Env::setSuper(Symbol S, Value V) {
-  for (Env *E = Parent; E; E = E->Parent) {
+  if (Parent)
+    Parent->setNearest(S, std::move(V));
+  else
+    set(S, std::move(V));
+}
+
+void Env::setNearest(Symbol S, Value V) {
+  Env *E = this;
+  for (;; E = E->Parent) {
     if (Value *Slot = E->findLocal(S)) {
-      *Slot = std::move(V);
+      E->overwrite(S, *Slot, std::move(V));
       return;
     }
+    if (!E->Parent)
+      break;
   }
   // Unbound anywhere: define in the outermost environment, like R's
   // assignment into globalenv().
-  Env *Outer = this;
-  while (Outer->Parent)
-    Outer = Outer->Parent;
-  Outer->set(S, std::move(V));
+  E->set(S, std::move(V));
+}
+
+Value &Env::updateSlot(Symbol S) {
+  Value *Slot = findLocal(S);
+  if (!Slot) {
+    set(S, get(S));
+    return Bindings.back().second;
+  }
+  // The store moves the container out of the binding, and a builtin
+  // cannot be one: the store raises and leaves the binding NULL.
+  watch(S, *Slot, Value());
+  return *Slot;
 }

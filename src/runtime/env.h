@@ -48,6 +48,16 @@ public:
   /// outermost environment when unbound anywhere.
   void setSuper(Symbol S, Value V);
 
+  /// The search of <<- starting here instead of at the parent: assigns to
+  /// the nearest binding of \p S in this chain, or defines it in the
+  /// outermost environment.
+  void setNearest(Symbol S, Value V);
+
+  /// The local binding an element store (x[[i]] <- v) updates in place,
+  /// copied in from the parent chain first when \p S is not bound here
+  /// (R binds the updated container locally).
+  Value &updateSlot(Symbol S);
+
   /// True if \p S is bound locally.
   bool hasLocal(Symbol S) const { return findLocal(S) != nullptr; }
 
@@ -66,6 +76,12 @@ public:
   void gcClear() override;
 
 private:
+  /// The builtin watch's O(1) test (runtime/context.h) on a binding of
+  /// \p S about to change from \p Old to \p New.
+  void watch(Symbol S, const Value &Old, const Value &New) const;
+  /// Every store into an existing binding: watch, then store.
+  void overwrite(Symbol S, Value &Slot, Value V);
+
   Env *Parent; ///< retained
   std::vector<std::pair<Symbol, Value>> Bindings;
 };

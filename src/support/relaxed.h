@@ -45,6 +45,12 @@ public:
     V.fetch_add(1, std::memory_order_relaxed);
     return *this;
   }
+  /// The single-writer increment: a relaxed load and a relaxed store, no
+  /// locked read-modify-write. Only for counters one thread writes — a
+  /// Vm's executor on its per-guard and per-call paths (stats.def says
+  /// which); readers on other threads stay race-free because every access
+  /// is atomic, but a second writer would lose increments.
+  void bump() { store(load() + 1); }
   uint64_t operator++(int) { return V.fetch_add(1, std::memory_order_relaxed); }
   RelaxedCounter &operator--() {
     V.fetch_sub(1, std::memory_order_relaxed);

@@ -12,6 +12,9 @@ VmStats VmStats::operator-(const VmStats &O) const {
   VmStats R = *this;
 #define VM_COUNTER(Member, Name) R.Member = Member - O.Member;
 #include "support/stats.def"
+  for (size_t K = 0; K < MaxLowOps; ++K)
+    R.NativeHelperCallsByOp[K] =
+        NativeHelperCallsByOp[K] - O.NativeHelperCallsByOp[K];
   return R;
 }
 
@@ -21,5 +24,7 @@ VmStats &VmStats::operator+=(const VmStats &O) {
   Member.setLevel(O.Member.highWater());                                       \
   Member.setLevel(O.Member.value());
 #include "support/stats.def"
+  for (size_t K = 0; K < MaxLowOps; ++K)
+    NativeHelperCallsByOp[K] += O.NativeHelperCallsByOp[K];
   return *this;
 }

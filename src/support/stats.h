@@ -23,6 +23,7 @@
 
 #include "support/relaxed.h"
 
+#include <cstddef>
 #include <cstdint>
 
 namespace rjit {
@@ -34,6 +35,13 @@ struct VmStats {
 #define VM_COUNTER(Member, Name) RelaxedCounter Member;
 #define VM_GAUGE(Member, Name) RelaxedGauge Member;
 #include "support/stats.def"
+
+  /// NativeHelperCalls split by the LowOp the helper ran, indexed by the
+  /// op's value (lowcode.h checks the bound; printStats and the BENCH json
+  /// name the cells by mnemonic). Native code bumps the total and the
+  /// op's cell together, so the cells sum to the total.
+  static constexpr size_t MaxLowOps = 32;
+  RelaxedCounter NativeHelperCallsByOp[MaxLowOps];
 
   /// Difference of two snapshots: counters subtract; a gauge carries this
   /// (the later) snapshot's level and high-water, since a per-phase

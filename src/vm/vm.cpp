@@ -59,6 +59,8 @@ OptOptions Vm::optView() {
   O.VerifyEachPass = Cfg.VerifyBetweenPasses;
   O.Backend = ActiveBackend;
   O.Ctx = &Ctx;
+  O.IntactBuiltins = Ctx.Watch.Intact;
+  O.BuiltinEpoch = Ctx.Watch.Epoch.load(std::memory_order_relaxed);
   return O;
 }
 
@@ -127,16 +129,16 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
   ExecutableCode *Code = Ver ? Ver->code() : nullptr;
   if (!Code) {
     if (CtxDispatch && !Ctx.isGeneric() && TS.Versions.size() > 0)
-      ++S.CtxDispatchMisses;
+      S.CtxDispatchMisses.bump();
     return callClosureBaseline(Clos, std::move(Args));
   }
 
   ++Ver->Hits;
   if (CtxDispatch) {
     if (!Ver->Ctx.isGeneric())
-      ++S.CtxDispatchHits;
+      S.CtxDispatchHits.bump();
     else if (!Ctx.isGeneric())
-      ++S.CtxDispatchMisses;
+      S.CtxDispatchMisses.bump();
   }
 
   checkArity(Fn, Args.size());
@@ -153,9 +155,10 @@ Value vmDeoptHandler(const LowFunction &F, const SlotView &Slots,
   assert(V && "deopt without an active Vm");
   const DeoptMeta &Meta = F.Deopts[MetaIdx];
   const bool Deoptless = V->Cfg.Strategy == TierStrategy::Deoptless;
-  if (Deoptless && CurEnv) {
+  if (Deoptless && CurEnv && Meta.RKind != DeoptReasonKind::BuiltinEpoch) {
     // A leaked/materialized environment (CurEnv) is never handled
-    // deoptless (paper §4.3).
+    // deoptless (paper §4.3). A failed epoch check is refused, and
+    // counted, by deoptlessCondition whatever the frame.
     ++V->context().Stats.DeoptlessSkipEnv;
   } else if (Deoptless) {
     TierState &Owner = V->stateFor(continuationOwner(F, Meta));
@@ -182,6 +185,38 @@ Value vmDeoptHandler(const LowFunction &F, const SlotView &Slots,
   if (!(Deoptless && Injected))
     V->retireDeopted(F);
   return deoptToBaseline(F, Slots, Meta, CurEnv, ParentEnv);
+}
+
+/// The builtin watch's handler (runtime/context.h), the one function every
+/// store that changes a global binding holding a builtin — or giving one a
+/// builtin — reaches before it lands: top-level assignment, <<-, and the
+/// environment stores and element stores of every tier. Only a builtin's
+/// own name can have been folded (opt/translate), so only those bindings
+/// matter: when one stops holding its builtin, the epoch moves, the code
+/// that folded builtins retires, and running activations of it fail their
+/// next epoch check.
+void vmBuiltinRebind(Symbol S, const Value &Old, const Value &New) {
+  Vm *V = Vm::current();
+  assert(V && "builtin rebinding without an active Vm");
+  BuiltinId Id;
+  if (!builtinNamed(S, Id))
+    return;
+  auto Holds = [Id](const Value &X) {
+    return X.tag() == Tag::Builtin && X.builtinId() == Id;
+  };
+  BuiltinWatch &W = V->Ctx.Watch;
+  const uint64_t Bit = uint64_t(1) << static_cast<unsigned>(Id);
+  W.Intact = Holds(New) ? W.Intact | Bit : W.Intact & ~Bit;
+  if (!Holds(Old) || Holds(New))
+    return;
+  // The bump precedes the retire scan, whose table locks order it before
+  // any publication that could still carry the old epoch (CodeTable).
+  uint64_t Epoch = W.Epoch.load(std::memory_order_relaxed) + 1;
+  W.Epoch.store(Epoch, std::memory_order_relaxed);
+  ++V->Ctx.Stats.BuiltinRebinds;
+  if (obs::traceOn())
+    obs::traceEvent(obs::TraceEv::BuiltinRebind, 0, S, Epoch);
+  V->retireBuiltinFolds();
 }
 
 /// OSR-in at a hot backedge (paper §4.2): request the continuation for
@@ -217,6 +252,7 @@ Vm::Vm(Config C) : Cfg(C), Ctx(this), Installed(Ctx) {
   Global = new Env(nullptr);
   Global->retain();
   installBuiltins(*Global);
+  Ctx.Watch.Rebind = vmBuiltinRebind;
 
   // Resolve the execution backend: the native tier when requested *and*
   // constructible on this host (runtime architecture detection — non-x86-64
@@ -373,6 +409,20 @@ void Vm::retireOsrCode(const LowFunction &Code) {
   std::lock_guard G(Osr);
   if (CodeEntry<OsrKey> *E = Osr.owner(&Code))
     toGraveyard(E->retire());
+}
+
+void Vm::retireBuiltinFolds() {
+  auto Retire = [this](auto &Table) {
+    std::lock_guard G(Table);
+    for (auto *E : Table.entries())
+      if (ExecutableCode *X = E->code(); X && X->low().FoldsBuiltins)
+        toGraveyard(E->retire());
+  };
+  for (auto &[Fn, TS] : States) {
+    Retire(TS->Versions);
+    Retire(TS->Continuations);
+    Retire(TS->Osr);
+  }
 }
 
 void Vm::retireDeopted(const LowFunction &Code) {

@@ -297,6 +297,7 @@ private:
   friend Value vmDispatchCall(ClosObj *, std::vector<Value> &&);
   friend Value vmDeoptHandler(const LowFunction &, const SlotView &,
                               int32_t, Env *, Env *, bool);
+  friend void vmBuiltinRebind(Symbol, const Value &, const Value &);
 
   Config Cfg;
   /// Installed on the building thread for the Vm's lifetime: every later
@@ -355,6 +356,10 @@ private:
   /// next hot backedge recompiles into the same entry from fresh feedback
   /// instead of re-entering the stale code.
   void retireOsrCode(const LowFunction &Code);
+
+  /// Retires, from every code table, the live code that folded global
+  /// builtins: a builtin's binding changed (vmBuiltinRebind).
+  void retireBuiltinFolds();
 
   /// Moves retired code to the graveyard, stamping the current retire
   /// epoch, and re-syncs the gauge.

@@ -633,7 +633,8 @@ void forEachOpCase(const OpCase &Case) {
   // Every op the stepper runs is covered above.
   for (size_t Op = 0; Op < NumLowOps; ++Op) {
     LowOp O = static_cast<LowOp>(Op);
-    if (!isBranch(O) && O != LowOp::GuardCond && O != LowOp::RetLow) {
+    if (!isBranch(O) && O != LowOp::GuardCond && O != LowOp::EpochCheck &&
+        O != LowOp::RetLow) {
       EXPECT_TRUE(Seen[Op]) << lowOpName(O) << " has no case";
     }
   }
@@ -760,7 +761,7 @@ void expectWellFormed(const LowFunction &F) {
     if (isBranch(I.Op)) {
       EXPECT_TRUE(I.Imm >= 0 && I.Imm < N) << "pc " << Pc << ": target";
     }
-    if (I.Op == LowOp::GuardCond) {
+    if (I.Op == LowOp::GuardCond || I.Op == LowOp::EpochCheck) {
       EXPECT_TRUE(I.Imm >= 0 && static_cast<size_t>(I.Imm) < F.Deopts.size())
           << "pc " << Pc << ": deopt index";
     }

@@ -535,8 +535,13 @@ RunResult runCode(ExecBackend &B, const LowFunction &F,
   } catch (const RError &E) {
     R.Shown = std::string("error: ") + E.what();
   }
-  R.HelperCalls = stats().NativeHelperCalls - Start.NativeHelperCalls;
-  R.CowCopies = stats().CowCopies - Start.CowCopies;
+  VmStats D = stats() - Start;
+  R.HelperCalls = D.NativeHelperCalls;
+  R.CowCopies = D.CowCopies;
+  uint64_t ByOp = 0;
+  for (const RelaxedCounter &Cell : D.NativeHelperCallsByOp)
+    ByOp += Cell;
+  EXPECT_EQ(ByOp, R.HelperCalls) << "the per-op cells sum to the total";
   return R;
 }
 
@@ -801,6 +806,36 @@ TEST(NativeBoxed, BoxingLoopMakesNoHelperCallsPerIteration) {
     uint64_t H2 = stats().NativeHelperCalls;
     EXPECT_EQ(H2 - H1, H1 - H0) << "helper calls must not grow with n";
   }
+}
+
+TEST(NativeHelperCalls, PerOpCellsSumToTheTotal) {
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native backend on this host";
+  // The global closure g is loaded (ldenv) and called (call) through the
+  // step helper on every iteration; the folded builtin is not loaded.
+  Vm V(cfg(TierStrategy::Normal, true));
+  V.eval(R"(
+    g <- function(x) x + 1L
+    f <- function(n) {
+      s <- 0L
+      for (i in 1:n) s <- s + g(i) + abs(i)
+      s
+    }
+  )");
+  VmStats Start = stats();
+  for (int K = 0; K < 6; ++K)
+    ASSERT_EQ(V.eval("f(50L)").toInt(), 2600);
+  VmStats D = stats() - Start;
+  uint64_t ByOp = 0;
+  for (const RelaxedCounter &Cell : D.NativeHelperCallsByOp)
+    ByOp += Cell;
+  EXPECT_GT(D.NativeHelperCalls, 0u);
+  EXPECT_EQ(ByOp, D.NativeHelperCalls);
+  auto Cell = [&](LowOp Op) {
+    return D.NativeHelperCallsByOp[static_cast<uint8_t>(Op)].load();
+  };
+  EXPECT_GE(Cell(LowOp::LdEnv), 4u * 50u) << "g's load, per iteration";
+  EXPECT_GE(Cell(LowOp::CallValLow), 4u * 50u) << "g's call";
 }
 
 TEST(NativeBoxed, IntModAndDivTakeFastPathAndStub) {

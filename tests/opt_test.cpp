@@ -139,6 +139,19 @@ TEST_F(OptFixture, MonomorphicBuiltinCallSpecialized) {
   ASSERT_TRUE(C);
   EXPECT_GT(countOps(*C, IrOp::CallBuiltinKnown), 0) << print(*C);
   EXPECT_EQ(countOps(*C, IrOp::CallVal), 0);
+  // The global builtin folded: no load, no guard (the watch's epoch
+  // stands in for both).
+  EXPECT_EQ(countOps(*C, IrOp::LdVarEnv), 0);
+  EXPECT_TRUE(C->FoldsBuiltins);
+  // A requester whose executor saw length's binding overwritten
+  // (OptOptions::IntactBuiltins) gets the generic call.
+  OptOptions Rebound;
+  Rebound.IntactBuiltins = 0;
+  auto G = optimizeToIr(F, CallConv::FullElided, EntryState(), Rebound);
+  ASSERT_TRUE(G);
+  EXPECT_EQ(countOps(*G, IrOp::CallBuiltinKnown), 0) << print(*G);
+  EXPECT_EQ(countOps(*G, IrOp::CallVal), 1);
+  EXPECT_FALSE(G->FoldsBuiltins);
 }
 
 TEST_F(OptFixture, MonomorphicClosureCallSpecialized) {

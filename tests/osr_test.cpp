@@ -1,6 +1,9 @@
 //===-- tests/osr_test.cpp - OSR machinery unit tests ----------------------===//
 
+#include "lowcode/exec.h"
+#include "osr/deoptless.h"
 #include "osr/reason.h"
+#include "runtime/context.h"
 
 #include <gtest/gtest.h>
 
@@ -114,11 +117,29 @@ TEST(DeoptContext, CallTargetComparesIdentity) {
   EXPECT_TRUE(A <= B);
 }
 
-TEST(DeoptContext, BuiltinGuardNeverReusable) {
-  // Global redefinitions invalidate permanently (§4.3).
-  DeoptContext A =
-      ctx(5, DeoptReasonKind::BuiltinGuard, Tag::Builtin, {}, {});
-  EXPECT_FALSE(A <= A);
+TEST(DeoptlessCondition, FailedEpochCheckNeverReachesTheTable) {
+  // A failed epoch check means a builtin the code folded was really
+  // rebound: the code is invalid for good (§4.3), so deoptless refuses
+  // before it computes a context, and counts the refusal as
+  // deoptless_skip_builtin — inside a running continuation too, where any
+  // other failure counts as recursive.
+  ExecContext C;
+  ContextScope Installed(C);
+  LowFunction F;
+  F.Conv = CallConv::FullElided;
+  DeoptMeta M;
+  M.RKind = DeoptReasonKind::BuiltinEpoch;
+  M.BcPc = 3;
+  CodeTable<DeoptContext> Table(5);
+  Value Result;
+  SlotView Slots{nullptr, nullptr, nullptr};
+  EXPECT_FALSE(tryDeoptless(F, Slots, M, nullptr, false, Table, {}, Result));
+  F.Conv = CallConv::Deoptless;
+  EXPECT_FALSE(tryDeoptless(F, Slots, M, nullptr, false, Table, {}, Result));
+  EXPECT_EQ(C.Stats.DeoptlessSkipBuiltin, 2u);
+  EXPECT_EQ(C.Stats.DeoptlessSkipRecursive, 0u);
+  EXPECT_EQ(C.Stats.DeoptlessAttempts, 0u);
+  EXPECT_EQ(Table.size(), 0u);
 }
 
 TEST(DeoptContext, InjectedMatchesAnyReasonDetail) {

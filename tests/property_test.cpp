@@ -339,6 +339,25 @@ public:
     for (const char *Arg : {"vr", "vr", "vr", "numeric(0)", "vc", "vc",
                             "complex(0)", "vr", "vi", "numeric(0)"})
       Lines.push_back(std::string("kI(") + Arg + ")");
+    // kU: a loop whose optimized code folds the global builtins length
+    // and abs (no load, no guard) while it calls kV, which rebinds abs
+    // through <<- when i reaches t: the epoch check after that call fails
+    // mid-loop. Between drivers the top level rebinds abs, then restores
+    // the saved builtin. Drawn after every other shape, so their draws
+    // are unchanged.
+    P.Setup += std::string("kV <- function(i, t) {\n"
+                           "  if (i == t) abs <<- function(x) x ") +
+               addSub() + " " + intLit() +
+               "\n  i\n}\n"
+               "kU <- function(v, t) {\n  s <- 0L\n"
+               "  for (i in 1:length(v)) {\n    kV(i, t)\n    s <- s " +
+               addSub() + " abs(v[[i]])\n  }\n  s\n}\n"
+               "saved_abs <- abs\n";
+    for (const char *Line :
+         {"kU(vi, 0L)", "kU(vi, 0L)", "kU(vi, 0L)", "kU(vi, 2L)",
+          "kU(vi, 0L)", "abs <- function(x) x * 2L", "kU(vi, 0L)",
+          "abs <- saved_abs", "kU(vi, 0L)", "kU(vi, 0L)"})
+      Lines.push_back(Line);
     P.Drivers = Lines;
     P.Drivers.insert(P.Drivers.end(), Lines.begin(), Lines.end());
     return P;
@@ -797,15 +816,16 @@ namespace {
 
 /// Runs after every test (gtest environments tear down last, and
 /// value-parameterized suites are registered after plain TESTs, so a
-/// plain TEST cannot see the shards' accumulated counters): when the full
-/// fuzz volume ran, the sweep must have exercised the paths speculative
-/// inlining introduces — multi-frame OSR-out, deoptless continuations
-/// keyed on inlined frames — plus the reopt and context-dispatch axes.
+/// plain TEST cannot see the shards' accumulated counters): when at least
+/// one whole shard ran — ctest runs each shard as an entry of its own —
+/// the sweep must have exercised the paths speculative inlining
+/// introduces — multi-frame OSR-out, deoptless continuations keyed on
+/// inlined frames — plus the reopt and context-dispatch axes.
 class FuzzCoverageCheck : public ::testing::Environment {
 public:
   void TearDown() override {
-    if (fuzzCoverage().Programs < TotalFuzzPrograms)
-      return; // filtered run: coverage is only meaningful for the sweep
+    if (fuzzCoverage().Programs < ProgramsPerShard)
+      return; // no whole shard ran: too few programs to judge coverage
     const VmStats &C = fuzzCoverage().Sum;
     EXPECT_GT(C.InlinedCalls, 0u) << "no program inlined anything";
     EXPECT_GT(C.MultiFrameDeopts, 0u)
@@ -833,6 +853,12 @@ public:
     EXPECT_GT(C.PeeledLoops, 0u)
         << "no loop was peeled — the kI corpus shape must warm an "
            "int-initialized accumulator on doubles";
+    EXPECT_GT(C.BuiltinRebinds, 0u)
+        << "no builtin binding was overwritten — the kU corpus shape "
+           "must rebind abs";
+    EXPECT_GT(C.DeoptlessSkipBuiltin, 0u)
+        << "no epoch check failed under Deoptless — kU's mid-loop <<- "
+           "must fail one in its folding caller";
     if (nativeBackendSupported()) {
       EXPECT_GT(C.NativeCompiles, 0u)
           << "the NativeTier axis never produced template-JIT code";

@@ -865,19 +865,196 @@ TEST(VmDeoptlessCause, MaterializedEnvironmentSkipsDeoptless) {
 }
 
 TEST(VmDeoptlessCause, BuiltinRedefinitionSkipsDeoptless) {
-  // A really redefined builtin invalidates the code for good.
+  // A builtin redefined while code that folded it is running invalidates
+  // that code for good: the activation's epoch check after the callee
+  // that rebound it fails, and deoptless refuses.
   Vm V(cfg(TierStrategy::Deoptless));
-  V.eval("len1 <- function(v) length(v) + 1L");
+  V.eval(R"(
+    redefine <- function(on) { if (on) length <<- function(v) 10L; 0L }
+    len1 <- function(v, on) redefine(on) + length(v) + 1L
+  )");
   for (int K = 0; K < 10; ++K)
-    ASSERT_EQ(V.eval("len1(1:4)").toInt(), 5);
+    ASSERT_EQ(V.eval("len1(1:4, FALSE)").toInt(), 5);
   VmStats Start = stats();
-  V.eval("length <- function(v) 10L");
-  EXPECT_EQ(V.eval("len1(1:4)").toInt(), 11);
+  EXPECT_EQ(V.eval("len1(1:4, TRUE)").toInt(), 11);
   VmStats D = stats() - Start;
-  EXPECT_GT(D.DeoptlessSkipBuiltin, 0u);
-  EXPECT_GT(D.Deopts, 0u);
+  EXPECT_EQ(D.BuiltinRebinds, 1u);
+  EXPECT_EQ(D.DeoptlessSkipBuiltin, 1u);
+  EXPECT_EQ(D.Deopts, 1u);
   EXPECT_EQ(D.DeoptlessAttempts, 0u);
   expectDeoptCausesAddUp();
+}
+
+//===----------------------------------------------------------------------===//
+// Builtin bindings as watched global assumptions: optimized code folds a
+// global builtin, an overwrite of its binding retires that code, and a
+// running activation fails its next epoch check.
+
+namespace {
+
+/// Runs \p Body once per strategy (Normal, Deoptless) and backend.
+template <typename Fn> void forStrategiesAndBackends(Fn Body) {
+  for (TierStrategy S : {TierStrategy::Normal, TierStrategy::Deoptless})
+    for (bool Native : {false, true}) {
+      SCOPED_TRACE(std::string(S == TierStrategy::Normal ? "Normal"
+                                                         : "Deoptless") +
+                   (Native ? " native" : " interpreter"));
+      Vm::Config C = cfg(S);
+      C.NativeTier = Native;
+      Body(C);
+    }
+}
+
+/// The values \p Exprs evaluate to after \p Setup, under BaselineOnly.
+std::vector<std::string> baselineValues(const std::string &Setup,
+                                        const std::vector<std::string> &Exprs) {
+  Vm V(cfg(TierStrategy::BaselineOnly));
+  V.eval(Setup);
+  std::vector<std::string> R;
+  for (const std::string &E : Exprs)
+    R.push_back(V.eval(E).show());
+  return R;
+}
+
+} // namespace
+
+TEST(VmBuiltinWatch, FoldedCodeCarriesNoBuiltinLoadOrGuard) {
+  Vm V(cfg(TierStrategy::Normal));
+  V.eval("len1 <- function(v) length(v) + abs(-1L)");
+  for (int K = 0; K < 4; ++K)
+    ASSERT_EQ(V.eval("len1(1:4)").toInt(), 5);
+  Function *Fn = V.eval("len1").closObj()->Fn;
+  FnVersion *Ver = V.stateFor(Fn).Versions.mostGenericLive();
+  ASSERT_TRUE(Ver);
+  const LowFunction &L = Ver->code()->low();
+  EXPECT_TRUE(L.FoldsBuiltins);
+  for (const LowInstr &I : L.Code) {
+    EXPECT_NE(I.Op, LowOp::LdEnv) << printLow(L);
+    EXPECT_NE(I.Op, LowOp::CallValLow) << printLow(L);
+    if (I.Op == LowOp::GuardCond) {
+      EXPECT_EQ(I.C, 0) << "only the parameter's type guard\n" << printLow(L);
+    }
+  }
+}
+
+TEST(VmBuiltinWatch, TopLevelRebindingRetiresWithoutDeopt) {
+  const std::string Setup = "len1 <- function(v) length(v) + 1L";
+  const std::vector<std::string> Exprs = {
+      "len1(1:4)", "saved <- length", "length <- function(v) 10L",
+      "len1(1:4)", "len1(1:4)", "length <- saved", "len1(1:4)"};
+  std::vector<std::string> Want = baselineValues(Setup, Exprs);
+  forStrategiesAndBackends([&](const Vm::Config &C) {
+    Vm V(C);
+    V.eval(Setup);
+    for (int K = 0; K < 5; ++K)
+      ASSERT_EQ(V.eval("len1(1:4)").toInt(), 5);
+    Function *Fn = V.eval("len1").closObj()->Fn;
+    ASSERT_TRUE(V.stateFor(Fn).Versions.mostGenericLive());
+    VmStats Start = stats();
+    for (size_t K = 0; K < Exprs.size(); ++K)
+      EXPECT_EQ(V.eval(Exprs[K]).show(), Want[K]) << Exprs[K];
+    VmStats D = stats() - Start;
+    // One overwrite of length's own binding; restoring it bumps nothing.
+    EXPECT_EQ(D.BuiltinRebinds, 1u);
+    EXPECT_EQ(D.Deopts, 0u);
+    EXPECT_EQ(D.AssumeFailures, 0u);
+    EXPECT_EQ(D.DeoptlessSkipBuiltin, 0u);
+    // The folded version retired and recompiled generic; the restore
+    // changes no dependent, so the generic code stays.
+    EXPECT_EQ(D.Compilations, 1u);
+    FnVersion *Ver = V.stateFor(Fn).Versions.mostGenericLive();
+    ASSERT_TRUE(Ver);
+    EXPECT_FALSE(Ver->code()->low().FoldsBuiltins);
+  });
+}
+
+TEST(VmBuiltinWatch, SuperAssignMidLoopFailsTheEpochCheckOnce) {
+  const std::string Setup = R"(
+    trig <- 0L
+    rebind <- function(i) { if (i == trig) length <<- function(v) 100L; i }
+    f <- function(n) {
+      s <- 0L
+      for (i in 1:n) { rebind(i); s <- s + length(i) }
+      s
+    }
+  )";
+  std::vector<std::string> Want =
+      baselineValues(Setup, {"f(20L)", "f(20L)", "trig <- 7L", "f(20L)",
+                             "f(20L)"});
+  forStrategiesAndBackends([&](const Vm::Config &C) {
+    Vm V(C);
+    V.eval(Setup);
+    EXPECT_EQ(V.eval("f(20L)").show(), Want[0]);
+    EXPECT_EQ(V.eval("f(20L)").show(), Want[1]);
+    for (int K = 0; K < 4; ++K)
+      ASSERT_EQ(V.eval("f(20L)").show(), Want[1]);
+    V.eval("trig <- 7L");
+    VmStats Start = stats();
+    EXPECT_EQ(V.eval("f(20L)").show(), Want[3]);
+    VmStats D = stats() - Start;
+    EXPECT_EQ(D.BuiltinRebinds, 1u);
+    EXPECT_EQ(D.Deopts, 1u);
+    EXPECT_EQ(D.DeoptlessSkipBuiltin,
+              C.Strategy == TierStrategy::Deoptless ? 1u : 0u);
+    EXPECT_EQ(D.InjectedFailures, 0u);
+    if (C.Strategy == TierStrategy::Deoptless)
+      expectDeoptCausesAddUp();
+    EXPECT_EQ(V.eval("f(20L)").show(), Want[4]);
+  });
+}
+
+TEST(VmBuiltinWatch, CompileRequestedBeforeRebindingIsNeverEntered) {
+  forStrategiesAndBackends([](Vm::Config C) {
+    C.BackgroundCompile = true;
+    C.CompilerThreads = 0;
+    Vm V(C);
+    V.eval("len1 <- function(v) length(v) + 1L");
+    for (int K = 0; K < 3; ++K)
+      ASSERT_EQ(V.eval("len1(1:4)").toInt(), 5);
+    Function *Fn = V.eval("len1").closObj()->Fn;
+    EXPECT_FALSE(V.stateFor(Fn).Versions.mostGenericLive());
+    V.eval("length <- function(v) 10L");
+    VmStats Start = stats();
+    V.drainCompiles(); // the job compiled under the old epoch
+    VmStats D = stats() - Start;
+    EXPECT_EQ(D.AsyncCompiles, 1u);
+    EXPECT_EQ(D.Compilations, 0u) << "the stale publication is discarded";
+    EXPECT_FALSE(V.stateFor(Fn).Versions.mostGenericLive());
+    EXPECT_EQ(V.eval("len1(1:4)").toInt(), 11);
+    V.drainCompiles();
+    FnVersion *Ver = V.stateFor(Fn).Versions.mostGenericLive();
+    ASSERT_TRUE(Ver);
+    EXPECT_FALSE(Ver->code()->low().FoldsBuiltins);
+    EXPECT_EQ(V.eval("len1(1:4)").toInt(), 11);
+    EXPECT_EQ(stats().Deopts, 0u);
+  });
+}
+
+TEST(VmBuiltinWatch, OsrInCodeOfATopLevelLoopThatRebindsABuiltin) {
+  // The top level assigns length, so only abs folds; the loop's own store
+  // of length fails the OSR-in code's epoch check.
+  const std::string Loop = R"(
+    s <- 0L
+    for (i in 1:1000) {
+      if (i == 600L) length <- function(v) 2L
+      s <- s + abs(-1L) + length(i)
+    }
+    s
+  )";
+  std::vector<std::string> Want = baselineValues("", {Loop});
+  forStrategiesAndBackends([&](const Vm::Config &C) {
+    Vm V(C);
+    VmStats Start = stats();
+    EXPECT_EQ(V.eval(Loop).show(), Want[0]);
+    VmStats D = stats() - Start;
+    EXPECT_GE(D.OsrInEntries, 1u);
+    EXPECT_EQ(D.BuiltinRebinds, 1u);
+    EXPECT_EQ(D.Deopts, 1u);
+    EXPECT_EQ(D.DeoptlessSkipBuiltin,
+              C.Strategy == TierStrategy::Deoptless ? 1u : 0u);
+    if (C.Strategy == TierStrategy::Deoptless)
+      expectDeoptCausesAddUp();
+  });
 }
 
 //===----------------------------------------------------------------------===//

@@ -77,7 +77,7 @@ struct ServerConfig {
   /// Turning this on makes the run nondeterministic in *timing* only.
   unsigned ChaosIntervalUs = 0;
 
-  /// Base Vm configuration (Strategy, NativeTier, ReclaimAtSafepoints, ...).
+  /// Base Vm configuration (Strategy, NativeTier, HeapGc, ...).
   /// The harness forces BackgroundCompile on and points every client at
   /// the shared pool; everything else is taken as given.
   Vm::Config Base;

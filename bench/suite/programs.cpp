@@ -627,6 +627,23 @@ shared_caller_real <- function(n) shared_helper(as.numeric(1:n))
 
 } // namespace
 
+const char *const rjit::suite::NativeColsumSetup = R"(
+get <- function(v, k) v[[k]]
+colsum <- function(m, w, nr, nc, f) {
+  s <- 0
+  q <- 0
+  for (j in 1:nc) {
+    for (i in 1:nr) {
+      x <- f(m, (j - 1L) * nr + i)
+      y <- w[[i]]
+      s <- s + x * y
+      q <- q + x - y
+    }
+  }
+  s + q
+}
+)";
+
 const Program *rjit::suite::mainSuite(size_t &Count) {
   Count = sizeof(MainSuite) / sizeof(MainSuite[0]);
   return MainSuite;

@@ -42,6 +42,11 @@ const Program *byName(const std::string &Name);
 /// (Figs. 8/9), "microbenchmark", "rsa", "shared" (Fig. 11).
 const Program *extras(size_t &Count);
 
+/// fig_native's kernel: defines the accessor get and
+/// colsum(m, w, nr, nc, f), fig_licm's hoisted-clean column sum widened to
+/// two accumulator chains. native_test pins its register allocation.
+extern const char *const NativeColsumSetup;
+
 } // namespace rjit::suite
 
 #endif // RJIT_BENCH_SUITE_PROGRAMS_H

@@ -42,8 +42,6 @@ const char *rjit::opcodeName(Opcode Op) {
     return "idx1";
   case Opcode::SetIdx2:
     return "setidx2";
-  case Opcode::SetIdx1:
-    return "setidx1";
   case Opcode::Branch:
     return "br";
   case Opcode::BranchFalse:
@@ -71,7 +69,6 @@ std::string rjit::disassemble(const Code &C) {
       S += " " + symbolName(static_cast<Symbol>(I.A));
       break;
     case Opcode::SetIdx2:
-    case Opcode::SetIdx1:
       S += " " + symbolName(static_cast<Symbol>(I.A));
       break;
     case Opcode::BinBc:

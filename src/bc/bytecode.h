@@ -45,7 +45,6 @@ enum class Opcode : uint8_t {
   Extract2,    ///< B: container type feedback; [x i] -> [v]       [-1]
   Extract1,    ///< B: container type feedback; [x i] -> [v]       [-1]
   SetIdx2,     ///< A: symbol, B: feedback; [i v] -> [v]           [-1]
-  SetIdx1,     ///< A: symbol, B: feedback; [i v] -> [v]           [-1]
   Branch,      ///< A: target pc; B: branch feedback (backedges)   [ 0]
   BranchFalse, ///< A: target pc; pops condition                   [-1]
   ForStep,     ///< A: loop var symbol, B: exit pc; see below      [ 0]

@@ -68,7 +68,6 @@ private:
     case Opcode::Extract2:
     case Opcode::Extract1:
     case Opcode::SetIdx2:
-    case Opcode::SetIdx1:
     case Opcode::BranchFalse:
     case Opcode::Return:
       --Depth;
@@ -303,7 +302,7 @@ private:
            static_cast<int32_t>(S));
       return true;
     }
-    // Indexed assignment x[[i]] <- v / x[i] <- v.
+    // Indexed assignment x[[i]] <- v / x[i] <- v: both store one element.
     auto &I = static_cast<const IndexNode &>(*A.Target);
     assert(I.Obj->kind() == NodeKind::Var && "parser enforces var base");
     Symbol S = static_cast<const VarNode &>(*I.Obj).Name;
@@ -311,8 +310,8 @@ private:
       return fail(A, "superassignment to an indexed target is unsupported");
     if (!expr(*I.Idx, true) || !expr(*A.Val, true))
       return false;
-    emit(I.Sub == 2 ? Opcode::SetIdx2 : Opcode::SetIdx1,
-         static_cast<int32_t>(S), CurFn->Feedback.newTypeSlot());
+    emit(Opcode::SetIdx2, static_cast<int32_t>(S),
+         CurFn->Feedback.newTypeSlot());
     if (!ValueNeeded)
       emit(Opcode::Pop);
     return true;

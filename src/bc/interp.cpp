@@ -178,8 +178,7 @@ Value run(Function *Fn, Env *E, std::vector<Value> &&Stack, int32_t Pc) {
       break;
     }
 
-    case Opcode::SetIdx2:
-    case Opcode::SetIdx1: {
+    case Opcode::SetIdx2: {
       Value V = Pop();
       Value Idx = Pop();
       Symbol Sym = static_cast<Symbol>(I.A);
@@ -187,8 +186,7 @@ Value run(Function *Fn, Env *E, std::vector<Value> &&Stack, int32_t Pc) {
       // updated container is always bound locally.
       Value &Slot = E->updateSlot(Sym);
       FB.Types[I.B].record(Slot.tag());
-      // Move out of the slot so an unshared container mutates in place.
-      Slot = assign2(std::move(Slot), Idx.toInt(), V);
+      assign2(Slot, Idx.toInt(), V);
       S.push_back(std::move(V));
       ++Pc;
       break;

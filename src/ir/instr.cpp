@@ -66,8 +66,6 @@ const char *rjit::irOpName(IrOp Op) {
     return "idx2.t";
   case IrOp::SetIdx2Env:
     return "setidx2";
-  case IrOp::SetIdx1Env:
-    return "setidx1";
   case IrOp::SetElem2Gen:
     return "setelem2";
   case IrOp::SetElem2Typed:
@@ -103,7 +101,6 @@ bool rjit::hasSideEffects(IrOp Op) {
   case IrOp::StVarEnv:
   case IrOp::StVarSuperEnv:
   case IrOp::SetIdx2Env:
-  case IrOp::SetIdx1Env:
   case IrOp::CallVal:
   case IrOp::CallBuiltinKnown:
   case IrOp::CallStatic:

@@ -82,7 +82,6 @@ enum class IrOp : uint8_t {
   Extract1Gen,   ///< Ops = [obj, idx]
   Extract2Typed, ///< Knd element kind; Ops = [obj, idx(int scalar)]
   SetIdx2Env,    ///< Sym; Ops = [idx, val]; env-resident container
-  SetIdx1Env,    ///< Sym; Ops = [idx, val]
   SetElem2Gen,   ///< Ops = [obj, idx, val]; yields the updated container
   SetElem2Typed, ///< Knd; Ops = [obj, idx, val]; typed updated container
   LengthIr,      ///< Ops = [v]; integer length

@@ -26,7 +26,6 @@ void printInstr(const Instr &I, std::string &S) {
   case IrOp::StVarEnv:
   case IrOp::StVarSuperEnv:
   case IrOp::SetIdx2Env:
-  case IrOp::SetIdx1Env:
     S += " " + symbolName(I.Sym);
     break;
   case IrOp::BinGen:

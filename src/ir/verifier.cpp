@@ -45,7 +45,6 @@ size_t expectedArity(const Instr &I) {
   case IrOp::Extract1Gen:
   case IrOp::Extract2Typed:
   case IrOp::SetIdx2Env:
-  case IrOp::SetIdx1Env:
   case IrOp::AssumeIr:
     return 2;
   case IrOp::SetElem2Gen:

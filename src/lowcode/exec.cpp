@@ -14,25 +14,14 @@
 
 using namespace rjit;
 
-// Threaded (computed-goto) dispatch on GNU-compatible compilers; plain
-// switch dispatch otherwise. Define RJIT_NO_CGOTO to force the fallback.
-#if defined(__GNUC__) && !defined(RJIT_NO_CGOTO)
-#define RJIT_CGOTO 1
-#else
-#define RJIT_CGOTO 0
-#endif
-
-#if RJIT_CGOTO
+// Threaded dispatch: each handler ends in a computed goto (a GNU extension,
+// which every compiler that builds this tree supports).
 #define VMCASE(op) L_##op:
 #define VMSTEP()                                                             \
   do {                                                                       \
     IP = &F.Code[Pc];                                                        \
     goto *Table[static_cast<uint8_t>(IP->Op)];                               \
   } while (0)
-#else
-#define VMCASE(op) case LowOp::op:
-#define VMSTEP() break
-#endif
 
 namespace {
 
@@ -293,7 +282,8 @@ LOW_BODY(Extract2Typed) {
 
 LOW_BODY(SetElem2Low) {
   Value Obj = stealsContainer(I) ? std::move(S[I.A]) : S[I.A];
-  S[I.Dst] = assign2(std::move(Obj), S[I.B].toInt(), S[I.Imm]);
+  assign2(Obj, S[I.B].toInt(), S[I.Imm]);
+  S[I.Dst] = std::move(Obj);
 }
 
 LOW_BODY(SetElem2Typed) {
@@ -340,8 +330,8 @@ LOW_BODY(SetElem2Typed) {
 
 LOW_BODY(SetIdx2EnvLow) {
   assert(CurEnv && "env-indexed store requires an environment");
-  Value &Slot = CurEnv->updateSlot(static_cast<Symbol>(I.Imm2));
-  Slot = assign2(std::move(Slot), S[I.A].toInt(), S[I.B]);
+  assign2(CurEnv->updateSlot(static_cast<Symbol>(I.Imm2)), S[I.A].toInt(),
+          S[I.B]);
   S[I.Dst] = S[I.B];
 }
 
@@ -385,7 +375,6 @@ Value rjit::runLow(const LowFunction &F, std::vector<Value> &&Args,
   Env *ReadEnv = CurEnv ? CurEnv : ParentEnv;
   int32_t Pc = 0;
 
-#if RJIT_CGOTO
   static const void *Table[] = {
 #define LOW_OP(Name, ...) &&L_##Name,
 #include "lowcode/ops.def"
@@ -395,91 +384,73 @@ Value rjit::runLow(const LowFunction &F, std::vector<Value> &&Args,
   const LowInstr *IP = &F.Code[0];
 #define I (*IP)
   goto *Table[static_cast<uint8_t>(IP->Op)];
-#else
-  const int32_t N = static_cast<int32_t>(F.Code.size());
-  while (Pc < N) {
-#endif
-#if RJIT_CGOTO
-  {
-#else
-    const LowInstr &I = F.Code[Pc];
-    switch (I.Op) {
-#endif
 #define VMOP(op)                                                             \
   VMCASE(op) {                                                               \
     body<LowOp::op>(F, I, S, D, Iv, CurEnv, ParentEnv, ReadEnv);             \
     ++Pc;                                                                    \
     VMSTEP();                                                                \
   }
-    VMOP(LoadConst)
-    VMOP(Move)
-    VMOP(Box)
-    VMOP(Unbox)
-    VMOP(Coerce)
-    VMOP(LdEnv)
-    VMOP(StEnv)
-    VMOP(StEnvSuper)
-    VMOP(MkClosLow)
-    VMOP(CallValLow)
-    VMOP(CallBiLow)
-    VMOP(ArithTyped)
-    VMOP(BinGenLow)
-    VMOP(NegLow)
-    VMOP(NotLow)
-    VMOP(AsCondLow)
-    VMOP(Extract2Low)
-    VMOP(Extract1Low)
-    VMOP(Extract2Typed)
-    VMOP(SetElem2Low)
-    VMOP(SetElem2Typed)
-    VMOP(SetIdx2EnvLow)
-    VMOP(LengthLow)
+  VMOP(LoadConst)
+  VMOP(Move)
+  VMOP(Box)
+  VMOP(Unbox)
+  VMOP(Coerce)
+  VMOP(LdEnv)
+  VMOP(StEnv)
+  VMOP(StEnvSuper)
+  VMOP(MkClosLow)
+  VMOP(CallValLow)
+  VMOP(CallBiLow)
+  VMOP(ArithTyped)
+  VMOP(BinGenLow)
+  VMOP(NegLow)
+  VMOP(NotLow)
+  VMOP(AsCondLow)
+  VMOP(Extract2Low)
+  VMOP(Extract1Low)
+  VMOP(Extract2Typed)
+  VMOP(SetElem2Low)
+  VMOP(SetElem2Typed)
+  VMOP(SetIdx2EnvLow)
+  VMOP(LengthLow)
 #undef VMOP
-    VMCASE(GuardCond) {
-      bool Holds = lowGuardHolds(I, F.Deopts[I.Imm], S);
-      Cx.Stats.AssumeChecks.bump();
-      bool Injected = Holds && Cx.Low.InvalidationCountdown &&
-                      --Cx.Low.InvalidationCountdown == 0;
-      if (!Holds || Injected)
-        return failGuard(Cx, obs::TraceEv::GuardFail, F, Pc, {S, D, Iv},
-                         CurEnv, ParentEnv, Injected);
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(EpochCheck) {
-      if (Cx.Watch.Epoch.load(std::memory_order_relaxed) != F.BuiltinEpoch)
-        return failGuard(Cx, obs::TraceEv::GuardFail, F, Pc, {S, D, Iv},
-                         CurEnv, ParentEnv, /*Injected=*/false);
-      ++Pc;
-      VMSTEP();
-    }
-    VMCASE(JumpLow) {
-      Pc = I.Imm;
-      VMSTEP();
-    }
-    VMCASE(BranchFalseLow) {
-      Pc = S[I.A].asCondition() ? Pc + 1 : I.Imm;
-      VMSTEP();
-    }
-    VMCASE(BranchTrueLow) {
-      Pc = S[I.A].asCondition() ? I.Imm : Pc + 1;
-      VMSTEP();
-    }
-    VMCASE(CmpBranch) {
-      Pc = stepCmpBranchTaken(I, S, D, Iv) ? I.Imm : Pc + 1;
-      VMSTEP();
-    }
-    VMCASE(RetLow)
-      return std::move(S[I.A]);
-#if RJIT_CGOTO
+  VMCASE(GuardCond) {
+    bool Holds = lowGuardHolds(I, F.Deopts[I.Imm], S);
+    Cx.Stats.AssumeChecks.bump();
+    bool Injected = Holds && Cx.Low.InvalidationCountdown &&
+                    --Cx.Low.InvalidationCountdown == 0;
+    if (!Holds || Injected)
+      return failGuard(Cx, obs::TraceEv::GuardFail, F, Pc, {S, D, Iv},
+                       CurEnv, ParentEnv, Injected);
+    ++Pc;
+    VMSTEP();
   }
+  VMCASE(EpochCheck) {
+    if (Cx.Watch.Epoch.load(std::memory_order_relaxed) != F.BuiltinEpoch)
+      return failGuard(Cx, obs::TraceEv::GuardFail, F, Pc, {S, D, Iv},
+                       CurEnv, ParentEnv, /*Injected=*/false);
+    ++Pc;
+    VMSTEP();
+  }
+  VMCASE(JumpLow) {
+    Pc = I.Imm;
+    VMSTEP();
+  }
+  VMCASE(BranchFalseLow) {
+    Pc = S[I.A].asCondition() ? Pc + 1 : I.Imm;
+    VMSTEP();
+  }
+  VMCASE(BranchTrueLow) {
+    Pc = S[I.A].asCondition() ? I.Imm : Pc + 1;
+    VMSTEP();
+  }
+  VMCASE(CmpBranch) {
+    Pc = stepCmpBranchTaken(I, S, D, Iv) ? I.Imm : Pc + 1;
+    VMSTEP();
+  }
+  VMCASE(RetLow)
+    return std::move(S[I.A]);
 #undef I
-#else
-    }
-  }
-#endif
-  assert(false && "fell off the end of LowCode");
-  rerror("internal: malformed LowCode");
 }
 
 //===----------------------------------------------------------------------===//

@@ -756,8 +756,7 @@ private:
       emit(L);
       return;
     }
-    case IrOp::SetIdx2Env:
-    case IrOp::SetIdx1Env: {
+    case IrOp::SetIdx2Env: {
       LowInstr L{LowOp::SetIdx2EnvLow};
       L.A = ensureBoxed(I.op(0));
       L.B = ensureBoxed(I.op(1));

@@ -4,12 +4,11 @@
 //
 // Template stitching with two layers on top:
 //
-//  * Register allocation (native/regalloc.*), the v2 layer that
-//    NativeTierOptions switches (off is the template-only tier): hot raw
-//    int/double slots get whole-function register homes. The invariant is
-//    pc-independent — "a homed slot's current value is in its register at
-//    every instruction boundary" — so arbitrary LowCode jumps need no
-//    per-edge fixup code.
+//  * Register allocation (native/regalloc.*): hot raw int/double slots
+//    get whole-function register homes. The invariant is pc-independent —
+//    "a homed slot's current value is in its register at every
+//    instruction boundary" — so arbitrary LowCode jumps need no per-edge
+//    fixup code.
 //    A home's slot array entry may lag behind its register: the dirty-home
 //    analysis (computeDirtyHomes) tracks, per pc, which homes may differ
 //    from their arrays. A helper call stores only the dirty homes it
@@ -264,20 +263,16 @@ class Stitcher {
 public:
   /// \p Ctx: the backend's Vm's context — the counters the emitted code
   /// bumps and the builtin watch its epoch checks read.
-  Stitcher(const LowFunction &F, const NativeTierOptions &Opts,
-           ExecContext &Ctx)
-      : F(F), Ctx(Ctx) {
-    if (Opts.Regalloc) {
-      // Pins require the inline typed-extract fast path: without the
-      // probed vector layout every extract is a main-path helper call,
-      // which would clobber caller-saved pin registers mid-loop.
-      bool AllowPins =
-          vecInternals<double>().Valid && vecInternals<int32_t>().Valid;
-      RA = allocateRegisters(F, AllowPins);
-      // Must stay in lockstep with the allocator's own intConstSlots
-      // call: slots it skipped as candidates fold to immediates here.
-      IC = intConstSlots(F);
-    }
+  Stitcher(const LowFunction &F, ExecContext &Ctx) : F(F), Ctx(Ctx) {
+    // Pins require the inline typed-extract fast path: without the probed
+    // vector layout every extract is a main-path helper call, which would
+    // clobber caller-saved pin registers mid-loop.
+    bool AllowPins =
+        vecInternals<double>().Valid && vecInternals<int32_t>().Valid;
+    RA = allocateRegisters(F, AllowPins);
+    // Must stay in lockstep with the allocator's own intConstSlots call:
+    // slots it skipped as candidates fold to immediates here.
+    IC = intConstSlots(F);
     for (uint16_t S = 0; S < RA.IntHome.size(); ++S)
       if (RA.IntHome[S] >= 0) {
         if (!natGprCalleeSaved(static_cast<uint8_t>(RA.IntHome[S])))
@@ -1509,15 +1504,14 @@ private:
 
 class NativeBackend final : public ExecBackend {
 public:
-  NativeBackend(const NativeTierOptions &O, ExecContext &Ctx)
-      : Opts(O), Ctx(Ctx) {}
+  explicit NativeBackend(ExecContext &Ctx) : Ctx(Ctx) {}
 
   const char *name() const override { return "native-x64"; }
 
   std::unique_ptr<ExecutableCode>
   prepare(std::unique_ptr<LowFunction> Low) override {
     std::vector<uint8_t> Code;
-    Stitcher St(*Low, Opts, Ctx);
+    Stitcher St(*Low, Ctx);
     if (!St.compile(Code))
       return interpBackend().prepare(std::move(Low));
     const void *Entry = Arena.install(Code);
@@ -1531,7 +1525,6 @@ public:
   size_t liveCodeBlocks() const override { return Arena.blockCount(); }
 
 private:
-  NativeTierOptions Opts;
   /// The context compiles are charged to and guards count into.
   ExecContext &Ctx;
   CodeArena Arena;
@@ -1558,10 +1551,10 @@ bool rjit::nativeBackendSupported() {
 }
 
 std::unique_ptr<ExecBackend>
-rjit::makeNativeBackend(const NativeTierOptions &O, ExecContext *Ctx) {
+rjit::makeNativeBackend(ExecContext *Ctx) {
   if (!nativeBackendSupported())
     return nullptr;
-  return std::make_unique<NativeBackend>(O, contextOr(Ctx));
+  return std::make_unique<NativeBackend>(contextOr(Ctx));
 }
 
 #else // !RJIT_NATIVE_X64
@@ -1569,7 +1562,7 @@ rjit::makeNativeBackend(const NativeTierOptions &O, ExecContext *Ctx) {
 bool rjit::nativeBackendSupported() { return false; }
 
 std::unique_ptr<rjit::ExecBackend>
-rjit::makeNativeBackend(const rjit::NativeTierOptions &, rjit::ExecContext *) {
+rjit::makeNativeBackend(rjit::ExecContext *) {
   return nullptr;
 }
 

@@ -36,7 +36,6 @@
 
 #include "exec/backend.h"
 
-#include <cstdlib>
 #include <memory>
 
 namespace rjit {
@@ -46,37 +45,12 @@ namespace rjit {
 /// the Vm::Config::NativeTier gate.
 bool nativeBackendSupported();
 
-/// The process default for the v2 feature switch: on unless the
-/// RJIT_NATIVE_V2 environment variable is set to 0. CI's off-switch job
-/// uses it to keep the template-only tier compiled and tested alongside
-/// the v2 matrix entries.
-inline bool nativeTierV2Default() {
-  static const bool D = [] {
-    const char *E = std::getenv("RJIT_NATIVE_V2");
-    return !E || *E != '0';
-  }();
-  return D;
-}
-
-/// The v2 native tier's switch (Vm::Config::NativeV2 and the differential
-/// fuzzer's feature axis). Defaults from RJIT_NATIVE_V2; off is the
-/// template-only stitcher. Transcripts are byte-identical either way (the
-/// fuzzer asserts it).
-struct NativeTierOptions {
-  /// Linear-scan register allocation over the raw slot classes
-  /// (native/regalloc.*): hot unboxed slots live in GPRs/XMMs instead of
-  /// the slot arrays.
-  bool Regalloc = nativeTierV2Default();
-};
-
-/// Creates a native backend instance (owning its code arena) with the v2
-/// feature switch \p O, or null on unsupported hosts — callers fall back
-/// to the interpreter backend. Its compiles are charged to \p Ctx, and the
-/// code it emits counts guard checks into \p Ctx's AssumeChecks; null
-/// means the calling thread's context. The Vm hands it its own.
-std::unique_ptr<ExecBackend>
-makeNativeBackend(const NativeTierOptions &O = NativeTierOptions(),
-                  ExecContext *Ctx = nullptr);
+/// Creates a native backend instance (owning its code arena), or null on
+/// unsupported hosts — callers fall back to the interpreter backend. Its
+/// compiles are charged to \p Ctx, and the code it emits counts guard
+/// checks into \p Ctx's AssumeChecks; null means the calling thread's
+/// context. The Vm hands it its own.
+std::unique_ptr<ExecBackend> makeNativeBackend(ExecContext *Ctx = nullptr);
 
 } // namespace rjit
 

@@ -7,7 +7,7 @@
 /// \file
 /// Register allocation for the native tier's raw slot classes. LowCode's
 /// raw int32/double slots are the unboxed values the fig kernels spend
-/// their time in; the template tier stores every one of them to the slot
+/// their time in; a template alone stores every one of them to the slot
 /// arrays between ops. This unit computes live ranges and use weights from
 /// LowCode and assigns the hottest raw slots *whole-function register
 /// homes* in deterministic linear-scan order.
@@ -30,8 +30,8 @@
 /// The linear-scan part is the *assignment order*: candidates are sorted
 /// by descending use weight (uses × loop depth, backedge-interval
 /// approximation) and granted registers from the class pools until a pool
-/// runs dry; every denied candidate counts as a spill (it keeps the
-/// template tier's load/store-per-op behavior).
+/// runs dry; every denied candidate counts as a spill (its templates keep
+/// their load/store-per-op behavior).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -307,7 +307,6 @@ bool rjit::inferTypes(IrCode &C) {
     case IrOp::CoerceNum:
     case IrOp::CallBuiltinKnown:
     case IrOp::SetIdx2Env:
-    case IrOp::SetIdx1Env:
       I->Type = RType::none();
       break;
     default:
@@ -376,7 +375,6 @@ bool rjit::inferTypes(IrCode &C) {
       return builtinResultType(I->Bid, Args);
     }
     case IrOp::SetIdx2Env:
-    case IrOp::SetIdx1Env:
       return OpT(1); // yields the assigned value
     default:
       return I->Type;

@@ -24,7 +24,6 @@ bool touchesEnv(IrOp Op) {
   case IrOp::StVarSuperEnv:
   case IrOp::MkClosureIr:
   case IrOp::SetIdx2Env:
-  case IrOp::SetIdx1Env:
     return true;
   default:
     return false;

@@ -36,7 +36,6 @@ bool rjit::envIsElidable(const Function &Fn) {
     }
     case Opcode::StVar:
     case Opcode::SetIdx2:
-    case Opcode::SetIdx1:
     case Opcode::ForStep: {
       Symbol S = static_cast<Symbol>(I.A);
       if (ReadFirst.count(S))
@@ -266,7 +265,6 @@ private:
         switch (I.Op) {
         case Opcode::StVar:
         case Opcode::SetIdx2:
-        case Opcode::SetIdx1:
         case Opcode::ForStep:
           AllLocals.insert(static_cast<Symbol>(I.A));
           break;
@@ -297,7 +295,7 @@ private:
     std::set<Symbol> Bound(Fn->Params.begin(), Fn->Params.end());
     for (const BcInstr &I : Fn->BC.Instrs)
       if (I.Op == Opcode::StVar || I.Op == Opcode::SetIdx2 ||
-          I.Op == Opcode::SetIdx1 || I.Op == Opcode::ForStep)
+          I.Op == Opcode::ForStep)
         Bound.insert(static_cast<Symbol>(I.A));
     for (const BcInstr &I : Fn->BC.Instrs) {
       Symbol S = static_cast<Symbol>(I.A);
@@ -823,8 +821,7 @@ private:
       return true;
     }
 
-    case Opcode::SetIdx2:
-    case Opcode::SetIdx1: {
+    case Opcode::SetIdx2: {
       Instr *V = pop();
       Instr *Idx = pop();
       Symbol S = static_cast<Symbol>(I.A);
@@ -835,9 +832,7 @@ private:
         St.Locals[S] = NewC;
         push(V);
       } else {
-        Instr *SetI = add(I.Op == Opcode::SetIdx2 ? IrOp::SetIdx2Env
-                                                  : IrOp::SetIdx1Env,
-                          V->Type, {Idx, V});
+        Instr *SetI = add(IrOp::SetIdx2Env, V->Type, {Idx, V});
         SetI->Sym = S;
         push(V);
         epochCheck(Pc);

@@ -58,16 +58,12 @@ const Value *Env::findLocal(Symbol S) const {
   return nullptr;
 }
 
-void Env::watch(Symbol S, const Value &Old, const Value &New) const {
-  // Only the global environment has no parent, and only a builtin leaving
-  // or entering a binding there concerns the watch.
-  if (!Parent && (Old.tag() == Tag::Builtin || New.tag() == Tag::Builtin))
-    if (auto *Rebind = currentContext().Watch.Rebind)
-      Rebind(S, Old, New);
-}
-
 void Env::overwrite(Symbol S, Value &Slot, Value V) {
-  watch(S, Slot, V);
+  // Only the global environment has no parent, and only a builtin leaving
+  // or entering a binding there concerns the builtin watch.
+  if (!Parent && (Slot.tag() == Tag::Builtin || V.tag() == Tag::Builtin))
+    if (auto *Rebind = currentContext().Watch.Rebind)
+      Rebind(S, Slot, V);
   Slot = std::move(V);
 }
 
@@ -102,13 +98,8 @@ void Env::setNearest(Symbol S, Value V) {
 }
 
 Value &Env::updateSlot(Symbol S) {
-  Value *Slot = findLocal(S);
-  if (!Slot) {
-    set(S, get(S));
-    return Bindings.back().second;
-  }
-  // The store moves the container out of the binding, and a builtin
-  // cannot be one: the store raises and leaves the binding NULL.
-  watch(S, *Slot, Value());
-  return *Slot;
+  if (Value *Slot = findLocal(S))
+    return *Slot;
+  set(S, get(S));
+  return Bindings.back().second;
 }

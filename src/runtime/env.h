@@ -76,10 +76,8 @@ public:
   void gcClear() override;
 
 private:
-  /// The builtin watch's O(1) test (runtime/context.h) on a binding of
-  /// \p S about to change from \p Old to \p New.
-  void watch(Symbol S, const Value &Old, const Value &New) const;
-  /// Every store into an existing binding: watch, then store.
+  /// Every store into an existing binding: the builtin watch's O(1) test
+  /// (runtime/context.h), then the store.
   void overwrite(Symbol S, Value &Slot, Value V);
 
   Env *Parent; ///< retained

@@ -726,6 +726,36 @@ Value rjit::extract1(const Value &X, const Value &Idx) {
 
 namespace {
 
+/// A container's rank in the widening order LglVec < IntVec < RealVec <
+/// CplxVec < StrVec < List, or -1 when no element can be stored into it.
+int assignRank(Tag T) {
+  switch (T) {
+  case Tag::LglVec:
+    return 0;
+  case Tag::IntVec:
+    return 1;
+  case Tag::RealVec:
+    return 2;
+  case Tag::CplxVec:
+    return 3;
+  case Tag::StrVec:
+    return 4;
+  case Tag::List:
+    return 5;
+  default:
+    return -1;
+  }
+}
+
+/// The container tag \p X is stored as: a scalar or a string as its
+/// one-element vector.
+Tag containerTag(const Value &X) {
+  Tag T = X.tag();
+  if (T == Tag::Str)
+    return Tag::StrVec;
+  return isScalarTag(T) ? vectorTagOf(T) : T;
+}
+
 /// Widens a container so an element of numeric kind \p K fits.
 /// Scalars are first boxed into one-element vectors.
 Value widenFor(Value X, Tag ElemTag) {
@@ -772,24 +802,6 @@ Value widenFor(Value X, Tag ElemTag) {
     }
   }
 
-  auto Rank = [](Tag T) -> int {
-    switch (T) {
-    case Tag::LglVec:
-      return 0;
-    case Tag::IntVec:
-      return 1;
-    case Tag::RealVec:
-      return 2;
-    case Tag::CplxVec:
-      return 3;
-    case Tag::StrVec:
-      return 4;
-    case Tag::List:
-      return 5;
-    default:
-      return -1;
-    }
-  };
   Tag Want;
   switch (ElemTag) {
   case Tag::Lgl:
@@ -811,9 +823,8 @@ Value widenFor(Value X, Tag ElemTag) {
     Want = Tag::List;
     break;
   }
-  if (Rank(T) < 0)
-    rerror(std::string("cannot assign into ") + tagName(T));
-  if (Rank(T) >= Rank(Want))
+  assert(assignRank(T) >= 0 && "assign2 checked the container");
+  if (assignRank(T) >= assignRank(Want))
     return X;
 
   // Promote container to Want.
@@ -859,10 +870,7 @@ Value cowClone(const Value &X, Tag T) {
 
 } // namespace
 
-Value rjit::assign2(Value X, int64_t Idx, const Value &V) {
-  if (Idx < 1)
-    rerror("invalid subscript in assignment");
-
+void rjit::assign2(Value &X, int64_t Idx, const Value &V) {
   Tag ElemTag = V.tag();
   if (!isScalarTag(ElemTag) && ElemTag != Tag::Str) {
     // Assigning a non-scalar element forces a generic list container,
@@ -873,10 +881,21 @@ Value rjit::assign2(Value X, int64_t Idx, const Value &V) {
       ElemTag = Tag::List;
   }
 
-  X = widenFor(std::move(X), ElemTag);
+  // Every error comes before X changes: a failed store leaves the
+  // container, and the binding it lives in, as it was.
+  if (Idx < 1)
+    rerror("invalid subscript in assignment");
+  Tag T = containerTag(X);
+  if (!X.isNull() && assignRank(T) < 0)
+    rerror(std::string("cannot assign into ") + tagName(T));
   int64_t N = X.length();
   if (Idx > N + 1024 * 1024)
     rerror("assignment index too far past the end");
+  // A character vector stays one for a scalar element, which is no string.
+  if (T == Tag::StrVec && isScalarTag(ElemTag))
+    rerror("assigning non-string into character vector");
+
+  X = widenFor(std::move(X), ElemTag);
 
   switch (X.tag()) {
   case Tag::LglVec: {
@@ -888,7 +907,7 @@ Value rjit::assign2(Value X, int64_t Idx, const Value &V) {
       X.lglVecObj()->retrack();
     }
     D[Idx - 1] = V.asCondition() ? 1 : 0;
-    return X;
+    return;
   }
   case Tag::IntVec: {
     if (!X.unshared())
@@ -899,7 +918,7 @@ Value rjit::assign2(Value X, int64_t Idx, const Value &V) {
       X.intVecObj()->retrack();
     }
     D[Idx - 1] = V.toInt();
-    return X;
+    return;
   }
   case Tag::RealVec: {
     if (!X.unshared())
@@ -910,7 +929,7 @@ Value rjit::assign2(Value X, int64_t Idx, const Value &V) {
       X.realVecObj()->retrack();
     }
     D[Idx - 1] = V.toReal();
-    return X;
+    return;
   }
   case Tag::CplxVec: {
     if (!X.unshared())
@@ -921,7 +940,7 @@ Value rjit::assign2(Value X, int64_t Idx, const Value &V) {
       X.cplxVecObj()->retrack();
     }
     D[Idx - 1] = V.toCplx();
-    return X;
+    return;
   }
   case Tag::StrVec: {
     if (!X.unshared())
@@ -931,10 +950,8 @@ Value rjit::assign2(Value X, int64_t Idx, const Value &V) {
       D.resize(Idx);
       X.strVecObj()->retrack();
     }
-    if (V.tag() != Tag::Str)
-      rerror("assigning non-string into character vector");
     D[Idx - 1] = V.strObj()->D;
-    return X;
+    return;
   }
   case Tag::List: {
     if (!X.unshared())
@@ -945,10 +962,10 @@ Value rjit::assign2(Value X, int64_t Idx, const Value &V) {
       X.listObj()->retrack();
     }
     D[Idx - 1] = V;
-    return X;
+    return;
   }
   default:
-    rerror(std::string("cannot assign into ") + tagName(X.tag()));
+    assert(false && "widenFor yields a container");
   }
 }
 

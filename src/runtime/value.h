@@ -566,10 +566,11 @@ Value extract2(const Value &X, int64_t Idx);
 /// integer-vector index returns a sub-vector; logical mask unsupported.
 Value extract1(const Value &X, const Value &Idx);
 
-/// x[[i]] <- V with copy-on-write; grows the vector (NA-filling) when
+/// x[[i]] <- V into the container \p X: updates an unshared container in
+/// place and copies a shared one first; grows the vector (NA-filling) when
 /// Idx == length+1 like R, promotes element type as needed, and promotes
-/// NULL to a vector of V's type. Returns the (possibly new) container.
-Value assign2(Value X, int64_t Idx, const Value &V);
+/// NULL to a vector of V's type. Every error is raised before X changes.
+void assign2(Value &X, int64_t Idx, const Value &V);
 
 /// Creates the a:b integer (or real) sequence.
 Value colonSeq(const Value &A, const Value &B);

@@ -190,7 +190,8 @@ Value vmDeoptHandler(const LowFunction &F, const SlotView &Slots,
 /// The builtin watch's handler (runtime/context.h), the one function every
 /// store that changes a global binding holding a builtin — or giving one a
 /// builtin — reaches before it lands: top-level assignment, <<-, and the
-/// environment stores and element stores of every tier. Only a builtin's
+/// environment stores of every tier. (An element store into a builtin's
+/// binding raises before it touches the binding.) Only a builtin's
 /// own name can have been folded (opt/translate), so only those bindings
 /// matter: when one stops holding its builtin, the epoch moves, the code
 /// that folded builtins retires, and running activations of it fail their
@@ -247,7 +248,7 @@ Vm::Vm(Config C) : Cfg(C), Ctx(this), Installed(Ctx) {
   // built on this thread enrolls in its heap (the global env included),
   // and every code activation pins its retire epochs.
   if (Cfg.Trace.Enabled)
-    obs::traceBegin(Cfg.Trace.BufferCapacity);
+    obs::traceBegin();
 
   Global = new Env(nullptr);
   Global->retain();
@@ -259,7 +260,7 @@ Vm::Vm(Config C) : Cfg(C), Ctx(this), Installed(Ctx) {
   // hosts keep the interpreter); the threaded interpreter as the portable
   // fallback.
   if (Cfg.NativeTier)
-    OwnBackend = makeNativeBackend(Cfg.NativeV2, &Ctx);
+    OwnBackend = makeNativeBackend(&Ctx);
   ActiveBackend = OwnBackend ? OwnBackend.get() : &interpBackend();
 
   if (Cfg.BackgroundCompile) {
@@ -295,8 +296,8 @@ Vm::~Vm() {
   // Teardown is the fallback safepoint: no activation of retired code can
   // still be on the stack (epochs are ignored — the executor is gone), so
   // whatever the dispatch-boundary safepoints did not yet reclaim — e.g.
-  // with ReclaimAtSafepoints off — is reclaimed here, before the native
-  // backend's code arena goes away with the Vm.
+  // code retired after the last dispatch — is reclaimed here, before the
+  // native backend's code arena goes away with the Vm.
   reclaimGraveyard(/*IgnoreEpochs=*/true);
   Modules.clear();
   Global->release();

@@ -42,7 +42,6 @@
 #include "dispatch/table.h"
 #include "exec/backend.h"
 #include "lowcode/lowcode.h"
-#include "native/native.h"
 #include "obs/trace.h"
 #include "osr/deoptless.h"
 #include "runtime/context.h"
@@ -140,28 +139,13 @@ public:
     bool VerifyBetweenPasses = VerifyPassesDefault;
 
     /// Measured effect (fig_native) and fuzzer axis: optimized code is
-    /// prepared by the x86-64 template JIT (src/native/) instead of the
-    /// threaded LowCode interpreter. On any other host, or when the
-    /// backend cannot be constructed, the Vm keeps the interpreter
-    /// backend, so this is always safe to set. Defaults from the
-    /// RJIT_NATIVE_TIER environment variable (CI runs the full suite both
-    /// ways); unset means off.
+    /// prepared by the x86-64 template JIT with register allocation
+    /// (src/native/) instead of the threaded LowCode interpreter. On any
+    /// other host, or when the backend cannot be constructed, the Vm keeps
+    /// the interpreter backend, so this is always safe to set. Defaults
+    /// from the RJIT_NATIVE_TIER environment variable (CI runs the full
+    /// suite both ways); unset means off.
     bool NativeTier = nativeTierDefault();
-
-    /// The v2 native tier's register allocation, a measured effect
-    /// (fig_native's v2-over-template ratio). Only consulted when
-    /// NativeTier is on and the Vm constructs its own native backend.
-    /// Defaults from RJIT_NATIVE_V2 (unset = on), which CI's rollback job
-    /// sets to 0. The fuzzer asserts byte-identical transcripts either
-    /// way.
-    NativeTierOptions NativeV2;
-
-    /// Fuzzer oracle, orthogonal to Strategy: retired ExecutableCode is
-    /// reclaimed at the executor's dispatch boundary once its retire epoch
-    /// is provably drained. Off keeps every retired executable until
-    /// teardown. Transcripts must not depend on it: reclamation frees
-    /// memory but never changes dispatch.
-    bool ReclaimAtSafepoints = true;
 
     /// Fuzzer oracle, orthogonal to Strategy. Runtime values are
     /// refcounted, and refcounting cannot reclaim cycles: any closure
@@ -202,16 +186,12 @@ public:
     /// buffers exportable as Chrome trace-event JSON. Enablement is
     /// refcounted process-wide, so concurrent Vms (and the bench harness
     /// holding its own ref) compose; with no enabled Vm the recording
-    /// sites reduce to one relaxed load.
+    /// sites reduce to one relaxed load. The ring capacity is process-wide
+    /// too: obs::traceBegin sets it.
     struct TraceOptions {
       /// Deployment, read by deoptbench. Defaults from the RJIT_TRACE
       /// environment variable.
       bool Enabled = obs::traceEnabledDefault();
-      /// Fuzzer oracle setting: per-thread ring capacity (events),
-      /// applied to buffers created after this Vm enables tracing; 0
-      /// keeps the current setting. Fuzzers that spin up many short-lived
-      /// threads want this small.
-      uint32_t BufferCapacity = 0;
     } Trace;
 
     /// The inlining switch, as deoptbench reads it.
@@ -367,8 +347,8 @@ private:
 
   /// The graveyard safepoint: frees every entry whose retire epoch is
   /// drained (no live activation entered before the retire). Called from
-  /// the dispatch boundary under Config::ReclaimAtSafepoints and, with
-  /// IgnoreEpochs, from teardown where no activation exists at all.
+  /// the dispatch boundary and, with IgnoreEpochs, from teardown where no
+  /// activation exists at all.
   void reclaimGraveyard(bool IgnoreEpochs);
 
   /// Dispatch-boundary poll: two cheap checks, then the expensive work.
@@ -376,7 +356,7 @@ private:
   /// state at the dispatch boundary, so retired code (graveyard) and
   /// unreachable value cycles (heap) can both be freed safely.
   void safepoint() {
-    if (!Graveyard.empty() && Cfg.ReclaimAtSafepoints)
+    if (!Graveyard.empty())
       reclaimGraveyard(false);
     if (Cfg.HeapGc.Enabled &&
         Ctx.heap()->shouldCollect(Cfg.HeapGc.ThresholdBytes))

@@ -19,11 +19,14 @@
 #include "dispatch/table.h"
 #include "native/native.h"
 #include "native/regalloc.h"
+#include "suite/harness.h"
+#include "suite/programs.h"
 #include "support/stats.h"
 #include "vm/vm.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 
@@ -268,18 +271,9 @@ TEST(NativeJit, InjectedInvalidationKeepsResults) {
 }
 
 //===----------------------------------------------------------------------===//
-// Native tier v2: register allocation
+// Register allocation
 
-/// Register allocation forced on, independent of the RJIT_NATIVE_V2
-/// environment (CI's off-switch job must not turn these tests into
-/// no-ops).
-Vm::Config v2cfg(TierStrategy S) {
-  Vm::Config C = cfg(S, true);
-  C.NativeV2.Regalloc = true;
-  return C;
-}
-
-TEST(NativeV2, RegisterAllocationSpillsDeterministically) {
+TEST(NativeRegalloc, RegisterAllocationSpillsDeterministically) {
   if (!nativeBackendSupported())
     GTEST_SKIP() << "no native backend on this host";
   // Hand-built LowCode with two more live raw-int slots than the GPR pool
@@ -330,9 +324,7 @@ TEST(NativeV2, RegisterAllocationSpillsDeterministically) {
   Ret.A = 0;
   F->Code.push_back(Ret);
 
-  NativeTierOptions O;
-  O.Regalloc = true;
-  std::unique_ptr<ExecBackend> B = makeNativeBackend(O);
+  std::unique_ptr<ExecBackend> B = makeNativeBackend();
   ASSERT_NE(B, nullptr);
   uint64_t SpillsBefore = stats().NativeRegSpills;
   std::unique_ptr<ExecutableCode> X = B->prepare(std::move(F));
@@ -344,7 +336,7 @@ TEST(NativeV2, RegisterAllocationSpillsDeterministically) {
             NumInts * (NumInts + 1) / 2);
 }
 
-TEST(NativeV2, TypedReductionMatchesInterpreter) {
+TEST(NativeRegalloc, TypedReductionMatchesInterpreter) {
   if (!nativeBackendSupported())
     GTEST_SKIP() << "no native backend on this host";
   // A typed reduction whose inner loop chains an extract into arithmetic
@@ -361,20 +353,20 @@ TEST(NativeV2, TypedReductionMatchesInterpreter) {
                                 Setup + std::string("v <- as.numeric(1:64)"),
                                 "dot(v, 64L)");
   VmStats S;
-  std::string Native = runUnder(v2cfg(TierStrategy::Normal),
+  std::string Native = runUnder(cfg(TierStrategy::Normal, true),
                                 Setup + std::string("v <- as.numeric(1:64)"),
                                 "dot(v, 64L)", 8, &S);
   EXPECT_EQ(Interp, Native);
   EXPECT_GT(S.NativeCompiles, 0u);
 }
 
-TEST(NativeV2, RawFrameStateValuesLeaveRegisterHomes) {
+TEST(NativeRegalloc, RawFrameStateValuesLeaveRegisterHomes) {
   // The element guard of `s + x` fails mid-loop while the raw int
   // accumulator n and the raw real accumulator s are in its frame state,
   // both updated since the list extract's helper call last flushed the
   // register homes. Deopt and deoptless box them from the slot arrays, so
   // the native side exit must flush every home first (removing that
-  // flush fails this case under native v2). The injected failures take
+  // flush fails this case on the native tier). The injected failures take
   // the countdown stub's exit instead, which flushes the same way.
   const char *Setup = R"(
     mix <- function(l) {
@@ -399,29 +391,20 @@ TEST(NativeV2, RawFrameStateValuesLeaveRegisterHomes) {
       cfg(TierStrategy::BaselineOnly, false), Setup, "mix(halves)", 1);
   ASSERT_NE(BaseInts, BaseHalves);
 
-  struct Backend {
-    const char *Name;
-    bool Native;
-    bool V2;
-  };
-  std::vector<Backend> Backends = {{"interp", false, false}};
-  if (nativeBackendSupported()) {
-    Backends.push_back({"native v2 on", true, true});
-    Backends.push_back({"native v2 off", true, false});
-  }
+  std::vector<bool> Backends = {false};
+  if (nativeBackendSupported())
+    Backends.push_back(true);
   for (TierStrategy S : {TierStrategy::Normal, TierStrategy::Deoptless}) {
-    for (const Backend &B : Backends) {
-      SCOPED_TRACE(std::string(B.Name) + (S == TierStrategy::Normal
-                                              ? ", Normal"
-                                              : ", Deoptless"));
-      Vm::Config C = cfg(S, B.Native);
-      C.NativeV2.Regalloc = B.V2;
+    for (bool Native : Backends) {
+      SCOPED_TRACE(std::string(Native ? "native" : "interp") +
+                   (S == TierStrategy::Normal ? ", Normal" : ", Deoptless"));
+      Vm::Config C = cfg(S, Native);
       {
         Vm V(C);
         V.eval(Setup);
         for (int K = 0; K < 6; ++K)
           ASSERT_EQ(V.eval("mix(ints)").show(), BaseInts);
-        if (B.Native) {
+        if (Native) {
           ASSERT_GT(stats().NativeEnters, 0u);
         }
         EXPECT_EQ(V.eval("mix(halves)").show(), BaseHalves);
@@ -440,6 +423,49 @@ TEST(NativeV2, RawFrameStateValuesLeaveRegisterHomes) {
       EXPECT_GT(Run.InjectedFailures, 0u);
     }
   }
+}
+
+TEST(NativeRegalloc, FigNativeKernelKeepsItsAllocation) {
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native backend on this host";
+  // fig_native's kernel warmed under fig_native's native arm: the
+  // allocator's homes, vector pins and spills for colsum's version are
+  // pinned, and native_reg_spills must equal the allocator's spills over
+  // every native compile, so a stitcher that stopped allocating fails.
+  Vm::Config C = suite::benchConfig(TierStrategy::Normal);
+  C.Inlining = true;
+  C.LoopOpts = true;
+  C.NativeTier = true;
+  Vm V(C);
+  V.eval(std::string(suite::NativeColsumSetup) +
+         "d <- as.numeric(1:600)\nwv <- as.numeric(1:60)");
+  for (int K = 0; K < 6; ++K)
+    ASSERT_EQ(V.eval("colsum(d, wv, 60L, 10L, get)").toReal(), 5841100.0);
+  ASSERT_GT(stats().NativeEnters, 0u);
+
+  uint64_t Spills = 0;
+  for (const char *Name : {"get", "colsum"})
+    for (const FnVersion *Ver :
+         V.stateFor(V.eval(Name).closObj()->Fn).Versions.entries())
+      if (Ver->code())
+        Spills += allocateRegisters(Ver->code()->low(), /*AllowPins=*/true)
+                      .Spills;
+  EXPECT_EQ(stats().NativeRegSpills, Spills);
+
+  FnVersion *Ver = V.stateFor(V.eval("colsum").closObj()->Fn)
+                       .Versions.mostGenericLive();
+  ASSERT_TRUE(Ver && Ver->code());
+  const LowFunction &L = Ver->code()->low();
+  RegAllocation RA = allocateRegisters(L, /*AllowPins=*/true);
+  auto Homed = [](const std::vector<int16_t> &Homes) {
+    return std::count_if(Homes.begin(), Homes.end(),
+                         [](int16_t H) { return H >= 0; });
+  };
+  EXPECT_EQ(L.Code.size(), 56u) << printLow(L);
+  EXPECT_EQ(Homed(RA.IntHome), 5);
+  EXPECT_EQ(Homed(RA.RealHome), 14);
+  EXPECT_EQ(RA.Pins.size(), 3u);
+  EXPECT_EQ(RA.Spills, 9u);
 }
 
 TEST(NativeJit, BackgroundCompilePublishesNativeCode) {
@@ -500,21 +526,6 @@ constexpr uint16_t BoxedK = static_cast<uint16_t>(SlotClass::Boxed);
 constexpr uint16_t RealK = static_cast<uint16_t>(SlotClass::RawReal);
 constexpr uint16_t IntK = static_cast<uint16_t>(SlotClass::RawInt);
 
-/// The two native v2 settings: regalloc off and on.
-std::vector<NativeTierOptions> v2Combos() {
-  std::vector<NativeTierOptions> Out;
-  for (bool Regalloc : {false, true}) {
-    NativeTierOptions O;
-    O.Regalloc = Regalloc;
-    Out.push_back(O);
-  }
-  return Out;
-}
-
-std::string comboName(const NativeTierOptions &O) {
-  return std::string("regalloc ") + (O.Regalloc ? "on" : "off");
-}
-
 /// What one run of hand-built code did: its result (or error) and the
 /// step-helper calls and copy-on-write copies it made.
 struct RunResult {
@@ -547,7 +558,7 @@ RunResult runCode(ExecBackend &B, const LowFunction &F,
 
 /// Runs \p F, whose parameter 0 is the boxed slot its first op
 /// overwrites, with an immediate there (the template's fast path) and with
-/// a heap vector (its stub), under each v2 setting. Every run must
+/// a heap vector (its stub), on the native tier. Every run must
 /// return what the LowCode interpreter returns on the same arguments and
 /// make as many copy-on-write copies; the stub calls the step helper once
 /// more than the fast path, which calls it only for \p HelperOps other
@@ -569,17 +580,14 @@ void checkTemplate(const LowFunction &F,
     const uint64_t Live = heapStats().LiveBytes;
     RunResult Want = runCode(interpBackend(), F, Args());
     EXPECT_EQ(heapStats().LiveBytes.load(), Live);
-    for (const NativeTierOptions &O : v2Combos()) {
-      SCOPED_TRACE(comboName(O));
-      std::unique_ptr<ExecBackend> B = makeNativeBackend(O);
-      ASSERT_NE(B, nullptr);
-      RunResult Got = runCode(*B, F, Args());
-      EXPECT_EQ(Got.Shown, Want.Shown);
-      EXPECT_EQ(Got.CowCopies, Want.CowCopies);
-      EXPECT_EQ(Got.HelperCalls, HelperOps + (Stub ? 1 : 0));
-      EXPECT_EQ(heapStats().LiveBytes.load(), Live)
-          << "the old value must be released exactly once";
-    }
+    std::unique_ptr<ExecBackend> B = makeNativeBackend();
+    ASSERT_NE(B, nullptr);
+    RunResult Got = runCode(*B, F, Args());
+    EXPECT_EQ(Got.Shown, Want.Shown);
+    EXPECT_EQ(Got.CowCopies, Want.CowCopies);
+    EXPECT_EQ(Got.HelperCalls, HelperOps + (Stub ? 1 : 0));
+    EXPECT_EQ(heapStats().LiveBytes.load(), Live)
+        << "the old value must be released exactly once";
   }
 }
 
@@ -721,11 +729,8 @@ TEST(NativeBoxed, BranchConditionsMatchInterpreter) {
                     Value::str("yes")}) {
       SCOPED_TRACE(std::string(lowOpName(Br)) + " " + C.show());
       RunResult Want = runCode(interpBackend(), L.F, {C});
-      for (const NativeTierOptions &O : v2Combos()) {
-        SCOPED_TRACE(comboName(O));
-        std::unique_ptr<ExecBackend> B = makeNativeBackend(O);
-        EXPECT_EQ(runCode(*B, L.F, {C}).Shown, Want.Shown);
-      }
+      std::unique_ptr<ExecBackend> B = makeNativeBackend();
+      EXPECT_EQ(runCode(*B, L.F, {C}).Shown, Want.Shown);
     }
   }
 }
@@ -760,13 +765,10 @@ TEST(NativeBoxed, HelperOpStoresHomesDirtyOnEitherPath) {
     RunResult Want = runCode(interpBackend(), L.F, Args());
     ASSERT_EQ(Want.Shown, Taken ? "integer[] c(42L, 2L, 3L, 4L, 5L)"
                                 : "integer[] c(1L, 2L, 21L, 4L, 5L)");
-    for (const NativeTierOptions &O : v2Combos()) {
-      SCOPED_TRACE(comboName(O));
-      std::unique_ptr<ExecBackend> B = makeNativeBackend(O);
-      RunResult Got = runCode(*B, L.F, Args());
-      EXPECT_EQ(Got.Shown, Want.Shown);
-      EXPECT_EQ(Got.HelperCalls, 1u);
-    }
+    std::unique_ptr<ExecBackend> B = makeNativeBackend();
+    RunResult Got = runCode(*B, L.F, Args());
+    EXPECT_EQ(Got.Shown, Want.Shown);
+    EXPECT_EQ(Got.HelperCalls, 1u);
   }
 }
 
@@ -790,22 +792,17 @@ TEST(NativeBoxed, BoxingLoopMakesNoHelperCallsPerIteration) {
       runUnder(cfg(TierStrategy::BaselineOnly, false), Setup, "f(10L)", 1);
   std::string Base1000 =
       runUnder(cfg(TierStrategy::BaselineOnly, false), Setup, "f(1000L)", 1);
-  for (const NativeTierOptions &O : v2Combos()) {
-    SCOPED_TRACE(comboName(O));
-    Vm::Config C = cfg(TierStrategy::Normal, true);
-    C.NativeV2 = O;
-    Vm V(C);
-    V.eval(Setup);
-    for (int K = 0; K < 6; ++K)
-      ASSERT_EQ(V.eval("f(10L)").show(), Base10);
-    ASSERT_GT(stats().NativeEnters, 0u);
-    uint64_t H0 = stats().NativeHelperCalls;
-    EXPECT_EQ(V.eval("f(10L)").show(), Base10);
-    uint64_t H1 = stats().NativeHelperCalls;
-    EXPECT_EQ(V.eval("f(1000L)").show(), Base1000);
-    uint64_t H2 = stats().NativeHelperCalls;
-    EXPECT_EQ(H2 - H1, H1 - H0) << "helper calls must not grow with n";
-  }
+  Vm V(cfg(TierStrategy::Normal, true));
+  V.eval(Setup);
+  for (int K = 0; K < 6; ++K)
+    ASSERT_EQ(V.eval("f(10L)").show(), Base10);
+  ASSERT_GT(stats().NativeEnters, 0u);
+  uint64_t H0 = stats().NativeHelperCalls;
+  EXPECT_EQ(V.eval("f(10L)").show(), Base10);
+  uint64_t H1 = stats().NativeHelperCalls;
+  EXPECT_EQ(V.eval("f(1000L)").show(), Base1000);
+  uint64_t H2 = stats().NativeHelperCalls;
+  EXPECT_EQ(H2 - H1, H1 - H0) << "helper calls must not grow with n";
 }
 
 TEST(NativeHelperCalls, PerOpCellsSumToTheTotal) {
@@ -862,13 +859,10 @@ TEST(NativeBoxed, IntModAndDivTakeFastPathAndStub) {
           return std::vector<Value>{Value::integer(X), Value::integer(Y)};
         };
         RunResult Want = runCode(interpBackend(), L.F, Args());
-        for (const NativeTierOptions &O : v2Combos()) {
-          SCOPED_TRACE(comboName(O));
-          std::unique_ptr<ExecBackend> B = makeNativeBackend(O);
-          RunResult Got = runCode(*B, L.F, Args());
-          EXPECT_EQ(Got.Shown, Want.Shown);
-          EXPECT_EQ(Got.HelperCalls, Y == 0 || Y == -1 ? 1u : 0u);
-        }
+        std::unique_ptr<ExecBackend> B = makeNativeBackend();
+        RunResult Got = runCode(*B, L.F, Args());
+        EXPECT_EQ(Got.Shown, Want.Shown);
+        EXPECT_EQ(Got.HelperCalls, Y == 0 || Y == -1 ? 1u : 0u);
       }
   }
 }

@@ -615,61 +615,39 @@ TEST_P(DiffFuzz, AllConfigurationsAgree) {
                   << P.Setup << "drivers:\n" << driversOf(P);
             }
 
-    // The native-v2 axis: register allocation off and on must produce
-    // the byte-identical transcript — it is a pure strength reduction
-    // with no observable semantics of its own. Strategy alternates with
-    // (program, setting) so each setting runs under both Normal and
-    // Deoptless across the corpus.
-    if (nativeBackendSupported())
-      for (unsigned Regalloc = 0; Regalloc < 2; ++Regalloc) {
-        Vm::Config C = cfg((K + Regalloc) % 2 ? TierStrategy::Deoptless
-                                              : TierStrategy::Normal);
-        C.NativeTier = true;
-        C.NativeV2.Regalloc = Regalloc != 0;
-        ASSERT_EQ(Base, runProgram(P, C))
-            << "seed " << Seed << " native-v2 regalloc=" << Regalloc
-            << "\nprogram:\n"
-            << P.Setup << "drivers:\n" << driversOf(P);
-      }
-
     // Random invalidation on top of inlining: injected guard failures
     // land inside spliced callees too, forcing the multi-frame OSR-out
     // and deoptless-continuation paths without changing any result. The
     // native axis drives them through the template JIT's side-exit
-    // stubs and countdown slow path. The safepoint axis runs the same
-    // retire-heavy workload with graveyard reclamation at every dispatch
-    // and with reclamation off entirely: transcripts must be
-    // byte-identical — reclaiming retired code frees memory but may
-    // never change dispatch or results. The HeapGc axis rides the
-    // safepoint one (rather than doubling the sanitizer-heavy sweep):
-    // reclamation on pairs with a hair-trigger cycle collector (4 KiB
-    // threshold, firing constantly over the kG corpus), reclamation off
-    // with no mid-run collection at all — and the main sweep above runs
-    // the default-threshold collector — so all three GC cadences must
-    // agree byte for byte.
+    // stubs and countdown slow path. Every run reclaims retired code at
+    // its dispatch boundaries; BaselineOnly, the reference, retires
+    // nothing, so a match shows reclamation changed no result. The HeapGc
+    // axis runs the same retire-heavy workload with a hair-trigger cycle
+    // collector (4 KiB threshold, firing constantly over the kG corpus)
+    // and with no mid-run collection at all — and the main sweep above
+    // runs the default-threshold collector — so all three GC cadences
+    // must agree byte for byte.
     for (TierStrategy S : {TierStrategy::Normal, TierStrategy::Deoptless})
       for (bool Native : nativeAxis())
-        for (bool Reclaim : {true, false}) {
+        for (bool Gc : {true, false}) {
           Vm::Config C = cfg(S, /*CtxDispatch=*/true, /*Inlining=*/true);
           C.InvalidationRate = 60 + (Seed % 90);
           C.InvalidationSeed = Seed | 1;
           C.NativeTier = Native;
-          C.ReclaimAtSafepoints = Reclaim;
-          C.HeapGc.Enabled = Reclaim;
+          C.HeapGc.Enabled = Gc;
           C.HeapGc.ThresholdBytes = 4 * 1024;
           ASSERT_EQ(Base, runProgram(P, C))
               << "seed " << Seed << " injected strategy "
               << static_cast<int>(S) << " native=" << Native
-              << " reclaim=" << Reclaim
-              << " gc=" << C.HeapGc.Enabled << "\nprogram:\n"
+              << " gc=" << Gc << "\nprogram:\n"
               << P.Setup << "drivers:\n" << driversOf(P);
         }
   }
 }
 
 // 10 shards x 50 programs = 500 random programs, each checked under 29
-// configurations (59 when the native axis is available, including the
-// native-v2 regalloc axis; shards parallelize under `ctest -j`).
+// configurations (57 when the native axis is available; shards
+// parallelize under `ctest -j`).
 INSTANTIATE_TEST_SUITE_P(Shards, DiffFuzz,
                          ::testing::Range(0, static_cast<int>(FuzzShards)));
 
@@ -724,7 +702,11 @@ TEST_P(ConcurrentDiffFuzz, BackgroundTranscriptsMatchSyncBaseline) {
   // One shared compiler pool; ConcurrentExecutors executor threads each
   // drive their own Vms over a slice of the shard's programs. Every
   // bg-mode transcript must equal the thread's own single-threaded
-  // synchronous baseline byte for byte.
+  // synchronous baseline byte for byte. Small trace rings, for every
+  // thread the sweep starts, keep its memory bounded; overflow is the
+  // drop-counting path, which is exactly what should be exercised.
+  obs::traceBegin(/*BufferCapacity=*/1024);
+  obs::traceEnd();
   CompilerPool Pool(/*Threads=*/2);
   std::mutex FailuresMu;
   std::vector<std::string> Failures;
@@ -760,18 +742,12 @@ TEST_P(ConcurrentDiffFuzz, BackgroundTranscriptsMatchSyncBaseline) {
             nativeBackendSupported() &&
             (((K >> 1) + (S == TierStrategy::Deoptless ? 1 : 0)) % 2) ==
                 0;
-        // Native-v2 setting from the program index: over K mod 4 every
-        // (native, regalloc) combination races the shared pool.
-        C.NativeV2.Regalloc = (K & 1) != 0;
         // Event tracing on half the corpus: executor threads record into
         // per-thread rings while compiler threads trace job/publish
-        // events — the tracer itself races the sweep under TSan. Small
-        // rings keep the sweep's memory bounded; overflow is the
-        // drop-counting path, which is exactly what should be exercised.
+        // events — the tracer itself races the sweep under TSan.
         // RJIT_TRACE=1 (the CI tsan job's explicit fuzzer step) upgrades
         // to tracing the whole corpus.
         C.Trace.Enabled = obs::traceEnabledDefault() || (K % 2) == 0;
-        C.Trace.BufferCapacity = 1024;
         // HeapGc axis at a quarter rate (over K mod 8 every combination
         // with loop/native races the pool): a hair-trigger cycle
         // collector runs at this executor's safepoints while compiler

@@ -75,28 +75,24 @@ TEST(ServerDeterminism, ChecksumsInvariantAcrossConfigurations) {
   ServerResult Ref = runServer(smallConfig(TierStrategy::Normal));
   ASSERT_EQ(Ref.ClientChecksums.size(), 8u);
 
-  // {strategy} x {backend} x {safepoint reclamation}: none of these axes may
+  // {strategy} x {backend} x {heap collection}: none of these axes may
   // change a single request's result. NativeTier silently keeps the
   // interpreter on non-x86-64 hosts, which only strengthens the check.
-  // The HeapGc axis rides the safepoint one (hair-trigger collection with
-  // reclamation at every dispatch, no mid-run collection at all with
-  // reclamation off) rather than doubling the run count; the reference
-  // run uses the default-threshold collector, so all three GC cadences
-  // must agree.
+  // The HeapGc axis is hair-trigger collection against no mid-run
+  // collection at all; the reference run uses the default-threshold
+  // collector, so all three GC cadences must agree.
   for (TierStrategy S :
        {TierStrategy::Normal, TierStrategy::Deoptless}) {
     for (bool Native : {false, true}) {
-      for (bool Reclaim : {true, false}) {
+      for (bool Gc : {true, false}) {
         ServerConfig C = smallConfig(S);
         C.Base.NativeTier = Native;
-        C.Base.ReclaimAtSafepoints = Reclaim;
-        C.Base.HeapGc.Enabled = Reclaim;
+        C.Base.HeapGc.Enabled = Gc;
         C.Base.HeapGc.ThresholdBytes = 16 * 1024;
         ServerResult R = runServer(C);
         EXPECT_EQ(R.ClientChecksums, Ref.ClientChecksums)
             << "strategy=" << static_cast<int>(S)
-            << " native=" << Native << " reclaim=" << Reclaim
-            << " gc=" << C.Base.HeapGc.Enabled;
+            << " native=" << Native << " gc=" << Gc;
       }
     }
   }

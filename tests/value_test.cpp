@@ -70,7 +70,7 @@ TEST(Value, HeapAccountingTracksGrowth) {
   uint64_t Before = heapStats().LiveBytes;
   {
     Value A = Value::intVec({1});
-    A = assign2(std::move(A), 50000, Value::integer(7));
+    assign2(A, 50000, Value::integer(7));
     EXPECT_GE(heapStats().LiveBytes, Before + 50000 * sizeof(int32_t));
     EXPECT_EQ(A.length(), 50000);
   }
@@ -81,7 +81,7 @@ TEST(Value, HeapAccountingTracksListGrowth) {
   uint64_t Before = heapStats().LiveBytes;
   {
     Value L = Value::list({Value::integer(1)});
-    L = assign2(std::move(L), 1000, Value::real(2.5));
+    assign2(L, 1000, Value::real(2.5));
     EXPECT_GE(heapStats().LiveBytes, Before + 1000 * sizeof(Value));
     EXPECT_EQ(L.length(), 1000);
   }
@@ -249,7 +249,7 @@ TEST(Index, Extract1SubVector) {
 TEST(Index, Assign2InPlaceWhenUnshared) {
   Value V = Value::realVec({1, 2, 3});
   const void *Obj = V.object();
-  V = assign2(std::move(V), 2, Value::real(9));
+  assign2(V, 2, Value::real(9));
   EXPECT_EQ(V.object(), Obj) << "unshared vector should mutate in place";
   EXPECT_DOUBLE_EQ(extract2(V, 2).asRealUnchecked(), 9);
 }
@@ -257,7 +257,8 @@ TEST(Index, Assign2InPlaceWhenUnshared) {
 TEST(Index, Assign2CopiesWhenShared) {
   Value V = Value::realVec({1, 2, 3});
   Value Alias = V;
-  Value W = assign2(V, 2, Value::real(9));
+  Value W = V;
+  assign2(W, 2, Value::real(9));
   EXPECT_DOUBLE_EQ(extract2(Alias, 2).asRealUnchecked(), 2)
       << "copy-on-write must preserve the alias";
   EXPECT_DOUBLE_EQ(extract2(W, 2).asRealUnchecked(), 9);
@@ -265,41 +266,66 @@ TEST(Index, Assign2CopiesWhenShared) {
 
 TEST(Index, Assign2PromotesIntVecToReal) {
   Value V = Value::intVec({1, 2, 3});
-  V = assign2(std::move(V), 2, Value::real(2.5));
+  assign2(V, 2, Value::real(2.5));
   ASSERT_EQ(V.tag(), Tag::RealVec);
   EXPECT_DOUBLE_EQ(extract2(V, 2).asRealUnchecked(), 2.5);
 }
 
 TEST(Index, Assign2PromotesRealVecToComplex) {
   Value V = Value::realVec({1, 2});
-  V = assign2(std::move(V), 1, Value::cplx(0, 1));
+  assign2(V, 1, Value::cplx(0, 1));
   ASSERT_EQ(V.tag(), Tag::CplxVec);
   EXPECT_EQ(extract2(V, 1).asCplxUnchecked().Im, 1);
 }
 
 TEST(Index, Assign2GrowsVector) {
   Value V = Value::intVec({1});
-  V = assign2(std::move(V), 3, Value::integer(7));
+  assign2(V, 3, Value::integer(7));
   EXPECT_EQ(V.length(), 3);
   EXPECT_EQ(extract2(V, 3).asIntUnchecked(), 7);
 }
 
 TEST(Index, Assign2NullCreatesContainer) {
-  Value V = assign2(Value::nil(), 1, Value::real(1.5));
+  Value V = Value::nil();
+  assign2(V, 1, Value::real(1.5));
   ASSERT_EQ(V.tag(), Tag::RealVec);
   EXPECT_EQ(V.length(), 1);
 }
 
 TEST(Index, Assign2NullWithVectorElementMakesList) {
-  Value V = assign2(Value::nil(), 1, Value::intVec({1, 2}));
+  Value V = Value::nil();
+  assign2(V, 1, Value::intVec({1, 2}));
   ASSERT_EQ(V.tag(), Tag::List);
   EXPECT_EQ(extract2(V, 1).length(), 2);
 }
 
 TEST(Index, Assign2ScalarTargetBoxes) {
-  Value V = assign2(Value::real(1), 2, Value::real(2));
+  Value V = Value::real(1);
+  assign2(V, 2, Value::real(2));
   ASSERT_EQ(V.tag(), Tag::RealVec);
   EXPECT_EQ(V.length(), 2);
+}
+
+TEST(Index, Assign2RaisesBeforeTouchingTheContainer) {
+  // Each error a store can raise leaves the container as it was: an
+  // element store into a binding must not clobber the variable.
+  struct Case {
+    Value X;
+    int64_t Idx;
+    Value V;
+  };
+  for (Case C : {Case{Value::realVec({1, 2}), 0, Value::real(5)},
+                 Case{Value::realVec({1, 2}), 5000000, Value::real(5)},
+                 Case{Value::builtin(BuiltinId::Length), 1, Value::real(3)},
+                 Case{Value::strVec({"a", "b"}), 1, Value::integer(7)},
+                 Case{Value::str("a"), 2, Value::real(1)}}) {
+    const std::string Before = C.X.show();
+    const Tag T = C.X.tag();
+    SCOPED_TRACE(Before);
+    EXPECT_THROW(assign2(C.X, C.Idx, C.V), RError);
+    EXPECT_EQ(C.X.tag(), T);
+    EXPECT_EQ(C.X.show(), Before);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -1058,6 +1058,52 @@ TEST(VmBuiltinWatch, OsrInCodeOfATopLevelLoopThatRebindsABuiltin) {
 }
 
 //===----------------------------------------------------------------------===//
+// Element stores that raise leave their variable as it was
+
+TEST(VmElementStore, FailedStoreKeepsItsVector) {
+  forStrategiesAndBackends([](const Vm::Config &C) {
+    Vm V(C);
+    V.eval("v <- c(1, 2)\nw <- c(1, 2)");
+    EXPECT_THROW(V.eval("v[[0L]] <- 5"), RError);
+    EXPECT_EQ(V.eval("v").show(), "c(1, 2)");
+    EXPECT_THROW(V.eval("w[[5000000L]] <- 5"), RError);
+    EXPECT_EQ(V.eval("w").show(), "c(1, 2)");
+  });
+}
+
+TEST(VmElementStore, FailedStoreIntoABuiltinKeepsTheBuiltin) {
+  // The store raises before it touches runif's binding, so the builtin
+  // watch sees no rebinding and code that folded runif stays live.
+  forStrategiesAndBackends([](const Vm::Config &C) {
+    Vm V(C);
+    V.eval("f <- function(n) length(runif(n))");
+    for (int K = 0; K < 5; ++K)
+      ASSERT_EQ(V.eval("f(3L)").toInt(), 3);
+    EXPECT_THROW(V.eval("runif[[1]] <- 3"), RError);
+    EXPECT_EQ(V.eval("runif").tag(), Tag::Builtin);
+    EXPECT_EQ(V.eval("f(4L)").toInt(), 4);
+    EXPECT_EQ(stats().BuiltinRebinds, 0u);
+    EXPECT_EQ(stats().Deopts, 0u);
+  });
+}
+
+TEST(VmElementStore, FailedStoreInOsrInCodeKeepsItsVector) {
+  // OSR-in code of a top-level loop stores into the global v until its
+  // last index, 0, raises: v keeps the 299 stores before it.
+  forStrategiesAndBackends([](Vm::Config C) {
+    C.CompileThreshold = 1000000;
+    C.OsrThreshold = 50;
+    Vm V(C);
+    V.eval("v <- c(1, 2)");
+    VmStats Start = stats();
+    EXPECT_THROW(V.eval("for (i in 1:300) v[[300L - i]] <- 5"), RError);
+    EXPECT_GE((stats() - Start).OsrInEntries, 1u);
+    EXPECT_EQ(V.eval("length(v)").toInt(), 299);
+    EXPECT_EQ(V.eval("v[[1L]] + v[[299L]]").toReal(), 10.0);
+  });
+}
+
+//===----------------------------------------------------------------------===//
 // Random invalidation mode (§5.1 methodology)
 
 TEST(VmInvalidation, InjectedFailuresDeoptNormally) {
@@ -1210,13 +1256,12 @@ TEST(VmGraveyard, RetiredExecutablesAreGraveyardedThenReclaimed) {
   }
 }
 
-TEST(VmGraveyard, TeardownReclaimsWhenSafepointsAreOff) {
-  // With safepoint reclamation off (the fuzzer's no-reclamation oracle)
-  // nothing is reclaimed mid-run; teardown drains everything. The Vm's
+TEST(VmGraveyard, TeardownReclaimsWhatTheLastCallRetired) {
+  // The Vm's last call deopts and retires its version, and no dispatch
+  // boundary follows it: teardown reclaims the graveyard. The Vm's
   // counters go with it, so the trace's retire/reclaim events witness the
   // teardown.
   Vm::Config C = cfg(TierStrategy::Normal);
-  C.ReclaimAtSafepoints = false;
   C.Trace.Enabled = true;
   obs::traceReset();
   {
@@ -1226,12 +1271,8 @@ TEST(VmGraveyard, TeardownReclaimsWhenSafepointsAreOff) {
       V.eval("sum_data(1:50)");
     V.eval("sum_data(as.numeric(1:50))");
     EXPECT_GT(stats().Deopts, 0u);
-    EXPECT_GT(stats().GraveyardSize, 0u);
-    for (int K = 0; K < 10; ++K)
-      V.eval("sum_data(as.numeric(1:50))");
     EXPECT_GT(stats().GraveyardSize, 0u)
-        << "with safepoints off the graveyard must survive further "
-           "dispatches until teardown";
+        << "no dispatch boundary has passed since the retire";
   }
   EXPECT_GT(obs::traceCountOf(obs::TraceEv::Retire), 0u);
   EXPECT_EQ(obs::traceCountOf(obs::TraceEv::Reclaim),

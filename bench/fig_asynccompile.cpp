@@ -23,6 +23,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "compile/pool.h"
 #include "suite/harness.h"
 
 #include <algorithm>
@@ -81,9 +82,10 @@ int main(int Argc, char **Argv) {
   // The warmup phase must at least reach the threshold-crossing call.
   if (Calls < static_cast<int>(Sync.CompileThreshold))
     Calls = static_cast<int>(Sync.CompileThreshold);
+  // One pool serves every background Vm the arms build, and outlives them.
+  CompilerPool Pool(Threads);
   Vm::Config Bg = Sync;
-  Bg.BackgroundCompile = true;
-  Bg.CompilerThreads = Threads;
+  Bg.Pool = &Pool;
 
   // Warmup calls, then a barrier (every requested compile has been
   // published; synchronous mode has nothing in flight, so the drain is a

@@ -175,36 +175,39 @@ void BM_GuardChecksOnly(benchmark::State &State) {
 BENCHMARK(BM_GuardChecksOnly);
 
 void BM_CleanupAblation(benchmark::State &State) {
-  // The §4.3 feedback cleanup pass, ablated: without it, continuations
-  // compile against stale profiles, mis-speculate, and deopt for good —
-  // the float-phase call becomes a true deoptimization every time.
+  // The §4.3 feedback cleanup pass, ablated on Fig. 9's "fun" session at
+  // its default size: `interp` is rebound, the version's call-target guard
+  // fails, and a continuation runs the rest of the call. With cleanup the
+  // continuation drops the stale call profile and serves every later
+  // failure: no true deopt. Without it the continuation speculates on the
+  // old binding at the other call through `interp` and fails that guard
+  // inside itself, a true deoptimization (deoptless_skip_recursive). Timed:
+  // the five calls after the switch; true_deopts counts per iteration.
   bool Cleanup = State.range(0) != 0;
+  const char *Cast = "cast_rays(hm, 28L, interp, 0.7, 0.4)";
+  uint64_t TrueDeopts = 0;
   for (auto _ : State) {
     State.PauseTiming();
     Vm::Config C = benchConfig(TierStrategy::Deoptless);
-    C.OsrThreshold = 0;
     C.FeedbackCleanup = Cleanup;
     Vm V(C);
-    V.eval(sumSetup());
-    V.eval("ints <- 1:2000");
-    V.eval("reals <- as.numeric(1:2000)");
-    for (int K = 0; K < 6; ++K)
-      V.eval("sum_data(ints)");
-    V.eval("sum_data(reals)"); // first continuation
+    V.eval(byName("raytrace")->Setup);
+    V.eval("hm <- make_heightmap(28L)\ninterp <- interp_bilinear");
+    for (int K = 0; K < 5; ++K)
+      V.eval(Cast);
+    V.eval("interp <- interp_nearest");
     uint64_t DeoptsBefore = stats().Deopts;
     State.ResumeTiming();
-    // Steady-state float calls: with cleanup these are dispatch hits;
-    // without it they degrade.
-    for (int K = 0; K < 10; ++K)
-      benchmark::DoNotOptimize(V.eval("sum_data(reals)"));
+    for (int K = 0; K < 5; ++K)
+      benchmark::DoNotOptimize(V.eval(Cast));
     State.PauseTiming();
-    State.counters["true_deopts"] = benchmark::Counter(
-        static_cast<double>(stats().Deopts - DeoptsBefore),
-        benchmark::Counter::kAvgIterations);
+    TrueDeopts += stats().Deopts - DeoptsBefore;
     State.ResumeTiming();
   }
+  State.counters["true_deopts"] = benchmark::Counter(
+      static_cast<double>(TrueDeopts), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_CleanupAblation)->Arg(1)->Arg(0)->Iterations(30);
+BENCHMARK(BM_CleanupAblation)->Arg(1)->Arg(0)->Iterations(10);
 
 void BM_LowerSuite(benchmark::State &State) {
   // Lowering alone: the optimized IR of every closure the main suite

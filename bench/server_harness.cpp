@@ -152,7 +152,6 @@ ServerResult rjit::suite::runServer(const ServerConfig &SC) {
 
   auto Client = [&](unsigned Id) {
     Vm::Config C = SC.Base;
-    C.BackgroundCompile = true;
     C.Pool = &Pool;
     Vm V(C);
     bool Broken = false;

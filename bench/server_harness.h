@@ -78,8 +78,8 @@ struct ServerConfig {
   unsigned ChaosIntervalUs = 0;
 
   /// Base Vm configuration (Strategy, NativeTier, HeapGc, ...).
-  /// The harness forces BackgroundCompile on and points every client at
-  /// the shared pool; everything else is taken as given.
+  /// The harness points every client at the shared pool, which it owns;
+  /// everything else is taken as given.
   Vm::Config Base;
 
   /// Also collect raw per-request seconds per phase (memory ~ one double

@@ -10,9 +10,10 @@
 /// feedback snapshot and publishes atomically into the owning tables) and
 /// release the dedup reservation.
 ///
-/// A pool may be shared by several Vms (Vm::Config::Pool); drain(owner)
-/// scopes the barrier to one Vm's requests so concurrent executors do not
-/// wait on each other's backlogs.
+/// The embedder owns every pool and hands it to each Vm that compiles in
+/// the background (Vm::Config::Pool), so a pool outlives its Vms and may be
+/// shared by several; drain(owner) scopes the barrier to one Vm's requests
+/// so concurrent executors do not wait on each other's backlogs.
 ///
 /// A pool constructed with zero threads runs jobs only inside drain(), on
 /// the draining thread, in FIFO order — the deterministic mode the

@@ -49,14 +49,13 @@ FnVersion *resolveVersion(Function *Fn, const CallContext &Ctx,
 /// or a full table refuses, live code is published (lock-free; the body's
 /// publication re-checks under the writer lock). Otherwise runs \p Body,
 /// which compiles, publishes and returns whether it published: without a
-/// pool now, against live feedback; with one, the executor captures
-/// \p Fn's feedback closure now and a compiler thread runs the body under
-/// that snapshot. \p Root, when set, yields the profile that replaces
-/// \p Fn's in either mode.
+/// pool (Opts.Pool) now, against live feedback; with one, the executor
+/// captures \p Fn's feedback closure now and a compiler thread runs the
+/// body under that snapshot. \p Root, when set, yields the profile that
+/// replaces \p Fn's in either mode.
 template <typename Key>
-CompileStatus request(CompilerPool *Pool, Function *Fn, CodeTable<Key> &T,
-                      const Key &K, const OptOptions &Opts,
-                      std::function<bool()> Body,
+CompileStatus request(Function *Fn, CodeTable<Key> &T, const Key &K,
+                      const OptOptions &Opts, std::function<bool()> Body,
                       const std::function<FeedbackTable()> &Root = nullptr) {
   if (const CodeEntry<Key> *E = T.exact(K)) {
     if (E->Blacklisted)
@@ -66,7 +65,7 @@ CompileStatus request(CompilerPool *Pool, Function *Fn, CodeTable<Key> &T,
   } else if (T.fullFor(K)) {
     return CompileStatus::Refused;
   }
-  if (!Pool) {
+  if (!Opts.Pool) {
     if (!Root)
       return Body() ? CompileStatus::Published : CompileStatus::Refused;
     // A partial snapshot overrides only the root: inlined callees read
@@ -77,7 +76,7 @@ CompileStatus request(CompilerPool *Pool, Function *Fn, CodeTable<Key> &T,
     return Body() ? CompileStatus::Published : CompileStatus::Refused;
   }
   CompileKey QKey{Opts.Ctx, Fn, Key::Kind, K.hash()};
-  if (Pool->queue().pending(QKey))
+  if (Opts.Pool->queue().pending(QKey))
     return CompileStatus::Pending; // in flight: skip the snapshot capture
   std::shared_ptr<FeedbackSnapshot> Snap = FeedbackSnapshot::capture(Fn);
   if (Root)
@@ -86,7 +85,7 @@ CompileStatus request(CompilerPool *Pool, Function *Fn, CodeTable<Key> &T,
                    SnapshotScope Scope(*Snap);
                    Body();
                  }};
-  CompileQueue::Push R = Pool->queue().push(std::move(Job));
+  CompileQueue::Push R = Opts.Pool->queue().push(std::move(Job));
   return R == CompileQueue::Push::Enqueued ||
                  R == CompileQueue::Push::Duplicate
              ? CompileStatus::Pending
@@ -130,7 +129,7 @@ std::unique_ptr<ExecutableCode> compileContinuation(Function *Fn,
 FnVersion *rjit::compileAndPublishVersion(Function *Fn,
                                           const CallContext &Ctx,
                                           CodeTable<CallContext> &Table,
-                                          const VersionCompileOpts &Opts) {
+                                          const OptOptions &Opts) {
   // Resolution and entry insertion happen under the writer lock; the
   // compile itself runs unlocked (an executor's guard-failure path never
   // waits out a compile of the same function), and publication re-checks
@@ -153,7 +152,6 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
     obs::traceEvent(obs::TraceEv::CompileStart, 0, E->ObsId,
                     static_cast<uint64_t>(CompileKind::Function));
 
-  const OptOptions &O = Opts.Opt;
   EntryState Entry;
   if (!Want.isGeneric()) {
     // Seed inference with the argument types the dispatch guarantees.
@@ -168,9 +166,9 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
   // generic root only: FullEnv code takes its arguments through the
   // environment, so a context specialization cannot reach it).
   std::unique_ptr<IrCode> Ir =
-      optimizeToIr(Fn, CallConv::FullElided, Entry, O);
+      optimizeToIr(Fn, CallConv::FullElided, Entry, Opts);
   if (!Ir && Want.isGeneric())
-    Ir = optimizeToIr(Fn, CallConv::FullEnv, EntryState(), O);
+    Ir = optimizeToIr(Fn, CallConv::FullEnv, EntryState(), Opts);
   if (!Ir) {
     // The failure mark burns an impossible specialization (no elidable
     // environment), so future calls go straight to the generic root. On
@@ -185,9 +183,9 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
   }
 
   std::unique_ptr<ExecutableCode> Exec =
-      prepareExecutable(O.Backend, lowerToLow(*Ir));
+      prepareExecutable(Opts.Backend, lowerToLow(*Ir));
   uint64_t Dur = nowNanos() - T0;
-  ExecContext &Requester = contextOr(O.Ctx);
+  ExecContext &Requester = contextOr(Opts.Ctx);
   Requester.Metrics.CompileLatency.record(Dur);
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::CompileFinish, Dur, E->ObsId,
@@ -197,7 +195,7 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
   // the same root): either way the code is discarded, not installed over
   // the executor's decision or the first code.
   if (Table.publish(Want, std::move(Exec),
-                    feedbackHash(*Fn, Opts.HashWithContexts),
+                    feedbackHash(*Fn, Opts.ContextDispatch),
                     &Requester.Watch.Epoch)) {
     ++Requester.Stats.Compilations;
     if (!Want.isGeneric())
@@ -210,10 +208,10 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
 // Requests — run on the executor thread
 //===----------------------------------------------------------------------===//
 
-CompileStatus rjit::requestVersionCompile(CompilerPool *Pool, Function *Fn,
+CompileStatus rjit::requestVersionCompile(Function *Fn,
                                           const CallContext &Ctx,
                                           CodeTable<CallContext> &Table,
-                                          const VersionCompileOpts &Opts) {
+                                          const OptOptions &Opts) {
   // The job's own resolution, lock-free, so the shared check sees the
   // entry the job would publish into: a resolved version that is
   // blacklisted or already live can never publish anything new — without
@@ -225,17 +223,16 @@ CompileStatus rjit::requestVersionCompile(CompilerPool *Pool, Function *Fn,
   // under the writer lock.
   CallContext Want;
   resolveVersion(Fn, Ctx, Table, Want);
-  return request(Pool, Fn, Table, Want, Opts.Opt, [Fn, Want, &Table, Opts] {
+  return request(Fn, Table, Want, Opts, [Fn, Want, &Table, Opts] {
     return compileAndPublishVersion(Fn, Want, Table, Opts) != nullptr;
   });
 }
 
-CompileStatus rjit::requestOsrCompile(CompilerPool *Pool, Function *Fn,
-                                      const EntryState &Entry,
+CompileStatus rjit::requestOsrCompile(Function *Fn, const EntryState &Entry,
                                       CodeTable<OsrKey> &Table,
                                       const OptOptions &Opts) {
   OsrKey K(Entry);
-  return request(Pool, Fn, Table, K, Opts, [Fn, Entry, K, &Table, Opts] {
+  return request(Fn, Table, K, Opts, [Fn, Entry, K, &Table, Opts] {
     if (!Table.publish(K,
                        compileContinuation(Fn, CallConv::OsrIn, Entry, Opts),
                        0, &contextOr(Opts.Ctx).Watch.Epoch))
@@ -245,12 +242,12 @@ CompileStatus rjit::requestOsrCompile(CompilerPool *Pool, Function *Fn,
   });
 }
 
-CompileStatus rjit::requestContinuationCompile(
-    CompilerPool *Pool, Function *Fn, const DeoptContext &Ctx,
-    CodeTable<DeoptContext> &Table, bool FeedbackCleanup,
-    const OptOptions &Opts) {
+CompileStatus rjit::requestContinuationCompile(Function *Fn,
+                                               const DeoptContext &Ctx,
+                                               CodeTable<DeoptContext> &Table,
+                                               const OptOptions &Opts) {
   return request(
-      Pool, Fn, Table, Ctx, Opts,
+      Fn, Table, Ctx, Opts,
       [Fn, Ctx, &Table, Opts] {
         if (!Table.publish(Ctx,
                            compileContinuation(Fn, CallConv::Deoptless,
@@ -263,7 +260,7 @@ CompileStatus rjit::requestContinuationCompile(
                           static_cast<uint64_t>(Ctx.Pc));
         return true;
       },
-      [Fn, &Ctx, FeedbackCleanup] {
-        return repairedContinuationFeedback(Fn, Ctx, FeedbackCleanup);
+      [Fn, &Ctx, &Opts] {
+        return repairedContinuationFeedback(Fn, Ctx, Opts.FeedbackCleanup);
       });
 }

@@ -42,6 +42,11 @@ enum CallAssumption : uint8_t {
   CtxNoMissingArgs = 1 << 1,
 };
 
+/// Bound on a function's version table: specialized versions per function.
+/// The generic root is exempt, so a full table falls back to one generic
+/// version.
+inline constexpr uint32_t MaxVersions = 4;
+
 /// The optimization context of one invocation, and the version table's
 /// key (dispatch/table.h). Argument slots beyond MaxProfiledArgs stay
 /// untyped (the same bound the call-site profile uses).

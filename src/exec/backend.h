@@ -123,7 +123,7 @@ private:
 
 /// A code-producing execution tier. prepare() is called on whatever thread
 /// compiled the LowCode (the executor in synchronous mode, a compiler
-/// thread under BackgroundCompile) and must be internally thread-safe;
+/// thread when the Vm has a pool) and must be internally thread-safe;
 /// the returned executable may then be invoked from any executor thread
 /// that observes its publication.
 class ExecBackend {

@@ -56,23 +56,24 @@ struct EntryState {
   std::vector<RType> ParamTypes;
 };
 
-/// The one definition of "debug builds verify between passes": both
-/// structs that carry the knob (Vm::Config and OptOptions, which every
-/// compile entry point receives from Vm::optView) default from
-/// this constant so the tiers cannot drift apart.
+/// The one definition of "debug builds verify between passes": OptOptions
+/// defaults from it and Vm::Config names it, so every compile entry point
+/// (each receives Vm::optView) verifies in debug builds only.
 #ifndef NDEBUG
 inline constexpr bool VerifyPassesDefault = true;
 #else
 inline constexpr bool VerifyPassesDefault = false;
 #endif
 
+class CompilerPool;
 class ExecBackend;
 class ExecContext;
 
 /// Translation/optimization knobs, shared verbatim by every compile entry
 /// point (whole-function versions, OSR-in continuations, deoptless
 /// continuations) so the tiers cannot drift apart; Vm::optView fills them
-/// from Vm::Config.
+/// from Vm::Config. Every default is a fresh Vm's value except Backend and
+/// Ctx, which only a Vm knows.
 struct OptOptions {
   bool Speculate = true; ///< insert Assume guards from feedback
   /// Speculative inlining (opt/inline): splice monomorphic hot callees
@@ -103,6 +104,16 @@ struct OptOptions {
   /// epoch 0), for compiles outside a Vm; Vm::optView copies the live one.
   uint64_t IntactBuiltins = ~uint64_t(0);
   uint64_t BuiltinEpoch = 0;
+  /// The compiler pool requests go to (compile/service): null compiles
+  /// now, on the requesting thread; set, a compiler thread compiles later
+  /// from a feedback snapshot. Not owned.
+  CompilerPool *Pool = nullptr;
+  /// The §4.3 feedback cleanup pass: a continuation's profile is repaired
+  /// with the failing guard's observation before it is compiled.
+  bool FeedbackCleanup = true;
+  /// The feedbackHash flavour a version records: include call-site
+  /// contexts when versions are dispatched by call context.
+  bool ContextDispatch = false;
 };
 
 /// Result of checking whether a function's environment can be elided.

@@ -105,7 +105,7 @@ EntryState rjit::continuationEntry(const DeoptContext &Ctx) {
 bool rjit::tryDeoptless(const LowFunction &F, const SlotView &Slots,
                         const DeoptMeta &Meta, Env *ParentEnv, bool Injected,
                         CodeTable<DeoptContext> &Table,
-                        const ContinuationCompile &How, Value &Result) {
+                        const OptOptions &Opts, Value &Result) {
   ExecContext &C = currentContext();
   if (!deoptlessCondition(C, F, Meta, Injected))
     return false;
@@ -139,9 +139,8 @@ bool rjit::tryDeoptless(const LowFunction &F, const SlotView &Slots,
   CodeEntry<DeoptContext> *Cont = Table.dispatch(Ctx);
   bool Compiled = false;
   if (!Cont || !(Cont->Ctx <= Ctx)) {
-    CompileStatus R =
-        requestContinuationCompile(How.Pool, continuationOwner(F, Meta), Ctx,
-                                   Table, How.FeedbackCleanup, How.Opts);
+    CompileStatus R = requestContinuationCompile(continuationOwner(F, Meta),
+                                                 Ctx, Table, Opts);
     if (R == CompileStatus::Published) {
       Cont = Table.dispatch(Ctx);
       Compiled = true;

@@ -32,18 +32,7 @@
 
 namespace rjit {
 
-class CompilerPool;
 struct SlotView;
-
-/// How a continuation miss is compiled (requestContinuationCompile): now,
-/// on the executor, or — with a pool — in the background, in which case a
-/// miss falls back to a true deoptimization *this time* and later failures
-/// dispatch to the published continuation without ever pausing.
-struct ContinuationCompile {
-  OptOptions Opts;
-  bool FeedbackCleanup = true; ///< the §4.3 cleanup pass (ablation toggle)
-  CompilerPool *Pool = nullptr; ///< background mode when set
-};
 
 /// The function whose continuation table a failing guard dispatches over:
 /// the innermost frame's. A guard inside an inlined callee dispatches over
@@ -58,13 +47,17 @@ inline Function *continuationOwner(const LowFunction &F,
 /// \p Table (the continuation table of continuationOwner(F, Meta)).
 /// Returns true and sets \p Result when a continuation handled the rest of
 /// the activation; returns false when the caller must perform a true
-/// deoptimization. For a guard inside an inlined callee the synthesized
-/// caller frames are resumed in the baseline interpreter after the
-/// continuation, so the activation still yields the caller's value.
+/// deoptimization. A miss is compiled under \p Opts
+/// (requestContinuationCompile): now, on the executor, or — with
+/// Opts.Pool — in the background, in which case the miss is a true
+/// deoptimization *this time* and later failures dispatch to the published
+/// continuation without ever pausing. For a guard inside an inlined callee
+/// the synthesized caller frames are resumed in the baseline interpreter
+/// after the continuation, so the activation still yields the caller's
+/// value.
 bool tryDeoptless(const LowFunction &F, const SlotView &Slots,
                   const DeoptMeta &Meta, Env *ParentEnv, bool Injected,
-                  CodeTable<DeoptContext> &Table,
-                  const ContinuationCompile &How,
+                  CodeTable<DeoptContext> &Table, const OptOptions &Opts,
                   Value &Result);
 
 /// The repaired profile a continuation for \p Ctx must be compiled

@@ -40,6 +40,10 @@ struct DeoptReasonRt {
 inline constexpr unsigned MaxCtxStack = 16;
 inline constexpr unsigned MaxCtxEnv = 32;
 
+/// Bound on a function's continuation table: the dispatch table of paper
+/// §4.3 holds at most this many continuations.
+inline constexpr uint32_t MaxContinuations = 5;
+
 /// The deoptless optimization context, and the continuation table's key
 /// (dispatch/table.h).
 struct DeoptContext {

@@ -56,16 +56,14 @@ OptOptions Vm::optView() {
   O.Speculate = Cfg.Speculate;
   O.Inline = Cfg.Inlining;
   O.Loop = Cfg.LoopOpts;
-  O.VerifyEachPass = Cfg.VerifyBetweenPasses;
   O.Backend = ActiveBackend;
   O.Ctx = &Ctx;
   O.IntactBuiltins = Ctx.Watch.Intact;
   O.BuiltinEpoch = Ctx.Watch.Epoch.load(std::memory_order_relaxed);
+  O.Pool = Cfg.Pool;
+  O.FeedbackCleanup = Cfg.FeedbackCleanup;
+  O.ContextDispatch = Cfg.ContextDispatch;
   return O;
-}
-
-VersionCompileOpts Vm::versionView() {
-  return {optView(), Cfg.ContextDispatch};
 }
 
 namespace rjit {
@@ -103,8 +101,7 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
         std::lock_guard G(TS.Versions);
         V->toGraveyard(Ver->retire());
       }
-      requestVersionCompile(V->ActivePool, Fn, Ver->Ctx, TS.Versions,
-                            V->versionView());
+      requestVersionCompile(Fn, Ver->Ctx, TS.Versions, V->optView());
       ++S.Reoptimizations;
     }
     return R;
@@ -115,8 +112,8 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
     // this call keeps going in the baseline: the warmup pause becomes one
     // more profiled baseline execution, and the version appears to a
     // later call via atomic publication (a racing one may be done).
-    if (requestVersionCompile(V->ActivePool, Fn, Ctx, TS.Versions,
-                              V->versionView()) == CompileStatus::Pending)
+    if (requestVersionCompile(Fn, Ctx, TS.Versions, V->optView()) ==
+        CompileStatus::Pending)
       ++S.WarmupPausesAvoided;
     Ver = TS.Versions.dispatch(Ctx);
   }
@@ -164,9 +161,7 @@ Value vmDeoptHandler(const LowFunction &F, const SlotView &Slots,
     TierState &Owner = V->stateFor(continuationOwner(F, Meta));
     Value Result;
     if (tryDeoptless(F, Slots, Meta, ParentEnv, Injected,
-                     Owner.Continuations,
-                     {V->optView(), V->Cfg.FeedbackCleanup, V->ActivePool},
-                     Result)) {
+                     Owner.Continuations, V->optView(), Result)) {
       // A real failure makes OSR-in code stale even when a continuation
       // absorbed it: retire it, as retireDeopted does on a true deopt, or
       // every later activation with this entry signature enters it and
@@ -231,7 +226,7 @@ bool vmOsrInHook(Function *Fn, Env *E, std::vector<Value> &Stack, int32_t Pc,
   assert(V && "OSR hook without an active Vm");
   EntryState Entry = buildOsrEntryState(Fn, E, Stack, Pc);
   CodeTable<OsrKey> &Osr = V->stateFor(Fn).Osr;
-  CompileStatus R = requestOsrCompile(V->pool(), Fn, Entry, Osr, V->optView());
+  CompileStatus R = requestOsrCompile(Fn, Entry, Osr, V->optView());
   if (R == CompileStatus::Pending)
     ++V->context().Stats.WarmupPausesAvoided;
   if (R != CompileStatus::Published)
@@ -262,14 +257,6 @@ Vm::Vm(Config C) : Cfg(C), Ctx(this), Installed(Ctx) {
   if (Cfg.NativeTier)
     OwnBackend = makeNativeBackend(&Ctx);
   ActiveBackend = OwnBackend ? OwnBackend.get() : &interpBackend();
-
-  if (Cfg.BackgroundCompile) {
-    ActivePool = Cfg.Pool;
-    if (!ActivePool) {
-      OwnPool = std::make_unique<CompilerPool>(Cfg.CompilerThreads);
-      ActivePool = OwnPool.get();
-    }
-  }
 
   Ctx.Interp.CallClosure = vmDispatchCall;
   // BaselineOnly is the reference semantics: no optimized code, OSR-in
@@ -369,8 +356,8 @@ void Vm::reclaimGraveyard(bool IgnoreEpochs) {
 }
 
 void Vm::drainCompiles() {
-  if (ActivePool)
-    ActivePool->drain(&Ctx);
+  if (Cfg.Pool)
+    Cfg.Pool->drain(&Ctx);
 }
 
 Vm *Vm::current() { return currentContext().Owner; }
@@ -398,7 +385,7 @@ TierState &Vm::stateFor(Function *Fn) {
          "tier state is looked up only by the executor that built the Vm");
   std::unique_ptr<TierState> &S = States[Fn];
   if (!S)
-    S = std::make_unique<TierState>(Cfg.MaxVersions, Cfg.MaxContinuations);
+    S = std::make_unique<TierState>();
   return *S;
 }
 
@@ -457,7 +444,7 @@ void Vm::retireDeopted(const LowFunction &Code) {
   ++Ver->DeoptCount;
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::VersionDeopt, 0, Ver->ObsId);
-  if (Ver->DeoptCount >= Cfg.DeoptBlacklist && !Ver->Blacklisted)
+  if (Ver->DeoptCount >= DeoptBlacklist && !Ver->Blacklisted)
     Ver->markFailed();
   // Re-warm before recompiling so the baseline can collect fresh feedback
   // (Fig. 1: deopt -> profile -> recompile).
@@ -468,7 +455,7 @@ ExecutableCode *Vm::compileFunction(Function *Fn) {
   // The version job's body (compile/service), run now.
   FnVersion *Ver =
       compileAndPublishVersion(Fn, genericContext(Fn->Params.size()),
-                               stateFor(Fn).Versions, versionView());
+                               stateFor(Fn).Versions, optView());
   return Ver ? Ver->code() : nullptr;
 }
 

@@ -24,13 +24,12 @@
 /// independent threads may each drive their own Vm, and a CompilerPool
 /// may be shared between them. Every compile (whole-function, OSR-in,
 /// deoptless continuation) is one request to compile/service, which runs
-/// it now or — with Config::BackgroundCompile, whose pool the constructor
-/// sets up — enqueues it instead of pausing the executor; code appears
-/// via atomic publication into the function's code tables
-/// (dispatch/table.h) and the executor keeps running baseline code until
-/// it does. Retired code of every kind leaves through one graveyard.
-/// drainCompiles() is the barrier that recovers fully deterministic
-/// synchronous behavior.
+/// it now or — with Config::Pool, a pool the embedder owns — enqueues it
+/// instead of pausing the executor; code appears via atomic publication
+/// into the function's code tables (dispatch/table.h) and the executor
+/// keeps running baseline code until it does. Retired code of every kind
+/// leaves through one graveyard. drainCompiles() is the barrier that
+/// recovers fully deterministic synchronous behavior.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,13 +73,15 @@ enum class TierStrategy : uint8_t {
 /// dispatch the version table holds exactly the generic root version and
 /// reproduces the seed's single-`Optimized`-pointer behavior.
 struct TierState {
-  TierState(uint32_t MaxVersions, uint32_t MaxContinuations)
-      : Versions(MaxVersions), Continuations(MaxContinuations),
-        Osr(MaxOsrSignatures) {}
-  CodeTable<CallContext> Versions;
-  CodeTable<DeoptContext> Continuations; ///< paper §4.3
-  CodeTable<OsrKey> Osr;                 ///< paper §4.2
+  CodeTable<CallContext> Versions{MaxVersions};
+  CodeTable<DeoptContext> Continuations{MaxContinuations}; ///< paper §4.3
+  CodeTable<OsrKey> Osr{MaxOsrSignatures};                 ///< paper §4.2
 };
+
+/// True deopts a version entry absorbs before it is failure-marked and its
+/// function stays in the baseline (the count survives the Fig. 1
+/// retire/recompile cycle; see CodeTable).
+inline constexpr uint32_t DeoptBlacklist = 50;
 
 class CompilerPool;
 
@@ -89,8 +90,9 @@ class Vm {
 public:
   /// Every settable value, with the reason it stays (README
   /// "Configuration" has the same list as a table): a paper ablation, a
-  /// §5.1 protocol parameter, a fuzzer oracle, a measured effect, a
-  /// deployment choice, or a resource bound.
+  /// §5.1 protocol parameter, a fuzzer oracle, a measured effect or a
+  /// deployment choice. The tier-up bounds are constants beside their keys
+  /// (MaxVersions, MaxContinuations, MaxOsrSignatures, DeoptBlacklist).
   struct Config {
     /// Paper ablation: the experiment mode (Figs. 1, 2 and 11).
     TierStrategy Strategy = TierStrategy::Normal;
@@ -104,10 +106,6 @@ public:
     uint64_t InvalidationSeed = 12345;
     /// Paper ablation: the §4.3 feedback cleanup pass.
     bool FeedbackCleanup = true;
-    /// Resource bounds: continuations per function (the dispatch table of
-    /// §4.3) and true deopts before a function stays in the baseline.
-    uint32_t MaxContinuations = 5;
-    uint32_t DeoptBlacklist = 50;
     /// Paper ablation: insert Assume guards at all.
     bool Speculate = true;
 
@@ -115,9 +113,6 @@ public:
     /// table of call-context-specialized versions instead of one generic
     /// optimized version. The fuzzer sweeps it.
     bool ContextDispatch = false;
-    /// Resource bound: specialized versions per function. The generic
-    /// root is exempt, so a full table falls back to one generic version.
-    uint32_t MaxVersions = 4;
 
     /// Paper ablation, orthogonal to Strategy: monomorphic hot callees
     /// recorded in CallFeedback are spliced into the caller under the
@@ -132,11 +127,11 @@ public:
     /// hoisting (guards re-anchored to a preheader frame state, so a
     /// failure deopts *before* the loop) and redundant-guard elimination.
     bool LoopOpts = true;
-    /// Correctness gate: run the IR verifier between every optimization
-    /// pass, so structural breakage fails the compile at the offending
-    /// pass. On in debug builds, which CI's sanitizer jobs run; off in
-    /// release builds.
-    bool VerifyBetweenPasses = VerifyPassesDefault;
+    /// Correctness gate, not settable: the IR verifier runs between every
+    /// optimization pass in debug builds (CI's sanitizer jobs), so
+    /// structural breakage fails the compile at the offending pass.
+    /// Named here because deoptbench reads it.
+    static constexpr bool VerifyBetweenPasses = VerifyPassesDefault;
 
     /// Measured effect (fig_native) and fuzzer axis: optimized code is
     /// prepared by the x86-64 template JIT with register allocation
@@ -166,18 +161,14 @@ public:
     } HeapGc;
 
     /// Measured effect (fig_asynccompile) and the concurrent fuzzer's
-    /// mode: compile requests go to a compiler pool; each job compiles
-    /// from a feedback snapshot taken at enqueue time and publishes
-    /// atomically, while the executor keeps running baseline code. Off
-    /// means synchronous, deterministic tier-up.
-    bool BackgroundCompile = false;
-    /// Deployment: pool size when the Vm owns its pool (Pool == nullptr).
-    /// Zero is the deterministic test mode: jobs run only inside
-    /// drainCompiles(), in FIFO order, on the draining thread.
-    unsigned CompilerThreads = 2;
-    /// Deployment: a pool shared with other Vms (e.g. one pool, N
-    /// executor threads). Not owned; must outlive the Vm. Null: the Vm
-    /// creates its own.
+    /// mode: background compilation on this pool. Compile requests go to
+    /// it; each job compiles from a feedback snapshot taken at enqueue
+    /// time and publishes atomically, while the executor keeps running
+    /// baseline code. Not owned: the pool must outlive the Vm, and may be
+    /// shared with other Vms (one pool, N executor threads). A 0-thread
+    /// pool is the deterministic test mode: jobs run only inside
+    /// drainCompiles(). Null (the default) means synchronous,
+    /// deterministic tier-up.
     CompilerPool *Pool = nullptr;
 
     /// Runtime event tracing (src/obs/): while enabled, every tier event
@@ -225,25 +216,19 @@ public:
   /// returns the backend-prepared executable or null.
   ExecutableCode *compileFunction(Function *Fn);
 
-  /// The compiler pool serving this Vm (null without BackgroundCompile).
-  CompilerPool *pool() { return ActivePool; }
-
   /// The execution backend optimized code is prepared for (never null:
   /// the interpreter backend when no native tier is active).
   ExecBackend *backend() { return ActiveBackend; }
 
-  /// The optimizer view: the OptOptions every compile entry point
-  /// (versions, OSR-in, deoptless continuations) runs under, preparing
-  /// code for backend().
+  /// The optimizer view: the OptOptions every compile request (versions,
+  /// OSR-in, deoptless continuations) runs under, preparing code for
+  /// backend() and sending it to Config::Pool.
   OptOptions optView();
-
-  /// The version-compile view (knob copies compile jobs carry).
-  VersionCompileOpts versionView();
 
   /// Barrier: waits until every compile request this Vm enqueued has been
   /// compiled and published (with a 0-thread pool, runs them inline).
-  /// No-op without BackgroundCompile — synchronous tier-up never has
-  /// anything in flight.
+  /// No-op without a pool — synchronous tier-up never has anything in
+  /// flight.
   void drainCompiles();
 
   /// Requests \p Count injected guard invalidations (§5.1 semantics: the
@@ -294,13 +279,10 @@ private:
   std::unique_ptr<ExecBackend> OwnBackend;
   ExecBackend *ActiveBackend = nullptr;
   /// Per-function tier state. Only the executor looks states up (dispatch,
-  /// the deopt handler, the OSR hooks, native link registration); compile
-  /// jobs hold pointers to TierState members captured at enqueue, which
-  /// stay valid because each state is heap-allocated and lives until
-  /// teardown.
+  /// the deopt handler, the OSR hook, the builtin watch); compile jobs
+  /// hold pointers to TierState members captured at enqueue, which stay
+  /// valid because each state is heap-allocated and lives until teardown.
   std::unordered_map<Function *, std::unique_ptr<TierState>> States;
-  std::unique_ptr<CompilerPool> OwnPool;
-  CompilerPool *ActivePool = nullptr;
   /// Retired optimized code awaiting reclamation (retired versions and
   /// stale OSR-in code): activations of code being retired are still on
   /// the stack when the deopt handler runs (and under recursion an *outer*

@@ -42,12 +42,13 @@ Function *functionNamed(Vm &V, const std::string &Name) {
   return F.closObj()->Fn;
 }
 
-Vm::Config backgroundCfg(unsigned Threads = 0) {
+/// Background compilation on \p Pool, which the caller declares before
+/// the Vm so it outlives it.
+Vm::Config backgroundCfg(CompilerPool &Pool) {
   Vm::Config C;
   C.CompileThreshold = 2;
   C.OsrThreshold = 100;
-  C.BackgroundCompile = true;
-  C.CompilerThreads = Threads;
+  C.Pool = &Pool;
   return C;
 }
 
@@ -148,7 +149,8 @@ TEST(BackgroundCompile, CompiledVersionReflectsSnapshotNotLiveProfile) {
   // still speculate on the *snapshot* profile (int), so a real-typed call
   // afterwards fails the guard — proof the mid-compile mutation was
   // invisible to the job.
-  Vm V(backgroundCfg());
+  CompilerPool Pool(/*Threads=*/0);
+  Vm V(backgroundCfg(Pool));
   V.eval("f <- function(a) {\n  acc <- a\n  for (i in 1:3) acc <- acc + "
          "1L\n  acc\n}");
   V.eval("f(1L)");
@@ -170,7 +172,8 @@ TEST(BackgroundCompile, CompiledVersionReflectsSnapshotNotLiveProfile) {
 // Publication vs. blacklisting
 
 TEST(BackgroundCompile, PublicationLosingBlacklistRaceDiscardsCode) {
-  Vm V(backgroundCfg());
+  CompilerPool Pool(/*Threads=*/0);
+  Vm V(backgroundCfg(Pool));
   V.eval("f <- function(a) a + 1L");
   V.eval("f(1L)");
   V.eval("f(2L)"); // request enqueued
@@ -212,9 +215,7 @@ TEST(SharedPool, CompilesAreChargedToTheRequestingVm) {
     uint64_t Compilations = 0, AsyncCompiles = 0, Published = 0;
   } R[2];
   auto Client = [&](int Id) {
-    Vm::Config C = backgroundCfg();
-    C.Pool = &Pool;
-    Vm V(C);
+    Vm V(backgroundCfg(Pool));
     V.eval("f1 <- function(a) a + 1L\nf2 <- function(a) a + 2L\n"
            "f3 <- function(a) a + 3L");
     AwaitAll(Built);
@@ -254,7 +255,8 @@ namespace {
 /// One deterministic background run: a warmup + phase-change workload with
 /// a drain barrier at each phase edge. Returns the transcript.
 std::string drainedRun(uint64_t &Compilations, uint64_t &CtxVersions) {
-  Vm::Config C = backgroundCfg(/*Threads=*/0);
+  CompilerPool Pool(/*Threads=*/0);
+  Vm::Config C = backgroundCfg(Pool);
   C.Strategy = TierStrategy::Deoptless;
   C.ContextDispatch = true;
   C.Inlining = true;
@@ -285,7 +287,8 @@ TEST(BackgroundCompile, LoopOptsKeepDrainTranscriptsIdentical) {
   // byte-identical with the layer on and off, including the compile
   // schedule the zero-thread pool replays.
   auto Run = [](bool LoopOpts, uint64_t &Compilations) {
-    Vm::Config C = backgroundCfg(/*Threads=*/0);
+    CompilerPool Pool(/*Threads=*/0);
+    Vm::Config C = backgroundCfg(Pool);
     C.Speculate = false;
     C.LoopOpts = LoopOpts;
     Vm V(C);
@@ -353,7 +356,8 @@ TEST(BackgroundCompile, OsrContinuationIsCachedAndEntered) {
   // never triggers, so OSR-in is the only way off the baseline. In
   // background mode the first hot backedges request the continuation and
   // keep interpreting; once published, a later hot activation enters it.
-  Vm::Config C = backgroundCfg(/*Threads=*/0);
+  CompilerPool Pool(/*Threads=*/0);
+  Vm::Config C = backgroundCfg(Pool);
   C.OsrThreshold = 50;
   C.CompileThreshold = 1000000; // isolate the OSR path
   Vm V(C);
@@ -376,7 +380,8 @@ TEST(BackgroundCompile, StaleOsrContinuationIsInvalidatedOnDeopt) {
   // guard goes stale while the key still matches. The deopt must retire
   // the entry's code — otherwise every OsrThreshold-th backedge re-enters
   // the same stale code and deopts again, forever.
-  Vm::Config C = backgroundCfg(/*Threads=*/0);
+  CompilerPool Pool(/*Threads=*/0);
+  Vm::Config C = backgroundCfg(Pool);
   C.OsrThreshold = 50;
   C.CompileThreshold = 1000000; // isolate the OSR path
   Vm V(C);
@@ -410,7 +415,8 @@ TEST(BackgroundCompile, StaleOsrContinuationIsInvalidatedOnDeopt) {
 // Background deoptless continuations
 
 TEST(BackgroundCompile, DeoptlessContinuationPublishesAsynchronously) {
-  Vm::Config C = backgroundCfg(/*Threads=*/0);
+  CompilerPool Pool(/*Threads=*/0);
+  Vm::Config C = backgroundCfg(Pool);
   C.Strategy = TierStrategy::Deoptless;
   Vm V(C);
   V.eval("f <- function(a) {\n  acc <- a\n  for (i in 1:3) acc <- acc + "
@@ -437,8 +443,9 @@ TEST(BackgroundCompile, DestructorDrainsInFlightRequests) {
   // Jobs hold pointers into the Vm's tier states; ~Vm must complete them
   // before tearing the states down. With worker threads this is a real
   // race if the barrier is missing (TSan-visible).
+  CompilerPool Pool(/*Threads=*/2);
   for (int Round = 0; Round < 5; ++Round) {
-    Vm V(backgroundCfg(/*Threads=*/2));
+    Vm V(backgroundCfg(Pool));
     V.eval("f <- function(a) a + 1L");
     V.eval("f(1L)");
     V.eval("f(2L)"); // enqueue, then destruct immediately

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 using namespace rjit;
 
 namespace {
@@ -47,13 +49,12 @@ CallContext ctxOf(std::vector<Tag> Tags, size_t NumParams) {
   return computeCallContext(Args, NumParams);
 }
 
-Vm::Config dispatchCfg(bool ContextDispatch, uint32_t MaxVersions = 4) {
+Vm::Config dispatchCfg(bool ContextDispatch) {
   Vm::Config C;
   C.Strategy = TierStrategy::Normal;
   C.CompileThreshold = 3;
   C.OsrThreshold = 1000000; // keep OSR-in out of these tests
   C.ContextDispatch = ContextDispatch;
-  C.MaxVersions = MaxVersions;
   return C;
 }
 
@@ -315,7 +316,7 @@ TEST(ContextDispatch, MonomorphicCallerHitsOneSpecializedVersion) {
 }
 
 TEST(ContextDispatch, PolymorphicCallerPopulatesBoundedTable) {
-  Vm V(dispatchCfg(true, /*MaxVersions=*/4));
+  Vm V(dispatchCfg(true));
   V.eval(PolySum);
   // Alternate element types: the classic version-splitting workload.
   V.eval("for (k in 1:10) { ri <- poly_sum(ints, 100L)\n"
@@ -326,8 +327,7 @@ TEST(ContextDispatch, PolymorphicCallerPopulatesBoundedTable) {
   Function *Fn = functionNamed(V, "poly_sum");
   TierState &TS = V.stateFor(Fn);
   EXPECT_EQ(TS.Versions.size(), 2u) << "one version per observed context";
-  EXPECT_LE(TS.Versions.size(),
-            static_cast<size_t>(V.config().MaxVersions));
+  EXPECT_LE(TS.Versions.size(), static_cast<size_t>(MaxVersions));
   for (const auto &E : TS.Versions.entries()) {
     EXPECT_FALSE(E->Ctx.isGeneric());
     EXPECT_TRUE(E->live());
@@ -351,18 +351,30 @@ TEST(ContextDispatch, ScalarCallReusesVectorVersion) {
 }
 
 TEST(ContextDispatch, TableOverflowFallsBackToGenericRoot) {
-  Vm V(dispatchCfg(true, /*MaxVersions=*/1));
+  // One more argument-type context than the table holds: (element type of
+  // v) x (type of n), each warmed past the threshold in turn. The first
+  // MaxVersions get specialized versions; the last is served by the
+  // generic root.
+  const char *Calls[] = {"poly_sum(ints, 100L)", "poly_sum(reals, 100L)",
+                         "poly_sum(ints, 100)", "poly_sum(reals, 100)",
+                         "poly_sum(lgls, 3L)"};
+  static_assert(std::size(Calls) == MaxVersions + 1,
+                "one context past the bound");
+  Vm V(dispatchCfg(true));
   V.eval(PolySum);
-  V.eval("for (k in 1:10) { ri <- poly_sum(ints, 100L)\n"
-         "rr <- poly_sum(reals, 100L) }");
-  EXPECT_EQ(V.eval("ri").asIntUnchecked(), 5050);
-  EXPECT_DOUBLE_EQ(V.eval("rr").asRealUnchecked(), 5050.0);
+  V.eval("lgls <- c(TRUE, FALSE, TRUE)");
+  const char *Want[] = {"5050L", "5050", "5050L", "5050", "2L"};
+  for (size_t K = 0; K < std::size(Calls); ++K)
+    for (int Rep = 0; Rep < 5; ++Rep)
+      EXPECT_EQ(V.eval(Calls[K]).show(), Want[K]) << Calls[K];
 
   Function *Fn = functionNamed(V, "poly_sum");
   TierState &TS = V.stateFor(Fn);
-  // One specialized version plus the generic root serving the overflow.
-  EXPECT_EQ(TS.Versions.size(), 2u);
+  // MaxVersions specialized versions plus the generic root serving the
+  // overflow.
+  EXPECT_EQ(TS.Versions.size(), MaxVersions + 1u);
   EXPECT_NE(TS.Versions.exact(genericContext(2)), nullptr);
+  EXPECT_EQ(stats().CtxVersions, MaxVersions);
   EXPECT_GT(stats().CtxDispatchMisses, 0u)
       << "overflow calls are reported as dispatch misses";
 }

@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "compile/pool.h"
 #include "dispatch/context.h"
 #include "dispatch/table.h"
 #include "native/native.h"
@@ -471,9 +472,9 @@ TEST(NativeRegalloc, FigNativeKernelKeepsItsAllocation) {
 TEST(NativeJit, BackgroundCompilePublishesNativeCode) {
   if (!nativeBackendSupported())
     GTEST_SKIP() << "no native backend on this host";
+  CompilerPool Pool(/*Threads=*/2);
   Vm::Config C = cfg(TierStrategy::Normal, true);
-  C.BackgroundCompile = true;
-  C.CompilerThreads = 2;
+  C.Pool = &Pool;
   Vm V(C);
   V.eval("f <- function(n) { s <- 0L\n for (i in 1:n) s <- s + i\n s }");
   for (int K = 0; K < 4; ++K)

@@ -539,19 +539,20 @@ TEST(Lifecycle, BlacklistIsOneEventAfterTheDeoptBudget) {
   obs::traceReset();
   obs::traceEnd();
 
-  // An injected guard failure deopts the version, which exhausts a deopt
-  // budget of one: the version is blacklisted once, after its deopt, and
-  // later calls run the baseline.
+  // Injected guard failures deopt the version over and over: each deopt
+  // retires it and the re-warmed function recompiles into the same entry,
+  // until the entry's DeoptBlacklist-th deopt exhausts its budget. The
+  // version is blacklisted once, after that deopt, and later calls run
+  // the baseline.
   Vm::Config C = tracedConfig();
-  C.InvalidationRate = 50;
-  C.DeoptBlacklist = 1;
+  C.InvalidationRate = 2; // ~2.5 calls per deopt cycle
   {
     Vm V(C);
     V.eval("f <- function(v, n) { s <- 0L\n"
            "  for (i in 1:n) s <- s + v[[i]]\n"
            "  s }");
     V.eval("d <- 1:100");
-    for (int K = 0; K < 20; ++K)
+    for (uint32_t K = 0; K < 4 * DeoptBlacklist; ++K)
       EXPECT_EQ(V.eval("f(d, 100L)").toInt(), 5050);
   }
   size_t Blacklisted = 0;
@@ -565,7 +566,7 @@ TEST(Lifecycle, BlacklistIsOneEventAfterTheDeoptBudget) {
     int Deopts = 0;
     for (int K = 0; K < At; ++K)
       Deopts += T[K].Kind == obs::TraceEv::VersionDeopt;
-    EXPECT_EQ(Deopts, 1) << "id " << Id;
+    EXPECT_EQ(Deopts, static_cast<int>(DeoptBlacklist)) << "id " << Id;
   }
   EXPECT_EQ(Blacklisted, 1u);
 }

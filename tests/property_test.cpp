@@ -21,8 +21,8 @@
 //    eliminated guards across the corpus;
 //
 //  * a *concurrent* differential mode: the same 500 programs re-run with
-//    BackgroundCompile on — N executor threads, each driving its own Vm,
-//    all sharing one compiler pool — and every transcript must stay
+//    background compilation — N executor threads, each driving its own
+//    Vm, all sharing one compiler pool — and every transcript must stay
 //    byte-identical to the single-threaded synchronous baseline
 //    (drainCompiles() barriers at the phase changes). This is the
 //    workload the ThreadSanitizer CI job runs: racing publication,
@@ -727,7 +727,6 @@ TEST_P(ConcurrentDiffFuzz, BackgroundTranscriptsMatchSyncBaseline) {
       for (TierStrategy S :
            {TierStrategy::Normal, TierStrategy::Deoptless}) {
         Vm::Config C = cfg(S, /*CtxDispatch=*/true, /*Inlining=*/true);
-        C.BackgroundCompile = true;
         C.Pool = &Pool;
         // LoopOpts axis, alternated per (program, strategy) so both
         // settings race the shared pool across the corpus without

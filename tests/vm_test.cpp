@@ -1,5 +1,6 @@
 //===-- tests/vm_test.cpp - Tier manager & OSR integration tests -----------===//
 
+#include "compile/pool.h"
 #include "native/native.h"
 #include "osr/deoptless.h"
 #include "osr/osrin.h"
@@ -67,6 +68,30 @@ TEST(VmBasic, StateIsolatedBetweenVms) {
   }
   Vm W(cfg(TierStrategy::BaselineOnly));
   EXPECT_THROW(W.eval("x"), RError);
+}
+
+TEST(VmBasic, OptOptionsDefaultsAreAFreshVms) {
+  // Compiles outside a Vm (deoptbench's per-layer metrics among them)
+  // start from OptOptions{} and set only what they vary, so every other
+  // default must be what a fresh Vm compiles under. Backend and Ctx name
+  // the Vm itself. The binding stops compiling when OptOptions gains a
+  // field, so each new field gets its line here.
+  Vm V{Vm::Config{}};
+  const OptOptions Fresh = V.optView();
+  const OptOptions Defaults{};
+  [[maybe_unused]] const auto &[Speculate, Inline, Loop, VerifyEachPass,
+                                Backend, Ctx, IntactBuiltins, BuiltinEpoch,
+                                Pool, FeedbackCleanup, ContextDispatch] =
+      Defaults;
+  EXPECT_EQ(Speculate, Fresh.Speculate);
+  EXPECT_EQ(Inline, Fresh.Inline);
+  EXPECT_EQ(Loop, Fresh.Loop);
+  EXPECT_EQ(VerifyEachPass, Fresh.VerifyEachPass);
+  EXPECT_EQ(IntactBuiltins, Fresh.IntactBuiltins);
+  EXPECT_EQ(BuiltinEpoch, Fresh.BuiltinEpoch);
+  EXPECT_EQ(Pool, Fresh.Pool);
+  EXPECT_EQ(FeedbackCleanup, Fresh.FeedbackCleanup);
+  EXPECT_EQ(ContextDispatch, Fresh.ContextDispatch);
 }
 
 TEST(VmCounters, AnotherThreadsVmLeavesThisVmsCountersAlone) {
@@ -256,10 +281,10 @@ TEST(VmOsrIn, BaselineOnlyNeverOptimizes) {
   // BaselineOnly is the reference the differential checks compare
   // against: a hot loop stays in the interpreter, synchronously and with
   // a compiler pool.
+  CompilerPool Pool(/*Threads=*/0);
   for (bool Background : {false, true}) {
     Vm::Config C = cfg(TierStrategy::BaselineOnly);
-    C.BackgroundCompile = Background;
-    C.CompilerThreads = 0;
+    C.Pool = Background ? &Pool : nullptr;
     Vm V(C);
     VmStats Start = stats();
     EXPECT_EQ(V.eval("s <- 0L\nfor (i in 1:5000) s <- s + i\ns").toInt(),
@@ -351,10 +376,10 @@ TEST(VmOsrIn, DeoptlessDropsStaleOsrCode) {
   // guard, and a continuation absorbs the failure. The code is stale all
   // the same: it must be retired, or every later activation enters it and
   // fails the same guard again.
+  CompilerPool Pool(/*Threads=*/0);
   for (bool Background : {false, true}) {
     Vm::Config C = osrOnly(TierStrategy::Deoptless, 50);
-    C.BackgroundCompile = Background;
-    C.CompilerThreads = 0;
+    C.Pool = Background ? &Pool : nullptr;
     Vm V(C);
     V.eval("g <- function(x) 2L");
     V.eval("f <- function(n) { s <- 0L\nfor (i in 1:n) s <- s + g(i)\ns }");
@@ -429,10 +454,10 @@ TEST(VmOsrIn, RealFailuresRepublishIntoOneEntry) {
   // next hot backedge recompiles into the same entry, so the function's
   // OSR-in table holds one entry, republished each round, synchronously
   // and on a 0-thread pool.
+  CompilerPool Pool(/*Threads=*/0);
   for (bool Background : {false, true}) {
     Vm::Config C = osrOnly(TierStrategy::Normal, 50);
-    C.BackgroundCompile = Background;
-    C.CompilerThreads = 0;
+    C.Pool = Background ? &Pool : nullptr;
     Vm V(C);
     V.eval("f <- function(a, b, c, n) { s <- 0L\n"
            "for (i in 1:n) s <- s + a[[i]] + b[[i]] + c[[i]]\ns }");
@@ -607,38 +632,55 @@ TEST(VmDeoptless, MultiplePhasesMultipleContinuations) {
 }
 
 TEST(VmDeoptless, TableBoundFallsBackToDeopt) {
-  Vm::Config C = cfg(TierStrategy::Deoptless);
-  C.MaxContinuations = 1;
-  Vm V(C);
-  V.eval(SumProgram);
-  V.eval("ints <- c(1L, 2L)");
+  // Six element tests, warmed on ints. Each later call holds a double at
+  // another position, so a guard fails at a fresh pc: a deopt context of
+  // its own (the comparison's logical keeps the rest of the body on its
+  // int profile). The first MaxContinuations fill the table; the next one
+  // cannot get a continuation and falls back to a true deopt.
+  constexpr int Reads = 6;
+  static_assert(Reads == MaxContinuations + 1, "one context past the bound");
+  Vm V(cfg(TierStrategy::Deoptless));
+  V.eval("f <- function(l) (l[[1]] > 0L) + (l[[2]] > 0L) + (l[[3]] > 0L) + "
+         "(l[[4]] > 0L) + (l[[5]] > 0L) + (l[[6]] > 0L)");
+  V.eval("li <- list(1L, 2L, 3L, 4L, 5L, 6L)");
   for (int K = 0; K < 10; ++K)
-    V.eval("sum_data(ints)");
-  V.eval("sum_data(c(1.5, 2.5))"); // fills the single slot
-  // Re-warm the function after the deopt handler retired it (it should not
-  // have); a different phase cannot get a continuation anymore.
-  VmStats Start = stats();
-  V.eval("sum_data(c(1i, 2i))");
-  VmStats D = stats() - Start;
-  EXPECT_GT(D.Deopts + D.DeoptlessRejected, 0u);
+    ASSERT_EQ(V.eval("f(li)").toInt(), 6);
+  Function *F = V.eval("f").closObj()->Fn;
+  CodeTable<DeoptContext> &Table = V.stateFor(F).Continuations;
+  for (int K = 1; K <= Reads; ++K) {
+    std::string Pos = std::to_string(K);
+    V.eval("l <- li\nl[[" + Pos + "]] <- " + Pos + ".5");
+    VmStats Start = stats();
+    EXPECT_EQ(V.eval("f(l)").toInt(), 6) << "position " << K;
+    VmStats D = stats() - Start;
+    if (K <= static_cast<int>(MaxContinuations)) {
+      EXPECT_EQ(D.DeoptlessCompiles, 1u) << "position " << K;
+      EXPECT_EQ(Table.size(), static_cast<size_t>(K));
+    } else {
+      EXPECT_EQ(D.DeoptlessCompiles, 0u);
+      EXPECT_GT(D.Deopts + D.DeoptlessRejected, 0u)
+          << "a full table falls back to a true deopt";
+      EXPECT_TRUE(Table.full());
+    }
+  }
 }
 
 TEST(VmDeoptless, FullTableMissCompilesNothing) {
-  // Injected failures strike each of f's guards; the one-entry table
-  // fills with the first continuation. Every later miss is refused before
-  // compiling: it truly deopts, and no continuation is compiled only to be
-  // thrown away (no compile latency is recorded).
+  // Injected failures strike each of f's eight element guards; the table
+  // fills with the first MaxContinuations continuations. Every later miss
+  // is refused before compiling: it truly deopts, and no continuation is
+  // compiled only to be thrown away (no compile latency is recorded).
   Vm::Config C = cfg(TierStrategy::Deoptless);
-  C.MaxContinuations = 1;
   C.InvalidationRate = 7;
   Vm V(C);
-  V.eval("f <- function(l) l[[1]] + l[[2]] + l[[3]] + l[[4]]");
-  V.eval("li <- list(1L, 2L, 3L, 4L)");
+  V.eval("f <- function(l) l[[1]] + l[[2]] + l[[3]] + l[[4]] + l[[5]] + "
+         "l[[6]] + l[[7]] + l[[8]]");
+  V.eval("li <- list(1L, 2L, 3L, 4L, 5L, 6L, 7L, 8L)");
   Function *F = V.eval("f").closObj()->Fn;
   uint64_t LatencyAtFull = 0, RejectedAtFull = 0;
   bool Full = false;
-  for (int K = 0; K < 300; ++K) {
-    ASSERT_EQ(V.eval("f(li)").toInt(), 10);
+  for (int K = 0; K < 600; ++K) {
+    ASSERT_EQ(V.eval("f(li)").toInt(), 36);
     if (!Full && V.stateFor(F).Continuations.full()) {
       Full = true;
       LatencyAtFull = obs::metrics().CompileLatency.count();
@@ -646,6 +688,7 @@ TEST(VmDeoptless, FullTableMissCompilesNothing) {
     }
   }
   ASSERT_TRUE(Full);
+  EXPECT_EQ(V.stateFor(F).Continuations.size(), MaxContinuations);
   EXPECT_GT(stats().DeoptlessRejected, RejectedAtFull)
       << "misses on the full table must happen";
   EXPECT_EQ(obs::metrics().CompileLatency.count(), LatencyAtFull)
@@ -1005,8 +1048,8 @@ TEST(VmBuiltinWatch, SuperAssignMidLoopFailsTheEpochCheckOnce) {
 
 TEST(VmBuiltinWatch, CompileRequestedBeforeRebindingIsNeverEntered) {
   forStrategiesAndBackends([](Vm::Config C) {
-    C.BackgroundCompile = true;
-    C.CompilerThreads = 0;
+    CompilerPool Pool(/*Threads=*/0);
+    C.Pool = &Pool;
     Vm V(C);
     V.eval("len1 <- function(v) length(v) + 1L");
     for (int K = 0; K < 3; ++K)
@@ -1289,11 +1332,11 @@ TEST(VmGraveyard, StaleOsrCodeIsReclaimed) {
   // drained each round.
   if (!nativeBackendSupported())
     GTEST_SKIP() << "no native tier on this host";
+  CompilerPool Pool(/*Threads=*/0);
   for (bool Background : {false, true}) {
     Vm::Config C = osrOnly(TierStrategy::Normal, 50);
     C.NativeTier = true;
-    C.BackgroundCompile = Background;
-    C.CompilerThreads = 0;
+    C.Pool = Background ? &Pool : nullptr;
     C.InvalidationRate = 1;
     Vm V(C);
     V.eval("g <- function(x) x + 1L");
@@ -1318,6 +1361,9 @@ TEST(VmGraveyard, ReoptStormKeepsMemoryBounded) {
   // The soak test behind the ROADMAP's "unbounded code growth under
   // reopt-heavy long-running traffic" concern: injected guard failures
   // force a deopt -> retire -> re-warm -> recompile cycle over and over.
+  // Each definition of sum_data absorbs DeoptBlacklist deopts and then
+  // stays in the baseline, leaving no live code; the storm moves on to a
+  // fresh definition, so it keeps cycling for as long as the test runs.
   // Without safepoint reclamation the graveyard grows by one executable
   // per cycle; with it, the high-water must stay a small constant, and
   // for the native tier the per-function W^X mappings must actually be
@@ -1329,23 +1375,34 @@ TEST(VmGraveyard, ReoptStormKeepsMemoryBounded) {
     Vm::Config C = cfg(TierStrategy::Normal);
     C.NativeTier = Native;
     C.CompileThreshold = 2;
-    C.DeoptBlacklist = 100000; // never give up: keep the cycle going
-    C.InvalidationRate = 4;    // 1-in-4 guard checks fail (§5.1 mode)
+    // Versions only: OSR-in code a definition left behind would stay live.
+    C.OsrThreshold = 0;
+    C.InvalidationRate = 4; // 1-in-4 guard checks fail (§5.1 mode)
     C.InvalidationSeed = 7;
     Vm V(C);
-    V.eval(SumProgram);
-    VmStats Start = stats();
-    // A reopt cycle (rewarm to the threshold, optimized run, injected
-    // failure, retire) empirically takes ~5-6 evals with this rate and
-    // seed, so 800 evals drive well over the 100 cycles the bound is
+    // Three budgets are 150 reopt cycles, well over the 100 the bound is
     // asserted across. The nightly soak tier (RJIT_SOAK=1, `soak` ctest
     // label) multiplies the storm length under the sanitizers.
     const char *Soak = std::getenv("RJIT_SOAK");
-    int Cycles = 800 * ((Soak && *Soak && *Soak != '0') ? 5 : 1);
-    for (int Cycle = 0; Cycle < Cycles; ++Cycle)
-      V.eval("sum_data(1:40)");
+    const uint32_t Definitions =
+        3 * ((Soak && *Soak && *Soak != '0') ? 5 : 1);
+    VmStats Start = stats();
+    for (uint32_t Def = 0; Def < Definitions; ++Def) {
+      V.eval(SumProgram);
+      TierState &TS = V.stateFor(V.eval("sum_data").closObj()->Fn);
+      FnVersion *Root = nullptr;
+      for (int Evals = 0;
+           !(Root = TS.Versions.exact(genericContext(1))) ||
+           !Root->Blacklisted;
+           ++Evals) {
+        ASSERT_LT(Evals, 2000) << "definition " << Def
+                               << " must exhaust its deopt budget";
+        V.eval("sum_data(1:40)");
+      }
+      EXPECT_EQ(Root->DeoptCount, DeoptBlacklist);
+    }
     VmStats D = stats() - Start;
-    EXPECT_GE(D.Deopts, 100u)
+    EXPECT_EQ(D.Deopts, Definitions * DeoptBlacklist)
         << "the storm must actually drive reopt cycles (native=" << Native
         << ")";
     EXPECT_GE(D.Compilations, 100u);

@@ -25,45 +25,14 @@ using namespace rjit;
 
 namespace {
 
-Value coerceValue(const Value &V, Tag Target) {
-  switch (Target) {
-  case Tag::Lgl:
-    return Value::lgl(V.asCondition());
-  case Tag::Int:
-    return Value::integer(V.toInt());
-  case Tag::Real:
-    return Value::real(V.toReal());
-  case Tag::Cplx:
-    return Value::cplx(V.toCplx());
-  default:
-    rerror("invalid coercion target");
-  }
-}
-
-/// COW + grow-on-assign element store into a typed vector container.
-template <typename ObjT, typename ElemT>
-Value setTypedElem(Value Obj, Tag VecTag, int64_t Idx, ElemT Elem) {
-  if (Idx < 1)
-    rerror("invalid subscript in assignment");
-  if (!Obj.unshared()) {
-    ++stats().CowCopies;
-    Obj = Value::adopt(VecTag,
-                       new ObjT(static_cast<ObjT *>(Obj.object())->D));
-  }
-  ObjT *O = static_cast<ObjT *>(Obj.object());
-  if (static_cast<size_t>(Idx) > O->D.size()) {
-    O->D.resize(Idx, ElemT{});
-    O->retrack();
-  }
-  O->D[Idx - 1] = Elem;
-  return Obj;
-}
-
 //===--------------------------------------------------------------------===//
 // One body per non-control-flow op, shared by the threaded dispatch loop
 // and stepLowInstr (the native backend's per-op fallback), so the two
-// drivers cannot drift apart. Bodies take raw slot pointers: the
-// interpreter passes its vectors' data, the native frame its arrays.
+// drivers cannot drift apart. What the bodies compute is the runtime's:
+// scalar arithmetic and conversion in runtime/arith.h, element access in
+// runtime/value.h's kernels, everything else in the generic operations.
+// Bodies take raw slot pointers: the interpreter passes its vectors'
+// data, the native frame its arrays.
 // Control-flow ops (jumps, branches, GuardCond, EpochCheck, RetLow) have
 // no body; each driver runs them itself.
 //===--------------------------------------------------------------------===//
@@ -134,15 +103,14 @@ LOW_BODY(Coerce) {
                : SrcK == SlotClass::RawInt ? static_cast<double>(Iv[I.A])
                                            : S[I.A].toReal();
   } else if (DstK == SlotClass::RawInt) {
-    Iv[I.Dst] = SrcK == SlotClass::RawInt ? Iv[I.A]
-                : SrcK == SlotClass::RawReal
-                    ? static_cast<int32_t>(D[I.A])
-                    : S[I.A].toInt();
+    Iv[I.Dst] = SrcK == SlotClass::RawInt    ? Iv[I.A]
+                : SrcK == SlotClass::RawReal ? realToInt(D[I.A])
+                                             : S[I.A].toInt();
   } else {
     Value Src = SrcK == SlotClass::RawReal  ? Value::real(D[I.A])
                 : SrcK == SlotClass::RawInt ? Value::integer(Iv[I.A])
                                             : S[I.A];
-    S[I.Dst] = coerceValue(Src, coerceTarget(I));
+    S[I.Dst] = coerceScalar(Src, coerceTarget(I));
   }
 }
 
@@ -220,63 +188,23 @@ LOW_BODY(Extract1Low) { S[I.Dst] = extract1(S[I.A], S[I.B]); }
 LOW_BODY(Extract2Typed) {
   // A vector-typed operand may hold the corresponding *scalar* at run
   // time (RType's widened semantics: R scalars are length-one vectors);
-  // contexts dispatch scalar calls to vector versions, so the typed path
-  // must honor that.
+  // contexts dispatch scalar calls to vector versions, and the runtime's
+  // read kernel honors that.
   const Value &Obj = S[I.A];
   int64_t Idx = Iv[I.B];
   switch (elemKind(I)) {
-  case Tag::Real: {
-    if (Obj.tag() == Tag::Real) {
-      if (Idx != 1)
-        rerror("subscript out of bounds: " + std::to_string(Idx));
-      D[I.Dst] = Obj.asRealUnchecked();
-      break;
-    }
-    const auto &Dd = Obj.realVecObj()->D;
-    if (Idx < 1 || static_cast<size_t>(Idx) > Dd.size())
-      rerror("subscript out of bounds: " + std::to_string(Idx));
-    D[I.Dst] = Dd[Idx - 1];
+  case Tag::Real:
+    D[I.Dst] = readElem<double>(Obj, Idx);
     break;
-  }
-  case Tag::Int: {
-    if (Obj.tag() == Tag::Int) {
-      if (Idx != 1)
-        rerror("subscript out of bounds: " + std::to_string(Idx));
-      Iv[I.Dst] = Obj.asIntUnchecked();
-      break;
-    }
-    const auto &Dd = Obj.intVecObj()->D;
-    if (Idx < 1 || static_cast<size_t>(Idx) > Dd.size())
-      rerror("subscript out of bounds: " + std::to_string(Idx));
-    Iv[I.Dst] = Dd[Idx - 1];
+  case Tag::Int:
+    Iv[I.Dst] = readElem<int32_t>(Obj, Idx);
     break;
-  }
-  case Tag::Cplx: {
-    if (Obj.tag() == Tag::Cplx) {
-      if (Idx != 1)
-        rerror("subscript out of bounds: " + std::to_string(Idx));
-      S[I.Dst] = Obj;
-      break;
-    }
-    const auto &Dd = Obj.cplxVecObj()->D;
-    if (Idx < 1 || static_cast<size_t>(Idx) > Dd.size())
-      rerror("subscript out of bounds: " + std::to_string(Idx));
-    S[I.Dst] = Value::cplx(Dd[Idx - 1]);
+  case Tag::Cplx:
+    S[I.Dst] = Value::cplx(readElem<Complex>(Obj, Idx));
     break;
-  }
-  default: {
-    if (Obj.tag() == Tag::Lgl) {
-      if (Idx != 1)
-        rerror("subscript out of bounds: " + std::to_string(Idx));
-      S[I.Dst] = Obj;
-      break;
-    }
-    const auto &Dd = Obj.lglVecObj()->D;
-    if (Idx < 1 || static_cast<size_t>(Idx) > Dd.size())
-      rerror("subscript out of bounds: " + std::to_string(Idx));
-    S[I.Dst] = Value::lgl(Dd[Idx - 1] != 0);
+  default:
+    S[I.Dst] = Value::lgl(readElem<int8_t>(Obj, Idx) != 0);
     break;
-  }
   }
 }
 
@@ -287,45 +215,23 @@ LOW_BODY(SetElem2Low) {
 }
 
 LOW_BODY(SetElem2Typed) {
+  // The runtime's store kernel, as assign2 runs it; opt/lowertyped.cpp
+  // types int, double and complex stores only.
   Value Obj = stealsContainer(I) ? std::move(S[I.A]) : S[I.A];
   int64_t Idx = Iv[I.B];
-  // Widened semantics (see Extract2Typed): promote a scalar operand to
-  // its length-one vector before the raw element store.
-  switch (Obj.tag()) {
-  case Tag::Real:
-    Obj = Value::realVec({Obj.asRealUnchecked()});
-    break;
-  case Tag::Int:
-    Obj = Value::intVec({Obj.asIntUnchecked()});
-    break;
-  case Tag::Cplx:
-    Obj = Value::cplxVec({Obj.asCplxUnchecked()});
-    break;
-  case Tag::Lgl:
-    Obj = Value::lglVec({static_cast<int8_t>(Obj.asLglUnchecked())});
-    break;
-  default:
-    break;
-  }
   switch (elemKind(I)) {
   case Tag::Real:
-    S[I.Dst] = setTypedElem<RealVecObj, double>(std::move(Obj),
-                                                Tag::RealVec, Idx, D[I.Imm]);
+    storeElem(Obj, Idx, D[I.Imm]);
     break;
   case Tag::Int:
-    S[I.Dst] = setTypedElem<IntVecObj, int32_t>(std::move(Obj), Tag::IntVec,
-                                                Idx, Iv[I.Imm]);
-    break;
-  case Tag::Cplx:
-    S[I.Dst] = setTypedElem<CplxVecObj, Complex>(
-        std::move(Obj), Tag::CplxVec, Idx, S[I.Imm].asCplxUnchecked());
+    storeElem(Obj, Idx, Iv[I.Imm]);
     break;
   default:
-    S[I.Dst] = setTypedElem<LglVecObj, int8_t>(
-        std::move(Obj), Tag::LglVec, Idx,
-        static_cast<int8_t>(S[I.Imm].asLglUnchecked() ? 1 : 0));
+    assert(elemKind(I) == Tag::Cplx && "no typed logical store");
+    storeElem(Obj, Idx, S[I.Imm].asCplxUnchecked());
     break;
   }
+  S[I.Dst] = std::move(Obj);
 }
 
 LOW_BODY(SetIdx2EnvLow) {

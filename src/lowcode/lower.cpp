@@ -741,7 +741,8 @@ private:
       LowInstr L{I.Op == IrOp::SetElem2Gen ? LowOp::SetElem2Low
                                            : LowOp::SetElem2Typed};
       L.Dst = boxedSlotOf(&I);
-      L.A = boxedSlotOf(I.op(0));
+      // A scalar container (R's length-one vector) may live in a raw home.
+      L.A = ensureBoxed(I.op(0));
       bool Steal = ContainerDies[I.Id];
       if (I.Op == IrOp::SetElem2Typed) {
         L.B = slotOf(I.op(1)); // raw int index

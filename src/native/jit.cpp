@@ -975,7 +975,7 @@ private:
       } else if (SrcK == SlotClass::RawInt) {
         intStore(I.Dst, intSrc(I.A, RAX));
       } else {
-        // cvttsd2si truncates toward zero = the handler's static_cast.
+        // cvttsd2si is realToInt: toward zero, INT32_MIN when out of range.
         int16_t DH = RA.intHome(I.Dst);
         uint8_t R =
             DH >= 0 ? static_cast<uint8_t>(DH) : static_cast<uint8_t>(RAX);

@@ -87,23 +87,7 @@ bool rjit::foldConstants(IrCode &C) {
     case IrOp::CoerceNum:
       if (isConst(I->op(0))) {
         try {
-          const Value &V = I->op(0)->Cst;
-          Value R;
-          switch (I->Knd) {
-          case Tag::Int:
-            R = Value::integer(V.toInt());
-            break;
-          case Tag::Real:
-            R = Value::real(V.toReal());
-            break;
-          case Tag::Cplx:
-            R = Value::cplx(V.toCplx());
-            break;
-          default:
-            R = Value::lgl(V.asCondition());
-            break;
-          }
-          foldTo(C, I, std::move(R));
+          foldTo(C, I, coerceScalar(I->op(0)->Cst, I->Knd));
           Changed = true;
         } catch (const RError &) {
         }

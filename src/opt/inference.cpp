@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "opt/inference.h"
+#include "runtime/arith.h"
 
 using namespace rjit;
 
@@ -325,13 +326,13 @@ bool rjit::inferTypes(IrCode &C) {
     }
     case IrOp::BinGen:
       // `1:n` in source code spells the lower bound as a double literal;
-      // colonSeq still produces an integer vector for integral bounds.
+      // colonSeq still produces an integer vector for integral bounds, and
+      // raises for a sequence that would leave the int32 range.
       if (I->Bop == BinOp::Colon && I->op(0)->Op == IrOp::Const) {
         const Value &V = I->op(0)->Cst;
         if (V.tag() == Tag::Int ||
             (V.tag() == Tag::Real &&
-             V.asRealUnchecked() ==
-                 static_cast<int64_t>(V.asRealUnchecked())))
+             V.asRealUnchecked() == realToInt(V.asRealUnchecked())))
           return RType::of(Tag::IntVec);
       }
       return binResult(I->Bop, OpT(0), OpT(1));

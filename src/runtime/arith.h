@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The scalar semantics of R's binary operators: the generic path
-/// (genericBinary, per element after coercion and recycling) and the typed
-/// LowCode ops (ArithTyped, CmpBranch) both compute through these, so the
-/// tiers cannot produce different values.
+/// The scalar semantics of R's binary operators and of double to integer
+/// conversion: the generic path (genericBinary, per element after coercion
+/// and recycling) and the typed LowCode ops (ArithTyped, CmpBranch, Coerce)
+/// all compute through these, so the tiers cannot produce different values.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,15 @@
 #include <cmath>
 
 namespace rjit {
+
+/// R's double to integer conversion: truncation toward zero, and INT32_MIN
+/// (R's NA_integer_) for NaN and for values outside the int32 range. That
+/// is what x86's cvttsd2si yields, so the native Coerce template agrees
+/// with every other tier, and no out-of-range cast is undefined behaviour.
+inline int32_t realToInt(double D) {
+  return D > -2147483649.0 && D < 2147483648.0 ? static_cast<int32_t>(D)
+                                               : INT32_MIN;
+}
 
 /// Integer + - * %% %/%. Wraparound is performed in unsigned arithmetic:
 /// signed overflow is UB in C++, and every tier must produce the identical

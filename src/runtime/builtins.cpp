@@ -81,6 +81,14 @@ void needArgs(size_t N, size_t Want, const char *Name) {
            " argument(s), got " + std::to_string(N));
 }
 
+/// The length argument of a vector constructor, seq_len or runif.
+int64_t lengthArg(const Value &V) {
+  int32_t L = V.toInt();
+  if (L < 0)
+    rerror("invalid 'length' argument");
+  return L;
+}
+
 /// The deterministic stream behind runif(); reseedable via set.seed.
 Rng &builtinRng() {
   static Rng R(42);
@@ -310,23 +318,23 @@ Value rjit::callBuiltin(BuiltinId Id, const Value *Args, size_t N) {
     return concat(Args, N);
 
   case BuiltinId::IntegerCtor: {
-    int64_t L = N == 0 ? 0 : Args[0].toInt();
+    int64_t L = N == 0 ? 0 : lengthArg(Args[0]);
     return Value::intVec(std::vector<int32_t>(L, 0));
   }
   case BuiltinId::NumericCtor: {
-    int64_t L = N == 0 ? 0 : Args[0].toInt();
+    int64_t L = N == 0 ? 0 : lengthArg(Args[0]);
     return Value::realVec(std::vector<double>(L, 0));
   }
   case BuiltinId::ComplexCtor: {
-    int64_t L = N == 0 ? 0 : Args[0].toInt();
+    int64_t L = N == 0 ? 0 : lengthArg(Args[0]);
     return Value::cplxVec(std::vector<Complex>(L, Complex{0, 0}));
   }
   case BuiltinId::LogicalCtor: {
-    int64_t L = N == 0 ? 0 : Args[0].toInt();
+    int64_t L = N == 0 ? 0 : lengthArg(Args[0]);
     return Value::lglVec(std::vector<int8_t>(L, 0));
   }
   case BuiltinId::CharacterCtor: {
-    int64_t L = N == 0 ? 0 : Args[0].toInt();
+    int64_t L = N == 0 ? 0 : lengthArg(Args[0]);
     return Value::strVec(std::vector<std::string>(L));
   }
   case BuiltinId::ListCtor: {
@@ -338,7 +346,7 @@ Value rjit::callBuiltin(BuiltinId Id, const Value *Args, size_t N) {
     if (Args[0].tag() != Tag::Str)
       rerror("vector: mode must be a string");
     const std::string &Mode = Args[0].strObj()->D;
-    int64_t L = Args[1].toInt();
+    int64_t L = lengthArg(Args[1]);
     if (Mode == "integer")
       return Value::intVec(std::vector<int32_t>(L, 0));
     if (Mode == "numeric" || Mode == "double")
@@ -353,7 +361,7 @@ Value rjit::callBuiltin(BuiltinId Id, const Value *Args, size_t N) {
   }
   case BuiltinId::SeqLen: {
     needArgs(N, 1, "seq_len");
-    int64_t L = Args[0].toInt();
+    int64_t L = lengthArg(Args[0]);
     std::vector<int32_t> R(L);
     for (int64_t K = 0; K < L; ++K)
       R[K] = static_cast<int32_t>(K + 1);
@@ -568,7 +576,7 @@ Value rjit::callBuiltin(BuiltinId Id, const Value *Args, size_t N) {
   }
 
   case BuiltinId::Runif: {
-    int64_t L = N == 0 ? 1 : Args[0].toInt();
+    int64_t L = N == 0 ? 1 : lengthArg(Args[0]);
     if (L == 1)
       return Value::real(builtinRng().uniform());
     std::vector<double> R(L);

@@ -10,6 +10,7 @@
 #include "runtime/env.h"
 #include "support/stats.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -240,7 +241,7 @@ int32_t Value::toInt() const {
   case Tag::Int:
     return I;
   case Tag::Real:
-    return static_cast<int32_t>(D);
+    return realToInt(D);
   default:
     break;
   }
@@ -348,7 +349,7 @@ bool Value::equals(const Value &O) const {
 }
 
 static std::string showReal(double D) {
-  if (D == static_cast<int64_t>(D) && std::abs(D) < 1e15) {
+  if (std::abs(D) < 1e15 && D == static_cast<int64_t>(D)) {
     char Buf[32];
     snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(D));
     return Buf;
@@ -481,13 +482,13 @@ struct NumView {
     case Tag::Int:
       return V.asIntUnchecked();
     case Tag::Real:
-      return static_cast<int32_t>(V.asRealUnchecked());
+      return realToInt(V.asRealUnchecked());
     case Tag::LglVec:
       return V.lglVecObj()->D[Idx0];
     case Tag::IntVec:
       return V.intVecObj()->D[Idx0];
     case Tag::RealVec:
-      return static_cast<int32_t>(V.realVecObj()->D[Idx0]);
+      return realToInt(V.realVecObj()->D[Idx0]);
     default:
       rerror("cannot view as integer");
     }
@@ -649,25 +650,32 @@ Value rjit::genericNot(const Value &A) {
   rerror("invalid argument to !");
 }
 
+void rjit::subscriptOutOfBounds(int64_t Idx) {
+  rerror("subscript out of bounds: " + std::to_string(Idx));
+}
+
 Value rjit::extract2(const Value &X, int64_t Idx) {
-  int64_t N = X.length();
-  if (Idx < 1 || Idx > N)
-    rerror("subscript out of bounds: " + std::to_string(Idx));
   switch (X.tag()) {
   case Tag::Lgl:
+  case Tag::LglVec:
+    return Value::lgl(readElem<int8_t>(X, Idx) != 0);
   case Tag::Int:
+  case Tag::IntVec:
+    return Value::integer(readElem<int32_t>(X, Idx));
   case Tag::Real:
+  case Tag::RealVec:
+    return Value::real(readElem<double>(X, Idx));
   case Tag::Cplx:
+  case Tag::CplxVec:
+    return Value::cplx(readElem<Complex>(X, Idx));
+  default:
+    break;
+  }
+  if (Idx < 1 || Idx > X.length())
+    subscriptOutOfBounds(Idx);
+  switch (X.tag()) {
   case Tag::Str:
     return X; // length-one value, index must be 1
-  case Tag::LglVec:
-    return Value::lgl(X.lglVecObj()->D[Idx - 1] != 0);
-  case Tag::IntVec:
-    return Value::integer(X.intVecObj()->D[Idx - 1]);
-  case Tag::RealVec:
-    return Value::real(X.realVecObj()->D[Idx - 1]);
-  case Tag::CplxVec:
-    return Value::cplx(X.cplxVecObj()->D[Idx - 1]);
   case Tag::StrVec:
     return Value::str(X.strVecObj()->D[Idx - 1]);
   case Tag::List:
@@ -696,21 +704,21 @@ Value rjit::extract1(const Value &X, const Value &Idx) {
   case Tag::Int: {
     std::vector<int32_t> R(M);
     for (int64_t K = 0; K < M; ++K)
-      R[K] = extract2(X, Is[K]).toInt();
+      R[K] = readElem<int32_t>(X, Is[K]);
     return Value::intVec(std::move(R));
   }
   case Tag::RealVec:
   case Tag::Real: {
     std::vector<double> R(M);
     for (int64_t K = 0; K < M; ++K)
-      R[K] = extract2(X, Is[K]).toReal();
+      R[K] = readElem<double>(X, Is[K]);
     return Value::realVec(std::move(R));
   }
   case Tag::CplxVec:
   case Tag::Cplx: {
     std::vector<Complex> R(M);
     for (int64_t K = 0; K < M; ++K)
-      R[K] = extract2(X, Is[K]).toCplx();
+      R[K] = readElem<Complex>(X, Is[K]);
     return Value::cplxVec(std::move(R));
   }
   case Tag::List: {
@@ -756,73 +764,17 @@ Tag containerTag(const Value &X) {
   return isScalarTag(T) ? vectorTagOf(T) : T;
 }
 
-/// Widens a container so an element of numeric kind \p K fits.
-/// Scalars are first boxed into one-element vectors.
+/// Widens a container so an element of kind \p ElemTag fits. Scalars are
+/// first boxed into one-element vectors; NULL grows from an empty vector.
 Value widenFor(Value X, Tag ElemTag) {
+  Tag Want = isScalarTag(ElemTag)   ? vectorTagOf(ElemTag)
+             : ElemTag == Tag::Str ? Tag::StrVec
+                                   : Tag::List;
+  if (X.isNull())
+    X = Want == Tag::StrVec ? Value::strVec({}) : Value::lglVec({});
+  else if (isScalarTag(X.tag()) || X.tag() == Tag::Str)
+    X = vectorOf(X);
   Tag T = X.tag();
-  // Box scalars.
-  if (isScalarTag(T) || T == Tag::Str) {
-    switch (T) {
-    case Tag::Lgl:
-      X = Value::lglVec({static_cast<int8_t>(X.asLglUnchecked() ? 1 : 0)});
-      break;
-    case Tag::Int:
-      X = Value::intVec({X.asIntUnchecked()});
-      break;
-    case Tag::Real:
-      X = Value::realVec({X.asRealUnchecked()});
-      break;
-    case Tag::Cplx:
-      X = Value::cplxVec({X.asCplxUnchecked()});
-      break;
-    case Tag::Str:
-      X = Value::strVec({X.strObj()->D});
-      break;
-    default:
-      break;
-    }
-    T = X.tag();
-  }
-
-  if (X.isNull()) {
-    // NULL grows into a fresh container of the element's kind.
-    switch (ElemTag) {
-    case Tag::Lgl:
-      return Value::lglVec({});
-    case Tag::Int:
-      return Value::intVec({});
-    case Tag::Real:
-      return Value::realVec({});
-    case Tag::Cplx:
-      return Value::cplxVec({});
-    case Tag::Str:
-      return Value::strVec({});
-    default:
-      return Value::list({});
-    }
-  }
-
-  Tag Want;
-  switch (ElemTag) {
-  case Tag::Lgl:
-    Want = Tag::LglVec;
-    break;
-  case Tag::Int:
-    Want = Tag::IntVec;
-    break;
-  case Tag::Real:
-    Want = Tag::RealVec;
-    break;
-  case Tag::Cplx:
-    Want = Tag::CplxVec;
-    break;
-  case Tag::Str:
-    Want = Tag::StrVec;
-    break;
-  default:
-    Want = Tag::List;
-    break;
-  }
   assert(assignRank(T) >= 0 && "assign2 checked the container");
   if (assignRank(T) >= assignRank(Want))
     return X;
@@ -860,15 +812,29 @@ Value widenFor(Value X, Tag ElemTag) {
   }
 }
 
-/// Ensures the container payload is unshared, cloning when needed (COW).
-template <typename ObjT>
-Value cowClone(const Value &X, Tag T) {
-  ++stats().CowCopies;
-  auto *Obj = static_cast<ObjT *>(X.object());
-  return Value::adopt(T, new ObjT(Obj->D));
+} // namespace
+
+Value rjit::vectorOf(const Value &X) {
+  switch (X.tag()) {
+  case Tag::Lgl:
+    return Value::lglVec({ElemKind<int8_t>::scalar(X)});
+  case Tag::Int:
+    return Value::intVec({X.asIntUnchecked()});
+  case Tag::Real:
+    return Value::realVec({X.asRealUnchecked()});
+  case Tag::Cplx:
+    return Value::cplxVec({X.asCplxUnchecked()});
+  case Tag::Str:
+    return Value::strVec({X.strObj()->D});
+  default:
+    return X;
+  }
 }
 
-} // namespace
+void rjit::badStoreIndex(int64_t Idx) {
+  rerror(Idx < 1 ? "invalid subscript in assignment"
+                 : "assignment index too far past the end");
+}
 
 void rjit::assign2(Value &X, int64_t Idx, const Value &V) {
   Tag ElemTag = V.tag();
@@ -883,14 +849,10 @@ void rjit::assign2(Value &X, int64_t Idx, const Value &V) {
 
   // Every error comes before X changes: a failed store leaves the
   // container, and the binding it lives in, as it was.
-  if (Idx < 1)
-    rerror("invalid subscript in assignment");
+  checkStoreIndex(Idx, X.length());
   Tag T = containerTag(X);
   if (!X.isNull() && assignRank(T) < 0)
     rerror(std::string("cannot assign into ") + tagName(T));
-  int64_t N = X.length();
-  if (Idx > N + 1024 * 1024)
-    rerror("assignment index too far past the end");
   // A character vector stays one for a scalar element, which is no string.
   if (T == Tag::StrVec && isScalarTag(ElemTag))
     rerror("assigning non-string into character vector");
@@ -898,89 +860,59 @@ void rjit::assign2(Value &X, int64_t Idx, const Value &V) {
   X = widenFor(std::move(X), ElemTag);
 
   switch (X.tag()) {
-  case Tag::LglVec: {
-    if (!X.unshared())
-      X = cowClone<LglVecObj>(X, Tag::LglVec);
-    auto &D = X.lglVecObj()->D;
-    if (Idx > N) {
-      D.resize(Idx, 0);
-      X.lglVecObj()->retrack();
-    }
-    D[Idx - 1] = V.asCondition() ? 1 : 0;
+  case Tag::LglVec:
+    return storeElem<int8_t>(X, Idx, V.asCondition() ? 1 : 0);
+  case Tag::IntVec:
+    return storeElem(X, Idx, V.toInt());
+  case Tag::RealVec:
+    return storeElem(X, Idx, V.toReal());
+  case Tag::CplxVec:
+    return storeElem(X, Idx, V.toCplx());
+  case Tag::StrVec:
+    elemSlot<StrVecObj>(X, Idx) = V.strObj()->D;
     return;
-  }
-  case Tag::IntVec: {
-    if (!X.unshared())
-      X = cowClone<IntVecObj>(X, Tag::IntVec);
-    auto &D = X.intVecObj()->D;
-    if (Idx > N) {
-      D.resize(Idx, 0);
-      X.intVecObj()->retrack();
-    }
-    D[Idx - 1] = V.toInt();
+  case Tag::List:
+    elemSlot<ListObj>(X, Idx) = V;
     return;
-  }
-  case Tag::RealVec: {
-    if (!X.unshared())
-      X = cowClone<RealVecObj>(X, Tag::RealVec);
-    auto &D = X.realVecObj()->D;
-    if (Idx > N) {
-      D.resize(Idx, 0);
-      X.realVecObj()->retrack();
-    }
-    D[Idx - 1] = V.toReal();
-    return;
-  }
-  case Tag::CplxVec: {
-    if (!X.unshared())
-      X = cowClone<CplxVecObj>(X, Tag::CplxVec);
-    auto &D = X.cplxVecObj()->D;
-    if (Idx > N) {
-      D.resize(Idx, Complex{0, 0});
-      X.cplxVecObj()->retrack();
-    }
-    D[Idx - 1] = V.toCplx();
-    return;
-  }
-  case Tag::StrVec: {
-    if (!X.unshared())
-      X = cowClone<StrVecObj>(X, Tag::StrVec);
-    auto &D = X.strVecObj()->D;
-    if (Idx > N) {
-      D.resize(Idx);
-      X.strVecObj()->retrack();
-    }
-    D[Idx - 1] = V.strObj()->D;
-    return;
-  }
-  case Tag::List: {
-    if (!X.unshared())
-      X = cowClone<ListObj>(X, Tag::List);
-    auto &D = X.listObj()->D;
-    if (Idx > N) {
-      D.resize(Idx);
-      X.listObj()->retrack();
-    }
-    D[Idx - 1] = V;
-    return;
-  }
   default:
     assert(false && "widenFor yields a container");
   }
 }
 
+Value rjit::coerceScalar(const Value &V, Tag Kind) {
+  switch (Kind) {
+  case Tag::Int:
+    return Value::integer(V.toInt());
+  case Tag::Real:
+    return Value::real(V.toReal());
+  case Tag::Cplx:
+    return Value::cplx(V.toCplx());
+  default:
+    assert(Kind == Tag::Lgl && "a numeric scalar kind");
+    return Value::lgl(V.asCondition());
+  }
+}
+
 Value rjit::colonSeq(const Value &A, const Value &B) {
   double From = A.toReal(), To = B.toReal();
-  bool IsInt = (A.tag() == Tag::Int || A.tag() == Tag::Lgl) &&
-               From == std::floor(From);
-  // R's `:` yields integers whenever `from` is integral and the range fits.
-  if ((A.tag() == Tag::Real && From == std::floor(From)))
-    IsInt = true;
-  int64_t N = static_cast<int64_t>(std::abs(To - From)) + 1;
-  if (N > (1 << 28))
+  // The bounds are checked before any conversion: no NaN, infinity or
+  // out-of-range value reaches a cast.
+  if (std::isnan(From) || std::isnan(To))
+    rerror("NA/NaN argument to ':'");
+  double Span = std::abs(To - From);
+  if (!(Span < (1 << 28)))
     rerror("sequence too long");
+  int64_t N = static_cast<int64_t>(Span) + 1;
   int64_t Step = To >= From ? 1 : -1;
-  if (IsInt) {
+  // R's `:` yields integers whenever `from` is integral. They must fit:
+  // opt/inference.cpp types `c:n` as an integer vector from an integral
+  // constant `c` alone, so a sequence that would leave the int32 range
+  // raises rather than turning double.
+  if ((A.tag() == Tag::Int || A.tag() == Tag::Lgl || A.tag() == Tag::Real) &&
+      From == std::floor(From)) {
+    double Last = From + static_cast<double>(Step * (N - 1));
+    if (std::min(From, Last) < INT32_MIN || std::max(From, Last) > INT32_MAX)
+      rerror("integer sequence out of range");
     std::vector<int32_t> R(N);
     int64_t X = static_cast<int64_t>(From);
     for (int64_t K = 0; K < N; ++K, X += Step)

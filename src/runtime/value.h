@@ -28,6 +28,7 @@
 
 #include "support/interner.h"
 #include "support/relaxed.h"
+#include "support/stats.h"
 
 #include <cassert>
 #include <cstdint>
@@ -519,6 +520,113 @@ inline ListObj *Value::listObj() const {
 }
 
 //===----------------------------------------------------------------------===//
+// Element access, declared once
+//===----------------------------------------------------------------------===//
+//
+// One read and one store kernel per element type (int8_t for logicals,
+// int32_t, double, Complex). extract2 and assign2 run them for their
+// numeric kinds, and so do LowCode's typed element ops on both backends,
+// so every tier raises the same errors and copies, grows and re-tracks a
+// container the same way. They are always inlined, with their error and
+// copy-or-grow paths out of line: the typed ops are the hottest helpers of
+// optimized code, and GCC keeps a kernel called from the interpreter's
+// large dispatch loop out of line otherwise.
+
+/// The vector tag of element type \p T and its scalar, unchecked.
+template <typename T> struct ElemKind;
+template <> struct ElemKind<int8_t> {
+  static constexpr Tag Vec = Tag::LglVec;
+  static int8_t scalar(const Value &X) { return X.asLglUnchecked() ? 1 : 0; }
+};
+template <> struct ElemKind<int32_t> {
+  static constexpr Tag Vec = Tag::IntVec;
+  static int32_t scalar(const Value &X) { return X.asIntUnchecked(); }
+};
+template <> struct ElemKind<double> {
+  static constexpr Tag Vec = Tag::RealVec;
+  static double scalar(const Value &X) { return X.asRealUnchecked(); }
+};
+template <> struct ElemKind<Complex> {
+  static constexpr Tag Vec = Tag::CplxVec;
+  static Complex scalar(const Value &X) { return X.asCplxUnchecked(); }
+};
+
+/// How far past its end one element store may grow a container.
+inline constexpr int64_t MaxStoreGrowth = 1024 * 1024;
+
+/// Raises the error of an index x[[Idx]] reads out of range.
+[[noreturn]] void subscriptOutOfBounds(int64_t Idx);
+/// Raises the error of a store index that checkStoreIndex rejects.
+[[noreturn]] void badStoreIndex(int64_t Idx);
+
+/// Raises unless x[[Idx]] <- v may store into a container of length \p Len:
+/// Idx is at least 1 and at most MaxStoreGrowth past the end.
+inline void checkStoreIndex(int64_t Idx, int64_t Len) {
+  if (Idx < 1 || Idx > Len + MaxStoreGrowth)
+    badStoreIndex(Idx);
+}
+
+/// \p X as a vector: a numeric scalar or a string becomes its one-element
+/// vector; anything else is returned as it is.
+Value vectorOf(const Value &X);
+
+/// x[[Idx]] of a vector of \p T's kind or, widened, its scalar.
+template <typename T>
+[[gnu::always_inline]] inline T readElem(const Value &X, int64_t Idx) {
+  if (X.tag() == ElemKind<T>::Vec) {
+    const std::vector<T> &D = static_cast<VecObj<T> *>(X.object())->D;
+    if (Idx >= 1 && static_cast<uint64_t>(Idx) <= D.size())
+      return D[Idx - 1];
+  } else if (Idx == 1) {
+    return ElemKind<T>::scalar(X);
+  }
+  subscriptOutOfBounds(Idx);
+}
+
+/// elemSlot's slow path, out of line so the fast path inlines: makes the
+/// container \p X holds its own, copying a shared one (counted in
+/// cow_copies), and grows it, zero-filled, when \p Idx is past its end,
+/// re-tracking its heap bytes.
+template <typename ObjT>
+[[gnu::noinline]] ObjT *prepareStore(Value &X, int64_t Idx) {
+  auto *O = static_cast<ObjT *>(X.object());
+  if (O->refCount() != 1) {
+    ++stats().CowCopies;
+    O = new ObjT(O->D);
+    X = Value::adopt(X.tag(), O);
+  }
+  if (static_cast<uint64_t>(Idx) > O->D.size()) {
+    O->D.resize(Idx);
+    O->retrack();
+  }
+  return O;
+}
+
+/// Element \p Idx (checked) of the container object \p ObjT that \p X
+/// holds, ready to be written.
+template <typename ObjT>
+[[gnu::always_inline]] inline auto &elemSlot(Value &X, int64_t Idx) {
+  auto *O = static_cast<ObjT *>(X.object());
+  if (O->refCount() != 1 || static_cast<uint64_t>(Idx) > O->D.size())
+    O = prepareStore<ObjT>(X, Idx);
+  return O->D[Idx - 1];
+}
+
+/// x[[Idx]] <- \p Elem into a vector of \p T's kind or, widened, its scalar
+/// (boxed first into its one-element vector). Raises before X changes.
+template <typename T>
+[[gnu::always_inline]] inline void storeElem(Value &X, int64_t Idx, T Elem) {
+  if (X.tag() == ElemKind<T>::Vec) {
+    auto *O = static_cast<VecObj<T> *>(X.object());
+    checkStoreIndex(Idx, static_cast<int64_t>(O->D.size()));
+  } else {
+    checkStoreIndex(Idx, 1);
+    X = vectorOf(X);
+  }
+  elemSlot<VecObj<T>>(X, Idx) = Elem;
+}
+
+//===----------------------------------------------------------------------===//
 // Operations (R semantics)
 //===----------------------------------------------------------------------===//
 
@@ -559,6 +667,10 @@ Value genericBinary(BinOp Op, const Value &A, const Value &B);
 Value genericNeg(const Value &A);
 Value genericNot(const Value &A);
 
+/// \p V coerced to the numeric scalar kind \p Kind (Lgl, Int, Real or
+/// Cplx); raises when V is not numeric.
+Value coerceScalar(const Value &V, Tag Kind);
+
 /// x[[i]] with a 1-based index; raises RError when out of bounds.
 Value extract2(const Value &X, int64_t Idx);
 
@@ -572,7 +684,9 @@ Value extract1(const Value &X, const Value &Idx);
 /// NULL to a vector of V's type. Every error is raised before X changes.
 void assign2(Value &X, int64_t Idx, const Value &V);
 
-/// Creates the a:b integer (or real) sequence.
+/// Creates the a:b sequence: integers when a is integral, doubles
+/// otherwise. Raises for a NaN bound, a sequence longer than 2^28 and an
+/// integer sequence that leaves the int32 range.
 Value colonSeq(const Value &A, const Value &B);
 
 } // namespace rjit

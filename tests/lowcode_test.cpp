@@ -600,6 +600,8 @@ void forEachOpCase(const OpCase &Case) {
     Check("idx2.t " + Name,
           instr(LowOp::Extract2Typed, 1, 2, 3, packElem(Kind)),
           Vectors(Kind));
+    if (Kind == Tag::Lgl)
+      continue; // no typed logical store: opt/lowertyped.cpp makes none
     for (bool Steal : {false, true})
       Check("setelem2.t " + Name + (Steal ? " stealing" : ""),
             instr(LowOp::SetElem2Typed, 1, 2, 3, packElem(Kind, Steal), 4),

@@ -1,10 +1,13 @@
 //===-- tests/value_test.cpp - Runtime value unit tests --------------------===//
 
+#include "runtime/arith.h"
 #include "runtime/builtins.h"
 #include "runtime/env.h"
 #include "runtime/value.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 using namespace rjit;
 
@@ -221,6 +224,28 @@ TEST(Seq, ColonDescending) {
   EXPECT_EQ(R.intVecObj()->D, (std::vector<int32_t>{3, 2, 1}));
 }
 
+TEST(Seq, ColonChecksItsBoundsBeforeConverting) {
+  EXPECT_THROW(colonSeq(Value::integer(1), Value::real(NAN)), RError);
+  EXPECT_THROW(colonSeq(Value::real(1), Value::real(1e300)), RError);
+  EXPECT_THROW(colonSeq(Value::real(3e9), Value::real(3e9 + 1)), RError)
+      << "no wrapped integers";
+  EXPECT_THROW(colonSeq(Value::integer(2147483647), Value::real(2147483648.0)),
+               RError);
+  Value R = colonSeq(Value::integer(2147483646), Value::real(2147483647.0));
+  EXPECT_EQ(R.show(), "c(2147483646L, 2147483647L)");
+  EXPECT_EQ(colonSeq(Value::real(0.5), Value::real(1.5)).show(), "c(0.5, 1.5)");
+}
+
+TEST(Seq, RealToIntTruncatesOrGivesNA) {
+  EXPECT_EQ(realToInt(2.9), 2);
+  EXPECT_EQ(realToInt(-2.9), -2);
+  EXPECT_EQ(realToInt(2147483647.5), 2147483647);
+  EXPECT_EQ(realToInt(-2147483648.5), INT32_MIN);
+  for (double D : {1e10, -1e10, 2147483648.0, double(NAN), double(INFINITY)})
+    EXPECT_EQ(realToInt(D), INT32_MIN) << D;
+  EXPECT_EQ(Value::real(1e10).toInt(), INT32_MIN);
+}
+
 TEST(Index, Extract2Basics) {
   Value V = Value::realVec({10, 20, 30});
   EXPECT_DOUBLE_EQ(extract2(V, 2).asRealUnchecked(), 20);
@@ -329,6 +354,68 @@ TEST(Index, Assign2RaisesBeforeTouchingTheContainer) {
 }
 
 //===----------------------------------------------------------------------===//
+// The element kernels every tier runs
+
+TEST(ElemKernel, ReadsAVectorOrItsScalar) {
+  Value V = Value::realVec({10, 20});
+  EXPECT_EQ(readElem<double>(V, 2), 20);
+  EXPECT_EQ(readElem<int32_t>(Value::integer(7), 1), 7);
+  EXPECT_EQ(readElem<int8_t>(Value::lgl(true), 1), 1);
+  for (int64_t Idx : {int64_t(0), int64_t(3), int64_t(-1)})
+    EXPECT_THROW(readElem<double>(V, Idx), RError) << Idx;
+  EXPECT_THROW(readElem<Complex>(Value::cplx(1, 1), 2), RError);
+}
+
+TEST(ElemKernel, StoreErrorsComeBeforeTheContainerChanges) {
+  Value V = Value::realVec({1, 2});
+  const GcObject *Obj = V.object();
+  for (int64_t Idx : {int64_t(0), 2 + MaxStoreGrowth + 1}) {
+    SCOPED_TRACE(Idx);
+    EXPECT_THROW(storeElem(V, Idx, 5.0), RError);
+    EXPECT_EQ(V.object(), Obj);
+    EXPECT_EQ(V.show(), "c(1, 2)");
+  }
+  Value S = Value::integer(4);
+  EXPECT_THROW(storeElem(S, 2 + MaxStoreGrowth, 5), RError);
+  EXPECT_EQ(S.tag(), Tag::Int) << "the scalar is boxed only once it fits";
+  storeElem(V, 2 + MaxStoreGrowth, 5.0); // the farthest store that fits
+  EXPECT_EQ(V.length(), 2 + MaxStoreGrowth);
+}
+
+TEST(ElemKernel, SharedStoreCopiesOnceUnsharedNever) {
+  Value V = Value::intVec({1, 2, 3});
+  const GcObject *Obj = V.object();
+  uint64_t Copies = stats().CowCopies;
+  storeElem(V, 2, 9);
+  EXPECT_EQ(V.object(), Obj) << "an unshared vector is written in place";
+  EXPECT_EQ(stats().CowCopies, Copies);
+
+  Value Alias = V;
+  storeElem(V, 1, 8);
+  storeElem(V, 3, 7); // V owns its copy now
+  EXPECT_EQ(stats().CowCopies, Copies + 1);
+  EXPECT_EQ(Alias.show(), "c(1L, 9L, 3L)");
+  EXPECT_EQ(V.show(), "c(8L, 9L, 7L)");
+}
+
+TEST(ElemKernel, ScalarContainerBoxesAndGrowthRetracks) {
+  Value C = Value::cplx(1, 0);
+  storeElem(C, 2, Complex{0, 1});
+  ASSERT_EQ(C.tag(), Tag::CplxVec);
+  EXPECT_EQ(C.show(), "c(1+0i, 0+1i)");
+
+  uint64_t Before = heapStats().LiveBytes;
+  {
+    Value L = Value::lglVec({1});
+    storeElem<int8_t>(L, 40000, 1);
+    EXPECT_GE(heapStats().LiveBytes, Before + 40000 * sizeof(int8_t));
+    EXPECT_EQ(L.length(), 40000);
+    EXPECT_EQ(readElem<int8_t>(L, 39999), 0) << "growth zero-fills";
+  }
+  EXPECT_EQ(heapStats().LiveBytes, Before);
+}
+
+//===----------------------------------------------------------------------===//
 // Environments
 
 TEST(Environment, SetGet) {
@@ -406,6 +493,28 @@ TEST(Builtin, Ctors) {
   Value V = bi(BuiltinId::VectorCtor, {Value::str("list"), Value::integer(4)});
   EXPECT_EQ(V.tag(), Tag::List);
   EXPECT_EQ(V.length(), 4);
+}
+
+TEST(Builtin, NegativeLengthsRaiseAnRError) {
+  // An RError, not std::length_error: the REPL catches only RError.
+  const std::pair<BuiltinId, std::vector<Value>> Calls[] = {
+      {BuiltinId::IntegerCtor, {Value::integer(-1)}},
+      {BuiltinId::NumericCtor, {Value::real(-2)}},
+      {BuiltinId::ComplexCtor, {Value::integer(-1)}},
+      {BuiltinId::LogicalCtor, {Value::integer(-3)}},
+      {BuiltinId::CharacterCtor, {Value::integer(-1)}},
+      {BuiltinId::VectorCtor, {Value::str("integer"), Value::integer(-1)}},
+      {BuiltinId::SeqLen, {Value::integer(-1)}},
+      {BuiltinId::Runif, {Value::integer(-1)}}};
+  for (const auto &[Id, Args] : Calls) {
+    SCOPED_TRACE(builtinName(Id));
+    try {
+      bi(Id, Args);
+      ADD_FAILURE() << "no error";
+    } catch (const RError &E) {
+      EXPECT_STREQ(E.what(), "invalid 'length' argument");
+    }
+  }
 }
 
 TEST(Builtin, Math) {

@@ -948,14 +948,24 @@ template <typename Fn> void forStrategiesAndBackends(Fn Body) {
     }
 }
 
-/// The values \p Exprs evaluate to after \p Setup, under BaselineOnly.
+/// What \p E evaluates to in \p V: its value shown, or the error it raises.
+std::string valueOrError(Vm &V, const std::string &E) {
+  try {
+    return V.eval(E).show();
+  } catch (const RError &Err) {
+    return std::string("Error: ") + Err.what();
+  }
+}
+
+/// The values (or errors) \p Exprs evaluate to after \p Setup, under
+/// BaselineOnly.
 std::vector<std::string> baselineValues(const std::string &Setup,
                                         const std::vector<std::string> &Exprs) {
   Vm V(cfg(TierStrategy::BaselineOnly));
   V.eval(Setup);
   std::vector<std::string> R;
   for (const std::string &E : Exprs)
-    R.push_back(V.eval(E).show());
+    R.push_back(valueOrError(V, E));
   return R;
 }
 
@@ -1143,6 +1153,94 @@ TEST(VmElementStore, FailedStoreInOsrInCodeKeepsItsVector) {
     EXPECT_GE((stats() - Start).OsrInEntries, 1u);
     EXPECT_EQ(V.eval("length(v)").toInt(), 299);
     EXPECT_EQ(V.eval("v[[1L]] + v[[299L]]").toReal(), 10.0);
+  });
+}
+
+TEST(VmElementStore, TypedAccessRaisesAndCopiesLikeTheBaseline) {
+  // One warmed function per element kind whose optimized code holds the
+  // typed store (int, double, complex) and the typed read (logical too).
+  // Each case gives BaselineOnly's value or error: far past the end, a
+  // typed store raises as assign2 does rather than grow the vector.
+  struct Kind {
+    const char *Fn, *Vec, *Elem;
+  };
+  const Kind Kinds[] = {{"put_i", "c(1L, 2L)", "7L"},
+                        {"put_d", "c(1.5, 2.5)", "3.5"},
+                        {"put_c", "c(1+1i, 2-1i)", "3+2i"},
+                        {"get_l", "c(TRUE, FALSE)", "TRUE"}};
+  for (const Kind &K : Kinds) {
+    SCOPED_TRACE(K.Fn);
+    const std::string Fn = K.Fn, Vec = K.Vec, Elem = K.Elem;
+    const bool Store = Fn != "get_l";
+    const std::string Setup =
+        (Store ? Fn + " <- function(v, i, j, x) { v[[i]] <- x; list(v, "
+                      "v[[j]]) }\n"
+               : Fn + " <- function(v, i, j, x) v[[j]]\n") +
+        "w <- " + Vec;
+    auto Call = [&](const std::string &V, const char *I, const char *J) {
+      return Fn + "(" + V + ", " + I + ", " + J + ", " + Elem + ")";
+    };
+    const std::vector<std::string> Exprs = {
+        Call(Vec, "0L", "1L"),       // store index 0
+        Call(Vec, "3L", "3L"),       // one past the end: the vector grows
+        Call(Vec, "5000000L", "1L"), // far past the end
+        Call(Vec, "1L", "0L"),       // read index 0
+        Call(Vec, "1L", "3L"),       // read past the end
+        Call(Elem, "2L", "2L"),      // a scalar container
+        Call(Elem, "1L", "1L"),
+        Call("w", "1L", "1L"), // shared with the global w
+        "w"};
+    const std::vector<std::string> Want = baselineValues(Setup, Exprs);
+    forStrategiesAndBackends([&](const Vm::Config &C) {
+      Vm V(C);
+      V.eval(Setup);
+      for (int N = 0; N < 5; ++N)
+        ASSERT_EQ(V.eval(Call(Vec, "2L", "2L")).length(), Store ? 2 : 1);
+      FnVersion *Ver =
+          V.stateFor(V.eval(Fn).closObj()->Fn).Versions.mostGenericLive();
+      ASSERT_TRUE(Ver);
+      const std::string Low = printLow(Ver->code()->low());
+      EXPECT_NE(Low.find(" idx2.t "), std::string::npos) << Low;
+      EXPECT_EQ(Low.find(" setelem2.t ") != std::string::npos, Store) << Low;
+      for (size_t E = 0; E < Exprs.size(); ++E) {
+        VmStats Start = stats();
+        EXPECT_EQ(valueOrError(V, Exprs[E]), Want[E]) << Exprs[E];
+        if (Exprs[E].find("(w,") != std::string::npos) {
+          EXPECT_EQ((stats() - Start).CowCopies, Store ? 1u : 0u);
+        }
+      }
+    });
+  }
+}
+
+TEST(VmElementStore, OutOfRangeDoublesConvertAlikeInEveryTier) {
+  // A double index beyond int32 becomes R's NA integer in every tier (the
+  // typed code's Coerce too), and a `:` sequence that would leave the
+  // int32 range raises where inference typed it an integer vector.
+  const std::string Setup = R"(
+    pick <- function(v, x) v[[x]]
+    tail_of <- function(n) { v <- 2147483600:n; v[[length(v)]] }
+    toint <- function(x) as.integer(x)
+  )";
+  const std::vector<std::string> Exprs = {
+      "pick(c(1L, 2L, 3L), 1e10)", "pick(c(1L, 2L, 3L), 0/0)",
+      "pick(c(1L, 2L, 3L), -3e9)", "tail_of(2147483647)",
+      "tail_of(2147483648)",       "toint(1e10)",
+      "toint(0/0)",                "1:(0/0)",
+      "3e9:(3e9 + 1)"};
+  const std::vector<std::string> Want = baselineValues(Setup, Exprs);
+  EXPECT_EQ(Want[0], "Error: subscript out of bounds: -2147483648");
+  EXPECT_EQ(Want[4], "Error: integer sequence out of range");
+  forStrategiesAndBackends([&](const Vm::Config &C) {
+    Vm V(C);
+    V.eval(Setup);
+    for (int N = 0; N < 5; ++N) {
+      ASSERT_EQ(V.eval("pick(c(1L, 2L, 3L), 2)").toInt(), 2);
+      ASSERT_EQ(V.eval("tail_of(2147483610)").toInt(), 2147483610);
+      ASSERT_EQ(V.eval("toint(2.5)").toInt(), 2);
+    }
+    for (size_t E = 0; E < Exprs.size(); ++E)
+      EXPECT_EQ(valueOrError(V, Exprs[E]), Want[E]) << Exprs[E];
   });
 }
 

@@ -254,11 +254,17 @@ void BM_LowerSuite(benchmark::State &State) {
   // allocator could not home.
   size_t IntConsts = 0, Pins = 0, RegSpills = 0, GenericBins = 0;
   size_t LdEnvs = 0, Guards = 0;
+  size_t GenericIdx2 = 0, GenericSetElem2 = 0, TypedIdx2 = 0,
+         TypedSetElem2 = 0;
   for (const auto &Ir : Irs) {
     std::unique_ptr<LowFunction> Low = lowerToLow(*Ir);
     for (const LowInstr &I : Low->Code) {
       GenericBins += I.Op == LowOp::BinGenLow;
       LdEnvs += I.Op == LowOp::LdEnv;
+      GenericIdx2 += I.Op == LowOp::Extract2Low;
+      GenericSetElem2 += I.Op == LowOp::SetElem2Low;
+      TypedIdx2 += I.Op == LowOp::Extract2Typed;
+      TypedSetElem2 += I.Op == LowOp::SetElem2Typed;
     }
     Guards += Low->GuardCount;
     for (uint8_t Known : intConstSlots(*Low).Known)
@@ -275,6 +281,10 @@ void BM_LowerSuite(benchmark::State &State) {
   State.counters["generic_bins"] = static_cast<double>(GenericBins);
   State.counters["ldenv"] = static_cast<double>(LdEnvs);
   State.counters["guards"] = static_cast<double>(Guards);
+  State.counters["generic_idx2"] = static_cast<double>(GenericIdx2);
+  State.counters["generic_setelem2"] = static_cast<double>(GenericSetElem2);
+  State.counters["typed_idx2"] = static_cast<double>(TypedIdx2);
+  State.counters["typed_setelem2"] = static_cast<double>(TypedSetElem2);
   State.counters["peeled_loops"] = static_cast<double>(Peeled);
 }
 BENCHMARK(BM_LowerSuite)->Unit(benchmark::kMicrosecond);

@@ -65,6 +65,18 @@ public:
 
   bool contains(Tag T) const { return Mask & bit(T); }
 
+  /// The numeric kind (Lgl, Int, Real or Cplx) whose scalar and vector
+  /// hold every value of this type, or Tag::Null when none does. R's
+  /// scalars are length-one vectors, so `Real|RealVec` is of kind Real.
+  Tag numericKind() const {
+    if (isNone())
+      return Tag::Null;
+    for (Tag K : {Tag::Lgl, Tag::Int, Tag::Real, Tag::Cplx})
+      if (subtypeOf(RType::of(vectorTagOf(K))))
+        return K;
+    return Tag::Null;
+  }
+
   /// True when the type is exactly one tag.
   bool isExactly(Tag T) const { return Mask == bit(T); }
 

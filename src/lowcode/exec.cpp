@@ -149,6 +149,13 @@ LOW_BODY(CallValLow) {
 LOW_BODY(CallBiLow) {
   S[I.Dst] = callBuiltin(static_cast<BuiltinId>(I.C), &S[I.B],
                          static_cast<size_t>(I.Imm));
+  // The window is this call's own (lowering allocates one per call site):
+  // release it, so a vector passed to length() stays unshared for the
+  // next element store. Each argument is moved out: assigning a fresh
+  // null Value instead reads it back through a store-forwarding stall,
+  // which shows in builtin-heavy loops such as fastaredux's.
+  for (int32_t K = 0; K < I.Imm; ++K)
+    Value Released = std::move(S[I.B + K]);
 }
 
 LOW_BODY(ArithTyped) {

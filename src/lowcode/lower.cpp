@@ -726,10 +726,11 @@ private:
       return;
     }
     case IrOp::Extract2Typed: {
-      // Obj boxed, index raw int; destination per element kind.
+      // Obj boxed, index raw int; destination per element kind. A scalar
+      // container (R's length-one vector) may live in a raw home.
       LowInstr L{LowOp::Extract2Typed};
       L.Dst = slotOf(&I);
-      L.A = boxedSlotOf(I.op(0));
+      L.A = ensureBoxed(I.op(0));
       L.B = slotOf(I.op(1));
       assert(classOf(I.op(1)) == SlotClass::RawInt && "index must be raw");
       L.C = packElem(I.Knd);

@@ -167,6 +167,14 @@ public:
     memIndex(Dst, Base, Index, ScaleLog);
   }
 
+  /// mov [base + index*2^scale], src32 (no displacement)
+  void movMemIndexReg32(uint8_t Base, uint8_t Index, uint8_t ScaleLog,
+                        uint8_t Src) {
+    rexIdx(0, Src, Index, Base);
+    u8(0x89);
+    memIndex(Src, Base, Index, ScaleLog);
+  }
+
   /// movsxd dst64, src32 (register form — the index path when the index
   /// slot is register-homed).
   void movsxdRegReg32(uint8_t Dst, uint8_t Src) {
@@ -419,6 +427,17 @@ public:
       u8(0x40 | ((X >> 3) << 2) | ((Index >> 3) << 1) | (Base >> 3));
     u8(0x0F);
     u8(0x10);
+    memIndex(X, Base, Index, ScaleLog);
+  }
+
+  /// movsd [base + index*2^scale], xmm
+  void movsdMemIndexXmm(uint8_t Base, uint8_t Index, uint8_t ScaleLog,
+                        uint8_t X) {
+    u8(0xF2);
+    if (X >= 8 || Base >= 8 || Index >= 8)
+      u8(0x40 | ((X >> 3) << 2) | ((Index >> 3) << 1) | (Base >> 3));
+    u8(0x0F);
+    u8(0x11);
     memIndex(X, Base, Index, ScaleLog);
   }
 

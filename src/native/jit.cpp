@@ -20,7 +20,9 @@
 //    compares (which write a boxed Lgl) store inline when the destination's
 //    old value is an immediate, and leave the rest — releasing a heap
 //    object — to an out-of-line stub that runs the op through the helper.
-//    Boxed branch conditions test a Lgl inline.
+//    Boxed branch conditions test a Lgl inline. Typed element loads and
+//    stores and length() of int and real vectors follow the same rule:
+//    test, then access the vector inline, or run the whole op in a stub.
 //
 // Calls are helper calls like any other op: CallValLow runs the
 // interpreter's handler, so a closure call out of native code goes through
@@ -164,6 +166,38 @@ template <typename T> const VecInternals &vecInternals() {
 bool inlineExtract(Tag K) {
   return (K == Tag::Real && vecInternals<double>().Valid) ||
          (K == Tag::Int && vecInternals<int32_t>().Valid);
+}
+
+/// True when the typed-store template has an inline path for \p I: a
+/// real or int store that steals its container (a container that stays
+/// in its slot as well is shared, so the store copies it).
+bool inlineStore(const LowInstr &I) {
+  return stealsContainer(I) && inlineExtract(elemKind(I));
+}
+
+/// True when the length template has an inline path: both vector layouts
+/// probed.
+bool inlineLength() {
+  return inlineExtract(Tag::Real) && inlineExtract(Tag::Int);
+}
+
+/// Where a real or int vector object keeps its elements.
+struct ElemLayout {
+  Tag VecTag;
+  uint8_t ScaleLog; ///< log2 of the element size
+  int32_t BeginOff; ///< offsets of the element pointers in the object
+  int32_t EndOff;
+};
+
+ElemLayout elemLayout(Tag K) {
+  if (K == Tag::Real) {
+    const VecInternals &VI = vecInternals<double>();
+    const int32_t D = static_cast<int32_t>(offsetof(RealVecObj, D));
+    return {Tag::RealVec, 3, D + VI.BeginOff, D + VI.EndOff};
+  }
+  const VecInternals &VI = vecInternals<int32_t>();
+  const int32_t D = static_cast<int32_t>(offsetof(IntVecObj, D));
+  return {Tag::IntVec, 2, D + VI.BeginOff, D + VI.EndOff};
 }
 
 } // namespace
@@ -484,6 +518,10 @@ private:
              !stubbedArith(arithOp(I), arithRank(I));
     case LowOp::Extract2Typed:
       return !inlineExtract(elemKind(I));
+    case LowOp::SetElem2Typed:
+      return !inlineStore(I);
+    case LowOp::LengthLow:
+      return !inlineLength();
     case LowOp::CmpBranch:
       return rankClass(arithRank(I)) == SlotClass::Boxed;
     default:
@@ -562,23 +600,12 @@ private:
   /// header's label) and re-emitted after any in-loop stub helper call,
   /// which may have clobbered a caller-saved pin register.
   void emitPinHoist(const PinInfo &P) {
-    Tag K = static_cast<Tag>(P.ElemTag);
-    const VecInternals &VI = K == Tag::Real ? vecInternals<double>()
-                                            : vecInternals<int32_t>();
-    int32_t DMember =
-        K == Tag::Real
-            ? static_cast<int32_t>(offsetof(RealVecObj, D))
-            : static_cast<int32_t>(offsetof(IntVecObj, D));
-    Tag VecTag = K == Tag::Real ? Tag::RealVec : Tag::IntVec;
-    uint8_t ScaleLog = K == Tag::Real ? 3 : 2;
+    ElemLayout L = elemLayout(static_cast<Tag>(P.ElemTag));
     A.cmpMem8Imm8(R12, sOff(P.VecSlot, ValueLayout::Tag),
-                  static_cast<uint8_t>(VecTag));
+                  static_cast<uint8_t>(L.VecTag));
     size_t Miss = A.jcc32(CcNe);
     A.movRegMem64(RAX, R12, sOff(P.VecSlot, ValueLayout::Payload));
-    A.movRegMem64(P.Gpr, RAX, DMember + VI.BeginOff);
-    A.movRegMem64(RDX, RAX, DMember + VI.EndOff);
-    A.subRegReg64(RDX, P.Gpr);
-    A.shrRegImm8(RDX, ScaleLog); // element count
+    emitElemRange(L, P.Gpr);
     size_t Done = A.jmp32();
     A.patchRel32(Miss, A.size());
     A.movRegImm32(RDX, 0); // disabled; the pin register stays dead
@@ -595,6 +622,15 @@ private:
   }
 
   //===-- Common sequences ------------------------------------------------//
+
+  /// From the vector object in rax: \p Data <- its element pointer and
+  /// rdx <- its element count.
+  void emitElemRange(const ElemLayout &L, uint8_t Data) {
+    A.movRegMem64(RDX, RAX, L.EndOff);
+    A.movRegMem64(Data, RAX, L.BeginOff);
+    A.subRegReg64(RDX, Data);
+    A.shrRegImm8(RDX, L.ScaleLog);
+  }
 
   template <typename Fn> void helperCall(Fn *Target, int32_t Arg) {
     A.movRegReg64(RDI, RBX);
@@ -1009,6 +1045,12 @@ private:
     case LowOp::Extract2Typed:
       emitExtract2Typed(Pc, I);
       return;
+    case LowOp::SetElem2Typed:
+      emitSetElem2Typed(Pc, I);
+      return;
+    case LowOp::LengthLow:
+      emitLength(Pc, I);
+      return;
     case LowOp::GuardCond:
       emitGuard(Pc, I);
       return;
@@ -1145,15 +1187,21 @@ private:
       for (size_t Site : {Scalar, Builtin, NoObj})
         A.patchRel32(Site, A.size());
     }
-    for (int32_t Off = 0; Off < ValueStride; Off += 8) {
-      A.movRegMem64(RAX, R12, sOff(I.A, Off));
-      A.movMemReg64(R12, sOff(I.Dst, Off), RAX);
-    }
-    if (I.C) {
-      storeTag(I.A, Tag::Null);
-      A.movMem64Imm32(R12, sOff(I.A, ValueLayout::Payload), 0);
-    }
+    emitSlotBits(I.Dst, I.A, /*Steal=*/I.C);
     resumeAfter(Slow);
+  }
+
+  /// Bit-copies boxed slot \p Src's 24 bytes to \p Dst with no refcount
+  /// change; a steal leaves \p Src null.
+  void emitSlotBits(uint16_t Dst, uint16_t Src, bool Steal) {
+    for (int32_t Off = 0; Off < ValueStride; Off += 8) {
+      A.movRegMem64(RAX, R12, sOff(Src, Off));
+      A.movMemReg64(R12, sOff(Dst, Off), RAX);
+    }
+    if (Steal) {
+      storeTag(Src, Tag::Null);
+      A.movMem64Imm32(R12, sOff(Src, ValueLayout::Payload), 0);
+    }
   }
 
   /// Boxed Dst <- Lgl(A op B) for a rank-1 or rank-2 compare.
@@ -1319,15 +1367,7 @@ private:
   /// (inlineExtract).
   void emitExtract2Typed(int32_t Pc, const LowInstr &I) {
     Tag K = elemKind(I);
-    const VecInternals &VI = K == Tag::Real ? vecInternals<double>()
-                                            : vecInternals<int32_t>();
-    int32_t DMember =
-        K == Tag::Real
-            ? static_cast<int32_t>(offsetof(RealVecObj, D))
-            : static_cast<int32_t>(offsetof(IntVecObj, D));
-    Tag VecTag = K == Tag::Real ? Tag::RealVec : Tag::IntVec;
-    uint8_t ScaleLog = K == Tag::Real ? 3 : 2;
-
+    ElemLayout L = elemLayout(K);
     Stub Slow{Pc, Stub::StepSlow, {}, 0};
     const PinInfo *P = pinFor(Pc, I.A, K);
     if (P) {
@@ -1339,18 +1379,7 @@ private:
       A.cmpMemReg64(RBX, pinLenOff(P->Cell), RSI); // flags: count - idx
       Slow.Sites.push_back(A.jcc32(CcBe)); // count <= idx (unsigned)
     } else {
-      A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
-                    static_cast<uint8_t>(VecTag));
-      Slow.Sites.push_back(A.jcc32(CcNe));
-      // rax: object pointer, then (its last use spent) the data pointer.
-      A.movRegMem64(RAX, R12, sOff(I.A, ValueLayout::Payload));
-      A.movRegMem64(RDX, RAX, DMember + VI.EndOff);
-      A.movRegMem64(RAX, RAX, DMember + VI.BeginOff);
-      A.subRegReg64(RDX, RAX);
-      A.shrRegImm8(RDX, ScaleLog); // element count
-      emitZeroBasedIndex(I.B);
-      A.cmpRegReg64(RSI, RDX);
-      Slow.Sites.push_back(A.jcc32(CcAe)); // unsigned: catches idx < 1 too
+      emitVectorIndex(I.A, I.B, L, Slow);
     }
     // The element goes straight to Dst's home, or through the scratch
     // register to its slot.
@@ -1358,18 +1387,85 @@ private:
     if (K == Tag::Real) {
       int16_t DH = RA.realHome(I.Dst);
       uint8_t X = DH >= 0 ? static_cast<uint8_t>(DH) : 0;
-      A.movsdXmmMemIndex(X, Base, RSI, ScaleLog);
+      A.movsdXmmMemIndex(X, Base, RSI, L.ScaleLog);
       if (DH < 0)
         realStore(I.Dst, 0);
     } else {
       int16_t DH = RA.intHome(I.Dst);
       uint8_t R = DH >= 0 ? static_cast<uint8_t>(DH)
                           : static_cast<uint8_t>(RAX);
-      A.movRegMemIndex32(R, Base, RSI, ScaleLog);
+      A.movRegMemIndex32(R, Base, RSI, L.ScaleLog);
       if (DH < 0)
         intStore(I.Dst, RAX);
     }
     resumeAfter(Slow);
+  }
+
+  /// Typed element store into a stolen real or int container. Inline when
+  /// boxed slot A holds a vector of the kind that nothing else references,
+  /// the index is within its length and, when the container moves to
+  /// another slot, Dst holds an immediate: the element is stored in place
+  /// and the container moves from A to Dst, leaving A null, as the
+  /// interpreter's body leaves it. Everything else — a scalar or shared
+  /// container, growth, an index error, a heap object in Dst — takes the
+  /// stub, where the helper runs the runtime's store kernel (storeElem).
+  void emitSetElem2Typed(int32_t Pc, const LowInstr &I) {
+    ElemLayout L = elemLayout(elemKind(I));
+    Stub Slow{Pc, Stub::StepSlow, {}, 0};
+    if (I.Dst != I.A)
+      testImmediateDst(I.Dst, Slow);
+    emitVectorIndex(I.A, I.B, L, Slow, /*Unshared=*/true);
+    if (elemKind(I) == Tag::Real)
+      A.movsdMemIndexXmm(RAX, RSI, L.ScaleLog, realSrc(I.Imm, 0));
+    else
+      A.movMemIndexReg32(RAX, RSI, L.ScaleLog, intSrc(I.Imm, RDX));
+    if (I.Dst != I.A)
+      emitSlotBits(I.Dst, I.A, /*Steal=*/true);
+    resumeAfter(Slow);
+  }
+
+  /// Raw-int Dst <- length(A): an int or real vector's element count
+  /// inline, the stub for any other value.
+  void emitLength(int32_t Pc, const LowInstr &I) {
+    Stub Slow{Pc, Stub::StepSlow, {}, 0};
+    ElemLayout Int = elemLayout(Tag::Int), Real = elemLayout(Tag::Real);
+    A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
+                  static_cast<uint8_t>(Int.VecTag));
+    size_t NotInt = A.jcc32(CcNe);
+    A.movRegMem64(RAX, R12, sOff(I.A, ValueLayout::Payload));
+    emitElemRange(Int, RAX);
+    size_t Done = A.jmp32();
+    A.patchRel32(NotInt, A.size());
+    A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
+                  static_cast<uint8_t>(Real.VecTag));
+    Slow.Sites.push_back(A.jcc32(CcNe));
+    A.movRegMem64(RAX, R12, sOff(I.A, ValueLayout::Payload));
+    emitElemRange(Real, RAX);
+    A.patchRel32(Done, A.size());
+    intStore(I.Dst, RDX);
+    resumeAfter(Slow);
+  }
+
+  /// The checks before an inline element access of boxed slot \p VecSlot
+  /// at the index in raw-int slot \p IdxSlot: a vector of \p L's kind
+  /// (with \p Unshared, referenced by that slot alone) and an index
+  /// within its length, each jumping to \p Slow when it fails. Leaves the
+  /// element pointer in rax and the 0-based index in rsi.
+  void emitVectorIndex(uint16_t VecSlot, uint16_t IdxSlot,
+                       const ElemLayout &L, Stub &Slow,
+                       bool Unshared = false) {
+    A.cmpMem8Imm8(R12, sOff(VecSlot, ValueLayout::Tag),
+                  static_cast<uint8_t>(L.VecTag));
+    Slow.Sites.push_back(A.jcc32(CcNe));
+    A.movRegMem64(RAX, R12, sOff(VecSlot, ValueLayout::Payload));
+    if (Unshared) {
+      A.cmpMem32Imm32(RAX, ValueLayout::RefCount, 1);
+      Slow.Sites.push_back(A.jcc32(CcNe));
+    }
+    emitElemRange(L, RAX);
+    emitZeroBasedIndex(IdxSlot);
+    A.cmpRegReg64(RSI, RDX);
+    Slow.Sites.push_back(A.jcc32(CcAe)); // unsigned: catches idx < 1 too
   }
 
   /// rsi <- the 1-based index in raw-int slot \p Slot, sign-extended and

@@ -48,9 +48,9 @@ bool pinSafeOp(const LowInstr &I) {
     return coerceSrcClass(I) != SlotClass::Boxed &&
            static_cast<SlotClass>(I.B) != SlotClass::Boxed;
   case LowOp::ArithTyped:
-    // Compares excluded: they write a boxed Lgl. Rank-1 %% and %/% run
-    // inline with a stub but earn no use weight here either (ROADMAP
-    // item 5).
+    // Compares excluded: they write a boxed Lgl. Rank-1 %% and %/%, like
+    // LengthLow, run inline with a stub but earn no use weight here
+    // either (ROADMAP item 5).
     return inlinedArith(arithOp(I), arithRank(I));
   case LowOp::Extract2Typed:
     return kindClass(elemKind(I)) != SlotClass::Boxed;

@@ -266,6 +266,19 @@ RType rjit::builtinResultType(BuiltinId Id, const std::vector<RType> &Args) {
       return RType::of(Tag::Real);
     return RType::of(Tag::Int);
   }
+  case BuiltinId::Concat: {
+    // c(...) of numeric arguments, each of one kind, is a vector of the
+    // highest kind; NULL, strings, lists and arguments whose kind is not
+    // known give NULL, a string vector or a list.
+    int Top = -1;
+    for (RType A : Args) {
+      Tag K = A.numericKind();
+      if (K == Tag::Null)
+        return RType::any();
+      Top = std::max(Top, scalarKindRank(RType::of(K)));
+    }
+    return Top < 0 ? RType::any() : RType::numeric(rankToTag(Top));
+  }
   case BuiltinId::Conj:
   case BuiltinId::AsComplex:
     return RType::of(Tag::Cplx).join(RType::of(Tag::CplxVec));

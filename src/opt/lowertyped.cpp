@@ -99,52 +99,35 @@ bool rjit::lowerTypedOps(IrCode &C) {
     }
 
     case IrOp::Extract2Gen: {
-      RType ObjT = I->op(0)->Type;
-      Tag VecTag;
-      if (ObjT.isExactly(Tag::IntVec))
-        VecTag = Tag::IntVec;
-      else if (ObjT.isExactly(Tag::RealVec))
-        VecTag = Tag::RealVec;
-      else if (ObjT.isExactly(Tag::CplxVec))
-        VecTag = Tag::CplxVec;
-      else if (ObjT.isExactly(Tag::LglVec))
-        VecTag = Tag::LglVec;
-      else
-        break;
+      // By the container's element kind: the runtime's read and store
+      // kernels (runtime/value.h) take a vector of that kind or its
+      // scalar, so `runif(n) * 500`'s `Real|RealVec` is a double
+      // container like a `RealVec`.
+      Tag K = I->op(0)->Type.numericKind();
       int RI = scalarRank(I->op(1)->Type);
-      if (RI != 1 && RI != 2)
+      if (K == Tag::Null || (RI != 1 && RI != 2))
         break;
       I->Ops[1] = coerceTo(C, I, I->op(1), 1);
       I->Op = IrOp::Extract2Typed;
-      I->Knd = scalarTagOf(VecTag);
+      I->Knd = K;
       Changed = true;
       break;
     }
 
     case IrOp::SetElem2Gen: {
-      RType ObjT = I->op(0)->Type;
-      Tag VecTag;
-      if (ObjT.isExactly(Tag::IntVec))
-        VecTag = Tag::IntVec;
-      else if (ObjT.isExactly(Tag::RealVec))
-        VecTag = Tag::RealVec;
-      else if (ObjT.isExactly(Tag::CplxVec))
-        VecTag = Tag::CplxVec;
-      else
-        break;
+      // No typed logical store: a logical container stays generic.
+      Tag K = I->op(0)->Type.numericKind();
       int RV = scalarRank(I->op(2)->Type);
       int RI = scalarRank(I->op(1)->Type);
-      if (RV < 0 || (RI != 1 && RI != 2))
+      if (K == Tag::Null || K == Tag::Lgl || RV < 0 || (RI != 1 && RI != 2))
         break;
-      int VecRank = VecTag == Tag::IntVec   ? 1
-                    : VecTag == Tag::RealVec ? 2
-                                             : 3;
+      int VecRank = scalarRank(RType::of(K));
       if (RV > VecRank)
         break; // would promote the container: keep generic
       I->Ops[1] = coerceTo(C, I, I->op(1), 1);
       I->Ops[2] = coerceTo(C, I, I->op(2), VecRank);
       I->Op = IrOp::SetElem2Typed;
-      I->Knd = scalarTagOf(VecTag);
+      I->Knd = K;
       Changed = true;
       break;
     }

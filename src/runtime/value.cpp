@@ -904,12 +904,12 @@ Value rjit::colonSeq(const Value &A, const Value &B) {
     rerror("sequence too long");
   int64_t N = static_cast<int64_t>(Span) + 1;
   int64_t Step = To >= From ? 1 : -1;
-  // R's `:` yields integers whenever `from` is integral. They must fit:
-  // opt/inference.cpp types `c:n` as an integer vector from an integral
-  // constant `c` alone, so a sequence that would leave the int32 range
-  // raises rather than turning double.
-  if ((A.tag() == Tag::Int || A.tag() == Tag::Lgl || A.tag() == Tag::Real) &&
-      From == std::floor(From)) {
+  // R's `:` yields integers whenever `from` is integral; toReal has
+  // already rejected anything but a logical, integer or double of length
+  // one, scalar or vector. They must fit: opt/inference.cpp types `c:n` as
+  // an integer vector from an integral constant `c` alone, so a sequence
+  // that would leave the int32 range raises rather than turning double.
+  if (From == std::floor(From)) {
     double Last = From + static_cast<double>(Step * (N - 1));
     if (std::min(From, Last) < INT32_MIN || std::max(From, Last) > INT32_MAX)
       rerror("integer sequence out of range");

@@ -836,6 +836,139 @@ TEST(NativeHelperCalls, PerOpCellsSumToTheTotal) {
   EXPECT_GE(Cell(LowOp::CallValLow), 4u * 50u) << "g's call";
 }
 
+TEST(NativeBoxed, ElementStoreTakesFastPathAndStub) {
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native backend on this host";
+  // A stolen int or real element store from container slot 1 to Dst slot
+  // 0 runs inline when the container is an unshared vector of its kind
+  // and the index is within its length; checkTemplate also puts a heap
+  // object in Dst, which takes the stub. Every other stub case, with an
+  // immediate in Dst, makes one step-helper call, and a store whose Dst is
+  // its container slot makes none.
+  for (bool Real : {false, true}) {
+    SCOPED_TRACE(Real ? "double" : "int");
+    auto Vec = [Real] {
+      return Real ? Value::realVec({4.5, 5.5, 6.5}) : Value::intVec({4, 5, 6});
+    };
+    auto Elem = [Real] { return Real ? Value::real(9.5) : Value::integer(9); };
+    for (uint16_t Dst : {0, 1}) {
+      LowBuilder L(2, Real ? 1 : 0, Real ? 1 : 2);
+      L.param(0, SlotClass::Boxed);
+      L.param(1, SlotClass::Boxed);
+      L.param(0, SlotClass::RawInt);
+      if (Real)
+        L.param(0, SlotClass::RawReal);
+      else
+        L.param(1, SlotClass::RawInt);
+      L.op(LowOp::SetElem2Typed, Dst, 1, 0,
+           packElem(Real ? Tag::Real : Tag::Int, /*Steal=*/true), Real ? 0 : 1);
+      L.op(LowOp::RetLow, 0, Dst, 0, 0);
+      if (Dst == 0)
+        checkTemplate(L.F, [&] {
+          return std::vector<Value>{Vec(), Value::integer(2), Elem()};
+        });
+      const Value Shared = Vec();
+      struct Case {
+        std::function<Value()> Container;
+        int32_t Idx;
+        bool Inline;
+      };
+      const Case Cases[] = {
+          {Vec, 2, true},                        // in bounds
+          {[&] { return Shared; }, 2, false},    // shared: one copy
+          {Vec, 4, false},                       // growth
+          {Vec, 0, false},                       // index 0: an error
+          {Vec, 5000000, false},                 // far past the end
+          {Elem, 1, false}};                     // a scalar container
+      for (const Case &C : Cases) {
+        SCOPED_TRACE("Dst s" + std::to_string(Dst) + ", " +
+                     C.Container().show() + "[[" + std::to_string(C.Idx) +
+                     "]]");
+        auto Args = [&] {
+          return std::vector<Value>{Value::integer(0), C.Container(),
+                                    Value::integer(C.Idx), Elem()};
+        };
+        RunResult Want = runCode(interpBackend(), L.F, Args());
+        std::unique_ptr<ExecBackend> B = makeNativeBackend();
+        RunResult Got = runCode(*B, L.F, Args());
+        EXPECT_EQ(Got.Shown, Want.Shown);
+        EXPECT_EQ(Got.CowCopies, Want.CowCopies);
+        EXPECT_EQ(Got.HelperCalls, C.Inline ? 0u : 1u);
+      }
+      EXPECT_EQ(Shared.show(), Vec().show()) << "the shared vector is copied";
+    }
+  }
+}
+
+TEST(NativeBoxed, LengthOfIntAndRealVectorsIsInline) {
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native backend on this host";
+  // length() of an int or real vector reads its element count inline;
+  // any other value takes the stub and the step helper.
+  LowBuilder L(2, 0, 1);
+  L.param(0, SlotClass::Boxed);
+  L.op(LowOp::LengthLow, 0, 0, 0, 0);
+  L.op(LowOp::Box, 1, 0, 0, IntK);
+  L.op(LowOp::RetLow, 0, 1, 0, 0);
+  const std::pair<Value, uint64_t> Cases[] = {
+      {Value::intVec({1, 2, 3}), 0}, {Value::realVec({1.5, 2.5}), 0},
+      {Value::intVec({}), 0},        {Value::integer(5), 1},
+      {Value::nil(), 1},             {Value::lglVec({1, 0, 1, 1}), 1},
+      {Value::str("abc"), 1},        {Value::list({Value::integer(1)}), 1}};
+  for (const auto &[V, Helper] : Cases) {
+    SCOPED_TRACE(V.show());
+    RunResult Want = runCode(interpBackend(), L.F, {V});
+    std::unique_ptr<ExecBackend> B = makeNativeBackend();
+    RunResult Got = runCode(*B, L.F, {V});
+    EXPECT_EQ(Got.Shown, Want.Shown);
+    EXPECT_EQ(Got.HelperCalls, Helper);
+  }
+}
+
+TEST(NativeHelperCalls, InBoundsStoresAndLengthsStayInline) {
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native backend on this host";
+  // fill stores into its own vector in one loop, and each loop's entry
+  // takes its sequence's length: an int vector's, then a double vector's.
+  // In bounds, neither the typed store nor a length reaches the step
+  // helper.
+  const char *Setup = R"(
+    fill <- function(n, w) {
+      v <- numeric(n)
+      for (i in 1:n) v[[i]] <- i * 0.5
+      s <- 0
+      for (x in w) s <- s + x
+      s + v[[n]]
+    }
+    w <- as.numeric(1:50)
+  )";
+  std::string Want = runUnder(cfg(TierStrategy::BaselineOnly, false), Setup,
+                              "fill(300L, w)", 1);
+  Vm::Config C = cfg(TierStrategy::Normal, true);
+  C.OsrThreshold = 1000000; // whole-function code only
+  Vm V(C);
+  V.eval(Setup);
+  for (int K = 0; K < 6; ++K)
+    ASSERT_EQ(V.eval("fill(300L, w)").show(), Want);
+  FnVersion *Ver =
+      V.stateFor(V.eval("fill").closObj()->Fn).Versions.mostGenericLive();
+  ASSERT_TRUE(Ver);
+  const std::string Low = printLow(Ver->code()->low());
+  ASSERT_NE(Low.find(" setelem2.t "), std::string::npos) << Low;
+  ASSERT_NE(Low.find(" length "), std::string::npos) << Low;
+  VmStats Start = stats();
+  for (int K = 0; K < 4; ++K)
+    EXPECT_EQ(V.eval("fill(300L, w)").show(), Want);
+  VmStats D = stats() - Start;
+  auto Cell = [&](LowOp Op) {
+    return D.NativeHelperCallsByOp[static_cast<uint8_t>(Op)].load();
+  };
+  EXPECT_GT(D.NativeEnters, 0u);
+  EXPECT_EQ(Cell(LowOp::SetElem2Typed), 0u);
+  EXPECT_EQ(Cell(LowOp::LengthLow), 0u);
+  EXPECT_EQ(D.CowCopies, 0u);
+}
+
 TEST(NativeBoxed, IntModAndDivTakeFastPathAndStub) {
   if (!nativeBackendSupported())
     GTEST_SKIP() << "no native backend on this host";

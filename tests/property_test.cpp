@@ -358,6 +358,20 @@ public:
           "kU(vi, 0L)", "abs <- function(x) x * 2L", "kU(vi, 0L)",
           "abs <- saved_abs", "kU(vi, 0L)", "kU(vi, 0L)"})
       Lines.push_back(Line);
+    // kK: a c(...)-built vector and a length-one one, read and stored in
+    // a loop. Their element kind, not their length, types the accesses;
+    // w grows one past its end on every iteration after the first, and a
+    // double stored into an int w promotes it. The int phase builds them
+    // from ints, the double phase from doubles. Drawn after every other
+    // shape, so their draws are unchanged.
+    P.Setup += std::string("kK <- function(a, b, n) {\n  v <- c(a, b, a ") +
+               addSub() +
+               " b)\n  w <- c(b)\n  for (i in 1:n) {\n"
+               "    j <- (i %% 3L) + 1L\n    v[[j]] <- v[[j]] " +
+               addSub() + " b\n    w[[i]] <- v[[j]] " + addSub() +
+               " w[[1L]]\n  }\n  c(v, w)\n}\n";
+    for (int Phase : {0, 0, 0, 1, 1, 1})
+      Lines.push_back("kK(" + scalar(Phase) + ", " + scalar(Phase) + ", m)");
     P.Drivers = Lines;
     P.Drivers.insert(P.Drivers.end(), Lines.begin(), Lines.end());
     return P;

@@ -1244,6 +1244,126 @@ TEST(VmElementStore, OutOfRangeDoublesConvertAlikeInEveryTier) {
   });
 }
 
+TEST(VmElementStore, ContainersOfOneElementKindGetTypedAccess) {
+  // Containers whose length inference cannot know are typed by element
+  // kind: c(...) of one kind's values, and runif(n) * k and
+  // as.numeric(1:n) / n, each a double scalar or vector. Their reads and
+  // stores are typed, and every value or error equals BaselineOnly's:
+  // in bounds, growth, index 0, far past the end and a length-one
+  // container (a scalar for runif(1L) * 500).
+  struct Case {
+    const char *Fn, *Def, *Warm;
+    std::vector<std::string> Exprs;
+  };
+  const Case Cases[] = {
+      {"put_c",
+       "function(a, i, x) { v <- c(a, a + 1, 3); v[[i]] <- x; "
+       "list(v, v[[i]]) }",
+       "put_c(1.5, 2L, 7.5)",
+       {"put_c(1.5, 0L, 7.5)", "put_c(1.5, 4L, 7.5)",
+        "put_c(1.5, 5000000L, 7.5)", "put_c(2.5, 3L, 1L)"}},
+      {"put_ci",
+       "function(a, i, x) { v <- c(a, 2L, TRUE); v[[i]] <- x; "
+       "list(v, v[[i]]) }",
+       "put_ci(5L, 1L, 9L)",
+       {"put_ci(5L, 0L, 9L)", "put_ci(5L, 4L, 9L)", "put_ci(5L, 3L, 9L)"}},
+      {"put_c1",
+       "function(a, i, x) { v <- c(a); v[[i]] <- x; list(v, v[[i]]) }",
+       "put_c1(1.5, 1L, 2.5)",
+       {"put_c1(1.5, 2L, 2.5)", "put_c1(1.5, 0L, 2.5)",
+        "put_c1(1.5, 3L, 2.5)"}},
+      {"put_runif",
+       "function(n, i, x) { v <- runif(n) * 500; v[[i]] <- x; "
+       "v[[i]] + length(v) }",
+       "put_runif(10L, 2L, 7.5)",
+       {"put_runif(10L, 0L, 1.5)", "put_runif(10L, 11L, 1.5)",
+        "put_runif(1L, 1L, 1.5)", "put_runif(1L, 2L, 1.5)",
+        "put_runif(10L, 5000000L, 1.5)"}},
+      {"put_seq",
+       "function(n, i, x) { v <- as.numeric(1:n) / n; v[[i]] <- x; "
+       "list(v, v[[i]]) }",
+       "put_seq(4L, 2L, 7.5)",
+       {"put_seq(4L, 0L, 7.5)", "put_seq(4L, 5L, 7.5)",
+        "put_seq(1L, 1L, 7.5)", "put_seq(4L, 3L, 7L)"}},
+  };
+  for (const Case &K : Cases) {
+    SCOPED_TRACE(K.Fn);
+    const std::string Setup = std::string(K.Fn) + " <- " + K.Def;
+    std::vector<std::string> Exprs = K.Exprs;
+    Exprs.insert(Exprs.begin(), K.Warm);
+    const std::vector<std::string> Want = baselineValues(Setup, Exprs);
+    forStrategiesAndBackends([&](const Vm::Config &C) {
+      Vm V(C);
+      V.eval(Setup);
+      for (int N = 0; N < 5; ++N)
+        ASSERT_EQ(valueOrError(V, K.Warm), Want[0]);
+      FnVersion *Ver =
+          V.stateFor(V.eval(K.Fn).closObj()->Fn).Versions.mostGenericLive();
+      ASSERT_TRUE(Ver);
+      const std::string Low = printLow(Ver->code()->low());
+      EXPECT_NE(Low.find(" idx2.t "), std::string::npos) << Low;
+      EXPECT_NE(Low.find(" setelem2.t "), std::string::npos) << Low;
+      for (size_t E = 0; E < Exprs.size(); ++E)
+        EXPECT_EQ(valueOrError(V, Exprs[E]), Want[E]) << Exprs[E];
+    });
+  }
+}
+
+TEST(VmElementStore, BuiltinCallLeavesItsArgumentUnshared) {
+  // length(v) passes v through the builtin call's argument window.
+  // Optimized code releases the window when the builtin returns, so the
+  // next store into v writes in place instead of copying v on every
+  // iteration.
+  const std::string Setup =
+      "f <- function(n) { v <- numeric(n); for (i in 1:n) "
+      "v[[i]] <- length(v) + 0.5; v[[n]] }";
+  const std::vector<std::string> Want =
+      baselineValues(Setup, {"f(10L)", "f(2000L)"});
+  forStrategiesAndBackends([&](const Vm::Config &C) {
+    Vm V(C);
+    V.eval(Setup);
+    for (int N = 0; N < 5; ++N)
+      ASSERT_EQ(V.eval("f(10L)").show(), Want[0]);
+    ASSERT_TRUE(V.stateFor(V.eval("f").closObj()->Fn)
+                    .Versions.mostGenericLive());
+    VmStats Start = stats();
+    EXPECT_EQ(V.eval("f(2000L)").show(), Want[1]);
+    EXPECT_EQ((stats() - Start).CowCopies, 0u);
+  });
+}
+
+TEST(VmColon, LengthOneVectorLowerBoundIsItsScalar) {
+  // R's `:` gives integers whenever its lower bound is integral, a
+  // length-one vector as much as a scalar, in every tier.
+  const std::string Setup = R"(
+    from_c <- function(n) c(1L):n
+    from_var <- function(n) { x <- c(2L); x:n }
+    from_dbl <- function(n) c(2):n
+    from_lgl <- function(n) c(TRUE):n
+    from_frac <- function(n) c(2.5):n
+    loop_sum <- function(n) { s <- 0L; for (i in c(1L):n) s <- s + i; s }
+  )";
+  const std::vector<std::string> Exprs = {
+      "from_c(3L)",  "from_var(4L)", "from_dbl(4)",  "from_lgl(2L)",
+      "from_frac(4)", "loop_sum(10L)", "c(1L):3",     "c(2):4"};
+  const std::vector<std::string> Want = baselineValues(Setup, Exprs);
+  EXPECT_EQ(Want[0], "c(1L, 2L, 3L)");
+  EXPECT_EQ(Want[1], "c(2L, 3L, 4L)");
+  EXPECT_EQ(Want[2], "c(2L, 3L, 4L)");
+  EXPECT_EQ(Want[3], "c(1L, 2L)");
+  EXPECT_EQ(Want[4], "c(2.5, 3.5)");
+  EXPECT_EQ(Want[5], "55L");
+  forStrategiesAndBackends([&](const Vm::Config &C) {
+    Vm V(C);
+    V.eval(Setup);
+    for (int N = 0; N < 5; ++N)
+      for (size_t E = 0; E < Exprs.size(); ++E)
+        ASSERT_EQ(V.eval(Exprs[E]).show(), Want[E]) << Exprs[E];
+    EXPECT_TRUE(V.stateFor(V.eval("loop_sum").closObj()->Fn)
+                    .Versions.mostGenericLive());
+  });
+}
+
 //===----------------------------------------------------------------------===//
 // Random invalidation mode (§5.1 methodology)
 
